@@ -8,10 +8,10 @@ import (
 // Object-migration operations (the Emerald-style mechanism the paper
 // wanted to compare, here as an extension): every node the operation
 // touches is pulled to the requesting processor first, then accessed
-// locally. Upper-level nodes are touched by everyone, so concurrent
-// requesters steal them from each other — whole-object migration
-// behaves like data migration without replication, which is exactly
-// what §2.2 predicts makes it a poor fit for shared structures.
+// locally (walkLocal). Upper-level nodes are touched by everyone, so
+// concurrent requesters steal them from each other — whole-object
+// migration behaves like data migration without replication, which is
+// exactly what §2.2 predicts makes it a poor fit for shared structures.
 
 // nodeStateWords sizes a node's wire image: keys, children, header.
 func nodeStateWords(nd *node) uint64 {
@@ -22,9 +22,10 @@ func nodeStateWords(nd *node) uint64 {
 	return words
 }
 
-// pullNode brings a node to the requester and returns its state. The
-// caller must do its host-level access immediately after (no yield), so
-// the access is atomic even if the node is stolen right away.
+// pullNode brings a node to the requester and returns its state for the
+// caller's visit. A node stolen again while the visit works on it is
+// still the same state: updates stay correct because the node lock, not
+// locality, guards them.
 func (tr *Tree) pullNode(t *core.Task, g gid.GID) *node {
 	for !t.IsLocal(g) {
 		nd := tr.rt.Objects.State(g).(*node)
@@ -33,124 +34,4 @@ func (tr *Tree) pullNode(t *core.Task, g gid.GID) *node {
 		}
 	}
 	return tr.rt.Objects.State(g).(*node)
-}
-
-func (tr *Tree) lookupOM(t *core.Task, key uint64) bool {
-	cur := tr.root
-	for hops := 0; ; hops++ {
-		if hops > 1000 {
-			panic("btree: OM descent did not terminate")
-		}
-		nd := tr.pullNode(t, cur)
-		if nd.leaf {
-			found, lat, _ := nd.leafContains(key)
-			t.Work(searchCycles(len(nd.keys)))
-			if !lat.IsNil() {
-				cur = lat
-				continue
-			}
-			return found
-		}
-		next, _, _ := nd.route(key)
-		t.Work(searchCycles(len(nd.keys)))
-		cur = next
-	}
-}
-
-func (tr *Tree) insertOM(t *core.Task, key uint64) bool {
-	cur := tr.root
-	var path []gid.GID
-	phase := phaseDescend
-	var oldBound, sep uint64
-	var newChild gid.GID
-	inserted := false
-
-	for hops := 0; ; hops++ {
-		if hops > 4000 {
-			panic("btree: OM insert did not terminate")
-		}
-		nd := tr.pullNode(t, cur)
-
-		if phase == phaseUp {
-			if oldBound > nd.high {
-				cur = nd.right
-				continue
-			}
-			t.Work(tr.LockCycles)
-			nd.lock.Lock(t.Thread())
-			if oldBound > nd.high {
-				nd.lock.Unlock(t.Thread())
-				cur = nd.right
-				continue
-			}
-			t.Work(searchCycles(len(nd.keys)) + tr.InsertCycles)
-			if !nd.insertChild(oldBound, sep, newChild) {
-				nd.lock.Unlock(t.Thread())
-				cur = nd.right
-				continue
-			}
-			if len(nd.keys) <= tr.p.Fanout {
-				tr.logNode(t, nd)
-				nd.lock.Unlock(t.Thread())
-				return inserted
-			}
-			_, info := tr.splitLocked(t, nd)
-			nd.lock.Unlock(t.Thread())
-			oldBound, sep, newChild = info.OldBound, info.Sep, info.NewNode
-			if len(path) > 0 {
-				cur = path[len(path)-1]
-				path = path[:len(path)-1]
-				continue
-			}
-			if tr.growRoot(t, cur, info, info.NewNode) {
-				return inserted
-			}
-			cur = tr.root
-			continue
-		}
-
-		if !nd.leaf {
-			next, lateral, _ := nd.route(key)
-			t.Work(searchCycles(len(nd.keys)))
-			if !lateral {
-				path = append(path, cur)
-			}
-			cur = next
-			continue
-		}
-
-		if key > nd.high {
-			cur = nd.right
-			continue
-		}
-		t.Work(tr.LockCycles)
-		nd.lock.Lock(t.Thread())
-		if key > nd.high {
-			nd.lock.Unlock(t.Thread())
-			cur = nd.right
-			continue
-		}
-		t.Work(searchCycles(len(nd.keys)) + tr.InsertCycles)
-		inserted = nd.leafInsert(key)
-		if len(nd.keys) <= tr.p.Fanout {
-			if inserted {
-				tr.logNode(t, nd)
-			}
-			nd.lock.Unlock(t.Thread())
-			return inserted
-		}
-		_, info := tr.splitLocked(t, nd)
-		nd.lock.Unlock(t.Thread())
-		oldBound, sep, newChild = info.OldBound, info.Sep, info.NewNode
-		phase = phaseUp
-		if len(path) > 0 {
-			cur = path[len(path)-1]
-			path = path[:len(path)-1]
-			continue
-		}
-		if tr.growRoot(t, cur, info, info.NewNode) {
-			return inserted
-		}
-		cur = tr.root
-	}
 }

@@ -9,7 +9,8 @@ import (
 
 // ParseScheme parses a command-line scheme spec: a mechanism ("rpc",
 // "cm", "sm", or "om") optionally followed by "+hw" and/or "+repl",
-// e.g. "cm+repl+hw".
+// e.g. "cm+repl+hw". Shared memory takes neither option and object
+// migration takes no "+repl".
 func ParseScheme(spec string) (core.Scheme, error) {
 	parts := strings.Split(strings.ToLower(strings.TrimSpace(spec)), "+")
 	var s core.Scheme
@@ -38,6 +39,9 @@ func ParseScheme(spec string) (core.Scheme, error) {
 	}
 	if s.Mechanism == core.SharedMem && (s.HWMessaging || s.Replication) {
 		return s, fmt.Errorf("shared memory already includes hardware support and replication")
+	}
+	if s.Mechanism == core.ObjMigrate && s.Replication {
+		return s, fmt.Errorf("object migration moves the object itself; it does not read replicas")
 	}
 	return s, nil
 }

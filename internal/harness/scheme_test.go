@@ -32,7 +32,7 @@ func TestParseScheme(t *testing.T) {
 }
 
 func TestParseSchemeErrors(t *testing.T) {
-	for _, in := range []string{"", "tcp", "cm+turbo", "sm+hw", "sm+repl"} {
+	for _, in := range []string{"", "tcp", "cm+turbo", "sm+hw", "sm+repl", "om+repl"} {
 		if _, err := ParseScheme(in); err == nil {
 			t.Errorf("ParseScheme(%q) accepted", in)
 		}
