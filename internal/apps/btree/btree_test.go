@@ -214,6 +214,7 @@ func TestRootSplitGrowsTree(t *testing.T) {
 		{Mechanism: core.RPC},
 		{Mechanism: core.SharedMem},
 		{Mechanism: core.Migrate, Replication: true},
+		{Mechanism: core.ObjMigrate},
 	} {
 		p := DefaultParams()
 		p.Fanout = 4
@@ -343,6 +344,7 @@ func TestPropertyConcurrentInsertsPreserveTree(t *testing.T) {
 		{Mechanism: core.RPC},
 		{Mechanism: core.Migrate},
 		{Mechanism: core.SharedMem},
+		{Mechanism: core.ObjMigrate},
 	} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			p := DefaultParams()
@@ -416,5 +418,19 @@ func TestOMPullsNodesAround(t *testing.T) {
 	if r.Throughput >= cm.Throughput {
 		t.Errorf("object migration (%.3f) not below computation migration (%.3f)",
 			r.Throughput, cm.Throughput)
+	}
+}
+
+// TestOMFullWindowCompletes is the object-migration livelock regression:
+// at seed 2 a fetch forwarded to a node's new home used to ship the node
+// onward before it arrived, so its puller woke to find it gone and kept
+// re-pulling the root long past the stop time.
+func TestOMFullWindowCompletes(t *testing.T) {
+	r := RunExperiment(Config{
+		Scheme: core.Scheme{Mechanism: core.ObjMigrate},
+		Seed:   2, Warmup: 20000, Measure: 300000,
+	})
+	if r.Ops == 0 {
+		t.Fatal("no operations completed")
 	}
 }

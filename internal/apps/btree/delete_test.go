@@ -90,6 +90,7 @@ func TestMixedInsertDeleteConcurrent(t *testing.T) {
 		{Mechanism: core.Migrate},
 		{Mechanism: core.RPC},
 		{Mechanism: core.SharedMem},
+		{Mechanism: core.ObjMigrate},
 	} {
 		p := DefaultParams()
 		p.Fanout = 6

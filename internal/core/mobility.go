@@ -4,6 +4,7 @@ import (
 	"compmig/internal/gid"
 	"compmig/internal/msg"
 	"compmig/internal/network"
+	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
 
@@ -87,12 +88,18 @@ func (t *Task) PullObject(g gid.GID, stateWords uint64) error {
 	return nil
 }
 
+// pinInFlight is the pin of an object that has left its old home but not
+// yet reached the new one. Shipping it onward from the new home before
+// it lands would wake its puller to find it gone again — the puller
+// re-fetches, and two pullers can chase one object forever.
+const pinInFlight = ^sim.Time(0)
+
 // deliverFetch handles an object-fetch at (what the sender believed was)
 // the object's home: forward if the object moved on, wait out the pin
-// window if the object just arrived (Emerald pins an object while an
-// invocation runs on it, which also prevents two pullers live-locking by
-// stealing it back and forth before either touches it), and otherwise
-// ship the object's state to the requester.
+// window if the object is still on its way here or just arrived (Emerald
+// pins an object while an invocation runs on it, which also prevents two
+// pullers live-locking by stealing it back and forth before either
+// touches it), and otherwise ship the object's state to the requester.
 func (rt *Runtime) deliverFetch(m *network.Message) {
 	r := msg.NewReader(m.Payload)
 	g := gid.GID(r.U64())
@@ -105,17 +112,21 @@ func (rt *Runtime) deliverFetch(m *network.Message) {
 		return
 	}
 	if until, pinned := rt.pins[g]; pinned && until > rt.Eng.Now() {
-		rt.Eng.Schedule(until-rt.Eng.Now(), func() { rt.deliverFetch(m) })
+		wait := until - rt.Eng.Now()
+		if until == pinInFlight {
+			wait = rt.PinCycles // the arrival time is not known here: poll
+		}
+		rt.Eng.Schedule(wait, func() { rt.deliverFetch(m) })
 		return
 	}
 	here := rt.Mach.Proc(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
 	overhead := rt.chargeRecv(words, true)
 	here.ExecAsync(overhead, func() {
-		// Move now: accesses racing in behind us forward to the new home.
-		// The object arrives pinned so its new holder gets to use it.
+		// Move now: accesses racing in behind us forward to the new home,
+		// which holds them until the object arrives.
 		rt.Objects.Move(g, requester)
-		rt.pins[g] = rt.Eng.Now() + rt.PinCycles
+		rt.pins[g] = pinInFlight
 		w := msg.NewWriter(int(stateWords) + 3)
 		w.PutU32(replyID)
 		w.PutU64(uint64(g))
@@ -132,13 +143,14 @@ func (rt *Runtime) deliverFetch(m *network.Message) {
 }
 
 // deliverObject installs a moved object at its new home and wakes the
-// puller.
+// puller. The object arrives pinned so its new holder gets to use it.
 func (rt *Runtime) deliverObject(m *network.Message) {
 	words := uint64(len(m.Payload)) + network.HeaderWords
 	overhead := rt.chargeRecvReply(words)
 	rt.Mach.Proc(m.Dst).ExecAsync(overhead, func() {
 		r := msg.NewReader(m.Payload)
 		id := r.U32()
+		rt.pins[gid.GID(r.U64())] = rt.Eng.Now() + rt.PinCycles
 		rt.completeReply(id, nil)
 	})
 }

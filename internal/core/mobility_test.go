@@ -148,7 +148,9 @@ func TestObjectPingPong(t *testing.T) {
 				// Touch the object locally (no yield between the check
 				// and the access, so locality holds).
 				r.rt.Objects.State(g).(*cell).reads++
-				th.Sleep(50)
+				// Sleep past the pin window, so the other puller
+				// may take the object before the next round.
+				th.Sleep(r.rt.PinCycles + 50)
 			}
 		})
 	}

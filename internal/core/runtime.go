@@ -181,11 +181,13 @@ type Runtime struct {
 	// that have migrated away from their birth home.
 	locHints []map[gid.GID]int
 
-	// pins holds per-object pin deadlines: a freshly moved object cannot
+	// pins holds per-object pin deadlines: a freshly arrived object cannot
 	// be fetched away again until its pin expires, so its new holder is
 	// guaranteed to get its access in (Emerald-style invocation pinning).
+	// An object still travelling to its new home is pinned there until
+	// it arrives (pinInFlight).
 	pins map[gid.GID]sim.Time
-	// PinCycles is the pin window applied after each object move.
+	// PinCycles is the pin window applied after each object arrives.
 	PinCycles sim.Time
 
 	// Activations counts migration activations started here (for Table 5
