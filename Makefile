@@ -4,7 +4,8 @@
 # codec and the fault-plan parser, a quick parallel smoke run of the
 # full evaluation suite, a faulty smoke run with invariant checking, a
 # crash-recovery smoke run (WAL/checkpoint durability under wipe
-# faults), and a benchdiff smoke against the committed baseline report.
+# faults), a benchdiff smoke against the committed baseline report, and
+# the benchmark module's own tests.
 
 GO ?= go
 
@@ -18,9 +19,9 @@ BENCH_CURRENT  := BENCH_2026-08-06-fault.json
 BENCH_SHARDS   := BENCH_2026-08-08-shards.json
 BENCH_RECOVERY := BENCH_2026-08-08-recovery.json
 
-.PHONY: check lint vet simvet build test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-gate bench bench-json
+.PHONY: check lint vet simvet build test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json
 
-check: lint build test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke
+check: lint build test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test
 	@echo "check: all green"
 
 # lint is go vet plus simvet, the repo's own determinism/purity analyzer
@@ -127,6 +128,15 @@ benchdiff-smoke:
 	$(GO) run ./cmd/benchdiff $(BENCH_SHARDS) $(BENCH_SHARDS) | grep 'windows=' > /dev/null
 	$(GO) run ./cmd/benchdiff $(BENCH_RECOVERY) $(BENCH_RECOVERY) | grep 'wal appends=' > /dev/null
 	@echo "benchdiff-smoke: $(BENCH_BASELINE) vs $(BENCH_CURRENT) ok; $(BENCH_SHARDS) shard counters and $(BENCH_RECOVERY) WAL counters render"
+
+# bench-test runs the tests of the benchmark module (bench/ is a nested
+# module, so the root `go test ./...` never reaches it). They run every
+# workload at quick windows and fail when a config's simulated results
+# differ from rep to rep or between traced and untraced reps — the
+# determinism that pooled host objects must not disturb. About 30 s.
+bench-test:
+	cd bench && $(GO) test ./...
+	@echo "bench-test: every workload deterministic from rep to rep and traced vs untraced"
 
 # bench-gate regenerates a full-scale report from the working tree and
 # gates it against the committed $(BENCH_CURRENT) with a wall-clock

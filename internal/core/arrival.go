@@ -1,0 +1,188 @@
+package core
+
+import (
+	"fmt"
+
+	"compmig/internal/gid"
+	"compmig/internal/msg"
+	"compmig/internal/network"
+	"compmig/internal/sim"
+)
+
+// Arrival records carry one message from its delivery callback through
+// the receive-path work segment to the thread or completion it starts.
+// Each lane pools its own (see laneState), and each record binds its
+// ExecAsync and Spawn callbacks once at creation, so a warm message path
+// allocates no closure, Task, Reader or Writer per message.
+
+// pop takes the most recently pooled record, or nil when the pool is
+// empty.
+func pop[T any](pool *[]*T) *T {
+	n := len(*pool)
+	if n == 0 {
+		return nil
+	}
+	x := (*pool)[n-1]
+	(*pool)[n-1] = nil
+	*pool = (*pool)[:n-1]
+	return x
+}
+
+// rpcArrival is one method invocation: an RPC request on its way to its
+// handler thread, or a local call running inline. It owns the handler's
+// Task, its argument Reader and its reply Writer.
+type rpcArrival struct {
+	rt *Runtime
+	ls *laneState
+
+	dst     *sim.Proc
+	ent     *methodEntry
+	g       gid.GID
+	caller  int    // processor the reply goes to
+	replyID uint32 // reply slot on the caller
+
+	task  Task
+	args  msg.Reader
+	reply msg.Writer
+	argw  msg.Writer // a local call's marshaled arguments
+
+	spawn func()            // bound a.start, for ExecAsync
+	body  func(*sim.Thread) // bound a.run, for Spawn
+}
+
+func (ls *laneState) getRPC(rt *Runtime) *rpcArrival {
+	if a := pop(&ls.rpcs); a != nil {
+		return a
+	}
+	a := &rpcArrival{rt: rt, ls: ls}
+	a.spawn, a.body = a.start, a.run
+	return a
+}
+
+// put clears the record's references and returns it to its lane's pool.
+func (a *rpcArrival) put() {
+	a.task = Task{}
+	a.args.Reset(nil)
+	a.reply.Reset()
+	a.argw.Reset()
+	a.ls.rpcs = append(a.ls.rpcs, a)
+}
+
+// start runs when the receive path's work segment completes. Both
+// short and long methods run on a simulated thread so handlers can
+// block on locks or charge work; the cost difference (thread creation)
+// was charged by chargeRecvTo. Spawning via the destination processor
+// keeps the handler on that processor's shard lane.
+func (a *rpcArrival) start() { a.dst.Spawn(a.ent.thread, 0, a.body) }
+
+// run is the handler thread: it runs the method against the object's
+// state and sends the reply back.
+func (a *rpcArrival) run(th *sim.Thread) {
+	rt := a.rt
+	a.task = Task{rt: rt, th: th, proc: a.dst, isMethod: true, atBase: true}
+	a.ent.handler(&a.task, rt.Objects.State(a.g), &a.args, &a.reply)
+	rt.sendReply(&a.task, a.caller, a.replyID, a.reply.Words())
+	a.put()
+}
+
+// migArrival is one arriving migration: the continuation record still
+// on the wire, and the activation Task it resumes as.
+type migArrival struct {
+	rt *Runtime
+	ls *laneState
+
+	dst *sim.Proc
+	m   *network.Message
+
+	task Task
+	r    msg.Reader
+
+	spawn func()
+	body  func(*sim.Thread)
+}
+
+func (ls *laneState) getMig(rt *Runtime) *migArrival {
+	if a := pop(&ls.migs); a != nil {
+		return a
+	}
+	a := &migArrival{rt: rt, ls: ls}
+	a.spawn, a.body = a.start, a.run
+	return a
+}
+
+func (a *migArrival) put() {
+	a.task = Task{}
+	a.m = nil
+	a.r.Reset(nil)
+	a.ls.migs = append(a.ls.migs, a)
+}
+
+func (a *migArrival) start() {
+	a.ls.activations++
+	a.dst.Spawn("activation", 0, a.body)
+}
+
+// run is the activation thread: it reconstructs the continuation record
+// and resumes it.
+func (a *migArrival) run(th *sim.Thread) {
+	rt, r := a.rt, &a.r
+	r.Reset(a.m.Payload)
+	r.U64() // target gid, checked before dispatch
+	contID, nframes := unpackContHeader(r.U32())
+	proc, id := unpackLinkage(r.U32())
+	if int(contID) >= len(rt.conts) {
+		panic(fmt.Sprintf("core: unknown continuation id %d", contID))
+	}
+	frames := rt.unmarshalFrames(r, nframes)
+	next := rt.conts[contID].factory()
+	if err := next.UnmarshalWords(r); err != nil {
+		panic("core: corrupt continuation record: " + err.Error())
+	}
+	if err := r.Err(); err != nil {
+		panic("core: continuation payload mismatch: " + err.Error())
+	}
+	// A thread migration carries the rest of the thread's state as
+	// trailing words; a plain migration must consume everything.
+	if a.m.Kind != "thread-migrate" && r.Remaining() != 0 {
+		panic(fmt.Sprintf("core: %d trailing words in migration payload", r.Remaining()))
+	}
+	a.task = Task{rt: rt, th: th, proc: a.dst, reply: replyHandle{proc: proc, id: id}, atBase: true, frames: frames}
+	next.Run(&a.task)
+	if !a.task.migrated && !a.task.returned {
+		panic("core: activation " + rt.conts[contID].name + " finished without Return or Migrate")
+	}
+	// Activation thread dies here — the paper's "destroy the original
+	// thread" for frames at the base of their stack.
+	a.put()
+}
+
+// replyArrival is one returning result between its delivery and the
+// completion of its reply slot.
+type replyArrival struct {
+	rt *Runtime
+	ls *laneState
+
+	proc  int
+	id    uint32
+	words []uint32
+
+	complete func() // bound a.run, for ExecAsync
+}
+
+func (ls *laneState) getReply(rt *Runtime) *replyArrival {
+	if a := pop(&ls.rets); a != nil {
+		return a
+	}
+	a := &replyArrival{rt: rt, ls: ls}
+	a.complete = a.run
+	return a
+}
+
+// run returns the record to the pool before completing the slot (the
+// saved locals keep the reply), so the completion may itself reuse it.
+func (a *replyArrival) run() {
+	rt, proc, id, words := a.rt, a.proc, a.id, a.words
+	a.words = nil
+	a.ls.rets = append(a.ls.rets, a)
+	rt.completeReply(proc, id, words)
+}

@@ -127,7 +127,9 @@ func (t *Task) MigrateThread(g gid.GID, contID ContID, next Continuation, stackW
 	}
 	t.migrated = true
 	rt := t.rt
-	rt.Col.MigrationsSent++
+	here := t.proc.ID()
+	col := rt.colAt(here)
+	col.MigrationsSent++
 
 	w := msg.NewWriter(16)
 	w.PutU64(uint64(g))
@@ -140,7 +142,7 @@ func (t *Task) MigrateThread(g gid.GID, contID ContID, next Continuation, stackW
 	payload := w.Words()
 	words := uint64(len(payload)) + network.HeaderWords
 
-	t.th.Exec(t.proc, rt.chargeSend(words))
-	rt.Net.SendGuarded(&network.Message{Src: t.proc.ID(), Dst: rt.locate(t.proc.ID(), g), Kind: "thread-migrate", Payload: payload},
-		rt.deliverMigrate, rt.guard(t.reply.id))
+	t.th.Exec(t.proc, rt.chargeSendTo(col, words))
+	rt.Net.SendGuarded(&network.Message{Src: here, Dst: rt.locate(here, g), Kind: "thread-migrate", Payload: payload},
+		rt.onMigrate, rt.guard(t.reply.proc, t.reply.id))
 }

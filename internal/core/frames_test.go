@@ -43,7 +43,7 @@ func TestMultiFrameMigration(t *testing.T) {
 	var got uint64
 	r.eng.Spawn("req", 0, func(th *sim.Thread) {
 		task := r.rt.NewTask(th, 0)
-		id, fut := r.rt.newReply()
+		id, slot := r.rt.newReply(0)
 		child := &Task{rt: r.rt, th: th, proc: task.proc,
 			reply: replyHandle{proc: 0, id: id}}
 		child.PushFrame(frameID, &twoPhase{r: r, factor: 10})
@@ -51,7 +51,10 @@ func TestMultiFrameMigration(t *testing.T) {
 			t.Error("frame not pushed")
 		}
 		(&sumCont{r: r, cells: r.cells[1:4]}).Run(child)
-		words := fut.Wait(th).([]uint32)
+		words, err := slot.wait(th)
+		if err != nil {
+			t.Error(err)
+		}
 		var rep cellReply
 		if err := msg.Decode(words, &rep); err != nil {
 			t.Error(err)
@@ -89,12 +92,12 @@ func TestFrameStackGrowsMessage(t *testing.T) {
 	framed := newRig(t, 2, cost.Software())
 	frameID := framed.rt.RegisterCont("grow.frame", func() Continuation { return &twoPhase{r: framed} })
 	framed.eng.Spawn("req", 0, func(th *sim.Thread) {
-		id, fut := framed.rt.newReply()
+		id, slot := framed.rt.newReply(0)
 		child := &Task{rt: framed.rt, th: th, proc: framed.m.Proc(0),
 			reply: replyHandle{proc: 0, id: id}}
 		child.PushFrame(frameID, &twoPhase{r: framed, factor: 2})
 		(&sumCont{r: framed, cells: framed.cells[1:2]}).Run(child)
-		fut.Wait(th)
+		slot.wait(th)
 	})
 	framed.run(t)
 
@@ -111,13 +114,13 @@ func TestThreadMigrationCostsScaleWithStack(t *testing.T) {
 		var dur sim.Time
 		r.eng.Spawn("req", 0, func(th *sim.Thread) {
 			task := r.rt.NewTask(th, 0)
-			id, fut := r.rt.newReply()
+			id, slot := r.rt.newReply(0)
 			child := &Task{rt: r.rt, th: th, proc: task.proc,
 				reply: replyHandle{proc: 0, id: id}}
 			start := th.Now()
 			child.MigrateThread(r.cells[1], contID,
 				&sumCont{r: r, idx: 0, cells: r.cells[1:2]}, stackWords)
-			fut.Wait(th)
+			slot.wait(th)
 			dur = th.Now() - start
 		})
 		r.run(t)
@@ -138,12 +141,12 @@ func TestThreadMigrationLocalRunsInline(t *testing.T) {
 	contID := r.rt.ContIDOf("sum")
 	r.eng.Spawn("req", 0, func(th *sim.Thread) {
 		task := r.rt.NewTask(th, 1)
-		id, fut := r.rt.newReply()
+		id, slot := r.rt.newReply(1)
 		child := &Task{rt: r.rt, th: th, proc: task.proc,
 			reply: replyHandle{proc: 1, id: id}}
 		child.MigrateThread(r.cells[1], contID,
 			&sumCont{r: r, cells: []gid.GID{r.cells[1]}}, 256)
-		fut.Wait(th)
+		slot.wait(th)
 	})
 	r.run(t)
 	if r.col.TotalMessages() != 0 {

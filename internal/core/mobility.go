@@ -45,11 +45,12 @@ func (rt *Runtime) learn(proc int, g gid.GID, home int) {
 // object's current home, charging the forwarding path on the stale
 // processor.
 func (rt *Runtime) forward(m *network.Message, actual int, arrive func(*network.Message)) {
-	rt.Col.Forwards++
+	col := rt.colAt(m.Dst)
+	col.Forwards++
 	stale := rt.Mach.Proc(m.Dst)
 	cost := rt.Model.ForwardingCheck + rt.Model.MessageSend
-	rt.Col.AddCycles(stats.CatForwardingCheck, rt.Model.ForwardingCheck)
-	rt.Col.AddCycles(stats.CatMessageSend, rt.Model.MessageSend)
+	col.AddCycles(stats.CatForwardingCheck, rt.Model.ForwardingCheck)
+	col.AddCycles(stats.CatMessageSend, rt.Model.MessageSend)
 	stale.ExecAsync(cost, func() {
 		rt.Net.Send(&network.Message{Src: m.Dst, Dst: actual, Kind: m.Kind, Payload: m.Payload}, arrive)
 	})
@@ -64,27 +65,28 @@ func (rt *Runtime) forward(m *network.Message, actual int, arrive func(*network.
 // recovery protocol gave up on the fetch (a *fault.GiveUpError).
 func (t *Task) PullObject(g gid.GID, stateWords uint64) error {
 	rt := t.rt
-	if rt.Objects.Home(g) == t.proc.ID() {
+	here := t.proc.ID()
+	if rt.Objects.Home(g) == here {
 		return nil
 	}
-	id, fut := rt.newReply()
+	id, slot := rt.newReply(here)
 	w := msg.NewWriter(5)
 	w.PutU64(uint64(g))
-	w.PutU32(packLinkage(t.proc.ID(), id))
+	w.PutU32(packLinkage(here, id))
 	w.PutU32(uint32(stateWords))
 	payload := w.Words()
 	words := uint64(len(payload)) + network.HeaderWords
 
-	t.th.Exec(t.proc, rt.chargeSend(words))
-	rt.Net.SendGuarded(&network.Message{Src: t.proc.ID(), Dst: rt.locate(t.proc.ID(), g), Kind: "obj-fetch", Payload: payload},
-		rt.deliverFetch, rt.guard(id))
-	if _, err := waitWords(fut, t.th); err != nil {
+	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(here), words))
+	rt.Net.SendGuarded(&network.Message{Src: here, Dst: rt.locate(here, g), Kind: "obj-fetch", Payload: payload},
+		rt.deliverFetch, rt.guard(here, id))
+	if _, err := slot.wait(t.th); err != nil {
 		return err
 	}
 	if rt.Obs != nil {
-		rt.Obs.ObjectPull(t.proc.ID(), g, int(stateWords))
+		rt.Obs.ObjectPull(here, g, int(stateWords))
 	}
-	rt.learn(t.proc.ID(), g, t.proc.ID())
+	rt.learn(here, g, here)
 	return nil
 }
 
@@ -111,17 +113,19 @@ func (rt *Runtime) deliverFetch(m *network.Message) {
 		rt.forward(m, actual, rt.deliverFetch)
 		return
 	}
-	if until, pinned := rt.pins[g]; pinned && until > rt.Eng.Now() {
-		wait := until - rt.Eng.Now()
+	here := rt.Mach.Proc(m.Dst)
+	eng := here.Engine()
+	if until, pinned := rt.pins[g]; pinned && until > eng.Now() {
+		wait := until - eng.Now()
 		if until == pinInFlight {
 			wait = rt.PinCycles // the arrival time is not known here: poll
 		}
-		rt.Eng.Schedule(wait, func() { rt.deliverFetch(m) })
+		eng.ScheduleOn(wait, m.Dst, func() { rt.deliverFetch(m) })
 		return
 	}
-	here := rt.Mach.Proc(m.Dst)
+	col := rt.colAt(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
-	overhead := rt.chargeRecv(words, true)
+	overhead := rt.chargeRecvTo(col, words, true)
 	here.ExecAsync(overhead, func() {
 		// Move now: accesses racing in behind us forward to the new home,
 		// which holds them until the object arrives.
@@ -133,11 +137,11 @@ func (rt *Runtime) deliverFetch(m *network.Message) {
 		w.PutRaw(make([]uint32, stateWords))
 		payload := w.Words()
 		outWords := uint64(len(payload)) + network.HeaderWords
-		rt.Col.AddCycles(stats.CatMarshal, rt.Model.Marshal(outWords))
-		rt.Col.AddCycles(stats.CatMessageSend, rt.Model.MessageSend)
+		col.AddCycles(stats.CatMarshal, rt.Model.Marshal(outWords))
+		col.AddCycles(stats.CatMessageSend, rt.Model.MessageSend)
 		here.ExecAsync(rt.Model.Marshal(outWords)+rt.Model.MessageSend, func() {
 			rt.Net.SendGuarded(&network.Message{Src: m.Dst, Dst: requester, Kind: "obj-move", Payload: payload},
-				rt.deliverObject, rt.guard(replyID))
+				rt.deliverObject, rt.guard(requester, replyID))
 		})
 	})
 }
@@ -146,11 +150,12 @@ func (rt *Runtime) deliverFetch(m *network.Message) {
 // puller. The object arrives pinned so its new holder gets to use it.
 func (rt *Runtime) deliverObject(m *network.Message) {
 	words := uint64(len(m.Payload)) + network.HeaderWords
-	overhead := rt.chargeRecvReply(words)
-	rt.Mach.Proc(m.Dst).ExecAsync(overhead, func() {
+	overhead := rt.chargeRecvReplyTo(rt.colAt(m.Dst), words)
+	here := rt.Mach.Proc(m.Dst)
+	here.ExecAsync(overhead, func() {
 		r := msg.NewReader(m.Payload)
 		id := r.U32()
-		rt.pins[gid.GID(r.U64())] = rt.Eng.Now() + rt.PinCycles
-		rt.completeReply(id, nil)
+		rt.pins[gid.GID(r.U64())] = here.Engine().Now() + rt.PinCycles
+		rt.completeReply(m.Dst, id, nil)
 	})
 }

@@ -200,7 +200,7 @@ func TestReplyIDsRecycled(t *testing.T) {
 		}
 	})
 	r.run(t)
-	if r.rt.nextReplyID > 4 {
-		t.Errorf("500 sequential calls consumed %d reply ids; free list not reused", r.rt.nextReplyID)
+	if r.rt.lanes[0].nextReplyID > 4 {
+		t.Errorf("500 sequential calls consumed %d reply ids; free list not reused", r.rt.lanes[0].nextReplyID)
 	}
 }

@@ -55,9 +55,9 @@ func (t *Task) MigratePartial(g gid.GID, contID ContID, next Continuation, resid
 	}
 
 	// Remote: the migrated part replies to a residual slot on this proc.
-	id, _ := rt.newReply()
 	here := t.proc.ID()
-	rt.residuals[id] = &residualEntry{frame: residual, origReply: t.reply, proc: here}
+	id, slot := rt.newReply(here)
+	slot.residual = &residualEntry{frame: residual, origReply: t.reply, proc: here}
 	sub := &Task{rt: rt, th: t.th, proc: t.proc, reply: replyHandle{proc: here, id: id}}
 	sub.Migrate(g, contID, next)
 	t.migrated = true
@@ -70,9 +70,9 @@ func (rt *Runtime) resumeResidual(ent *residualEntry, words []uint32) {
 	proc := rt.Mach.Proc(ent.proc)
 	// The residual resumes as a fresh activation: thread creation plus
 	// dispatch, like any incoming continuation.
-	rt.Col.AddCycles(stats.CatThreadCreation, rt.Model.ThreadCreation)
+	rt.colAt(ent.proc).AddCycles(stats.CatThreadCreation, rt.Model.ThreadCreation)
 	proc.ExecAsync(rt.Model.ThreadCreation+rt.Model.Scheduler, func() {
-		rt.Eng.Spawn("residual", 0, func(th *sim.Thread) {
+		proc.Spawn("residual", 0, func(th *sim.Thread) {
 			task := &Task{rt: rt, th: th, proc: proc, reply: ent.origReply, atBase: true}
 			ent.frame.Resume(task, msg.NewReader(words))
 			if !task.migrated && !task.returned {

@@ -67,12 +67,15 @@ func TestMigratePartialKeepsHeavyStateHome(t *testing.T) {
 	var got uint64
 	r.eng.Spawn("req", 0, func(th *sim.Thread) {
 		task := r.rt.NewTask(th, 0)
-		id, fut := r.rt.newReply()
+		id, slot := r.rt.newReply(0)
 		child := &Task{rt: r.rt, th: th, proc: task.proc, reply: replyHandle{proc: 0, id: id}}
 		child.MigratePartial(r.cells[2], probeID,
 			&probeCont{r: r, id: probeID, cur: r.cells[2]},
 			residID, &heavyResidual{r: r, weight: 100, buf: make([]uint32, 500)})
-		words := fut.Wait(th).([]uint32)
+		words, err := slot.wait(th)
+		if err != nil {
+			t.Error(err)
+		}
 		var rep cellReply
 		if err := msg.Decode(words, &rep); err != nil {
 			t.Error(err)
@@ -102,12 +105,15 @@ func TestMigratePartialLocalInline(t *testing.T) {
 	var got uint64
 	r.eng.Spawn("req", 0, func(th *sim.Thread) {
 		task := r.rt.NewTask(th, 2) // co-located with the target
-		id, fut := r.rt.newReply()
+		id, slot := r.rt.newReply(2)
 		child := &Task{rt: r.rt, th: th, proc: task.proc, reply: replyHandle{proc: 2, id: id}}
 		child.MigratePartial(r.cells[2], probeID,
 			&probeCont{r: r, id: probeID, cur: r.cells[2]},
 			residID, &heavyResidual{r: r, weight: 2, buf: nil})
-		words := fut.Wait(th).([]uint32)
+		words, err := slot.wait(th)
+		if err != nil {
+			t.Error(err)
+		}
 		var rep cellReply
 		if err := msg.Decode(words, &rep); err != nil {
 			t.Error(err)
@@ -132,11 +138,11 @@ func TestPartialVsFullFrameTradeoff(t *testing.T) {
 		probeID := r.rt.RegisterCont("pf.probe", func() Continuation { return &probeCont{r: r} })
 		residID := r.rt.RegisterCont("pf.resid", func() Continuation { return &heavyResidual{r: r} })
 		r.eng.Spawn("req", 0, func(th *sim.Thread) {
-			id, fut := r.rt.newReply()
+			id, slot := r.rt.newReply(0)
 			child := &Task{rt: r.rt, th: th, proc: r.m.Proc(0), reply: replyHandle{proc: 0, id: id}}
 			child.PushFrame(residID, &heavyResidual{r: r, weight: 1, buf: make([]uint32, 400)})
 			(&probeCont{r: r, id: probeID, cur: r.cells[2]}).Run(child)
-			fut.Wait(th)
+			slot.wait(th)
 		})
 		r.run(t)
 		return r.col.WordsSent
@@ -146,12 +152,12 @@ func TestPartialVsFullFrameTradeoff(t *testing.T) {
 		probeID := r.rt.RegisterCont("pp.probe", func() Continuation { return &probeCont{r: r} })
 		residID := r.rt.RegisterCont("pp.resid", func() Continuation { return &heavyResidual{r: r} })
 		r.eng.Spawn("req", 0, func(th *sim.Thread) {
-			id, fut := r.rt.newReply()
+			id, slot := r.rt.newReply(0)
 			child := &Task{rt: r.rt, th: th, proc: r.m.Proc(0), reply: replyHandle{proc: 0, id: id}}
 			child.MigratePartial(r.cells[2], probeID,
 				&probeCont{r: r, id: probeID, cur: r.cells[2]},
 				residID, &heavyResidual{r: r, weight: 1, buf: make([]uint32, 400)})
-			fut.Wait(th)
+			slot.wait(th)
 		})
 		r.run(t)
 		return r.col.WordsSent

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"compmig/internal/gid"
 	"compmig/internal/msg"
 	"compmig/internal/network"
-	"compmig/internal/sim"
 )
 
 // Call invokes an instance method on object g, blocking until the reply
@@ -20,67 +20,70 @@ func (t *Task) Call(g gid.GID, method MethodID, args msg.Marshaler, out msg.Unma
 		panic(fmt.Sprintf("core: unknown method id %d", method))
 	}
 	ent := &t.rt.methods[method]
-	var argWords []uint32
-	if args != nil {
-		argWords = msg.Encode(args)
-	}
-
 	if t.IsLocal(g) {
 		// Local call: run the handler inline on this thread. The words
 		// round-trip through the codec for a single code path, but no
 		// marshal cycles are charged — a local call passes arguments in
 		// registers.
-		return t.dispatchLocal(g, ent, argWords, out)
+		return t.dispatchLocal(g, ent, args, out)
 	}
 
 	rt := t.rt
-	col := rt.colAt(t.proc.ID())
-	col.RPCCalls++
+	here := t.proc.ID()
+	ls := rt.laneAt(here)
+	ls.col.RPCCalls++
 	if ent.short {
-		col.ShortCalls++
+		ls.col.ShortCalls++
 	}
-	id, fut := rt.newReplyAt(t.proc.ID())
-	w := msg.NewWriter(4 + len(argWords))
+	id, slot := rt.newReply(here)
+	w := ls.scratch()
 	w.PutU32(uint32(method))
 	w.PutU64(uint64(g))
-	w.PutU32(packLinkage(t.proc.ID(), id))
-	w.PutRaw(argWords)
-	payload := w.Words()
+	w.PutU32(packLinkage(here, id))
+	if args != nil {
+		args.MarshalWords(w)
+	}
+	payload := slices.Clone(w.Words())
 	words := uint64(len(payload)) + network.HeaderWords
 
-	t.th.Exec(t.proc, rt.chargeSendTo(col, words))
-	rt.Net.SendGuarded(&network.Message{Src: t.proc.ID(), Dst: rt.locate(t.proc.ID(), g), Kind: "rpc", Payload: payload},
-		rt.deliverRPC, rt.guard(id))
+	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
+	rt.Net.SendGuarded(&network.Message{Src: here, Dst: rt.locate(here, g), Kind: "rpc", Payload: payload},
+		rt.onRPC, rt.guard(here, id))
 
-	reply, err := waitWords(fut, t.th)
+	reply, err := slot.wait(t.th)
 	if err != nil {
 		return err
 	}
 	if rt.Obs != nil {
-		rt.Obs.RemoteCall(t.proc.ID(), g, len(payload), len(reply), ent.short)
+		rt.Obs.RemoteCall(here, g, len(payload), len(reply), ent.short)
 	}
 	// Piggybacked location information: the reply tells the caller where
 	// the object really was.
-	rt.learn(t.proc.ID(), g, rt.Objects.Home(g))
+	rt.learn(here, g, rt.Objects.Home(g))
 	if out == nil {
 		return nil
 	}
-	return msg.Decode(reply, out)
+	return ls.r.Decode(reply, out)
 }
 
-func (t *Task) dispatchLocal(g gid.GID, ent *methodEntry, argWords []uint32, out msg.Unmarshaler) error {
-	self := t.rt.Objects.State(g)
-	r := msg.NewReader(argWords)
-	w := msg.NewWriter(4)
-	sub := &Task{rt: t.rt, th: t.th, proc: t.proc, isMethod: true}
-	ent.handler(sub, self, r, w)
-	if err := r.Err(); err != nil {
+func (t *Task) dispatchLocal(g gid.GID, ent *methodEntry, args msg.Marshaler, out msg.Unmarshaler) error {
+	rt := t.rt
+	ls := rt.laneAt(t.proc.ID())
+	a := ls.getRPC(rt)
+	defer a.put()
+	if args != nil {
+		args.MarshalWords(&a.argw)
+	}
+	a.args.Reset(a.argw.Words())
+	a.task = Task{rt: rt, th: t.th, proc: t.proc, isMethod: true}
+	ent.handler(&a.task, rt.Objects.State(g), &a.args, &a.reply)
+	if err := a.args.Err(); err != nil {
 		return fmt.Errorf("core: method %s argument decode: %w", ent.name, err)
 	}
 	if out == nil {
 		return nil
 	}
-	return msg.Decode(w.Words(), out)
+	return ls.r.Decode(a.reply.Words(), out)
 }
 
 // deliverRPC is the server stub: it charges the receive path on the
@@ -88,53 +91,44 @@ func (t *Task) dispatchLocal(g gid.GID, ent *methodEntry, argWords []uint32, out
 // unless the method is short and takes the active-message fast path), and
 // sends the reply back.
 func (rt *Runtime) deliverRPC(m *network.Message) {
-	dst := rt.Mach.Proc(m.Dst)
-	r := msg.NewReader(m.Payload)
+	var r msg.Reader
+	r.Reset(m.Payload)
 	method := MethodID(r.U32())
 	g := gid.GID(r.U64())
 	if actual := rt.Objects.Home(g); actual != m.Dst {
-		rt.forward(m, actual, rt.deliverRPC)
+		rt.forward(m, actual, rt.onRPC)
 		return
 	}
 	callerProc, replyID := unpackLinkage(r.U32())
-	argWords := make([]uint32, r.Remaining())
-	copy(argWords, m.Payload[len(m.Payload)-len(argWords):])
 	ent := &rt.methods[method]
 
+	ls := rt.laneAt(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
-	overhead := rt.chargeRecvTo(rt.colAt(m.Dst), words, ent.short)
+	overhead := rt.chargeRecvTo(ls.col, words, ent.short)
 
-	runHandler := func(th *sim.Thread) {
-		self := rt.Objects.State(g)
-		args := msg.NewReader(argWords)
-		reply := msg.NewWriter(4)
-		task := &Task{rt: rt, th: th, proc: dst, isMethod: true, atBase: true}
-		ent.handler(task, self, args, reply)
-		rt.sendReply(task, callerProc, replyID, reply.Words())
-	}
-
-	dst.ExecAsync(overhead, func() {
-		// Both paths run on a simulated thread so handlers can block on
-		// locks or charge work; the cost difference (thread creation) was
-		// applied in chargeRecv. Spawning via the destination processor
-		// keeps the handler on that processor's shard lane.
-		dst.Spawn("handler:"+ent.name, 0, runHandler)
-	})
+	a := ls.getRPC(rt)
+	a.dst, a.ent, a.g, a.caller, a.replyID = rt.Mach.Proc(m.Dst), ent, g, callerProc, replyID
+	// A sent payload is never modified, so the handler reads its
+	// arguments in place.
+	a.args.Reset(m.Payload[len(m.Payload)-r.Remaining():])
+	a.dst.ExecAsync(overhead, a.spawn)
 }
 
 // sendReply returns a method result to the caller, or completes the
-// future directly when the caller is co-located.
+// reply slot directly when the caller is co-located. resultWords is the
+// handler's reply buffer, which is reused once the handler retires, so
+// both paths copy it.
 func (rt *Runtime) sendReply(t *Task, callerProc int, replyID uint32, resultWords []uint32) {
-	if callerProc == t.proc.ID() {
-		rt.completeReplyAt(callerProc, replyID, resultWords)
+	here := t.proc.ID()
+	if callerProc == here {
+		rt.completeReply(callerProc, replyID, slices.Clone(resultWords))
 		return
 	}
-	w := msg.NewWriter(1 + len(resultWords))
-	w.PutU32(replyID)
-	w.PutRaw(resultWords)
-	payload := w.Words()
+	payload := make([]uint32, 1+len(resultWords))
+	payload[0] = replyID
+	copy(payload[1:], resultWords)
 	words := uint64(len(payload)) + network.HeaderWords
-	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(t.proc.ID()), words))
-	rt.Net.SendGuarded(&network.Message{Src: t.proc.ID(), Dst: callerProc, Kind: "reply", Payload: payload},
-		rt.deliverReply, rt.guard(replyID))
+	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(here), words))
+	rt.Net.SendGuarded(&network.Message{Src: here, Dst: callerProc, Kind: "reply", Payload: payload},
+		rt.onReply, rt.guard(callerProc, replyID))
 }

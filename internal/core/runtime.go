@@ -131,7 +131,8 @@ type Handler func(t *Task, self any, args *msg.Reader, reply *msg.Writer)
 
 type methodEntry struct {
 	name    string
-	short   bool // active-message fast path: no handler thread is created
+	thread  string // handler thread name, built once at registration
+	short   bool   // active-message fast path: no handler thread is created
 	handler Handler
 }
 
@@ -170,13 +171,6 @@ type Runtime struct {
 	conts    []contEntry
 	contID   map[string]ContID
 
-	replies     map[uint32]*sim.Future
-	nextReplyID uint32
-	freeIDs     []uint32
-	// residuals holds the stay-behind halves of partially migrated
-	// activations, keyed by the reply slot their migrated half answers.
-	residuals map[uint32]*residualEntry
-
 	// locHints[p] caches processor p's last known locations of objects
 	// that have migrated away from their birth home.
 	locHints []map[gid.GID]int
@@ -190,36 +184,35 @@ type Runtime struct {
 	// PinCycles is the pin window applied after each object arrives.
 	PinCycles sim.Time
 
-	// Activations counts migration activations started here (for Table 5
-	// averaging); Migrations counts migrate messages sent.
-	Activations uint64
-
 	// Obs, when non-nil, is notified of every remote access the runtime
 	// dispatches (see AccessObserver). It must be simulation-inert.
 	Obs AccessObserver
 
-	// Sharded-engine routing, set by Shard (see shard.go). cl is the lane
-	// cluster, lanes holds each lane's private slice of runtime state, and
-	// colOf maps processor -> that lane's collector. All nil on a serial
-	// runtime.
+	// lanes holds each lane's private slice of runtime state (see
+	// shard.go): one lane on a serial runtime, one per shard after Shard,
+	// which also sets the lane cluster cl.
 	cl    *sim.Cluster
 	lanes []laneState
-	colOf []*stats.Collector
+
+	// The message-path delivery callbacks, bound once so a send
+	// allocates no method value.
+	onRPC, onMigrate, onReply func(*network.Message)
 }
 
 // New creates a runtime over an existing machine and network.
 func New(eng *sim.Engine, mach *sim.Machine, net *network.Network, col *stats.Collector, model cost.Model) *Runtime {
-	return &Runtime{
+	rt := &Runtime{
 		Eng: eng, Mach: mach, Net: net, Col: col, Model: model,
 		Objects:   object.NewSpace(mach.N()),
 		methodID:  make(map[string]MethodID),
 		contID:    make(map[string]ContID),
-		replies:   make(map[uint32]*sim.Future),
-		residuals: make(map[uint32]*residualEntry),
 		locHints:  make([]map[gid.GID]int, mach.N()),
 		pins:      make(map[gid.GID]sim.Time),
 		PinCycles: 200,
+		lanes:     []laneState{newLane(col)},
 	}
+	rt.onRPC, rt.onMigrate, rt.onReply = rt.deliverRPC, rt.deliverMigrate, rt.deliverReply
+	return rt
 }
 
 // RegisterMethod installs an instance method under a unique name. Short
@@ -230,7 +223,7 @@ func (rt *Runtime) RegisterMethod(name string, short bool, h Handler) MethodID {
 		panic("core: duplicate method " + name)
 	}
 	id := MethodID(len(rt.methods))
-	rt.methods = append(rt.methods, methodEntry{name: name, short: short, handler: h})
+	rt.methods = append(rt.methods, methodEntry{name: name, thread: "handler:" + name, short: short, handler: h})
 	rt.methodID[name] = id
 	return id
 }
@@ -257,26 +250,52 @@ func (rt *Runtime) ContIDOf(name string) ContID {
 	return id
 }
 
-// newReply allocates a reply slot. IDs are recycled through a free list
-// so the live range stays small enough to pack into wire words together
-// with the processor number — like real systems' bounded reply-slot
-// tables.
-func (rt *Runtime) newReply() (uint32, *sim.Future) {
-	var id uint32
-	if n := len(rt.freeIDs); n > 0 {
-		id = rt.freeIDs[n-1]
-		rt.freeIDs = rt.freeIDs[:n-1]
-	} else {
-		rt.nextReplyID++
-		id = rt.nextReplyID
-	}
-	f := &sim.Future{}
-	rt.replies[id] = f
-	return id, f
+// replySlot is one entry of a lane's reply table: the rendezvous
+// between an operation's waiting caller and the reply words (or the
+// recovery error) that settle it. Slots are pooled per lane. A slot is
+// recycled by wait, once its waiter has read the outcome — not at
+// completion, because other events at the completion cycle run before
+// the waiter wakes.
+type replySlot struct {
+	ls    *laneState
+	done  bool
+	words []uint32
+	err   error
+	// residual, when set, is the stay-behind half of a partially
+	// migrated activation that the reply resumes; nobody waits on the
+	// slot.
+	residual *residualEntry
+	q        sim.WaitQueue
 }
 
-func (rt *Runtime) completeReply(id uint32, words []uint32) {
-	f, ok := rt.replies[id]
+// newReply allocates a reply slot in processor proc's lane (the
+// processor the operation's reply will be delivered to). IDs are
+// recycled through a free list so the live range stays small enough to
+// pack into wire words together with the processor number — like real
+// systems' bounded reply-slot tables.
+func (rt *Runtime) newReply(proc int) (uint32, *replySlot) {
+	ls := rt.laneAt(proc)
+	var id uint32
+	if n := len(ls.freeIDs); n > 0 {
+		id = ls.freeIDs[n-1]
+		ls.freeIDs = ls.freeIDs[:n-1]
+	} else {
+		ls.nextReplyID++
+		id = ls.nextReplyID
+	}
+	s := pop(&ls.slots)
+	if s == nil {
+		s = &replySlot{ls: ls}
+	}
+	ls.replies[id] = s
+	return id, s
+}
+
+// completeReply settles reply slot id of processor proc's lane with the
+// result words, or resumes the residual frame the slot holds.
+func (rt *Runtime) completeReply(proc int, id uint32, words []uint32) {
+	ls := rt.laneAt(proc)
+	s, ok := ls.replies[id]
 	if !ok {
 		if inj := rt.Net.FaultInjector(); inj != nil {
 			// Under faults a reply can outlive its slot: the request's
@@ -287,65 +306,75 @@ func (rt *Runtime) completeReply(id uint32, words []uint32) {
 		}
 		panic(fmt.Sprintf("core: reply id %d unknown or already completed", id))
 	}
-	delete(rt.replies, id)
+	delete(ls.replies, id)
 	if rt.Net.FaultInjector() == nil {
 		// Under faults ids are not recycled: a retransmitted reply could
 		// otherwise land after its id was reissued and complete the wrong
 		// slot. The 20-bit id space outlasts any bounded run.
-		rt.freeIDs = append(rt.freeIDs, id)
+		ls.freeIDs = append(ls.freeIDs, id)
 	}
-	if ent, pending := rt.residuals[id]; pending {
+	if ent := s.residual; ent != nil {
 		// The reply belongs to a partially migrated activation: wake its
-		// stay-behind half instead of a waiting future.
-		delete(rt.residuals, id)
+		// stay-behind half instead of a waiting caller.
+		s.recycle()
 		rt.resumeResidual(ent, words)
 		return
 	}
-	f.Complete(words)
+	s.settle(words, nil)
 }
 
 // failReply settles a reply slot with an error (the reliability layer
 // gave up on a message the slot was waiting on). An already-settled
 // slot is left alone: a late delivery may have won the race.
-func (rt *Runtime) failReply(id uint32, err error) {
-	f, ok := rt.replies[id]
+func (rt *Runtime) failReply(proc int, id uint32, err error) {
+	ls := rt.laneAt(proc)
+	s, ok := ls.replies[id]
 	if !ok {
 		return
 	}
-	delete(rt.replies, id)
-	if _, pending := rt.residuals[id]; pending {
+	delete(ls.replies, id)
+	if s.residual != nil {
 		// The stay-behind half of a partially migrated activation holds
 		// processor state that only its reply can release; there is no
 		// caller to hand the error to.
 		panic(fmt.Sprintf("core: unrecoverable loss of reply %d owed to a partially migrated activation: %v", id, err))
 	}
-	f.Complete(err)
+	s.settle(nil, err)
 }
 
-// guard returns the reliability layer's give-up callback for a reply
-// slot, or nil on a fault-free network so the hot path allocates no
-// closure.
-func (rt *Runtime) guard(id uint32) func(*fault.GiveUpError) {
+// guard returns the reliability layer's give-up callback for reply slot
+// id of processor proc, or nil on a fault-free network so the hot path
+// allocates no closure.
+func (rt *Runtime) guard(proc int, id uint32) func(*fault.GiveUpError) {
 	if rt.Net.FaultInjector() == nil {
 		return nil
 	}
-	return func(err *fault.GiveUpError) { rt.failReply(id, err) }
+	return func(err *fault.GiveUpError) { rt.failReply(proc, id, err) }
 }
 
-// waitWords blocks on a reply future and splits the outcome: reply
-// words on success, the recovery error when the runtime gave up on a
-// lost message.
-func waitWords(fut *sim.Future, th *sim.Thread) ([]uint32, error) {
-	switch v := fut.Wait(th).(type) {
-	case nil:
-		return nil, nil
-	case []uint32:
-		return v, nil
-	case error:
-		return nil, v
-	default:
-		panic(fmt.Sprintf("core: reply future completed with unexpected %T", v))
+func (s *replySlot) settle(words []uint32, err error) {
+	s.done, s.words, s.err = true, words, err
+	s.q.Signal()
+}
+
+// wait blocks th until the slot is settled, recycles the slot, and
+// splits the outcome: reply words on success, the recovery error when
+// the runtime gave up on a lost message.
+func (s *replySlot) wait(th *sim.Thread) ([]uint32, error) {
+	if !s.done {
+		s.q.Wait(th, "reply")
 	}
+	if !s.done {
+		panic("core: woke from a reply wait before the reply")
+	}
+	words, err := s.words, s.err
+	s.recycle()
+	return words, err
+}
+
+func (s *replySlot) recycle() {
+	s.done, s.words, s.err, s.residual = false, nil, nil, nil
+	s.ls.slots = append(s.ls.slots, s)
 }
 
 // packLinkage squeezes a reply handle into one wire word: 12 bits of
@@ -379,14 +408,9 @@ func (rt *Runtime) WipeVolatile(proc int) int {
 	return rt.Objects.HomedAt(proc)
 }
 
-// chargeSend accounts the client-stub send path for a payload of words
-// 32-bit words and returns its total cycle cost.
-func (rt *Runtime) chargeSend(words uint64) uint64 {
-	return rt.chargeSendTo(rt.Col, words)
-}
-
-// chargeSendTo is chargeSend with the charges routed to an explicit
-// collector — the sending processor's lane collector under sharding.
+// chargeSendTo accounts the client-stub send path for a payload of
+// words 32-bit words on collector col — the sending processor's (see
+// colAt) — and returns its total cycle cost.
 func (rt *Runtime) chargeSendTo(col *stats.Collector, words uint64) uint64 {
 	m := rt.Model
 	col.AddCycles(stats.CatSendLinkage, m.SendLinkage)
@@ -396,14 +420,9 @@ func (rt *Runtime) chargeSendTo(col *stats.Collector, words uint64) uint64 {
 	return m.SendLinkage + m.SendAllocPacket + m.MessageSend + m.Marshal(words)
 }
 
-// chargeRecv accounts the server-side receive path (dispatch of an rpc or
-// migrate message) and returns its total cycle cost.
-func (rt *Runtime) chargeRecv(words uint64, short bool) uint64 {
-	return rt.chargeRecvTo(rt.Col, words, short)
-}
-
-// chargeRecvTo is chargeRecv with the charges routed to an explicit
-// collector — the receiving processor's lane collector under sharding.
+// chargeRecvTo accounts the server-side receive path (dispatch of an
+// rpc or migrate message) on the receiving processor's collector col and
+// returns its total cycle cost.
 func (rt *Runtime) chargeRecvTo(col *stats.Collector, words uint64, short bool) uint64 {
 	m := rt.Model
 	col.AddCycles(stats.CatCopyPacket, m.CopyPacket(words))
@@ -425,22 +444,19 @@ func (rt *Runtime) chargeRecvTo(col *stats.Collector, words uint64, short bool) 
 // ChargeSendPath exposes the client-stub send-path accounting to sibling
 // runtime layers (the replication package prices its update broadcasts
 // through the same model).
-func (rt *Runtime) ChargeSendPath(words uint64) uint64 { return rt.chargeSend(words) }
+func (rt *Runtime) ChargeSendPath(words uint64) uint64 { return rt.chargeSendTo(rt.Col, words) }
 
 // ChargeRecvReplyPath exposes the light receive-path accounting.
-func (rt *Runtime) ChargeRecvReplyPath(words uint64) uint64 { return rt.chargeRecvReply(words) }
-
-// chargeRecvReply accounts the client-stub path for an incoming reply.
-// Prelude dispatches replies through the same general-purpose stubs as
-// requests (§4.3), so the path pays copy, linkage, unmarshal, packet
-// bookkeeping, and the scheduler wakeup — everything but object-ID
-// translation, the forwarding check, and handler-thread creation.
-func (rt *Runtime) chargeRecvReply(words uint64) uint64 {
+func (rt *Runtime) ChargeRecvReplyPath(words uint64) uint64 {
 	return rt.chargeRecvReplyTo(rt.Col, words)
 }
 
-// chargeRecvReplyTo is chargeRecvReply with the charges routed to an
-// explicit collector.
+// chargeRecvReplyTo accounts the client-stub path for an incoming reply
+// on the receiving processor's collector col. Prelude dispatches
+// replies through the same general-purpose stubs as requests (§4.3), so
+// the path pays copy, linkage, unmarshal, packet bookkeeping, and the
+// scheduler wakeup — everything but object-ID translation, the
+// forwarding check, and handler-thread creation.
 func (rt *Runtime) chargeRecvReplyTo(col *stats.Collector, words uint64) uint64 {
 	m := rt.Model
 	col.AddCycles(stats.CatCopyPacket, m.CopyPacket(words))

@@ -3,32 +3,57 @@ package core
 import (
 	"fmt"
 
+	"compmig/internal/msg"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
 
-// laneState is one shard lane's slice of the runtime's mutable state:
-// its statistics collector, its reply-slot table, and its activation
-// count. Every field is touched only while that lane executes — reply
-// slots are allocated and completed at the operation's originating
-// processor, and charges go to the collector of the processor doing the
-// charging — so lanes never contend.
+// laneState is one lane's slice of the runtime's mutable state: its
+// statistics collector, its reply table, its activation count, and the
+// arrival pools and scratch codec of its message path. A serial runtime
+// has exactly one lane; Shard gives every shard lane its own. Every
+// field is touched only while that lane executes — reply slots are
+// allocated, completed and waited on at the operation's originating
+// processor, arrivals are taken and retired on the receiving processor,
+// and charges go to the collector of the processor doing the charging —
+// so lanes never contend and never share a pooled record.
 type laneState struct {
-	col         *stats.Collector
-	replies     map[uint32]*sim.Future
+	col *stats.Collector
+
+	replies     map[uint32]*replySlot
 	nextReplyID uint32
 	freeIDs     []uint32
+	slots       []*replySlot // settled slots whose waiter has read them
+
 	activations uint64
+
+	rpcs []*rpcArrival
+	migs []*migArrival
+	rets []*replyArrival
+
+	w msg.Writer // marshals outgoing payloads before they are copied out
+	r msg.Reader // decodes reply words into the caller's record
+}
+
+func newLane(col *stats.Collector) laneState {
+	return laneState{col: col, replies: make(map[uint32]*replySlot)}
+}
+
+// scratch returns the lane's marshaling Writer, emptied. Its words must
+// be copied into a payload before the calling thread next blocks.
+func (ls *laneState) scratch() *msg.Writer {
+	ls.w.Reset()
+	return &ls.w
 }
 
 // Shard routes the runtime over a lane cluster: cycle charges, message
-// counters, reply-slot tables, and activation counts become per-lane
-// (cols, by lane index), so the lanes can execute concurrently within a
-// synchronization window. The object space, method/continuation tables,
-// and location hints stay shared — the first two are immutable after
-// setup and the hints are per-processor maps each touched only by its
-// own processor's stream. Sharding composes with neither fault
-// injection nor partial migration, whose recovery state is global.
+// counters, reply tables, activation counts and arrival pools become
+// per-lane (cols, by lane index), so the lanes can execute concurrently
+// within a synchronization window. The object space, method/continuation
+// tables, and location hints stay shared — the first two are immutable
+// after setup and the hints are per-processor maps each touched only by
+// its own processor's stream. Sharding composes with neither fault
+// injection nor object or partial migration, whose state is global.
 func (rt *Runtime) Shard(cl *sim.Cluster, cols []*stats.Collector) {
 	if rt.Net.FaultInjector() != nil {
 		panic("core: cannot shard a runtime with a fault injector attached")
@@ -39,82 +64,26 @@ func (rt *Runtime) Shard(cl *sim.Cluster, cols []*stats.Collector) {
 	rt.cl = cl
 	rt.lanes = make([]laneState, cl.Shards())
 	for i := range rt.lanes {
-		rt.lanes[i] = laneState{col: cols[i], replies: make(map[uint32]*sim.Future)}
-	}
-	rt.colOf = make([]*stats.Collector, rt.Mach.N())
-	for p := range rt.colOf {
-		rt.colOf[p] = cols[cl.LaneOf(p)]
+		rt.lanes[i] = newLane(cols[i])
 	}
 }
 
-// colAt returns the collector charges from processor proc's stream go
-// to: the lane collector under sharding, the runtime collector serially.
-func (rt *Runtime) colAt(proc int) *stats.Collector {
-	if rt.colOf != nil {
-		return rt.colOf[proc]
-	}
-	return rt.Col
-}
-
-// laneAt returns processor proc's lane state, or nil on a serial runtime.
+// laneAt returns the state of processor proc's lane: the only lane on a
+// serial runtime.
 func (rt *Runtime) laneAt(proc int) *laneState {
-	if rt.lanes == nil {
-		return nil
+	if rt.cl == nil {
+		return &rt.lanes[0]
 	}
 	return &rt.lanes[rt.cl.LaneOf(proc)]
 }
 
-// newReplyAt allocates a reply slot owned by processor proc's lane (the
-// processor the operation's reply will be delivered to). Serially it is
-// exactly newReply.
-func (rt *Runtime) newReplyAt(proc int) (uint32, *sim.Future) {
-	ls := rt.laneAt(proc)
-	if ls == nil {
-		return rt.newReply()
-	}
-	var id uint32
-	if n := len(ls.freeIDs); n > 0 {
-		id = ls.freeIDs[n-1]
-		ls.freeIDs = ls.freeIDs[:n-1]
-	} else {
-		ls.nextReplyID++
-		id = ls.nextReplyID
-	}
-	f := &sim.Future{}
-	ls.replies[id] = f
-	return id, f
-}
+// colAt returns the collector charges from processor proc's stream go
+// to: the lane collector under sharding, the runtime collector serially.
+func (rt *Runtime) colAt(proc int) *stats.Collector { return rt.laneAt(proc).col }
 
-// completeReplyAt settles a reply slot owned by processor proc's lane.
-// Serially it is exactly completeReply.
-func (rt *Runtime) completeReplyAt(proc int, id uint32, words []uint32) {
-	ls := rt.laneAt(proc)
-	if ls == nil {
-		rt.completeReply(id, words)
-		return
-	}
-	f, ok := ls.replies[id]
-	if !ok {
-		panic(fmt.Sprintf("core: reply id %d unknown or already completed", id))
-	}
-	delete(ls.replies, id)
-	ls.freeIDs = append(ls.freeIDs, id)
-	f.Complete(words)
-}
-
-// bumpActivations counts a migration activation started on proc.
-func (rt *Runtime) bumpActivations(proc int) {
-	if ls := rt.laneAt(proc); ls != nil {
-		ls.activations++
-		return
-	}
-	rt.Activations++
-}
-
-// ActivationsTotal returns migration activations summed across lanes
-// (or the serial count when the runtime is not sharded).
+// ActivationsTotal returns migration activations summed across lanes.
 func (rt *Runtime) ActivationsTotal() uint64 {
-	total := rt.Activations
+	var total uint64
 	for i := range rt.lanes {
 		total += rt.lanes[i].activations
 	}

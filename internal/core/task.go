@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"compmig/internal/gid"
 	"compmig/internal/msg"
@@ -36,6 +37,10 @@ type Task struct {
 	// frames are caller activations riding along with the computation
 	// (multi-activation migration; see frames.go).
 	frames []pendingFrame
+
+	// child is the activation Do runs its entry continuation as, kept for
+	// the next Do: the previous one is dead by the time Do returns.
+	child *Task
 }
 
 // NewTask binds a requester thread running on processor proc.
@@ -93,19 +98,24 @@ func (t *Task) Do(entry Continuation, out msg.Unmarshaler) error {
 	if t.isMethod {
 		panic("core: instance method activations may not start migratable procedures")
 	}
-	id, fut := t.rt.newReplyAt(t.proc.ID())
-	child := &Task{rt: t.rt, th: t.th, proc: t.proc, reply: replyHandle{proc: t.proc.ID(), id: id}}
+	here := t.proc.ID()
+	id, slot := t.rt.newReply(here)
+	if t.child == nil {
+		t.child = new(Task)
+	}
+	child := t.child
+	*child = Task{rt: t.rt, th: t.th, proc: t.proc, reply: replyHandle{proc: here, id: id}}
 	entry.Run(child)
-	// Either the procedure completed locally (future already done) or it
+	// Either the procedure completed locally (slot already settled) or it
 	// migrated away and this thread is now the waiting client stub.
-	words, err := waitWords(fut, t.th)
+	words, err := slot.wait(t.th)
 	if err != nil {
 		return err
 	}
 	if out == nil {
 		return nil
 	}
-	return msg.Decode(words, out)
+	return t.rt.laneAt(here).r.Decode(words, out)
 }
 
 // Migrate moves the remainder of the current procedure to object g's
@@ -127,7 +137,9 @@ func (t *Task) Migrate(g gid.GID, contID ContID, next Continuation) {
 	}
 	t.migrated = true
 	rt := t.rt
-	rt.colAt(t.proc.ID()).MigrationsSent++
+	here := t.proc.ID()
+	ls := rt.laneAt(here)
+	ls.col.MigrationsSent++
 	if rt.Eng.Tracing() {
 		rt.Eng.Tracef("migrate", "frame -> p%d (obj %#x)", rt.Objects.Home(g), uint64(g))
 	}
@@ -135,13 +147,13 @@ func (t *Task) Migrate(g gid.GID, contID ContID, next Continuation) {
 	// Build the wire record: target object + continuation id + linkage +
 	// any riding caller frames + live variables. The target GID is what
 	// the receiving runtime translates and forward-checks (Table 5).
-	w := msg.NewWriter(10)
+	w := ls.scratch()
 	w.PutU64(uint64(g))
 	w.PutU32(packContHeader(contID, len(t.frames)))
 	w.PutU32(packLinkage(t.reply.proc, t.reply.id))
 	t.marshalFrameBodies(w)
 	next.MarshalWords(w)
-	payload := w.Words()
+	payload := slices.Clone(w.Words())
 	words := uint64(len(payload)) + network.HeaderWords
 	if rt.Obs != nil {
 		// The reply linkage identifies the operation's originating
@@ -150,59 +162,31 @@ func (t *Task) Migrate(g gid.GID, contID ContID, next Continuation) {
 	}
 
 	// Client-stub send path runs on the current processor.
-	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(t.proc.ID()), words))
-	rt.Net.SendGuarded(&network.Message{Src: t.proc.ID(), Dst: rt.locate(t.proc.ID(), g), Kind: "migrate", Payload: payload},
-		rt.deliverMigrate, rt.guard(t.reply.id))
+	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
+	rt.Net.SendGuarded(&network.Message{Src: here, Dst: rt.locate(here, g), Kind: "migrate", Payload: payload},
+		rt.onMigrate, rt.guard(t.reply.proc, t.reply.id))
 	// The frame at this processor is now dead. If it was itself a remote
 	// activation, the thread is destroyed when Run returns; if it was the
-	// original caller's frame, Do is waiting on the reply future.
+	// original caller's frame, Do is waiting on the reply slot.
 }
 
-// deliverMigrate is the server stub for an arriving migration: it charges
-// the receive path on the destination processor, creates the activation
-// thread, reconstructs the continuation record, and resumes it.
+// deliverMigrate is the server stub for an arriving migration: it
+// charges the receive path on the destination processor, then creates
+// the activation thread, which reconstructs the continuation record and
+// resumes it (see migArrival).
 func (rt *Runtime) deliverMigrate(m *network.Message) {
-	target := gid.GID(msg.NewReader(m.Payload).U64())
-	if actual := rt.Objects.Home(target); actual != m.Dst {
-		rt.forward(m, actual, rt.deliverMigrate)
+	var r msg.Reader
+	r.Reset(m.Payload)
+	if actual := rt.Objects.Home(gid.GID(r.U64())); actual != m.Dst {
+		rt.forward(m, actual, rt.onMigrate)
 		return
 	}
-	dst := rt.Mach.Proc(m.Dst)
+	ls := rt.laneAt(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
-	overhead := rt.chargeRecvTo(rt.colAt(m.Dst), words, false)
-	dst.ExecAsync(overhead, func() {
-		rt.bumpActivations(m.Dst)
-		dst.Spawn("activation", 0, func(th *sim.Thread) {
-			r := msg.NewReader(m.Payload)
-			r.U64() // target gid, checked before dispatch
-			contID, nframes := unpackContHeader(r.U32())
-			proc, id := unpackLinkage(r.U32())
-			rh := replyHandle{proc: proc, id: id}
-			if int(contID) >= len(rt.conts) {
-				panic(fmt.Sprintf("core: unknown continuation id %d", contID))
-			}
-			frames := rt.unmarshalFrames(r, nframes)
-			next := rt.conts[contID].factory()
-			if err := next.UnmarshalWords(r); err != nil {
-				panic("core: corrupt continuation record: " + err.Error())
-			}
-			if err := r.Err(); err != nil {
-				panic("core: continuation payload mismatch: " + err.Error())
-			}
-			// A thread migration carries the rest of the thread's state as
-			// trailing words; a plain migration must consume everything.
-			if m.Kind != "thread-migrate" && r.Remaining() != 0 {
-				panic(fmt.Sprintf("core: %d trailing words in migration payload", r.Remaining()))
-			}
-			task := &Task{rt: rt, th: th, proc: dst, reply: rh, atBase: true, frames: frames}
-			next.Run(task)
-			if !task.migrated && !task.returned {
-				panic("core: activation " + rt.conts[contID].name + " finished without Return or Migrate")
-			}
-			// Activation thread dies here — the paper's "destroy the
-			// original thread" for frames at the base of their stack.
-		})
-	})
+	overhead := rt.chargeRecvTo(ls.col, words, false)
+	a := ls.getMig(rt)
+	a.dst, a.m = rt.Mach.Proc(m.Dst), m
+	a.dst.ExecAsync(overhead, a.spawn)
 }
 
 // Return delivers the procedure's result to the operation's caller. When
@@ -214,43 +198,44 @@ func (t *Task) Return(result msg.Marshaler) {
 		panic("core: double Return")
 	}
 	rt := t.rt
-	var resultWords []uint32
-	if result != nil {
-		resultWords = msg.Encode(result)
-	}
 	if len(t.frames) > 0 {
 		// A caller frame migrated along with this computation: resume it
 		// here instead of returning — no message at all.
+		var resultWords []uint32
+		if result != nil {
+			resultWords = msg.Encode(result)
+		}
 		t.popFrame(resultWords)
 		return
 	}
 	t.returned = true
-	if t.reply.proc == t.proc.ID() {
+	here := t.proc.ID()
+	ls := rt.laneAt(here)
+	w := ls.scratch()
+	w.PutU32(t.reply.id)
+	if result != nil {
+		result.MarshalWords(w)
+	}
+	payload := slices.Clone(w.Words())
+	if t.reply.proc == here {
 		// Local completion: the procedure never left (or returned home);
 		// results pass in registers, no messages.
-		rt.completeReplyAt(t.proc.ID(), t.reply.id, resultWords)
+		rt.completeReply(here, t.reply.id, payload[1:])
 		return
 	}
-	w := msg.NewWriter(1 + len(resultWords))
-	w.PutU32(t.reply.id)
-	w.PutRaw(resultWords)
-	payload := w.Words()
 	words := uint64(len(payload)) + network.HeaderWords
-	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(t.proc.ID()), words))
-	rt.Net.SendGuarded(&network.Message{Src: t.proc.ID(), Dst: t.reply.proc, Kind: "reply", Payload: payload},
-		rt.deliverReply, rt.guard(t.reply.id))
+	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
+	rt.Net.SendGuarded(&network.Message{Src: here, Dst: t.reply.proc, Kind: "reply", Payload: payload},
+		rt.onReply, rt.guard(t.reply.proc, t.reply.id))
 }
 
 // deliverReply is the client-stub receive path for a returning result.
+// A sent payload is never modified, so the result words stay in place.
 func (rt *Runtime) deliverReply(m *network.Message) {
-	dst := rt.Mach.Proc(m.Dst)
+	ls := rt.laneAt(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
-	overhead := rt.chargeRecvReplyTo(rt.colAt(m.Dst), words)
-	dst.ExecAsync(overhead, func() {
-		r := msg.NewReader(m.Payload)
-		id := r.U32()
-		rest := make([]uint32, r.Remaining())
-		copy(rest, m.Payload[1:])
-		rt.completeReplyAt(m.Dst, id, rest)
-	})
+	overhead := rt.chargeRecvReplyTo(ls.col, words)
+	a := ls.getReply(rt)
+	a.proc, a.id, a.words = m.Dst, m.Payload[0], m.Payload[1:]
+	rt.Mach.Proc(m.Dst).ExecAsync(overhead, a.complete)
 }

@@ -52,8 +52,14 @@ func (w *Writer) PutU32s(vs []uint32) {
 // Len returns the number of words written so far.
 func (w *Writer) Len() int { return len(w.words) }
 
-// Words returns the encoded payload. The Writer must not be reused after.
+// Words returns the encoded payload. It aliases the Writer's buffer:
+// write nothing more until the caller is done with it, and after a
+// Reset copy it out first.
 func (w *Writer) Words() []uint32 { return w.words }
+
+// Reset empties the Writer for reuse, keeping its buffer, so a
+// long-lived Writer encodes without allocating once it has grown.
+func (w *Writer) Reset() { w.words = w.words[:0] }
 
 // ErrShortPayload is returned when a Reader runs out of words.
 var ErrShortPayload = errors.New("msg: payload too short")
@@ -68,6 +74,10 @@ type Reader struct {
 
 // NewReader returns a Reader over the payload.
 func NewReader(words []uint32) *Reader { return &Reader{words: words} }
+
+// Reset points the Reader at a new payload: it rewinds to the first
+// word and clears any sticky error.
+func (r *Reader) Reset(words []uint32) { *r = Reader{words: words} }
 
 // Err returns the first decoding error, or nil.
 func (r *Reader) Err() error { return r.err }
@@ -141,7 +151,14 @@ func Encode(m Marshaler) []uint32 {
 
 // Decode unmarshals words into u, insisting the payload is fully consumed.
 func Decode(words []uint32, u Unmarshaler) error {
-	r := NewReader(words)
+	var r Reader
+	return r.Decode(words, u)
+}
+
+// Decode is the package-level Decode run through r, which it resets
+// over words: a long-lived Reader decodes without allocating.
+func (r *Reader) Decode(words []uint32, u Unmarshaler) error {
+	r.Reset(words)
 	if err := u.UnmarshalWords(r); err != nil {
 		return err
 	}

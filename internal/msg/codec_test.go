@@ -148,3 +148,69 @@ func TestPropertyI64RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestReaderResetRewindsAndClearsError(t *testing.T) {
+	r := NewReader([]uint32{5})
+	_ = r.U64() // runs short: sets the sticky error
+	if r.Err() != ErrShortPayload {
+		t.Fatalf("err = %v, want ErrShortPayload", r.Err())
+	}
+	r.Reset([]uint32{7, 8})
+	if r.Err() != nil {
+		t.Fatalf("Reset kept the sticky error %v", r.Err())
+	}
+	if r.Remaining() != 2 {
+		t.Fatalf("remaining = %d after Reset, want 2", r.Remaining())
+	}
+	if a, b := r.U32(), r.U32(); a != 7 || b != 8 {
+		t.Errorf("read %d,%d after Reset, want 7,8", a, b)
+	}
+	r.Reset(nil)
+	if r.Remaining() != 0 || r.U32() != 0 || r.Err() != ErrShortPayload {
+		t.Error("Reset(nil) should leave an empty reader")
+	}
+}
+
+func TestReaderDecodeReusesReader(t *testing.T) {
+	var r Reader
+	var u u64Rec
+	if err := r.Decode([]uint32{0, 9}, &u); err != nil || u.v != 9 {
+		t.Fatalf("decode = %v, %d", err, u.v)
+	}
+	if err := r.Decode([]uint32{0, 1, 2}, &u); err == nil {
+		t.Error("trailing word accepted")
+	}
+	// A failed decode leaves no state behind for the next one.
+	if err := r.Decode([]uint32{1, 0}, &u); err != nil || u.v != 1<<32 {
+		t.Errorf("decode after failure = %v, %d", err, u.v)
+	}
+	payload := []uint32{0, 3}
+	if n := testing.AllocsPerRun(100, func() { _ = r.Decode(payload, &u) }); n != 0 {
+		t.Errorf("Reader.Decode allocated %.0f times per call, want 0", n)
+	}
+}
+
+func TestWriterResetKeepsBuffer(t *testing.T) {
+	w := NewWriter(2)
+	w.PutU64(1)
+	w.PutU32(2)
+	grown := cap(w.Words())
+	w.Reset()
+	if w.Len() != 0 {
+		t.Fatalf("len = %d after Reset, want 0", w.Len())
+	}
+	w.PutU32(9)
+	if got := w.Words(); len(got) != 1 || got[0] != 9 {
+		t.Fatalf("words after Reset = %v, want [9]", got)
+	}
+	if cap(w.Words()) != grown {
+		t.Errorf("Reset dropped the buffer: cap %d, want %d", cap(w.Words()), grown)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.Reset(); w.PutU64(4); w.PutU32(5) }); n != 0 {
+		t.Errorf("writing after Reset allocated %.0f times, want 0", n)
+	}
+}
+
+type u64Rec struct{ v uint64 }
+
+func (u *u64Rec) UnmarshalWords(r *Reader) error { u.v = r.U64(); return r.Err() }

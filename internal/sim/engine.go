@@ -74,8 +74,9 @@ type Engine struct {
 	heap eventHeap
 	pool []*Event // free list of fired/cancelled events, for reuse by At
 
-	current *Thread
-	handoff chan struct{} // a driving thread signals here to return control to Run
+	current  *Thread
+	handoff  chan struct{} // a driving thread signals here to return control to Run
+	handoffs uint64        // goroutine switches: sends on a resume or handoff channel
 
 	liveThreads int
 	allThreads  map[*Thread]struct{}
@@ -121,6 +122,13 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic PRNG.
 func (e *Engine) Rand() *PRNG { return e.rng }
+
+// Handoffs returns the number of times control has passed from one
+// goroutine to another on this engine: the engine or a driving thread
+// resuming a simulated thread, or a driving thread returning control to
+// the engine loop. It depends only on the event sequence, so a given
+// program and seed always report the same count.
+func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // Live returns the number of simulated threads that have been spawned and
 // have not yet exited.
@@ -239,6 +247,7 @@ func (e *Engine) dispatch(ev *Event) {
 	if th := ev.th; th != nil {
 		e.release(ev)
 		e.current = th
+		e.handoffs++
 		th.resume <- struct{}{}
 		<-e.handoff
 		return

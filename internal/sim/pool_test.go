@@ -220,3 +220,51 @@ func TestExecFastPathKeepsSerialization(t *testing.T) {
 		}
 	}
 }
+
+// TestExitHandsOffDirectly asserts that a thread exiting while another
+// thread's wakeup is the next event passes control to that thread with
+// exactly one goroutine switch, not a round trip through the engine.
+func TestExitHandsOffDirectly(t *testing.T) {
+	e := NewEngine(1)
+	var atExit, atNext uint64
+	e.Spawn("first", 0, func(th *Thread) { atExit = e.Handoffs() })
+	e.Spawn("second", 5, func(th *Thread) { atNext = e.Handoffs() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if d := atNext - atExit; d != 1 {
+		t.Errorf("exit to next thread cost %d handoffs, want 1", d)
+	}
+	// engine -> first, first -> second, second -> engine.
+	if e.Handoffs() != 3 {
+		t.Errorf("run cost %d handoffs, want 3", e.Handoffs())
+	}
+}
+
+// TestExitRunsOwnRespawnInPlace asserts that when an exiting thread's
+// pump respawns the same pooled thread and pops its wakeup, the new body
+// runs on the same goroutine without any handoff.
+func TestExitRunsOwnRespawnInPlace(t *testing.T) {
+	e := NewEngine(1)
+	var first, second *Thread
+	var atExit, atRespawn uint64
+	e.Spawn("first", 0, func(th *Thread) {
+		first = th
+		e.Schedule(5, func() {
+			e.Spawn("second", 0, func(th *Thread) {
+				second = th
+				atRespawn = e.Handoffs()
+			})
+		})
+		atExit = e.Handoffs()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Fatal("the exited thread was not reused by the next Spawn")
+	}
+	if atRespawn != atExit {
+		t.Errorf("respawn in place cost %d handoffs, want 0", atRespawn-atExit)
+	}
+}

@@ -80,12 +80,12 @@ func (e *Engine) spawnAt(name string, delay Time, body func(*Thread), stream int
 }
 
 // loop is the goroutine behind a Thread for its whole pooled lifetime:
-// run the pending body, retire into the pool, block until the engine
-// hands it a new body, repeat. A wakeup with no pending body is the
+// run the pending body, retire into the pool, and wait for the engine to
+// hand it a new body, repeat. A wakeup with no pending body is the
 // engine's drain signal and terminates the goroutine.
 func (th *Thread) loop() {
+	<-th.resume // wait for first dispatch of the first body
 	for {
-		<-th.resume // wait for first dispatch of the current body
 		body := th.body
 		if body == nil {
 			return
@@ -93,16 +93,21 @@ func (th *Thread) loop() {
 		th.body = nil
 		th.state = threadRunning
 		body(th)
-		th.exit()
+		if !th.exit() {
+			<-th.resume // wait for dispatch of the next body
+		}
 	}
 }
 
-// exit retires the thread and hands control back to the engine. It
-// mirrors park's bookkeeping: the thread must be the engine's current
+// exit retires the thread into the spawn pool and keeps pumping events
+// on its goroutine the way park does, so control passes straight to the
+// next thread to run instead of bouncing through the engine goroutine.
+// It mirrors park's bookkeeping: the thread must be the engine's current
 // runner, and Engine.current is cleared rather than left pointing at a
-// dead thread during the handoff window. The object goes back to the
-// spawn pool; its goroutine survives in loop.
-func (th *Thread) exit() {
+// dead thread while the pump runs. It reports whether the pump popped
+// the thread's own next wakeup — a callback respawned it from the pool
+// — in which case loop runs the new body in place.
+func (th *Thread) exit() bool {
 	e := th.eng
 	if e.current != th {
 		panic("sim: thread exiting while not the current runner")
@@ -113,7 +118,7 @@ func (th *Thread) exit() {
 	delete(e.allThreads, th)
 	e.threadPool = append(e.threadPool, th)
 	e.current = nil
-	e.handoff <- struct{}{}
+	return e.drive(th)
 }
 
 // Engine returns the engine this thread belongs to.
@@ -145,14 +150,9 @@ func (th *Thread) ScratchFuture() *Future {
 // have arranged for a wakeup.
 //
 // Rather than bouncing control back to the engine goroutine on every
-// block, the parking thread becomes the driver: it pumps events in place.
-// Plain callbacks run inline; its own wakeup lets it fall straight
-// through and keep running on the same goroutine; another thread's wakeup
-// hands control to that thread directly. The engine goroutine is involved
-// only when the loop must end (stop, empty heap, run limit, event bound).
-// Event order comes solely from the heap, so the execution is identical
-// to engine-driven dispatch — only the goroutine doing the popping
-// changes.
+// block, the parking thread becomes the driver (see drive). Event order
+// comes solely from the heap, so the execution is identical to
+// engine-driven dispatch — only the goroutine doing the popping changes.
 func (th *Thread) park(where string) {
 	e := th.eng
 	if e.current != th {
@@ -161,15 +161,32 @@ func (th *Thread) park(where string) {
 	th.state = threadParked
 	th.where = where
 	e.current = nil
+	if !e.drive(th) {
+		<-th.resume
+	}
+	e.current = th
+	th.state = threadRunning
+	th.where = ""
+}
+
+// drive pumps events on the goroutine of th, which has just parked or
+// exited. Plain callbacks run inline. When th's own wakeup comes up,
+// drive makes th current and returns true: th keeps running on the same
+// goroutine with no switch. Another thread's wakeup hands control to
+// that thread directly, and the engine goroutine takes back over only
+// when the loop must end (stop, empty heap, run limit, event bound); in
+// both cases drive returns false and th's goroutine must wait on
+// th.resume before touching simulation state again.
+func (e *Engine) drive(th *Thread) (own bool) {
 	for {
 		if e.stopped || len(e.heap) == 0 ||
 			(e.limited && e.heap[0].at > e.runLimit) ||
 			(e.MaxEvents != 0 && e.processed >= e.MaxEvents) {
 			// The engine loop must take back over: to return, to honor
 			// the run limit, or to report deadlock / the event bound.
+			e.handoffs++
 			e.handoff <- struct{}{}
-			<-th.resume
-			break
+			return false
 		}
 		ev := e.heap.pop()
 		if ev.at < e.now {
@@ -182,21 +199,18 @@ func (th *Thread) park(where string) {
 		}
 		if tw := ev.th; tw != nil {
 			e.release(ev)
-			if tw == th {
-				break // own wakeup: resume in place, no goroutine switch
-			}
 			e.current = tw
+			if tw == th {
+				return true // own wakeup: resume in place, no goroutine switch
+			}
+			e.handoffs++
 			tw.resume <- struct{}{}
-			<-th.resume
-			break
+			return false
 		}
 		fn := ev.fn
 		e.release(ev)
 		fn()
 	}
-	e.current = th
-	th.state = threadRunning
-	th.where = ""
 }
 
 // Park blocks the thread indefinitely; it runs again only when another
