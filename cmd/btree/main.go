@@ -8,98 +8,50 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 
 	"compmig/internal/apps/btree"
 	"compmig/internal/harness"
-	"compmig/internal/policy"
 	"compmig/internal/sim"
 )
 
 func main() {
+	mf := harness.NewMachineFlags("btree", "scheme: rpc|cm|sm|om with +hw/+repl (e.g. cm+repl+hw)")
 	fanout := flag.Int("fanout", 100, "maximum keys per node")
 	keys := flag.Int("keys", 10000, "initial keys")
 	procs := flag.Int("nodeprocs", 48, "processors holding tree nodes")
 	threads := flag.Int("threads", 16, "requesting threads, one per processor")
 	think := flag.Uint64("think", 0, "cycles between requests")
 	lookup := flag.Float64("lookups", 0.5, "fraction of operations that are lookups")
-	schemeSpec := flag.String("scheme", "cm", "scheme: rpc|cm|sm|om with +hw/+repl (e.g. cm+repl+hw)")
-	policySpec := flag.String("policy", "", "online mechanism selection: static:<rpc|cm|sm|om>, costmodel, or bandit[:eps]")
-	policyStats := flag.String("policy-stats", "", "write the policy engine's live statistics as JSON to this file (requires -policy)")
-	faultsSpec := flag.String("faults", "", "fault plan, e.g. drop=0.01,delay=0:40,crash=p3@50000+20000,wipe=p2@60000+8000,ckpt=20000,seed=7 (empty = no faults)")
-	durable := flag.Bool("durable", false, "force the per-processor WAL/checkpoint store on (wipe= windows switch it on automatically)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
 	warmup := flag.Uint64("warmup", 20000, "warmup cycles before measuring")
 	measure := flag.Uint64("measure", 200000, "measurement window in cycles")
 	trace := flag.Int("trace", 0, "dump the last N simulation events to stderr")
-	shards := flag.Int("shards", 0, "accepted for parity with countnet; the B-tree always runs on the serial engine")
 	flag.Parse()
 
-	if *shards > 1 {
-		fmt.Fprintf(os.Stderr, "btree: -shards %d ignored: every B-tree operation descends through the shared root, so the tree cannot be partitioned into independent lanes; running on the serial engine\n", *shards)
-	}
 	if *fanout <= 0 || *keys <= 0 || *procs <= 0 || *threads <= 0 {
-		fmt.Fprintf(os.Stderr, "btree: -fanout, -keys, -nodeprocs, and -threads must be positive (got %d, %d, %d, %d)\n",
-			*fanout, *keys, *procs, *threads)
-		os.Exit(2)
+		mf.Fail(fmt.Sprintf("-fanout, -keys, -nodeprocs, and -threads must be positive (got %d, %d, %d, %d)",
+			*fanout, *keys, *procs, *threads))
 	}
 	if *lookup < 0 || *lookup > 1 {
-		fmt.Fprintf(os.Stderr, "btree: -lookups wants a fraction in [0,1], got %g\n", *lookup)
-		os.Exit(2)
+		mf.Fail(fmt.Sprintf("-lookups wants a fraction in [0,1], got %g", *lookup))
 	}
-	scheme, err := harness.ParseScheme(*schemeSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	faults, err := harness.ParseFaults(*faultsSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "btree:", err)
-		os.Exit(2)
-	}
-	if *policyStats != "" && *policySpec == "" {
-		fmt.Fprintln(os.Stderr, "btree: -policy-stats requires -policy")
-		os.Exit(2)
-	}
-	if *policySpec != "" {
-		if err := policy.Validate(*policySpec); err != nil {
-			fmt.Fprintln(os.Stderr, "btree:", err)
-			os.Exit(2)
-		}
-	}
+	mf.Parse()
 	p := btree.DefaultParams()
 	p.Fanout = *fanout
 	p.NodeProcs = *procs
-	r := btree.RunExperiment(btree.Config{
+	cfg := btree.Config{
 		Params: p, InitialKeys: *keys, Threads: *threads, Think: *think,
-		LookupFrac: *lookup, Scheme: scheme, Seed: *seed,
+		LookupFrac: *lookup, Scheme: mf.Scheme, Seed: mf.Seed,
 		Warmup: sim.Time(*warmup), Measure: sim.Time(*measure),
-		TraceCap: *trace, Policy: *policySpec, Faults: faults,
-		Durable: *durable, Shards: *shards,
-	})
-	if *policyStats != "" {
-		data, err := json.MarshalIndent(r.PolicyStats, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*policyStats, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "btree: writing policy stats:", err)
-			os.Exit(1)
-		}
+		TraceCap: *trace, Policy: mf.Policy, Faults: mf.Faults,
+		Durable: mf.Durable,
 	}
-	if r.Trace != nil {
-		if err := r.Trace.Dump(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}
+	mf.CheckProcs(cfg.Procs())
+	r := btree.RunExperiment(cfg)
+	mf.WriteOutputs(&r.Result, r.Trace)
 	fmt.Printf("scheme            %s\n", r.Scheme)
-	if r.Policy != "" {
-		fmt.Printf("policy            %s (decisions rpc:%d cm:%d sm:%d om:%d)\n",
-			r.Policy, r.Decisions[0], r.Decisions[1], r.Decisions[2], r.Decisions[3])
-	}
+	harness.PrintPolicy(&r.Result, r.Decisions)
 	fmt.Printf("think time        %d cycles\n", r.Think)
 	fmt.Printf("throughput        %.3f ops/1000 cycles\n", r.Throughput)
 	fmt.Printf("bandwidth         %.3f words/10 cycles\n", r.Bandwidth)
@@ -113,23 +65,5 @@ func main() {
 	if r.HitRate > 0 {
 		fmt.Printf("cache hit rate    %.1f%%\n", r.HitRate*100)
 	}
-	if r.Fault != nil {
-		fmt.Printf("faults injected   drop:%d dup:%d crash:%d pause:%d\n",
-			r.Fault.Dropped, r.Fault.Duplicated, r.Fault.CrashDropped, r.Fault.PauseDelayed)
-		fmt.Printf("fault recovery    retransmits:%d timeouts:%d dup-suppressed:%d giveups:%d\n",
-			r.Fault.Retransmits, r.Fault.Timeouts, r.Fault.DupSuppressed, r.Fault.GiveUps)
-	}
-	if r.Recovery != nil {
-		fmt.Printf("durability        appends:%d fsyncs:%d checkpoints:%d ckpt-words:%d\n",
-			r.Recovery.Appends, r.Recovery.Fsyncs, r.Recovery.Checkpoints, r.Recovery.CheckpointWords)
-		fmt.Printf("crash recovery    wipes:%d restores:%d replays:%d rereg:%d cycles:%d\n",
-			r.Recovery.Wipes, r.Recovery.Restores, r.Recovery.Replays, r.Recovery.Reregistered, r.Recovery.RecoveryCycles)
-	}
-	if r.Fault != nil || r.Recovery != nil {
-		if r.InvariantErr != "" {
-			fmt.Fprintln(os.Stderr, "btree: INVARIANT VIOLATED:", r.InvariantErr)
-			os.Exit(1)
-		}
-		fmt.Printf("invariants        ok\n")
-	}
+	mf.PrintOutcome(&r.Result, false)
 }

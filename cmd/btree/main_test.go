@@ -47,6 +47,8 @@ func TestDriverExitCodes(t *testing.T) {
 		{"bad scheme", []string{"-scheme", "xyz"}, 2, nil},
 		{"bad faults", []string{"-faults", "ckpt=oops"}, 2, []string{"btree:"}},
 		{"bad policy", []string{"-policy", "nope"}, 2, []string{"btree:"}},
+		{"fault window off the machine", []string{"-faults", "crash=p64@1000+100"}, 2,
+			[]string{"btree: fault window targets proc 64, machine has [0,64)"}},
 		{"policy-stats without policy", []string{"-policy-stats", "x.json"}, 2, []string{"-policy"}},
 		{"unwritable policy-stats", append([]string{"-policy", "costmodel", "-policy-stats", "/nonexistent-dir/x.json"}, smallRun...), 1,
 			[]string{"writing policy stats"}},

@@ -46,6 +46,8 @@ func TestDriverExitCodes(t *testing.T) {
 		{"bad scheme", []string{"-scheme", "xyz"}, 2, nil},
 		{"bad faults", []string{"-faults", "wipe=p2@oops"}, 2, []string{"countnet:"}},
 		{"bad policy", []string{"-policy", "nope"}, 2, []string{"countnet:"}},
+		{"fault window off the machine", []string{"-faults", "crash=p99@1000+100"}, 2,
+			[]string{"countnet: fault window targets proc 99, machine has [0,32)"}},
 		{"policy-stats without policy", []string{"-policy-stats", "x.json"}, 2, []string{"-policy"}},
 		{"unwritable policy-stats", append([]string{"-policy", "costmodel", "-policy-stats", "/nonexistent-dir/x.json"}, smallRun...), 1,
 			[]string{"writing policy stats"}},

@@ -17,10 +17,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 
 	"compmig/internal/apps/kv"
 	"compmig/internal/core"
@@ -31,84 +29,48 @@ import (
 )
 
 func main() {
+	mf := harness.NewMachineFlags("kv", "scheme: rpc|cm|sm (object migration is not supported by the store)")
 	workloadSpec := flag.String("workload", "", "open-loop workload, e.g. keys=512,ops=4000,period=220,zipf=0.99,mix=70:25:5,hot=0.25:60000,burst=3:40000:30000 (empty = defaults)")
 	heteroSpec := flag.String("hetero", "", "processor speed profile: uniform, bimodal:FACTOR:FRAC, or gradient:MIN:MAX (empty = uniform)")
-	schemeSpec := flag.String("scheme", "cm", "scheme: rpc|cm|sm (object migration is not supported by the store)")
-	policySpec := flag.String("policy", "", "online mechanism selection: static:<rpc|cm|sm>, costmodel, or bandit[:eps]")
-	policyStats := flag.String("policy-stats", "", "write the policy engine's live statistics as JSON to this file (requires -policy)")
 	store := flag.Int("store", 8, "storage processors (= partitions)")
 	front := flag.Int("front", 4, "frontend processors receiving arrivals")
 	touches := flag.Int("touches", 3, "record accesses per point operation")
 	access := flag.Uint64("access", 40, "user-code cycles per record access")
 	frontWork := flag.Uint64("frontwork", 50, "frontend parse/dispatch cycles per request")
-	faultsSpec := flag.String("faults", "", "fault plan, e.g. drop=0.01,delay=0:40,wipe=p2@60000+8000,ckpt=20000,seed=7 (empty = no faults)")
-	durable := flag.Bool("durable", false, "force the per-processor WAL/checkpoint store on (wipe= windows switch it on automatically)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
 	flag.Parse()
 
 	if *store <= 0 || *front <= 0 || *touches <= 0 || *access == 0 {
-		fmt.Fprintf(os.Stderr, "kv: -store, -front, -touches, and -access must be positive (got %d, %d, %d, %d)\n",
-			*store, *front, *touches, *access)
-		os.Exit(2)
+		mf.Fail(fmt.Sprintf("-store, -front, -touches, and -access must be positive (got %d, %d, %d, %d)",
+			*store, *front, *touches, *access))
 	}
 	spec, err := load.ParseSpec(*workloadSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "kv:", err)
-		os.Exit(2)
+		mf.Fail(err)
 	}
 	hetero, err := cost.ParseHetero(*heteroSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "kv:", err)
-		os.Exit(2)
+		mf.Fail(err)
 	}
-	scheme, err := harness.ParseScheme(*schemeSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	mf.Parse()
+	if mf.Scheme.Mechanism == core.ObjMigrate {
+		mf.Fail("the store does not support object migration (-scheme om); use rpc, cm, or sm")
 	}
-	if scheme.Mechanism == core.ObjMigrate {
-		fmt.Fprintln(os.Stderr, "kv: the store does not support object migration (-scheme om); use rpc, cm, or sm")
-		os.Exit(2)
+	if mech, ok := policy.StaticMechanism(mf.Policy); ok && mech == core.ObjMigrate {
+		mf.Fail("the store does not support object migration (-policy static:om); use static:rpc, static:cm, or static:sm")
 	}
-	faults, err := harness.ParseFaults(*faultsSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kv:", err)
-		os.Exit(2)
-	}
-	if *policyStats != "" && *policySpec == "" {
-		fmt.Fprintln(os.Stderr, "kv: -policy-stats requires -policy")
-		os.Exit(2)
-	}
-	if *policySpec != "" {
-		if err := policy.Validate(*policySpec); err != nil {
-			fmt.Fprintln(os.Stderr, "kv:", err)
-			os.Exit(2)
-		}
-	}
-
-	r := kv.RunExperiment(kv.Config{
+	cfg := kv.Config{
 		StoreProcs: *store, FrontProcs: *front, Touches: *touches,
 		AccessCycles: *access, FrontWork: *frontWork,
-		Scheme: scheme, Policy: *policySpec,
-		Load: spec, Hetero: hetero, Faults: faults,
-		Durable: *durable, Seed: *seed,
-	})
-	if *policyStats != "" {
-		data, err := json.MarshalIndent(r.PolicyStats, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*policyStats, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kv: writing policy stats:", err)
-			os.Exit(1)
-		}
+		Scheme: mf.Scheme, Policy: mf.Policy,
+		Load: spec, Hetero: hetero, Faults: mf.Faults,
+		Durable: mf.Durable, Seed: mf.Seed,
 	}
+	mf.CheckProcs(cfg.Procs())
+	r := kv.RunExperiment(cfg)
+	mf.WriteOutputs(&r.Result, nil)
 
 	fmt.Printf("scheme            %s\n", r.Scheme)
-	if r.Policy != "" {
-		fmt.Printf("policy            %s (decisions rpc:%d cm:%d sm:%d om:%d)\n",
-			r.Policy, r.Decisions[0], r.Decisions[1], r.Decisions[2], r.Decisions[3])
-	}
+	harness.PrintPolicy(&r.Result, r.Decisions)
 	if spec.String() != "" {
 		fmt.Printf("workload          %s\n", spec)
 	}
@@ -126,21 +88,5 @@ func main() {
 	if r.HitRate > 0 {
 		fmt.Printf("cache hit rate    %.1f%%\n", r.HitRate*100)
 	}
-	if r.Fault != nil {
-		fmt.Printf("faults injected   drop:%d dup:%d crash:%d pause:%d\n",
-			r.Fault.Dropped, r.Fault.Duplicated, r.Fault.CrashDropped, r.Fault.PauseDelayed)
-		fmt.Printf("fault recovery    retransmits:%d timeouts:%d dup-suppressed:%d giveups:%d\n",
-			r.Fault.Retransmits, r.Fault.Timeouts, r.Fault.DupSuppressed, r.Fault.GiveUps)
-	}
-	if r.Recovery != nil {
-		fmt.Printf("durability        appends:%d fsyncs:%d checkpoints:%d ckpt-words:%d\n",
-			r.Recovery.Appends, r.Recovery.Fsyncs, r.Recovery.Checkpoints, r.Recovery.CheckpointWords)
-		fmt.Printf("crash recovery    wipes:%d restores:%d replays:%d rereg:%d cycles:%d\n",
-			r.Recovery.Wipes, r.Recovery.Restores, r.Recovery.Replays, r.Recovery.Reregistered, r.Recovery.RecoveryCycles)
-	}
-	if r.InvariantErr != "" {
-		fmt.Fprintln(os.Stderr, "kv: INVARIANT VIOLATED:", r.InvariantErr)
-		os.Exit(1)
-	}
-	fmt.Printf("invariants        ok\n")
+	mf.PrintOutcome(&r.Result, true)
 }

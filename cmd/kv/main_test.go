@@ -46,6 +46,9 @@ func TestDriverExitCodes(t *testing.T) {
 		{"bad hetero", []string{"-hetero", "nope"}, 2, []string{"kv:"}},
 		{"bad scheme", []string{"-scheme", "xyz"}, 2, nil},
 		{"om unsupported", []string{"-scheme", "om"}, 2, []string{"object migration"}},
+		{"static om policy unsupported", []string{"-policy", "static:om"}, 2, []string{"kv:", "object migration"}},
+		{"fault window off the machine", []string{"-faults", "wipe=p40@1000+100"}, 2,
+			[]string{"kv: fault window targets proc 40, machine has [0,12)"}},
 		{"bad faults", []string{"-faults", "wipe=oops"}, 2, []string{"kv:"}},
 		{"bad policy", []string{"-policy", "nope"}, 2, []string{"kv:"}},
 		{"policy-stats without policy", []string{"-policy-stats", "x.json"}, 2, []string{"-policy"}},

@@ -65,6 +65,9 @@ var simChargedPaths = []string{
 	// event-heap ordered like the rest of the runtime.
 	"compmig/internal/store",
 	"compmig/internal/apps/...",
+	// The machine constructor schedules the measurement-window events and
+	// spawns the applications' requester threads.
+	"compmig/internal/machine",
 	// The workload generator's event stream is part of the simulation's
 	// deterministic input: its draws must come from forked sim.PRNG
 	// streams only.

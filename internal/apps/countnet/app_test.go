@@ -296,20 +296,6 @@ func TestLayoutAccessors(t *testing.T) {
 	}
 }
 
-func TestTopologyHelper(t *testing.T) {
-	if topology(false, 30).Name() != "crossbar" {
-		t.Error("default topology not crossbar")
-	}
-	m := topology(true, 30)
-	if m.Name() == "crossbar" {
-		t.Error("mesh not selected")
-	}
-	// The mesh must cover all 30 procs (6x5 or larger).
-	if m.Hops(0, 29) == 0 {
-		t.Error("mesh distance degenerate")
-	}
-}
-
 func TestMeshExperimentRuns(t *testing.T) {
 	r := RunExperiment(Config{
 		Threads: 4, Scheme: core.Scheme{Mechanism: core.Migrate},

@@ -8,12 +8,9 @@ import (
 	"compmig/internal/cost"
 	"compmig/internal/fault"
 	"compmig/internal/load"
-	"compmig/internal/mem"
-	"compmig/internal/network"
-	"compmig/internal/policy"
+	"compmig/internal/machine"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
-	"compmig/internal/store"
 )
 
 // Config describes one open-loop KV run.
@@ -36,24 +33,19 @@ type Config struct {
 	// IndexFanout sizes the range-scan index nodes (default 16).
 	IndexFanout int
 
-	Scheme core.Scheme
-	// Policy, when non-empty, routes every operation through an
-	// internal/policy engine: "static:<mech>", "costmodel", "bandit[:eps]".
-	Policy string
 	// Load is the open-loop workload (nil = load.Spec defaults).
 	Load *load.Spec
-	// Hetero gives per-processor speed factors; partitions live on the
-	// low-numbered processors, so bimodal slowness lands on the storage
-	// tier (nil = uniform machine).
-	Hetero *cost.Hetero
-	// Faults attaches a deterministic fault injector (nil = none).
-	Faults *fault.Spec
-	// Durable forces the WAL/checkpoint store on; it also switches on
-	// automatically whenever Faults schedules a wipe window.
-	Durable bool
-	// DropNthAppend / DropNthReplay are negative-test levers: lose the
-	// nth WAL append or skip the nth replayed record, so the post-run
-	// checker's teeth can be verified.
+
+	// The machine: these fields mean what the machine.Config fields of
+	// the same names mean. Partitions live on the low-numbered
+	// processors, so bimodal Hetero slowness lands on the storage tier.
+	// The store does not support object migration, as a scheme or as a
+	// static policy.
+	Scheme        core.Scheme
+	Policy        string
+	Hetero        *cost.Hetero
+	Faults        *fault.Spec
+	Durable       bool
 	DropNthAppend uint64
 	DropNthReplay uint64
 	Seed          uint64
@@ -85,120 +77,58 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Result is one measured run.
-type Result struct {
-	Scheme string
-	Policy string
+// Procs returns the machine size: the storage processors, then the
+// frontends.
+func (c Config) Procs() int {
+	c = c.WithDefaults()
+	return c.StoreProcs + c.FrontProcs
+}
 
-	Ops        uint64  // completed requests
+// machineConfig returns the machine-level part of the configuration.
+func (c Config) machineConfig() machine.Config {
+	return machine.Config{
+		Seed: c.Seed, Scheme: c.Scheme, Hetero: c.Hetero, Policy: c.Policy,
+		Faults: c.Faults, Durable: c.Durable, DropNthAppend: c.DropNthAppend,
+		DropNthReplay: c.DropNthReplay,
+	}
+}
+
+// Result is one measured run. InvariantErr is empty when every
+// invariant held: no lost updates, reads monotone per key.
+type Result struct {
+	machine.Result
+	Scheme string
+
 	Makespan   uint64  // cycle of the last completion
 	Throughput float64 // requests per 1000 cycles over the makespan
 
-	MeanLatency   float64 // cycles per request (arrival to completion)
-	P50, P95, P99 uint64  // latency percentile upper bounds, cycles
+	P50, P95, P99 uint64 // latency percentile upper bounds, cycles
 	// Latency is the full latency distribution (harness tables merge it
 	// into bench output).
 	Latency *stats.Histogram
 
-	WordsPerOp float64
-	HitRate    float64
-
 	Gets, Puts, Scans uint64
 
-	Decisions   [4]uint64
-	PolicyStats *policy.Stats
-
-	Fault *fault.Counters
-	// Recovery holds the durability-store counters of a durable run
-	// (nil when the store was off).
-	Recovery *store.Counters
-	// InvariantErr is the post-run checker's verdict ("" = every
-	// invariant held: no lost updates, reads monotone per key).
-	InvariantErr string
+	Decisions [4]uint64
 }
 
 // RunExperiment builds a fresh machine, replays the workload open-loop,
 // and reports throughput, tail latency, and the invariant verdict.
 func RunExperiment(cfg Config) Result {
 	cfg = cfg.WithDefaults()
-	eng := sim.NewEngine(cfg.Seed)
-	model := cfg.Scheme.Model()
-	mach := sim.NewMachine(eng, cfg.StoreProcs+cfg.FrontProcs)
-	if cfg.Hetero.Enabled() {
-		for i, f := range cfg.Hetero.Factors(mach.N()) {
-			mach.Proc(i).SetSpeed(sim.Time(f), cost.SpeedDen)
-		}
-	}
-	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	var inj *fault.Injector
-	if cfg.Faults.Enabled() {
-		inj = fault.NewInjector(cfg.Faults)
-		net.AttachFaults(inj)
-		for _, w := range inj.Windows() {
-			if w.Proc < 0 || w.Proc >= mach.N() {
-				panic(fmt.Sprintf("kv: fault window targets proc %d, machine has [0,%d)", w.Proc, mach.N()))
-			}
-			mach.Proc(w.Proc).AddDownWindow(w.Start, w.End())
-		}
-	}
-	rt := core.New(eng, mach, net, col, model)
-
-	var shm *mem.System
-	if cfg.Scheme.Mechanism == core.SharedMem || cfg.Policy != "" {
-		shm = mem.New(eng, mach, net, col, mem.DefaultParams())
-	}
-	defer shm.Release()
+	m := machine.New("kv", cfg.machineConfig(), cfg.Procs())
 
 	// The key population: distinct sorted values, a pure function of the
 	// seed (btree.GenKeys memoizes on the PRNG state).
 	nkeys := cfg.Load.NumKeys()
-	population := btree.GenKeys(eng.Rand().Fork(), int(nkeys), cfg.KeySpace)
-	st := Build(rt, shm, cfg.Scheme,
+	population := btree.GenKeys(m.Eng.Rand().Fork(), int(nkeys), cfg.KeySpace)
+	st := Build(m.RT, m.Mem, cfg.Scheme,
 		Params{StoreProcs: cfg.StoreProcs, Touches: cfg.Touches, IndexFanout: cfg.IndexFanout},
 		population)
 	if cfg.AccessCycles != 0 {
 		st.AccessCycles = cfg.AccessCycles
 	}
-
-	// Durability wiring comes after Build so the loaded index seeds the
-	// checkpoints for free instead of charging simulated append time for
-	// pre-run population.
-	var wal *store.Store
-	if cfg.Durable || cfg.Faults.HasWipe() {
-		wal = store.New(mach, col, cost.DefaultDurability(), cfg.Faults.CkptInterval(), rt.Objects.Home)
-		st.EnableDurability(wal)
-		rt.Objects.SetJournal(wal)
-		if cfg.DropNthAppend > 0 {
-			wal.ScriptDropAppend(cfg.DropNthAppend)
-		}
-		if cfg.DropNthReplay > 0 {
-			wal.ScriptDropReplay(cfg.DropNthReplay)
-		}
-		if inj != nil {
-			wal.ScheduleRecovery(eng, inj.Windows())
-		}
-	}
-
-	var pol *policy.Engine
-	if cfg.Policy != "" {
-		var err error
-		pol, err = policy.New(cfg.Policy, model, mem.DefaultParams(), eng, col, mach.N(), cfg.Seed)
-		if err != nil {
-			panic("kv: " + err.Error())
-		}
-		pol.AttachMem(shm)
-		if cfg.Hetero.Enabled() {
-			factors := cfg.Hetero.Factors(mach.N())
-			speeds := make([]float64, len(factors))
-			for i, f := range factors {
-				speeds[i] = float64(f) / float64(cost.SpeedDen)
-			}
-			pol.SetSpeeds(speeds)
-		}
-		rt.Obs = pol
-		st.AttachPolicy(pol)
-	}
+	m.Attach(st)
 
 	// Open loop: every arrival is scheduled before the run starts, so a
 	// slow server accumulates queueing delay instead of throttling the
@@ -210,10 +140,10 @@ func RunExperiment(cfg Config) Result {
 	var lastDone sim.Time
 	res := Result{Scheme: cfg.Scheme.Name()}
 	for i, ev := range events {
-		i, ev := i, ev
 		proc := cfg.StoreProcs + i%cfg.FrontProcs
-		eng.Spawn("kv.req", ev.At, func(th *sim.Thread) {
-			task := rt.NewTask(th, proc)
+		col := m.Col(proc)
+		m.Mach.Proc(proc).Spawn("kv.req", ev.At, func(th *sim.Thread) {
+			task := m.RT.NewTask(th, proc)
 			arrive := th.Now()
 			task.Work(cfg.FrontWork)
 			key := ev.Op.Key
@@ -236,7 +166,7 @@ func RunExperiment(cfg Config) Result {
 				// walk hands its task to interface methods, which moves it
 				// to the heap, and this keeps the gets' and puts' task on
 				// the stack.
-				st.Scan(rt.NewTask(th, proc), key, ev.Op.ScanLen)
+				st.Scan(m.RT.NewTask(th, proc), key, ev.Op.ScanLen)
 				res.Scans++
 			}
 			col.CountOp(uint64(th.Now() - arrive))
@@ -245,43 +175,22 @@ func RunExperiment(cfg Config) Result {
 			}
 		})
 	}
-	if err := eng.Run(); err != nil {
-		panic("kv: experiment did not quiesce: " + err.Error())
-	}
 
-	res.Ops = col.Ops
+	col := m.Run(&res.Result)
 	res.Makespan = uint64(lastDone)
 	if lastDone > 0 {
 		res.Throughput = float64(col.Ops) * 1000 / float64(lastDone)
 	}
-	res.MeanLatency = col.MeanOpLatency()
 	res.P50 = col.Latency.Quantile(0.50)
 	res.P95 = col.Latency.Quantile(0.95)
 	res.P99 = col.Latency.Quantile(0.99)
 	hist := &stats.Histogram{}
 	hist.AddFrom(&col.Latency)
 	res.Latency = hist
-	if col.Ops > 0 {
-		res.WordsPerOp = float64(col.WordsSent) / float64(col.Ops)
-	}
-	res.HitRate = col.HitRate()
-	if pol != nil {
-		res.Policy = pol.Name()
+	if res.Policy != "" {
 		res.Decisions = st.Decisions()
-		ps := pol.Stats()
-		res.PolicyStats = &ps
 	}
-	if inj != nil {
-		c := inj.Counters
-		res.Fault = &c
-		inj.FlushProfile()
-	}
-	if wal != nil {
-		c := wal.Counters
-		res.Recovery = &c
-		wal.FlushProfile()
-	}
-	res.InvariantErr = checkInvariants(st, issued, acked, monotonic, inj != nil)
+	res.InvariantErr = checkInvariants(st, issued, acked, monotonic, res.Fault != nil)
 	return res
 }
 

@@ -46,7 +46,7 @@ type Options struct {
 	Faults *fault.Spec
 	// Shards, when >= 1, runs parallel-eligible simulations on that many
 	// sharded event engines (countnet CM/RPC points; everything else
-	// falls back to the serial engine — see countnet.Config.Shards).
+	// falls back to the serial engine — see machine.Config.Shards).
 	// Results are identical for any Shards >= 1 but differ from the
 	// serial engine's, so the pinned-baseline suites keep Shards == 0.
 	Shards int
@@ -389,7 +389,6 @@ func btree12Exp(o Options) experiment {
 			Scheme: s, Think: 0, Seed: o.seed(),
 			Warmup: warmup, Measure: measure,
 			Policy: abPolicy(s.Mechanism), Faults: o.Faults,
-			Shards: o.Shards,
 		}
 		specs = append(specs, RunSpec{
 			Label: "table1/" + s.Name(),
@@ -445,7 +444,6 @@ func btree34Exp(o Options) experiment {
 			Scheme: s, Think: 10000, Seed: o.seed(),
 			Warmup: warmup, Measure: measure,
 			Policy: abPolicy(s.Mechanism), Faults: o.Faults,
-			Shards: o.Shards,
 		}
 		specs = append(specs, RunSpec{
 			Label: "table3/" + s.Name(),

@@ -46,14 +46,13 @@ func scaleExp(o Options) experiment {
 	var specs []RunSpec
 	for _, pt := range points {
 		for _, s := range schemes {
-			cnProcs := countnetProcs(pt.cnWidth, pt.cnThreads)
 			cfg := countnet.Config{
 				Width: pt.cnWidth, Threads: pt.cnThreads, Scheme: s,
 				Seed: o.seed(), Warmup: warmup, Measure: measure,
 				Mesh: true, Shards: o.Shards,
 			}
 			specs = append(specs, RunSpec{
-				Label: fmt.Sprintf("scale/countnet/%s/procs=%d/shards=%d", s.Name(), cnProcs, o.Shards),
+				Label: fmt.Sprintf("scale/countnet/%s/procs=%d/shards=%d", s.Name(), cfg.Procs(), o.Shards),
 				Run:   func() any { return countnet.RunExperiment(cfg) },
 			})
 		}
@@ -65,7 +64,7 @@ func scaleExp(o Options) experiment {
 			cfg := btree.Config{
 				Params: p, Threads: pt.btThreads, Scheme: s,
 				Seed: o.seed(), Warmup: warmup, Measure: measure,
-				Mesh: true, Shards: o.Shards,
+				Mesh: true,
 			}
 			specs = append(specs, RunSpec{
 				Label: fmt.Sprintf("scale/btree/%s/procs=%d", s.Name(), pt.btProcs+pt.btThreads),
@@ -86,7 +85,7 @@ func scaleExp(o Options) experiment {
 				r := results[i].(countnet.Result)
 				i++
 				t.Rows = append(t.Rows, []string{
-					"countnet", s.Name(), fmt.Sprintf("%d", countnetProcs(pt.cnWidth, pt.cnThreads)),
+					"countnet", s.Name(), fmt.Sprintf("%d", countnet.Config{Width: pt.cnWidth, Threads: pt.cnThreads}.Procs()),
 					fmt.Sprintf("%.2f", r.Throughput), fmt.Sprintf("%.2f", r.Bandwidth),
 					fmt.Sprintf("%d", r.Ops),
 				})
@@ -106,14 +105,4 @@ func scaleExp(o Options) experiment {
 		return []Table{t}
 	}
 	return experiment{specs: specs, render: render}
-}
-
-// countnetProcs returns the machine size of a countnet run: one
-// processor per balancer plus one per requester thread.
-func countnetProcs(width, threads int) int {
-	n := 0
-	for _, st := range countnet.Bitonic(width).Stages {
-		n += len(st)
-	}
-	return n + threads
 }

@@ -190,6 +190,16 @@ func Validate(spec string) error {
 	return err
 }
 
+// StaticMechanism reports the mechanism a well-formed static:<mech>
+// spec pins every operation to; ok is false for any other spec.
+func StaticMechanism(spec string) (mech core.Mechanism, ok bool) {
+	e, err := New(spec, cost.Software(), mem.DefaultParams(), nil, nil, 0, 0)
+	if err != nil || e.mode != Static {
+		return 0, false
+	}
+	return e.staticMech, true
+}
+
 // Name renders the policy for table rows and result labels.
 func (e *Engine) Name() string {
 	switch e.mode {

@@ -51,6 +51,28 @@ func TestSpecParsing(t *testing.T) {
 
 // TestHeaderWordsInSync pins the package-local copy of the network
 // header size to the real constant.
+func TestStaticMechanism(t *testing.T) {
+	cases := []struct {
+		spec string
+		mech core.Mechanism
+		ok   bool
+	}{
+		{"static:om", core.ObjMigrate, true},
+		{"static:OBJ", core.ObjMigrate, true},
+		{"static:cm", core.Migrate, true},
+		{"costmodel", 0, false},
+		{"bandit:0.1", 0, false},
+		{"static:nope", 0, false},
+		{"", 0, false},
+	}
+	for _, c := range cases {
+		mech, ok := StaticMechanism(c.spec)
+		if ok != c.ok || (ok && mech != c.mech) {
+			t.Errorf("StaticMechanism(%q) = %v, %v; want %v, %v", c.spec, mech, ok, c.mech, c.ok)
+		}
+	}
+}
+
 func TestHeaderWordsInSync(t *testing.T) {
 	if networkHeaderWords != network.HeaderWords {
 		t.Fatalf("networkHeaderWords = %d, network.HeaderWords = %d",

@@ -102,12 +102,6 @@ type Collector struct {
 	// Latency is the full operation-latency distribution.
 	Latency Histogram
 
-	// Window support for throughput/bandwidth over a measurement interval:
-	// callers snapshot at interval start and subtract.
-	startCycle uint64
-	startWords uint64
-	startOps   uint64
-
 	// Cache statistics for the shared-memory substrate.
 	CacheHits       uint64
 	CacheMisses     uint64
@@ -134,10 +128,8 @@ func NewCollector() *Collector {
 // categories, message counts, operations, latency distribution, and the
 // named counters all add. The merge is commutative, which is what lets
 // a sharded run keep one collector per lane and fold them into the
-// serial collector's totals afterwards. Window marks (MarkWindow state)
-// are not merged — windowed rates over merged collectors must be
-// computed from summed snapshots, as the clustered experiment runners
-// do at their barriers.
+// serial collector's totals afterwards. Windowed rates are computed from
+// summed snapshots of the lanes' counters (machine.Window).
 func (s *Collector) AddFrom(o *Collector) {
 	for c := range s.cycles {
 		s.cycles[c] += o.cycles[c]
@@ -218,34 +210,6 @@ func (s *Collector) MeanOpLatency() float64 {
 		return 0
 	}
 	return float64(s.OpLatency) / float64(s.Ops)
-}
-
-// MarkWindow begins a measurement window at the given cycle; Throughput
-// and Bandwidth report rates within the window. Use it to exclude warmup.
-func (s *Collector) MarkWindow(nowCycle uint64) {
-	s.startCycle = nowCycle
-	s.startWords = s.WordsSent
-	s.startOps = s.Ops
-}
-
-// Throughput returns operations per 1000 cycles within the window ending
-// at nowCycle (the paper's Figure 2 / Tables 1 and 3 metric).
-func (s *Collector) Throughput(nowCycle uint64) float64 {
-	dt := nowCycle - s.startCycle
-	if dt == 0 {
-		return 0
-	}
-	return float64(s.Ops-s.startOps) * 1000 / float64(dt)
-}
-
-// Bandwidth returns words sent per 10 cycles within the window ending at
-// nowCycle (the paper's Figure 3 / Tables 2 and 4 metric).
-func (s *Collector) Bandwidth(nowCycle uint64) float64 {
-	dt := nowCycle - s.startCycle
-	if dt == 0 {
-		return 0
-	}
-	return float64(s.WordsSent-s.startWords) * 10 / float64(dt)
 }
 
 // HitRate returns the cache hit fraction in [0,1].

@@ -38,35 +38,6 @@ func TestMessageAccounting(t *testing.T) {
 	}
 }
 
-func TestWindowedThroughputAndBandwidth(t *testing.T) {
-	c := NewCollector()
-	// Warmup: 5 ops, 100 words before the window.
-	for i := 0; i < 5; i++ {
-		c.CountOp(10)
-	}
-	c.CountMessage("x", 100)
-	c.MarkWindow(1000)
-	// In-window: 20 ops, 500 words over 10000 cycles.
-	for i := 0; i < 20; i++ {
-		c.CountOp(10)
-	}
-	c.CountMessage("x", 500)
-	if got := c.Throughput(11000); got != 2.0 {
-		t.Errorf("throughput = %v, want 2.0 ops/1000cyc", got)
-	}
-	if got := c.Bandwidth(11000); got != 0.5 {
-		t.Errorf("bandwidth = %v, want 0.5 words/10cyc", got)
-	}
-}
-
-func TestZeroWindowSafe(t *testing.T) {
-	c := NewCollector()
-	c.MarkWindow(100)
-	if c.Throughput(100) != 0 || c.Bandwidth(100) != 0 {
-		t.Error("zero-length window should report zero rates")
-	}
-}
-
 func TestMeanOpLatency(t *testing.T) {
 	c := NewCollector()
 	if c.MeanOpLatency() != 0 {
