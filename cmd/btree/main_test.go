@@ -3,21 +3,11 @@ package main_test
 import (
 	"errors"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// buildDriver compiles btree once into the test's temp dir.
-func buildDriver(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "btree")
-	out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
-	if err != nil {
-		t.Fatalf("building btree: %v\n%s", err, out)
-	}
-	return bin
-}
+	"compmig/internal/clitest"
+)
 
 // smallRun keeps driver runs to a fraction of a second.
 var smallRun = []string{"-keys", "1000", "-threads", "4", "-warmup", "5000", "-measure", "40000"}
@@ -30,7 +20,7 @@ func TestDriverExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the driver")
 	}
-	bin := buildDriver(t)
+	bin := clitest.Build(t, "btree")
 	cases := []struct {
 		name string
 		args []string
@@ -74,4 +64,21 @@ func TestDriverExitCodes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStdoutGolden pins the driver's full stdout for policy runs (the
+// decision line), durable runs, a wipe run (durability and recovery
+// lines) and an object-migration run.
+func TestStdoutGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the driver")
+	}
+	clitest.Golden(t, clitest.Build(t, "btree"), [][]string{
+		append([]string{"-policy", "costmodel"}, smallRun...),
+		append([]string{"-policy", "bandit", "-durable"}, smallRun...),
+		append([]string{"-durable"}, smallRun...),
+		append([]string{"-faults", "wipe=p5@20000+5000,ckpt=10000,seed=7"}, smallRun...),
+		append([]string{"-scheme", "om"}, smallRun...),
+		append([]string{"-scheme", "om", "-faults", "wipe=p10@20000+5000,ckpt=10000,seed=7"}, smallRun...),
+	})
 }

@@ -3,21 +3,11 @@ package main_test
 import (
 	"errors"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// buildDriver compiles kv once into the test's temp dir.
-func buildDriver(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "kv")
-	out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
-	if err != nil {
-		t.Fatalf("building kv: %v\n%s", err, out)
-	}
-	return bin
-}
+	"compmig/internal/clitest"
+)
 
 // smallLoad keeps driver runs to a fraction of a second.
 var smallLoad = []string{"-workload", "keys=64,ops=300,period=150"}
@@ -30,7 +20,7 @@ func TestDriverExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the driver")
 	}
-	bin := buildDriver(t)
+	bin := clitest.Build(t, "kv")
 	cases := []struct {
 		name string
 		args []string
@@ -77,4 +67,21 @@ func TestDriverExitCodes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStdoutGolden pins the driver's full stdout for policy runs (the
+// decision line), a durable run and wipe runs (durability and recovery
+// lines), with gets, puts and scans in the mix.
+func TestStdoutGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the driver")
+	}
+	mixed := []string{"-workload", "keys=64,ops=300,period=150,mix=50:40:10"}
+	clitest.Golden(t, clitest.Build(t, "kv"), [][]string{
+		append([]string{"-policy", "costmodel"}, mixed...),
+		append([]string{"-scheme", "rpc", "-policy", "bandit", "-durable"}, mixed...),
+		append([]string{"-durable"}, smallLoad...),
+		append([]string{"-faults", "wipe=p1@20000+5000,ckpt=10000,seed=7"}, mixed...),
+		append([]string{"-scheme", "sm", "-faults", "wipe=p1@20000+5000,ckpt=10000,seed=7"}, mixed...),
+	})
 }
