@@ -19,9 +19,9 @@ BENCH_CURRENT  := BENCH_2026-08-06-fault.json
 BENCH_SHARDS   := BENCH_2026-08-08-shards.json
 BENCH_RECOVERY := BENCH_2026-08-08-recovery.json
 
-.PHONY: check lint vet simvet build test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json
+.PHONY: check lint vet simvet build test race ab-identity shard-identity golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json
 
-check: lint build test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test
+check: lint build test race ab-identity shard-identity golden fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test
 	@echo "check: all green"
 
 # lint is go vet plus simvet, the repo's own determinism/purity analyzer
@@ -65,6 +65,20 @@ shard-identity:
 	$(GO) test ./internal/harness/ -run 'TestShardCountIdentity|TestShardScaleIdentity' -count=1
 	GOMAXPROCS=4 $(GO) test -race ./internal/sim/ ./internal/apps/countnet/ -run 'Cluster|Shard' -count=1
 	@echo "shard-identity: rendered output is byte-identical at every shard count"
+
+# golden re-runs the output contracts by name: every paperfigs table at
+# quick windows (internal/harness/testdata/golden_quick.txt) and the full
+# stdout of the countnet, btree and kv CLIs (cmd/*/testdata/
+# stdout_golden.txt) must be byte-identical to the committed files.
+golden:
+	$(GO) test ./internal/harness/ -run TestRenderedOutputGolden -count=1
+	$(GO) test ./cmd/countnet/ ./cmd/btree/ ./cmd/kv/ -run TestStdoutGolden -count=1
+	@echo "golden: rendered tables and CLI stdout unchanged"
+
+# golden-update regenerates the CLI stdout goldens after a change meant
+# to move a CLI's output; the diff shows exactly which lines moved.
+golden-update:
+	$(GO) test ./cmd/countnet/ ./cmd/btree/ ./cmd/kv/ -run TestStdoutGolden -count=1 -update
 
 # fuzz-smoke runs the msg codec and fault-plan parser fuzz targets
 # briefly over their seed corpora plus fresh mutations; a decoding

@@ -49,9 +49,9 @@ func main() {
 	}
 	mf.CheckProcs(cfg.Procs())
 	r := btree.RunExperiment(cfg)
-	mf.WriteOutputs(&r.Result, r.Trace)
+	mf.WriteOutputs(&r.Result)
 	fmt.Printf("scheme            %s\n", r.Scheme)
-	harness.PrintPolicy(&r.Result, r.Decisions)
+	harness.PrintPolicy(&r.Result)
 	fmt.Printf("think time        %d cycles\n", r.Think)
 	fmt.Printf("throughput        %.3f ops/1000 cycles\n", r.Throughput)
 	fmt.Printf("bandwidth         %.3f words/10 cycles\n", r.Bandwidth)

@@ -18,7 +18,7 @@ import (
 
 func main() {
 	mf := harness.NewMachineFlags("countnet", "scheme: rpc|cm|sm|om with +hw (e.g. cm+hw)")
-	width := flag.Int("width", 8, "counting network width (power of two)")
+	width := flag.Int("width", 8, "counting network width (power of two >= 2)")
 	threads := flag.Int("threads", 8, "requesting threads, one per processor")
 	think := flag.Uint64("think", 0, "cycles between requests")
 	warmup := flag.Uint64("warmup", 20000, "warmup cycles before measuring")
@@ -30,6 +30,9 @@ func main() {
 	if *width <= 0 || *threads <= 0 {
 		mf.Fail(fmt.Sprintf("-width and -threads must be positive (got %d, %d)", *width, *threads))
 	}
+	if *width < 2 || *width&(*width-1) != 0 {
+		mf.Fail(fmt.Sprintf("-width must be a power of two >= 2 (got %d)", *width))
+	}
 	mf.Parse()
 	cfg := countnet.Config{
 		Width: *width, Threads: *threads, Think: *think, Scheme: mf.Scheme,
@@ -39,9 +42,9 @@ func main() {
 	}
 	mf.CheckProcs(cfg.Procs())
 	r := countnet.RunExperiment(cfg)
-	mf.WriteOutputs(&r.Result, r.Trace)
+	mf.WriteOutputs(&r.Result)
 	fmt.Printf("scheme            %s\n", r.Scheme)
-	harness.PrintPolicy(&r.Result, r.Decisions)
+	harness.PrintPolicy(&r.Result)
 	fmt.Printf("threads           %d\n", r.Threads)
 	fmt.Printf("think time        %d cycles\n", r.Think)
 	fmt.Printf("throughput        %.3f requests/1000 cycles\n", r.Throughput)

@@ -33,6 +33,8 @@ func TestDriverExitCodes(t *testing.T) {
 		{"wipe recovery", append([]string{"-faults", "wipe=p2@40000+5000,ckpt=10000,seed=7"}, smallRun...), 0,
 			[]string{"durability        appends:", "crash recovery    wipes:1", "invariants        ok"}},
 		{"nonpositive width", []string{"-width", "0"}, 2, []string{"positive"}},
+		{"width not a power of two", []string{"-width", "6"}, 2, []string{"countnet: -width must be a power of two >= 2 (got 6)"}},
+		{"width one", []string{"-width", "1"}, 2, []string{"countnet: -width must be a power of two"}},
 		{"bad scheme", []string{"-scheme", "xyz"}, 2, nil},
 		{"bad faults", []string{"-faults", "wipe=p2@oops"}, 2, []string{"countnet:"}},
 		{"bad policy", []string{"-policy", "nope"}, 2, []string{"countnet:"}},

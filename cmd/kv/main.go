@@ -67,10 +67,10 @@ func main() {
 	}
 	mf.CheckProcs(cfg.Procs())
 	r := kv.RunExperiment(cfg)
-	mf.WriteOutputs(&r.Result, nil)
+	mf.WriteOutputs(&r.Result)
 
 	fmt.Printf("scheme            %s\n", r.Scheme)
-	harness.PrintPolicy(&r.Result, r.Decisions)
+	harness.PrintPolicy(&r.Result)
 	if spec.String() != "" {
 		fmt.Printf("workload          %s\n", spec)
 	}

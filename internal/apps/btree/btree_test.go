@@ -434,3 +434,45 @@ func TestOMFullWindowCompletes(t *testing.T) {
 		t.Fatal("no operations completed")
 	}
 }
+
+// TestConcurrentRootGrowth drives 16 concurrent inserters into a
+// fanout-2 tree, whose root grows many levels while splits are still
+// travelling up: an insert whose growRoot lost can find the root already
+// two levels higher, and neighbouring splits at one level can reach the
+// parent in either order. The tree must stay a valid B-link tree holding
+// exactly the inserted keys under every mechanism.
+func TestConcurrentRootGrowth(t *testing.T) {
+	const threads, perThread = 16, 40
+	for _, mech := range []core.Mechanism{core.Migrate, core.RPC, core.SharedMem, core.ObjMigrate} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			p := Params{Fanout: 2, NodeProcs: 8, Fill: 0.7}
+			rng := sim.NewPRNG(seed)
+			initial := GenKeys(rng.Fork(), 20, 100000)
+			e := buildEnv(t, core.Scheme{Mechanism: mech}, p, threads, initial)
+			inserted := map[uint64]struct{}{}
+			for i := 0; i < threads; i++ {
+				keys := make([]uint64, perThread)
+				for k := range keys {
+					keys[k] = 1 + rng.Uint64n(100000)
+				}
+				e.eng.Spawn("w", sim.Time(i), func(th *sim.Thread) {
+					task := e.rt.NewTask(th, p.NodeProcs+i)
+					for _, k := range keys {
+						if e.tr.Insert(task, k) {
+							inserted[k] = struct{}{}
+						}
+					}
+				})
+			}
+			if err := e.eng.Run(); err != nil {
+				t.Fatalf("%v seed %d: %v", mech, seed, err)
+			}
+			if err := e.tr.CheckInvariants(); err != nil {
+				t.Fatalf("%v seed %d: %v", mech, seed, err)
+			}
+			if err := e.tr.VerifyKeySet(initial, inserted); err != nil {
+				t.Fatalf("%v seed %d: %v", mech, seed, err)
+			}
+		}
+	}
+}

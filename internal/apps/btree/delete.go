@@ -28,13 +28,13 @@ func (nd *node) leafDelete(key uint64) bool {
 }
 
 // Delete removes key, reporting whether it was present, using the
-// tree's scheme.
+// tree's static scheme (no policy routes deletes).
 func (tr *Tree) Delete(t *core.Task, key uint64) bool {
 	if key == MaxKey {
 		return false
 	}
 	cur, _, isLeaf := tr.start(t, key)
-	return tr.run(t, tr.scheme.Mechanism, &deleteCont{tr: tr, key: key, cur: cur}, isLeaf)
+	return tr.run(t, tr.insert.Mech, &deleteCont{tr: tr, key: key, cur: cur}, isLeaf)
 }
 
 // leafDelete removes key from leaf nd under its lock; the reply's
@@ -50,7 +50,7 @@ func (tr *Tree) leafDelete(t *core.Task, nd *node, key uint64, sm bool) putReply
 	}
 	ok := nd.leafDelete(key)
 	if ok {
-		tr.logNode(t, nd)
+		t.Log(0, nd)
 	}
 	tr.unlock(t, nd, sm)
 	return putReply{kind: putDone, inserted: ok}

@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"compmig/internal/core"
 	"compmig/internal/gid"
 	"compmig/internal/store"
 )
@@ -55,79 +54,32 @@ func decodeNodeInto(nd *node, blob []uint64) {
 	}
 }
 
-// nodeRecord builds the WAL image record for nd's current content.
-func nodeRecord(nd *node) store.Record {
+// Record builds the WAL image record for the node's current content.
+func (nd *node) Record(uint64) store.Record {
 	return store.Record{Kind: store.KindState, G: nd.g, Blob: encodeNode(nd)}
 }
 
-// logNode durably logs nd's current image at its home, blocking the
-// mutating thread when it runs at the home (ack-after-durable) and
-// charging the home asynchronously otherwise (a shared-memory frontend
-// mutating a remote node). No-op without a WAL.
-func (tr *Tree) logNode(t *core.Task, nd *node) {
-	if tr.wal == nil {
-		return
-	}
-	tr.wal.Append(t.Thread(), t.Proc(), nodeRecord(nd))
-}
+// Seeds installs a base image of the built node into its home
+// checkpoint.
+func (nd *node) Seeds() []store.Record { return []store.Record{nd.Record(0)} }
 
-// EnableDurability attaches the tree to a store: base images of the
-// bulk-loaded nodes seed the checkpoints (loaded state, free of charge),
-// and the store's replay/wipe/snapshot hooks are pointed at the tree.
-// Apps embedding a tree alongside their own durable state (internal/
-// apps/kv) install their own hooks and delegate to SeedImages /
-// ApplyRecord / WipeProc instead.
-func (tr *Tree) EnableDurability(w *store.Store) {
-	tr.wal = w
-	tr.SeedImages(w)
-	w.OnApply(tr.ApplyRecord)
-	w.OnSnapshot(tr.SnapshotBlob)
-	w.OnWipe(func(proc int) int {
-		tr.WipeProc(proc)
-		return tr.rt.WipeVolatile(proc)
-	})
-}
-
-// SetWAL makes the tree log mutations to w without installing store
-// hooks — the embedded-index case where the embedding app owns the
-// hooks. SeedImages must be called separately.
-func (tr *Tree) SetWAL(w *store.Store) { tr.wal = w }
-
-// SeedImages installs a base image of every current node into its home
-// checkpoint. Call at build time, before any simulated mutation.
-func (tr *Tree) SeedImages(w *store.Store) {
-	for _, g := range tr.nodes {
-		w.Seed(nodeRecord(tr.rt.Objects.State(g).(*node)))
-	}
-}
-
-// ApplyRecord reinstalls one logged node image during recovery replay.
+// Apply reinstalls one logged node image during recovery replay.
 // KindState and KindMoveIn records both carry full images.
-func (tr *Tree) ApplyRecord(r store.Record) {
-	decodeNodeInto(tr.rt.Objects.State(r.G).(*node), r.Blob)
-}
+func (nd *node) Apply(r store.Record) { decodeNodeInto(nd, r.Blob) }
 
-// SnapshotBlob encodes a node's state for a move-in record (object-
+// Snapshot encodes the node's state for a move-in record (object-
 // migration schemes pull nodes across processors while durable).
-func (tr *Tree) SnapshotBlob(g gid.GID) []uint64 {
-	return encodeNode(tr.rt.Objects.State(g).(*node))
-}
+func (nd *node) Snapshot() []uint64 { return encodeNode(nd) }
 
-// WipeProc models the crash: the contents of every node homed on proc
-// are discarded. Recovery replay (store.Store) reinstalls the images;
-// node identity, locks, and shared-memory layout addresses survive, as
-// allocation metadata would in a system that recovers in place.
-func (tr *Tree) WipeProc(proc int) {
-	for _, g := range tr.nodes {
-		if tr.rt.Objects.Home(g) != proc {
-			continue
-		}
-		nd := tr.rt.Objects.State(g).(*node)
-		nd.keys = nil
-		nd.children = nil
-		nd.right = gid.Nil
-		nd.high = 0
-		nd.leaf = false
-		nd.kidsAreLeaves = false
-	}
+// Wipe models the crash: the node's contents are discarded. Recovery
+// replay (store.Store) reinstalls the images; node identity, locks, and
+// shared-memory layout addresses survive, as allocation metadata would
+// in a system that recovers in place.
+func (nd *node) Wipe() {
+	nd.keys = nil
+	nd.children = nil
+	nd.right = gid.Nil
+	nd.high = 0
+	nd.leaf = false
+	nd.kidsAreLeaves = false
 }

@@ -113,16 +113,6 @@ type Result struct {
 	// RootUtilization is the busy fraction of the root node's processor —
 	// direct evidence of the paper's root-bottleneck analysis (§4.2).
 	RootUtilization float64
-	// Trace holds the tail of the execution trace when Config.TraceCap
-	// was set.
-	Trace *sim.Tracer
-	// ObjectMoves and Forwards report Emerald-style mobility activity
-	// (nonzero only under the ObjMigrate scheme).
-	ObjectMoves uint64
-	Forwards    uint64
-	// Decisions sums a policy run's per-mechanism choices across the
-	// lookup and insert sites, indexed by core.Mechanism.
-	Decisions [4]uint64
 }
 
 // RunExperiment builds a fresh machine and tree, runs the mixed
@@ -189,15 +179,6 @@ func RunExperiment(cfg Config) Result {
 	res.Height = tr.Height()
 	res.P95Latency = col.Latency.Quantile(0.95)
 	res.RootUtilization = m.Mach.Proc(tr.Root().Home()).Utilization()
-	res.Trace = m.Tracer
-	res.ObjectMoves = m.RT.Objects.Moves
-	res.Forwards = col.Forwards
-	if res.Policy != "" {
-		ld, id := tr.polLookup.Decisions(), tr.polInsert.Decisions()
-		for mech := range res.Decisions {
-			res.Decisions[mech] = ld[mech] + id[mech]
-		}
-	}
 	// Durable fault-free runs verify too: the WAL path must not perturb
 	// tree contents.
 	if res.Fault != nil || res.Recovery != nil {

@@ -123,21 +123,25 @@ func (nd *node) leafInsert(key uint64) bool {
 }
 
 // insertChild installs a freshly split sibling into an interior node:
-// the child whose bound was oldBound now ends at newSep, and newChild
-// covers (newSep, oldBound]. The caller must hold the node lock.
-// It reports false when oldBound is not found (the entry moved right
-// under a concurrent split; the caller retries laterally).
-func (nd *node) insertChild(oldBound, newSep uint64, newChild gid.GID) bool {
-	i := sort.Search(len(nd.keys), func(j int) bool { return nd.keys[j] >= oldBound })
-	if i >= len(nd.keys) || nd.keys[i] != oldBound {
+// the child whose entry covers newSep now ends at newSep, and newChild
+// takes over the rest of that entry's range. The entry's bound is
+// normally the split child's old bound; it differs when a neighbouring
+// split at the same level was installed first, and keying the install
+// by newSep keeps the keys sorted either way. The caller must hold the
+// node lock and have verified newSep <= high. It reports false when
+// newSep lies beyond every entry (the caller retries laterally).
+func (nd *node) insertChild(newSep uint64, newChild gid.GID) bool {
+	i := sort.Search(len(nd.keys), func(j int) bool { return nd.keys[j] >= newSep })
+	if i >= len(nd.keys) {
 		return false
 	}
+	bound := nd.keys[i]
 	nd.keys[i] = newSep
 	nd.keys = append(nd.keys, 0)
 	nd.children = append(nd.children, gid.Nil)
 	copy(nd.keys[i+2:], nd.keys[i+1:])
 	copy(nd.children[i+2:], nd.children[i+1:])
-	nd.keys[i+1] = oldBound
+	nd.keys[i+1] = bound
 	nd.children[i+1] = newChild
 	return true
 }

@@ -91,8 +91,8 @@ func (c *opCont) apply(t *core.Task, rep putReply) bool {
 	if c.tr.growRoot(t, c.cur, rep) {
 		return true
 	}
-	// Someone else grew the tree first; retry against the new root.
-	c.cur = c.tr.root
+	// Someone else grew the tree first: install the split one level up.
+	c.cur = c.tr.above(c.cur)
 	return false
 }
 

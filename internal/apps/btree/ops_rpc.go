@@ -55,7 +55,8 @@ type nkeysReply struct{ n uint32 }
 //compmig:record
 type keyArg struct{ key uint64 }
 
-// upArg carries a split to install in a parent.
+// upArg carries a split to install in a parent. The install is keyed
+// by sep (see insertChild); oldBound stays on the wire.
 //
 //compmig:record
 type upArg struct {

@@ -43,26 +43,21 @@ func (nd *node) scanCount(lo uint64, remaining uint32) (count uint32, first int)
 	return avail, i
 }
 
-// Scan counts up to limit keys >= lo using the tree's static scheme.
-// Callers that policy-route scans use ScanVia with the selected
-// mechanism.
-func (tr *Tree) Scan(t *core.Task, lo uint64, limit int) int {
-	return tr.ScanVia(t, lo, limit, tr.scheme.Mechanism)
-}
-
-// ScanVia counts up to limit keys >= lo with an explicit mechanism.
-// Object migration is rejected: no caller scans under it (kv, the only
-// one, never runs object migration).
-func (tr *Tree) ScanVia(t *core.Task, lo uint64, limit int, mech core.Mechanism) int {
+// Scan counts up to limit keys >= lo as an operation at the caller's
+// call site. Object migration is rejected: no caller scans under it
+// (kv, the only one, never runs object migration).
+func (tr *Tree) Scan(t *core.Task, site *core.Site, lo uint64, limit int) int {
+	op := t.Choose(site, tr.root)
+	defer op.Done(t)
 	if limit <= 0 {
 		return 0
 	}
-	if mech == core.ObjMigrate {
+	if op.Mech == core.ObjMigrate {
 		panic("btree: scan supports Migrate, RPC, and SharedMem only")
 	}
 	cur, _, isLeaf := tr.start(t, lo)
 	c := &scanCont{tr: tr, lo: lo, remaining: uint32(limit), cur: cur}
-	tr.run(t, mech, c, isLeaf)
+	tr.run(t, op.Mech, c, isLeaf)
 	return int(c.count)
 }
 

@@ -28,7 +28,7 @@ func runScan(t *testing.T, e *env, lo uint64, limit int) int {
 	got := -1
 	e.eng.Spawn("scan", 0, func(th *sim.Thread) {
 		task := e.rt.NewTask(th, p.NodeProcs)
-		got = e.tr.Scan(task, lo, limit)
+		got = e.tr.Scan(task, &core.Site{Mech: e.tr.lookup.Mech}, lo, limit)
 	})
 	if err := e.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -101,8 +101,8 @@ func TestScanAfterInserts(t *testing.T) {
 	}
 }
 
-// TestScanViaPanicsOnObjMigrate pins the unsupported-mechanism contract.
-func TestScanViaPanicsOnObjMigrate(t *testing.T) {
+// TestScanPanicsOnObjMigrate pins the unsupported-mechanism contract.
+func TestScanPanicsOnObjMigrate(t *testing.T) {
 	p := DefaultParams()
 	p.NodeProcs = 4
 	e := buildEnv(t, core.Scheme{Mechanism: core.RPC}, p, 1, seqKeys(100, 3))
@@ -110,10 +110,10 @@ func TestScanViaPanicsOnObjMigrate(t *testing.T) {
 		task := e.rt.NewTask(th, p.NodeProcs)
 		defer func() {
 			if recover() == nil {
-				t.Error("ScanVia(ObjMigrate) did not panic")
+				t.Error("Scan under ObjMigrate did not panic")
 			}
 		}()
-		e.tr.ScanVia(task, 1, 10, core.ObjMigrate)
+		e.tr.Scan(task, &core.Site{Mech: core.ObjMigrate}, 1, 10)
 	})
 	if err := e.eng.Run(); err != nil {
 		t.Fatal(err)

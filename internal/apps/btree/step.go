@@ -61,7 +61,7 @@ func (tr *Tree) leafPut(t *core.Task, nd *node, key uint64, sm bool) putReply {
 	rep := putReply{kind: putDone}
 	if len(nd.keys) <= tr.p.Fanout {
 		if inserted {
-			tr.logNode(t, nd)
+			t.Log(0, nd)
 		}
 	} else {
 		rep = tr.split(t, nd, sm)
@@ -73,18 +73,21 @@ func (tr *Tree) leafPut(t *core.Task, nd *node, key uint64, sm bool) putReply {
 
 // insertUp installs a child's split — the child that ended at a.oldBound
 // now ends at a.sep, and a.newChild covers the rest — into interior node
-// nd, splitting nd in turn when it overflows. The reply redirects when
-// the child's entry has moved right of nd.
+// nd, splitting nd in turn when it overflows. The install is keyed by
+// a.sep, the one bound a concurrent split of a neighbour cannot move
+// (see insertChild); when nothing else moved, a.sep and a.oldBound pick
+// the same entry through the same probes. The reply redirects when the
+// child's entry has moved right of nd.
 func (tr *Tree) insertUp(t *core.Task, nd *node, a upArg, sm bool) putReply {
-	if !tr.lockFor(t, nd, a.oldBound, sm) {
+	if !tr.lockFor(t, nd, a.sep, sm) {
 		return putReply{kind: putRedirect, next: nd.right}
 	}
 	t.Work(searchCycles(len(nd.keys)) + tr.InsertCycles)
 	if sm {
-		i := tr.writeKeyLine(t, nd, a.oldBound)
+		i := tr.writeKeyLine(t, nd, a.sep)
 		tr.shm.Write(t.Thread(), t.Proc(), nd.addrKids+mem.Addr(i*8), 16)
 	}
-	if !nd.insertChild(a.oldBound, a.sep, a.newChild) {
+	if !nd.insertChild(a.sep, a.newChild) {
 		// The entry moved right between the routing and now.
 		tr.unlock(t, nd, sm)
 		return putReply{kind: putRedirect, next: nd.right}
@@ -92,7 +95,7 @@ func (tr *Tree) insertUp(t *core.Task, nd *node, a upArg, sm bool) putReply {
 	isRoot := nd.g == tr.root
 	rep := putReply{kind: putDone}
 	if len(nd.keys) <= tr.p.Fanout {
-		tr.logNode(t, nd)
+		t.Log(0, nd)
 	} else {
 		rep = tr.split(t, nd, sm)
 	}
@@ -143,11 +146,9 @@ func (tr *Tree) split(t *core.Task, nd *node, sm bool) putReply {
 	r, info := nd.split()
 	g := tr.newNode(r)
 	nd.right = g
-	if tr.wal != nil {
-		// Survivor and sibling images land in one append, so a wipe never
-		// observes half a split.
-		tr.wal.Append(t.Thread(), t.Proc(), nodeRecord(nd), nodeRecord(r))
-	}
+	// Survivor and sibling images land in one append, so a wipe never
+	// observes half a split.
+	t.Log(0, nd, r)
 	if sm {
 		th, proc := t.Thread(), t.Proc()
 		tr.shm.Write(th, proc, r.addrHeader, 16)

@@ -10,7 +10,6 @@ import (
 	"compmig/internal/policy"
 	"compmig/internal/repl"
 	"compmig/internal/sim"
-	"compmig/internal/store"
 )
 
 // Params configures a tree instance.
@@ -27,23 +26,19 @@ func DefaultParams() Params {
 
 // Tree is a distributed B-link tree bound to a runtime and a scheme.
 type Tree struct {
-	rt     *core.Runtime
-	shm    *mem.System // SM scheme only
-	repl   *repl.Table // "w/repl." schemes only
-	scheme core.Scheme
-	p      Params
-	rng    *sim.PRNG // placement decisions
+	rt   *core.Runtime
+	shm  *mem.System // SM scheme only
+	repl *repl.Table // "w/repl." schemes only
+	p    Params
+	rng  *sim.PRNG // placement decisions
+
+	// The lookup and insert call sites.
+	lookup, insert core.Site
 
 	root     gid.GID
 	rootLock sim.Mutex
 	height   int
 	nnodes   int
-
-	// wal, when set, receives a full node image on every committed
-	// mutation (see durable.go); nodes lists every allocated node in
-	// creation order so wipe/seed sweeps are deterministic.
-	wal   *store.Store
-	nodes []gid.GID
 
 	// Cost knobs (user-code cycles).
 	LockCycles   uint64
@@ -71,10 +66,6 @@ type Tree struct {
 	cLookup   core.ContID
 	cDelete   core.ContID
 	cScan     core.ContID
-
-	// Per-call-site policy selectors (nil = static scheme dispatch).
-	polLookup *policy.Site
-	polInsert *policy.Site
 }
 
 // Build bulk-loads a tree with the given sorted-unique keys, placing
@@ -85,7 +76,9 @@ func Build(rt *core.Runtime, shm *mem.System, tbl *repl.Table, scheme core.Schem
 		panic("btree: SharedMem scheme needs a mem.System")
 	}
 	tr := &Tree{
-		rt: rt, shm: shm, repl: tbl, scheme: scheme, p: p,
+		rt: rt, shm: shm, repl: tbl, p: p,
+		lookup:     core.Site{Mech: scheme.Mechanism},
+		insert:     core.Site{Mech: scheme.Mechanism},
 		rng:        rt.Eng.Rand().Fork(),
 		LockCycles: 20, InsertCycles: 30, AllocCycles: 50, PeekWork: 20,
 	}
@@ -125,7 +118,6 @@ func (tr *Tree) newNode(nd *node) gid.GID {
 	tr.nnodes++
 	g := tr.rt.Objects.New(home, nd)
 	nd.g = g
-	tr.nodes = append(tr.nodes, g)
 	return g
 }
 
@@ -259,7 +251,7 @@ func (tr *Tree) growRoot(t *core.Task, oldRoot gid.GID, rep putReply) bool {
 		kidsAreLeaves: tr.rt.Objects.State(oldRoot).(*node).leaf,
 	}
 	g := tr.newNode(nr)
-	tr.logNode(t, nr)
+	t.Log(0, nr)
 	if tr.repl != nil && tr.repl.IsReplicated(oldRoot) {
 		// Replicate the new root before exposing it so no reader ever
 		// sees an unreplicated root. (Replicate is host-level: no yield.)
@@ -275,17 +267,31 @@ func (tr *Tree) growRoot(t *core.Task, oldRoot gid.GID, rep putReply) bool {
 	return true
 }
 
+// above returns the leftmost node one level above node g's level: where
+// a split of g whose growRoot lost is installed, following right links
+// from there to g's parent. The leftmost node of a level stays leftmost,
+// so it lies on the root's first-child spine; when the root grew exactly
+// one level above g, it is the root. The walk is host-level, like the
+// root pointer read it generalizes.
+func (tr *Tree) above(g gid.GID) gid.GID {
+	level := 0 // g's level, counted up from the leaves
+	for nd := tr.rt.Objects.State(g).(*node); !nd.leaf; nd = tr.rt.Objects.State(nd.children[0]).(*node) {
+		level++
+	}
+	cur := tr.root
+	for l := tr.height - 1; l > level+1; l-- {
+		cur = tr.rt.Objects.State(cur).(*node).children[0]
+	}
+	return cur
+}
+
 // Lookup reports whether key is present, using the tree's scheme or the
 // attached policy's per-operation decision.
 func (tr *Tree) Lookup(t *core.Task, key uint64) bool {
-	mech := tr.scheme.Mechanism
-	if tr.polLookup != nil {
-		op := t.Choose(tr.polLookup, tr.root)
-		defer op.Done(t)
-		mech = op.Mech
-	}
+	op := t.Choose(&tr.lookup, tr.root)
+	defer op.Done(t)
 	cur, _, isLeaf := tr.start(t, key)
-	return tr.run(t, mech, &lookupCont{tr: tr, key: key, cur: cur}, isLeaf)
+	return tr.run(t, op.Mech, &lookupCont{tr: tr, key: key, cur: cur}, isLeaf)
 }
 
 // Insert adds key, reporting whether it was new, using the tree's scheme
@@ -294,14 +300,10 @@ func (tr *Tree) Insert(t *core.Task, key uint64) bool {
 	if key == MaxKey {
 		panic("btree: MaxKey is reserved")
 	}
-	mech := tr.scheme.Mechanism
-	if tr.polInsert != nil {
-		op := t.Choose(tr.polInsert, tr.root)
-		defer op.Done(t)
-		mech = op.Mech
-	}
+	op := t.Choose(&tr.insert, tr.root)
+	defer op.Done(t)
 	cur, path, isLeaf := tr.start(t, key)
-	return tr.run(t, mech, &opCont{tr: tr, key: key, insert: true, cur: cur, path: path}, isLeaf)
+	return tr.run(t, op.Mech, &opCont{tr: tr, key: key, insert: true, cur: cur, path: path}, isLeaf)
 }
 
 // walker is an operation's continuation record (lookupCont, opCont,
@@ -359,7 +361,7 @@ func (tr *Tree) AttachPolicy(e *policy.Engine) {
 	if chain < 1 {
 		chain = 1
 	}
-	tr.polLookup = e.NewSite("btree.lookup", advisor.SiteProfile{
+	tr.lookup.Chooser = e.NewSite("btree.lookup", advisor.SiteProfile{
 		AccessesPerVisit: 2, // peek + step under the per-access style
 		ArgWords:         2, // key
 		ReplyWords:       3, // next gid / found flag
@@ -367,7 +369,7 @@ func (tr *Tree) AttachPolicy(e *policy.Engine) {
 		ShortMethod:      true,
 		ChainLength:      chain,
 	})
-	tr.polInsert = e.NewSite("btree.insert", advisor.SiteProfile{
+	tr.insert.Chooser = e.NewSite("btree.insert", advisor.SiteProfile{
 		AccessesPerVisit: 2,
 		ArgWords:         2,
 		ReplyWords:       3,

@@ -11,7 +11,6 @@ import (
 	"compmig/internal/mem"
 	"compmig/internal/msg"
 	"compmig/internal/policy"
-	"compmig/internal/store"
 )
 
 // balancer is the private state of one balancer object: a two-by-two
@@ -54,10 +53,9 @@ func (c *counter) take() uint64 {
 
 // Network is a distributed counting network instance bound to a runtime.
 type Network struct {
-	rt     *core.Runtime
-	shm    *mem.System // nil unless the scheme is SharedMem or a policy run
-	scheme core.Scheme
-	pol    *policy.Site // per-traversal mechanism selector (nil = static scheme)
+	rt   *core.Runtime
+	shm  *mem.System // nil unless the scheme is SharedMem or a policy run
+	site core.Site   // the traversal call site
 
 	width        int
 	layout       *Layout
@@ -78,8 +76,6 @@ type Network struct {
 	mToggle  core.MethodID
 	mNext    core.MethodID
 	cTravers core.ContID
-
-	wal *store.Store // nil unless durability is enabled
 }
 
 // Build lays a width-wide bitonic counting network out one balancer per
@@ -89,7 +85,7 @@ type Network struct {
 func Build(rt *core.Runtime, shm *mem.System, scheme core.Scheme, width int) *Network {
 	layout := Bitonic(width)
 	n := &Network{
-		rt: rt, shm: shm, scheme: scheme,
+		rt: rt, shm: shm, site: core.Site{Mech: scheme.Mechanism},
 		width: width, layout: layout, stages: layout.Stages,
 		BalancerWork: 150, CounterWork: 30, PeekWork: 20,
 	}
@@ -164,7 +160,7 @@ func (n *Network) registerHandlers() {
 			b := self.(*balancer)
 			t.Work(n.BalancerWork)
 			out := b.route()
-			n.logBalancer(t, b)
+			t.Log(0, b)
 			reply.PutU32(uint32(out))
 		})
 	n.mNext = n.rt.RegisterMethod("countnet.next", true,
@@ -172,7 +168,7 @@ func (n *Network) registerHandlers() {
 			c := self.(*counter)
 			t.Work(n.CounterWork)
 			v := c.take()
-			n.logCounter(t, c)
+			t.Log(0, c)
 			reply.PutU64(v)
 		})
 	n.cTravers = n.rt.RegisterCont("countnet.traverse",
@@ -214,7 +210,7 @@ func (c *traverseCont) Run(t *core.Task) {
 		b := t.State(g).(*balancer)
 		t.Work(n.BalancerWork)
 		c.wire = uint32(b.route())
-		n.logBalancer(t, b)
+		t.Log(0, b)
 		c.stage++
 	}
 	// The counter is co-located with the final balancer, so this is local.
@@ -226,7 +222,7 @@ func (c *traverseCont) Run(t *core.Task) {
 	ctr := t.State(g).(*counter)
 	t.Work(n.CounterWork)
 	v := ctr.take()
-	n.logCounter(t, ctr)
+	t.Log(0, ctr)
 	t.Return(&valueReply{value: v})
 }
 
@@ -237,7 +233,7 @@ func (c *traverseCont) Run(t *core.Task) {
 // length (each balancer is visited once; a traversal crosses stages+1
 // objects).
 func (n *Network) AttachPolicy(e *policy.Engine) {
-	n.pol = e.NewSite("countnet.traverse", advisor.SiteProfile{
+	n.site.Chooser = e.NewSite("countnet.traverse", advisor.SiteProfile{
 		AccessesPerVisit: 1,
 		ReplyWords:       1,
 		ContWords:        2, // stage + wire
@@ -253,17 +249,9 @@ func (n *Network) Traverse(t *core.Task, wire int) uint64 {
 	if wire < 0 || wire >= n.width {
 		panic(fmt.Sprintf("countnet: wire %d out of range", wire))
 	}
-	mech := n.scheme.Mechanism
-	if n.pol != nil {
-		op := t.Choose(n.pol, n.balGID[0][n.balForWire[0][wire]])
-		defer op.Done(t)
-		mech = op.Mech
-	}
-	return n.traverseWith(t, wire, mech)
-}
-
-func (n *Network) traverseWith(t *core.Task, wire int, mech core.Mechanism) uint64 {
-	switch mech {
+	op := t.Choose(&n.site, n.balGID[0][n.balForWire[0][wire]])
+	defer op.Done(t)
+	switch op.Mech {
 	case core.Migrate:
 		var rep valueReply
 		if err := t.Do(&traverseCont{net: n, wire: uint32(wire)}, &rep); err != nil {
@@ -297,13 +285,13 @@ func (n *Network) traverseWith(t *core.Task, wire int, mech core.Mechanism) uint
 			n.shm.RMW(th, proc, b.addr)
 			t.Work(n.BalancerWork)
 			w = b.route()
-			n.logBalancer(t, b)
+			t.Log(0, b)
 		}
 		c := n.rt.Objects.State(n.counterGID[w]).(*counter)
 		n.shm.RMW(th, proc, c.addr)
 		t.Work(n.CounterWork)
 		v := c.take()
-		n.logCounter(t, c)
+		t.Log(0, c)
 		return v
 	case core.ObjMigrate:
 		// Emerald-style whole-object migration — the comparison the paper
@@ -317,13 +305,13 @@ func (n *Network) traverseWith(t *core.Task, wire int, mech core.Mechanism) uint
 			// access is atomic even if the object is pulled away next.
 			b := n.pullAndPin(t, g).(*balancer)
 			w = uint32(b.route())
-			n.logBalancer(t, b)
+			t.Log(0, b)
 			t.Work(n.BalancerWork)
 		}
 		g := n.counterGID[w]
 		ctr := n.pullAndPin(t, g).(*counter)
 		v := ctr.take()
-		n.logCounter(t, ctr)
+		t.Log(0, ctr)
 		t.Work(n.CounterWork)
 		return v
 	default:

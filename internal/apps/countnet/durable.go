@@ -1,132 +1,62 @@
 package countnet
 
-import (
-	"compmig/internal/core"
-	"compmig/internal/gid"
-	"compmig/internal/store"
-)
+import "compmig/internal/store"
 
 // Durability: every balancer routing decision and counter take logs the
 // object's full (tiny) state at its home processor. Records carry the
 // absolute post-mutation values — visits/toggle for a balancer, next for
 // a counter — so replay is idempotent and a second wipe of the same
-// processor recovers to the same state.
+// processor recovers to the same state. Move-in records (the
+// object-migration scheme pulls balancers and counters between
+// processors) carry the same values in the snapshot blob. A wipe loses
+// the volatile state (toggle, visit count, dispensed position); the
+// wiring spec, shared-memory address and identity are allocation
+// metadata and survive.
 
-// balancerRecord encodes a balancer's current state as a WAL record.
-func balancerRecord(b *balancer) store.Record {
-	var tog uint64
-	if b.toggle {
-		tog = 1
-	}
-	return store.Record{Kind: store.KindState, G: b.g, A: b.visits, B: tog}
+// Record encodes the balancer's current state as a WAL record.
+func (b *balancer) Record(uint64) store.Record {
+	return store.Record{Kind: store.KindState, G: b.g, A: b.visits, B: b.tog()}
 }
 
-// counterRecord encodes a counter's current state as a WAL record.
-func counterRecord(c *counter) store.Record {
+func (b *balancer) tog() uint64 {
+	if b.toggle {
+		return 1
+	}
+	return 0
+}
+
+// Seeds seeds the checkpoints with the built state.
+func (b *balancer) Seeds() []store.Record { return []store.Record{b.Record(0)} }
+
+func (b *balancer) Apply(r store.Record) {
+	visits, tog := r.A, r.B
+	if r.Kind == store.KindMoveIn {
+		visits, tog = r.Blob[0], r.Blob[1]
+	}
+	b.visits, b.toggle = visits, tog != 0
+}
+
+func (b *balancer) Snapshot() []uint64 { return []uint64{b.visits, b.tog()} }
+
+func (b *balancer) Wipe() { b.toggle, b.visits = false, 0 }
+
+// Record encodes the counter's current state as a WAL record.
+func (c *counter) Record(uint64) store.Record {
 	return store.Record{Kind: store.KindState, G: c.g, A: c.next}
 }
 
-// logBalancer durably logs a balancer's post-route state. At the
-// balancer's home (RPC handler, migrated frame, pulled object) the
-// charge blocks the routing thread — the token is not acknowledged
-// downstream until the log write is paid for; from a shared-memory
-// frontend the home is charged asynchronously, with the record still
-// registered before any yield.
-func (n *Network) logBalancer(t *core.Task, b *balancer) {
-	if n.wal == nil {
-		return
+// Seeds seeds the checkpoints with the built state: counters start at
+// their logical rank, not zero, so seeding is mandatory.
+func (c *counter) Seeds() []store.Record { return []store.Record{c.Record(0)} }
+
+func (c *counter) Apply(r store.Record) {
+	next := r.A
+	if r.Kind == store.KindMoveIn {
+		next = r.Blob[0]
 	}
-	n.wal.Append(t.Thread(), t.Proc(), balancerRecord(b))
+	c.next = next
 }
 
-// logCounter durably logs a counter's post-take state.
-func (n *Network) logCounter(t *core.Task, c *counter) {
-	if n.wal == nil {
-		return
-	}
-	n.wal.Append(t.Thread(), t.Proc(), counterRecord(c))
-}
+func (c *counter) Snapshot() []uint64 { return []uint64{c.next} }
 
-// EnableDurability attaches the network to a WAL: every balancer and
-// counter seeds the checkpoints with its built state (counters start at
-// their logical rank, not zero, so seeding is mandatory), and the
-// store's replay, wipe, and snapshot hooks are installed.
-func (n *Network) EnableDurability(w *store.Store) {
-	n.wal = w
-	for _, gids := range n.balGID {
-		for _, g := range gids {
-			w.Seed(balancerRecord(n.rt.Objects.State(g).(*balancer)))
-		}
-	}
-	for _, g := range n.counterGID {
-		w.Seed(counterRecord(n.rt.Objects.State(g).(*counter)))
-	}
-	w.OnApply(n.applyRecord)
-	w.OnSnapshot(n.snapshotBlob)
-	w.OnWipe(func(proc int) int {
-		n.wipeProc(proc)
-		return n.rt.WipeVolatile(proc)
-	})
-}
-
-// applyRecord reinstalls one logged record during recovery replay.
-// State records carry scalars in A/B; move-in records carry the same
-// values in the snapshot blob.
-func (n *Network) applyRecord(r store.Record) {
-	switch st := n.rt.Objects.State(r.G).(type) {
-	case *balancer:
-		visits, tog := r.A, r.B
-		if r.Kind == store.KindMoveIn {
-			visits, tog = r.Blob[0], r.Blob[1]
-		}
-		st.visits, st.toggle = visits, tog != 0
-	case *counter:
-		next := r.A
-		if r.Kind == store.KindMoveIn {
-			next = r.Blob[0]
-		}
-		st.next = next
-	default:
-		panic("countnet: replaying a record for an unknown object kind")
-	}
-}
-
-// snapshotBlob encodes an object's state for a move record (the
-// object-migration scheme pulls balancers and counters between
-// processors).
-func (n *Network) snapshotBlob(g gid.GID) []uint64 {
-	switch st := n.rt.Objects.State(g).(type) {
-	case *balancer:
-		var tog uint64
-		if st.toggle {
-			tog = 1
-		}
-		return []uint64{st.visits, tog}
-	case *counter:
-		return []uint64{st.next}
-	default:
-		panic("countnet: snapshotting an unknown object kind")
-	}
-}
-
-// wipeProc models the crash: every balancer and counter homed on proc
-// loses its volatile state (toggle, visit count, dispensed position).
-// The wiring spec, shared-memory address, and identity are allocation
-// metadata and survive.
-func (n *Network) wipeProc(proc int) {
-	for _, gids := range n.balGID {
-		for _, g := range gids {
-			if n.rt.Objects.Home(g) != proc {
-				continue
-			}
-			b := n.rt.Objects.State(g).(*balancer)
-			b.toggle, b.visits = false, 0
-		}
-	}
-	for _, g := range n.counterGID {
-		if n.rt.Objects.Home(g) != proc {
-			continue
-		}
-		n.rt.Objects.State(g).(*counter).next = 0
-	}
-}
+func (c *counter) Wipe() { c.next = 0 }

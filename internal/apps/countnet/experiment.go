@@ -101,16 +101,6 @@ type Result struct {
 	// EntryUtilization is the mean busy fraction of the first-stage
 	// balancer processors — where requests pile up under contention.
 	EntryUtilization float64
-	// Trace holds the tail of the execution trace when Config.TraceCap
-	// was set.
-	Trace *sim.Tracer
-	// ObjectMoves and Forwards report Emerald-style mobility activity
-	// (nonzero only under the ObjMigrate scheme).
-	ObjectMoves uint64
-	Forwards    uint64
-	// Decisions counts a policy run's per-mechanism choices indexed by
-	// core.Mechanism.
-	Decisions [4]uint64
 }
 
 // RunExperiment builds a fresh machine, runs the workload, and reports
@@ -157,12 +147,6 @@ func RunExperiment(cfg Config) Result {
 		u += m.Mach.Proc(p).Utilization()
 	}
 	res.EntryUtilization = u / float64(len(entry))
-	res.Trace = m.Tracer
-	res.ObjectMoves = m.RT.Objects.Moves
-	res.Forwards = col.Forwards
-	if res.Policy != "" {
-		res.Decisions = n.pol.Decisions()
-	}
 	if res.Fault != nil || res.Recovery != nil {
 		var total uint64
 		for _, s := range started {

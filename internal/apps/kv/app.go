@@ -21,7 +21,6 @@ import (
 	"compmig/internal/mem"
 	"compmig/internal/msg"
 	"compmig/internal/policy"
-	"compmig/internal/store"
 )
 
 // Params configures a store instance.
@@ -44,24 +43,21 @@ type partState struct {
 	vals map[uint64]uint64 // keyID -> version (0 = never written)
 	slot map[uint64]int    // keyID -> record slot in the SM image
 	base mem.Addr          // SM image base (Touches lines per record)
+	g    gid.GID           // the partition object
 }
 
 // Store is a distributed KV store bound to a runtime and a scheme.
 type Store struct {
-	rt     *core.Runtime
-	shm    *mem.System // nil unless the scheme is SharedMem or a policy run
-	scheme core.Scheme
-	p      Params
+	rt  *core.Runtime
+	shm *mem.System // nil unless the scheme is SharedMem or a policy run
+	p   Params
 
-	parts  []gid.GID // partition objects, parts[i] homed on processor i
-	states []*partState
-	byGID  map[gid.GID]*partState
-	keys   []uint64 // keyID -> indexed key value (sorted unique)
-	index  *btree.Tree
+	parts []gid.GID // partition objects, parts[i] homed on processor i
+	keys  []uint64  // keyID -> indexed key value (sorted unique)
+	index *btree.Tree
 
-	// wal, when set, receives a version record on every acked put and
-	// node images from the index (see durable.go).
-	wal *store.Store
+	// The get, put and scan call sites.
+	get, put, scan core.Site
 
 	// AccessCycles is the user-code cost of one record access.
 	AccessCycles uint64
@@ -70,11 +66,6 @@ type Store struct {
 	mGet   core.MethodID
 	mPut   core.MethodID
 	cOp    core.ContID
-
-	// Per-call-site policy selectors (nil = static scheme dispatch).
-	polGet  *policy.Site
-	polPut  *policy.Site
-	polScan *policy.Site
 }
 
 // Build creates the store over the given sorted-unique key population.
@@ -92,7 +83,10 @@ func Build(rt *core.Runtime, shm *mem.System, scheme core.Scheme, p Params, keys
 		panic("kv: bad params")
 	}
 	s := &Store{
-		rt: rt, shm: shm, scheme: scheme, p: p,
+		rt: rt, shm: shm, p: p,
+		get:          core.Site{Mech: scheme.Mechanism},
+		put:          core.Site{Mech: scheme.Mechanism},
+		scan:         core.Site{Mech: scheme.Mechanism},
 		keys:         append([]uint64{}, keys...),
 		AccessCycles: 40,
 	}
@@ -101,13 +95,11 @@ func Build(rt *core.Runtime, shm *mem.System, scheme core.Scheme, p Params, keys
 	// skewed key popularity still spreads across partitions.
 	s.parts = make([]gid.GID, p.StoreProcs)
 	states := make([]*partState, p.StoreProcs)
-	s.byGID = make(map[gid.GID]*partState, p.StoreProcs)
 	for i := range s.parts {
 		states[i] = &partState{vals: make(map[uint64]uint64), slot: make(map[uint64]int)}
 		s.parts[i] = rt.Objects.New(i, states[i])
-		s.byGID[s.parts[i]] = states[i]
+		states[i].g = s.parts[i]
 	}
-	s.states = states
 	for id := range s.keys {
 		ps := states[s.partOf(uint64(id))]
 		ps.slot[uint64(id)] = len(ps.slot)
@@ -189,7 +181,7 @@ func (s *Store) register() {
 			key := args.U64()
 			t.Work(s.AccessCycles)
 			ps.vals[key]++
-			s.logPut(t, key, ps.vals[key])
+			t.Log(key, ps)
 			reply.PutU64(ps.vals[key])
 		})
 	s.cOp = s.rt.RegisterCont("kv.op",
@@ -198,107 +190,69 @@ func (s *Store) register() {
 
 // Get returns the key's current version, using the store's scheme or
 // the attached policy's per-operation decision.
-func (s *Store) Get(t *core.Task, id uint64) uint64 {
-	mech := s.scheme.Mechanism
-	if s.polGet != nil {
-		op := t.Choose(s.polGet, s.parts[s.partOf(id)])
-		defer op.Done(t)
-		mech = op.Mech
-	}
-	return s.getWith(t, id, mech)
-}
+func (s *Store) Get(t *core.Task, id uint64) uint64 { return s.access(t, &s.get, id, false) }
 
 // Put bumps the key's version and returns the new version.
-func (s *Store) Put(t *core.Task, id uint64) uint64 {
-	mech := s.scheme.Mechanism
-	if s.polPut != nil {
-		op := t.Choose(s.polPut, s.parts[s.partOf(id)])
-		defer op.Done(t)
-		mech = op.Mech
-	}
-	return s.putWith(t, id, mech)
-}
+func (s *Store) Put(t *core.Task, id uint64) uint64 { return s.access(t, &s.put, id, true) }
 
 // Scan counts up to limit population keys >= keyID lo's value through
 // the index.
 func (s *Store) Scan(t *core.Task, lo uint64, limit int) int {
-	loVal := s.keys[int(lo)%len(s.keys)]
-	mech := s.scheme.Mechanism
-	if s.polScan != nil {
-		op := t.Choose(s.polScan, s.index.Root())
-		defer op.Done(t)
-		mech = op.Mech
-	}
-	return s.index.ScanVia(t, loVal, limit, mech)
+	return s.index.Scan(t, &s.scan, s.keys[int(lo)%len(s.keys)], limit)
 }
 
-func (s *Store) getWith(t *core.Task, id uint64, mech core.Mechanism) uint64 {
+// access runs one point operation on key id at call site site: Touches
+// record accesses at the key's partition, the last of them the read (or,
+// with put, the version bump) whose version it returns.
+func (s *Store) access(t *core.Task, site *core.Site, id uint64, put bool) uint64 {
 	g := s.parts[s.partOf(id)]
-	switch mech {
+	op := t.Choose(site, g)
+	defer op.Done(t)
+	switch op.Mech {
 	case core.RPC:
 		for i := 0; i < s.p.Touches-1; i++ {
 			s.touch(t, g)
 		}
+		m := s.mGet
+		if put {
+			m = s.mPut
+		}
 		var rep valueReply
-		if err := t.Call(g, s.mGet, &keyArg{key: id}, &rep); err != nil {
-			panic("kv: get failed: " + err.Error())
+		if err := t.Call(g, m, &keyArg{key: id}, &rep); err != nil {
+			panic("kv: access failed: " + err.Error())
 		}
 		return rep.value
 	case core.Migrate:
 		var rep valueReply
-		if err := t.Do(&kvCont{st: s, key: id, cur: g}, &rep); err != nil {
-			panic("kv: get failed: " + err.Error())
+		if err := t.Do(&kvCont{st: s, key: id, put: put, cur: g}, &rep); err != nil {
+			panic("kv: access failed: " + err.Error())
 		}
 		return rep.value
 	case core.SharedMem:
 		th, proc := t.Thread(), t.Proc()
 		ps := s.rt.Objects.State(g).(*partState)
 		base := s.recordBase(ps, id)
-		for i := 0; i < s.p.Touches; i++ {
-			s.shm.Read(th, proc, base+mem.Addr(i*mem.LineBytes), 8)
+		if !put {
+			for i := 0; i < s.p.Touches; i++ {
+				s.shm.Read(th, proc, base+mem.Addr(i*mem.LineBytes), 8)
+			}
+			t.Work(s.AccessCycles * uint64(s.p.Touches))
+			return ps.vals[id]
 		}
-		t.Work(s.AccessCycles * uint64(s.p.Touches))
-		return ps.vals[id]
-	}
-	panic(fmt.Sprintf("kv: unsupported mechanism %v", mech))
-}
-
-func (s *Store) putWith(t *core.Task, id uint64, mech core.Mechanism) uint64 {
-	g := s.parts[s.partOf(id)]
-	switch mech {
-	case core.RPC:
-		for i := 0; i < s.p.Touches-1; i++ {
-			s.touch(t, g)
-		}
-		var rep valueReply
-		if err := t.Call(g, s.mPut, &keyArg{key: id}, &rep); err != nil {
-			panic("kv: put failed: " + err.Error())
-		}
-		return rep.value
-	case core.Migrate:
-		var rep valueReply
-		if err := t.Do(&kvCont{st: s, key: id, put: true, cur: g}, &rep); err != nil {
-			panic("kv: put failed: " + err.Error())
-		}
-		return rep.value
-	case core.SharedMem:
-		th, proc := t.Thread(), t.Proc()
-		ps := s.rt.Objects.State(g).(*partState)
-		base := s.recordBase(ps, id)
 		// Atomic RMW on the record's first line (the version word), then
 		// the update itself with no intervening yield, then the remaining
 		// line writes — so concurrent writers never lose an increment.
 		s.shm.RMW(th, proc, base)
 		ps.vals[id]++
 		v := ps.vals[id]
-		s.logPut(t, id, v)
+		t.Log(id, ps)
 		for i := 1; i < s.p.Touches; i++ {
 			s.shm.Write(th, proc, base+mem.Addr(i*mem.LineBytes), 8)
 		}
 		t.Work(s.AccessCycles * uint64(s.p.Touches))
 		return v
 	}
-	panic(fmt.Sprintf("kv: unsupported mechanism %v", mech))
+	panic(fmt.Sprintf("kv: unsupported mechanism %v", op.Mech))
 }
 
 // recordBase returns the SM address of a key's record image.
@@ -337,7 +291,7 @@ func (c *kvCont) Run(t *core.Task) {
 	t.Work(s.AccessCycles * uint64(s.p.Touches))
 	if c.put {
 		ps.vals[c.key]++
-		s.logPut(t, c.key, ps.vals[c.key])
+		t.Log(c.key, ps)
 	}
 	t.Return(&valueReply{value: ps.vals[c.key]})
 }
@@ -349,7 +303,7 @@ func (c *kvCont) Run(t *core.Task) {
 // scans.
 func (s *Store) AttachPolicy(e *policy.Engine) {
 	chain := float64(s.index.Height()) + 1
-	s.polGet = e.NewSite("kv.get", advisor.SiteProfile{
+	s.get.Chooser = e.NewSite("kv.get", advisor.SiteProfile{
 		AccessesPerVisit: float64(s.p.Touches),
 		ArgWords:         2, // keyID
 		ReplyWords:       2, // version
@@ -358,7 +312,7 @@ func (s *Store) AttachPolicy(e *policy.Engine) {
 		ChainLength:      1,
 		WorkCycles:       float64(s.AccessCycles) * float64(s.p.Touches),
 	})
-	s.polPut = e.NewSite("kv.put", advisor.SiteProfile{
+	s.put.Chooser = e.NewSite("kv.put", advisor.SiteProfile{
 		AccessesPerVisit: float64(s.p.Touches),
 		ArgWords:         2,
 		ReplyWords:       2,
@@ -367,7 +321,7 @@ func (s *Store) AttachPolicy(e *policy.Engine) {
 		ChainLength:      1,
 		WorkCycles:       float64(s.AccessCycles) * float64(s.p.Touches),
 	})
-	s.polScan = e.NewSite("kv.scan", advisor.SiteProfile{
+	s.scan.Chooser = e.NewSite("kv.scan", advisor.SiteProfile{
 		AccessesPerVisit: 2,
 		ArgWords:         3, // lo + remaining
 		ReplyWords:       3, // count + next
@@ -375,20 +329,4 @@ func (s *Store) AttachPolicy(e *policy.Engine) {
 		ShortMethod:      true,
 		ChainLength:      chain,
 	})
-}
-
-// Decisions sums the per-mechanism decision counts across the store's
-// call sites (zero when no policy is attached).
-func (s *Store) Decisions() [4]uint64 {
-	var out [4]uint64
-	for _, site := range []*policy.Site{s.polGet, s.polPut, s.polScan} {
-		if site == nil {
-			continue
-		}
-		d := site.Decisions()
-		for i := range out {
-			out[i] += d[i]
-		}
-	}
-	return out
 }

@@ -1,74 +1,27 @@
 package kv
 
-import (
-	"compmig/internal/core"
-	"compmig/internal/gid"
-	"compmig/internal/store"
-)
+import "compmig/internal/store"
 
 // Durability: every acked put logs a (partition, keyID, version) record
 // at the partition's home, and the range-scan index logs node images
-// through its own WAL hooks (internal/apps/btree). Versions are
-// absolute values, not increments, so replay is idempotent and a
-// second wipe of the same processor recovers to the same state.
+// (internal/apps/btree). Versions are absolute values, not increments,
+// so replay is idempotent and a second wipe of the same processor
+// recovers to the same state. Partition version maps start empty
+// (version 0 = never written), so they seed nothing, and partitions
+// never move.
 
-// logPut durably logs a put's new version at the key's home partition.
-// At the home (RPC handler, migrated frame) the charge blocks the
-// mutating thread — the put is not acknowledged until the log write is
-// paid for; from a shared-memory frontend the home is charged
-// asynchronously, with the record still registered before any yield.
-func (s *Store) logPut(t *core.Task, id, v uint64) {
-	if s.wal == nil {
-		return
-	}
-	g := s.parts[s.partOf(id)]
-	s.wal.Append(t.Thread(), t.Proc(), store.Record{Kind: store.KindState, G: g, Sub: id, A: v})
+// Record encodes key id's current version as a WAL record.
+func (ps *partState) Record(id uint64) store.Record {
+	return store.Record{Kind: store.KindState, G: ps.g, Sub: id, A: ps.vals[id]}
 }
 
-// EnableDurability attaches the store (and its embedded index) to a
-// WAL: index node images seed the checkpoints, and the store's replay,
-// wipe, and snapshot hooks dispatch between partition records and index
-// records. Partition version maps start empty (version 0 = never
-// written), so they need no seeding.
-func (s *Store) EnableDurability(w *store.Store) {
-	s.wal = w
-	s.index.SetWAL(w)
-	s.index.SeedImages(w)
-	w.OnApply(s.applyRecord)
-	w.OnSnapshot(s.snapshotBlob)
-	w.OnWipe(func(proc int) int {
-		s.wipeProc(proc)
-		return s.rt.WipeVolatile(proc)
-	})
-}
+func (ps *partState) Seeds() []store.Record { return nil }
 
-// applyRecord reinstalls one logged record during recovery replay:
-// partition version records land in the version map, everything else is
-// an index node image.
-func (s *Store) applyRecord(r store.Record) {
-	if ps, ok := s.byGID[r.G]; ok {
-		ps.vals[r.Sub] = r.A
-		return
-	}
-	s.index.ApplyRecord(r)
-}
+func (ps *partState) Apply(r store.Record) { ps.vals[r.Sub] = r.A }
 
-// snapshotBlob encodes an object's state for a move record. Partitions
-// never move; index nodes can under object-migration scan decisions.
-func (s *Store) snapshotBlob(g gid.GID) []uint64 {
-	if _, ok := s.byGID[g]; ok {
-		panic("kv: partitions do not move")
-	}
-	return s.index.SnapshotBlob(g)
-}
+func (ps *partState) Snapshot() []uint64 { panic("kv: partitions do not move") }
 
-// wipeProc models the crash on a storage processor: the partition's
-// version map is discarded (the record-slot layout and shared-memory
-// base are allocation metadata and survive), and the index's nodes
-// homed there lose their contents.
-func (s *Store) wipeProc(proc int) {
-	if proc < len(s.states) {
-		s.states[proc].vals = make(map[uint64]uint64)
-	}
-	s.index.WipeProc(proc)
-}
+// Wipe models the crash on a storage processor: the partition's version
+// map is discarded; the record-slot layout and shared-memory base are
+// allocation metadata and survive.
+func (ps *partState) Wipe() { ps.vals = make(map[uint64]uint64) }

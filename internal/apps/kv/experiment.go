@@ -108,8 +108,6 @@ type Result struct {
 	Latency *stats.Histogram
 
 	Gets, Puts, Scans uint64
-
-	Decisions [4]uint64
 }
 
 // RunExperiment builds a fresh machine, replays the workload open-loop,
@@ -187,9 +185,6 @@ func RunExperiment(cfg Config) Result {
 	hist := &stats.Histogram{}
 	hist.AddFrom(&col.Latency)
 	res.Latency = hist
-	if res.Policy != "" {
-		res.Decisions = st.Decisions()
-	}
 	res.InvariantErr = checkInvariants(st, issued, acked, monotonic, res.Fault != nil)
 	return res
 }

@@ -13,9 +13,17 @@ type Chooser interface {
 	End(proc int, m Mechanism, cycles uint64)
 }
 
-// Op is one operation in progress at a Chooser's call site.
+// Site is one annotated call site (§3.1): the mechanism the program's
+// scheme gives it, and on a policy run the Chooser that picks one per
+// operation instead.
+type Site struct {
+	Mech    Mechanism
+	Chooser Chooser // nil = every operation runs under Mech
+}
+
+// Op is one operation in progress at a call site.
 type Op struct {
-	// Mech is the mechanism the site chose for the operation.
+	// Mech is the mechanism the operation runs under.
 	Mech  Mechanism
 	site  Chooser
 	start sim.Time
@@ -23,18 +31,24 @@ type Op struct {
 
 // Choose opens an operation at site whose first remote target is g. The
 // caller runs the operation under op.Mech and then calls op.Done, which
-// reports the operation's simulated duration back to site:
+// reports the operation's simulated duration to the site's chooser:
 //
-//	op := t.Choose(site, g)
+//	op := t.Choose(&site, g)
 //	defer op.Done(t)
 //
-// The bracket is a plain value rather than a callback, so the task does
-// not escape and nothing is allocated per operation.
-func (t *Task) Choose(site Chooser, g gid.GID) Op {
-	return Op{Mech: site.Begin(t.Proc(), g), site: site, start: t.Now()}
+// Without a chooser op.Mech is the site's static mechanism and Done does
+// nothing. The bracket is a plain value rather than a callback, so the
+// task does not escape and nothing is allocated per operation.
+func (t *Task) Choose(site *Site, g gid.GID) Op {
+	if site.Chooser == nil {
+		return Op{Mech: site.Mech}
+	}
+	return Op{Mech: site.Chooser.Begin(t.Proc(), g), site: site.Chooser, start: t.Now()}
 }
 
 // Done closes the operation Choose opened.
 func (op Op) Done(t *Task) {
-	op.site.End(t.Proc(), op.Mech, uint64(t.Now()-op.start))
+	if op.site != nil {
+		op.site.End(t.Proc(), op.Mech, uint64(t.Now()-op.start))
+	}
 }

@@ -28,6 +28,7 @@ import (
 	"compmig/internal/object"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
+	"compmig/internal/store"
 )
 
 // Mechanism selects how remote accesses are performed.
@@ -187,6 +188,9 @@ type Runtime struct {
 	// Obs, when non-nil, is notified of every remote access the runtime
 	// dispatches (see AccessObserver). It must be simulation-inert.
 	Obs AccessObserver
+
+	// WAL, set on a durable run, receives the records Task.Log writes.
+	WAL *store.Store
 
 	// lanes holds each lane's private slice of runtime state (see
 	// shard.go): one lane on a serial runtime, one per shard after Shard,

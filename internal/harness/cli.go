@@ -10,7 +10,6 @@ import (
 	"compmig/internal/fault"
 	"compmig/internal/machine"
 	"compmig/internal/policy"
-	"compmig/internal/sim"
 )
 
 // MachineFlags is the flag set the application CLIs share (-scheme,
@@ -77,8 +76,8 @@ func (f *MachineFlags) Fail(msg any) {
 }
 
 // WriteOutputs writes the policy statistics to the -policy-stats file,
-// exiting 1 when it cannot, and dumps a trace (nil = none) to stderr.
-func (f *MachineFlags) WriteOutputs(r *machine.Result, trace *sim.Tracer) {
+// exiting 1 when it cannot, and dumps the run's trace, if any, to stderr.
+func (f *MachineFlags) WriteOutputs(r *machine.Result) {
 	if f.policyStats != "" {
 		data, err := json.MarshalIndent(r.PolicyStats, "", "  ")
 		if err == nil {
@@ -89,19 +88,20 @@ func (f *MachineFlags) WriteOutputs(r *machine.Result, trace *sim.Tracer) {
 			os.Exit(1)
 		}
 	}
-	if trace != nil {
-		if err := trace.Dump(os.Stderr); err != nil {
+	if r.Trace != nil {
+		if err := r.Trace.Dump(os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}
 }
 
 // PrintPolicy prints the policy line of a policy run, with its
-// per-mechanism decisions indexed by core.Mechanism.
-func PrintPolicy(r *machine.Result, decisions [4]uint64) {
+// per-mechanism decisions.
+func PrintPolicy(r *machine.Result) {
 	if r.Policy != "" {
+		d := r.Decisions
 		fmt.Printf("policy            %s (decisions rpc:%d cm:%d sm:%d om:%d)\n",
-			r.Policy, decisions[0], decisions[1], decisions[2], decisions[3])
+			r.Policy, d[core.RPC], d[core.Migrate], d[core.SharedMem], d[core.ObjMigrate])
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"compmig/internal/core"
 	"compmig/internal/cost"
 	"compmig/internal/fault"
+	"compmig/internal/gid"
 	"compmig/internal/mem"
 	"compmig/internal/network"
 	"compmig/internal/policy"
@@ -227,22 +228,54 @@ func New(name string, cfg Config, nprocs int) *Machine {
 }
 
 // App is the data structure an application built on the machine: what
-// Attach wires the durability store and the policy engine into.
+// Attach wires the policy engine into.
 type App interface {
-	EnableDurability(*store.Store)
 	AttachPolicy(*policy.Engine)
+}
+
+// durable is the state of an object that survives a wipe: every object
+// of a durable run. (Its mutations log through Task.Log.)
+type durable interface {
+	// Seeds returns the records that rebuild the object's build-time
+	// state, installed into the checkpoints free of charge.
+	Seeds() []store.Record
+	// Apply reinstalls one logged record during recovery replay.
+	Apply(store.Record)
+	// Snapshot encodes the object's full state for a move-in record.
+	Snapshot() []uint64
+	// Wipe discards the object's volatile state; identity and
+	// allocation metadata survive.
+	Wipe()
 }
 
 // Attach wires the WAL/checkpoint store (on a durable run), then the
 // policy engine (on a policy run), into app. Call it after the
-// application's Build, so the built structure seeds the checkpoints for
+// application's Build, so the built objects seed the checkpoints for
 // free instead of charging simulated append time for initial state.
+// The store's replay, snapshot and wipe hooks dispatch to the objects
+// through the object table.
 func (m *Machine) Attach(app App) {
 	cfg := m.cfg
 	if cfg.Durable || cfg.Faults.HasWipe() {
-		m.WAL = store.New(m.Mach, m.cols[0], cost.DefaultDurability(), cfg.Faults.CkptInterval(), m.RT.Objects.Home)
-		app.EnableDurability(m.WAL)
-		m.RT.Objects.SetJournal(m.WAL)
+		objs := m.RT.Objects
+		m.WAL = store.New(m.Mach, m.cols[0], cost.DefaultDurability(), cfg.Faults.CkptInterval(), objs.Home)
+		for _, g := range objs.GIDs() {
+			for _, r := range objs.State(g).(durable).Seeds() {
+				m.WAL.Seed(r)
+			}
+		}
+		m.WAL.OnApply(func(r store.Record) { objs.State(r.G).(durable).Apply(r) })
+		m.WAL.OnSnapshot(func(g gid.GID) []uint64 { return objs.State(g).(durable).Snapshot() })
+		m.WAL.OnWipe(func(proc int) int {
+			for _, g := range objs.GIDs() {
+				if objs.Home(g) == proc {
+					objs.State(g).(durable).Wipe()
+				}
+			}
+			return m.RT.WipeVolatile(proc)
+		})
+		objs.SetJournal(m.WAL)
+		m.RT.WAL = m.WAL
 		if cfg.DropNthAppend > 0 {
 			m.WAL.ScriptDropAppend(cfg.DropNthAppend)
 		}
@@ -333,9 +366,19 @@ type Result struct {
 	WordsPerOp  float64 // words transmitted per high-level operation (§4.4)
 	HitRate     float64 // shared-memory cache hit rate
 	// Policy names the policy a policy run used ("" for static schemes);
-	// PolicyStats is the engine's final statistics dump.
+	// PolicyStats is the engine's final statistics dump, and Decisions
+	// counts its per-mechanism choices across every call site, indexed
+	// by core.Mechanism.
 	Policy      string
 	PolicyStats *policy.Stats
+	Decisions   [4]uint64
+	// ObjectMoves and Forwards report Emerald-style mobility activity
+	// (nonzero only when objects migrate).
+	ObjectMoves uint64
+	Forwards    uint64
+	// Trace holds the tail of the execution trace when Config.TraceCap
+	// was set.
+	Trace *sim.Tracer
 	// Fault holds the injected-fault and recovery counters of a faulty
 	// run (nil when no fault plan was active).
 	Fault *fault.Counters
@@ -375,10 +418,14 @@ func (m *Machine) Run(r *Result) *stats.Collector {
 		r.WordsPerOp = float64(col.WordsSent) / float64(col.Ops)
 	}
 	r.HitRate = col.HitRate()
+	r.ObjectMoves = m.RT.Objects.Moves
+	r.Forwards = col.Forwards
+	r.Trace = m.Tracer
 	if m.pol != nil {
 		r.Policy = m.pol.Name()
 		st := m.pol.Stats()
 		r.PolicyStats = &st
+		r.Decisions = m.pol.Decisions()
 	}
 	if m.inj != nil {
 		c := m.inj.Counters

@@ -2,13 +2,17 @@ package machine
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"compmig/internal/core"
 	"compmig/internal/fault"
+	"compmig/internal/gid"
+	"compmig/internal/policy"
 	"compmig/internal/profile"
 	"compmig/internal/sim"
+	"compmig/internal/store"
 )
 
 // TestShardFallbackNotice pins the loud-fallback contract: a run that
@@ -160,4 +164,64 @@ func TestCheckWindowsBounds(t *testing.T) {
 		}
 	}()
 	New("kv", Config{Seed: 1, Faults: plan}, 7)
+}
+
+// cell is a durable test object holding one value, logged whole; Wipe
+// notes its GID in a shared list.
+type cell struct {
+	g     gid.GID
+	v     uint64
+	wiped *[]gid.GID
+}
+
+func (c *cell) Record(uint64) store.Record {
+	return store.Record{Kind: store.KindState, G: c.g, A: c.v}
+}
+func (c *cell) Seeds() []store.Record { return []store.Record{c.Record(0)} }
+func (c *cell) Apply(r store.Record)  { c.v = r.A }
+func (c *cell) Snapshot() []uint64    { return []uint64{c.v} }
+func (c *cell) Wipe()                 { *c.wiped = append(*c.wiped, c.g); c.v = 0 }
+
+// noPolicy is an app with no call sites.
+type noPolicy struct{}
+
+func (noPolicy) AttachPolicy(*policy.Engine) {}
+
+// TestAttachDispatchesDurability checks the store hooks Attach installs:
+// a wipe resets exactly the objects homed on the wiped processor, in
+// creation order, and recovery rebuilds each from its seed plus what
+// Task.Log appended, so a logged write survives and an unlogged one is
+// lost.
+func TestAttachDispatchesDurability(t *testing.T) {
+	spec, err := fault.ParseSpec("wipe=p1@1000+100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New("test", Config{Seed: 1, Scheme: core.Scheme{Mechanism: core.RPC}, Faults: spec}, 3)
+	var wiped []gid.GID
+	homes := []int{1, 0, 1, 2, 1}
+	cells := make([]*cell, len(homes))
+	for i, h := range homes {
+		cells[i] = &cell{v: uint64(10 + i), wiped: &wiped}
+		cells[i].g = m.RT.Objects.New(h, cells[i])
+	}
+	m.Attach(noPolicy{})
+	m.Mach.Proc(1).Spawn("writer", 10, func(th *sim.Thread) {
+		cells[2].v = 99
+		m.RT.NewTask(th, 1).Log(0, cells[2])
+		cells[4].v = 77
+	})
+	var r Result
+	m.Run(&r)
+	if want := []gid.GID{cells[0].g, cells[2].g, cells[4].g}; !slices.Equal(wiped, want) {
+		t.Errorf("wiped %v, want the proc-1 objects in creation order %v", wiped, want)
+	}
+	for i, want := range []uint64{10, 11, 99, 13, 14} {
+		if cells[i].v != want {
+			t.Errorf("cell %d = %d after recovery, want %d", i, cells[i].v, want)
+		}
+	}
+	if r.Recovery == nil || r.Recovery.Wipes != 1 || r.Recovery.Appends != 1 {
+		t.Errorf("recovery counters %+v, want one wipe and one append", r.Recovery)
+	}
 }

@@ -17,6 +17,7 @@ import (
 type Space struct {
 	alloc  gid.Allocator
 	states map[gid.GID]any
+	order  []gid.GID // every object, in creation order
 	nprocs int
 
 	// moved maps objects that have migrated away from their birth
@@ -60,6 +61,7 @@ func (s *Space) New(home int, state any) gid.GID {
 	}
 	g := s.alloc.Next(home)
 	s.states[g] = state
+	s.order = append(s.order, g)
 	if s.journal != nil {
 		s.journal.ObjectNew(g, home)
 	}
@@ -131,6 +133,10 @@ func (s *Space) HasMoved(g gid.GID) bool {
 	_, ok := s.moved[g]
 	return ok
 }
+
+// GIDs returns every live object in creation order, the deterministic
+// order for sweeps over the whole table. The caller must not modify it.
+func (s *Space) GIDs() []gid.GID { return s.order }
 
 // Len returns the number of live objects.
 func (s *Space) Len() int { return len(s.states) }

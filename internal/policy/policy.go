@@ -40,6 +40,7 @@ import (
 	"compmig/internal/cost"
 	"compmig/internal/gid"
 	"compmig/internal/mem"
+	"compmig/internal/network"
 	"compmig/internal/profile"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
@@ -252,6 +253,18 @@ func (e *Engine) NewSite(name string, base advisor.SiteProfile) *Site {
 // Sites returns the registered sites in registration order.
 func (e *Engine) Sites() []*Site { return e.sites }
 
+// Decisions sums how many times each mechanism was chosen across the
+// engine's sites, indexed by core.Mechanism.
+func (e *Engine) Decisions() [4]uint64 {
+	var out [4]uint64
+	for _, s := range e.sites {
+		for m, n := range s.decisions {
+			out[m] += n
+		}
+	}
+	return out
+}
+
 // Site is one annotated call site: the unit of decision-making and of
 // statistics collection.
 type Site struct {
@@ -395,16 +408,12 @@ func (s *Site) Profile() advisor.SiteProfile {
 		w := s.contWords / s.contHops
 		// Strip the migrate header the advisor adds back (cont id +
 		// linkage + target gid = 5 words + network header).
-		if over := uint64(5) + networkHeaderWords; w > over {
+		if over := uint64(5) + network.HeaderWords; w > over {
 			p.ContWords = w - over
 		}
 	}
 	return p
 }
-
-// networkHeaderWords mirrors network.HeaderWords without importing the
-// package (kept in sync by a unit test).
-const networkHeaderWords = 2
 
 // Estimates returns the predicted cycles for one operation at this site
 // under RPC, computation migration, and shared memory, from the live

@@ -9,7 +9,6 @@ import (
 	"compmig/internal/cost"
 	"compmig/internal/gid"
 	"compmig/internal/mem"
-	"compmig/internal/network"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
@@ -49,8 +48,6 @@ func TestSpecParsing(t *testing.T) {
 	}
 }
 
-// TestHeaderWordsInSync pins the package-local copy of the network
-// header size to the real constant.
 func TestStaticMechanism(t *testing.T) {
 	cases := []struct {
 		spec string
@@ -73,13 +70,6 @@ func TestStaticMechanism(t *testing.T) {
 	}
 }
 
-func TestHeaderWordsInSync(t *testing.T) {
-	if networkHeaderWords != network.HeaderWords {
-		t.Fatalf("networkHeaderWords = %d, network.HeaderWords = %d",
-			networkHeaderWords, network.HeaderWords)
-	}
-}
-
 // TestStaticDecides verifies the static mode always returns its pin and
 // counts decisions.
 func TestStaticDecides(t *testing.T) {
@@ -93,6 +83,21 @@ func TestStaticDecides(t *testing.T) {
 	}
 	if d := s.Decisions(); d[core.Migrate] != 5 {
 		t.Fatalf("decisions = %v, want 5 under Migrate", d)
+	}
+}
+
+// TestEngineDecisionsSumSites checks the engine-wide decision counts are
+// the sum over its sites.
+func TestEngineDecisionsSumSites(t *testing.T) {
+	e := newEngine(t, "static:rpc")
+	for i, name := range []string{"a", "b"} {
+		s := e.NewSite(name, advisor.SiteProfile{AccessesPerVisit: 1, ChainLength: 1})
+		for j := 0; j <= i; j++ {
+			s.End(0, s.Begin(0, gid.GID(1)), 10)
+		}
+	}
+	if d := e.Decisions(); d != [4]uint64{core.RPC: 3} {
+		t.Fatalf("decisions = %v, want 3 under RPC", d)
 	}
 }
 
