@@ -4,22 +4,23 @@
 # codec and the fault-plan parser, a quick parallel smoke run of the
 # full evaluation suite, a faulty smoke run with invariant checking, a
 # crash-recovery smoke run (WAL/checkpoint durability under wipe
-# faults), a benchdiff smoke against the committed baseline report, and
+# faults), a benchdiff smoke over the committed reports, and
 # the benchmark module's own tests.
 
 GO ?= go
 
-# Committed full-scale benchmark reports, oldest first; benchdiff-smoke
-# compares the two most recent. BENCH_SHARDS is the sharded-engine
-# report (shards=1 vs shards=N entries, carrying per-shard
-# synchronization counters); it matches no serial report's keys, so it
-# is smoked separately.
-BENCH_BASELINE := BENCH_2026-08-06-policy.json
-BENCH_CURRENT  := BENCH_2026-08-06-fault.json
-BENCH_SHARDS   := BENCH_2026-08-08-shards.json
-BENCH_RECOVERY := BENCH_2026-08-08-recovery.json
+# Committed full-scale benchmark reports. BENCH_CURRENT is the full
+# suite (every sweep, ext-fault, ext-kv, ext-recovery and scale) from
+# one commit; BENCH_BASELINE is an older report written before counters
+# were keyed by name, so benchdiff-smoke also proves old reports still
+# load. BENCH_SHARDS is the sharded-engine report (shards=1 vs shards=N
+# entries, carrying the shard.* counters); it matches no serial
+# report's keys, so it is smoked separately.
+BENCH_BASELINE := BENCH_2026-08-06-fault.json
+BENCH_CURRENT  := BENCH_2026-10-17.json
+BENCH_SHARDS   := BENCH_2026-10-17-shards.json
 
-.PHONY: check lint vet simvet build test race ab-identity shard-identity golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json
+.PHONY: check lint vet simvet build test race ab-identity shard-identity golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json bench-json-shards
 
 check: lint build test race ab-identity shard-identity golden fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test
 	@echo "check: all green"
@@ -58,11 +59,12 @@ ab-identity:
 # shard-identity pins the sharded event engine's determinism contract:
 # clustered runs render byte-identical output at every shard count (the
 # engine-level synthetic workload, the countnet application, and the
-# harness-rendered tables), and the parallel lane drivers are race-clean.
+# harness-rendered tables) and process the same number of events, and
+# the parallel lane drivers are race-clean.
 shard-identity:
 	$(GO) test ./internal/sim/ -run 'Cluster|CrossSend' -count=1
 	$(GO) test ./internal/apps/countnet/ -run TestCluster -count=1
-	$(GO) test ./internal/harness/ -run 'TestShardCountIdentity|TestShardScaleIdentity' -count=1
+	$(GO) test ./internal/harness/ -run 'TestShardCountIdentity|TestShardScaleIdentity|TestShardScaleEventCount' -count=1
 	GOMAXPROCS=4 $(GO) test -race ./internal/sim/ ./internal/apps/countnet/ -run 'Cluster|Shard' -count=1
 	@echo "shard-identity: rendered output is byte-identical at every shard count"
 
@@ -133,15 +135,16 @@ recovery-smoke:
 	$(GO) run ./cmd/btree -scheme rpc -faults 'wipe=p5@30000+8000,ckpt=20000,seed=7' -measure 100000 > /dev/null
 	@echo "recovery-smoke: no acked write lost across wipes; recovery traces reproducible"
 
-# benchdiff-smoke exercises the diff tool against the committed reports.
-# No -threshold: recorded wall clocks are from different commits of the
-# simulator, so this gates only on the tool and report format working.
+# benchdiff-smoke exercises the diff tool against the committed reports:
+# the old-format baseline against the current report, then the shard
+# and WAL counters by name. No -threshold: recorded wall clocks are from
+# different commits of the simulator, so this gates only on the tool and
+# report format working.
 benchdiff-smoke:
 	$(GO) run ./cmd/benchdiff $(BENCH_BASELINE) $(BENCH_CURRENT) > /dev/null
-	$(GO) run ./cmd/benchdiff $(BENCH_SHARDS) $(BENCH_SHARDS)
-	$(GO) run ./cmd/benchdiff $(BENCH_SHARDS) $(BENCH_SHARDS) | grep 'windows=' > /dev/null
-	$(GO) run ./cmd/benchdiff $(BENCH_RECOVERY) $(BENCH_RECOVERY) | grep 'wal appends=' > /dev/null
-	@echo "benchdiff-smoke: $(BENCH_BASELINE) vs $(BENCH_CURRENT) ok; $(BENCH_SHARDS) shard counters and $(BENCH_RECOVERY) WAL counters render"
+	$(GO) run ./cmd/benchdiff $(BENCH_SHARDS) $(BENCH_SHARDS) | grep 'shard.windows=' > /dev/null
+	$(GO) run ./cmd/benchdiff $(BENCH_CURRENT) $(BENCH_CURRENT) | grep 'store.wal_appends=' > /dev/null
+	@echo "benchdiff-smoke: $(BENCH_BASELINE) vs $(BENCH_CURRENT) ok; shard counters in $(BENCH_SHARDS) and WAL counters in $(BENCH_CURRENT) render"
 
 # bench-test runs the tests of the benchmark module (bench/ is a nested
 # module, so the root `go test ./...` never reaches it). They run every
@@ -169,19 +172,15 @@ bench-gate:
 bench:
 	$(GO) test -bench BenchmarkSuite -benchmem -run '^$$' .
 
-# bench-json regenerates a full-scale benchmark report; rename and
-# commit it alongside the existing BENCH_*.json files, then point
-# BENCH_CURRENT at it.
+# bench-json regenerates the full-scale benchmark report (every sweep,
+# ext-fault, ext-kv, ext-recovery and scale, each at workers=1 and 4);
+# rename and commit it alongside the existing BENCH_*.json files, then
+# point BENCH_CURRENT at it.
 bench-json:
 	$(GO) run ./cmd/paperfigs -exp all -workers 4 -bench-json BENCH_new.json
 
 # bench-json-shards regenerates the sharded-engine report: the scale
-# sweep at shards=1 vs shards=8 with per-shard synchronization counters.
+# sweep at shards=1 vs shards=8 with the shard.* synchronization
+# counters.
 bench-json-shards:
 	$(GO) run ./cmd/paperfigs -exp scale -shards 8 -bench-json BENCH_new-shards.json
-
-# bench-json-recovery regenerates the durability report: the
-# ext-recovery sweep, whose entries carry the WAL/checkpoint/replay
-# counters benchdiff renders on detail lines.
-bench-json-recovery:
-	$(GO) run ./cmd/paperfigs -exp ext-recovery -bench-json BENCH_new-recovery.json

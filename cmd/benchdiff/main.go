@@ -12,17 +12,13 @@
 // Wall-clock deltas on sub-millisecond entries are noise, so the gate
 // only considers entries whose baseline is at least 50 ms.
 //
-// Entries carrying sharded-engine counters (shards >= 1 runs) get a
-// second line comparing synchronization work: lookahead windows, events
-// processed, null windows (a lane synchronized but had nothing to run),
-// and cross-lane messages.
-//
-// Entries carrying durability counters (runs with the per-processor WAL
-// on — today only ext-recovery) get a detail line comparing logging and
-// replay work: WAL appends, checkpoint bytes, replay events, and
-// simulated recovery cycles. Like the latency percentiles, these are
-// simulation results: a changed count means the simulated behavior
-// changed.
+// An entry with counters gets a second line listing them by name: the
+// profile sections the run moved and, for experiments that measure
+// per-request latency, latency.p50/p95/p99. Counters are simulation
+// results, so each one that differs from the old report is marked
+// "(was N)": a changed count means the simulated behavior changed.
+// Reports written before counters existed load too; their entries
+// simply have none.
 package main
 
 import (
@@ -30,43 +26,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
+
+	"compmig/internal/profile"
 )
-
-type entry struct {
-	Experiment   string  `json:"experiment"`
-	Workers      int     `json:"workers"`
-	Shards       int     `json:"shards"`
-	WallMS       float64 `json:"wall_ms"`
-	Allocs       uint64  `json:"allocs"`
-	AllocBytes   uint64  `json:"alloc_bytes"`
-	FastHits     uint64  `json:"fast_hits"`
-	SlowMisses   uint64  `json:"slow_misses"`
-	ShardWindows uint64  `json:"shard_windows"`
-	ShardEvents  uint64  `json:"shard_events"`
-	ShardNulls   uint64  `json:"shard_nulls"`
-	ShardCross   uint64  `json:"shard_cross"`
-	// Durability counters: zero unless the experiment ran with the
-	// per-processor WAL on.
-	WalAppends      uint64 `json:"wal_appends"`
-	CheckpointBytes uint64 `json:"checkpoint_bytes"`
-	ReplayEvents    uint64 `json:"replay_events"`
-	RecoveryCycles  uint64 `json:"recovery_cycles"`
-	// Simulated per-request latency percentiles in cycles (zero when the
-	// experiment does not measure per-request latency). These are
-	// simulation results, not host timings: a changed percentile means
-	// the simulated behavior changed, which the identity suites treat as
-	// a functional difference, not a performance one.
-	LatencyP50 uint64 `json:"latency_p50"`
-	LatencyP95 uint64 `json:"latency_p95"`
-	LatencyP99 uint64 `json:"latency_p99"`
-}
-
-type report struct {
-	Date        string  `json:"date"`
-	GoVersion   string  `json:"go_version"`
-	Quick       bool    `json:"quick"`
-	Experiments []entry `json:"experiments"`
-}
 
 // gateFloorMS is the baseline wall clock below which the threshold gate
 // ignores an entry: timing jitter on tiny runs dwarfs any real change.
@@ -99,7 +63,7 @@ func main() {
 		workers int
 		shards  int
 	}
-	oldBy := make(map[key]entry, len(oldRep.Experiments))
+	oldBy := make(map[key]profile.BenchEntry, len(oldRep.Experiments))
 	for _, e := range oldRep.Experiments {
 		oldBy[key{e.Experiment, e.Workers, e.Shards}] = e
 	}
@@ -114,9 +78,7 @@ func main() {
 		if !ok {
 			fmt.Printf("%-12s %3d %3d  %10s %10.1f %8s  %12d %8s\n",
 				n.Experiment, n.Workers, n.Shards, "-", n.WallMS, "new", n.Allocs, "new")
-			printShardCounters(n)
-			printDurability(entry{}, n)
-			printLatency(entry{}, n)
+			printCounters(profile.BenchEntry{}, n)
 			continue
 		}
 		matched++
@@ -125,17 +87,17 @@ func main() {
 		allocPct := pctDelta(float64(o.Allocs), float64(n.Allocs))
 		fmt.Printf("%-12s %3d %3d  %10.1f %10.1f %+7.1f%%  %12d %+7.1f%%\n",
 			n.Experiment, n.Workers, n.Shards, o.WallMS, n.WallMS, wallPct, n.Allocs, allocPct)
-		printShardCounters(n)
-		printDurability(o, n)
-		printLatency(o, n)
+		printCounters(o, n)
 		if *threshold > 0 && o.WallMS >= gateFloorMS && wallPct > *threshold {
 			fmt.Fprintf(os.Stderr, "benchdiff: %s workers=%d shards=%d wall clock regressed %.1f%% (limit %.1f%%)\n",
 				n.Experiment, n.Workers, n.Shards, wallPct, *threshold)
 			regressed = true
 		}
 	}
-	for k := range oldBy {
-		fmt.Printf("%-12s %3d %3d  entry missing from new report\n", k.exp, k.workers, k.shards)
+	for _, o := range oldRep.Experiments {
+		if _, ok := oldBy[key{o.Experiment, o.Workers, o.Shards}]; ok {
+			fmt.Printf("%-12s %3d %3d  entry missing from new report\n", o.Experiment, o.Workers, o.Shards)
+		}
 	}
 	if matched == 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: no experiments in common")
@@ -146,55 +108,40 @@ func main() {
 	}
 }
 
-// printShardCounters renders an entry's sharded-engine synchronization
-// counters on a detail line; serial entries (no windows) print nothing.
-func printShardCounters(e entry) {
-	if e.ShardWindows == 0 {
-		return
+// printCounters renders an entry's counters on one line, marking each
+// one that differs from the old entry (when the old entry has counters
+// at all).
+func printCounters(o, n profile.BenchEntry) {
+	var line []string
+	for _, k := range sortedKeys(n.Counters, o.Counters) {
+		c := fmt.Sprintf("%s=%d", k, n.Counters[k])
+		if o.Counters != nil && o.Counters[k] != n.Counters[k] {
+			c += fmt.Sprintf(" (was %d)", o.Counters[k])
+		}
+		line = append(line, c)
 	}
-	nullPct := 0.0
-	if lw := e.ShardWindows * uint64(e.Shards); lw > 0 {
-		nullPct = float64(e.ShardNulls) / float64(lw) * 100
+	if len(line) > 0 {
+		fmt.Printf("%-12s      %s\n", "", strings.Join(line, "  "))
 	}
-	fmt.Printf("%-12s      windows=%d events=%d nulls=%d (%.1f%% of lane-windows) cross=%d\n",
-		"", e.ShardWindows, e.ShardEvents, e.ShardNulls, nullPct, e.ShardCross)
 }
 
-// printDurability renders an entry's WAL/recovery counters on a detail
-// line, flagging any counter that moved against the old report; entries
-// that never switched the store on print nothing.
-func printDurability(o, n entry) {
-	if n.WalAppends == 0 && n.CheckpointBytes == 0 && n.ReplayEvents == 0 && n.RecoveryCycles == 0 {
-		return
+// sortedKeys returns the union of the maps' keys in sorted order.
+func sortedKeys(a, b map[string]uint64) []string {
+	var keys []string
+	for k := range a {
+		keys = append(keys, k)
 	}
-	changed := ""
-	if o.WalAppends != 0 && (o.WalAppends != n.WalAppends || o.CheckpointBytes != n.CheckpointBytes ||
-		o.ReplayEvents != n.ReplayEvents || o.RecoveryCycles != n.RecoveryCycles) {
-		changed = fmt.Sprintf("  (was appends=%d ckpt-bytes=%d replays=%d rec-cycles=%d — simulated behavior changed)",
-			o.WalAppends, o.CheckpointBytes, o.ReplayEvents, o.RecoveryCycles)
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
 	}
-	fmt.Printf("%-12s      wal appends=%d ckpt-bytes=%d replays=%d rec-cycles=%d%s\n",
-		"", n.WalAppends, n.CheckpointBytes, n.ReplayEvents, n.RecoveryCycles, changed)
+	slices.Sort(keys)
+	return keys
 }
 
-// printLatency renders an entry's simulated latency percentiles on a
-// detail line, flagging any percentile that moved against the old
-// report; entries without latency data print nothing.
-func printLatency(o, n entry) {
-	if n.LatencyP50 == 0 && n.LatencyP95 == 0 && n.LatencyP99 == 0 {
-		return
-	}
-	changed := ""
-	if o.LatencyP50 != 0 && (o.LatencyP50 != n.LatencyP50 || o.LatencyP95 != n.LatencyP95 || o.LatencyP99 != n.LatencyP99) {
-		changed = fmt.Sprintf("  (was p50=%d p95=%d p99=%d — simulated behavior changed)",
-			o.LatencyP50, o.LatencyP95, o.LatencyP99)
-	}
-	fmt.Printf("%-12s      latency cycles p50=%d p95=%d p99=%d%s\n",
-		"", n.LatencyP50, n.LatencyP95, n.LatencyP99, changed)
-}
-
-func load(path string) (report, error) {
-	var r report
+func load(path string) (profile.BenchReport, error) {
+	var r profile.BenchReport
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return r, err

@@ -33,13 +33,23 @@ func writeReport(t *testing.T, dir, name, body string) string {
 const oldReport = `{"quick":true,"experiments":[
  {"experiment":"fig1","workers":1,"shards":0,"wall_ms":100,"allocs":1000},
  {"experiment":"ext-recovery","workers":1,"shards":0,"wall_ms":200,"allocs":2000,
-  "wal_appends":5000,"checkpoint_bytes":4096,"replay_events":40,"recovery_cycles":90000}
+  "counters":{"store.wal_appends":5000,"store.checkpoint_bytes":4096,
+   "store.replay_events":40,"store.recovery_cycles":90000}}
 ]}`
 
 const newReport = `{"quick":true,"experiments":[
  {"experiment":"fig1","workers":1,"shards":0,"wall_ms":105,"allocs":1000},
  {"experiment":"ext-recovery","workers":1,"shards":0,"wall_ms":210,"allocs":2000,
-  "wal_appends":5200,"checkpoint_bytes":4096,"replay_events":44,"recovery_cycles":95000}
+  "counters":{"store.wal_appends":5200,"store.checkpoint_bytes":4096,
+   "store.replay_events":44,"store.recovery_cycles":95000}}
+]}`
+
+// legacyReport is in the format written before counters were keyed by
+// name: its per-counter fields are not part of the report type.
+const legacyReport = `{"quick":true,"experiments":[
+ {"experiment":"ext-recovery","workers":1,"shards":0,"wall_ms":190,"allocs":1900,
+  "fast_hits":10,"slow_misses":5,"shard_windows":0,"wal_appends":4900,
+  "checkpoint_bytes":4000,"replay_events":39,"recovery_cycles":88000,"tables":1}
 ]}`
 
 const regressedReport = `{"quick":true,"experiments":[
@@ -48,8 +58,9 @@ const regressedReport = `{"quick":true,"experiments":[
 
 // TestDriverExitCodes audits the exit-code contract: 0 = reports
 // compared, 1 = threshold gate tripped, 2 = unusable input. The
-// durability rows also pin the WAL detail line: new counts always
-// render, and a change against the old report is called out.
+// durability rows also pin the counter line: new counts always render,
+// a change against the old report is called out, and a report in the
+// legacy format still loads and diffs without any marks.
 func TestDriverExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the driver")
@@ -58,6 +69,7 @@ func TestDriverExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeReport(t, dir, "old.json", oldReport)
 	newPath := writeReport(t, dir, "new.json", newReport)
+	legacyPath := writeReport(t, dir, "legacy.json", legacyReport)
 	regPath := writeReport(t, dir, "reg.json", regressedReport)
 	badPath := writeReport(t, dir, "bad.json", "{not json")
 	emptyPath := writeReport(t, dir, "empty.json", `{"experiments":[]}`)
@@ -72,10 +84,11 @@ func TestDriverExitCodes(t *testing.T) {
 	}{
 		{"report only", []string{oldPath, newPath}, 0,
 			[]string{"fig1", "ext-recovery",
-				"wal appends=5200 ckpt-bytes=4096 replays=44 rec-cycles=95000",
-				"was appends=5000"}},
+				"store.checkpoint_bytes=4096  store.recovery_cycles=95000 (was 90000)  store.replay_events=44 (was 40)  store.wal_appends=5200 (was 5000)"}},
 		{"identical durability counters stay quiet", []string{newPath, newPath}, 0,
-			[]string{"wal appends=5200"}},
+			[]string{"store.wal_appends=5200"}},
+		{"legacy report loads", []string{legacyPath, newPath}, 0,
+			[]string{"ext-recovery   1   0       190.0      210.0", "store.wal_appends=5200", "fig1"}},
 		{"threshold trips", []string{"-threshold", "10", oldPath, regPath}, 1, []string{"regressed"}},
 		{"threshold passes", []string{"-threshold", "10", oldPath, newPath}, 0, nil},
 		{"missing args", nil, 2, []string{"usage"}},
@@ -106,13 +119,19 @@ func TestDriverExitCodes(t *testing.T) {
 		})
 	}
 
-	t.Run("identical reports flag nothing as changed", func(t *testing.T) {
-		out, err := exec.Command(bin, newPath, newPath).CombinedOutput()
-		if err != nil {
-			t.Fatalf("%v\n%s", err, out)
-		}
-		if strings.Contains(string(out), "simulated behavior changed") {
-			t.Errorf("self-diff claims behavior changed:\n%s", out)
-		}
-	})
+	quiet := []struct{ name, old string }{
+		{"identical reports flag nothing as changed", newPath},
+		{"legacy report flags nothing as changed", legacyPath},
+	}
+	for _, q := range quiet {
+		t.Run(q.name, func(t *testing.T) {
+			out, err := exec.Command(bin, q.old, newPath).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+			if strings.Contains(string(out), "(was ") {
+				t.Errorf("diff marks a counter as changed:\n%s", out)
+			}
+		})
+	}
 }

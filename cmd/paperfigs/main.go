@@ -10,21 +10,24 @@
 // Independent simulation jobs run on a pool of -workers host goroutines
 // (default: one per CPU); the rendered tables are byte-identical for any
 // worker count. -bench-json runs each selected experiment at workers=1
-// and at -workers, verifies the outputs match, and writes wall-clock +
-// allocation + fast-path statistics to the given file.
+// and at -workers, verifies the outputs match, and writes a
+// profile.BenchReport to the given file: wall clock, allocations, and
+// every profile counter the run moved, by name (-exp all measures every
+// sweep, ext-fault, ext-kv, ext-recovery and scale included).
 //
 // -shards N runs parallel-eligible simulations (the countnet CM/RPC
 // points) on N sharded event engines synchronized by conservative
 // lookahead; rendered tables are identical for any N >= 1 (and differ
 // from the N=0 serial engine's). With -bench-json, a nonzero -shards
-// switches the report to a shards=1 vs shards=N comparison — including
-// per-shard window/null-message counters — instead of the worker sweep.
+// switches the report to a shards=1 vs shards=N comparison instead of
+// the worker sweep; clustered runs carry the shard.* counters.
 //
 // -profile prints per-subsystem host-time counters (shared-memory fast
 // and slow paths, network sends, event-heap pushes) to stderr after the
-// run; -cpuprofile/-memprofile write standard pprof profiles. -fastpath
-// =false forces every memory access through the event-driven protocol —
-// the rendered tables must not change, only the host-side speed.
+// run and adds host_ns to -bench-json entries; -cpuprofile/-memprofile
+// write standard pprof profiles. -fastpath=false forces every memory
+// access through the event-driven protocol — the rendered tables must
+// not change, only the host-side speed.
 //
 // -faults applies a deterministic fault plan (internal/fault grammar,
 // e.g. drop=0.01,dup=0.005,delay=0:40,seed=7) to every config-driven
@@ -49,13 +52,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig1, fig2, fig3, table1..table5, smallnode, ext-objmig, ext-policy, ext-fault, ext-kv, ext-recovery, all")
+	exp := flag.String("exp", "all", "experiment id: fig1, fig2, fig3, table1..table5, smallnode, ext-objmig, ext-policy, ext-fault, ext-kv, ext-recovery, scale, all")
 	quick := flag.Bool("quick", false, "short measurement windows (smoke run)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	format := flag.String("format", "text", "output format: text or md")
 	workers := flag.Int("workers", 0, "worker goroutines for independent simulation jobs (0 = one per CPU, 1 = serial)")
 	shards := flag.Int("shards", 0, "sharded event engines per parallel-eligible simulation (0 = serial engine)")
-	benchJSON := flag.String("bench-json", "", "write wall-clock + allocation stats per experiment to this JSON file")
+	benchJSON := flag.String("bench-json", "", "write wall-clock, allocation and profile-counter stats per experiment to this JSON file")
 	prof := flag.Bool("profile", false, "print per-subsystem host-time counters to stderr after the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file")
@@ -106,7 +109,7 @@ func main() {
 			f.Close()
 		}
 		if *prof {
-			fmt.Fprint(os.Stderr, profile.Report(nil))
+			fmt.Fprint(os.Stderr, profile.Report())
 		}
 	}()
 
@@ -138,54 +141,6 @@ func main() {
 	}
 }
 
-// benchEntry is one measured (experiment, workers) cell of the report.
-// FastHits counts line accesses completed by the shared-memory inline
-// fast paths (cache hits plus home-local misses); SlowMisses counts the
-// accesses that went through the event-driven protocol.
-type benchEntry struct {
-	Experiment string  `json:"experiment"`
-	Workers    int     `json:"workers"`
-	Shards     int     `json:"shards"`
-	WallMS     float64 `json:"wall_ms"`
-	Allocs     uint64  `json:"allocs"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-	FastHits   uint64  `json:"fast_hits"`
-	SlowMisses uint64  `json:"slow_misses"`
-	// Sharded-engine synchronization counters (zero on serial runs):
-	// windows is the number of lookahead windows the clusters executed,
-	// events the simulation events processed across lanes, nulls the
-	// lane-windows that processed nothing (pure synchronization cost),
-	// and cross the messages routed between lanes.
-	ShardWindows uint64 `json:"shard_windows"`
-	ShardEvents  uint64 `json:"shard_events"`
-	ShardNulls   uint64 `json:"shard_nulls"`
-	ShardCross   uint64 `json:"shard_cross"`
-	// Durability-store counters (zero unless the experiment ran with the
-	// WAL on — today only ext-recovery does): WAL records appended, bytes
-	// written by checkpoint folds, records replayed during crash
-	// recovery, and simulated cycles spent recovering.
-	WalAppends      uint64 `json:"wal_appends"`
-	CheckpointBytes uint64 `json:"checkpoint_bytes"`
-	ReplayEvents    uint64 `json:"replay_events"`
-	RecoveryCycles  uint64 `json:"recovery_cycles"`
-	// Simulated per-request latency percentiles in cycles, merged across
-	// every table the experiment rendered. Zero when the experiment does
-	// not measure per-request latency (only ext-kv does today).
-	LatencyP50 uint64 `json:"latency_p50,omitempty"`
-	LatencyP95 uint64 `json:"latency_p95,omitempty"`
-	LatencyP99 uint64 `json:"latency_p99,omitempty"`
-	Tables     int    `json:"tables"`
-}
-
-type benchReport struct {
-	Date        string       `json:"date"`
-	GoMaxProcs  int          `json:"gomaxprocs"`
-	GoVersion   string       `json:"go_version"`
-	Quick       bool         `json:"quick"`
-	Seed        uint64       `json:"seed"`
-	Experiments []benchEntry `json:"experiments"`
-}
-
 // runBench measures each selected experiment at workers=1 and at the
 // requested worker count, verifies the rendered tables are identical,
 // and writes the report to path. With Options.Shards set, the
@@ -197,22 +152,19 @@ func runBench(path, exp string, o harness.Options) error {
 	if exp == "all" {
 		// One id per independent sweep (fig3 shares fig2's, table2/4
 		// share table1/3's), plus the full suite.
-		ids = []string{"fig1", "fig2", "table1", "table3", "table5", "smallnode", "ext-objmig", "ext-policy", "ext-fault", "all"}
+		ids = []string{"fig1", "fig2", "table1", "table3", "table5", "smallnode", "ext-objmig", "ext-policy",
+			"ext-fault", "ext-kv", "ext-recovery", "scale", "all"}
 	}
-	base := harness.Options{Quick: o.Quick, Seed: o.Seed, Workers: o.Workers, Faults: o.Faults, Shards: o.Shards}
-	variant := base
+	base, variant := o, o
 	axis := "workers"
 	if o.Shards > 0 {
-		// Shard counters come through the profile package; recording is
-		// gated on profiling being enabled.
-		profile.Enable(true)
 		axis = "shards"
 		base.Shards = 1
 	} else {
 		base.Workers = 1
 	}
 
-	report := benchReport{
+	report := profile.BenchReport{
 		Date:       time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
@@ -247,7 +199,7 @@ func runBench(path, exp string, o harness.Options) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func pick(axis string, e benchEntry) int {
+func pick(axis string, e profile.BenchEntry) int {
 	if axis == "shards" {
 		return e.Shards
 	}
@@ -262,43 +214,22 @@ func serialSeed(seed uint64) uint64 {
 }
 
 // measure runs one experiment and samples wall clock, allocation, and
-// fast-path counter deltas around it. The mem systems flush their
-// fast/slow access counts into the profile package on Release, which
-// every experiment defers, so snapshotting the profile counters brackets
-// the run exactly.
-func measure(id string, o harness.Options) (benchEntry, string, error) {
+// profile-section deltas around it. Every subsystem flushes its counts
+// into its section before the run returns (the mem systems on Release,
+// which every experiment defers; the engines and clusters when their
+// Run returns), so snapshotting the sections brackets the run exactly.
+func measure(id string, o harness.Options) (profile.BenchEntry, string, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	pBefore := profile.Snapshot()
-	shBefore := profile.ShardSnapshot()
 	start := time.Now()
 	tables, err := harness.Run(id, o)
 	wall := time.Since(start)
 	pAfter := profile.Snapshot()
-	shAfter := profile.ShardSnapshot()
 	runtime.ReadMemStats(&after)
 	if err != nil {
-		return benchEntry{}, "", err
-	}
-	var fastHits, slowMisses uint64
-	var walAppends, ckptBytes, replays, recCycles uint64
-	for i, s := range pAfter {
-		d := s.Count - pBefore[i].Count
-		switch s.Name {
-		case "mem.fast_hits", "mem.fast_local":
-			fastHits += d
-		case "mem.slow":
-			slowMisses += d
-		case "store.wal_appends":
-			walAppends += d
-		case "store.checkpoint_bytes":
-			ckptBytes += d
-		case "store.replay_events":
-			replays += d
-		case "store.recovery_cycles":
-			recCycles += d
-		}
+		return profile.BenchEntry{}, "", err
 	}
 	var b strings.Builder
 	lat := &stats.Histogram{}
@@ -312,39 +243,18 @@ func measure(id string, o harness.Options) (benchEntry, string, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return benchEntry{
-		Experiment:      id,
-		Workers:         workers,
-		Shards:          o.Shards,
-		WallMS:          float64(wall.Microseconds()) / 1000,
-		Allocs:          after.Mallocs - before.Mallocs,
-		AllocBytes:      after.TotalAlloc - before.TotalAlloc,
-		FastHits:        fastHits,
-		SlowMisses:      slowMisses,
-		ShardWindows:    shAfter.Windows - shBefore.Windows,
-		ShardEvents:     sumDelta(shAfter.Events, shBefore.Events),
-		ShardNulls:      sumDelta(shAfter.Nulls, shBefore.Nulls),
-		ShardCross:      sumDelta(shAfter.Cross, shBefore.Cross),
-		WalAppends:      walAppends,
-		CheckpointBytes: ckptBytes,
-		ReplayEvents:    replays,
-		RecoveryCycles:  recCycles,
-		LatencyP50:      lat.Quantile(0.50),
-		LatencyP95:      lat.Quantile(0.95),
-		LatencyP99:      lat.Quantile(0.99),
-		Tables:          len(tables),
-	}, b.String(), nil
-}
-
-// sumDelta sums the growth of per-lane counters between two snapshots
-// (the after snapshot may have widened to more lanes).
-func sumDelta(after, before []uint64) uint64 {
-	var d uint64
-	for i, v := range after {
-		d += v
-		if i < len(before) {
-			d -= before[i]
-		}
+	e := profile.BenchEntry{
+		Experiment: id,
+		Workers:    workers,
+		Shards:     o.Shards,
+		WallMS:     float64(wall.Microseconds()) / 1000,
+		Allocs:     after.Mallocs - before.Mallocs,
+		AllocBytes: after.TotalAlloc - before.TotalAlloc,
+		Tables:     len(tables),
 	}
-	return d
+	e.AddDeltas(pBefore, pAfter)
+	e.SetCounter("latency.p50", lat.Quantile(0.50))
+	e.SetCounter("latency.p95", lat.Quantile(0.95))
+	e.SetCounter("latency.p99", lat.Quantile(0.99))
+	return e, b.String(), nil
 }

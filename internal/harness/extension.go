@@ -65,11 +65,6 @@ func objMigExp(o Options) experiment {
 	return experiment{specs: specs, render: render}
 }
 
-// ObjMigration runs the counting-network object-migration extension.
-func ObjMigration(o Options) Table {
-	return objMigExp(o).run(o.workers())[0]
-}
-
 // btreeObjMigExp decomposes the same extension on the B-tree: pulling
 // the read-mostly upper nodes around is better than ping-ponging
 // balancers, but the shared root still makes whole-object migration lose
@@ -111,9 +106,4 @@ func btreeObjMigExp(o Options) experiment {
 		return []Table{t}
 	}
 	return experiment{specs: specs, render: render}
-}
-
-// BtreeObjMigration runs the B-tree object-migration extension.
-func BtreeObjMigration(o Options) Table {
-	return btreeObjMigExp(o).run(o.workers())[0]
 }

@@ -145,10 +145,3 @@ func faultCells(c *fault.Counters, invErr string) []string {
 	}
 	return []string{retx, inv}
 }
-
-// FaultSweep runs the ext-fault extension on both applications and
-// returns the counting-network and B-tree tables.
-func FaultSweep(o Options) (Table, Table) {
-	tabs := append(faultExp(o).run(o.workers()), btreeFaultExp(o).run(o.workers())...)
-	return tabs[0], tabs[1]
-}

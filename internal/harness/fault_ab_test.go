@@ -84,8 +84,14 @@ func TestFaultSweepReproducible(t *testing.T) {
 // sweep's highest drop rate with their invariant checkers clean, and
 // that recovery work actually happened.
 func TestFaultSweepInvariantsHold(t *testing.T) {
-	cn, bt := FaultSweep(Options{Quick: true, Workers: 4})
-	for _, tb := range []Table{cn, bt} {
+	tabs, err := Run("ext-fault", Options{Quick: true, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tabs) != 2 || tabs[0].ID != "EXT-FAULT" || tabs[1].ID != "EXT-FAULT-BTREE" {
+		t.Fatalf("ext-fault rendered %d tables, want EXT-FAULT and EXT-FAULT-BTREE", len(tabs))
+	}
+	for _, tb := range tabs {
 		if len(tb.Rows) != 3 {
 			t.Fatalf("%s: %d rows, want 3 mechanisms", tb.ID, len(tb.Rows))
 		}

@@ -63,12 +63,6 @@ func fig1Exp(o Options) experiment {
 	return experiment{specs: specs, render: render}
 }
 
-// Fig1 renders §2.5's message-count model (Figure 1) validated against
-// the simulator.
-func Fig1(o Options) Table {
-	return fig1Exp(o).run(o.workers())[0]
-}
-
 // fig1Cell is a trivial data item for the Figure 1 scenario.
 type fig1Cell struct{ touched int }
 
@@ -266,11 +260,6 @@ func table5Exp(o Options) experiment {
 		return []Table{t}
 	}
 	return experiment{specs: specs, render: render}
-}
-
-// Table5 reproduces the per-migration cost breakdown.
-func Table5(o Options) Table {
-	return table5Exp(o).run(o.workers())[0]
 }
 
 func indent(n int) string {

@@ -258,10 +258,11 @@ func plan(id string, o Options) ([]experiment, string, error) {
 	}
 }
 
-// Run dispatches an experiment by id: fig1, fig2, fig3, table1, table2,
-// table3, table4, table5, smallnode, ext-objmig, or all. The specs of
-// every selected experiment are pooled onto one set of workers, and the
-// tables are assembled in the experiments' declared order.
+// Run dispatches an experiment by id: one of ExperimentIDs, or "all"
+// (every paper table and figure plus ext-objmig and ext-policy). The
+// specs of every selected experiment are pooled onto one set of
+// workers, and the tables are assembled in the experiments' declared
+// order.
 func Run(id string, o Options) ([]Table, error) {
 	exps, filter, err := plan(id, o)
 	if err != nil {
@@ -355,14 +356,6 @@ func countnetExp(o Options) experiment {
 	return experiment{specs: specs, render: render}
 }
 
-// CountnetFigures runs the Figure 2/3 sweep once and renders both
-// figures (throughput and bandwidth), each at the paper's two think
-// times.
-func CountnetFigures(o Options) (fig2, fig3 []Table) {
-	tabs := countnetExp(o).run(o.workers())
-	return tabs[:2], tabs[2:]
-}
-
 // paperTable1 and paperTable2 are the values printed in the paper.
 var paperTable1 = map[string]string{
 	"SM": "1.837", "RPC": "0.3828", "RPC w/HW": "0.5133",
@@ -418,13 +411,6 @@ func btree12Exp(o Options) experiment {
 	return experiment{specs: specs, render: render}
 }
 
-// BtreeTables12 runs the nine-scheme B-tree experiment at zero think
-// time and renders Table 1 (throughput) and Table 2 (bandwidth).
-func BtreeTables12(o Options) (Table, Table) {
-	tabs := btree12Exp(o).run(o.workers())
-	return tabs[0], tabs[1]
-}
-
 var paperTable3 = map[string]string{
 	"SM": "1.071", "CP w/repl.": "0.9816", "CP w/repl. & HW": "1.053",
 }
@@ -473,13 +459,6 @@ func btree34Exp(o Options) experiment {
 	return experiment{specs: specs, render: render}
 }
 
-// BtreeTables34 runs the low-contention B-tree experiment (think=10000)
-// and renders Tables 3 and 4.
-func BtreeTables34(o Options) (Table, Table) {
-	tabs := btree34Exp(o).run(o.workers())
-	return tabs[0], tabs[1]
-}
-
 // smallNodeExp decomposes §4.2's fanout-10 variant: with the bottleneck
 // below the root relieved, CP w/repl. closes most of the gap to SM.
 func smallNodeExp(o Options) experiment {
@@ -517,9 +496,4 @@ func smallNodeExp(o Options) experiment {
 		return []Table{t}
 	}
 	return experiment{specs: specs, render: render}
-}
-
-// SmallNode runs §4.2's fanout-10 variant.
-func SmallNode(o Options) Table {
-	return smallNodeExp(o).run(o.workers())[0]
 }

@@ -3,10 +3,45 @@ package harness
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var quick = Options{Quick: true}
+
+// quickSuite is Run("all", quick), computed once per test binary and
+// shared by the shape tests, which each select the tables they check.
+var quickSuite = sync.OnceValues(func() ([]Table, error) { return Run("all", quick) })
+
+// suiteTables returns the quick suite's tables with the given ID, in
+// rendered order.
+func suiteTables(t *testing.T, id string) []Table {
+	t.Helper()
+	all, err := quickSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Table
+	for _, tb := range all {
+		if tb.ID == id {
+			out = append(out, tb)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("quick suite rendered no %s table", id)
+	}
+	return out
+}
+
+// suiteTable returns the quick suite's one table with the given ID.
+func suiteTable(t *testing.T, id string) Table {
+	t.Helper()
+	tabs := suiteTables(t, id)
+	if len(tabs) != 1 {
+		t.Fatalf("quick suite rendered %d %s tables, want 1", len(tabs), id)
+	}
+	return tabs[0]
+}
 
 func cell(t *testing.T, tb Table, row, col int) float64 {
 	t.Helper()
@@ -39,7 +74,7 @@ func parse(t *testing.T, s string) float64 {
 }
 
 func TestFig1ModelMatchesSimulator(t *testing.T) {
-	tb := Fig1(quick)
+	tb := suiteTable(t, "FIG1")
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty fig1 table")
 	}
@@ -57,7 +92,7 @@ func TestFig1ModelMatchesSimulator(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	t1, t2 := BtreeTables12(quick)
+	t1, t2 := suiteTable(t, "TABLE1"), suiteTable(t, "TABLE2")
 	get := func(name string) float64 { return parse(t, rowByScheme(t, t1, name)[1]) }
 	// SM on top.
 	sm := get("SM")
@@ -102,7 +137,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	t3, t4 := BtreeTables34(quick)
+	t3, t4 := suiteTable(t, "TABLE3"), suiteTable(t, "TABLE4")
 	sm := parse(t, rowByScheme(t, t3, "SM")[1])
 	cprh := parse(t, rowByScheme(t, t3, "CP w/repl. & HW")[1])
 	// The paper's headline: with light contention they are nearly equal.
@@ -118,7 +153,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	tb := Table5(quick)
+	tb := suiteTable(t, "TABLE5")
 	find := func(label string) []string {
 		for _, r := range tb.Rows {
 			if strings.TrimSpace(r[0]) == label {
@@ -146,13 +181,13 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestSmallNodeShape(t *testing.T) {
-	tb := SmallNode(quick)
+	tb := suiteTable(t, "SMALLNODE")
 	sm := parse(t, rowByScheme(t, tb, "SM")[1])
 	cp := parse(t, rowByScheme(t, tb, "CP w/repl.")[1])
 	// Paper: 2.427 vs 2.076 — CP w/repl. within ~15% of SM. Our SM is
 	// relatively faster, so just require the gap to be much narrower
 	// than Table 1's (where SM leads CP w/repl. by several times).
-	t1, _ := BtreeTables12(quick)
+	t1 := suiteTable(t, "TABLE1")
 	smBig := parse(t, rowByScheme(t, t1, "SM")[1])
 	cpBig := parse(t, rowByScheme(t, t1, "CP w/repl.")[1])
 	if (sm / cp) >= (smBig / cpBig) {
@@ -162,7 +197,7 @@ func TestSmallNodeShape(t *testing.T) {
 }
 
 func TestCountnetFiguresShape(t *testing.T) {
-	fig2, fig3 := CountnetFigures(quick)
+	fig2, fig3 := suiteTables(t, "FIG2"), suiteTables(t, "FIG3")
 	if len(fig2) != 2 || len(fig3) != 2 {
 		t.Fatalf("want 2 think-time tables per figure, got %d/%d", len(fig2), len(fig3))
 	}
@@ -230,7 +265,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestExtensionObjMigration(t *testing.T) {
-	cn := ObjMigration(quick)
+	cn := suiteTable(t, "EXT-OBJMIG")
 	get := func(tb Table, name string, col int) float64 {
 		return parse(t, rowByScheme(t, tb, name)[col])
 	}
@@ -245,7 +280,7 @@ func TestExtensionObjMigration(t *testing.T) {
 		t.Errorf("ext: OM row shows no moves/forwards: %v", omRow)
 	}
 
-	bt := BtreeObjMigration(quick)
+	bt := suiteTable(t, "EXT-OBJMIG-BTREE")
 	if om := get(bt, "OM", 1); om >= get(bt, "CP", 1) {
 		t.Errorf("ext-btree: OM (%.3f) not below CP (%.3f)", om, get(bt, "CP", 1))
 	}

@@ -118,8 +118,3 @@ func kvExp(o Options) experiment {
 	}
 	return experiment{specs: specs, render: render}
 }
-
-// KVExtension runs the KV/session-store extension sweep.
-func KVExtension(o Options) []Table {
-	return kvExp(o).run(o.workers())
-}

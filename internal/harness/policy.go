@@ -145,13 +145,3 @@ func btreePolicyExp(o Options) experiment {
 	}
 	return experiment{specs: specs, render: render}
 }
-
-// PolicyExtension runs the adaptive-policy extension on both apps.
-func PolicyExtension(o Options) []Table {
-	exp := policyExp(o)
-	bexp := btreePolicyExp(o)
-	specs := append(append([]RunSpec{}, exp.specs...), bexp.specs...)
-	results := runSpecs(specs, o.workers())
-	tabs := exp.render(results[:len(exp.specs)])
-	return append(tabs, bexp.render(results[len(exp.specs):])...)
-}

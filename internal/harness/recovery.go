@@ -136,8 +136,3 @@ func recoveryExp(o Options) experiment {
 	}
 	return experiment{specs: specs, render: render}
 }
-
-// RecoverySweep runs the ext-recovery extension and returns its table.
-func RecoverySweep(o Options) Table {
-	return recoveryExp(o).run(o.workers())[0]
-}

@@ -52,7 +52,14 @@ func TestRecoverySweepReproducible(t *testing.T) {
 // invariant column must be clean and the heaviest plan must have done
 // real replay work.
 func TestRecoverySweepInvariantsHold(t *testing.T) {
-	tb := RecoverySweep(Options{Quick: true, Workers: 4})
+	tabs, err := Run("ext-recovery", Options{Quick: true, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tabs) != 1 || tabs[0].ID != "EXT-RECOVERY" {
+		t.Fatalf("ext-recovery rendered %d tables, want one EXT-RECOVERY", len(tabs))
+	}
+	tb := tabs[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("%d rows, want 3 mechanisms", len(tb.Rows))
 	}

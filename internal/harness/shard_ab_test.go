@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"compmig/internal/profile"
 )
 
 // renderTables renders an experiment's tables as one string.
@@ -54,5 +56,28 @@ func TestShardScaleIdentity(t *testing.T) {
 	if got := renderTables(t, "scale", o); got != base {
 		t.Errorf("scale sweep renders differently at shards=8 vs shards=1:\n--- shards=1 ---\n%s\n--- shards=8 ---\n%s",
 			base, got)
+	}
+}
+
+// TestShardScaleEventCount pins the scale sweep's event-count claim:
+// the clustered runs process exactly the same number of simulated
+// events at every shard count — the lanes split the work, they never
+// add to it.
+func TestShardScaleEventCount(t *testing.T) {
+	var base uint64
+	for _, shards := range []int{1, 2, 4} {
+		o := quick
+		o.Shards = shards
+		before := profile.ShardEvents.Count.Load()
+		renderTables(t, "scale", o)
+		got := profile.ShardEvents.Count.Load() - before
+		if shards == 1 {
+			if got == 0 {
+				t.Fatal("scale sweep at shards=1 processed no clustered events")
+			}
+			base = got
+		} else if got != base {
+			t.Errorf("shards=%d processed %d events, shards=1 processed %d", shards, got, base)
+		}
 	}
 }

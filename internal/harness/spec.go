@@ -28,12 +28,6 @@ type experiment struct {
 	render func(results []any) []Table
 }
 
-// run executes the experiment's specs on workers host goroutines and
-// renders its tables.
-func (ex experiment) run(workers int) []Table {
-	return ex.render(runSpecs(ex.specs, workers))
-}
-
 // runSpecs executes specs on a pool of workers host goroutines and
 // returns the results in spec order. workers <= 1 runs every spec
 // serially in the calling goroutine; because each spec is self-contained,

@@ -25,8 +25,11 @@ func Enable(on bool) { enabled.Store(on) }
 // Enabled reports whether timing is being collected.
 func Enabled() bool { return enabled.Load() }
 
-// Section is one profiled subsystem entry point.
+// Section is one profiled subsystem entry point. Sections are declared
+// below with their report names; declaring one is all it takes to appear
+// in Snapshot, Report and every bench report.
 type Section struct {
+	name  string
 	Count atomic.Uint64
 	Ns    atomic.Int64
 }
@@ -60,35 +63,50 @@ func (s *Section) TimeNs() func() {
 	return func() { s.Ns.Add(time.Since(start).Nanoseconds()) }
 }
 
-// The profiled sections. Mem counts are line-granularity accesses; the
-// slow-path timing is inclusive — under the engine's direct-handoff
-// dispatch a blocked access pumps other events on its own goroutine, so
-// overlapping slow accesses double-count wall time. Use the counts for
-// exact attribution and the timings for relative weight.
+// The profiled sections, in Snapshot order. Mem counts are
+// line-granularity accesses; the slow-path timing is inclusive — under
+// the engine's direct-handoff dispatch a blocked access pumps other
+// events on its own goroutine, so overlapping slow accesses double-count
+// wall time. Use the counts for exact attribution and the timings for
+// relative weight.
 var (
-	MemFastHits  Section // accesses satisfied by the inline all-hit path
-	MemFastLocal Section // misses completed inline at the home module
-	MemSlow      Section // accesses through the event-driven protocol
-	NetSends     Section // messages injected into the simulated network
-	HeapOps      Section // event-heap pushes
-	PolicyRPC    Section // policy decisions that chose RPC
-	PolicyCM     Section // policy decisions that chose computation migration
-	PolicySM     Section // policy decisions that chose shared memory
-	PolicyOM     Section // policy decisions that chose object migration
+	MemFastHits    = section("mem.fast_hits")      // accesses satisfied by the inline all-hit path
+	MemFastLocal   = section("mem.fast_local")     // misses completed inline at the home module
+	MemSlow        = section("mem.slow")           // accesses through the event-driven protocol
+	NetSends       = section("net.sends")          // messages injected into the simulated network
+	HeapOps        = section("engine.heap_pushes") // event-heap pushes
+	EngineHandoffs = section("engine.handoffs")    // goroutine handoffs between the engine and simulated threads
+	PolicyRPC      = section("policy.rpc")         // policy decisions that chose RPC
+	PolicyCM       = section("policy.cm")          // policy decisions that chose computation migration
+	PolicySM       = section("policy.sm")          // policy decisions that chose shared memory
+	PolicyOM       = section("policy.om")          // policy decisions that chose object migration
 
-	FaultDrops       Section // injected message losses (incl. crash windows, acks)
-	FaultDups        Section // injected message duplications
-	FaultRetransmits Section // reliability-layer retransmissions
-	FaultTimeouts    Section // retransmission timer firings
-	FaultGiveUps     Section // messages abandoned after the attempt budget
+	FaultDrops       = section("fault.drops")       // injected message losses (incl. crash windows, acks)
+	FaultDups        = section("fault.dups")        // injected message duplications
+	FaultRetransmits = section("fault.retransmits") // reliability-layer retransmissions
+	FaultTimeouts    = section("fault.timeouts")    // retransmission timer firings
+	FaultGiveUps     = section("fault.giveups")     // messages abandoned after the attempt budget
 
-	ShardFallbacks Section // runs that requested shards but fell back to the serial engine
+	ShardFallbacks = section("shard.fallbacks") // runs that requested shards but fell back to the serial engine
+	ShardWindows   = section("shard.windows")   // lookahead windows executed by sharded clusters
+	ShardEvents    = section("shard.events")    // events processed across cluster lanes
+	ShardNulls     = section("shard.nulls")     // lane-windows that processed nothing (pure synchronization)
+	ShardCross     = section("shard.cross")     // messages routed between cluster lanes
 
-	StoreAppends         Section // WAL records appended
-	StoreCheckpointBytes Section // bytes written by checkpoint folds
-	StoreReplays         Section // records re-applied during crash recovery
-	StoreRecoveryCycles  Section // simulated cycles spent restoring + replaying
+	StoreAppends         = section("store.wal_appends")      // WAL records appended
+	StoreCheckpointBytes = section("store.checkpoint_bytes") // bytes written by checkpoint folds
+	StoreReplays         = section("store.replay_events")    // records re-applied during crash recovery
+	StoreRecoveryCycles  = section("store.recovery_cycles")  // simulated cycles spent restoring + replaying
 )
+
+// sections lists every declared section in declaration order.
+var sections []*Section
+
+func section(name string) *Section {
+	s := &Section{name: name}
+	sections = append(sections, s)
+	return s
+}
 
 // Stat is one row of a snapshot.
 type Stat struct {
@@ -97,44 +115,21 @@ type Stat struct {
 	Ns    int64
 }
 
-// Snapshot returns the current totals in a fixed order.
+// Snapshot returns the current totals in declaration order.
 func Snapshot() []Stat {
-	return []Stat{
-		{"mem.fast_hits", MemFastHits.Count.Load(), MemFastHits.Ns.Load()},
-		{"mem.fast_local", MemFastLocal.Count.Load(), MemFastLocal.Ns.Load()},
-		{"mem.slow", MemSlow.Count.Load(), MemSlow.Ns.Load()},
-		{"net.sends", NetSends.Count.Load(), NetSends.Ns.Load()},
-		{"engine.heap_pushes", HeapOps.Count.Load(), HeapOps.Ns.Load()},
-		{"policy.rpc", PolicyRPC.Count.Load(), PolicyRPC.Ns.Load()},
-		{"policy.cm", PolicyCM.Count.Load(), PolicyCM.Ns.Load()},
-		{"policy.sm", PolicySM.Count.Load(), PolicySM.Ns.Load()},
-		{"policy.om", PolicyOM.Count.Load(), PolicyOM.Ns.Load()},
-		{"fault.drops", FaultDrops.Count.Load(), FaultDrops.Ns.Load()},
-		{"fault.dups", FaultDups.Count.Load(), FaultDups.Ns.Load()},
-		{"fault.retransmits", FaultRetransmits.Count.Load(), FaultRetransmits.Ns.Load()},
-		{"fault.timeouts", FaultTimeouts.Count.Load(), FaultTimeouts.Ns.Load()},
-		{"fault.giveups", FaultGiveUps.Count.Load(), FaultGiveUps.Ns.Load()},
-		{"shard.fallbacks", ShardFallbacks.Count.Load(), ShardFallbacks.Ns.Load()},
-		{"store.wal_appends", StoreAppends.Count.Load(), StoreAppends.Ns.Load()},
-		{"store.checkpoint_bytes", StoreCheckpointBytes.Count.Load(), StoreCheckpointBytes.Ns.Load()},
-		{"store.replay_events", StoreReplays.Count.Load(), StoreReplays.Ns.Load()},
-		{"store.recovery_cycles", StoreRecoveryCycles.Count.Load(), StoreRecoveryCycles.Ns.Load()},
+	out := make([]Stat, len(sections))
+	for i, s := range sections {
+		out[i] = Stat{s.name, s.Count.Load(), s.Ns.Load()}
 	}
+	return out
 }
 
-// Report formats totals (optionally deltas against a prior snapshot from
-// the same process) as an aligned table.
-func Report(since []Stat) string {
-	cur := Snapshot()
+// Report formats the current totals as an aligned table.
+func Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %12s %12s\n", "section", "count", "host ms")
-	for i, s := range cur {
-		count, ns := s.Count, s.Ns
-		if since != nil {
-			count -= since[i].Count
-			ns -= since[i].Ns
-		}
-		fmt.Fprintf(&b, "%-20s %12d %12.1f\n", s.Name, count, float64(ns)/1e6)
+	fmt.Fprintf(&b, "%-22s %12s %12s\n", "section", "count", "host ms")
+	for _, s := range Snapshot() {
+		fmt.Fprintf(&b, "%-22s %12d %12.1f\n", s.Name, s.Count, float64(s.Ns)/1e6)
 	}
 	return b.String()
 }

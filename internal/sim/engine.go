@@ -105,6 +105,10 @@ type Engine struct {
 	// guard; zero means no bound.
 	MaxEvents uint64
 	processed uint64
+
+	// cross counts the cross-lane messages this engine originated as a
+	// cluster lane.
+	cross uint64
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose PRNG is
@@ -129,6 +133,10 @@ func (e *Engine) Rand() *PRNG { return e.rng }
 // the engine loop. It depends only on the event sequence, so a given
 // program and seed always report the same count.
 func (e *Engine) Handoffs() uint64 { return e.handoffs }
+
+// countHandoffs adds the handoffs since start to the engine.handoffs
+// profile section; Run and RunUntil defer it with their starting count.
+func (e *Engine) countHandoffs(start uint64) { profile.EngineHandoffs.Add(e.handoffs - start) }
 
 // Live returns the number of simulated threads that have been spawned and
 // have not yet exited.
@@ -263,6 +271,7 @@ func (e *Engine) dispatch(ev *Event) {
 // runaway guard trips, and nil otherwise.
 func (e *Engine) Run() error {
 	defer e.drainThreadPool()
+	defer e.countHandoffs(e.handoffs)
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
 		e.dispatch(e.heap.pop())
@@ -285,6 +294,7 @@ func (e *Engine) Run() error {
 // beyond the limit stay queued; the clock is advanced to limit.
 func (e *Engine) RunUntil(limit Time) error {
 	defer e.drainThreadPool()
+	defer e.countHandoffs(e.handoffs)
 	e.stopped = false
 	e.limited, e.runLimit = true, limit
 	defer func() { e.limited = false }()

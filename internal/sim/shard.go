@@ -13,7 +13,8 @@
 // coordinator flushes the inter-lane outboxes into the destination
 // heaps. Instead of per-link null messages, the window barrier plays the
 // null-message role: a lane with no events inside a window contributes a
-// "null window" (counted in the per-shard profile) and just waits.
+// "null window" (counted in the shard.nulls profile section) and just
+// waits.
 //
 // Determinism and shard-invariance: every event carries a merge key
 // (at, stream, seq) where stream identifies the scheduling context (the
@@ -56,8 +57,6 @@ type Cluster struct {
 	lookahead Time
 	globals   []globalFn
 	outbox    [][][]crossEvent // outbox[src lane][dst lane] = pending sends
-
-	counters *profile.ShardCounters
 }
 
 // globalFn is a coordinator-side callback fired at a window barrier once
@@ -186,9 +185,7 @@ func (cl *Cluster) CrossSend(src *Engine, delay Time, dst int, fn func()) {
 	cl.outbox[src.lane][to] = append(cl.outbox[src.lane][to], crossEvent{
 		at: src.now + delay, stream: stream, seq: seq, exec: int32(dst), fn: fn,
 	})
-	if cl.counters != nil {
-		cl.counters.Cross[src.lane]++
-	}
+	src.cross++
 }
 
 // inject pushes a flushed cross-lane event straight onto the lane's
@@ -282,20 +279,23 @@ func (cl *Cluster) fireGlobals(at Time) {
 // flushes, and barrier callbacks, until every heap drains. Like
 // Engine.Run it returns a *DeadlockError if threads are still parked
 // when events run out, and a *MaxEventsError if any lane's runaway
-// guard trips.
+// guard trips. On return it adds the run's windows, lane events, null
+// lane-windows, cross-lane messages and handoffs to the shard.* and
+// engine.handoffs profile sections.
 func (cl *Cluster) Run() error {
+	var windows, events, nulls uint64
+	startCross, startHandoffs := cl.laneTotals()
 	defer func() {
+		cross, handoffs := cl.laneTotals()
+		profile.ShardWindows.Add(windows)
+		profile.ShardEvents.Add(events)
+		profile.ShardNulls.Add(nulls)
+		profile.ShardCross.Add(cross - startCross)
+		profile.EngineHandoffs.Add(handoffs - startHandoffs)
 		for _, e := range cl.lanes {
 			e.drainThreadPool()
 		}
 	}()
-	if profile.Enabled() {
-		cl.counters = profile.NewShardCounters(len(cl.lanes))
-		defer func() {
-			profile.RecordShard(cl.counters)
-			cl.counters = nil
-		}()
-	}
 	var drivers []laneDriver
 	if len(cl.lanes) > 1 && runtime.GOMAXPROCS(0) > 1 {
 		drivers = cl.startDrivers()
@@ -336,14 +336,12 @@ func (cl *Cluster) Run() error {
 			before[i] = e.processed
 		}
 		err := cl.runLanes(drivers, limit)
-		if c := cl.counters; c != nil {
-			c.Windows++
-			for i, e := range cl.lanes {
-				d := e.processed - before[i]
-				c.Events[i] += d
-				if d == 0 {
-					c.Nulls[i]++
-				}
+		windows++
+		for i, e := range cl.lanes {
+			d := e.processed - before[i]
+			events += d
+			if d == 0 {
+				nulls++
 			}
 		}
 		if err != nil {
@@ -409,10 +407,16 @@ func (cl *Cluster) runLanes(drivers []laneDriver, limit Time) error {
 			first = err
 		}
 	}
-	if c := cl.counters; c != nil {
-		c.WindowDone()
-	}
 	return first
+}
+
+// laneTotals sums the lanes' cross-lane sends and handoffs.
+func (cl *Cluster) laneTotals() (cross, handoffs uint64) {
+	for _, e := range cl.lanes {
+		cross += e.cross
+		handoffs += e.handoffs
+	}
+	return cross, handoffs
 }
 
 // laneDriver is the persistent host goroutine owning one lane's window
@@ -434,15 +438,11 @@ func (cl *Cluster) startDrivers() []laneDriver {
 		drivers[i] = laneDriver{work: make(chan Time), done: make(chan error)}
 		e := cl.lanes[i]
 		d := drivers[i]
-		lane := i
 		go func() { //simvet:allow shard-lane driver; lanes share no state within a window and the coordinator's channel barrier orders all cross-lane effects
 			for limit := range d.work {
 				var err error
 				if len(e.heap) > 0 && e.heap[0].at <= limit {
 					err = e.runWindow(limit)
-				}
-				if c := cl.counters; c != nil {
-					c.LaneFinished(lane)
 				}
 				d.done <- err
 			}
