@@ -8,10 +8,12 @@ import (
 // NoDeterminism enforces the DESIGN.md contract that simulation-charged
 // code has no nondeterministic inputs: host clocks, ambient environment,
 // unseeded randomness, and host concurrency primitives are all forbidden.
-// The engine's coroutine handoff channels are deliberately NOT flagged —
-// channel operations are how the single-runner discipline is implemented
-// — but the goroutine spawns that create them are, so each spawn site
-// carries an explicit //simvet:allow justification.
+// Simulated threads run on the engine's iter.Pull coroutines, which
+// switch only when the engine resumes one or one yields, so they need no
+// goroutine and no exemption. Channel operations are not flagged, but
+// the goroutine spawns that would make them concurrent are, so each
+// spawn site (today only the shard-lane drivers) carries an explicit
+// //simvet:allow justification.
 var NoDeterminism = &Analyzer{
 	Name: "nodeterminism",
 	Doc: "forbid host time, ambient environment, unseeded randomness, and " +

@@ -66,7 +66,7 @@ func (s *Section) TimeNs() func() {
 // The profiled sections, in Snapshot order. Mem counts are
 // line-granularity accesses; the slow-path timing is inclusive — under
 // the engine's direct-handoff dispatch a blocked access pumps other
-// events on its own goroutine, so overlapping slow accesses double-count
+// events on its own carrier, so overlapping slow accesses double-count
 // wall time. Use the counts for exact attribution and the timings for
 // relative weight.
 var (
@@ -75,7 +75,7 @@ var (
 	MemSlow        = section("mem.slow")           // accesses through the event-driven protocol
 	NetSends       = section("net.sends")          // messages injected into the simulated network
 	HeapOps        = section("engine.heap_pushes") // event-heap pushes
-	EngineHandoffs = section("engine.handoffs")    // goroutine handoffs between the engine and simulated threads
+	EngineHandoffs = section("engine.handoffs")    // carrier switches between the engine loop and simulated threads
 	PolicyRPC      = section("policy.rpc")         // policy decisions that chose RPC
 	PolicyCM       = section("policy.cm")          // policy decisions that chose computation migration
 	PolicySM       = section("policy.sm")          // policy decisions that chose shared memory

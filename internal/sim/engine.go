@@ -3,16 +3,17 @@
 // parallel-architecture simulator used by the paper.
 //
 // The engine owns a virtual clock measured in processor cycles. Simulated
-// threads are real goroutines, but exactly one of them runs at any moment.
-// Control is passed by direct handoff: the goroutine that pops an event
-// dispatches it in place, and only when the event is another thread's
-// wakeup does control move (over that thread's resume channel). A waiting
-// thread therefore drives the event loop itself — it pops and runs
-// protocol callbacks inline and parts with its host goroutine only to run
-// a different simulated thread. All simulation state is still mutated by
-// at most one goroutine at a time, and the event heap is ordered by
-// (time, sequence number), so a given program and seed always produce the
-// same execution regardless of which goroutine happens to be driving.
+// threads run on carriers: pooled iter.Pull coroutines, each running the
+// bodies of the threads bound to it one after another (carrier.go). A
+// thread takes a carrier at its first dispatch and gives it back when it
+// exits. The engine loop (the hub) is the only caller that resumes a
+// carrier, so exactly one simulated thread runs at any moment. A waiting
+// thread drives the event loop itself: it pops and runs protocol
+// callbacks inline, and yields to the hub only when a different
+// simulated thread must run or the loop must end. All simulation state
+// is mutated by one coroutine at a time, and the event heap is ordered
+// by (time, sequence number), so a given program and seed always produce
+// the same execution regardless of which carrier happens to be driving.
 package sim
 
 import (
@@ -75,13 +76,14 @@ type Engine struct {
 	pool []*Event // free list of fired/cancelled events, for reuse by At
 
 	current  *Thread
-	handoff  chan struct{} // a driving thread signals here to return control to Run
-	handoffs uint64        // goroutine switches: sends on a resume or handoff channel
+	transfer *Thread // set by drive before it yields: the thread the hub resumes next
+	handoffs uint64  // carrier switches: the hub resuming a thread, or drive yielding to it
 
 	liveThreads int
 	allThreads  map[*Thread]struct{}
 	nextTID     int
-	threadPool  []*Thread // exited threads (goroutine parked in loop), for reuse by Spawn
+	threadPool  []*Thread  // exited threads, for reuse by Spawn
+	carriers    []*carrier // free carriers, for the first dispatch of a thread
 
 	rng     *PRNG
 	stopped bool
@@ -115,7 +117,6 @@ type Engine struct {
 // seeded with seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		handoff:    make(chan struct{}),
 		allThreads: make(map[*Thread]struct{}),
 		rng:        NewPRNG(seed),
 	}
@@ -127,11 +128,15 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic PRNG.
 func (e *Engine) Rand() *PRNG { return e.rng }
 
-// Handoffs returns the number of times control has passed from one
-// goroutine to another on this engine: the engine or a driving thread
-// resuming a simulated thread, or a driving thread returning control to
-// the engine loop. It depends only on the event sequence, so a given
-// program and seed always report the same count.
+// Handoffs returns the number of times control has passed between
+// carriers on this engine: the engine loop resuming a simulated thread,
+// a driving thread yielding so that another thread runs, or a driving
+// thread returning control to the engine loop. A transfer from one
+// thread to another counts once, although it passes through the hub;
+// an exiting thread that adopts a thread at its first dispatch, or a
+// parked thread that pops its own wakeup, costs none. The count depends
+// only on the event sequence, so a given program and seed always report
+// the same count.
 func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // countHandoffs adds the handoffs since start to the engine.handoffs
@@ -240,9 +245,9 @@ func (m *MaxEventsError) Error() string {
 	return fmt.Sprintf("sim: exceeded MaxEvents=%d at cycle %d", m.Max, m.Now)
 }
 
-// dispatch processes one popped event in the caller's goroutine: a plain
-// event runs its callback in place; a thread wakeup hands control to the
-// thread and blocks until some driver returns control over e.handoff.
+// dispatch processes one popped event on the hub: a plain event runs its
+// callback in place; a thread wakeup resumes the thread's carrier and
+// returns once drive yields with no transfer recorded.
 func (e *Engine) dispatch(ev *Event) {
 	if ev.at < e.now {
 		panic("sim: event heap time went backwards")
@@ -256,8 +261,7 @@ func (e *Engine) dispatch(ev *Event) {
 		e.release(ev)
 		e.current = th
 		e.handoffs++
-		th.resume <- struct{}{}
-		<-e.handoff
+		e.resume(th)
 		return
 	}
 	fn := ev.fn
@@ -265,12 +269,27 @@ func (e *Engine) dispatch(ev *Event) {
 	fn()
 }
 
+// resume runs th on its carrier, binding one at th's first dispatch, and
+// then each thread that drive yields to in turn, until a carrier yields
+// with no transfer recorded. A panic in a thread body surfaces here,
+// through next.
+func (e *Engine) resume(th *Thread) {
+	for th != nil {
+		c := th.carrier
+		if c == nil {
+			c = e.bind(th)
+		}
+		c.next()
+		th, e.transfer = e.transfer, nil
+	}
+}
+
 // Run processes events until the heap is empty or Stop is called. It
 // returns a *DeadlockError if the heap drains while simulated threads are
 // still parked (they can never be woken again), a *MaxEventsError if the
 // runaway guard trips, and nil otherwise.
 func (e *Engine) Run() error {
-	defer e.drainThreadPool()
+	defer e.drainCarriers()
 	defer e.countHandoffs(e.handoffs)
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
@@ -293,7 +312,7 @@ func (e *Engine) Run() error {
 // RunUntil processes events with timestamps <= limit, then returns. Events
 // beyond the limit stay queued; the clock is advanced to limit.
 func (e *Engine) RunUntil(limit Time) error {
-	defer e.drainThreadPool()
+	defer e.drainCarriers()
 	defer e.countHandoffs(e.handoffs)
 	e.stopped = false
 	e.limited, e.runLimit = true, limit
@@ -311,8 +330,8 @@ func (e *Engine) RunUntil(limit Time) error {
 }
 
 // runWindow processes events with timestamps <= limit and returns,
-// leaving parked threads parked and the thread pool intact: unlike
-// RunUntil it neither drains the pool nor clamps the clock forward,
+// leaving parked threads parked and the free carriers in place: unlike
+// RunUntil it neither drains them nor clamps the clock forward,
 // because the lane will be re-entered for the next synchronization
 // window. Only Cluster.Run calls it.
 func (e *Engine) runWindow(limit Time) error {
@@ -356,18 +375,6 @@ func (e *Engine) fastAdvance(at Time) bool {
 // observe an intermediate point of [Now, at], so state mutations that
 // would have happened inside that window may be applied immediately.
 func (e *Engine) TryAdvance(at Time) bool { return e.fastAdvance(at) }
-
-// drainThreadPool terminates the goroutines of pooled (exited) threads.
-// Run calls it on exit so an abandoned engine does not pin parked
-// goroutines; a pooled thread has no pending body, so the bare wakeup
-// makes its loop return without a handoff.
-func (e *Engine) drainThreadPool() {
-	for i, th := range e.threadPool {
-		th.resume <- struct{}{}
-		e.threadPool[i] = nil
-	}
-	e.threadPool = e.threadPool[:0]
-}
 
 // eventHeap is a binary min-heap ordered by (at, stream, seq) — stream
 // is zero everywhere on a serial engine, so its order there is the

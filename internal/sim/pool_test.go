@@ -221,29 +221,56 @@ func TestExecFastPathKeepsSerialization(t *testing.T) {
 	}
 }
 
-// TestExitHandsOffDirectly asserts that a thread exiting while another
-// thread's wakeup is the next event passes control to that thread with
-// exactly one goroutine switch, not a round trip through the engine.
+// TestExitHandsOffDirectly pins the exact switch counts of a thread
+// exit. Exiting into a thread that has never run costs no switch: the
+// exiting carrier adopts the new thread in place. Exiting into a parked
+// thread, which already holds a carrier, costs exactly one switch, not
+// a round trip through the engine loop.
 func TestExitHandsOffDirectly(t *testing.T) {
-	e := NewEngine(1)
-	var atExit, atNext uint64
-	e.Spawn("first", 0, func(th *Thread) { atExit = e.Handoffs() })
-	e.Spawn("second", 5, func(th *Thread) { atNext = e.Handoffs() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if d := atNext - atExit; d != 1 {
-		t.Errorf("exit to next thread cost %d handoffs, want 1", d)
-	}
-	// engine -> first, first -> second, second -> engine.
-	if e.Handoffs() != 3 {
-		t.Errorf("run cost %d handoffs, want 3", e.Handoffs())
-	}
+	t.Run("never-run", func(t *testing.T) {
+		e := NewEngine(1)
+		var atExit, atNext uint64
+		e.Spawn("first", 0, func(th *Thread) { atExit = e.Handoffs() })
+		e.Spawn("second", 5, func(th *Thread) { atNext = e.Handoffs() })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if d := atNext - atExit; d != 0 {
+			t.Errorf("exit to a never-run thread cost %d handoffs, want 0", d)
+		}
+		// engine -> first, first adopts second, second -> engine.
+		if e.Handoffs() != 2 {
+			t.Errorf("run cost %d handoffs, want 2", e.Handoffs())
+		}
+	})
+	t.Run("parked", func(t *testing.T) {
+		e := NewEngine(1)
+		var atExit, atNext uint64
+		waiter := e.Spawn("waiter", 0, func(th *Thread) {
+			th.Park("wait")
+			atNext = e.Handoffs()
+		})
+		e.Spawn("waker", 5, func(th *Thread) {
+			waiter.Unpark()
+			atExit = e.Handoffs()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if d := atNext - atExit; d != 1 {
+			t.Errorf("exit to a parked thread cost %d handoffs, want 1", d)
+		}
+		// engine -> waiter, waiter -> waker (the parked carrier cannot
+		// adopt), waker -> waiter, waiter -> engine.
+		if e.Handoffs() != 4 {
+			t.Errorf("run cost %d handoffs, want 4", e.Handoffs())
+		}
+	})
 }
 
 // TestExitRunsOwnRespawnInPlace asserts that when an exiting thread's
 // pump respawns the same pooled thread and pops its wakeup, the new body
-// runs on the same goroutine without any handoff.
+// runs on the same carrier without any handoff.
 func TestExitRunsOwnRespawnInPlace(t *testing.T) {
 	e := NewEngine(1)
 	var first, second *Thread

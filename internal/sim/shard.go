@@ -293,7 +293,7 @@ func (cl *Cluster) Run() error {
 		profile.ShardCross.Add(cross - startCross)
 		profile.EngineHandoffs.Add(handoffs - startHandoffs)
 		for _, e := range cl.lanes {
-			e.drainThreadPool()
+			e.drainCarriers()
 		}
 	}()
 	var drivers []laneDriver

@@ -3,22 +3,24 @@ package sim
 import "fmt"
 
 // Thread is a simulated lightweight thread (in the sense of a threads
-// package, per the paper's footnote 1 — heavier than TAM threads). Each
-// Thread is backed by a goroutine, but the engine guarantees only one runs
-// at a time, so thread bodies may freely touch shared simulation state.
+// package, per the paper's footnote 1 — heavier than TAM threads). A
+// Thread runs on a carrier, a pooled coroutine it holds from its first
+// dispatch until its body returns, and the engine guarantees only one
+// runs at a time, so thread bodies may freely touch shared simulation
+// state.
 //
-// Thread objects (and their goroutines) are pooled: once a body returns,
-// the engine recycles the thread for a later Spawn. Retain the handle
-// only while the thread is live; an exited thread's object may already
-// be running an unrelated body.
+// Thread objects are pooled: once a body returns, the engine recycles the
+// thread for a later Spawn. Retain the handle only while the thread is
+// live; an exited thread's object may already be running an unrelated
+// body.
 type Thread struct {
-	eng    *Engine
-	id     int
-	name   string
-	body   func(*Thread) // pending body; nil tells loop to terminate
-	resume chan struct{}
-	state  threadState
-	where  string // description of the blocking site, for deadlock reports
+	eng     *Engine
+	id      int
+	name    string
+	body    func(*Thread) // pending body, taken by the carrier when it starts
+	carrier *carrier      // nil until the first dispatch and after exit
+	state   threadState
+	where   string // description of the blocking site, for deadlock reports
 
 	// stream is the event stream the thread's wakeups execute as: the
 	// processor the thread is bound to on a clustered engine (set by
@@ -59,19 +61,7 @@ func (e *Engine) spawnAt(name string, delay Time, body func(*Thread), stream int
 		th.state, th.where = threadRunnable, ""
 		th.stream = stream
 	} else {
-		th = &Thread{
-			eng:    e,
-			id:     e.nextTID,
-			name:   name,
-			body:   body,
-			resume: make(chan struct{}),
-			stream: stream,
-		}
-		// The goroutine is the coroutine substrate itself: the engine's
-		// single-runner handoff (resume/handoff channels) guarantees at
-		// most one simulated thread executes at a time, so spawning here
-		// cannot introduce scheduling nondeterminism (see package doc).
-		go th.loop() //simvet:allow coroutine substrate; single-runner handoff keeps execution deterministic
+		th = &Thread{eng: e, id: e.nextTID, name: name, body: body, stream: stream}
 	}
 	e.liveThreads++
 	e.allThreads[th] = struct{}{}
@@ -79,35 +69,14 @@ func (e *Engine) spawnAt(name string, delay Time, body func(*Thread), stream int
 	return th
 }
 
-// loop is the goroutine behind a Thread for its whole pooled lifetime:
-// run the pending body, retire into the pool, and wait for the engine to
-// hand it a new body, repeat. A wakeup with no pending body is the
-// engine's drain signal and terminates the goroutine.
-func (th *Thread) loop() {
-	<-th.resume // wait for first dispatch of the first body
-	for {
-		body := th.body
-		if body == nil {
-			return
-		}
-		th.body = nil
-		th.state = threadRunning
-		body(th)
-		if !th.exit() {
-			<-th.resume // wait for dispatch of the next body
-		}
-	}
-}
-
-// exit retires the thread into the spawn pool and keeps pumping events
-// on its goroutine the way park does, so control passes straight to the
-// next thread to run instead of bouncing through the engine goroutine.
-// It mirrors park's bookkeeping: the thread must be the engine's current
-// runner, and Engine.current is cleared rather than left pointing at a
-// dead thread while the pump runs. It reports whether the pump popped
-// the thread's own next wakeup — a callback respawned it from the pool
-// — in which case loop runs the new body in place.
-func (th *Thread) exit() bool {
+// exit retires the thread into the spawn pool, unbinds its carrier, and
+// keeps pumping events on that carrier the way park does, so control
+// passes straight to the next thread to run. It mirrors park's
+// bookkeeping: the thread must be the engine's current runner, and
+// Engine.current is cleared rather than left pointing at a dead thread
+// while the pump runs. It returns once the carrier has its next thread,
+// whose body the carrier's loop then runs.
+func (th *Thread) exit() {
 	e := th.eng
 	if e.current != th {
 		panic("sim: thread exiting while not the current runner")
@@ -118,7 +87,9 @@ func (th *Thread) exit() bool {
 	delete(e.allThreads, th)
 	e.threadPool = append(e.threadPool, th)
 	e.current = nil
-	return e.drive(th)
+	c := th.carrier
+	c.th, th.carrier = nil, nil
+	e.drive(c)
 }
 
 // Engine returns the engine this thread belongs to.
@@ -149,10 +120,10 @@ func (th *Thread) ScratchFuture() *Future {
 // park blocks the thread until some event resumes it. The caller must
 // have arranged for a wakeup.
 //
-// Rather than bouncing control back to the engine goroutine on every
-// block, the parking thread becomes the driver (see drive). Event order
-// comes solely from the heap, so the execution is identical to
-// engine-driven dispatch — only the goroutine doing the popping changes.
+// Rather than bouncing control back to the engine loop on every block,
+// the parking thread becomes the driver (see drive). Event order comes
+// solely from the heap, so the execution is identical to engine-driven
+// dispatch — only the carrier doing the popping changes.
 func (th *Thread) park(where string) {
 	e := th.eng
 	if e.current != th {
@@ -161,33 +132,29 @@ func (th *Thread) park(where string) {
 	th.state = threadParked
 	th.where = where
 	e.current = nil
-	if !e.drive(th) {
-		<-th.resume
-	}
+	e.drive(th.carrier)
 	e.current = th
 	th.state = threadRunning
 	th.where = ""
 }
 
-// drive pumps events on the goroutine of th, which has just parked or
-// exited. Plain callbacks run inline. When th's own wakeup comes up,
-// drive makes th current and returns true: th keeps running on the same
-// goroutine with no switch. Another thread's wakeup hands control to
-// that thread directly, and the engine goroutine takes back over only
-// when the loop must end (stop, empty heap, run limit, event bound); in
-// both cases drive returns false and th's goroutine must wait on
-// th.resume before touching simulation state again.
-func (e *Engine) drive(th *Thread) (own bool) {
-	for {
-		if e.stopped || len(e.heap) == 0 ||
-			(e.limited && e.heap[0].at > e.runLimit) ||
-			(e.MaxEvents != 0 && e.processed >= e.MaxEvents) {
-			// The engine loop must take back over: to return, to honor
-			// the run limit, or to report deadlock / the event bound.
-			e.handoffs++
-			e.handoff <- struct{}{}
-			return false
-		}
+// drive pumps events on carrier c, whose thread has just parked or
+// exited (c.th is nil after an exit), and returns once c has a thread to
+// run. Plain callbacks run inline. When c's own thread's wakeup comes
+// up, drive returns at once: the thread keeps running with no switch. An
+// exited carrier that pops the first wakeup of a thread with no carrier
+// adopts that thread in place, also with no switch. Another thread's
+// wakeup is recorded in e.transfer, and when the loop must end (stop,
+// empty heap, run limit, event bound) nothing is recorded; in both
+// cases c yields to the hub, which runs the transfer or returns, and
+// resumes c only once it has a thread for c again.
+func (e *Engine) drive(c *carrier) {
+	// Pump until the engine loop must take back over (to return, to honor
+	// the run limit, or to report deadlock / the event bound) or another
+	// thread must run.
+	for !e.stopped && len(e.heap) > 0 &&
+		!(e.limited && e.heap[0].at > e.runLimit) &&
+		!(e.MaxEvents != 0 && e.processed >= e.MaxEvents) {
 		ev := e.heap.pop()
 		if ev.at < e.now {
 			panic("sim: event heap time went backwards")
@@ -200,17 +167,22 @@ func (e *Engine) drive(th *Thread) (own bool) {
 		if tw := ev.th; tw != nil {
 			e.release(ev)
 			e.current = tw
-			if tw == th {
-				return true // own wakeup: resume in place, no goroutine switch
+			if tw == c.th {
+				return // own wakeup: resume in place
 			}
-			e.handoffs++
-			tw.resume <- struct{}{}
-			return false
+			if c.th == nil && tw.carrier == nil {
+				c.bind(tw) // first dispatch: adopt in place
+				return
+			}
+			e.transfer = tw
+			break
 		}
 		fn := ev.fn
 		e.release(ev)
 		fn()
 	}
+	e.handoffs++
+	c.suspend(e)
 }
 
 // Park blocks the thread indefinitely; it runs again only when another
