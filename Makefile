@@ -10,14 +10,14 @@
 GO ?= go
 
 # Committed full-scale benchmark reports. BENCH_CURRENT is the full
-# suite (every sweep, ext-fault, ext-kv, ext-recovery and scale) from
-# one commit; BENCH_BASELINE is an older report written before counters
+# suite (every sweep, ext-fault, ext-kv, ext-recovery, ext-ablation and
+# scale) from one commit; BENCH_BASELINE is an older report written before counters
 # were keyed by name, so benchdiff-smoke also proves old reports still
 # load. BENCH_SHARDS is the sharded-engine report (shards=1 vs shards=N
 # entries, carrying the shard.* counters); it matches no serial
 # report's keys, so it is smoked separately.
 BENCH_BASELINE := BENCH_2026-08-06-fault.json
-BENCH_CURRENT  := BENCH_2026-10-17.json
+BENCH_CURRENT  := BENCH_2026-10-17-ablation.json
 BENCH_SHARDS   := BENCH_2026-10-17-shards.json
 
 .PHONY: check lint vet simvet build test race ab-identity shard-identity golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json bench-json-shards
@@ -70,17 +70,19 @@ shard-identity:
 
 # golden re-runs the output contracts by name: every paperfigs table at
 # quick windows (internal/harness/testdata/golden_quick.txt) and the full
-# stdout of the countnet, btree and kv CLIs (cmd/*/testdata/
-# stdout_golden.txt) must be byte-identical to the committed files.
+# stdout of the countnet, btree and kv CLIs and of every example
+# (cmd/*/testdata/ and examples/*/testdata/stdout_golden.txt) must be
+# byte-identical to the committed files.
 golden:
 	$(GO) test ./internal/harness/ -run TestRenderedOutputGolden -count=1
-	$(GO) test ./cmd/countnet/ ./cmd/btree/ ./cmd/kv/ -run TestStdoutGolden -count=1
-	@echo "golden: rendered tables and CLI stdout unchanged"
+	$(GO) test ./cmd/countnet/ ./cmd/btree/ ./cmd/kv/ ./examples/... -run TestStdoutGolden -count=1
+	@echo "golden: rendered tables, CLI and example stdout unchanged"
 
-# golden-update regenerates the CLI stdout goldens after a change meant
-# to move a CLI's output; the diff shows exactly which lines moved.
+# golden-update regenerates the CLI and example stdout goldens after a
+# change meant to move a program's output; the diff shows exactly which
+# lines moved.
 golden-update:
-	$(GO) test ./cmd/countnet/ ./cmd/btree/ ./cmd/kv/ -run TestStdoutGolden -count=1 -update
+	$(GO) test ./cmd/countnet/ ./cmd/btree/ ./cmd/kv/ ./examples/... -run TestStdoutGolden -count=1 -update
 
 # fuzz-smoke runs the msg codec and fault-plan parser fuzz targets
 # briefly over their seed corpora plus fresh mutations; a decoding
@@ -173,7 +175,8 @@ bench:
 	$(GO) test -bench BenchmarkSuite -benchmem -run '^$$' .
 
 # bench-json regenerates the full-scale benchmark report (every sweep,
-# ext-fault, ext-kv, ext-recovery and scale, each at workers=1 and 4);
+# ext-fault, ext-kv, ext-recovery, ext-ablation and scale, each at
+# workers=1 and 4);
 # rename and commit it alongside the existing BENCH_*.json files, then
 # point BENCH_CURRENT at it.
 bench-json:

@@ -1,34 +1,16 @@
 // Benchmarks of the simulator's host cost: the whole quick-scale
 // evaluation suite (serial and on one worker per CPU) and the engine's
-// sleep fast and slow paths. The per-table numbers come from
-// `paperfigs -exp <id>`, and `paperfigs -bench-json` times each
-// experiment; the helpers below configure ablation_bench_test.go's
-// runs at the same quick-scale windows.
+// sleep fast and slow paths. The per-table numbers, the design-choice
+// ablations included, come from `paperfigs -exp <id>`, and
+// `paperfigs -bench-json` times each experiment.
 package compmig
 
 import (
 	"testing"
 
-	"compmig/internal/apps/btree"
-	"compmig/internal/apps/countnet"
-	"compmig/internal/core"
 	"compmig/internal/harness"
 	"compmig/internal/sim"
 )
-
-func countnetConfig(scheme core.Scheme, threads int, think uint64) countnet.Config {
-	return countnet.Config{
-		Threads: threads, Think: think, Scheme: scheme,
-		Warmup: 10000, Measure: 60000,
-	}
-}
-
-func btreeConfig(scheme core.Scheme, think uint64) btree.Config {
-	return btree.Config{
-		Scheme: scheme, Think: think,
-		Warmup: 10000, Measure: 60000,
-	}
-}
 
 // benchSuite runs the whole quick-scale evaluation suite — every table
 // and figure — with the given worker count.
@@ -87,18 +69,4 @@ func BenchmarkSuiteEngineContendedSleep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	paperfigs [-exp all|fig1|fig2|fig3|table1|table2|table3|table4|table5|smallnode|ext-objmig|ext-policy|ext-fault|ext-kv|ext-recovery|scale]
+//	paperfigs [-exp all|fig1|fig2|fig3|table1|table2|table3|table4|table5|smallnode|ext-objmig|ext-policy|ext-fault|ext-kv|ext-recovery|ext-ablation|scale]
 //	          [-quick] [-seed N] [-format text|md] [-workers N] [-shards N] [-bench-json out.json]
 //	          [-faults SPEC] [-profile] [-cpuprofile out.pb] [-memprofile out.pb] [-fastpath=false]
 //
@@ -13,7 +13,7 @@
 // and at -workers, verifies the outputs match, and writes a
 // profile.BenchReport to the given file: wall clock, allocations, and
 // every profile counter the run moved, by name (-exp all measures every
-// sweep, ext-fault, ext-kv, ext-recovery and scale included).
+// sweep, ext-fault, ext-kv, ext-recovery, ext-ablation and scale included).
 //
 // -shards N runs parallel-eligible simulations (the countnet CM/RPC
 // points) on N sharded event engines synchronized by conservative
@@ -52,7 +52,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig1, fig2, fig3, table1..table5, smallnode, ext-objmig, ext-policy, ext-fault, ext-kv, ext-recovery, scale, all")
+	exp := flag.String("exp", "all", "experiment id: fig1, fig2, fig3, table1..table5, smallnode, ext-objmig, ext-policy, ext-fault, ext-kv, ext-recovery, ext-ablation, scale, all")
 	quick := flag.Bool("quick", false, "short measurement windows (smoke run)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	format := flag.String("format", "text", "output format: text or md")
@@ -153,7 +153,7 @@ func runBench(path, exp string, o harness.Options) error {
 		// One id per independent sweep (fig3 shares fig2's, table2/4
 		// share table1/3's), plus the full suite.
 		ids = []string{"fig1", "fig2", "table1", "table3", "table5", "smallnode", "ext-objmig", "ext-policy",
-			"ext-fault", "ext-kv", "ext-recovery", "scale", "all"}
+			"ext-fault", "ext-kv", "ext-recovery", "ext-ablation", "scale", "all"}
 	}
 	base, variant := o, o
 	axis := "workers"

@@ -15,10 +15,9 @@ import (
 	"compmig/internal/advisor"
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
-	"compmig/internal/stats"
 )
 
 // accesses[i] is how many consecutive accesses the procedure makes to
@@ -97,23 +96,18 @@ func (c *visitCont) Run(t *core.Task) {
 	t.Return(&touchReply{v: c.acc})
 }
 
+// env holds the chain's objects and the registered procedures.
 type env struct {
-	eng    *sim.Engine
-	col    *stats.Collector
-	rt     *core.Runtime
 	items  []gid.GID
 	mTouch core.MethodID
 	cont   core.ContID
 }
 
-func build() *env {
-	eng := sim.NewEngine(2)
-	mach := sim.NewMachine(eng, len(accesses)+1)
-	col := stats.NewCollector()
-	model := core.Scheme{Mechanism: core.Migrate}.Model()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
-	e := &env{eng: eng, col: col, rt: rt}
+// run walks the chain under plan on a fresh machine.
+func run(plan uint32) (result uint64, cycles sim.Time, messages uint64) {
+	m := machine.New("autotune", machine.Config{Seed: 2, Scheme: core.Scheme{Mechanism: core.Migrate}}, len(accesses)+1)
+	rt := m.RT
+	e := &env{}
 	for i := range accesses {
 		e.items = append(e.items, rt.Objects.New(i+1, &item{}))
 	}
@@ -125,13 +119,9 @@ func build() *env {
 		})
 	e.cont = rt.RegisterCont("autotune.visit",
 		func() core.Continuation { return &visitCont{env: e} })
-	return e
-}
 
-func run(plan uint32) (result uint64, cycles sim.Time, messages uint64) {
-	e := build()
-	e.eng.Spawn("client", 0, func(th *sim.Thread) {
-		task := e.rt.NewTask(th, 0)
+	m.Eng.Spawn("client", 0, func(th *sim.Thread) {
+		task := rt.NewTask(th, 0)
 		start := th.Now()
 		var rep touchReply
 		entry := &visitCont{env: e, plan: plan, scratch: make([]uint32, scratchWords)}
@@ -141,17 +131,14 @@ func run(plan uint32) (result uint64, cycles sim.Time, messages uint64) {
 		result = rep.v
 		cycles = th.Now() - start
 	})
-	if err := e.eng.Run(); err != nil {
-		panic(err)
-	}
-	return result, cycles, e.col.TotalMessages()
+	return result, cycles, m.Run(&machine.Result{}).TotalMessages()
 }
 
-func main() {
+// advise asks the advisor, per object, whether to migrate there or call
+// remotely. It returns the plan (bit i set: migrate to object i) and one
+// line explaining each decision.
+func advise() (plan uint32, reasons []string) {
 	adv := advisor.New(core.Scheme{Mechanism: core.Migrate}.Model())
-
-	var advised uint32
-	fmt.Println("advisor decisions (per object):")
 	for i, n := range accesses {
 		p := advisor.SiteProfile{
 			AccessesPerVisit: float64(n),
@@ -161,14 +148,27 @@ func main() {
 		}
 		choice := adv.Choose(p)
 		if choice == core.Migrate {
-			advised |= 1 << i
+			plan |= 1 << i
 		}
-		fmt.Printf("  object %d: %2d accesses -> %-8v (%s)\n", i, n, choice, adv.Explain(p))
+		reasons = append(reasons, fmt.Sprintf("object %d: %2d accesses -> %-8v (%s)", i, n, choice, adv.Explain(p)))
+	}
+	return plan, reasons
+}
+
+// The two pure plans the advisor's mix is judged against.
+var (
+	allRPC = uint32(0)
+	allMig = uint32(1<<len(accesses)) - 1
+)
+
+func main() {
+	advised, reasons := advise()
+	fmt.Println("advisor decisions (per object):")
+	for _, r := range reasons {
+		fmt.Println("  " + r)
 	}
 	fmt.Println()
 
-	allRPC := uint32(0)
-	allMig := uint32(1<<len(accesses)) - 1
 	fmt.Printf("%-18s %8s %10s %10s\n", "plan", "result", "cycles", "messages")
 	for _, p := range []struct {
 		name string

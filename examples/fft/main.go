@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"compmig/internal/machine"
 	"compmig/internal/network"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
@@ -84,10 +85,8 @@ func dft(in []complex128) []complex128 {
 // exchanging the matrix under the chosen mechanism, and returns the
 // result in natural order plus the simulation's cost readings.
 func transposeFFT(input []complex128, mechanism string) ([]complex128, sim.Time, uint64, uint64) {
-	eng := sim.NewEngine(1)
-	mach := sim.NewMachine(eng, p)
-	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, 17, 0)
+	m := machine.New("fft", machine.Config{Seed: 1}, p)
+	net, col := m.RT.Net, m.RT.Col
 
 	// cols[j] lives on processor j: column j of the p×p matrix, x[i*p+j].
 	cols := make([][]complex128, p)
@@ -102,7 +101,7 @@ func transposeFFT(input []complex128, mechanism string) ([]complex128, sim.Time,
 	barrier := sim.NewBarrier(p)
 	charge := func(th *sim.Thread, proc, cycles int) {
 		col.AddCycles(stats.CatUserCode, uint64(cycles))
-		th.Exec(mach.Proc(proc), sim.Time(cycles))
+		th.Exec(m.Mach.Proc(proc), sim.Time(cycles))
 	}
 	// One message of the transpose traffic, payload sized in points.
 	send := func(kind string, src, dst, points, overhead int, deliver func()) {
@@ -112,8 +111,7 @@ func transposeFFT(input []complex128, mechanism string) ([]complex128, sim.Time,
 	}
 
 	for j := 0; j < p; j++ {
-		j := j
-		eng.Spawn("worker", 0, func(th *sim.Thread) {
+		m.Eng.Spawn("worker", 0, func(th *sim.Thread) {
 			// Step 1: local FFT of this processor's column.
 			fft(cols[j])
 			charge(th, j, p*flopCyc*4)
@@ -153,8 +151,7 @@ func transposeFFT(input []complex128, mechanism string) ([]complex128, sim.Time,
 				// A gather frame hops owner to owner, growing by one
 				// point per hop, then returns home with the full row.
 				done := &sim.Future{}
-				hop := 0
-				carried := 1
+				hop, carried := 0, 1
 				var next func()
 				next = func() {
 					if hop == p-1 {
@@ -181,9 +178,7 @@ func transposeFFT(input []complex128, mechanism string) ([]complex128, sim.Time,
 			barrier.Arrive(th)
 		})
 	}
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
+	m.Run(&machine.Result{})
 
 	// Assemble the natural-order spectrum: X[k2 + p*k1] = rows[k2][k1]
 	// (four-step output indexing: proc k2 computes the FFT over j1).
@@ -193,27 +188,41 @@ func transposeFFT(input []complex128, mechanism string) ([]complex128, sim.Time,
 			out[k2+p*k1] = rows[k2][k1]
 		}
 	}
-	return out, eng.Now(), col.TotalMessages(), col.WordsSent
+	return out, m.Eng.Now(), col.TotalMessages(), col.WordsSent
 }
 
-func main() {
+// exchanges lists the three ways the transpose is priced.
+var exchanges = []string{"bulk", "rpc", "migrate"}
+
+// signal is the example's input: a sum of two sinusoids.
+func signal() []complex128 {
 	input := make([]complex128, n)
 	for i := range input {
 		input[i] = complex(math.Sin(0.3*float64(i))+0.2*math.Cos(1.7*float64(i)), 0)
 	}
+	return input
+}
+
+// maxError is the largest pointwise distance between two spectra.
+func maxError(got, want []complex128) float64 {
+	maxErr := 0.0
+	for i := range got {
+		if d := cmplx.Abs(got[i] - want[i]); d > maxErr {
+			maxErr = d
+		}
+	}
+	return maxErr
+}
+
+func main() {
+	input := signal()
 	want := dft(input)
 
 	fmt.Printf("%d-point FFT on %d processors (transpose algorithm)\n\n", n, p)
 	fmt.Printf("%-10s %10s %10s %8s %10s\n", "exchange", "cycles", "messages", "words", "max error")
-	for _, mech := range []string{"bulk", "rpc", "migrate"} {
+	for _, mech := range exchanges {
 		got, cycles, msgs, words := transposeFFT(input, mech)
-		maxErr := 0.0
-		for i := range got {
-			if d := cmplx.Abs(got[i] - want[i]); d > maxErr {
-				maxErr = d
-			}
-		}
-		fmt.Printf("%-10s %10d %10d %8d %10.2e\n", mech, cycles, msgs, words, maxErr)
+		fmt.Printf("%-10s %10d %10d %8d %10.2e\n", mech, cycles, msgs, words, maxError(got, want))
 	}
 	fmt.Println()
 	fmt.Println("exactly the paper's §2.4 point: the FFT moves its data once and every")

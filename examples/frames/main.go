@@ -18,10 +18,9 @@ import (
 
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
-	"compmig/internal/stats"
 )
 
 const (
@@ -61,10 +60,7 @@ func (c *scanCont) Run(t *core.Task) {
 // combine is the caller's second half: fold the scan result into the
 // buffer summary. As a Resumable it can either ride along (multi-frame)
 // or stay behind (partial).
-type combine struct {
-	env *env
-	buf []uint32
-}
+type combine struct{ buf []uint32 }
 
 func (c *combine) MarshalWords(w *msg.Writer)         { w.PutU32s(c.buf) }
 func (c *combine) UnmarshalWords(r *msg.Reader) error { c.buf = r.U32s(); return r.Err() }
@@ -79,33 +75,12 @@ func (c *combine) Resume(t *core.Task, result *msg.Reader) {
 	t.Return(&numReply{v: rep.v + uint64(len(c.buf))})
 }
 
+// env holds the remote table and the registered procedures.
 type env struct {
-	eng       *sim.Engine
-	col       *stats.Collector
-	rt        *core.Runtime
 	tbl       gid.GID
 	mProbe    core.MethodID
 	scanID    core.ContID
 	combineID core.ContID
-}
-
-func build() *env {
-	eng := sim.NewEngine(4)
-	mach := sim.NewMachine(eng, 2)
-	col := stats.NewCollector()
-	model := core.Scheme{Mechanism: core.Migrate}.Model()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
-	e := &env{eng: eng, col: col, rt: rt}
-	e.tbl = rt.Objects.New(1, &table{rows: 1000})
-	e.mProbe = rt.RegisterMethod("frames.probe", true,
-		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
-			t.Work(80)
-			reply.PutU64(self.(*table).rows)
-		})
-	e.scanID = rt.RegisterCont("frames.scan", func() core.Continuation { return &scanCont{env: e} })
-	e.combineID = rt.RegisterCont("frames.combine", func() core.Continuation { return &combine{env: e} })
-	return e
 }
 
 // entry kicks off the computation under the chosen granularity.
@@ -136,17 +111,31 @@ func (en *entry) Run(t *core.Task) {
 	case "whole-frame":
 		// The buffer is live state of this frame: migrating the whole
 		// frame means it rides along.
-		t.PushFrame(e.combineID, &combine{env: e, buf: buf})
+		t.PushFrame(e.combineID, &combine{buf: buf})
 		scan.Run(t)
 	case "partial":
-		t.MigratePartial(e.tbl, e.scanID, scan, e.combineID, &combine{env: e, buf: buf})
+		t.MigratePartial(e.tbl, e.scanID, scan, e.combineID, &combine{buf: buf})
 	}
 }
 
+// modes lists the granularities compared, in printing order.
+var modes = []string{"rpc", "whole-frame", "partial"}
+
+// run executes the procedure under mode on a fresh machine.
 func run(mode string) (result uint64, cycles sim.Time, words uint64) {
-	e := build()
-	e.eng.Spawn("client", 0, func(th *sim.Thread) {
-		task := e.rt.NewTask(th, 0)
+	m := machine.New("frames", machine.Config{Seed: 4, Scheme: core.Scheme{Mechanism: core.Migrate}}, 2)
+	rt := m.RT
+	e := &env{tbl: rt.Objects.New(1, &table{rows: 1000})}
+	e.mProbe = rt.RegisterMethod("frames.probe", true,
+		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
+			t.Work(80)
+			reply.PutU64(self.(*table).rows)
+		})
+	e.scanID = rt.RegisterCont("frames.scan", func() core.Continuation { return &scanCont{env: e} })
+	e.combineID = rt.RegisterCont("frames.combine", func() core.Continuation { return &combine{} })
+
+	m.Eng.Spawn("client", 0, func(th *sim.Thread) {
+		task := rt.NewTask(th, 0)
 		start := th.Now()
 		var rep numReply
 		if err := task.Do(&entry{env: e, mode: mode}, &rep); err != nil {
@@ -155,16 +144,13 @@ func run(mode string) (result uint64, cycles sim.Time, words uint64) {
 		result = rep.v
 		cycles = th.Now() - start
 	})
-	if err := e.eng.Run(); err != nil {
-		panic(err)
-	}
-	return result, cycles, e.col.WordsSent
+	return result, cycles, m.Run(&machine.Result{}).WordsSent
 }
 
 func main() {
 	fmt.Printf("probe a remote table %d times, then combine with a %d-word local buffer\n\n", probes, bufWords)
 	fmt.Printf("%-14s %8s %10s %12s\n", "granularity", "result", "cycles", "wire words")
-	for _, mode := range []string{"rpc", "whole-frame", "partial"} {
+	for _, mode := range modes {
 		res, cyc, words := run(mode)
 		fmt.Printf("%-14s %8d %10d %12d\n", mode, res, cyc, words)
 	}

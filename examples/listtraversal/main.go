@@ -11,11 +11,10 @@ import (
 
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/mem"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
-	"compmig/internal/stats"
 )
 
 const (
@@ -87,28 +86,11 @@ func (c *sumCont) Run(t *core.Task) {
 	t.Return(&sumReply{sum: c.sum})
 }
 
-type world struct {
-	eng  *sim.Engine
-	col  *stats.Collector
-	rt   *core.Runtime
-	shm  *mem.System
-	head gid.GID
-
-	mRead  core.MethodID
-	contID core.ContID
-}
-
-func build(scheme core.Scheme) *world {
-	eng := sim.NewEngine(7)
-	mach := sim.NewMachine(eng, nprocs+1) // +1 for the traversing thread
-	col := stats.NewCollector()
-	model := scheme.Model()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
-	w := &world{eng: eng, col: col, rt: rt}
-	if scheme.Mechanism == core.SharedMem {
-		w.shm = mem.New(eng, mach, net, col, mem.DefaultParams())
-	}
+// traverse sums the list under scheme on a fresh machine.
+func traverse(scheme core.Scheme) (sum uint64, cycles sim.Time, messages, words uint64) {
+	// One processor more than the list spans, for the traversing thread.
+	m := machine.New("listtraversal", machine.Config{Seed: 7, Scheme: scheme}, nprocs+1)
+	rt := m.RT
 
 	// Lay the list out round-robin across the processors — worst-case
 	// locality, like a structure built by many different threads.
@@ -116,35 +98,32 @@ func build(scheme core.Scheme) *world {
 	for i := listLen - 1; i >= 0; i-- {
 		nd := &listNode{value: uint64(i + 1), next: next}
 		home := i % nprocs
-		if w.shm != nil {
-			nd.addr = w.shm.Alloc(home, 16)
+		if m.Mem != nil {
+			nd.addr = m.Mem.Alloc(home, 16)
 		}
 		next = rt.Objects.New(home, nd)
 	}
-	w.head = next
+	head := next
 
-	w.mRead = rt.RegisterMethod("list.read", true,
+	mRead := rt.RegisterMethod("list.read", true,
 		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
 			nd := self.(*listNode)
 			t.Work(nodeWork)
 			(&nodeReply{value: nd.value, next: nd.next}).MarshalWords(reply)
 		})
-	w.contID = rt.RegisterCont("list.sum",
-		func() core.Continuation { return &sumCont{contID: w.contID} })
-	return w
-}
+	var contID core.ContID
+	contID = rt.RegisterCont("list.sum",
+		func() core.Continuation { return &sumCont{contID: contID} })
 
-func traverse(scheme core.Scheme) (sum uint64, cycles sim.Time, messages, words uint64) {
-	w := build(scheme)
-	w.eng.Spawn("walker", 0, func(th *sim.Thread) {
-		task := w.rt.NewTask(th, nprocs) // thread on its own processor
+	m.Eng.Spawn("walker", 0, func(th *sim.Thread) {
+		task := rt.NewTask(th, nprocs) // thread on its own processor
 		start := th.Now()
 		switch scheme.Mechanism {
 		case core.RPC:
-			cur := w.head
+			cur := head
 			for !cur.IsNil() {
 				var rep nodeReply
-				if err := task.Call(cur, w.mRead, nil, &rep); err != nil {
+				if err := task.Call(cur, mRead, nil, &rep); err != nil {
 					panic(err)
 				}
 				sum += rep.value
@@ -152,15 +131,15 @@ func traverse(scheme core.Scheme) (sum uint64, cycles sim.Time, messages, words 
 			}
 		case core.Migrate:
 			var rep sumReply
-			if err := task.Do(&sumCont{contID: w.contID, cur: w.head}, &rep); err != nil {
+			if err := task.Do(&sumCont{contID: contID, cur: head}, &rep); err != nil {
 				panic(err)
 			}
 			sum = rep.sum
 		case core.SharedMem:
-			cur := w.head
+			cur := head
 			for !cur.IsNil() {
-				nd := w.rt.Objects.State(cur).(*listNode)
-				w.shm.Read(th, nprocs, nd.addr, 16)
+				nd := rt.Objects.State(cur).(*listNode)
+				m.Mem.Read(th, nprocs, nd.addr, 16)
 				task.Work(nodeWork)
 				sum += nd.value
 				cur = nd.next
@@ -168,26 +147,29 @@ func traverse(scheme core.Scheme) (sum uint64, cycles sim.Time, messages, words 
 		}
 		cycles = th.Now() - start
 	})
-	if err := w.eng.Run(); err != nil {
-		panic(err)
-	}
-	return sum, cycles, w.col.TotalMessages(), w.col.WordsSent
+	col := m.Run(&machine.Result{})
+	return sum, cycles, col.TotalMessages(), col.WordsSent
+}
+
+// schemes lists the mechanisms compared, in printing order.
+var schemes = []core.Scheme{
+	{Mechanism: core.RPC},
+	{Mechanism: core.SharedMem},
+	{Mechanism: core.Migrate},
+	{Mechanism: core.Migrate, HWMessaging: true},
 }
 
 func main() {
 	fmt.Printf("summing a %d-node list scattered over %d processors\n\n", listLen, nprocs)
 	fmt.Printf("%-24s %10s %10s %10s %8s\n", "mechanism", "sum", "cycles", "messages", "words")
-	for _, s := range []core.Scheme{
-		{Mechanism: core.RPC},
-		{Mechanism: core.SharedMem},
-		{Mechanism: core.Migrate},
-		{Mechanism: core.Migrate, HWMessaging: true},
-	} {
+	for _, s := range schemes {
 		sum, cyc, msgs, words := traverse(s)
 		fmt.Printf("%-24s %10d %10d %10d %8d\n", s.Name(), sum, cyc, msgs, words)
 	}
 	fmt.Println()
-	fmt.Println("the pointer chase is where computation migration shines: one message")
-	fmt.Println("per hop and a single short-circuited return, instead of a round trip")
-	fmt.Println("(RPC) or a line fetch (shared memory) per node.")
+	fmt.Println("computation migration sends the fewest messages: one per hop and a")
+	fmt.Println("single short-circuited return, instead of a round trip (RPC) or a line")
+	fmt.Println("fetch (shared memory) per node. That beats RPC in cycles, but shared")
+	fmt.Println("memory's hardware line fetches still finish the chase first: every hop")
+	fmt.Println("pays the software runtime's per-message overhead (Table 5).")
 }

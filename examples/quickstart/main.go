@@ -10,10 +10,9 @@ import (
 
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
-	"compmig/internal/stats"
 )
 
 // account is our object: a balance that can be read and added to.
@@ -36,7 +35,6 @@ func (b *balanceReply) UnmarshalWords(r *msg.Reader) error { b.balance = r.U64()
 // several accesses locally, then returns the final balance directly to
 // the caller. Its fields are the live variables at the migration point.
 type auditCont struct {
-	rt      *core.Runtime
 	contID  core.ContID
 	target  gid.GID
 	deposit uint64
@@ -69,17 +67,11 @@ func (c *auditCont) Run(t *core.Task) {
 	t.Return(&balanceReply{balance: acct.balance})
 }
 
-func run(useMigration bool) (balance uint64, cycles sim.Time, messages, words uint64) {
-	eng := sim.NewEngine(1)
-	mach := sim.NewMachine(eng, 4)
-	col := stats.NewCollector()
-	scheme := core.Scheme{Mechanism: core.RPC}
-	if useMigration {
-		scheme.Mechanism = core.Migrate
-	}
-	model := scheme.Model()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
+// run makes the five deposits under mech (RPC or Migrate) on a fresh
+// machine.
+func run(mech core.Mechanism) (balance uint64, cycles sim.Time, messages, words uint64) {
+	m := machine.New("quickstart", machine.Config{Seed: 1, Scheme: core.Scheme{Mechanism: mech}}, 4)
+	rt := m.RT
 
 	// The account lives on processor 3; our thread runs on processor 0.
 	acct := rt.Objects.New(3, &account{balance: 100})
@@ -91,36 +83,32 @@ func run(useMigration bool) (balance uint64, cycles sim.Time, messages, words ui
 			a.balance += args.U64()
 			reply.PutU64(a.balance)
 		})
-	var env auditCont
-	env.contID = rt.RegisterCont("account.audit",
-		func() core.Continuation { return &auditCont{rt: rt, contID: env.contID} })
+	var audit core.ContID
+	audit = rt.RegisterCont("account.audit",
+		func() core.Continuation { return &auditCont{contID: audit} })
 
 	const rounds = 5
-	eng.Spawn("client", 0, func(th *sim.Thread) {
+	m.Eng.Spawn("client", 0, func(th *sim.Thread) {
 		task := rt.NewTask(th, 0)
 		start := th.Now()
-		if useMigration {
-			var rep balanceReply
-			err := task.Do(&auditCont{rt: rt, contID: env.contID,
+		var rep balanceReply
+		if mech == core.Migrate {
+			err := task.Do(&auditCont{contID: audit,
 				target: acct, deposit: 10, rounds: rounds}, &rep)
 			if err != nil {
 				panic(err)
 			}
-			balance = rep.balance
 		} else {
-			var rep balanceReply
 			for i := 0; i < rounds; i++ {
 				if err := task.Call(acct, deposit, &addArgs{amount: 10}, &rep); err != nil {
 					panic(err)
 				}
 			}
-			balance = rep.balance
 		}
+		balance = rep.balance
 		cycles = th.Now() - start
 	})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
+	col := m.Run(&machine.Result{})
 	return balance, cycles, col.TotalMessages(), col.WordsSent
 }
 
@@ -128,13 +116,13 @@ func main() {
 	fmt.Println("five deposits into an account on a remote processor:")
 	fmt.Println()
 	for _, mode := range []struct {
-		name    string
-		migrate bool
+		name string
+		mech core.Mechanism
 	}{
-		{"RPC (each access remote)", false},
-		{"computation migration (frame moves to the data)", true},
+		{"RPC (each access remote)", core.RPC},
+		{"computation migration (frame moves to the data)", core.Migrate},
 	} {
-		bal, cyc, msgs, words := run(mode.migrate)
+		bal, cyc, msgs, words := run(mode.mech)
 		fmt.Printf("%-50s balance=%d  cycles=%d  messages=%d  words=%d\n",
 			mode.name, bal, cyc, msgs, words)
 	}

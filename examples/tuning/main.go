@@ -2,8 +2,11 @@
 // a performance knob, not a semantic one. A two-phase procedure makes
 // many accesses to object A and then one access to object B. We try all
 // placements of the annotation and show the answer never changes while
-// the cost does; the best placement migrates where the access run is
-// long (A) and uses RPC where it is short (B).
+// the cost does. Migrating at A is what pays: the long run of accesses
+// becomes local. The best placement also migrates at B, even though B
+// is touched only once: once the frame is at A, a hop to B plus the
+// short-circuited return home is one message fewer than a round trip
+// from A to B and back, then the return.
 //
 // Run with: go run ./examples/tuning
 package main
@@ -13,17 +16,15 @@ import (
 
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
-	"compmig/internal/stats"
 )
 
 const (
 	accessesA = 12 // long run of accesses to A
 	accessesB = 1  // single access to B
-	workA     = 20
-	workB     = 20
+	work      = 20 // user-code cycles per access
 )
 
 type record struct{ hits uint64 }
@@ -36,18 +37,20 @@ func (r *phaseReply) UnmarshalWords(rd *msg.Reader) error { r.total = rd.U64(); 
 
 // plan says where the procedure migrates: at its accesses to A, to B,
 // both, or neither (pure RPC).
-type plan struct {
-	migrateA bool
-	migrateB bool
-}
+type plan uint32
+
+const (
+	atA plan = 1 << iota
+	atB
+)
 
 func (p plan) String() string {
-	switch {
-	case p.migrateA && p.migrateB:
+	switch p {
+	case atA | atB:
 		return "migrate at A and at B"
-	case p.migrateA:
+	case atA:
 		return "migrate at A, RPC to B"
-	case p.migrateB:
+	case atB:
 		return "RPC to A, migrate at B"
 	default:
 		return "RPC everywhere"
@@ -65,7 +68,7 @@ type phaseCont struct {
 }
 
 func (c *phaseCont) MarshalWords(w *msg.Writer) {
-	w.PutU32(boolsToWord(c.p.migrateA, c.p.migrateB))
+	w.PutU32(uint32(c.p))
 	w.PutU32(c.phase)
 	w.PutU64(c.total)
 	w.PutU64(uint64(c.a))
@@ -73,9 +76,7 @@ func (c *phaseCont) MarshalWords(w *msg.Writer) {
 }
 
 func (c *phaseCont) UnmarshalWords(r *msg.Reader) error {
-	flags := r.U32()
-	c.p.migrateA = flags&1 != 0
-	c.p.migrateB = flags&2 != 0
+	c.p = plan(r.U32())
 	c.phase = r.U32()
 	c.total = r.U64()
 	c.a = gid.GID(r.U64())
@@ -83,116 +84,84 @@ func (c *phaseCont) UnmarshalWords(r *msg.Reader) error {
 	return r.Err()
 }
 
-func boolsToWord(a, b bool) uint32 {
-	var v uint32
-	if a {
-		v |= 1
-	}
-	if b {
-		v |= 2
-	}
-	return v
-}
-
 func (c *phaseCont) Run(t *core.Task) {
 	w := c.w
 	if c.phase == 0 {
-		if c.p.migrateA && !t.IsLocal(c.a) {
+		if c.p&atA != 0 && !t.IsLocal(c.a) {
 			t.Migrate(c.a, w.cont, c)
 			return
 		}
 		for i := 0; i < accessesA; i++ {
-			c.total += w.touch(t, c.a, w.mTouchA)
+			c.total += w.touch(t, c.a)
 		}
 		c.phase = 1
 	}
-	if c.p.migrateB && !t.IsLocal(c.b) {
+	if c.p&atB != 0 && !t.IsLocal(c.b) {
 		t.Migrate(c.b, w.cont, c)
 		return
 	}
 	for i := 0; i < accessesB; i++ {
-		c.total += w.touch(t, c.b, w.mTouchB)
+		c.total += w.touch(t, c.b)
 	}
 	t.Return(&phaseReply{total: c.total})
 }
 
+// world holds the two objects and the registered procedures.
 type world struct {
-	eng  *sim.Engine
-	col  *stats.Collector
-	rt   *core.Runtime
 	a, b gid.GID
 
-	mTouchA core.MethodID
-	mTouchB core.MethodID
-	cont    core.ContID
+	mTouch core.MethodID
+	cont   core.ContID
 }
 
 // touch performs one access: local when the task is at the object (the
 // migrated case), a remote call otherwise.
-func (w *world) touch(t *core.Task, g gid.GID, m core.MethodID) uint64 {
+func (w *world) touch(t *core.Task, g gid.GID) uint64 {
 	var rep phaseReply
-	if err := t.Call(g, m, nil, &rep); err != nil {
+	if err := t.Call(g, w.mTouch, nil, &rep); err != nil {
 		panic(err)
 	}
 	return rep.total
 }
 
-func build() *world {
-	eng := sim.NewEngine(11)
-	mach := sim.NewMachine(eng, 3) // thread on 0, A on 1, B on 2
-	col := stats.NewCollector()
-	model := core.Scheme{Mechanism: core.Migrate}.Model()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
-	w := &world{eng: eng, col: col, rt: rt}
-	w.a = rt.Objects.New(1, &record{})
-	w.b = rt.Objects.New(2, &record{})
-	w.mTouchA = rt.RegisterMethod("tuning.touchA", true,
+// plans lists every placement of the annotation, in printing order.
+var plans = []plan{0, atB, atA, atA | atB}
+
+// run executes the procedure under plan p on a fresh machine.
+func run(p plan) (total uint64, cycles sim.Time, messages uint64) {
+	// Thread on 0, A on 1, B on 2.
+	m := machine.New("tuning", machine.Config{Seed: 11, Scheme: core.Scheme{Mechanism: core.Migrate}}, 3)
+	rt := m.RT
+	w := &world{a: rt.Objects.New(1, &record{}), b: rt.Objects.New(2, &record{})}
+	w.mTouch = rt.RegisterMethod("tuning.touch", true,
 		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
-			rec := self.(*record)
-			t.Work(workA)
-			rec.hits++
-			reply.PutU64(1)
-		})
-	w.mTouchB = rt.RegisterMethod("tuning.touchB", true,
-		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
-			rec := self.(*record)
-			t.Work(workB)
-			rec.hits++
+			t.Work(work)
+			self.(*record).hits++
 			reply.PutU64(1)
 		})
 	w.cont = rt.RegisterCont("tuning.phase",
 		func() core.Continuation { return &phaseCont{w: w} })
-	return w
+
+	m.Eng.Spawn("client", 0, func(th *sim.Thread) {
+		task := rt.NewTask(th, 0)
+		start := th.Now()
+		var rep phaseReply
+		if err := task.Do(&phaseCont{w: w, p: p, a: w.a, b: w.b}, &rep); err != nil {
+			panic(err)
+		}
+		total = rep.total
+		cycles = th.Now() - start
+	})
+	return total, cycles, m.Run(&machine.Result{}).TotalMessages()
 }
 
 func main() {
 	fmt.Printf("two-phase procedure: %d accesses to A (proc 1), then %d to B (proc 2)\n\n",
 		accessesA, accessesB)
 	fmt.Printf("%-26s %8s %10s %10s\n", "annotation placement", "result", "cycles", "messages")
-	for _, p := range []plan{
-		{false, false},
-		{false, true},
-		{true, false},
-		{true, true},
-	} {
-		w := build()
-		var total uint64
-		var cycles sim.Time
-		w.eng.Spawn("client", 0, func(th *sim.Thread) {
-			task := w.rt.NewTask(th, 0)
-			start := th.Now()
-			var rep phaseReply
-			if err := task.Do(&phaseCont{w: w, p: p, a: w.a, b: w.b}, &rep); err != nil {
-				panic(err)
-			}
-			total = rep.total
-			cycles = th.Now() - start
-		})
-		if err := w.eng.Run(); err != nil {
-			panic(err)
-		}
-		fmt.Printf("%-26s %8d %10d %10d\n", p, total, cycles, w.col.TotalMessages())
+	for _, p := range plans {
+		total, cycles, messages := run(p)
+		fmt.Printf("%-26s %8d %10d %10d\n", p, total, cycles, messages)
 	}
 	fmt.Println()
 	fmt.Println("every placement computes the same result; only the cost moves.")

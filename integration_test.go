@@ -7,11 +7,10 @@ import (
 	"compmig/internal/apps/countnet"
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/mem"
-	"compmig/internal/network"
 	"compmig/internal/repl"
 	"compmig/internal/sim"
-	"compmig/internal/stats"
 )
 
 // TestTwoApplicationsOneMachine hosts the counting network and the
@@ -20,14 +19,10 @@ import (
 // reply slots, and processor scheduling must all coexist. Both
 // applications' invariants are checked at quiescence.
 func TestTwoApplicationsOneMachine(t *testing.T) {
-	eng := sim.NewEngine(31)
 	scheme := core.Scheme{Mechanism: core.Migrate}
-	model := scheme.Model()
 	// 24 balancer procs + 16 tree-node procs + 8 requesters.
-	mach := sim.NewMachine(eng, 24+16+8)
-	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
+	m := machine.New("two-apps", machine.Config{Seed: 31, Scheme: scheme}, 24+16+8)
+	eng, rt := m.Eng, m.RT
 
 	cn := countnet.Build(rt, nil, scheme, 8)
 	p := btree.Params{Fanout: 10, NodeProcs: 16, Fill: 0.7}
@@ -88,14 +83,10 @@ func TestTwoApplicationsOneMachine(t *testing.T) {
 // and structure checks.
 func TestEverythingEverywhereAllAtOnce(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		eng := sim.NewEngine(seed)
-		scheme := core.Scheme{Mechanism: core.Migrate}
-		model := scheme.Model()
-		mach := sim.NewMachine(eng, 20)
-		col := stats.NewCollector()
-		net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-		rt := core.New(eng, mach, net, col, model)
-		shm := mem.New(eng, mach, net, col, mem.DefaultParams())
+		// The SM scheme makes the machine build the shared-memory
+		// substrate next to the runtime; the tree picks its own scheme.
+		m := machine.New("everything", machine.Config{Seed: seed, Scheme: core.Scheme{Mechanism: core.SharedMem}}, 20)
+		eng, rt, shm := m.Eng, m.RT, m.Mem
 		tbl := repl.NewTable(rt)
 
 		p := btree.Params{Fanout: 6, NodeProcs: 12, Fill: 0.7}

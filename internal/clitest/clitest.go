@@ -1,5 +1,6 @@
-// Package clitest holds the helpers the application CLIs' tests share:
-// building a driver binary and pinning its stdout against a golden file.
+// Package clitest holds the helpers the tests of the application CLIs
+// and the examples share: building a program's binary and pinning its
+// stdout against a golden file.
 package clitest
 
 import (
@@ -11,7 +12,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the CLI stdout golden file")
+var update = flag.Bool("update", false, "rewrite the golden files")
 
 // Build compiles the command in the test's working directory into the
 // test's temp dir and returns the binary's path.
@@ -27,10 +28,12 @@ func Build(t *testing.T, name string) string {
 
 // Golden runs bin once per argument list and compares the concatenated
 // stdout, each run under a "$ name args" header, byte-for-byte with
-// testdata/stdout_golden.txt. Every run must exit 0. Regenerate the file
-// with
+// testdata/stdout_golden.txt (see Compare). Every run must exit 0.
+// Regenerate the file with
 //
 //	go test ./cmd/<name> -run TestStdoutGolden -update
+//
+// (./examples/<name> for an example; make golden-update does every one).
 func Golden(t *testing.T, bin string, runs [][]string) {
 	t.Helper()
 	var b strings.Builder
@@ -43,10 +46,16 @@ func Golden(t *testing.T, bin string, runs [][]string) {
 		b.Write(out)
 		b.WriteString("\n")
 	}
-	got := b.String()
-	path := filepath.Join("testdata", "stdout_golden.txt")
+	Compare(t, filepath.Join("testdata", "stdout_golden.txt"), b.String())
+}
+
+// Compare checks got byte-for-byte against the golden file at path and
+// reports the first line that differs. With -update it rewrites the file
+// instead.
+func Compare(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -68,7 +77,7 @@ func Golden(t *testing.T, bin string, runs [][]string) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("stdout differs from %s at line %d:\n got: %q\nwant: %q\n(rerun with -update if the change is intended)", path, i+1, g, w)
+			t.Fatalf("output differs from %s at line %d:\n got: %q\nwant: %q\n(rerun with -update if the change is intended)", path, i+1, g, w)
 		}
 	}
 }

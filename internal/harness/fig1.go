@@ -2,14 +2,15 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"compmig/internal/apps/countnet"
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/mem"
 	"compmig/internal/model"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
@@ -63,26 +64,90 @@ func fig1Exp(o Options) experiment {
 	return experiment{specs: specs, render: render}
 }
 
-// fig1Cell is a trivial data item for the Figure 1 scenario.
-type fig1Cell struct{ touched int }
+// chainCell is one data item of §2.5's toy world.
+type chainCell struct{ visits int }
 
-// fig1Cont visits a fixed access sequence, migrating to each item.
-type fig1Cont struct {
-	h   *fig1Env
-	idx uint32
-	seq []gid.GID
+// chainWorld is §2.5's toy world: a thread on P0 visits a sequence of
+// data items, one on each of processors 1..m, doing work cycles of user
+// code per access. FIG1 counts the messages each mechanism sends in it;
+// the granularity ablation times one visit to each item.
+type chainWorld struct {
+	m     *machine.Machine
+	mech  core.Mechanism
+	work  uint64
+	cells []gid.GID
+	mGet  core.MethodID
+	cont  core.ContID
 }
 
-func (c *fig1Cont) MarshalWords(w *msg.Writer) {
+func newChainWorld(mech core.Mechanism, m int, work, seed uint64) *chainWorld {
+	w := &chainWorld{
+		m:    machine.New("chain", machine.Config{Seed: seed, Scheme: core.Scheme{Mechanism: mech}}, m+1),
+		mech: mech, work: work,
+	}
+	rt := w.m.RT
+	w.mGet = rt.RegisterMethod("chain.get", true,
+		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
+			self.(*chainCell).visits++
+			t.Work(w.work)
+			chainAck{}.MarshalWords(reply)
+		})
+	w.cont = rt.RegisterCont("chain.visit",
+		func() core.Continuation { return &chainCont{w: w} })
+	for p := 1; p <= m; p++ {
+		w.cells = append(w.cells, rt.Objects.New(p, &chainCell{}))
+	}
+	return w
+}
+
+// visit runs the thread on P0 through seq and returns the simulated
+// cycles it took: a remote call per access under RPC, one frame that
+// migrates to each item otherwise. stackWords > 0 makes every hop a
+// whole-thread migration carrying that much stack.
+func (w *chainWorld) visit(seq []gid.GID, stackWords uint64) sim.Time {
+	var elapsed sim.Time
+	w.m.Eng.Spawn("chain", 0, func(th *sim.Thread) {
+		task := w.m.RT.NewTask(th, 0)
+		start := th.Now()
+		var ack chainAck
+		switch w.mech {
+		case core.RPC:
+			for _, g := range seq {
+				if err := task.Call(g, w.mGet, nil, &ack); err != nil {
+					panic(err)
+				}
+			}
+		case core.Migrate:
+			if err := task.Do(&chainCont{w: w, seq: seq, stackWords: stackWords}, &ack); err != nil {
+				panic(err)
+			}
+		}
+		elapsed = th.Now() - start
+	})
+	w.m.Run(&machine.Result{})
+	return elapsed
+}
+
+// chainCont visits a fixed access sequence, migrating to each item.
+type chainCont struct {
+	w          *chainWorld
+	idx        uint32
+	seq        []gid.GID
+	stackWords uint64
+}
+
+func (c *chainCont) MarshalWords(w *msg.Writer) {
 	w.PutU32(c.idx)
+	w.PutU64(c.stackWords)
 	w.PutU32(uint32(len(c.seq)))
 	for _, g := range c.seq {
 		w.PutU64(uint64(g))
 	}
 }
 
-func (c *fig1Cont) UnmarshalWords(r *msg.Reader) error {
+func (c *chainCont) UnmarshalWords(r *msg.Reader) error {
 	c.idx = r.U32()
+	c.stackWords = r.U64()
 	c.seq = make([]gid.GID, int(r.U32()))
 	for i := range c.seq {
 		c.seq[i] = gid.GID(r.U64())
@@ -90,111 +155,70 @@ func (c *fig1Cont) UnmarshalWords(r *msg.Reader) error {
 	return r.Err()
 }
 
-func (c *fig1Cont) Run(t *core.Task) {
+func (c *chainCont) Run(t *core.Task) {
 	for int(c.idx) < len(c.seq) {
 		g := c.seq[c.idx]
 		if !t.IsLocal(g) {
-			t.Migrate(g, c.h.cont, c)
+			if c.stackWords > 0 {
+				t.MigrateThread(g, c.w.cont, c, c.stackWords)
+			} else {
+				t.Migrate(g, c.w.cont, c)
+			}
 			return
 		}
-		t.State(g).(*fig1Cell).touched++
-		t.Work(10)
+		t.State(g).(*chainCell).visits++
+		t.Work(c.w.work)
 		c.idx++
 	}
-	t.Return(nil)
+	t.Return(chainAck{})
 }
 
-type fig1Env struct {
-	rt    *core.Runtime
-	cells []gid.GID
-	mGet  core.MethodID
-	cont  core.ContID
-}
+// chainAck is the one-word reply of an access and of a whole visit.
+type chainAck struct{}
 
-// fig1Messages runs the access pattern through the software runtime and
-// returns the number of messages sent.
+func (chainAck) MarshalWords(w *msg.Writer)          { w.PutU32(1) }
+func (*chainAck) UnmarshalWords(r *msg.Reader) error { r.U32(); return r.Err() }
+
+// fig1Messages runs the access pattern (n consecutive accesses to each
+// of m items) through the software runtime and returns the number of
+// messages sent.
 func fig1Messages(mech core.Mechanism, n, m int, seed uint64) uint64 {
-	eng := sim.NewEngine(seed)
-	mach := sim.NewMachine(eng, m+1)
-	col := stats.NewCollector()
-	md := core.Scheme{Mechanism: mech}.Model()
-	net := network.New(eng, network.Crossbar{}, col, md.NetTransitBase, md.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, md)
-
-	env := &fig1Env{rt: rt}
-	env.mGet = rt.RegisterMethod("fig1.get", true,
-		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
-			self.(*fig1Cell).touched++
-			t.Work(10)
-			reply.PutU32(0)
-		})
-	env.cont = rt.RegisterCont("fig1.visit",
-		func() core.Continuation { return &fig1Cont{h: env} })
-	for p := 1; p <= m; p++ {
-		env.cells = append(env.cells, rt.Objects.New(p, &fig1Cell{}))
-	}
-
-	eng.Spawn("fig1", 0, func(th *sim.Thread) {
-		task := rt.NewTask(th, 0)
-		switch mech {
-		case core.RPC:
-			for _, g := range env.cells {
-				for a := 0; a < n; a++ {
-					var rep fig1Reply
-					if err := task.Call(g, env.mGet, nil, &rep); err != nil {
-						panic(err)
-					}
-				}
-			}
-		case core.Migrate:
-			var seq []gid.GID
-			for _, g := range env.cells {
-				for a := 0; a < n; a++ {
-					seq = append(seq, g)
-				}
-			}
-			if err := task.Do(&fig1Cont{h: env, seq: seq}, nil); err != nil {
-				panic(err)
-			}
+	w := newChainWorld(mech, m, 10, seed)
+	var seq []gid.GID
+	for _, g := range w.cells {
+		for a := 0; a < n; a++ {
+			seq = append(seq, g)
 		}
-	})
-	if err := eng.Run(); err != nil {
-		panic("harness: fig1 deadlocked: " + err.Error())
 	}
-	return col.TotalMessages()
+	w.visit(seq, 0)
+	return w.m.RT.Col.TotalMessages()
 }
 
-type fig1Reply struct{ v uint32 }
-
-func (r *fig1Reply) MarshalWords(w *msg.Writer)          { w.PutU32(r.v) }
-func (r *fig1Reply) UnmarshalWords(rd *msg.Reader) error { r.v = rd.U32(); return rd.Err() }
+// chainCycles is the granularity ablation's measurement: the simulated
+// cycles one computation-migration visit to each of 8 items takes, with
+// frame migration (stackWords == 0) or whole-thread migration.
+func chainCycles(stackWords, seed uint64) sim.Time {
+	w := newChainWorld(core.Migrate, 8, 50, seed)
+	return w.visit(w.cells, stackWords)
+}
 
 // fig1DataMigration measures the same pattern through the hardware
 // shared-memory substrate: the first access to each datum moves its line
 // (request + data = two messages); the rest hit locally.
 func fig1DataMigration(n, m int, seed uint64) uint64 {
-	eng := sim.NewEngine(seed)
-	mach := sim.NewMachine(eng, m+1)
-	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, 17, 0)
-	shm := mem.New(eng, mach, net, col, mem.DefaultParams())
-	defer shm.Release()
-
+	mc := machine.New("fig1", machine.Config{Seed: seed, Scheme: core.Scheme{Mechanism: core.SharedMem}}, m+1)
 	var addrs []mem.Addr
 	for p := 1; p <= m; p++ {
-		addrs = append(addrs, shm.Alloc(p, 8))
+		addrs = append(addrs, mc.Mem.Alloc(p, 8))
 	}
-	eng.Spawn("fig1", 0, func(th *sim.Thread) {
+	mc.Eng.Spawn("fig1", 0, func(th *sim.Thread) {
 		for _, a := range addrs {
 			for k := 0; k < n; k++ {
-				shm.Read(th, 0, a, 8)
+				mc.Mem.Read(th, 0, a, 8)
 			}
 		}
 	})
-	if err := eng.Run(); err != nil {
-		panic("harness: fig1 dm deadlocked: " + err.Error())
-	}
-	return col.TotalMessages()
+	return mc.Run(&machine.Result{}).TotalMessages()
 }
 
 // table5Breakdown runs the Table 5 scenario: a single thread traverses
@@ -202,25 +226,18 @@ func fig1DataMigration(n, m int, seed uint64) uint64 {
 // the collector's cycle categories are averaged over the migrations
 // performed.
 func table5Breakdown(seed uint64) []stats.BreakdownRow {
-	eng := sim.NewEngine(seed)
 	scheme := core.Scheme{Mechanism: core.Migrate}
-	md := scheme.Model()
-	mach := sim.NewMachine(eng, 25)
-	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, md.NetTransitBase, md.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, md)
-	cn := countnet.Build(rt, nil, scheme, 8)
+	m := machine.New("table5", machine.Config{Seed: seed, Scheme: scheme}, 25)
+	cn := countnet.Build(m.RT, nil, scheme, 8)
 
 	const requests = 200
-	eng.Spawn("req", 0, func(th *sim.Thread) {
-		task := rt.NewTask(th, 24)
+	m.Eng.Spawn("req", 0, func(th *sim.Thread) {
+		task := m.RT.NewTask(th, 24)
 		for i := 0; i < requests; i++ {
 			cn.Traverse(task, i%8)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		panic("harness: table5 deadlocked: " + err.Error())
-	}
+	col := m.Run(&machine.Result{})
 	return col.Breakdown(col.MigrationsSent)
 }
 
@@ -251,7 +268,7 @@ func table5Exp(o Options) experiment {
 		for _, r := range results[0].([]stats.BreakdownRow) {
 			label := r.Label
 			t.Rows = append(t.Rows, []string{
-				indent(r.Indent) + label,
+				strings.Repeat("  ", r.Indent) + label,
 				fmt.Sprintf("%.0f", r.Cycles),
 				fmt.Sprintf("%.0f%%", r.Percent),
 				paper[label],
@@ -260,12 +277,4 @@ func table5Exp(o Options) experiment {
 		return []Table{t}
 	}
 	return experiment{specs: specs, render: render}
-}
-
-func indent(n int) string {
-	s := ""
-	for i := 0; i < n; i++ {
-		s += "  "
-	}
-	return s
 }

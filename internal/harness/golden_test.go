@@ -1,18 +1,16 @@
 package harness
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden rendered-output file")
+	"compmig/internal/clitest"
+)
 
 // goldenExperiments are the experiment ids whose rendered text the golden
 // file pins: between them they cover every table paperfigs prints.
-var goldenExperiments = []string{"all", "ext-fault", "ext-kv", "ext-recovery", "scale"}
+var goldenExperiments = []string{"all", "ext-fault", "ext-kv", "ext-recovery", "ext-ablation", "scale"}
 
 // TestRenderedOutputGolden renders every table at quick windows, seed 1,
 // on one worker and compares the text byte-for-byte with the committed
@@ -39,34 +37,5 @@ func TestRenderedOutputGolden(t *testing.T) {
 			b.WriteString("\n")
 		}
 	}
-	got := b.String()
-	path := filepath.Join("testdata", "golden_quick.txt")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (generate it with -update)", err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("rendered output differs from %s at line %d:\n got: %q\nwant: %q\n(rerun with -update if the change is intended)", path, i+1, g, w)
-			}
-		}
-	}
+	clitest.Compare(t, filepath.Join("testdata", "golden_quick.txt"), b.String())
 }

@@ -202,7 +202,7 @@ func threadCounts(quick bool) []int {
 func ExperimentIDs() []string {
 	return []string{"fig1", "fig2", "fig3", "table1", "table2", "table3",
 		"table4", "table5", "smallnode", "ext-objmig", "ext-policy",
-		"ext-fault", "ext-kv", "ext-recovery", "scale"}
+		"ext-fault", "ext-kv", "ext-recovery", "ext-ablation", "scale"}
 }
 
 // plan maps an experiment id to the sweeps it needs plus an optional
@@ -241,6 +241,9 @@ func plan(id string, o Options) ([]experiment, string, error) {
 		// ext-recovery also stays out of "all": every point runs durable,
 		// so it can never be part of the fault-free identity baseline.
 		return []experiment{recoveryExp(o)}, "", nil
+	case "ext-ablation":
+		// ext-ablation stays out of "all" too, which keeps its pinned shape.
+		return []experiment{ablationExp(o)}, "", nil
 	case "scale":
 		return []experiment{scaleExp(o)}, "", nil
 	case "all":
@@ -254,7 +257,7 @@ func plan(id string, o Options) ([]experiment, string, error) {
 			policyExp(o), btreePolicyExp(o),
 		}, "", nil
 	default:
-		return nil, "", fmt.Errorf("harness: unknown experiment %q (want fig1, fig2, fig3, table1..table5, smallnode, ext-objmig, ext-policy, ext-fault, ext-kv, ext-recovery, scale, all)", id)
+		return nil, "", fmt.Errorf("harness: unknown experiment %q (want fig1, fig2, fig3, table1..table5, smallnode, ext-objmig, ext-policy, ext-fault, ext-kv, ext-recovery, ext-ablation, scale, all)", id)
 	}
 }
 

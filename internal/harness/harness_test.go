@@ -367,3 +367,47 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Error("full sweep not wider than quick sweep")
 	}
 }
+
+// TestAblationShape checks each EXT-ABLATION table's note against its
+// rows at quick windows.
+func TestAblationShape(t *testing.T) {
+	tabs, err := Run("ext-ablation", quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	titled := map[string]Table{}
+	for _, tb := range tabs {
+		titled[strings.SplitN(tb.Title, ":", 2)[0]] = tb
+	}
+	val := func(table, variant string, col int) float64 {
+		return parse(t, strings.TrimSuffix(rowByScheme(t, titled[table], variant)[col], "%"))
+	}
+	// In each table, variant lo's metric in column col is below hi's.
+	for _, c := range []struct {
+		table  string
+		col    int
+		lo, hi string
+	}{
+		{"Active-Messages runtime (§6)", 1, "threaded", "active-messages"},
+		{"Short-method fast path (§4.4)", 1, "always-thread", "fastpath"},
+		{"LimitLESS directory", 1, "limitless-5ptr", "full-map"},
+		{"Migration granularity (§2.3)", 1, "frame-only", "thread-512B"},
+		{"Migration granularity (§2.3)", 1, "thread-512B", "thread-4096B"},
+		{"Prefetch (§2.5)", 1, "demand", "prefetch"},
+		{"Prefetch (§2.5)", 2, "demand", "prefetch"},
+		{"Multithreading", 1, "threads-per-proc-1", "threads-per-proc-2"},
+		{"Multithreading", 1, "threads-per-proc-2", "threads-per-proc-4"},
+		{"Skew (§2.5)", 1, "hot-90-10, CP w/repl.", "uniform, CP w/repl."},
+		{"Skew (§2.5)", 1, "uniform, SM", "hot-90-10, SM"},
+	} {
+		if l, h := val(c.table, c.lo, c.col), val(c.table, c.hi, c.col); l >= h {
+			t.Errorf("%s: %s's column %d (%g) is not below %s's (%g)", c.table, c.lo, c.col, l, c.hi, h)
+		}
+	}
+	// No mesh effect: throughput and mean latency within 1%.
+	for _, col := range []int{1, 2} {
+		if x, m := val("Topology", "crossbar", col), val("Topology", "mesh", col); m < 0.99*x || m > 1.01*x {
+			t.Errorf("topology: mesh's column %d (%g) is not within 1%% of the crossbar's (%g)", col, m, x)
+		}
+	}
+}
