@@ -20,9 +20,9 @@ BENCH_BASELINE := BENCH_2026-08-06-fault.json
 BENCH_CURRENT  := BENCH_2026-10-17-ablation.json
 BENCH_SHARDS   := BENCH_2026-10-17-shards.json
 
-.PHONY: check lint vet simvet build test race ab-identity shard-identity golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json bench-json-shards
+.PHONY: check lint vet simvet build test race ab-identity shard-identity engine-order golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json bench-json-shards
 
-check: lint build test race ab-identity shard-identity golden fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test
+check: lint build test race ab-identity shard-identity engine-order golden fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test
 	@echo "check: all green"
 
 # lint is go vet plus simvet, the repo's own determinism/purity analyzer
@@ -67,6 +67,17 @@ shard-identity:
 	$(GO) test ./internal/harness/ -run 'TestShardCountIdentity|TestShardScaleIdentity|TestShardScaleEventCount' -count=1
 	GOMAXPROCS=4 $(GO) test -race ./internal/sim/ ./internal/apps/countnet/ -run 'Cluster|Shard' -count=1
 	@echo "shard-identity: rendered output is byte-identical at every shard count"
+
+# engine-order pins the serial event queue, a heap of sorted runs: the
+# exact-order property test (seeded random mixes dispatch in strictly
+# increasing (time, seq), every uncancelled event fires once, RunUntil,
+# Stop and MaxEvents cut the same sequence) and the focused run tests run
+# by name, and every BenchmarkEngine* microbenchmark runs once so none
+# can rot.
+engine-order:
+	$(GO) test ./internal/sim/ -run 'TestEngineExactOrder|TestSpawnSorted|TestCancelInRun|TestRunOrderViolation' -count=1
+	$(GO) test ./internal/sim/ -run '^$$' -bench Engine -benchtime 1x
+	@echo "engine-order: the sorted runs dispatch in exact (time, seq) order"
 
 # golden re-runs the output contracts by name: every paperfigs table at
 # quick windows (internal/harness/testdata/golden_quick.txt) and the full

@@ -128,9 +128,12 @@ func RunExperiment(cfg Config) Result {
 	}
 	m.Attach(st)
 
-	// Open loop: every arrival is scheduled before the run starts, so a
+	// Open loop: every arrival is spawned before the run starts, so a
 	// slow server accumulates queueing delay instead of throttling the
-	// offered load.
+	// offered load. The arrivals come in time order, so they go to the
+	// engine's presorted arrival run (Proc.SpawnSorted): each one's
+	// thread and wakeup are made only when it is the next arrival due,
+	// and the event heap holds one arrival instead of all of them.
 	events := load.NewGen(cfg.Load, cfg.Seed).Events()
 	issued := make([]uint64, nkeys) // puts issued per key
 	acked := make([]uint64, nkeys)  // highest version acked per key
@@ -140,7 +143,7 @@ func RunExperiment(cfg Config) Result {
 	for i, ev := range events {
 		proc := cfg.StoreProcs + i%cfg.FrontProcs
 		col := m.Col(proc)
-		m.Mach.Proc(proc).Spawn("kv.req", ev.At, func(th *sim.Thread) {
+		m.Mach.Proc(proc).SpawnSorted("kv.req", ev.At, func(th *sim.Thread) {
 			task := m.RT.NewTask(th, proc)
 			arrive := th.Now()
 			task.Work(cfg.FrontWork)

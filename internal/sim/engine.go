@@ -11,9 +11,31 @@
 // thread drives the event loop itself: it pops and runs protocol
 // callbacks inline, and yields to the hub only when a different
 // simulated thread must run or the loop must end. All simulation state
-// is mutated by one coroutine at a time, and the event heap is ordered
-// by (time, sequence number), so a given program and seed always produce
-// the same execution regardless of which carrier happens to be driving.
+// is mutated by one coroutine at a time, and events fire in (time,
+// sequence number) order, so a given program and seed always produce the
+// same execution regardless of which carrier happens to be driving.
+//
+// On the serial engine the event queue is a heap of sorted runs. A run
+// is a queue whose events are already in (time, seq) order, and only its
+// head sits in the heap; appending behind the head touches no heap, and
+// when the head fires its successor takes its slot at the root. There
+// are three kinds of run:
+//
+//   - one per Proc, for the events whose time comes from the processor's
+//     booking (Exec wakeups and ExecAsync completions). A processor's
+//     next-free cycle never decreases, so these times never do either.
+//   - one zero-delay run, for events scheduled at the current time
+//     (Unpark, Yield, Spawn and Schedule with no delay, At(Now())). Its
+//     times never decrease because the clock does not.
+//   - one arrival run, for the open-loop threads of Proc.SpawnSorted,
+//     whose caller supplies them in time order.
+//
+// Each event's seq is drawn when it is scheduled (an arrival's when it
+// is spawned), so a run's seqs rise too. Every run is therefore (time,
+// seq)-sorted, the heap orders run heads by the same key, and the heap
+// top is the earliest pending event exactly as it would be with every
+// event in the heap: the order is the plain heap's by construction. An
+// append that would break a run's order panics.
 package sim
 
 import (
@@ -40,6 +62,11 @@ type Event struct {
 	th  *Thread // wakeup event: hand control to th instead of calling fn
 	eng *Engine
 
+	// next links the event to its successor in a sorted run (see the
+	// package comment), or to the next free event once released; nil for
+	// a plain heap event and a run's tail.
+	next *Event
+
 	// stream and exec only matter on a clustered engine (Cluster). stream
 	// is the merge-key stream the event was scheduled from (scheduling
 	// ambient + 1, so slot 0 is setup/coordinator context); seq is then
@@ -52,28 +79,118 @@ type Event struct {
 	stream int32
 	exec   int32
 
-	index int // heap index, -1 when not queued (fired, cancelled, or pooled)
+	// index is the event's heap slot, behindHead while it waits in a run
+	// behind the run's head, and -1 when it is not queued (fired,
+	// cancelled, or pooled).
+	index int
 }
 
-// Cancel removes a pending event from the heap so it never fires.
-// Cancelling an event that has already fired or been cancelled is a no-op;
-// do not call Cancel on a handle kept across the event's firing, because
-// the engine may have recycled the object for an unrelated event by then.
+// behindHead is Event.index for an event queued in a run behind its head.
+const behindHead = -2
+
+// Cancel removes a pending event so it never fires. An event in the
+// heap, a plain one or a run's head, leaves at once, and a head hands its
+// slot to its successor. An event behind a run's head becomes a
+// tombstone: it stays linked, and the run skips it when it would become
+// the head. Cancelling an event that has already fired or been cancelled
+// is a no-op; do not call Cancel on a handle kept across the event's
+// firing, because the engine may have recycled the object for an
+// unrelated event by then.
 func (ev *Event) Cancel() {
-	if ev.index < 0 {
-		return
+	e := ev.eng
+	switch {
+	case ev.index >= 0:
+		if next := e.successor(ev); next != nil {
+			e.heap.replace(ev.index, next)
+		} else {
+			e.heap.remove(ev.index)
+		}
+		e.release(ev)
+	case ev.index == behindHead:
+		ev.fn, ev.th = nil, nil
 	}
-	ev.eng.heap.remove(ev.index)
-	ev.eng.release(ev)
 }
 
-// Engine is the simulation core: a clock, an event heap, and the set of
+// cancelled reports whether ev is a tombstone left in a run by Cancel.
+// Every live event has a callback or a thread to wake.
+func (ev *Event) cancelled() bool { return ev.fn == nil && ev.th == nil }
+
+// run is a queue of events already in (at, seq) order, linked through
+// Event.next. Only its head sits in the heap. The run records just its
+// tail, and seq, the tail's seq when it was appended: once the tail has
+// left the queue (index -1) or its object has been recycled for a later
+// event (a new seq), the run is empty, so popping a run's last event
+// needs no pointer back to the run.
+type run struct {
+	tail *Event
+	seq  uint64
+}
+
+// live reports whether r's tail is still queued, so that a new event
+// goes behind it rather than into the heap as the run's head.
+func (r *run) live() bool {
+	t := r.tail
+	return t != nil && t.seq == r.seq && t.index != -1
+}
+
+// link queues ev behind t, the tail of a run. An event that sorts before
+// t panics, because the heap would then no longer see the earliest event.
+func (t *Event) link(ev *Event) {
+	if ev.at < t.at || ev.at == t.at && ev.seq < t.seq {
+		panic(fmt.Sprintf("sim: event (%d, %d) appended behind (%d, %d) breaks a sorted run",
+			ev.at, ev.seq, t.at, t.seq))
+	}
+	t.next = ev
+	ev.index = behindHead
+}
+
+// successor unlinks ev, a heap event about to leave the heap, from its
+// run and returns the run's next live event, which takes ev's heap slot.
+// Tombstones on the way go back to the free list. After the arrival
+// run's head it materializes the next arrival. It returns nil when ev is
+// a plain heap event or the last event of its run.
+func (e *Engine) successor(ev *Event) *Event {
+	next := ev.next
+	ev.next = nil
+	for next != nil && next.cancelled() {
+		dead := next
+		next, dead.index = dead.next, -1
+		e.release(dead)
+	}
+	if a := e.arrivals; next == nil && a != nil && ev == a.head {
+		next = a.next(e)
+	}
+	return next
+}
+
+// pop removes and returns the earliest pending event: the heap top. When
+// it heads a run, the run's next event takes its slot at the root with
+// one sift down instead of a pop and a push.
+func (e *Engine) pop() *Event {
+	ev := e.heap[0]
+	if ev.next != nil || e.arrivals != nil {
+		if next := e.successor(ev); next != nil {
+			e.heap.replace(0, next)
+			return ev
+		}
+	}
+	return e.heap.pop()
+}
+
+// Engine is the simulation core: a clock, an event queue, and the set of
 // live simulated threads.
 type Engine struct {
 	now  Time
 	seq  uint64
 	heap eventHeap
-	pool []*Event // free list of fired/cancelled events, for reuse by At
+	free *Event // fired and cancelled events, linked through next, for reuse by At
+
+	// zero is the zero-delay run and arrivals the open-loop arrival run,
+	// made by the first SpawnSorted (see the package comment); each Proc
+	// holds its own run. A cluster lane uses none of them: its (at,
+	// stream, seq) key does not rise within a run.
+	zero     run
+	arrivals *arrivalSource
 
 	current  *Thread
 	transfer *Thread // set by drive before it yields: the thread the hub resumes next
@@ -85,9 +202,8 @@ type Engine struct {
 	threadPool  []*Thread  // exited threads, for reuse by Spawn
 	carriers    []*carrier // free carriers, for the first dispatch of a thread
 
-	rng     *PRNG
-	stopped bool
-	tracer  *Tracer
+	rng    *PRNG
+	tracer *Tracer
 
 	// cluster and lane wire the engine into a sharded Cluster as one of
 	// its lanes; both stay zero on the classic serial engine. curStream
@@ -99,8 +215,9 @@ type Engine struct {
 
 	// limited/runLimit are set while RunUntil is draining events, so
 	// neither a driving thread nor the fast path can advance the clock
-	// past the limit.
+	// past the limit. stopped is set by Stop.
 	limited  bool
+	stopped  bool
 	runLimit Time
 
 	// MaxEvents bounds the number of events processed by Run as a runaway
@@ -155,7 +272,7 @@ func (e *Engine) Schedule(delay Time, fn func()) *Event {
 
 // At queues fn at absolute time at, which must not be in the past.
 func (e *Engine) At(at Time, fn func()) *Event {
-	return e.schedule(at, fn, nil)
+	return e.schedule(at, fn, nil, nil)
 }
 
 // ScheduleOn queues fn at e.Now()+delay to run as processor proc's event
@@ -163,7 +280,7 @@ func (e *Engine) At(at Time, fn func()) *Event {
 // installs the destination's ambient stream before the callback runs; on
 // a serial engine it is identical to Schedule.
 func (e *Engine) ScheduleOn(delay Time, proc int, fn func()) *Event {
-	ev := e.schedule(e.now+delay, fn, nil)
+	ev := e.schedule(e.now+delay, fn, nil, nil)
 	ev.exec = int32(proc)
 	return ev
 }
@@ -172,18 +289,17 @@ func (e *Engine) ScheduleOn(delay Time, proc int, fn func()) *Event {
 // tagged with the thread rather than wrapped in a closure so dispatchers
 // can hand control over directly.
 func (e *Engine) scheduleWake(at Time, th *Thread) *Event {
-	return e.schedule(at, nil, th)
+	return e.schedule(at, nil, th, nil)
 }
 
-func (e *Engine) schedule(at Time, fn func(), th *Thread) *Event {
+// schedule queues an event at at. On the serial engine it goes to run r
+// when r is given (a processor's run), to the zero-delay run when at is
+// now, and to the heap otherwise; on a cluster lane it always goes to the
+// heap.
+func (e *Engine) schedule(at Time, fn func(), th *Thread, r *run) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
 	}
-	if profile.Enabled() {
-		profile.HeapOps.Add(1)
-	}
-	var stream int32
-	var seq uint64
 	exec := e.curStream
 	if th != nil {
 		exec = th.stream
@@ -192,24 +308,42 @@ func (e *Engine) schedule(at Time, fn func(), th *Thread) *Event {
 		// Merge keys come from the scheduling stream's cluster-wide
 		// counter, never from engine-local state, so two events at the
 		// same cycle sort the same way at every shard count.
-		stream = e.curStream + 1
-		seq = cl.ctrs[stream]
+		stream := e.curStream + 1
+		seq := cl.ctrs[stream]
 		cl.ctrs[stream] = seq + 1
-	} else {
-		e.seq++
-		seq = e.seq
+		ev := e.newEvent(at, seq, fn, th, stream, exec)
+		e.heap.push(ev)
+		return ev
 	}
-	var ev *Event
-	if n := len(e.pool); n > 0 {
-		ev = e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-		ev.at, ev.seq, ev.fn, ev.th = at, seq, fn, th
-		ev.stream, ev.exec = stream, exec
-	} else {
-		ev = &Event{at: at, seq: seq, fn: fn, th: th, stream: stream, exec: exec, eng: e, index: -1}
+	e.seq++
+	ev := e.newEvent(at, e.seq, fn, th, 0, exec)
+	if r == nil {
+		if at != e.now {
+			e.heap.push(ev)
+			return ev
+		}
+		r = &e.zero
 	}
-	e.heap.push(ev)
+	// Behind the run's tail, touching no heap, or as the head of an
+	// empty run.
+	if r.live() {
+		r.tail.link(ev)
+	} else {
+		e.heap.push(ev)
+	}
+	r.tail, r.seq = ev, ev.seq
+	return ev
+}
+
+// newEvent takes an event from the free list, or allocates one.
+func (e *Engine) newEvent(at Time, seq uint64, fn func(), th *Thread, stream, exec int32) *Event {
+	ev := e.free
+	if ev == nil {
+		return &Event{at: at, seq: seq, fn: fn, th: th, stream: stream, exec: exec, eng: e, index: -1}
+	}
+	e.free, ev.next = ev.next, nil
+	ev.at, ev.seq, ev.fn, ev.th = at, seq, fn, th
+	ev.stream, ev.exec = stream, exec
 	return ev
 }
 
@@ -217,7 +351,7 @@ func (e *Engine) schedule(at Time, fn func(), th *Thread) *Event {
 func (e *Engine) release(ev *Event) {
 	ev.fn = nil
 	ev.th = nil
-	e.pool = append(e.pool, ev)
+	ev.next, e.free = e.free, ev
 }
 
 // Stop makes Run return after the current event completes.
@@ -293,7 +427,7 @@ func (e *Engine) Run() error {
 	defer e.countHandoffs(e.handoffs)
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
-		e.dispatch(e.heap.pop())
+		e.dispatch(e.pop())
 		if e.MaxEvents != 0 && e.processed >= e.MaxEvents {
 			return &MaxEventsError{Max: e.MaxEvents, Now: e.now}
 		}
@@ -318,7 +452,7 @@ func (e *Engine) RunUntil(limit Time) error {
 	e.limited, e.runLimit = true, limit
 	defer func() { e.limited = false }()
 	for len(e.heap) > 0 && !e.stopped && e.heap[0].at <= limit {
-		e.dispatch(e.heap.pop())
+		e.dispatch(e.pop())
 		if e.MaxEvents != 0 && e.processed >= e.MaxEvents {
 			return &MaxEventsError{Max: e.MaxEvents, Now: e.now}
 		}
@@ -339,7 +473,7 @@ func (e *Engine) runWindow(limit Time) error {
 	e.limited, e.runLimit = true, limit
 	defer func() { e.limited = false }()
 	for len(e.heap) > 0 && !e.stopped && e.heap[0].at <= limit {
-		e.dispatch(e.heap.pop())
+		e.dispatch(e.pop())
 		if e.MaxEvents != 0 && e.processed >= e.MaxEvents {
 			return &MaxEventsError{Max: e.MaxEvents, Now: e.now}
 		}
@@ -378,12 +512,18 @@ func (e *Engine) TryAdvance(at Time) bool { return e.fastAdvance(at) }
 
 // eventHeap is a binary min-heap ordered by (at, stream, seq) — stream
 // is zero everywhere on a serial engine, so its order there is the
-// classic (at, seq). It is hand-rolled
-// rather than built on container/heap: the sift loops below run for every
-// event the simulator processes, and the interface-based version's
-// indirect Less/Swap calls were a measurable share of total run time.
-// (An inline-key 4-ary layout was measured and lost: the heap stays
-// shallow enough that wider fan-out doesn't pay for the extra copies.)
+// classic (at, seq). On the serial engine it holds the heads of the
+// sorted runs plus every event due after now that no processor booked
+// (Sleep, UnparkAt, Schedule with a delay); a cluster lane keeps every
+// event in it. It is hand-rolled rather than built on container/heap:
+// the sift loops below run for every event the simulator processes, and
+// the interface-based version's indirect Less/Swap calls were a
+// measurable share of total run time. The runs keep it shallow: at full
+// windows (one seed-1 pass of each bench/ workload) the mean depth at a
+// push fell from 2,473 to 8.3 on kv-open, whose open-loop arrivals and
+// processor queues had all sat in the heap, and from 1,353 to 16.9 on
+// faults-durable; the closed loops were shallow already (mp-closed 162
+// to 129, sm-closed 37 to 36).
 type eventHeap []*Event
 
 func (h eventHeap) less(i, j int) bool {
@@ -399,7 +539,7 @@ func (h eventHeap) less(i, j int) bool {
 func (h *eventHeap) push(ev *Event) {
 	ev.index = len(*h)
 	*h = append(*h, ev)
-	h.up(ev.index)
+	h.up(ev.index, true)
 }
 
 func (h *eventHeap) pop() *Event {
@@ -417,6 +557,15 @@ func (h *eventHeap) pop() *Event {
 	return ev
 }
 
+// replace puts ev in slot i in place of an event whose key is no larger,
+// preserving heap order.
+func (h eventHeap) replace(i int, ev *Event) {
+	h[i].index = -1
+	h[i] = ev
+	ev.index = i
+	h.down(i)
+}
+
 // remove deletes the event at index i, preserving heap order.
 func (h *eventHeap) remove(i int) {
 	old := *h
@@ -430,12 +579,18 @@ func (h *eventHeap) remove(i int) {
 	*h = old[:n]
 	if i != n {
 		if !h.down(i) {
-			h.up(i)
+			h.up(i, false)
 		}
 	}
 }
 
-func (h eventHeap) up(i int) {
+// up sifts the event at i toward the root. A push (pushed) is counted in
+// the engine.heap_pushes profile section here rather than in push, which
+// keeps push small enough to inline.
+func (h eventHeap) up(i int, pushed bool) {
+	if pushed && profile.Enabled() {
+		profile.HeapOps.Add(1)
+	}
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {

@@ -14,6 +14,11 @@ type Proc struct {
 	free      Time   // the cycle at which the processor next becomes idle
 	execWhere string // park label for Exec, built once
 
+	// run queues the serial engine's events timed by reserve: Exec
+	// wakeups and ExecAsync completions. free never decreases, so
+	// neither do their times (see the package comment).
+	run run
+
 	// Busy accumulates total busy cycles for utilization reporting.
 	Busy Time
 	// Segments counts work segments executed.
@@ -27,9 +32,10 @@ type Proc struct {
 	speedNum, speedDen Time
 
 	// downs are scheduled outage windows (fault injection): work segments
-	// booked inside a window start when it closes. Empty on the fault-free
-	// path, so reserve pays one length check.
-	downs []downWindow
+	// booked inside a window start when it closes. Nil on the fault-free
+	// path, so reserve pays one nil check; a pointer keeps the Proc in
+	// its allocation size class.
+	downs *[]downWindow
 }
 
 type downWindow struct{ start, end Time }
@@ -41,15 +47,19 @@ func (p *Proc) AddDownWindow(start, end Time) {
 	if end <= start {
 		panic(fmt.Sprintf("sim: down window [%d,%d) on p%d is empty", start, end, p.id))
 	}
-	p.downs = append(p.downs, downWindow{start: start, end: end})
-	for i := len(p.downs) - 1; i > 0 && p.downs[i].start < p.downs[i-1].start; i-- {
-		p.downs[i], p.downs[i-1] = p.downs[i-1], p.downs[i]
+	if p.downs == nil {
+		p.downs = new([]downWindow)
 	}
+	downs := append(*p.downs, downWindow{start: start, end: end})
+	for i := len(downs) - 1; i > 0 && downs[i].start < downs[i-1].start; i-- {
+		downs[i], downs[i-1] = downs[i-1], downs[i]
+	}
+	*p.downs = downs
 }
 
 // skipDown pushes t past any outage window covering it.
 func (p *Proc) skipDown(t Time) Time {
-	for _, w := range p.downs {
+	for _, w := range *p.downs {
 		if t >= w.start && t < w.end {
 			t = w.end
 		}
@@ -102,6 +112,21 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // to Engine.Spawn.
 func (p *Proc) Spawn(name string, delay Time, body func(*Thread)) *Thread {
 	return p.eng.spawnAt(name, delay, body, int32(p.id))
+}
+
+// SpawnSorted creates a simulated thread bound to processor p's event
+// stream that begins executing body at absolute time at. It is Spawn for
+// an open-loop source that knows its arrivals up front: calls on one
+// engine must come in nondecreasing at order across all its processors,
+// and an earlier at panics. Each call reserves the thread's id and its
+// wakeup's sequence number as Spawn would, so the run is identical to
+// one built with Spawn, but the serial engine makes the Thread and its
+// wakeup event only when the arrival reaches the head of its sorted
+// arrival run: a long arrival list costs one heap entry, not one thread
+// and one heap entry per arrival. On a clustered machine it is Spawn
+// with delay at minus the lane's time.
+func (p *Proc) SpawnSorted(name string, at Time, body func(*Thread)) {
+	p.eng.spawnSorted(name, at, body, int32(p.id))
 }
 
 // FreeAt returns the cycle at which the processor next becomes idle.
@@ -162,7 +187,7 @@ func (p *Proc) reserve(cycles Time) Time {
 	if start < p.eng.now {
 		start = p.eng.now
 	}
-	if len(p.downs) != 0 {
+	if p.downs != nil {
 		start = p.skipDown(start)
 	}
 	end := start + cycles
@@ -187,7 +212,7 @@ func (th *Thread) Exec(p *Proc, cycles Time) {
 	if th.eng.fastAdvance(end) {
 		return
 	}
-	th.eng.scheduleWake(end, th)
+	th.eng.schedule(end, nil, th, &p.run)
 	th.park(p.execWhere)
 }
 
@@ -202,7 +227,7 @@ func (p *Proc) ReserveAt(at, cycles Time) Time {
 	if start < at {
 		start = at
 	}
-	if len(p.downs) != 0 {
+	if p.downs != nil {
 		start = p.skipDown(start)
 	}
 	end := start + cycles
@@ -218,7 +243,7 @@ func (p *Proc) ReserveAt(at, cycles Time) Time {
 func (p *Proc) ExecAsync(cycles Time, fn func()) {
 	end := p.reserve(cycles)
 	if fn != nil {
-		ev := p.eng.At(end, fn)
+		ev := p.eng.schedule(end, fn, nil, &p.run)
 		ev.exec = int32(p.id)
 	}
 }

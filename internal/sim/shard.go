@@ -195,20 +195,7 @@ func (e *Engine) inject(ce crossEvent) {
 	if ce.at < e.now {
 		panic(fmt.Sprintf("sim: cross-lane event at %d behind lane clock %d", ce.at, e.now))
 	}
-	if profile.Enabled() {
-		profile.HeapOps.Add(1)
-	}
-	var ev *Event
-	if n := len(e.pool); n > 0 {
-		ev = e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-		ev.at, ev.seq, ev.fn, ev.th = ce.at, ce.seq, ce.fn, nil
-		ev.stream, ev.exec = ce.stream, ce.exec
-	} else {
-		ev = &Event{at: ce.at, seq: ce.seq, fn: ce.fn, stream: ce.stream, exec: ce.exec, eng: e, index: -1}
-	}
-	e.heap.push(ev)
+	e.heap.push(e.newEvent(ce.at, ce.seq, ce.fn, nil, ce.stream, ce.exec))
 }
 
 // flush moves every parked cross-lane event into its destination heap.

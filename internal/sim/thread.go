@@ -52,21 +52,107 @@ func (e *Engine) Spawn(name string, delay Time, body func(*Thread)) *Thread {
 // events execute as stream (processor id on a clustered engine).
 func (e *Engine) spawnAt(name string, delay Time, body func(*Thread), stream int32) *Thread {
 	e.nextTID++
+	e.liveThreads++
+	th := e.newThread(e.nextTID, name, body, stream)
+	e.scheduleWake(e.now+delay, th)
+	return th
+}
+
+// newThread takes a thread from the spawn pool, or allocates one, and
+// registers it as live. The caller has counted it in liveThreads.
+func (e *Engine) newThread(id int, name string, body func(*Thread), stream int32) *Thread {
 	var th *Thread
 	if n := len(e.threadPool); n > 0 {
 		th = e.threadPool[n-1]
 		e.threadPool[n-1] = nil
 		e.threadPool = e.threadPool[:n-1]
-		th.id, th.name, th.body = e.nextTID, name, body
+		th.id, th.name, th.body = id, name, body
 		th.state, th.where = threadRunnable, ""
 		th.stream = stream
 	} else {
-		th = &Thread{eng: e, id: e.nextTID, name: name, body: body, stream: stream}
+		th = &Thread{eng: e, id: id, name: name, body: body, stream: stream}
 	}
-	e.liveThreads++
 	e.allThreads[th] = struct{}{}
-	e.scheduleWake(e.now+delay, th)
 	return th
+}
+
+// arrivalSource is the engine's open-loop arrival run (Proc.SpawnSorted).
+// Only its head is an Event, in the heap; the later arrivals wait in
+// pending[consumed:] as plain records, and each becomes a Thread and an
+// Event only when it reaches the head.
+type arrivalSource struct {
+	head     *Event // nil when no arrival is pending
+	pending  []arrival
+	consumed int
+}
+
+// arrival is one pending SpawnSorted thread, with the sequence number
+// and thread id reserved when it was spawned.
+type arrival struct {
+	at     Time
+	seq    uint64
+	tid    int
+	stream int32
+	name   string
+	body   func(*Thread)
+}
+
+// spawnSorted queues an open-loop thread at absolute time at behind the
+// arrival run's tail (see Proc.SpawnSorted).
+func (e *Engine) spawnSorted(name string, at Time, body func(*Thread), stream int32) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: SpawnSorted at %d before now %d", at, e.now))
+	}
+	if e.cluster != nil {
+		e.spawnAt(name, at-e.now, body, stream)
+		return
+	}
+	if e.arrivals == nil {
+		e.arrivals = &arrivalSource{}
+	}
+	s := e.arrivals
+	last := Time(0)
+	if n := len(s.pending); n > s.consumed {
+		last = s.pending[n-1].at
+	} else if s.head != nil {
+		last = s.head.at
+	}
+	if at < last {
+		panic(fmt.Sprintf("sim: SpawnSorted at %d after an arrival at %d", at, last))
+	}
+	e.seq++
+	e.nextTID++
+	e.liveThreads++
+	a := arrival{at: at, seq: e.seq, tid: e.nextTID, stream: stream, name: name, body: body}
+	if s.head == nil {
+		s.head = e.arrive(&a)
+		e.heap.push(s.head)
+		return
+	}
+	s.pending = append(s.pending, a)
+}
+
+// next makes the next pending arrival the run's head and returns its
+// wakeup, or returns nil when none is left.
+func (s *arrivalSource) next(e *Engine) *Event {
+	s.head = nil
+	if s.consumed == len(s.pending) {
+		return nil
+	}
+	s.head = e.arrive(&s.pending[s.consumed])
+	s.pending[s.consumed] = arrival{}
+	s.consumed++
+	if s.consumed == len(s.pending) {
+		s.pending, s.consumed = s.pending[:0], 0
+	}
+	return s.head
+}
+
+// arrive makes a's thread and its first wakeup, keyed by a's reserved
+// sequence number.
+func (e *Engine) arrive(a *arrival) *Event {
+	th := e.newThread(a.tid, a.name, a.body, a.stream)
+	return e.newEvent(a.at, a.seq, nil, th, 0, th.stream)
 }
 
 // exit retires the thread into the spawn pool, unbinds its carrier, and
@@ -122,7 +208,7 @@ func (th *Thread) ScratchFuture() *Future {
 //
 // Rather than bouncing control back to the engine loop on every block,
 // the parking thread becomes the driver (see drive). Event order comes
-// solely from the heap, so the execution is identical to engine-driven
+// solely from the event queue, so the execution is identical to engine-driven
 // dispatch — only the carrier doing the popping changes.
 func (th *Thread) park(where string) {
 	e := th.eng
@@ -155,7 +241,7 @@ func (e *Engine) drive(c *carrier) {
 	for !e.stopped && len(e.heap) > 0 &&
 		!(e.limited && e.heap[0].at > e.runLimit) &&
 		!(e.MaxEvents != 0 && e.processed >= e.MaxEvents) {
-		ev := e.heap.pop()
+		ev := e.pop()
 		if ev.at < e.now {
 			panic("sim: event heap time went backwards")
 		}
