@@ -20,9 +20,9 @@ BENCH_BASELINE := BENCH_2026-08-06-fault.json
 BENCH_CURRENT  := BENCH_2026-10-17-ablation.json
 BENCH_SHARDS   := BENCH_2026-10-17-shards.json
 
-.PHONY: check lint vet simvet build test race ab-identity shard-identity engine-order golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json bench-json-shards
+.PHONY: check lint vet simvet build test race ab-identity shard-identity engine-order alloc-pins golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json bench-json-shards loc
 
-check: lint build test race ab-identity shard-identity engine-order golden fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test
+check: lint build test race ab-identity shard-identity engine-order alloc-pins golden fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test
 	@echo "check: all green"
 
 # lint is go vet plus simvet, the repo's own determinism/purity analyzer
@@ -78,6 +78,17 @@ engine-order:
 	$(GO) test ./internal/sim/ -run 'TestEngineExactOrder|TestSpawnSorted|TestCancelInRun|TestRunOrderViolation' -count=1
 	$(GO) test ./internal/sim/ -run '^$$' -bench Engine -benchtime 1x
 	@echo "engine-order: the sorted runs dispatch in exact (time, seq) order"
+
+# alloc-pins re-runs the allocation pins by name: the warm message path
+# (remote call, migration hop, local call) and one operation per app
+# (countnet traversal under SM and CM, kv get and put under SM, a B-tree
+# lookup under SM) must allocate no more heap objects than their bounds.
+alloc-pins:
+	$(GO) test ./internal/core/ -run 'Allocs' -count=1
+	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs' -count=1
+	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocsSM|TestPutAllocsSM' -count=1
+	$(GO) test ./internal/apps/btree/ -run 'TestLookupAllocsSM' -count=1
+	@echo "alloc-pins: no operation allocates more than its pinned bound"
 
 # golden re-runs the output contracts by name: every paperfigs table at
 # quick windows (internal/harness/testdata/golden_quick.txt) and the full
@@ -198,3 +209,12 @@ bench-json:
 # counters.
 bench-json-shards:
 	$(GO) run ./cmd/paperfigs -exp scale -shards 8 -bench-json BENCH_new-shards.json
+
+# loc prints the non-test, non-generated (*_gen.go) Go lines of every
+# directory under internal/, cmd/ and examples/, each directory's count
+# including its subdirectories', so a change can state its line counts
+# without counting by hand. Test fixtures under testdata/ are skipped.
+loc:
+	@find internal cmd examples -name '*.go' ! -name '*_test.go' ! -name '*_gen.go' ! -path '*/testdata/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); d = p[1]; sum[d] += $$1; for (i = 2; i < n; i++) { d = d "/" p[i]; sum[d] += $$1 } } \
+		END { for (d in sum) printf "%7d %s\n", sum[d], d }' | sort -k2

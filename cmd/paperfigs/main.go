@@ -45,6 +45,7 @@ import (
 	"strings"
 	"time"
 
+	"compmig/internal/fault"
 	"compmig/internal/harness"
 	"compmig/internal/mem"
 	"compmig/internal/profile"
@@ -70,7 +71,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperfigs: -format wants text or md, got %q\n", *format)
 		os.Exit(2)
 	}
-	faults, err := harness.ParseFaults(*faultsSpec)
+	faults, err := fault.ParseSpec(*faultsSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperfigs:", err)
 		os.Exit(2)

@@ -1,7 +1,9 @@
 // Listtraversal: the paper's motivating scenario — a thread traverses a
 // distributed data structure, touching a series of objects that live on
 // different processors. We sum a distributed linked list under all three
-// remote-access mechanisms and print the cost of each.
+// remote-access mechanisms and print the cost of each. The traversal is
+// written once, as an operation record (core.Walker), and the mechanism
+// is only the argument to Task.Walk.
 //
 // Run with: go run ./examples/listtraversal
 package main
@@ -53,12 +55,20 @@ type sumReply struct{ sum uint64 }
 func (r *sumReply) MarshalWords(w *msg.Writer)          { w.PutU64(r.sum) }
 func (r *sumReply) UnmarshalWords(rd *msg.Reader) error { r.sum = rd.U64(); return rd.Err() }
 
-// sumCont is the migrating traversal: live variables are the running sum
-// and the current node.
+// sumCont is the traversal, written once for every mechanism: its live
+// variables are the running sum and the current node.
 type sumCont struct {
-	contID core.ContID
-	cur    gid.GID
-	sum    uint64
+	l   *list
+	cur gid.GID
+	sum uint64
+	res sumReply // the result, host-side
+}
+
+// list is the traversal's environment: the shared-memory substrate and
+// the RPC read method.
+type list struct {
+	mem   *mem.System
+	mRead core.MethodID
 }
 
 func (c *sumCont) MarshalWords(w *msg.Writer) {
@@ -72,18 +82,33 @@ func (c *sumCont) UnmarshalWords(r *msg.Reader) error {
 	return r.Err()
 }
 
-func (c *sumCont) Run(t *core.Task) {
-	for !c.cur.IsNil() {
-		if !t.IsLocal(c.cur) {
-			t.Migrate(c.cur, c.contID, c)
-			return
-		}
-		nd := t.State(c.cur).(*listNode)
-		t.Work(nodeWork)
-		c.sum += nd.value
-		c.cur = nd.next
+func (c *sumCont) At() gid.GID         { return c.cur }
+func (c *sumCont) Result() core.Result { return &c.res }
+
+// Visit adds one node; under shared memory the node's line is read
+// through the cache first.
+func (c *sumCont) Visit(t *core.Task, state any, mech core.Mechanism) bool {
+	nd := state.(*listNode)
+	if mech == core.SharedMem {
+		c.l.mem.Read(t.Thread(), t.Proc(), nd.addr, 16)
 	}
-	t.Return(&sumReply{sum: c.sum})
+	t.Work(nodeWork)
+	c.sum += nd.value
+	c.cur = nd.next
+	c.res.sum = c.sum
+	return c.cur.IsNil()
+}
+
+// RPC reads one node with a remote call.
+func (c *sumCont) RPC(t *core.Task) bool {
+	var rep nodeReply
+	if err := t.Call(c.cur, c.l.mRead, nil, &rep); err != nil {
+		panic(err)
+	}
+	c.sum += rep.value
+	c.cur = rep.next
+	c.res.sum = c.sum
+	return c.cur.IsNil()
 }
 
 // traverse sums the list under scheme on a fresh machine.
@@ -105,46 +130,22 @@ func traverse(scheme core.Scheme) (sum uint64, cycles sim.Time, messages, words 
 	}
 	head := next
 
-	mRead := rt.RegisterMethod("list.read", true,
+	l := &list{mem: m.Mem}
+	l.mRead = rt.RegisterMethod("list.read", true,
 		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
 			nd := self.(*listNode)
 			t.Work(nodeWork)
 			(&nodeReply{value: nd.value, next: nd.next}).MarshalWords(reply)
 		})
-	var contID core.ContID
-	contID = rt.RegisterCont("list.sum",
-		func() core.Continuation { return &sumCont{contID: contID} })
+	contID := rt.RegisterWalker("list.sum", func() core.Walker { return &sumCont{l: l} })
 
 	m.Eng.Spawn("walker", 0, func(th *sim.Thread) {
 		task := rt.NewTask(th, nprocs) // thread on its own processor
 		start := th.Now()
-		switch scheme.Mechanism {
-		case core.RPC:
-			cur := head
-			for !cur.IsNil() {
-				var rep nodeReply
-				if err := task.Call(cur, mRead, nil, &rep); err != nil {
-					panic(err)
-				}
-				sum += rep.value
-				cur = rep.next
-			}
-		case core.Migrate:
-			var rep sumReply
-			if err := task.Do(&sumCont{contID: contID, cur: head}, &rep); err != nil {
-				panic(err)
-			}
-			sum = rep.sum
-		case core.SharedMem:
-			cur := head
-			for !cur.IsNil() {
-				nd := rt.Objects.State(cur).(*listNode)
-				m.Mem.Read(th, nprocs, nd.addr, 16)
-				task.Work(nodeWork)
-				sum += nd.value
-				cur = nd.next
-			}
-		}
+		c := task.Record(contID).(*sumCont)
+		*c = sumCont{l: l, cur: head}
+		task.Walk(scheme.Mechanism, contID, c)
+		sum = c.res.sum
 		cycles = th.Now() - start
 	})
 	col := m.Run(&machine.Result{})

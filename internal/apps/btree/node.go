@@ -47,6 +47,20 @@ type node struct {
 	addrKids   mem.Addr
 }
 
+// StateWords sizes a node's wire image under object migration (keys,
+// children, header). Every operation pulls each node it touches to the
+// requester, so concurrent requesters steal the upper levels from each
+// other: whole-object migration behaves like data migration without
+// replication, which is exactly what §2.2 predicts makes it a poor fit
+// for shared structures.
+func (nd *node) StateWords() uint64 {
+	words := uint64(2*len(nd.keys)) + 8
+	if !nd.leaf {
+		words += uint64(2 * len(nd.children))
+	}
+	return words
+}
+
 // searchCycles models the user-code cost of a bounded binary search over
 // n keys: a fixed part plus a per-probe part. Smaller nodes are cheaper
 // to service — the effect the paper leans on in the fanout-10 experiment.

@@ -15,29 +15,20 @@ import (
 // repeated traversals hit only if those lines survive in the 64K cache
 // (the paper measured <7% hits on the 10k-key tree).
 
-// walkLocal runs an operation record on the requester's own processor,
-// the way shared memory and object migration both work: reach the
-// current node, then run the record's visit there. Shared memory reaches
-// a node by reading its header line (prefetching the first probe lines
-// when SMPrefetch is set); object migration pulls the node over
-// (ops_om.go).
-func (tr *Tree) walkLocal(t *core.Task, w walker, sm bool) bool {
-	for hop := 0; ; hop++ {
-		checkHops(hop)
-		var nd *node
-		if sm {
-			nd = tr.rt.Objects.State(w.at()).(*node)
-			if tr.SMPrefetch {
-				tr.prefetchProbes(t.Proc(), nd)
-			}
-			tr.shm.Read(t.Thread(), t.Proc(), nd.addrHeader, 16)
-		} else {
-			nd = tr.pullNode(t, w.at())
-		}
-		if done, ok := w.visit(t, nd, sm); done {
-			return ok
-		}
+// arrive is the start of every visit: nd is the state of the node the
+// walk reached under mech, and sm says whether the visit prices its
+// cache-line traffic. Shared memory reaches a node by reading its header
+// line (prefetching the first probe lines when SMPrefetch is set).
+func (tr *Tree) arrive(t *core.Task, state any, mech core.Mechanism) (nd *node, sm bool) {
+	nd = state.(*node)
+	if mech != core.SharedMem {
+		return nd, false
 	}
+	if tr.SMPrefetch {
+		tr.prefetchProbes(t.Proc(), nd)
+	}
+	tr.shm.Read(t.Thread(), t.Proc(), nd.addrHeader, 16)
+	return nd, true
 }
 
 // chargeProbeReads prices the cache-line traffic of a binary search for

@@ -290,8 +290,11 @@ func (tr *Tree) above(g gid.GID) gid.GID {
 func (tr *Tree) Lookup(t *core.Task, key uint64) bool {
 	op := t.Choose(&tr.lookup, tr.root)
 	defer op.Done(t)
-	cur, _, isLeaf := tr.start(t, key)
-	return tr.run(t, op.Mech, &lookupCont{tr: tr, key: key, cur: cur}, isLeaf)
+	cur, _, _ := tr.start(t, key)
+	c := t.Record(tr.cLookup).(*lookupCont)
+	*c = lookupCont{tr: tr, key: key, cur: cur}
+	t.Walk(op.Mech, tr.cLookup, c)
+	return c.res.ok
 }
 
 // Insert adds key, reporting whether it was new, using the tree's scheme
@@ -303,53 +306,10 @@ func (tr *Tree) Insert(t *core.Task, key uint64) bool {
 	op := t.Choose(&tr.insert, tr.root)
 	defer op.Done(t)
 	cur, path, isLeaf := tr.start(t, key)
-	return tr.run(t, op.Mech, &opCont{tr: tr, key: key, insert: true, cur: cur, path: path}, isLeaf)
-}
-
-// walker is an operation's continuation record (lookupCont, opCont,
-// deleteCont, scanCont). Its fields are the operation's live variables,
-// so one record serves every mechanism: a migrating operation ships it,
-// a shared-memory or object-migration walk advances it on the requester,
-// and the RPC requester loop keeps its state in it.
-type walker interface {
-	core.Continuation
-	// at is the node the operation visits next.
-	at() gid.GID
-	// visit runs the operation's node step at nd, the state of at(), and
-	// advances the record. done reports the operation complete, with ok
-	// its verdict (found, inserted, deleted).
-	visit(t *core.Task, nd *node, sm bool) (done, ok bool)
-	// do runs the whole operation under computation migration from the
-	// requester, and rpc runs it as RPC calls; isLeaf says whether at()
-	// is a leaf.
-	do(t *core.Task) bool
-	rpc(t *core.Task, isLeaf bool) bool
-}
-
-// run carries an operation from its first node to completion under
-// mech: the package's one mechanism switch. w starts at the node start
-// chose. A scan leaves its count in the record; the other operations
-// return their verdict.
-func (tr *Tree) run(t *core.Task, mech core.Mechanism, w walker, isLeaf bool) bool {
-	switch mech {
-	case core.RPC:
-		return w.rpc(t, isLeaf)
-	case core.Migrate:
-		return w.do(t)
-	case core.SharedMem, core.ObjMigrate:
-		return tr.walkLocal(t, w, mech == core.SharedMem)
-	}
-	panic("btree: unknown mechanism")
-}
-
-// maxHops bounds every walk: an operation still moving after this many
-// node visits is looping, not contending.
-const maxHops = 10000
-
-func checkHops(hop int) {
-	if hop > maxHops {
-		panic("btree: walk did not terminate")
-	}
+	c := t.Record(tr.cOp).(*opCont)
+	*c = opCont{tr: tr, key: key, insert: true, cur: cur, path: append(c.path[:0], path...), leaf: isLeaf}
+	t.Walk(op.Mech, tr.cOp, c)
+	return c.res.ok
 }
 
 // AttachPolicy registers the tree's two operation call sites (lookup and

@@ -171,60 +171,105 @@ func (n *Network) registerHandlers() {
 			t.Log(0, c)
 			reply.PutU64(v)
 		})
-	n.cTravers = n.rt.RegisterCont("countnet.traverse",
-		func() core.Continuation { return &traverseCont{net: n} })
+	n.cTravers = n.rt.RegisterWalker("countnet.traverse",
+		func() core.Walker { return &traverseCont{net: n} })
 }
 
 // wireReply carries a balancer's routing decision back to an RPC caller.
+//
+//compmig:record
 type wireReply struct{ wire uint32 }
 
-func (r *wireReply) MarshalWords(w *msg.Writer)          { w.PutU32(r.wire) }
-func (r *wireReply) UnmarshalWords(rd *msg.Reader) error { r.wire = rd.U32(); return rd.Err() }
-
 // valueReply carries the final counter value.
+//
+//compmig:record
 type valueReply struct{ value uint64 }
 
-func (r *valueReply) MarshalWords(w *msg.Writer)          { w.PutU64(r.value) }
-func (r *valueReply) UnmarshalWords(rd *msg.Reader) error { r.value = rd.U64(); return rd.Err() }
-
-// traverseCont is the continuation for a migrating traversal: the live
-// variables are just the current stage and wire. Its wire stubs are
-// generated by cmd/contgen (app_gen.go) — the paper's §3 compiler role.
+// traverseCont is one token's traversal, for every mechanism: the live
+// variables are just the current stage and wire, and the drawn value is
+// its result. Its wire stubs are generated by cmd/contgen (app_gen.go) —
+// the paper's §3 compiler role.
 //
 //compmig:record
 type traverseCont struct {
 	net   *Network
 	stage uint32
 	wire  uint32
+	res   valueReply `compmig:"local"`
 }
 
-func (c *traverseCont) Run(t *core.Task) {
+// At is the balancer the token's wire enters at its stage, or, past the
+// last stage, the wire's counter (co-located with the final balancer).
+func (c *traverseCont) At() gid.GID {
 	n := c.net
-	for int(c.stage) < len(n.stages) {
-		bi := n.balForWire[c.stage][c.wire]
-		g := n.balGID[c.stage][bi]
-		if !t.IsLocal(g) {
-			t.Migrate(g, n.cTravers, c)
-			return
-		}
-		b := t.State(g).(*balancer)
-		t.Work(n.BalancerWork)
-		c.wire = uint32(b.route())
-		t.Log(0, b)
-		c.stage++
+	if int(c.stage) < len(n.stages) {
+		return n.balGID[c.stage][n.balForWire[c.stage][c.wire]]
 	}
-	// The counter is co-located with the final balancer, so this is local.
-	g := n.counterGID[c.wire]
-	if !t.IsLocal(g) {
-		t.Migrate(g, n.cTravers, c)
+	return n.counterGID[c.wire]
+}
+
+// Visit routes the token through a balancer, or draws its value from the
+// counter and completes the traversal.
+func (c *traverseCont) Visit(t *core.Task, state any, mech core.Mechanism) bool {
+	n := c.net
+	if b, ok := state.(*balancer); ok {
+		n.access(t, mech, b.addr, n.BalancerWork, func() {
+			c.wire = uint32(b.route())
+			t.Log(0, b)
+		})
+		c.stage++
+		return false
+	}
+	ctr := state.(*counter)
+	n.access(t, mech, ctr.addr, n.CounterWork, func() {
+		c.res.value = ctr.take()
+		t.Log(0, ctr)
+	})
+	return true
+}
+
+// access performs one balancer or counter access: step (route or draw,
+// then log) priced by work cycles. Under shared memory it starts with an
+// atomic read-modify-write of the object's word. Object migration steps
+// before the work, right after the pull and before any yield, so the
+// access is atomic even if the object is pulled away next; the other
+// mechanisms do the work first.
+func (n *Network) access(t *core.Task, mech core.Mechanism, addr mem.Addr, work uint64, step func()) {
+	if mech == core.SharedMem {
+		n.shm.RMW(t.Thread(), t.Proc(), addr)
+	}
+	if mech == core.ObjMigrate {
+		step()
+		t.Work(work)
 		return
 	}
-	ctr := t.State(g).(*counter)
-	t.Work(n.CounterWork)
-	v := ctr.take()
-	t.Log(0, ctr)
-	t.Return(&valueReply{value: v})
+	t.Work(work)
+	step()
 }
+
+// RPC visits a balancer or the counter from the requester: a record-read
+// peek, then the toggle or draw call.
+func (c *traverseCont) RPC(t *core.Task) bool {
+	n, g := c.net, c.At()
+	var rep wireReply
+	if err := t.Call(g, n.mPeek, nil, &rep); err != nil {
+		panic("countnet: peek failed: " + err.Error())
+	}
+	if int(c.stage) == len(n.stages) {
+		if err := t.Call(g, n.mNext, nil, &c.res); err != nil {
+			panic("countnet: counter failed: " + err.Error())
+		}
+		return true
+	}
+	if err := t.Call(g, n.mToggle, nil, &rep); err != nil {
+		panic("countnet: toggle failed: " + err.Error())
+	}
+	c.wire = rep.wire
+	c.stage++
+	return false
+}
+
+func (c *traverseCont) Result() core.Result { return &c.res }
 
 // AttachPolicy registers the traversal call site with a policy engine
 // and routes every subsequent Traverse through its decisions. The site's
@@ -251,98 +296,16 @@ func (n *Network) Traverse(t *core.Task, wire int) uint64 {
 	}
 	op := t.Choose(&n.site, n.balGID[0][n.balForWire[0][wire]])
 	defer op.Done(t)
-	switch op.Mech {
-	case core.Migrate:
-		var rep valueReply
-		if err := t.Do(&traverseCont{net: n, wire: uint32(wire)}, &rep); err != nil {
-			panic("countnet: traverse failed: " + err.Error())
-		}
-		return rep.value
-	case core.RPC:
-		w := uint32(wire)
-		for s := range n.stages {
-			bi := n.balForWire[s][w]
-			g := n.balGID[s][bi]
-			n.peek(t, g)
-			var rep wireReply
-			if err := t.Call(g, n.mToggle, nil, &rep); err != nil {
-				panic("countnet: toggle failed: " + err.Error())
-			}
-			w = rep.wire
-		}
-		n.peek(t, n.counterGID[w])
-		var rep valueReply
-		if err := t.Call(n.counterGID[w], n.mNext, nil, &rep); err != nil {
-			panic("countnet: counter failed: " + err.Error())
-		}
-		return rep.value
-	case core.SharedMem:
-		w := wire
-		th, proc := t.Thread(), t.Proc()
-		for s := range n.stages {
-			bi := n.balForWire[s][w]
-			b := n.rt.Objects.State(n.balGID[s][bi]).(*balancer)
-			n.shm.RMW(th, proc, b.addr)
-			t.Work(n.BalancerWork)
-			w = b.route()
-			t.Log(0, b)
-		}
-		c := n.rt.Objects.State(n.counterGID[w]).(*counter)
-		n.shm.RMW(th, proc, c.addr)
-		t.Work(n.CounterWork)
-		v := c.take()
-		t.Log(0, c)
-		return v
-	case core.ObjMigrate:
-		// Emerald-style whole-object migration — the comparison the paper
-		// wanted to run (§4). Every balancer is pulled to the requester
-		// before being toggled; write-sharing makes the objects ping-pong.
-		w := uint32(wire)
-		for s := range n.stages {
-			bi := n.balForWire[s][w]
-			g := n.balGID[s][bi]
-			// Route immediately after the pull, before any yield, so the
-			// access is atomic even if the object is pulled away next.
-			b := n.pullAndPin(t, g).(*balancer)
-			w = uint32(b.route())
-			t.Log(0, b)
-			t.Work(n.BalancerWork)
-		}
-		g := n.counterGID[w]
-		ctr := n.pullAndPin(t, g).(*counter)
-		v := ctr.take()
-		t.Log(0, ctr)
-		t.Work(n.CounterWork)
-		return v
-	default:
-		panic("countnet: unknown mechanism")
-	}
+	c := t.Record(n.cTravers).(*traverseCont)
+	*c = traverseCont{net: n, wire: uint32(wire)}
+	t.Walk(op.Mech, n.cTravers, c)
+	return c.res.value
 }
 
-// pullAndPin pulls an object until it is local and returns its state.
-// The caller must perform its atomic host-level access immediately (the
-// routing/toggle happens with no intervening yield, so the interleaving
-// is equivalent to holding the object for the access).
-func (n *Network) pullAndPin(t *core.Task, g gid.GID) any {
-	for !t.IsLocal(g) {
-		if err := t.PullObject(g, balancerStateWords); err != nil {
-			panic("countnet: object pull failed: " + err.Error())
-		}
-	}
-	return n.rt.Objects.State(g)
-}
-
-// balancerStateWords is the wire size of a migrated balancer or counter
-// object: state plus wiring descriptors.
-const balancerStateWords = 8
-
-// peek performs the short record-read access preceding an RPC update.
-func (n *Network) peek(t *core.Task, g gid.GID) {
-	var rep wireReply
-	if err := t.Call(g, n.mPeek, nil, &rep); err != nil {
-		panic("countnet: peek failed: " + err.Error())
-	}
-}
+// StateWords is the wire size of a migrated balancer or counter: state
+// plus wiring descriptors.
+func (b *balancer) StateWords() uint64 { return 8 }
+func (c *counter) StateWords() uint64  { return 8 }
 
 // Visits returns total tokens routed by balancer (stage, index).
 func (n *Network) Visits(stage, index int) uint64 {

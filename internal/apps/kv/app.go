@@ -12,8 +12,6 @@
 package kv
 
 import (
-	"fmt"
-
 	"compmig/internal/advisor"
 	"compmig/internal/apps/btree"
 	"compmig/internal/core"
@@ -142,7 +140,8 @@ func (s *Store) Value(id uint64) uint64 {
 	return ps.vals[id]
 }
 
-// ackReply is the one-word acknowledgement of a record touch.
+// ackReply is the one-word acknowledgement of a record touch. It has no
+// fields, so a touch's reply record costs no allocation.
 type ackReply struct{}
 
 func (r *ackReply) MarshalWords(w *msg.Writer)          { w.PutU32(0) }
@@ -184,8 +183,8 @@ func (s *Store) register() {
 			t.Log(key, ps)
 			reply.PutU64(ps.vals[key])
 		})
-	s.cOp = s.rt.RegisterCont("kv.op",
-		func() core.Continuation { return &kvCont{st: s} })
+	s.cOp = s.rt.RegisterWalker("kv.op",
+		func() core.Walker { return &kvCont{st: s} })
 }
 
 // Get returns the key's current version, using the store's scheme or
@@ -208,51 +207,10 @@ func (s *Store) access(t *core.Task, site *core.Site, id uint64, put bool) uint6
 	g := s.parts[s.partOf(id)]
 	op := t.Choose(site, g)
 	defer op.Done(t)
-	switch op.Mech {
-	case core.RPC:
-		for i := 0; i < s.p.Touches-1; i++ {
-			s.touch(t, g)
-		}
-		m := s.mGet
-		if put {
-			m = s.mPut
-		}
-		var rep valueReply
-		if err := t.Call(g, m, &keyArg{key: id}, &rep); err != nil {
-			panic("kv: access failed: " + err.Error())
-		}
-		return rep.value
-	case core.Migrate:
-		var rep valueReply
-		if err := t.Do(&kvCont{st: s, key: id, put: put, cur: g}, &rep); err != nil {
-			panic("kv: access failed: " + err.Error())
-		}
-		return rep.value
-	case core.SharedMem:
-		th, proc := t.Thread(), t.Proc()
-		ps := s.rt.Objects.State(g).(*partState)
-		base := s.recordBase(ps, id)
-		if !put {
-			for i := 0; i < s.p.Touches; i++ {
-				s.shm.Read(th, proc, base+mem.Addr(i*mem.LineBytes), 8)
-			}
-			t.Work(s.AccessCycles * uint64(s.p.Touches))
-			return ps.vals[id]
-		}
-		// Atomic RMW on the record's first line (the version word), then
-		// the update itself with no intervening yield, then the remaining
-		// line writes — so concurrent writers never lose an increment.
-		s.shm.RMW(th, proc, base)
-		ps.vals[id]++
-		v := ps.vals[id]
-		t.Log(id, ps)
-		for i := 1; i < s.p.Touches; i++ {
-			s.shm.Write(th, proc, base+mem.Addr(i*mem.LineBytes), 8)
-		}
-		t.Work(s.AccessCycles * uint64(s.p.Touches))
-		return v
-	}
-	panic(fmt.Sprintf("kv: unsupported mechanism %v", op.Mech))
+	c := t.Record(s.cOp).(*kvCont)
+	*c = kvCont{st: s, key: id, put: put, cur: g}
+	t.Walk(op.Mech, s.cOp, c)
+	return c.res.value
 }
 
 // recordBase returns the SM address of a key's record image.
@@ -260,18 +218,11 @@ func (s *Store) recordBase(ps *partState, id uint64) mem.Addr {
 	return ps.base + mem.Addr(ps.slot[id]*s.p.Touches*mem.LineBytes)
 }
 
-// touch performs one short record access under RPC.
-func (s *Store) touch(t *core.Task, g gid.GID) {
-	var rep ackReply
-	if err := t.Call(g, s.mTouch, nil, &rep); err != nil {
-		panic("kv: touch failed: " + err.Error())
-	}
-}
-
-// kvCont is the continuation for a migrating point operation: the frame
-// ships to the partition's home, performs all Touches accesses locally,
-// and returns only the result version — the paper's locality argument
-// applied to a storage record. Wire stubs generated by cmd/contgen.
+// kvCont is one point operation, for every mechanism. A migrating one
+// ships its frame to the partition's home, performs all Touches accesses
+// locally, and returns only the result version — the paper's locality
+// argument applied to a storage record. Wire stubs generated by
+// cmd/contgen.
 //
 //compmig:record
 type kvCont struct {
@@ -279,21 +230,70 @@ type kvCont struct {
 	key uint64
 	put bool
 	cur gid.GID
+	res valueReply `compmig:"local"`
 }
 
-func (c *kvCont) Run(t *core.Task) {
+func (c *kvCont) At() gid.GID { return c.cur }
+
+func (c *kvCont) Result() core.Result { return &c.res }
+
+// Visit performs the operation's Touches accesses at the partition.
+// Shared memory reads or writes the record's lines through the
+// requester's cache. Its put is an atomic RMW on the record's first line
+// (the version word), then the update itself with no intervening yield,
+// then the remaining line writes — so concurrent writers never lose an
+// increment.
+func (c *kvCont) Visit(t *core.Task, state any, mech core.Mechanism) bool {
+	s, ps := c.st, state.(*partState)
+	work := s.AccessCycles * uint64(s.p.Touches)
+	if mech != core.SharedMem {
+		t.Work(work)
+		if c.put {
+			ps.vals[c.key]++
+			t.Log(c.key, ps)
+		}
+		c.res.value = ps.vals[c.key]
+		return true
+	}
+	th, proc := t.Thread(), t.Proc()
+	base := s.recordBase(ps, c.key)
+	if !c.put {
+		for i := 0; i < s.p.Touches; i++ {
+			s.shm.Read(th, proc, base+mem.Addr(i*mem.LineBytes), 8)
+		}
+		t.Work(work)
+		c.res.value = ps.vals[c.key]
+		return true
+	}
+	s.shm.RMW(th, proc, base)
+	ps.vals[c.key]++
+	c.res.value = ps.vals[c.key]
+	t.Log(c.key, ps)
+	for i := 1; i < s.p.Touches; i++ {
+		s.shm.Write(th, proc, base+mem.Addr(i*mem.LineBytes), 8)
+	}
+	t.Work(work)
+	return true
+}
+
+// RPC makes the accesses from the requester: Touches-1 short record
+// touches, then the get or put call that returns the version.
+func (c *kvCont) RPC(t *core.Task) bool {
 	s := c.st
-	if !t.IsLocal(c.cur) {
-		t.Migrate(c.cur, s.cOp, c)
-		return
+	for i := 0; i < s.p.Touches-1; i++ {
+		var ack ackReply
+		if err := t.Call(c.cur, s.mTouch, nil, &ack); err != nil {
+			panic("kv: touch failed: " + err.Error())
+		}
 	}
-	ps := t.State(c.cur).(*partState)
-	t.Work(s.AccessCycles * uint64(s.p.Touches))
+	m := s.mGet
 	if c.put {
-		ps.vals[c.key]++
-		t.Log(c.key, ps)
+		m = s.mPut
 	}
-	t.Return(&valueReply{value: ps.vals[c.key]})
+	if err := t.Call(c.cur, m, &keyArg{key: c.key}, &c.res); err != nil {
+		panic("kv: access failed: " + err.Error())
+	}
+	return true
 }
 
 // AttachPolicy registers the store's three call sites (get, put, scan)

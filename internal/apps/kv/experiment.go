@@ -163,11 +163,7 @@ func RunExperiment(cfg Config) Result {
 				}
 				res.Gets++
 			case load.KindScan:
-				// A fresh task on the same thread and processor: the index
-				// walk hands its task to interface methods, which moves it
-				// to the heap, and this keeps the gets' and puts' task on
-				// the stack.
-				st.Scan(m.RT.NewTask(th, proc), key, ev.Op.ScanLen)
+				st.Scan(task, key, ev.Op.ScanLen)
 				res.Scans++
 			}
 			col.CountOp(uint64(th.Now() - arrive))

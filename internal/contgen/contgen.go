@@ -16,7 +16,9 @@
 // []gid.GID. Pointer, interface, map, channel, and function fields are
 // environment references (a *Tree, a *Network): they never travel and
 // are reconstructed by the receiving side's continuation factory, so the
-// generator skips them.
+// generator skips them. So does a field tagged `compmig:"local"`, of any
+// type: host-side state of the record, such as the result an operation
+// record leaves for its requester.
 package contgen
 
 import (
@@ -27,6 +29,8 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 )
 
@@ -54,7 +58,8 @@ const (
 	KindU32Slice
 	KindU64Slice
 	KindGIDSlice
-	KindSkip // environment reference: not marshaled
+	KindSkip  // environment reference: not marshaled
+	KindLocal // tagged compmig:"local": host-side, not marshaled
 )
 
 // Parse extracts the annotated records from a Go source file.
@@ -85,6 +90,9 @@ func Parse(filename string, src []byte) (pkg string, recs []Record, err error) {
 			rec := Record{Name: ts.Name.Name}
 			for _, f := range st.Fields.List {
 				kind, err := classify(f.Type)
+				if local(f.Tag) {
+					kind, err = KindLocal, nil
+				}
 				if err != nil {
 					return "", nil, fmt.Errorf("%s: %s: %v", filename, ts.Name.Name, err)
 				}
@@ -111,6 +119,15 @@ func annotated(g *ast.CommentGroup) bool {
 		}
 	}
 	return false
+}
+
+// local reports a field tagged `compmig:"local"`.
+func local(tag *ast.BasicLit) bool {
+	if tag == nil {
+		return false
+	}
+	v, err := strconv.Unquote(tag.Value)
+	return err == nil && reflect.StructTag(v).Get("compmig") == "local"
 }
 
 // classify maps an AST type expression to a wire kind.
@@ -221,6 +238,8 @@ func genMarshal(b *bytes.Buffer, r Record) {
 			fmt.Fprintf(b, "\tfor _, v := range c.%s {\n\t\tw.PutU64(uint64(v))\n\t}\n", f.Name)
 		case KindSkip:
 			fmt.Fprintf(b, "\t// c.%s: environment reference, stays host-side\n", f.Name)
+		case KindLocal:
+			fmt.Fprintf(b, "\t// c.%s: host-side, not marshaled\n", f.Name)
 		}
 	}
 	b.WriteString("}\n\n")
@@ -251,6 +270,8 @@ func genUnmarshal(b *bytes.Buffer, r Record) {
 			fmt.Fprintf(b, "\tfor i := range c.%s {\n\t\tc.%s[i] = gid.GID(r.U64())\n\t}\n", f.Name, f.Name)
 		case KindSkip:
 			fmt.Fprintf(b, "\t// c.%s: reconstructed by the continuation factory\n", f.Name)
+		case KindLocal:
+			fmt.Fprintf(b, "\t// c.%s: host-side, not marshaled\n", f.Name)
 		}
 	}
 	b.WriteString("\treturn r.Err()\n}\n\n")

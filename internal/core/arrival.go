@@ -17,13 +17,13 @@ import (
 
 // pop takes the most recently pooled record, or nil when the pool is
 // empty.
-func pop[T any](pool *[]*T) *T {
+func pop[T any](pool *[]T) (x T) {
 	n := len(*pool)
 	if n == 0 {
-		return nil
+		return x
 	}
-	x := (*pool)[n-1]
-	(*pool)[n-1] = nil
+	x = (*pool)[n-1]
+	clear((*pool)[n-1:])
 	*pool = (*pool)[:n-1]
 	return x
 }
@@ -79,7 +79,7 @@ func (a *rpcArrival) start() { a.dst.Spawn(a.ent.thread, 0, a.body) }
 // state and sends the reply back.
 func (a *rpcArrival) run(th *sim.Thread) {
 	rt := a.rt
-	a.task = Task{rt: rt, th: th, proc: a.dst, isMethod: true, atBase: true}
+	a.task = Task{rt: rt, th: th, proc: a.dst, isMethod: true}
 	a.ent.handler(&a.task, rt.Objects.State(a.g), &a.args, &a.reply)
 	rt.sendReply(&a.task, a.caller, a.replyID, a.reply.Words())
 	a.put()
@@ -117,10 +117,7 @@ func (a *migArrival) put() {
 	a.ls.migs = append(a.ls.migs, a)
 }
 
-func (a *migArrival) start() {
-	a.ls.activations++
-	a.dst.Spawn("activation", 0, a.body)
-}
+func (a *migArrival) start() { a.dst.Spawn("activation", 0, a.body) }
 
 // run is the activation thread: it reconstructs the continuation record
 // and resumes it.
@@ -133,9 +130,15 @@ func (a *migArrival) run(th *sim.Thread) {
 	if int(contID) >= len(rt.conts) {
 		panic(fmt.Sprintf("core: unknown continuation id %d", contID))
 	}
-	frames := rt.unmarshalFrames(r, nframes)
-	next := rt.conts[contID].factory()
-	if err := next.UnmarshalWords(r); err != nil {
+	a.task = Task{rt: rt, th: th, proc: a.dst, reply: replyHandle{proc: proc, id: id}, frames: rt.unmarshalFrames(r, nframes)}
+	ent := &rt.conts[contID]
+	var rec msg.Unmarshaler
+	if ent.walker != nil {
+		rec = a.task.Record(contID)
+	} else {
+		rec = ent.factory()
+	}
+	if err := rec.UnmarshalWords(r); err != nil {
 		panic("core: corrupt continuation record: " + err.Error())
 	}
 	if err := r.Err(); err != nil {
@@ -146,10 +149,15 @@ func (a *migArrival) run(th *sim.Thread) {
 	if a.m.Kind != "thread-migrate" && r.Remaining() != 0 {
 		panic(fmt.Sprintf("core: %d trailing words in migration payload", r.Remaining()))
 	}
-	a.task = Task{rt: rt, th: th, proc: a.dst, reply: replyHandle{proc: proc, id: id}, atBase: true, frames: frames}
-	next.Run(&a.task)
+	if w, ok := rec.(Walker); ok && ent.walker != nil {
+		// The record is spent once it has shipped on or returned.
+		a.task.hop(contID, w)
+		a.ls.records[contID] = append(a.ls.records[contID], w)
+	} else {
+		rec.(Continuation).Run(&a.task)
+	}
 	if !a.task.migrated && !a.task.returned {
-		panic("core: activation " + rt.conts[contID].name + " finished without Return or Migrate")
+		panic("core: activation " + ent.name + " finished without Return or Migrate")
 	}
 	// Activation thread dies here — the paper's "destroy the original
 	// thread" for frames at the base of their stack.

@@ -73,7 +73,7 @@ func (rt *Runtime) resumeResidual(ent *residualEntry, words []uint32) {
 	rt.colAt(ent.proc).AddCycles(stats.CatThreadCreation, rt.Model.ThreadCreation)
 	proc.ExecAsync(rt.Model.ThreadCreation+rt.Model.Scheduler, func() {
 		proc.Spawn("residual", 0, func(th *sim.Thread) {
-			task := &Task{rt: rt, th: th, proc: proc, reply: ent.origReply, atBase: true}
+			task := &Task{rt: rt, th: th, proc: proc, reply: ent.origReply}
 			ent.frame.Resume(task, msg.NewReader(words))
 			if !task.migrated && !task.returned {
 				panic("core: residual finished without Return or Migrate")

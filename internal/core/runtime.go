@@ -155,6 +155,7 @@ type Continuation interface {
 type contEntry struct {
 	name    string
 	factory func() Continuation
+	walker  func() Walker // set instead of factory for an operation record
 }
 
 // Runtime wires the simulated machine, network, cost model, and object

@@ -9,10 +9,11 @@ import (
 )
 
 // laneState is one lane's slice of the runtime's mutable state: its
-// statistics collector, its reply table, its activation count, and the
-// arrival pools and scratch codec of its message path. A serial runtime
-// has exactly one lane; Shard gives every shard lane its own. Every
-// field is touched only while that lane executes — reply slots are
+// statistics collector, its reply table, the arrival pools and scratch
+// codec of its message path, and the pooled activations and records of
+// its walks. A serial runtime has exactly one lane; Shard gives every
+// shard lane its own. Every field is touched only while that lane
+// executes — reply slots are
 // allocated, completed and waited on at the operation's originating
 // processor, arrivals are taken and retired on the receiving processor,
 // and charges go to the collector of the processor doing the charging —
@@ -25,11 +26,12 @@ type laneState struct {
 	freeIDs     []uint32
 	slots       []*replySlot // settled slots whose waiter has read them
 
-	activations uint64
-
 	rpcs []*rpcArrival
 	migs []*migArrival
 	rets []*replyArrival
+
+	acts    []*Task    // idle activations for Walk
+	records [][]Walker // idle operation records, by walker type
 
 	w msg.Writer // marshals outgoing payloads before they are copied out
 	r msg.Reader // decodes reply words into the caller's record
@@ -47,7 +49,7 @@ func (ls *laneState) scratch() *msg.Writer {
 }
 
 // Shard routes the runtime over a lane cluster: cycle charges, message
-// counters, reply tables, activation counts and arrival pools become
+// counters, reply tables and arrival pools become
 // per-lane (cols, by lane index), so the lanes can execute concurrently
 // within a synchronization window. The object space, method/continuation
 // tables, and location hints stay shared — the first two are immutable
@@ -80,12 +82,3 @@ func (rt *Runtime) laneAt(proc int) *laneState {
 // colAt returns the collector charges from processor proc's stream go
 // to: the lane collector under sharding, the runtime collector serially.
 func (rt *Runtime) colAt(proc int) *stats.Collector { return rt.laneAt(proc).col }
-
-// ActivationsTotal returns migration activations summed across lanes.
-func (rt *Runtime) ActivationsTotal() uint64 {
-	var total uint64
-	for i := range rt.lanes {
-		total += rt.lanes[i].activations
-	}
-	return total
-}

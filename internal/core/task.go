@@ -29,7 +29,6 @@ type Task struct {
 	proc *sim.Proc
 
 	reply    replyHandle
-	atBase   bool // true for a remote activation (frame at the base of its stack)
 	isMethod bool // true inside an instance-method handler
 	migrated bool // set once the activation has migrated away
 	returned bool // set once Return has delivered the result
@@ -95,6 +94,12 @@ func (t *Task) State(g gid.GID) any {
 // then decodes the result into out (which may be nil when the procedure
 // returns no values).
 func (t *Task) Do(entry Continuation, out msg.Unmarshaler) error {
+	return t.do(entry.Run, out)
+}
+
+// do runs a migratable procedure whose entry is run, on the activation
+// the procedure starts as, and waits for its result.
+func (t *Task) do(run func(*Task), out msg.Unmarshaler) error {
 	if t.isMethod {
 		panic("core: instance method activations may not start migratable procedures")
 	}
@@ -105,7 +110,7 @@ func (t *Task) Do(entry Continuation, out msg.Unmarshaler) error {
 	}
 	child := t.child
 	*child = Task{rt: t.rt, th: t.th, proc: t.proc, reply: replyHandle{proc: here, id: id}}
-	entry.Run(child)
+	run(child)
 	// Either the procedure completed locally (slot already settled) or it
 	// migrated away and this thread is now the waiting client stub.
 	words, err := slot.wait(t.th)
@@ -135,6 +140,12 @@ func (t *Task) Migrate(g gid.GID, contID ContID, next Continuation) {
 		next.Run(t)
 		return
 	}
+	t.ship(g, contID, next)
+}
+
+// ship sends record next, continuation contID, to remote object g's home
+// and marks this frame dead.
+func (t *Task) ship(g gid.GID, contID ContID, next msg.Marshaler) {
 	t.migrated = true
 	rt := t.rt
 	here := t.proc.ID()

@@ -48,7 +48,7 @@ func (f *MachineFlags) Parse() {
 	if f.Scheme, err = ParseScheme(f.scheme); err != nil {
 		f.Fail(err)
 	}
-	if f.Faults, err = ParseFaults(f.faults); err != nil {
+	if f.Faults, err = fault.ParseSpec(f.faults); err != nil {
 		f.Fail(err)
 	}
 	if f.policyStats != "" && f.Policy == "" {

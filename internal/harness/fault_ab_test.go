@@ -31,9 +31,9 @@ func TestFaultZeroSpecIsByteIdentical(t *testing.T) {
 	if nilPlan != zeroPlan {
 		t.Error("zero fault spec perturbed the suite output")
 	}
-	parsed, err := ParseFaults("")
+	parsed, err := fault.ParseSpec("")
 	if err != nil || parsed != nil {
-		t.Fatalf(`ParseFaults("") = %v, %v; want nil, nil`, parsed, err)
+		t.Fatalf(`fault.ParseSpec("") = %v, %v; want nil, nil`, parsed, err)
 	}
 	emptyFlag := renderAll(t, Options{Quick: true, Workers: 4, Faults: parsed})
 	if nilPlan != emptyFlag {

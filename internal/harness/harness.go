@@ -52,14 +52,6 @@ type Options struct {
 	Shards int
 }
 
-// ParseFaults parses the -faults flag grammar into a plan for
-// Options.Faults: comma-separated drop=F, dup=F, reorder=F,
-// delay=MIN:MAX, crash=pN@START+DUR, pause=pN@START+DUR, seed=N,
-// rto=N, rtomax=N, retries=N. An empty string yields nil (no faults).
-func ParseFaults(text string) (*fault.Spec, error) {
-	return fault.ParseSpec(text)
-}
-
 func (o Options) seed() uint64 {
 	if o.Seed == 0 {
 		return 1

@@ -82,12 +82,9 @@ type Config struct {
 // host-side structures, policies and fault plans keep global mutable
 // state, and tracing requires one totally ordered event log.
 func (c Config) ineligible() string {
-	switch c.Scheme.Mechanism {
-	case core.Migrate, core.RPC:
-	default:
-		return "the " + c.Scheme.Mechanism.String() + " scheme moves state between processors through host-side structures"
-	}
-	switch {
+	switch m := c.Scheme.Mechanism; {
+	case m != core.Migrate && m != core.RPC:
+		return "the " + m.String() + " scheme moves state between processors through host-side structures"
 	case c.Scheme.Replication:
 		return "replication keeps read-only copies coherent across processors"
 	case c.Policy != "":

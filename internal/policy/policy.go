@@ -308,7 +308,7 @@ func (s *Site) Begin(proc int, g gid.GID) core.Mechanism {
 	e.origin[proc].opHops = 0
 	m := s.decide(proc, g)
 	s.decisions[m]++
-	profileDecision(m)
+	decisionCounters[m].Add(1)
 	return m
 }
 
@@ -577,19 +577,13 @@ func (e *Engine) ObjectPressure(g gid.GID) (*ObjectStats, uint64) {
 	return obj, inval
 }
 
-// profileDecision bumps the process-wide decision counters surfaced by
-// the -profile flag.
-func profileDecision(m core.Mechanism) {
-	switch m {
-	case core.RPC:
-		profile.PolicyRPC.Add(1)
-	case core.Migrate:
-		profile.PolicyCM.Add(1)
-	case core.SharedMem:
-		profile.PolicySM.Add(1)
-	case core.ObjMigrate:
-		profile.PolicyOM.Add(1)
-	}
+// decisionCounters are the process-wide decision counters surfaced by
+// the -profile flag, indexed by mechanism.
+var decisionCounters = [...]*profile.Section{
+	core.RPC:        profile.PolicyRPC,
+	core.Migrate:    profile.PolicyCM,
+	core.SharedMem:  profile.PolicySM,
+	core.ObjMigrate: profile.PolicyOM,
 }
 
 // SiteStats is the JSON form of one site's live profile, consumable by

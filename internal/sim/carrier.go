@@ -13,7 +13,7 @@ import (
 // it back when its body returns, so only threads that have started and
 // not yet exited hold one.
 //
-// Only the engine loop (the hub: Run, RunUntil, runWindow) calls next.
+// Only the engine loop (the hub: pump) calls next.
 // Inside the coroutine, drive calls suspend to hand control back to the
 // hub, which resumes the carrier again only once it has a thread for it:
 // its own parked thread's wakeup, or a new binding.

@@ -213,9 +213,9 @@ type Engine struct {
 	lane      int
 	curStream int32
 
-	// limited/runLimit are set while RunUntil is draining events, so
-	// neither a driving thread nor the fast path can advance the clock
-	// past the limit. stopped is set by Stop.
+	// limited/runLimit are set while the engine loop (pump) is draining
+	// events, so neither a driving thread nor the fast path can advance
+	// the clock past the limit. stopped is set by Stop.
 	limited  bool
 	stopped  bool
 	runLimit Time
@@ -425,12 +425,8 @@ func (e *Engine) resume(th *Thread) {
 func (e *Engine) Run() error {
 	defer e.drainCarriers()
 	defer e.countHandoffs(e.handoffs)
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		e.dispatch(e.pop())
-		if e.MaxEvents != 0 && e.processed >= e.MaxEvents {
-			return &MaxEventsError{Max: e.MaxEvents, Now: e.now}
-		}
+	if err := e.pump(^Time(0)); err != nil {
+		return err
 	}
 	if !e.stopped && e.liveThreads > 0 {
 		var blocked []string
@@ -448,14 +444,8 @@ func (e *Engine) Run() error {
 func (e *Engine) RunUntil(limit Time) error {
 	defer e.drainCarriers()
 	defer e.countHandoffs(e.handoffs)
-	e.stopped = false
-	e.limited, e.runLimit = true, limit
-	defer func() { e.limited = false }()
-	for len(e.heap) > 0 && !e.stopped && e.heap[0].at <= limit {
-		e.dispatch(e.pop())
-		if e.MaxEvents != 0 && e.processed >= e.MaxEvents {
-			return &MaxEventsError{Max: e.MaxEvents, Now: e.now}
-		}
+	if err := e.pump(limit); err != nil {
+		return err
 	}
 	if e.now < limit {
 		e.now = limit
@@ -463,12 +453,13 @@ func (e *Engine) RunUntil(limit Time) error {
 	return nil
 }
 
-// runWindow processes events with timestamps <= limit and returns,
-// leaving parked threads parked and the free carriers in place: unlike
-// RunUntil it neither drains them nor clamps the clock forward,
-// because the lane will be re-entered for the next synchronization
-// window. Only Cluster.Run calls it.
-func (e *Engine) runWindow(limit Time) error {
+// pump is the engine loop: it dispatches events in order while their
+// timestamps are <= limit, until the heap drains or Stop is called, and
+// returns a *MaxEventsError if the runaway guard trips. It leaves parked
+// threads parked, the free carriers in place and the clock where the
+// last event put it: Run and RunUntil finish from there, and a cluster
+// lane re-enters pump for its next synchronization window.
+func (e *Engine) pump(limit Time) error {
 	e.stopped = false
 	e.limited, e.runLimit = true, limit
 	defer func() { e.limited = false }()
@@ -481,12 +472,17 @@ func (e *Engine) runWindow(limit Time) error {
 	return nil
 }
 
-// fastAdvance reports whether the clock can jump straight to at without
+// TryAdvance reports whether the clock can jump straight to at without
 // dispatching any other event, and performs the jump when it can. A
-// running thread uses this to skip the schedule-pump round trip entirely
-// when its own wakeup would be the very next event processed: the
-// observable execution order is exactly the slow path's.
-func (e *Engine) fastAdvance(at Time) bool {
+// running thread uses it to skip the schedule-pump round trip entirely
+// when its own wakeup would be the very next event processed, and inline
+// fast paths (e.g. the shared-memory substrate's home-local miss path)
+// use it to complete a whole future transaction synchronously: when it
+// returns true, nothing else in the simulation can observe an
+// intermediate point of [Now, at], so state mutations that would have
+// happened inside that window may be applied immediately. The observable
+// execution order is exactly the slow path's.
+func (e *Engine) TryAdvance(at Time) bool {
 	if e.stopped || (e.MaxEvents != 0 && e.processed >= e.MaxEvents) {
 		return false
 	}
@@ -500,15 +496,6 @@ func (e *Engine) fastAdvance(at Time) bool {
 	e.processed++
 	return true
 }
-
-// TryAdvance reports whether the clock can jump straight to at without
-// dispatching any other event, and performs the jump when it can. It is
-// the hook inline fast paths (e.g. the shared-memory substrate's
-// home-local miss path) use to complete a whole future transaction
-// synchronously: when it returns true, nothing else in the simulation can
-// observe an intermediate point of [Now, at], so state mutations that
-// would have happened inside that window may be applied immediately.
-func (e *Engine) TryAdvance(at Time) bool { return e.fastAdvance(at) }
 
 // eventHeap is a binary min-heap ordered by (at, stream, seq) — stream
 // is zero everywhere on a serial engine, so its order there is the

@@ -209,7 +209,7 @@ func (th *Thread) Exec(p *Proc, cycles Time) {
 		panic(fmt.Sprintf("sim: thread %s executing on p%d of another shard lane", th, p.id))
 	}
 	end := p.reserve(cycles)
-	if th.eng.fastAdvance(end) {
+	if th.eng.TryAdvance(end) {
 		return
 	}
 	th.eng.schedule(end, nil, th, &p.run)

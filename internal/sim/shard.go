@@ -379,7 +379,7 @@ func (cl *Cluster) runLanes(drivers []laneDriver, limit Time) error {
 			if len(e.heap) == 0 || e.heap[0].at > limit {
 				continue
 			}
-			if err := e.runWindow(limit); err != nil {
+			if err := e.pump(limit); err != nil {
 				return err
 			}
 		}
@@ -429,7 +429,7 @@ func (cl *Cluster) startDrivers() []laneDriver {
 			for limit := range d.work {
 				var err error
 				if len(e.heap) > 0 && e.heap[0].at <= limit {
-					err = e.runWindow(limit)
+					err = e.pump(limit)
 				}
 				d.done <- err
 			}

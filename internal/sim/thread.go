@@ -296,7 +296,7 @@ func (th *Thread) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	if th.eng.fastAdvance(th.eng.now + d) {
+	if th.eng.TryAdvance(th.eng.now + d) {
 		return
 	}
 	th.eng.scheduleWake(th.eng.now+d, th)
@@ -306,7 +306,7 @@ func (th *Thread) Sleep(d Time) {
 // Yield reschedules the thread at the current time behind already-queued
 // events. When no event is queued at the current time, it is a no-op.
 func (th *Thread) Yield() {
-	if th.eng.fastAdvance(th.eng.now) {
+	if th.eng.TryAdvance(th.eng.now) {
 		return
 	}
 	th.eng.scheduleWake(th.eng.now, th)
