@@ -81,13 +81,13 @@ engine-order:
 
 # alloc-pins re-runs the allocation pins by name: the warm message path
 # (remote call, migration hop, local call) and one operation per app
-# (countnet traversal under SM and CM, kv get and put under SM, a B-tree
-# lookup under SM) must allocate no more heap objects than their bounds.
+# (countnet traversal, kv get and put, a B-tree lookup, each under SM,
+# CM and RPC) must allocate no more heap objects than their bounds.
 alloc-pins:
 	$(GO) test ./internal/core/ -run 'Allocs' -count=1
 	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs' -count=1
-	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocsSM|TestPutAllocsSM' -count=1
-	$(GO) test ./internal/apps/btree/ -run 'TestLookupAllocsSM' -count=1
+	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocs|TestPutAllocs' -count=1
+	$(GO) test ./internal/apps/btree/ -run 'TestLookupAllocs' -count=1
 	@echo "alloc-pins: no operation allocates more than its pinned bound"
 
 # golden re-runs the output contracts by name: every paperfigs table at

@@ -8,12 +8,13 @@ import (
 	"compmig/internal/sim"
 )
 
-// Allocation pin: a warm shared-memory lookup's heap objects per
-// operation on a three-level tree, with the requester on its own
-// processor as in RunExperiment.
+// Allocation pins: a warm lookup's heap objects per operation on a
+// three-level tree, with the requester on its own processor as in
+// RunExperiment.
 
-func TestLookupAllocsSM(t *testing.T) {
-	scheme := core.Scheme{Mechanism: core.SharedMem}
+func lookupAllocs(t *testing.T, mech core.Mechanism) float64 {
+	t.Helper()
+	scheme := core.Scheme{Mechanism: mech}
 	p := Params{Fanout: 10, NodeProcs: 8, Fill: 0.7}
 	m := machine.New("btree", machine.Config{Seed: 1, Scheme: scheme}, p.NodeProcs+1)
 	tr := Build(m.RT, m.Mem, nil, scheme, p, seqKeys(200, 3))
@@ -33,8 +34,26 @@ func TestLookupAllocsSM(t *testing.T) {
 	if err := m.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%v allocations per lookup (height %d)", allocs, tr.Height())
-	if allocs > 2 {
-		t.Errorf("SM lookup allocates %v objects, want at most 2", allocs)
+	t.Logf("%v: %v allocations per lookup (height %d)", mech, allocs, tr.Height())
+	return allocs
+}
+
+func TestLookupAllocsSM(t *testing.T) {
+	if n := lookupAllocs(t, core.SharedMem); n > 2 {
+		t.Errorf("SM lookup allocates %v objects, want at most 2", n)
+	}
+}
+
+func TestLookupAllocsRPC(t *testing.T) {
+	// The steps travel in pooled messages; each node visit boxes its
+	// argument and reply records for Call.
+	if n := lookupAllocs(t, core.RPC); n > 9 {
+		t.Errorf("RPC lookup allocates %v objects, want at most 9", n)
+	}
+}
+
+func TestLookupAllocsCM(t *testing.T) {
+	if n := lookupAllocs(t, core.Migrate); n > 0 {
+		t.Errorf("CM lookup allocates %v objects, want at most 0", n)
 	}
 }

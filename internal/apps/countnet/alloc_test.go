@@ -46,10 +46,17 @@ func TestTraverseAllocsSM(t *testing.T) {
 }
 
 func TestTraverseAllocsCM(t *testing.T) {
-	// Six migrations and the reply: a message and payload each, the
-	// record each destination decodes into, and the entry record and the
-	// result reply.
-	if n := traverseAllocs(t, core.Migrate); n > 23 {
-		t.Errorf("CM traversal allocates %v objects, want at most 23", n)
+	// The migrations and the reply travel in pooled messages and each
+	// destination decodes into a pooled record: nothing per operation.
+	if n := traverseAllocs(t, core.Migrate); n > 0 {
+		t.Errorf("CM traversal allocates %v objects, want at most 0", n)
+	}
+}
+
+func TestTraverseAllocsRPC(t *testing.T) {
+	// The calls and replies travel in pooled messages; what is left is
+	// the reply record each balancer visit boxes for Call.
+	if n := traverseAllocs(t, core.RPC); n > 7 {
+		t.Errorf("RPC traversal allocates %v objects, want at most 7", n)
 	}
 }

@@ -120,3 +120,24 @@ func TestRunExperimentReportsFaultCounters(t *testing.T) {
 		t.Error("fault-free run reported fault counters")
 	}
 }
+
+// Under dup=0.5 half of all transmissions arrive twice, and the jitter
+// lands many duplicates well after the first copy was consumed. Every
+// arrival is the reliability layer's private copy, which it reads again
+// for each duplicate, so the runtime must not recycle it; both
+// message-passing schemes must keep the network's invariants.
+func TestDuplicatedDeliveriesKeepInvariants(t *testing.T) {
+	for _, mech := range []core.Mechanism{core.RPC, core.Migrate} {
+		res := RunExperiment(Config{
+			Threads: 8, Scheme: core.Scheme{Mechanism: mech},
+			Seed: 1, Warmup: 20000, Measure: 100000,
+			Faults: &fault.Spec{Dup: 0.5, DelayMax: 500, Seed: 5},
+		})
+		if res.Fault == nil || res.Fault.DupSuppressed == 0 {
+			t.Errorf("%v: plan suppressed no duplicate: %+v", mech, res.Fault)
+		}
+		if res.InvariantErr != "" {
+			t.Errorf("%v: invariants violated: %s", mech, res.InvariantErr)
+		}
+	}
+}

@@ -59,3 +59,29 @@ func TestPutAllocsSM(t *testing.T) {
 		t.Errorf("SM put allocates %v objects, want at most 0", n)
 	}
 }
+
+func TestGetAllocsRPC(t *testing.T) {
+	// The calls travel in pooled messages; the access's argument record
+	// is boxed for Call.
+	if n := accessAllocs(t, core.RPC, false); n > 1 {
+		t.Errorf("RPC get allocates %v objects, want at most 1", n)
+	}
+}
+
+func TestPutAllocsRPC(t *testing.T) {
+	if n := accessAllocs(t, core.RPC, true); n > 1 {
+		t.Errorf("RPC put allocates %v objects, want at most 1", n)
+	}
+}
+
+func TestGetAllocsCM(t *testing.T) {
+	if n := accessAllocs(t, core.Migrate, false); n > 0 {
+		t.Errorf("CM get allocates %v objects, want at most 0", n)
+	}
+}
+
+func TestPutAllocsCM(t *testing.T) {
+	if n := accessAllocs(t, core.Migrate, true); n > 0 {
+		t.Errorf("CM put allocates %v objects, want at most 0", n)
+	}
+}

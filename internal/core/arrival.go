@@ -30,7 +30,8 @@ func pop[T any](pool *[]T) (x T) {
 
 // rpcArrival is one method invocation: an RPC request on its way to its
 // handler thread, or a local call running inline. It owns the handler's
-// Task, its argument Reader and its reply Writer.
+// Task, its argument Reader and its reply Writer, and holds a remote
+// request's message until the handler returns.
 type rpcArrival struct {
 	rt *Runtime
 	ls *laneState
@@ -38,8 +39,9 @@ type rpcArrival struct {
 	dst     *sim.Proc
 	ent     *methodEntry
 	g       gid.GID
-	caller  int    // processor the reply goes to
-	replyID uint32 // reply slot on the caller
+	caller  int              // processor the reply goes to
+	replyID uint32           // reply slot on the caller
+	m       *network.Message // the request, whose payload args reads
 
 	task  Task
 	args  msg.Reader
@@ -76,12 +78,19 @@ func (a *rpcArrival) put() {
 func (a *rpcArrival) start() { a.dst.Spawn(a.ent.thread, 0, a.body) }
 
 // run is the handler thread: it runs the method against the object's
-// state and sends the reply back.
+// state, releases the request, whose payload the handler read its
+// arguments from, and sends the reply back. The handler appends its
+// result behind the reply id already in the reply buffer, which is
+// exactly the reply's payload.
 func (a *rpcArrival) run(th *sim.Thread) {
 	rt := a.rt
 	a.task = Task{rt: rt, th: th, proc: a.dst, isMethod: true}
+	a.reply.PutU32(a.replyID)
 	a.ent.handler(&a.task, rt.Objects.State(a.g), &a.args, &a.reply)
-	rt.sendReply(&a.task, a.caller, a.replyID, a.reply.Words())
+	a.args.Reset(nil)
+	rt.release(a.m)
+	a.m = nil
+	rt.sendResult(&a.task, a.ls, a.caller, a.replyID, a.reply.Words())
 	a.put()
 }
 
@@ -120,7 +129,8 @@ func (a *migArrival) put() {
 func (a *migArrival) start() { a.dst.Spawn("activation", 0, a.body) }
 
 // run is the activation thread: it reconstructs the continuation record
-// and resumes it.
+// and the frames riding with it, releases the message, and resumes the
+// record.
 func (a *migArrival) run(th *sim.Thread) {
 	rt, r := a.rt, &a.r
 	r.Reset(a.m.Payload)
@@ -149,6 +159,9 @@ func (a *migArrival) run(th *sim.Thread) {
 	if a.m.Kind != "thread-migrate" && r.Remaining() != 0 {
 		panic(fmt.Sprintf("core: %d trailing words in migration payload", r.Remaining()))
 	}
+	r.Reset(nil)
+	rt.release(a.m)
+	a.m = nil
 	if w, ok := rec.(Walker); ok && ent.walker != nil {
 		// The record is spent once it has shipped on or returned.
 		a.task.hop(contID, w)
@@ -170,9 +183,7 @@ type replyArrival struct {
 	rt *Runtime
 	ls *laneState
 
-	proc  int
-	id    uint32
-	words []uint32
+	m *network.Message // the reply: its id word, then the result words
 
 	complete func() // bound a.run, for ExecAsync
 }
@@ -188,9 +199,10 @@ func (ls *laneState) getReply(rt *Runtime) *replyArrival {
 
 // run returns the record to the pool before completing the slot (the
 // saved locals keep the reply), so the completion may itself reuse it.
+// The slot's waiter releases the message.
 func (a *replyArrival) run() {
-	rt, proc, id, words := a.rt, a.proc, a.id, a.words
-	a.words = nil
+	rt, m := a.rt, a.m
+	a.m = nil
 	a.ls.rets = append(a.ls.rets, a)
-	rt.completeReply(proc, id, words)
+	rt.completeReply(m.Dst, m.Payload[0], m.Payload[1:], m)
 }

@@ -51,7 +51,7 @@ func TestMultiFrameMigration(t *testing.T) {
 			t.Error("frame not pushed")
 		}
 		(&sumCont{r: r, cells: r.cells[1:4]}).Run(child)
-		words, err := slot.wait(th)
+		words, _, err := slot.wait(th)
 		if err != nil {
 			t.Error(err)
 		}

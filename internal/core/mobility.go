@@ -80,7 +80,9 @@ func (t *Task) PullObject(g gid.GID, stateWords uint64) error {
 	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(here), words))
 	rt.Net.SendGuarded(&network.Message{Src: here, Dst: rt.locate(here, g), Kind: "obj-fetch", Payload: payload},
 		rt.deliverFetch, rt.guard(here, id))
-	if _, err := slot.wait(t.th); err != nil {
+	// The object's state is installed by deliverObject; the slot carries
+	// no reply words.
+	if _, _, err := slot.wait(t.th); err != nil {
 		return err
 	}
 	if rt.Obs != nil {
@@ -156,6 +158,6 @@ func (rt *Runtime) deliverObject(m *network.Message) {
 		r := msg.NewReader(m.Payload)
 		id := r.U32()
 		rt.pins[gid.GID(r.U64())] = here.Engine().Now() + rt.PinCycles
-		rt.completeReply(m.Dst, id, nil)
+		rt.completeReply(m.Dst, id, nil, nil)
 	})
 }

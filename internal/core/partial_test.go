@@ -72,7 +72,7 @@ func TestMigratePartialKeepsHeavyStateHome(t *testing.T) {
 		child.MigratePartial(r.cells[2], probeID,
 			&probeCont{r: r, id: probeID, cur: r.cells[2]},
 			residID, &heavyResidual{r: r, weight: 100, buf: make([]uint32, 500)})
-		words, err := slot.wait(th)
+		words, _, err := slot.wait(th)
 		if err != nil {
 			t.Error(err)
 		}
@@ -110,7 +110,7 @@ func TestMigratePartialLocalInline(t *testing.T) {
 		child.MigratePartial(r.cells[2], probeID,
 			&probeCont{r: r, id: probeID, cur: r.cells[2]},
 			residID, &heavyResidual{r: r, weight: 2, buf: nil})
-		words, err := slot.wait(th)
+		words, _, err := slot.wait(th)
 		if err != nil {
 			t.Error(err)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"compmig/internal/gid"
 	"compmig/internal/msg"
@@ -43,27 +42,29 @@ func (t *Task) Call(g gid.GID, method MethodID, args msg.Marshaler, out msg.Unma
 	if args != nil {
 		args.MarshalWords(w)
 	}
-	payload := slices.Clone(w.Words())
-	words := uint64(len(payload)) + network.HeaderWords
+	m := ls.message(here, "rpc", w.Words())
+	reqWords := len(m.Payload)
+	words := uint64(reqWords) + network.HeaderWords
 
 	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
-	rt.Net.SendGuarded(&network.Message{Src: here, Dst: rt.locate(here, g), Kind: "rpc", Payload: payload},
-		rt.onRPC, rt.guard(here, id))
+	m.Dst = rt.locate(here, g)
+	rt.Net.SendGuarded(m, rt.onRPC, rt.guard(here, id))
 
-	reply, err := slot.wait(t.th)
+	reply, rm, err := slot.wait(t.th)
 	if err != nil {
 		return err
 	}
 	if rt.Obs != nil {
-		rt.Obs.RemoteCall(here, g, len(payload), len(reply), ent.short)
+		rt.Obs.RemoteCall(here, g, reqWords, len(reply), ent.short)
 	}
 	// Piggybacked location information: the reply tells the caller where
 	// the object really was.
 	rt.learn(here, g, rt.Objects.Home(g))
-	if out == nil {
-		return nil
+	if out != nil {
+		err = ls.r.Decode(reply, out)
 	}
-	return ls.r.Decode(reply, out)
+	rt.release(rm)
+	return err
 }
 
 func (t *Task) dispatchLocal(g gid.GID, ent *methodEntry, args msg.Marshaler, out msg.Unmarshaler) error {
@@ -89,7 +90,7 @@ func (t *Task) dispatchLocal(g gid.GID, ent *methodEntry, args msg.Marshaler, ou
 // deliverRPC is the server stub: it charges the receive path on the
 // object's home processor, runs the handler (in a fresh handler thread,
 // unless the method is short and takes the active-message fast path), and
-// sends the reply back.
+// sends the reply back (see rpcArrival.run).
 func (rt *Runtime) deliverRPC(m *network.Message) {
 	var r msg.Reader
 	r.Reset(m.Payload)
@@ -107,28 +108,28 @@ func (rt *Runtime) deliverRPC(m *network.Message) {
 	overhead := rt.chargeRecvTo(ls.col, words, ent.short)
 
 	a := ls.getRPC(rt)
-	a.dst, a.ent, a.g, a.caller, a.replyID = rt.Mach.Proc(m.Dst), ent, g, callerProc, replyID
-	// A sent payload is never modified, so the handler reads its
-	// arguments in place.
+	a.dst, a.ent, a.g, a.caller, a.replyID, a.m = rt.Mach.Proc(m.Dst), ent, g, callerProc, replyID, m
+	// The handler reads its arguments in place; the message is released
+	// once it returns.
 	a.args.Reset(m.Payload[len(m.Payload)-r.Remaining():])
 	a.dst.ExecAsync(overhead, a.spawn)
 }
 
-// sendReply returns a method result to the caller, or completes the
-// reply slot directly when the caller is co-located. resultWords is the
-// handler's reply buffer, which is reused once the handler retires, so
-// both paths copy it.
-func (rt *Runtime) sendReply(t *Task, callerProc int, replyID uint32, resultWords []uint32) {
+// sendResult delivers reply payload (the reply id, then the result
+// words) to reply slot id on processor proc: through the slot directly
+// when proc is this task's processor — results pass in registers, no
+// messages — and as a reply message otherwise. Either way the words are
+// copied into a message from lane ls's pool first, since they sit in a
+// buffer that is reused once the thread parks or retires.
+func (rt *Runtime) sendResult(t *Task, ls *laneState, proc int, id uint32, payload []uint32) {
 	here := t.proc.ID()
-	if callerProc == here {
-		rt.completeReply(callerProc, replyID, slices.Clone(resultWords))
+	m := ls.message(here, "reply", payload)
+	m.Dst = proc
+	if proc == here {
+		rt.completeReply(here, id, m.Payload[1:], m)
 		return
 	}
-	payload := make([]uint32, 1+len(resultWords))
-	payload[0] = replyID
-	copy(payload[1:], resultWords)
-	words := uint64(len(payload)) + network.HeaderWords
-	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(here), words))
-	rt.Net.SendGuarded(&network.Message{Src: here, Dst: callerProc, Kind: "reply", Payload: payload},
-		rt.onReply, rt.guard(callerProc, replyID))
+	words := uint64(len(m.Payload)) + network.HeaderWords
+	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
+	rt.Net.SendGuarded(m, rt.onReply, rt.guard(proc, id))
 }

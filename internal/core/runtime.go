@@ -262,9 +262,14 @@ func (rt *Runtime) ContIDOf(name string) ContID {
 // completion, because other events at the completion cycle run before
 // the waiter wakes.
 type replySlot struct {
-	ls    *laneState
-	done  bool
+	ls   *laneState
+	gen  uint32 // bumped at each issue, so a stale give-up can tell
+	done bool
+	// words are the reply's result words, held in the wire message m
+	// (nil when they are not pooled), which the waiter releases once it
+	// has decoded them.
 	words []uint32
+	m     *network.Message
 	err   error
 	// residual, when set, is the stay-behind half of a partially
 	// migrated activation that the reply resumes; nobody waits on the
@@ -292,13 +297,18 @@ func (rt *Runtime) newReply(proc int) (uint32, *replySlot) {
 	if s == nil {
 		s = &replySlot{ls: ls}
 	}
+	s.gen++
 	ls.replies[id] = s
 	return id, s
 }
 
 // completeReply settles reply slot id of processor proc's lane with the
-// result words, or resumes the residual frame the slot holds.
-func (rt *Runtime) completeReply(proc int, id uint32, words []uint32) {
+// result words, held in wire message m (nil when they are not pooled),
+// or resumes the residual frame the slot holds. The id returns to the
+// free list at once, with or without a fault injector: a duplicate of
+// the reply is suppressed by the reliability layer, and only ids that
+// failReply settled can still be named by a late reply.
+func (rt *Runtime) completeReply(proc int, id uint32, words []uint32, m *network.Message) {
 	ls := rt.laneAt(proc)
 	s, ok := ls.replies[id]
 	if !ok {
@@ -312,29 +322,27 @@ func (rt *Runtime) completeReply(proc int, id uint32, words []uint32) {
 		panic(fmt.Sprintf("core: reply id %d unknown or already completed", id))
 	}
 	delete(ls.replies, id)
-	if rt.Net.FaultInjector() == nil {
-		// Under faults ids are not recycled: a retransmitted reply could
-		// otherwise land after its id was reissued and complete the wrong
-		// slot. The 20-bit id space outlasts any bounded run.
-		ls.freeIDs = append(ls.freeIDs, id)
-	}
+	ls.freeIDs = append(ls.freeIDs, id)
 	if ent := s.residual; ent != nil {
 		// The reply belongs to a partially migrated activation: wake its
-		// stay-behind half instead of a waiting caller.
+		// stay-behind half instead of a waiting caller. The residual keeps
+		// the words, so m is not released.
 		s.recycle()
 		rt.resumeResidual(ent, words)
 		return
 	}
-	s.settle(words, nil)
+	s.settle(words, m, nil)
 }
 
 // failReply settles a reply slot with an error (the reliability layer
-// gave up on a message the slot was waiting on). An already-settled
-// slot is left alone: a late delivery may have won the race.
-func (rt *Runtime) failReply(proc int, id uint32, err error) {
+// gave up on a message the slot was waiting on). s and gen are the slot
+// and its issue the give-up was armed for: a slot that has settled
+// since — a late delivery may have won the race — or been recycled and
+// reissued is left alone. The failed id is retired, never reissued,
+// because a late reply may still name it.
+func (rt *Runtime) failReply(proc int, id uint32, s *replySlot, gen uint32, err error) {
 	ls := rt.laneAt(proc)
-	s, ok := ls.replies[id]
-	if !ok {
+	if s == nil || s.gen != gen || ls.replies[id] != s {
 		return
 	}
 	delete(ls.replies, id)
@@ -344,41 +352,61 @@ func (rt *Runtime) failReply(proc int, id uint32, err error) {
 		// caller to hand the error to.
 		panic(fmt.Sprintf("core: unrecoverable loss of reply %d owed to a partially migrated activation: %v", id, err))
 	}
-	s.settle(nil, err)
+	s.settle(nil, nil, err)
 }
 
 // guard returns the reliability layer's give-up callback for reply slot
 // id of processor proc, or nil on a fault-free network so the hot path
-// allocates no closure.
+// allocates no closure. It captures the slot live under id now and its
+// issue, so a give-up that fires after the slot completed is ignored.
 func (rt *Runtime) guard(proc int, id uint32) func(*fault.GiveUpError) {
 	if rt.Net.FaultInjector() == nil {
 		return nil
 	}
-	return func(err *fault.GiveUpError) { rt.failReply(proc, id, err) }
+	s := rt.laneAt(proc).replies[id]
+	var gen uint32
+	if s != nil {
+		gen = s.gen
+	}
+	return func(err *fault.GiveUpError) { rt.failReply(proc, id, s, gen, err) }
 }
 
-func (s *replySlot) settle(words []uint32, err error) {
-	s.done, s.words, s.err = true, words, err
+// release returns wire message m, whose payload its receiver has
+// consumed, to the pool of the receiving processor's lane. It does
+// nothing when a fault injector is attached: arrivals are then the
+// reliability layer's private copy, whose payload it may still
+// retransmit or redeliver, so faulted runs never recycle.
+func (rt *Runtime) release(m *network.Message) {
+	if rt.Net.FaultInjector() != nil {
+		return
+	}
+	ls := rt.laneAt(m.Dst)
+	ls.msgs = append(ls.msgs, m)
+}
+
+func (s *replySlot) settle(words []uint32, m *network.Message, err error) {
+	s.done, s.words, s.m, s.err = true, words, m, err
 	s.q.Signal()
 }
 
 // wait blocks th until the slot is settled, recycles the slot, and
-// splits the outcome: reply words on success, the recovery error when
+// splits the outcome: reply words and the message holding them (for the
+// waiter to release once decoded) on success, the recovery error when
 // the runtime gave up on a lost message.
-func (s *replySlot) wait(th *sim.Thread) ([]uint32, error) {
+func (s *replySlot) wait(th *sim.Thread) ([]uint32, *network.Message, error) {
 	if !s.done {
 		s.q.Wait(th, "reply")
 	}
 	if !s.done {
 		panic("core: woke from a reply wait before the reply")
 	}
-	words, err := s.words, s.err
+	words, m, err := s.words, s.m, s.err
 	s.recycle()
-	return words, err
+	return words, m, err
 }
 
 func (s *replySlot) recycle() {
-	s.done, s.words, s.err, s.residual = false, nil, nil, nil
+	s.done, s.words, s.m, s.err, s.residual = false, nil, nil, nil, nil
 	s.ls.slots = append(s.ls.slots, s)
 }
 

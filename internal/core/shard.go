@@ -4,20 +4,23 @@ import (
 	"fmt"
 
 	"compmig/internal/msg"
+	"compmig/internal/network"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
 
 // laneState is one lane's slice of the runtime's mutable state: its
-// statistics collector, its reply table, the arrival pools and scratch
-// codec of its message path, and the pooled activations and records of
-// its walks. A serial runtime has exactly one lane; Shard gives every
-// shard lane its own. Every field is touched only while that lane
-// executes — reply slots are
-// allocated, completed and waited on at the operation's originating
-// processor, arrivals are taken and retired on the receiving processor,
-// and charges go to the collector of the processor doing the charging —
-// so lanes never contend and never share a pooled record.
+// statistics collector, its reply table, the arrival and wire-message
+// pools and scratch codec of its message path, and the pooled
+// activations and records of its walks. A serial runtime has exactly
+// one lane; Shard gives every shard lane its own. Every field is
+// touched only while that lane executes — reply slots are allocated,
+// completed and waited on at the operation's originating processor,
+// arrivals are taken and retired on the receiving processor,
+// wire messages are taken by the sending lane and returned to the
+// receiving lane's pool (see Runtime.release), and charges go to the
+// collector of the processor doing the charging — so lanes never
+// contend and never share a pooled record.
 type laneState struct {
 	col *stats.Collector
 
@@ -29,6 +32,7 @@ type laneState struct {
 	rpcs []*rpcArrival
 	migs []*migArrival
 	rets []*replyArrival
+	msgs []*network.Message // consumed wire messages, payload arrays kept
 
 	acts    []*Task    // idle activations for Walk
 	records [][]Walker // idle operation records, by walker type
@@ -46,6 +50,20 @@ func newLane(col *stats.Collector) laneState {
 func (ls *laneState) scratch() *msg.Writer {
 	ls.w.Reset()
 	return &ls.w
+}
+
+// message takes a wire message of the given kind from src out of the
+// lane's pool and copies words into its payload, reusing the pooled
+// payload array. Callers copy the scratch writer's words here before
+// the send segment's Exec parks the thread, and set Dst once they know
+// it.
+func (ls *laneState) message(src int, kind string, words []uint32) *network.Message {
+	m := pop(&ls.msgs)
+	if m == nil {
+		m = new(network.Message)
+	}
+	*m = network.Message{Src: src, Kind: kind, Payload: append(m.Payload[:0], words...)}
+	return m
 }
 
 // Shard routes the runtime over a lane cluster: cycle charges, message

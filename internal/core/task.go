@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"compmig/internal/gid"
 	"compmig/internal/msg"
@@ -113,14 +112,15 @@ func (t *Task) do(run func(*Task), out msg.Unmarshaler) error {
 	run(child)
 	// Either the procedure completed locally (slot already settled) or it
 	// migrated away and this thread is now the waiting client stub.
-	words, err := slot.wait(t.th)
+	words, m, err := slot.wait(t.th)
 	if err != nil {
 		return err
 	}
-	if out == nil {
-		return nil
+	if out != nil {
+		err = t.rt.laneAt(here).r.Decode(words, out)
 	}
-	return t.rt.laneAt(here).r.Decode(words, out)
+	t.rt.release(m)
+	return err
 }
 
 // Migrate moves the remainder of the current procedure to object g's
@@ -164,18 +164,18 @@ func (t *Task) ship(g gid.GID, contID ContID, next msg.Marshaler) {
 	w.PutU32(packLinkage(t.reply.proc, t.reply.id))
 	t.marshalFrameBodies(w)
 	next.MarshalWords(w)
-	payload := slices.Clone(w.Words())
-	words := uint64(len(payload)) + network.HeaderWords
+	m := ls.message(here, "migrate", w.Words())
+	words := uint64(len(m.Payload)) + network.HeaderWords
 	if rt.Obs != nil {
 		// The reply linkage identifies the operation's originating
 		// processor regardless of how many hops the chain has taken.
-		rt.Obs.MigrateHop(t.reply.proc, g, len(payload))
+		rt.Obs.MigrateHop(t.reply.proc, g, len(m.Payload))
 	}
 
 	// Client-stub send path runs on the current processor.
 	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
-	rt.Net.SendGuarded(&network.Message{Src: here, Dst: rt.locate(here, g), Kind: "migrate", Payload: payload},
-		rt.onMigrate, rt.guard(t.reply.proc, t.reply.id))
+	m.Dst = rt.locate(here, g)
+	rt.Net.SendGuarded(m, rt.onMigrate, rt.guard(t.reply.proc, t.reply.id))
 	// The frame at this processor is now dead. If it was itself a remote
 	// activation, the thread is destroyed when Run returns; if it was the
 	// original caller's frame, Do is waiting on the reply slot.
@@ -220,33 +220,24 @@ func (t *Task) Return(result msg.Marshaler) {
 		return
 	}
 	t.returned = true
-	here := t.proc.ID()
-	ls := rt.laneAt(here)
+	ls := rt.laneAt(t.proc.ID())
 	w := ls.scratch()
 	w.PutU32(t.reply.id)
 	if result != nil {
 		result.MarshalWords(w)
 	}
-	payload := slices.Clone(w.Words())
-	if t.reply.proc == here {
-		// Local completion: the procedure never left (or returned home);
-		// results pass in registers, no messages.
-		rt.completeReply(here, t.reply.id, payload[1:])
-		return
-	}
-	words := uint64(len(payload)) + network.HeaderWords
-	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
-	rt.Net.SendGuarded(&network.Message{Src: here, Dst: t.reply.proc, Kind: "reply", Payload: payload},
-		rt.onReply, rt.guard(t.reply.proc, t.reply.id))
+	// Completes locally when the procedure never left (or returned home).
+	rt.sendResult(t, ls, t.reply.proc, t.reply.id, w.Words())
 }
 
 // deliverReply is the client-stub receive path for a returning result.
-// A sent payload is never modified, so the result words stay in place.
+// The result words stay in place in the message, which the waiter
+// releases once it has decoded them.
 func (rt *Runtime) deliverReply(m *network.Message) {
 	ls := rt.laneAt(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
 	overhead := rt.chargeRecvReplyTo(ls.col, words)
 	a := ls.getReply(rt)
-	a.proc, a.id, a.words = m.Dst, m.Payload[0], m.Payload[1:]
+	a.m = m
 	rt.Mach.Proc(m.Dst).ExecAsync(overhead, a.complete)
 }

@@ -117,11 +117,12 @@ func (tb *Table) Publish(t *core.Task, g gid.GID, state any, sizeWords uint64) {
 		if p == self {
 			continue
 		}
-		payload := make([]uint32, sizeWords)
 		words := sizeWords + network.HeaderWords
 		t.Thread().Exec(rt.Mach.Proc(self), rt.ChargeSendPath(words))
 		dst := p
-		rt.Net.Send(&network.Message{Src: self, Dst: dst, Kind: "repl-update", Payload: payload},
+		// The receiver prices the update from words and reads nothing, so
+		// the snapshot is charged on the wire without being materialized.
+		rt.Net.Send(&network.Message{Src: self, Dst: dst, Kind: "repl-update", ExtraWords: sizeWords},
 			func(m *network.Message) {
 				rt.Mach.Proc(dst).ExecAsync(rt.ChargeRecvReplyPath(words), nil)
 			})
