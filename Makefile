@@ -80,12 +80,15 @@ engine-order:
 	@echo "engine-order: the sorted runs dispatch in exact (time, seq) order"
 
 # alloc-pins re-runs the allocation pins by name: the warm message path
-# (remote call, migration hop, local call) and one operation per app
+# (remote call, migration hop, local call), the reliability layer's
+# send/deliver/ack cycle under faults, and one operation per app
 # (countnet traversal, kv get and put, a B-tree lookup, each under SM,
-# CM and RPC) must allocate no more heap objects than their bounds.
+# CM and RPC, and the countnet traversal under a drop/dup fault plan)
+# must allocate no more heap objects than their bounds.
 alloc-pins:
 	$(GO) test ./internal/core/ -run 'Allocs' -count=1
-	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs' -count=1
+	$(GO) test ./internal/network/ -run 'Allocs' -count=1
+	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs|TestFaultedTraverseAllocs' -count=1
 	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocs|TestPutAllocs' -count=1
 	$(GO) test ./internal/apps/btree/ -run 'TestLookupAllocs' -count=1
 	@echo "alloc-pins: no operation allocates more than its pinned bound"

@@ -45,10 +45,10 @@ func TestLookupAllocsSM(t *testing.T) {
 }
 
 func TestLookupAllocsRPC(t *testing.T) {
-	// The steps travel in pooled messages; each node visit boxes its
-	// argument and reply records for Call.
-	if n := lookupAllocs(t, core.RPC); n > 9 {
-		t.Errorf("RPC lookup allocates %v objects, want at most 9", n)
+	// The steps travel in pooled messages, and each node visit's
+	// argument and reply records live in the pooled operation record.
+	if n := lookupAllocs(t, core.RPC); n > 0 {
+		t.Errorf("RPC lookup allocates %v objects, want at most 0", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"compmig/internal/core"
+	"compmig/internal/fault"
 	"compmig/internal/machine"
 	"compmig/internal/sim"
 )
@@ -11,12 +12,21 @@ import (
 // Allocation pins: a warm traversal's heap objects per operation on the
 // paper's width-8 network, with the requester on its own processor as in
 // RunExperiment. A record, activation or task that starts escaping to
-// the heap per operation fails the pin.
+// the heap per operation fails the pin. faults, when not empty, is a
+// fault plan (fault.ParseSpec) the run is placed under.
 
-func traverseAllocs(t *testing.T, mech core.Mechanism) float64 {
+func traverseAllocs(t *testing.T, mech core.Mechanism, faults string) float64 {
 	t.Helper()
 	scheme := core.Scheme{Mechanism: mech}
-	m := machine.New("countnet", machine.Config{Seed: 1, Scheme: scheme}, 25)
+	cfg := machine.Config{Seed: 1, Scheme: scheme}
+	if faults != "" {
+		spec, err := fault.ParseSpec(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = spec
+	}
+	m := machine.New("countnet", cfg, 25)
 	n := Build(m.RT, m.Mem, scheme, 8)
 	var allocs float64
 	m.Mach.Proc(24).Spawn("requester", 0, func(th *sim.Thread) {
@@ -34,13 +44,17 @@ func traverseAllocs(t *testing.T, mech core.Mechanism) float64 {
 	if err := m.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%v: %v allocations per traversal", mech, allocs)
+	label := mech.String()
+	if faults != "" {
+		label += " under " + faults
+	}
+	t.Logf("%s: %v allocations per traversal", label, allocs)
 	return allocs
 }
 
 func TestTraverseAllocsSM(t *testing.T) {
 	// Shared memory walks the network in place: nothing per operation.
-	if n := traverseAllocs(t, core.SharedMem); n > 0 {
+	if n := traverseAllocs(t, core.SharedMem, ""); n > 0 {
 		t.Errorf("SM traversal allocates %v objects, want at most 0", n)
 	}
 }
@@ -48,15 +62,32 @@ func TestTraverseAllocsSM(t *testing.T) {
 func TestTraverseAllocsCM(t *testing.T) {
 	// The migrations and the reply travel in pooled messages and each
 	// destination decodes into a pooled record: nothing per operation.
-	if n := traverseAllocs(t, core.Migrate); n > 0 {
+	if n := traverseAllocs(t, core.Migrate, ""); n > 0 {
 		t.Errorf("CM traversal allocates %v objects, want at most 0", n)
 	}
 }
 
 func TestTraverseAllocsRPC(t *testing.T) {
-	// The calls and replies travel in pooled messages; what is left is
-	// the reply record each balancer visit boxes for Call.
-	if n := traverseAllocs(t, core.RPC); n > 7 {
-		t.Errorf("RPC traversal allocates %v objects, want at most 7", n)
+	// The calls and replies travel in pooled messages, and each visit
+	// decodes its reply into the pooled traversal record.
+	if n := traverseAllocs(t, core.RPC, ""); n > 0 {
+		t.Errorf("RPC traversal allocates %v objects, want at most 0", n)
+	}
+}
+
+// faultPlan loses and duplicates a few messages: every message then
+// travels through the reliability layer, with its acks, retransmissions
+// and suppressed duplicates, each in a pooled in-flight record.
+const faultPlan = "drop=0.02,dup=0.01"
+
+func TestFaultedTraverseAllocsCM(t *testing.T) {
+	if n := traverseAllocs(t, core.Migrate, faultPlan); n > 0 {
+		t.Errorf("faulted CM traversal allocates %v objects, want at most 0", n)
+	}
+}
+
+func TestFaultedTraverseAllocsRPC(t *testing.T) {
+	if n := traverseAllocs(t, core.RPC, faultPlan); n > 0 {
+		t.Errorf("faulted RPC traversal allocates %v objects, want at most 0", n)
 	}
 }

@@ -196,6 +196,7 @@ type traverseCont struct {
 	stage uint32
 	wire  uint32
 	res   valueReply `compmig:"local"`
+	rep   wireReply  `compmig:"local"` // an RPC visit's reply, decoded in place
 }
 
 // At is the balancer the token's wire enters at its stage, or, past the
@@ -251,8 +252,7 @@ func (n *Network) access(t *core.Task, mech core.Mechanism, addr mem.Addr, work 
 // peek, then the toggle or draw call.
 func (c *traverseCont) RPC(t *core.Task) bool {
 	n, g := c.net, c.At()
-	var rep wireReply
-	if err := t.Call(g, n.mPeek, nil, &rep); err != nil {
+	if err := t.Call(g, n.mPeek, nil, &c.rep); err != nil {
 		panic("countnet: peek failed: " + err.Error())
 	}
 	if int(c.stage) == len(n.stages) {
@@ -261,10 +261,10 @@ func (c *traverseCont) RPC(t *core.Task) bool {
 		}
 		return true
 	}
-	if err := t.Call(g, n.mToggle, nil, &rep); err != nil {
+	if err := t.Call(g, n.mToggle, nil, &c.rep); err != nil {
 		panic("countnet: toggle failed: " + err.Error())
 	}
-	c.wire = rep.wire
+	c.wire = c.rep.wire
 	c.stage++
 	return false
 }

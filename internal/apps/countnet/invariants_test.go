@@ -122,10 +122,10 @@ func TestRunExperimentReportsFaultCounters(t *testing.T) {
 }
 
 // Under dup=0.5 half of all transmissions arrive twice, and the jitter
-// lands many duplicates well after the first copy was consumed. Every
-// arrival is the reliability layer's private copy, which it reads again
-// for each duplicate, so the runtime must not recycle it; both
-// message-passing schemes must keep the network's invariants.
+// lands many duplicates well after the first copy was consumed and its
+// message recycled into a later send. The reliability layer must hand
+// each message over once and never reach it again for a duplicate;
+// both message-passing schemes must keep the network's invariants.
 func TestDuplicatedDeliveriesKeepInvariants(t *testing.T) {
 	for _, mech := range []core.Mechanism{core.RPC, core.Migrate} {
 		res := RunExperiment(Config{

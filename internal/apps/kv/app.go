@@ -231,6 +231,7 @@ type kvCont struct {
 	put bool
 	cur gid.GID
 	res valueReply `compmig:"local"`
+	arg keyArg     `compmig:"local"` // an RPC access's argument, marshaled in place
 }
 
 func (c *kvCont) At() gid.GID { return c.cur }
@@ -290,7 +291,8 @@ func (c *kvCont) RPC(t *core.Task) bool {
 	if c.put {
 		m = s.mPut
 	}
-	if err := t.Call(c.cur, m, &keyArg{key: c.key}, &c.res); err != nil {
+	c.arg.key = c.key
+	if err := t.Call(c.cur, m, &c.arg, &c.res); err != nil {
 		panic("kv: access failed: " + err.Error())
 	}
 	return true

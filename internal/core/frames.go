@@ -144,5 +144,5 @@ func (t *Task) MigrateThread(g gid.GID, contID ContID, next Continuation, stackW
 
 	t.th.Exec(t.proc, rt.chargeSendTo(col, words))
 	rt.Net.SendGuarded(&network.Message{Src: here, Dst: rt.locate(here, g), Kind: "thread-migrate", Payload: payload},
-		rt.onMigrate, rt.guard(t.reply.proc, t.reply.id))
+		rt.onMigrate, rt.onGiveUp, rt.guard(t.reply.proc, t.reply.id))
 }

@@ -79,7 +79,7 @@ func (t *Task) PullObject(g gid.GID, stateWords uint64) error {
 
 	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(here), words))
 	rt.Net.SendGuarded(&network.Message{Src: here, Dst: rt.locate(here, g), Kind: "obj-fetch", Payload: payload},
-		rt.deliverFetch, rt.guard(here, id))
+		rt.deliverFetch, rt.onGiveUp, rt.guard(here, id))
 	// The object's state is installed by deliverObject; the slot carries
 	// no reply words.
 	if _, _, err := slot.wait(t.th); err != nil {
@@ -143,7 +143,7 @@ func (rt *Runtime) deliverFetch(m *network.Message) {
 		col.AddCycles(stats.CatMessageSend, rt.Model.MessageSend)
 		here.ExecAsync(rt.Model.Marshal(outWords)+rt.Model.MessageSend, func() {
 			rt.Net.SendGuarded(&network.Message{Src: m.Dst, Dst: requester, Kind: "obj-move", Payload: payload},
-				rt.deliverObject, rt.guard(requester, replyID))
+				rt.deliverObject, rt.onGiveUp, rt.guard(requester, replyID))
 		})
 	})
 }

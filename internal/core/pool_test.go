@@ -183,7 +183,7 @@ func TestFaultedReplyIDsRecycled(t *testing.T) {
 func TestStaleGiveUpLeavesReissuedSlotAlone(t *testing.T) {
 	r, _ := newFaultRig(t, 2)
 	id, s := r.rt.newReply(0)
-	giveUp := r.rt.guard(0, id)
+	tok := r.rt.guard(0, id)
 	r.rt.completeReply(0, id, nil, nil)
 	s.wait(nil)
 
@@ -191,7 +191,7 @@ func TestStaleGiveUpLeavesReissuedSlotAlone(t *testing.T) {
 	if id2 != id || s2 != s {
 		t.Fatalf("reissue took id %d slot %p, want the recycled id %d slot %p", id2, s2, id, s)
 	}
-	giveUp(&fault.GiveUpError{Kind: "reply", Attempts: 3})
+	r.rt.onGiveUp(tok, &fault.GiveUpError{Kind: "reply", Attempts: 3})
 	if s2.done || r.rt.lanes[0].replies[id2] != s2 {
 		t.Fatal("a stale give-up settled the reissued slot")
 	}
@@ -206,7 +206,7 @@ func TestStaleGiveUpLeavesReissuedSlotAlone(t *testing.T) {
 func TestFailedReplyIDNeverReissued(t *testing.T) {
 	r, inj := newFaultRig(t, 2)
 	id, s := r.rt.newReply(0)
-	r.rt.guard(0, id)(&fault.GiveUpError{Kind: "rpc", Attempts: 3})
+	r.rt.onGiveUp(r.rt.guard(0, id), &fault.GiveUpError{Kind: "rpc", Attempts: 3})
 	var gu *fault.GiveUpError
 	if _, _, err := s.wait(nil); !errors.As(err, &gu) {
 		t.Fatalf("failed slot settled with %v, want a *fault.GiveUpError", err)

@@ -48,7 +48,7 @@ func (t *Task) Call(g gid.GID, method MethodID, args msg.Marshaler, out msg.Unma
 
 	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
 	m.Dst = rt.locate(here, g)
-	rt.Net.SendGuarded(m, rt.onRPC, rt.guard(here, id))
+	rt.Net.SendGuarded(m, rt.onRPC, rt.onGiveUp, rt.guard(here, id))
 
 	reply, rm, err := slot.wait(t.th)
 	if err != nil {
@@ -131,5 +131,5 @@ func (rt *Runtime) sendResult(t *Task, ls *laneState, proc int, id uint32, paylo
 	}
 	words := uint64(len(m.Payload)) + network.HeaderWords
 	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
-	rt.Net.SendGuarded(m, rt.onReply, rt.guard(proc, id))
+	rt.Net.SendGuarded(m, rt.onReply, rt.onGiveUp, rt.guard(proc, id))
 }

@@ -199,9 +199,10 @@ type Runtime struct {
 	cl    *sim.Cluster
 	lanes []laneState
 
-	// The message-path delivery callbacks, bound once so a send
-	// allocates no method value.
+	// The message-path delivery callbacks and the give-up callback,
+	// bound once so a send allocates no method value or closure.
 	onRPC, onMigrate, onReply func(*network.Message)
+	onGiveUp                  func(tok uint64, err *fault.GiveUpError)
 }
 
 // New creates a runtime over an existing machine and network.
@@ -217,6 +218,7 @@ func New(eng *sim.Engine, mach *sim.Machine, net *network.Network, col *stats.Co
 		lanes:     []laneState{newLane(col)},
 	}
 	rt.onRPC, rt.onMigrate, rt.onReply = rt.deliverRPC, rt.deliverMigrate, rt.deliverReply
+	rt.onGiveUp = rt.failReply
 	return rt
 }
 
@@ -263,7 +265,7 @@ func (rt *Runtime) ContIDOf(name string) ContID {
 // the waiter wakes.
 type replySlot struct {
 	ls   *laneState
-	gen  uint32 // bumped at each issue, so a stale give-up can tell
+	gen  uint32 // the lane's issue number, so a stale give-up can tell
 	done bool
 	// words are the reply's result words, held in the wire message m
 	// (nil when they are not pooled), which the waiter releases once it
@@ -297,7 +299,8 @@ func (rt *Runtime) newReply(proc int) (uint32, *replySlot) {
 	if s == nil {
 		s = &replySlot{ls: ls}
 	}
-	s.gen++
+	ls.issues++
+	s.gen = ls.issues
 	ls.replies[id] = s
 	return id, s
 }
@@ -335,14 +338,16 @@ func (rt *Runtime) completeReply(proc int, id uint32, words []uint32, m *network
 }
 
 // failReply settles a reply slot with an error (the reliability layer
-// gave up on a message the slot was waiting on). s and gen are the slot
-// and its issue the give-up was armed for: a slot that has settled
-// since — a late delivery may have won the race — or been recycled and
-// reissued is left alone. The failed id is retired, never reissued,
-// because a late reply may still name it.
-func (rt *Runtime) failReply(proc int, id uint32, s *replySlot, gen uint32, err error) {
+// gave up on a message the slot was waiting on). tok is the guard token
+// the message was sent with, naming the slot's processor, id and issue:
+// a slot that has settled since — a late delivery may have won the race
+// — or been recycled and reissued is left alone. The failed id is
+// retired, never reissued, because a late reply may still name it.
+func (rt *Runtime) failReply(tok uint64, err *fault.GiveUpError) {
+	proc, id := unpackLinkage(uint32(tok >> 32))
 	ls := rt.laneAt(proc)
-	if s == nil || s.gen != gen || ls.replies[id] != s {
+	s := ls.replies[id]
+	if s == nil || s.gen != uint32(tok) {
 		return
 	}
 	delete(ls.replies, id)
@@ -355,31 +360,27 @@ func (rt *Runtime) failReply(proc int, id uint32, s *replySlot, gen uint32, err 
 	s.settle(nil, nil, err)
 }
 
-// guard returns the reliability layer's give-up callback for reply slot
-// id of processor proc, or nil on a fault-free network so the hot path
-// allocates no closure. It captures the slot live under id now and its
-// issue, so a give-up that fires after the slot completed is ignored.
-func (rt *Runtime) guard(proc int, id uint32) func(*fault.GiveUpError) {
+// guard returns the token a message owed to reply slot id of processor
+// proc is sent with, for rt.onGiveUp: the packed linkage in the high
+// word, the issue of the slot live under id now in the low word (0 when
+// none is), so a give-up that fires after the slot completed is
+// ignored. A fault-free network never gives up, so it returns 0 there.
+func (rt *Runtime) guard(proc int, id uint32) uint64 {
 	if rt.Net.FaultInjector() == nil {
-		return nil
+		return 0
 	}
-	s := rt.laneAt(proc).replies[id]
 	var gen uint32
-	if s != nil {
+	if s := rt.laneAt(proc).replies[id]; s != nil {
 		gen = s.gen
 	}
-	return func(err *fault.GiveUpError) { rt.failReply(proc, id, s, gen, err) }
+	return uint64(packLinkage(proc, id))<<32 | uint64(gen)
 }
 
 // release returns wire message m, whose payload its receiver has
-// consumed, to the pool of the receiving processor's lane. It does
-// nothing when a fault injector is attached: arrivals are then the
-// reliability layer's private copy, whose payload it may still
-// retransmit or redeliver, so faulted runs never recycle.
+// consumed, to the pool of the receiving processor's lane. The network
+// hands each message to its receiver exactly once and keeps no
+// reference to it after, with or without a fault injector.
 func (rt *Runtime) release(m *network.Message) {
-	if rt.Net.FaultInjector() != nil {
-		return
-	}
 	ls := rt.laneAt(m.Dst)
 	ls.msgs = append(ls.msgs, m)
 }

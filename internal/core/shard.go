@@ -26,6 +26,7 @@ type laneState struct {
 
 	replies     map[uint32]*replySlot
 	nextReplyID uint32
+	issues      uint32 // reply slots issued, from 1; stamps replySlot.gen
 	freeIDs     []uint32
 	slots       []*replySlot // settled slots whose waiter has read them
 

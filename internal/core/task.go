@@ -175,7 +175,7 @@ func (t *Task) ship(g gid.GID, contID ContID, next msg.Marshaler) {
 	// Client-stub send path runs on the current processor.
 	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
 	m.Dst = rt.locate(here, g)
-	rt.Net.SendGuarded(m, rt.onMigrate, rt.guard(t.reply.proc, t.reply.id))
+	rt.Net.SendGuarded(m, rt.onMigrate, rt.onGiveUp, rt.guard(t.reply.proc, t.reply.id))
 	// The frame at this processor is now dead. If it was itself a remote
 	// activation, the thread is destroyed when Run returns; if it was the
 	// original caller's frame, Do is waiting on the reply slot.

@@ -150,10 +150,6 @@ type Message struct {
 	// ignores (the cache-coherence traffic) set this instead of
 	// allocating a Payload slice.
 	ExtraWords uint64
-
-	// Seq is the reliability layer's sequence number, stamped when a
-	// fault injector is attached; 0 otherwise.
-	Seq uint64
 }
 
 // Words returns the total wire size of the message including header.
@@ -338,7 +334,7 @@ func (n *Network) Send(m *Message, arrive func(*Message)) {
 // workloads.
 func (n *Network) SendAfter(m *Message, recvDelay uint64, arrive func(*Message)) {
 	if n.rel != nil {
-		n.rel.send(m, recvDelay, arrive, nil)
+		n.rel.send(m, recvDelay, arrive, nil, 0)
 		return
 	}
 	if n.cl != nil {
@@ -370,11 +366,13 @@ func (n *Network) SendAfter(m *Message, recvDelay uint64, arrive func(*Message))
 
 // SendGuarded is Send for callers that can recover from message loss:
 // when a fault injector is attached and the reliability layer exhausts
-// its retransmission budget, onGiveUp receives the typed error instead
-// of the network panicking. Without an injector it is exactly Send.
-func (n *Network) SendGuarded(m *Message, arrive func(*Message), onGiveUp func(*fault.GiveUpError)) {
+// its retransmission budget, onGiveUp receives tok and the typed error
+// instead of the network panicking. tok names what the message was
+// sent for, so one callback bound once serves every send. Without an
+// injector it is exactly Send.
+func (n *Network) SendGuarded(m *Message, arrive func(*Message), onGiveUp func(tok uint64, err *fault.GiveUpError), tok uint64) {
 	if n.rel != nil {
-		n.rel.send(m, 0, arrive, onGiveUp)
+		n.rel.send(m, 0, arrive, onGiveUp, tok)
 		return
 	}
 	n.SendAfter(m, 0, arrive)
@@ -390,7 +388,7 @@ func (n *Network) AttachFaults(inj *fault.Injector) {
 	if inj == nil {
 		panic("network: AttachFaults(nil)")
 	}
-	n.rel = newReliability(n, inj)
+	n.rel = &reliability{n: n, inj: inj}
 }
 
 // FaultInjector returns the attached injector, or nil on a fault-free

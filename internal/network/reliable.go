@@ -17,70 +17,80 @@ const frameWords = 2
 const ackWireWords = 1
 
 // reliability implements at-most-once delivery over a faulty wire:
-// sequence-numbered framing, receiver acks with duplicate suppression
-// keyed by (source proc, sequence), and sender retransmission under a
-// capped exponential backoff. It exists only while a fault injector is
-// attached; the fault-free path never allocates any of this.
+// sequence-numbered framing, receiver acks with duplicate suppression,
+// and sender retransmission under a capped exponential backoff. It
+// exists only while a fault injector is attached; the fault-free path
+// never touches any of this.
+//
+// Each logical message is one relPending record, taken from a free list
+// and returned to it once settled and unreferenced, so a warm faulted
+// message path allocates nothing.
 type reliability struct {
 	n   *Network
 	inj *fault.Injector
 
 	nextSeq uint64
-	pending map[uint64]*relPending
-	// seen records delivered (source, seq) pairs for duplicate
-	// suppression. Never swept: one experiment run is bounded, and a
-	// retransmit can arrive arbitrarily late relative to its ack.
-	seen map[dedupKey]struct{}
+	free    []*relPending
+	made    int // records ever allocated
 }
 
-type dedupKey struct {
-	src int
-	seq uint64
-}
-
-// relPending is one logical message awaiting its ack. The embedded
-// Message is a clone of the caller's — senders like mem's pooled
-// ctrlMsg reuse their message structs immediately, so the in-flight
-// copy must be private.
+// relPending is one logical message from its send until it is settled
+// (acked or given up) and no scheduled event names it any longer. It
+// keeps what retransmission and tracing read; the caller's message
+// itself is held only until its first delivery hands it to arrive, so
+// the receiver may recycle it and the sender may reuse a pooled one.
+//
+// refs counts the scheduled events that name the record: every
+// delivery copy, every ack copy, and the armed timer. A duplicate or an
+// ack can land long after the record settled, so the record goes back
+// to the free list only once it is settled and refs is 0: no late event
+// ever acts on a record reissued to another message.
 type relPending struct {
-	r         *reliability
-	m         Message
+	r *reliability
+
+	m         *Message // until the first delivery
+	kind      string
+	src, dst  int
+	words     uint64 // framed wire size
+	seq       uint64
 	recvDelay uint64
 	arrive    func(*Message)
-	onGiveUp  func(*fault.GiveUpError)
+	onGiveUp  func(tok uint64, err *fault.GiveUpError)
+	tok       uint64 // handed back to onGiveUp
+
 	attempts  int
 	rto       uint64
 	timer     *sim.Event
-	fire      func() // bound onTimeout, built once
-}
+	refs      int
+	delivered bool // the first delivery has run: later copies are duplicates
+	settled   bool // acked or given up: later acks do nothing
 
-func newReliability(n *Network, inj *fault.Injector) *reliability {
-	return &reliability{
-		n:       n,
-		inj:     inj,
-		pending: make(map[uint64]*relPending),
-		seen:    make(map[dedupKey]struct{}),
-	}
+	// Bound onTimeout, onLand and onAck, built once per record.
+	fire, land, ack func()
 }
 
 // send frames, transmits, and arms the retransmission timer for one
 // logical message.
-func (r *reliability) send(m *Message, recvDelay uint64, arrive func(*Message), onGiveUp func(*fault.GiveUpError)) {
-	r.nextSeq++
-	p := &relPending{
-		r:         r,
-		m:         *m,
-		recvDelay: recvDelay,
-		arrive:    arrive,
-		onGiveUp:  onGiveUp,
-		rto:       r.inj.RTOInitial(),
+func (r *reliability) send(m *Message, recvDelay uint64, arrive func(*Message), onGiveUp func(uint64, *fault.GiveUpError), tok uint64) {
+	var p *relPending
+	if k := len(r.free); k > 0 {
+		p = r.free[k-1]
+		r.free[k-1] = nil
+		r.free = r.free[:k-1]
+	} else {
+		p = &relPending{r: r}
+		p.fire, p.land, p.ack = p.onTimeout, p.onLand, p.onAck
+		r.made++
 	}
-	p.m.Seq = r.nextSeq
-	p.m.ExtraWords += frameWords
-	p.fire = p.onTimeout
-	r.pending[p.m.Seq] = p
+	r.nextSeq++
+	p.m, p.kind, p.src, p.dst = m, m.Kind, m.Src, m.Dst
+	p.words = m.Words() + frameWords
+	p.seq = r.nextSeq
+	p.recvDelay, p.arrive, p.onGiveUp, p.tok = recvDelay, arrive, onGiveUp, tok
+	p.rto = r.inj.RTOInitial()
 	r.transmit(p)
 	p.timer = r.n.eng.Schedule(p.rto, p.fire)
+	p.refs++
 }
 
 // transmit puts one copy of p's message on the wire: full word and
@@ -92,21 +102,20 @@ func (r *reliability) transmit(p *relPending) {
 		r.inj.Counters.Retransmits++
 	}
 	n := r.n
-	words := p.m.Words()
-	n.col.CountMessage(p.m.Kind, words)
-	lat := n.Latency(p.m.Src, p.m.Dst, words)
+	n.col.CountMessage(p.kind, p.words)
+	lat := n.Latency(p.src, p.dst, p.words)
 	n.col.AddCycles(stats.CatNetworkTransit, lat)
 	if n.eng.Tracing() {
 		n.eng.Tracef("send", "%s p%d->p%d %dw seq=%d try=%d",
-			p.m.Kind, p.m.Src, p.m.Dst, words, p.m.Seq, p.attempts)
+			p.kind, p.src, p.dst, p.words, p.seq, p.attempts)
 	}
-	v := r.inj.Judge(p.m.Kind)
+	v := r.inj.Judge(p.kind)
 	if v.Drop {
 		// The wire ate it after the sender paid for it; the timer will
 		// retransmit.
 		r.inj.Counters.Dropped++
 		if n.eng.Tracing() {
-			n.eng.Tracef("fault", "drop %s p%d->p%d seq=%d", p.m.Kind, p.m.Src, p.m.Dst, p.m.Seq)
+			n.eng.Tracef("fault", "drop %s p%d->p%d seq=%d", p.kind, p.src, p.dst, p.seq)
 		}
 		return
 	}
@@ -121,7 +130,7 @@ func (r *reliability) transmit(p *relPending) {
 // delay, subject to the destination's outage windows.
 func (r *reliability) deliverAfter(p *relPending, delay uint64) {
 	at := uint64(r.n.eng.Now()) + delay
-	drop, resume := r.inj.DeliveryDown(p.m.Dst, at)
+	drop, resume := r.inj.DeliveryDown(p.dst, at)
 	if drop {
 		r.inj.Counters.CrashDropped++
 		return
@@ -130,26 +139,34 @@ func (r *reliability) deliverAfter(p *relPending, delay uint64) {
 		r.inj.Counters.PauseDelayed++
 		delay += resume - at
 	}
-	r.n.eng.Schedule(delay, func() { r.deliver(p) })
+	r.n.eng.Schedule(delay, p.land)
+	p.refs++
 }
 
-// deliver runs at arrival time: ack first (even for duplicates — the
-// first ack may have been lost), then suppress duplicates, then hand
-// the message to the caller's arrive exactly once.
-func (r *reliability) deliver(p *relPending) {
+// onLand runs when a copy of the message arrives: ack first (even for
+// duplicates — the first ack may have been lost), then suppress
+// duplicates, then hand the message to the caller's arrive exactly
+// once. The record lets go of the message before arrive runs, so the
+// receiver owns it from then on.
+func (p *relPending) onLand() {
+	p.refs--
+	r := p.r
 	n := r.n
 	n.Delivered++
 	if n.eng.Tracing() {
-		n.eng.Tracef("deliver", "%s p%d->p%d seq=%d", p.m.Kind, p.m.Src, p.m.Dst, p.m.Seq)
+		n.eng.Tracef("deliver", "%s p%d->p%d seq=%d", p.kind, p.src, p.dst, p.seq)
 	}
 	r.sendAck(p)
-	key := dedupKey{src: p.m.Src, seq: p.m.Seq}
-	if _, dup := r.seen[key]; dup {
+	if p.delivered {
 		r.inj.Counters.DupSuppressed++
+		r.release(p)
 		return
 	}
-	r.seen[key] = struct{}{}
-	p.arrive(&p.m)
+	p.delivered = true
+	m, arrive := p.m, p.arrive
+	p.m, p.arrive = nil, nil
+	r.release(p)
+	arrive(m)
 }
 
 // sendAck sends the receiver's ack back to the sender, itself subject
@@ -159,26 +176,25 @@ func (r *reliability) sendAck(p *relPending) {
 	r.inj.Counters.Acks++
 	words := uint64(HeaderWords + ackWireWords)
 	n.col.CountMessage("ack", words)
-	lat := n.Latency(p.m.Dst, p.m.Src, words)
+	lat := n.Latency(p.dst, p.src, words)
 	n.col.AddCycles(stats.CatNetworkTransit, lat)
 	v := r.inj.Judge("ack")
 	if v.Drop {
 		r.inj.Counters.AckDropped++
 		return
 	}
-	seq := p.m.Seq
-	r.ackAfter(p, seq, lat+v.Delay)
+	r.ackAfter(p, lat+v.Delay)
 	if v.Dup {
 		r.inj.Counters.Duplicated++
-		r.ackAfter(p, seq, lat+v.DupDelay)
+		r.ackAfter(p, lat+v.DupDelay)
 	}
 }
 
 // ackAfter lands one ack copy at the original sender after delay,
 // subject to the sender's outage windows.
-func (r *reliability) ackAfter(p *relPending, seq, delay uint64) {
+func (r *reliability) ackAfter(p *relPending, delay uint64) {
 	at := uint64(r.n.eng.Now()) + delay
-	drop, resume := r.inj.DeliveryDown(p.m.Src, at)
+	drop, resume := r.inj.DeliveryDown(p.src, at)
 	if drop {
 		r.inj.Counters.AckDropped++
 		return
@@ -187,33 +203,36 @@ func (r *reliability) ackAfter(p *relPending, seq, delay uint64) {
 		r.inj.Counters.PauseDelayed++
 		delay += resume - at
 	}
-	r.n.eng.Schedule(delay, func() { r.onAck(seq) })
+	r.n.eng.Schedule(delay, p.ack)
+	p.refs++
 }
 
-// onAck settles the pending entry. Late and duplicate acks find nothing
-// and are ignored.
-func (r *reliability) onAck(seq uint64) {
-	p, ok := r.pending[seq]
-	if !ok {
-		return
+// onAck settles the record and disarms its timer. Late and duplicate
+// acks, and acks after a give-up, find it settled and do nothing.
+func (p *relPending) onAck() {
+	p.refs--
+	if !p.settled {
+		p.settled = true
+		if p.timer != nil {
+			p.timer.Cancel()
+			p.timer = nil
+			p.refs--
+		}
 	}
-	delete(r.pending, seq)
-	if p.timer != nil {
-		p.timer.Cancel()
-		p.timer = nil
-	}
+	p.r.release(p)
 }
 
 // onTimeout fires when an ack has not arrived within the current RTO:
 // back off and retransmit, or give up after the attempt budget.
 func (p *relPending) onTimeout() {
 	p.timer = nil // this event just fired; it must not be cancelled later
+	p.refs--
 	r := p.r
 	r.inj.Counters.Timeouts++
 	if p.attempts >= r.inj.MaxAttempts() {
-		delete(r.pending, p.m.Seq)
+		p.settled = true
 		r.inj.Counters.GiveUps++
-		err := &fault.GiveUpError{Kind: p.m.Kind, Src: p.m.Src, Dst: p.m.Dst, Attempts: p.attempts}
+		err := &fault.GiveUpError{Kind: p.kind, Src: p.src, Dst: p.dst, Attempts: p.attempts}
 		if p.onGiveUp == nil {
 			// Protocol traffic with no recovery slot (coherence,
 			// forwarding). At sane fault rates the attempt budget makes
@@ -221,7 +240,9 @@ func (p *relPending) onTimeout() {
 			// the event loop, so fail loudly instead.
 			panic("network: unrecoverable message loss: " + err.Error())
 		}
-		p.onGiveUp(err)
+		onGiveUp, tok := p.onGiveUp, p.tok
+		r.release(p)
+		onGiveUp(tok, err)
 		return
 	}
 	if p.rto < r.inj.RTOMax() {
@@ -232,4 +253,16 @@ func (p *relPending) onTimeout() {
 	}
 	r.transmit(p)
 	p.timer = r.n.eng.Schedule(p.rto, p.fire)
+	p.refs++
+}
+
+// release returns p to the free list once it is settled and no
+// scheduled event names it. A record given up before its first
+// delivery drops the undelivered message with it.
+func (r *reliability) release(p *relPending) {
+	if !p.settled || p.refs > 0 {
+		return
+	}
+	*p = relPending{r: r, fire: p.fire, land: p.land, ack: p.ack}
+	r.free = append(r.free, p)
 }

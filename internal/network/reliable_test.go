@@ -147,9 +147,10 @@ func TestReliablePauseWindowDelaysDelivery(t *testing.T) {
 func TestReliableGiveUpBounded(t *testing.T) {
 	e, n, inj := faultyNet(t, &fault.Spec{Drop: 1, RTO: 50, RTOMax: 100, MaxAttempts: 3})
 	var got *fault.GiveUpError
+	var gotTok uint64
 	n.SendGuarded(&Message{Src: 0, Dst: 1, Kind: "req"},
 		func(*Message) { t.Error("message arrived despite 100% drop") },
-		func(err *fault.GiveUpError) { got = err })
+		func(tok uint64, err *fault.GiveUpError) { gotTok, got = tok, err }, 42)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +159,9 @@ func TestReliableGiveUpBounded(t *testing.T) {
 	}
 	if got.Kind != "req" || got.Attempts != 3 {
 		t.Errorf("give-up error = %+v", got)
+	}
+	if gotTok != 42 {
+		t.Errorf("give-up token = %d, want the 42 it was sent with", gotTok)
 	}
 	if inj.Counters.GiveUps != 1 || inj.Counters.Dropped != 3 {
 		t.Errorf("counters = %+v", inj.Counters)
@@ -220,5 +224,106 @@ func TestReliableDeterministic(t *testing.T) {
 	}
 	if a.Dropped == 0 || a.Retransmits == 0 {
 		t.Errorf("plan injected nothing: %+v", a)
+	}
+}
+
+// A warm send, delivery and ack cycle allocates nothing: the in-flight
+// record comes from the free list with its callbacks already bound,
+// and duplicate suppression and ack matching go through the record
+// instead of maps. Every transmission is duplicated, and an RTO shorter
+// than the round trip makes each message retransmit twice before its
+// ack lands, so the cycle covers the retransmit and duplicate paths.
+func TestReliableSendAllocs(t *testing.T) {
+	e, n, inj := faultyNet(t, &fault.Spec{Dup: 1, RTO: 10})
+	m := &Message{Src: 0, Dst: 1, Kind: "req", Payload: []uint32{7}}
+	arrivals := 0
+	arrive := func(*Message) { arrivals++ }
+	cycle := func() {
+		n.Send(m, arrive)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle() // fill the record free list and the engine's event pool
+	}
+	before, arrived := inj.Counters, arrivals
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, cycle)
+	c := inj.Counters
+	// AllocsPerRun makes one warm-up call on top of its runs.
+	if got := arrivals - arrived; got != runs+1 {
+		t.Errorf("%d arrivals over %d cycles, want one per cycle", got, runs+1)
+	}
+	if c.Retransmits == before.Retransmits || c.DupSuppressed == before.DupSuppressed {
+		t.Errorf("cycle took no retransmit or no duplicate: before %+v, after %+v", before, c)
+	}
+	if allocs > 0 {
+		t.Errorf("a warm reliable send allocates %v objects, want 0", allocs)
+	}
+}
+
+// Pool safety: with every transmission duplicated under jitter, a
+// short RTO, and lost messages and acks, duplicate deliveries and
+// duplicate acks keep landing after their record has settled, while
+// later sends take records from the free list. Every message must still
+// reach arrive exactly once, one transit after its send at the
+// earliest, and after the engine drains every record ever made must be
+// back on the free list, once.
+func TestReliableRecordPoolSafety(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		e, n, inj := faultyNet(t, &fault.Spec{
+			Drop: 0.1, Dup: 1, DelayMax: 300, Seed: seed,
+			RTO: 150, RTOMax: 600, MaxAttempts: 40,
+		})
+		const msgs = 300
+		sentAt := make([]sim.Time, msgs)
+		arrivals := make([]int, msgs)
+		for i := 0; i < msgs; i++ {
+			// Sends trickle out while earlier messages' copies and acks
+			// are still in flight, so records are reissued under them.
+			e.Schedule(sim.Time(i*7), func() {
+				sentAt[i] = e.Now()
+				n.Send(&Message{Src: i % 3, Dst: (i + 1) % 3, Kind: "req", Payload: []uint32{uint32(i)}},
+					func(m *Message) {
+						if m == nil {
+							t.Fatalf("seed %d: arrive got no message", seed)
+						}
+						j := int(m.Payload[0])
+						arrivals[j]++
+						if e.Now() < sentAt[j]+17 {
+							t.Errorf("seed %d: message %d arrived at %d, under one transit after its send at %d",
+								seed, j, e.Now(), sentAt[j])
+						}
+					})
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range arrivals {
+			if a != 1 {
+				t.Errorf("seed %d: message %d arrived %d times, want exactly 1", seed, i, a)
+			}
+		}
+		c := inj.Counters
+		if c.GiveUps != 0 || c.DupSuppressed == 0 || c.AckDropped == 0 || c.Dropped == 0 {
+			t.Errorf("seed %d: plan did not exercise late copies and lost acks: %+v", seed, c)
+		}
+		r := n.rel
+		if r.made >= msgs {
+			t.Errorf("seed %d: %d records for %d messages: none was reused", seed, r.made, msgs)
+		}
+		seen := make(map[*relPending]bool, len(r.free))
+		for _, p := range r.free {
+			if seen[p] {
+				t.Fatalf("seed %d: a record is on the free list twice", seed)
+			}
+			seen[p] = true
+		}
+		if len(r.free) != r.made {
+			t.Errorf("seed %d: %d of %d records back on the free list after the run drained",
+				seed, len(r.free), r.made)
+		}
 	}
 }
