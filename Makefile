@@ -17,7 +17,7 @@ GO ?= go
 # entries, carrying the shard.* counters); it matches no serial
 # report's keys, so it is smoked separately.
 BENCH_BASELINE := BENCH_2026-08-06-fault.json
-BENCH_CURRENT  := BENCH_2026-10-17-ablation.json
+BENCH_CURRENT  := BENCH_2026-10-18.json
 BENCH_SHARDS   := BENCH_2026-10-17-shards.json
 
 .PHONY: check lint vet simvet build test race ab-identity shard-identity engine-order alloc-pins golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json bench-json-shards loc
@@ -81,13 +81,16 @@ engine-order:
 
 # alloc-pins re-runs the allocation pins by name: the warm message path
 # (remote call, migration hop, local call), the reliability layer's
-# send/deliver/ack cycle under faults, and one operation per app
+# send/deliver/ack cycle under faults, the coherence slow path (a write
+# invalidating 1, 3 and 6 sharers, a miss on a reclaimed directory entry,
+# a dirty-eviction writeback), and one operation per app
 # (countnet traversal, kv get and put, a B-tree lookup, each under SM,
 # CM and RPC, and the countnet traversal under a drop/dup fault plan)
 # must allocate no more heap objects than their bounds.
 alloc-pins:
 	$(GO) test ./internal/core/ -run 'Allocs' -count=1
 	$(GO) test ./internal/network/ -run 'Allocs' -count=1
+	$(GO) test ./internal/mem/ -run 'Allocs' -count=1
 	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs|TestFaultedTraverseAllocs' -count=1
 	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocs|TestPutAllocs' -count=1
 	$(GO) test ./internal/apps/btree/ -run 'TestLookupAllocs' -count=1

@@ -134,16 +134,22 @@ func RunExperiment(cfg Config) Result {
 	// engine's presorted arrival run (Proc.SpawnSorted): each one's
 	// thread and wakeup are made only when it is the next arrival due,
 	// and the event heap holds one arrival instead of all of them.
+	// Arrival i goes to frontend i mod FrontProcs, and one processor's
+	// arrivals start in the order they were spawned, so each frontend
+	// has one body that takes its next event from a cursor into events.
 	events := load.NewGen(cfg.Load, cfg.Seed).Events()
 	issued := make([]uint64, nkeys) // puts issued per key
 	acked := make([]uint64, nkeys)  // highest version acked per key
 	monotonic := 0                  // reads that went backwards
 	var lastDone sim.Time
 	res := Result{Scheme: cfg.Scheme.Name()}
-	for i, ev := range events {
-		proc := cfg.StoreProcs + i%cfg.FrontProcs
+	bodies := make([]func(*sim.Thread), cfg.FrontProcs)
+	for f := range bodies {
+		proc, next := cfg.StoreProcs+f, f
 		col := m.Col(proc)
-		m.Mach.Proc(proc).SpawnSorted("kv.req", ev.At, func(th *sim.Thread) {
+		bodies[f] = func(th *sim.Thread) {
+			ev := &events[next]
+			next += cfg.FrontProcs
 			task := m.RT.NewTask(th, proc)
 			arrive := th.Now()
 			task.Work(cfg.FrontWork)
@@ -170,7 +176,11 @@ func RunExperiment(cfg Config) Result {
 			if th.Now() > lastDone {
 				lastDone = th.Now()
 			}
-		})
+		}
+	}
+	for i := range events {
+		f := i % cfg.FrontProcs
+		m.Mach.Proc(cfg.StoreProcs+f).SpawnSorted("kv.req", events[i].At, bodies[f])
 	}
 
 	col := m.Run(&res.Result)

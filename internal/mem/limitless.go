@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LimitLESS support. The Alewife protocol the paper points to [CKA91]
 // keeps a small fixed number of hardware directory pointers per line;
@@ -19,13 +16,13 @@ import (
 // softwareHandled reports whether a directory operation on this entry
 // must trap to software, and charges the home CPU when it does.
 func (s *System) softwareHandled(home int, d *dirEntry, done func()) bool {
-	if s.p.DirPointers <= 0 || len(d.sharers) <= s.p.DirPointers {
+	if s.p.DirPointers <= 0 || d.sharers.count() <= s.p.DirPointers {
 		return false
 	}
 	s.col.LimitlessTraps++
 	// The trap runs on the home processor itself: interrupt entry, walk
 	// of the overflowed sharer set, interrupt exit.
-	cost := s.p.SoftDirBase + s.p.SoftDirPerSharer*uint64(len(d.sharers))
+	cost := s.p.SoftDirBase + s.p.SoftDirPerSharer*uint64(d.sharers.count())
 	s.mach.Proc(home).ExecAsync(cost, done)
 	return true
 }
@@ -42,59 +39,32 @@ func (s *System) softwareHandled(home int, d *dirEntry, done func()) bool {
 //
 // Tests call it after the event heap drains.
 func (s *System) CheckCoherence() error {
-	type holder struct {
-		proc  int
-		state lineState
-	}
-	holders := make(map[Addr][]holder)
 	for p, c := range s.caches {
 		for i := range c.lines {
 			l := &c.lines[i]
-			if c.valid(l) {
-				holders[l.tag] = append(holders[l.tag], holder{proc: p, state: l.state})
-			}
-		}
-	}
-	lines := make([]Addr, 0, len(holders))
-	for line := range holders {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-
-	for _, line := range lines {
-		hs := holders[line]
-		d := s.dirs[HomeOf(line)][line]
-		if d == nil {
-			return fmt.Errorf("mem: line %#x cached with no directory entry", line)
-		}
-		if d.busy {
-			return fmt.Errorf("mem: line %#x directory busy at quiescence", line)
-		}
-		modOwner := -1
-		for _, h := range hs {
-			if h.state != modified {
+			if !c.valid(l) {
 				continue
 			}
-			if modOwner >= 0 {
-				return fmt.Errorf("mem: line %#x modified in caches %d and %d", line, modOwner, h.proc)
+			d := s.dirs[HomeOf(l.tag)][l.tag]
+			switch {
+			case d == nil:
+				return fmt.Errorf("mem: line %#x cached with no directory entry", l.tag)
+			case d.busy:
+				return fmt.Errorf("mem: line %#x directory busy at quiescence", l.tag)
+			case l.state == modified && d.owner != p:
+				return fmt.Errorf("mem: line %#x modified in cache %d but directory owner is %d", l.tag, p, d.owner)
+			case l.state != modified && !d.sharers.has(p) && d.owner != p:
+				// A shared copy must be a recorded sharer (or the stale
+				// owner whose recall raced a writeback hint).
+				return fmt.Errorf("mem: line %#x cached shared on %d unknown to directory", l.tag, p)
 			}
-			modOwner = h.proc
-		}
-		if modOwner >= 0 {
-			if len(hs) > 1 {
-				return fmt.Errorf("mem: line %#x has %d copies alongside a modified one", line, len(hs))
+			if l.state != modified {
+				continue
 			}
-			if d.owner != modOwner {
-				return fmt.Errorf("mem: line %#x modified in cache %d but directory owner is %d",
-					line, modOwner, d.owner)
-			}
-			continue
-		}
-		// Shared copies: each must be a recorded sharer (or the stale
-		// owner whose recall raced a writeback hint).
-		for _, h := range hs {
-			if _, ok := d.sharers[h.proc]; !ok && d.owner != h.proc {
-				return fmt.Errorf("mem: line %#x cached shared on %d unknown to directory", line, h.proc)
+			for q, o := range s.caches {
+				if q != p && o.peek(l.tag, false) {
+					return fmt.Errorf("mem: line %#x cached on %d alongside a modified copy on %d", l.tag, q, p)
+				}
 			}
 		}
 	}

@@ -17,7 +17,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"        //simvet:allow host-side cache-backing pool shared across harness workers; never touches simulated state
 	"sync/atomic" //simvet:allow host-side cache-backing pool shared across harness workers; never touches simulated state
 
@@ -314,13 +314,31 @@ func (c *cache) drop(line Addr) lineState {
 }
 
 // dirEntry is the full-map directory state for one line, kept at its home
-// memory module. Transactions on a line serialize through the busy flag.
+// memory module. Transactions on a line serialize through the busy flag;
+// the ones waiting for it queue through txn.next, head first.
 type dirEntry struct {
-	sharers map[int]struct{}
-	owner   int // proc holding the line modified, or -1
-	busy    bool
-	pending []func()
+	sharers    sharerSet
+	owner      int // proc holding the line modified, or -1
+	busy       bool
+	head, tail *txn
 }
+
+// sharerSet is a full-map presence vector: bit p of word p/64 is set when
+// processor p may hold a shared copy.
+type sharerSet []uint64
+
+func (b sharerSet) has(p int) bool { return b[p>>6]&(1<<(p&63)) != 0 }
+func (b sharerSet) add(p int)      { b[p>>6] |= 1 << (p & 63) }
+func (b sharerSet) del(p int)      { b[p>>6] &^= 1 << (p & 63) }
+
+func (b sharerSet) count() (n int) {
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+const dirChunk = 64 // directory entries per slab allocation
 
 // fastPathOn controls whether newly created Systems take the inline fast
 // paths. It exists so tests can force every access through the
@@ -336,9 +354,6 @@ func init() { fastPathOn.Store(true) }
 // host work it takes to compute them — so this is purely a testing and
 // debugging knob.
 func SetFastPath(on bool) { fastPathOn.Store(on) }
-
-// FastPathEnabled reports the current process-wide setting.
-func FastPathEnabled() bool { return fastPathOn.Load() }
 
 // System is the machine-wide shared-memory substrate.
 type System struct {
@@ -366,6 +381,12 @@ type System struct {
 	dirs    []map[Addr]*dirEntry
 	heaps   []uint64 // per-proc bump allocators
 
+	// Directory entries are carved from fixed chunks, so a txn's
+	// *dirEntry stays valid; dirFree holds the unused and the reclaimed
+	// ones. Each sharer set is words = (N+63)/64 words of its chunk.
+	dirFree []*dirEntry
+	words   int
+
 	// inflight[p] tracks lines processor p is already fetching (MSHRs),
 	// so demand reads join pending prefetches instead of duplicating
 	// them. Allocated lazily per processor.
@@ -375,8 +396,10 @@ type System struct {
 	// coherence sends; the protocol ships millions of them per run.
 	ctrlPool []*ctrlMsg
 
-	// txnPool recycles miss-transaction objects (see txn).
-	txnPool []*txn
+	// txnPool recycles transaction objects (see txn), invalPool the
+	// records of a write's invalidation fan-out (see inval).
+	txnPool   []*txn
+	invalPool []*inval
 }
 
 // ctrlMsg is one in-flight coherence message: the wire message and the
@@ -413,6 +436,7 @@ func New(eng *sim.Engine, mach *sim.Machine, net *network.Network, col *stats.Co
 		heaps:    make([]uint64, mach.N()),
 		inflight: make([]map[Addr]*sim.Future, mach.N()),
 		modInval: make([]uint64, mach.N()),
+		words:    (mach.N() + 63) / 64,
 	}
 	for i := 0; i < mach.N(); i++ {
 		s.caches[i] = newCache(p)
@@ -482,34 +506,29 @@ func (s *System) dir(line Addr) *dirEntry {
 	home := HomeOf(line)
 	d := s.dirs[home][line]
 	if d == nil {
-		d = &dirEntry{sharers: make(map[int]struct{}), owner: -1}
+		if len(s.dirFree) == 0 {
+			ents, words := make([]dirEntry, dirChunk), make([]uint64, dirChunk*s.words)
+			for i := range ents {
+				ents[i].sharers = words[i*s.words : (i+1)*s.words : (i+1)*s.words]
+				s.dirFree = append(s.dirFree, &ents[i])
+			}
+		}
+		d = pop(&s.dirFree)
+		d.owner = -1
 		s.dirs[home][line] = d
 	}
 	return d
 }
 
-// withLine serializes fn against other transactions on the same line.
-// fn receives a release callback it must invoke exactly once when the
-// transaction completes.
-func (s *System) withLine(line Addr, fn func(d *dirEntry, release func())) {
-	d := s.dir(line)
-	run := func() {
-		d.busy = true
-		fn(d, func() {
-			d.busy = false
-			if len(d.pending) > 0 {
-				next := d.pending[0]
-				copy(d.pending, d.pending[1:])
-				d.pending = d.pending[:len(d.pending)-1]
-				s.eng.Schedule(0, next)
-			}
-		})
+// pop takes the last object off a free list, or returns nil.
+func pop[T any](free *[]*T) *T {
+	k := len(*free)
+	if k == 0 {
+		return nil
 	}
-	if d.busy {
-		d.pending = append(d.pending, run)
-		return
-	}
-	run()
+	t := (*free)[k-1]
+	*free = (*free)[:k-1]
+	return t
 }
 
 // send ships a protocol message, or schedules locally with no traffic if
@@ -522,12 +541,8 @@ func (s *System) send(src, dst int, dataWords uint64, arrive func()) {
 		s.eng.Schedule(1+s.p.CtrlCycles/4, arrive)
 		return
 	}
-	var c *ctrlMsg
-	if k := len(s.ctrlPool); k > 0 {
-		c = s.ctrlPool[k-1]
-		s.ctrlPool[k-1] = nil
-		s.ctrlPool = s.ctrlPool[:k-1]
-	} else {
+	c := pop(&s.ctrlPool)
+	if c == nil {
 		c = &ctrlMsg{s: s}
 		c.fn = c.deliver
 	}
@@ -635,19 +650,15 @@ func (s *System) fastLocalMiss(proc int, line Addr, write bool) bool {
 	if c.peek(line, write) {
 		return false // hit: the regular path charges it
 	}
-	if !write {
-		if m := s.inflight[proc]; m != nil {
-			if _, pending := m[line]; pending {
-				return false // must join the in-flight prefetch
-			}
-		}
+	if _, pending := s.inflight[proc][line]; pending && !write {
+		return false // must join the in-flight prefetch
 	}
 	d := s.dir(line)
-	if d.busy || len(d.pending) > 0 || d.owner != -1 {
+	if d.busy || d.head != nil || d.owner != -1 {
 		return false
 	}
-	if write && len(d.sharers) > 0 {
-		if _, self := d.sharers[proc]; !self || len(d.sharers) > 1 {
+	if write {
+		if n := d.sharers.count(); n > 1 || n == 1 && !d.sharers.has(proc) {
 			return false // remote sharers need invalidations
 		}
 	}
@@ -687,7 +698,7 @@ func (s *System) fastLocalMiss(proc int, line Addr, write bool) bool {
 		clear(d.sharers)
 		d.owner = proc
 	} else {
-		d.sharers[proc] = struct{}{}
+		d.sharers.add(proc)
 	}
 	c.install(line, st)
 	s.nFastLocal++
@@ -751,12 +762,12 @@ func (s *System) dirWork(home int, d *dirEntry, cycles uint64, done func()) {
 	s.modules[home].ExecAsync(cycles, done)
 }
 
-// txn is one in-flight miss transaction: the requester's fetch of a line
-// in shared (read) or exclusive (write) state. The protocol steps are
-// methods bound once per pooled object, so the slow path's spine — the
-// request, directory serialization, recall, grant, and reply — allocates
-// nothing per miss; only the multi-sharer invalidation fan-out still
-// captures per-sharer state.
+// txn is one in-flight directory transaction: the requester's fetch of a
+// line in shared (read) or exclusive (write) state, or (wb) a dirty
+// evicted line's writeback. The protocol steps are methods bound once per
+// pooled object, so the slow path — the request, directory
+// serialization, recall, invalidation fan-out, grant, reply and
+// writeback — allocates nothing per transaction.
 type txn struct {
 	s        *System
 	proc     int // requester
@@ -764,35 +775,36 @@ type txn struct {
 	owner    int // dirty owner being recalled, when >= 0
 	line     Addr
 	write    bool
+	wb       bool // a writeback from proc, not a fetch
 	withData bool // the grant must carry line data (requester had no copy)
 	acks     int  // invalidation acks outstanding
 	fut      *sim.Future
 	d        *dirEntry
+	next     *txn // the next transaction queued on d
 
 	enterFn, runFn, recallFn, recallAckFn, ackFn, dirDoneFn, replyFn func()
-	releaseFn                                                        func()
+	releaseFn, writtenBackFn                                         func()
 }
 
 func (s *System) newTxn(proc int, line Addr, write bool, fut *sim.Future) *txn {
-	var t *txn
-	if k := len(s.txnPool); k > 0 {
-		t = s.txnPool[k-1]
-		s.txnPool[k-1] = nil
-		s.txnPool = s.txnPool[:k-1]
-	} else {
+	t := pop(&s.txnPool)
+	if t == nil {
 		t = &txn{s: s}
-		t.enterFn = t.enter
-		t.runFn = t.run
-		t.recallFn = t.recall
-		t.recallAckFn = t.recallAck
-		t.ackFn = t.ack
-		t.dirDoneFn = t.dirDone
-		t.replyFn = t.reply
-		t.releaseFn = t.releaseLine
+		t.enterFn, t.runFn, t.recallFn, t.recallAckFn = t.enter, t.run, t.recall, t.recallAck
+		t.ackFn, t.dirDoneFn, t.replyFn = t.ack, t.dirDone, t.reply
+		t.releaseFn, t.writtenBackFn = t.releaseLine, t.writtenBack
 	}
 	t.proc, t.home, t.line, t.write, t.fut = proc, HomeOf(line), line, write, fut
-	t.owner, t.withData, t.acks, t.d = -1, false, 0, nil
+	t.owner, t.wb, t.withData, t.acks, t.d = -1, false, false, 0, nil
 	return t
+}
+
+// inval is one invalidation of a write's fan-out, bound once like txn:
+// the transaction and the sharer q it invalidates.
+type inval struct {
+	t  *txn
+	q  int
+	fn func()
 }
 
 // fetch obtains line for proc — shared for reads, exclusive (invalidating
@@ -807,18 +819,29 @@ func (s *System) fetch(proc int, line Addr, write bool, fut *sim.Future) {
 
 // enter runs at the home: serialize on the line's directory entry.
 func (t *txn) enter() {
-	t.d = t.s.dir(t.line)
-	if t.d.busy {
-		t.d.pending = append(t.d.pending, t.runFn)
-		return
+	d := t.s.dir(t.line)
+	t.d = d
+	if !d.busy {
+		t.run()
+	} else if d.tail == nil {
+		d.head, d.tail = t, t
+	} else {
+		d.tail.next, d.tail = t, t
 	}
-	t.run()
 }
 
 // run starts the directory transaction proper.
 func (t *txn) run() {
 	s, d := t.s, t.d
 	d.busy = true
+	if t.wb {
+		if d.owner == t.proc {
+			d.owner = -1
+		}
+		d.sharers.del(t.proc)
+		s.modules[t.home].ExecAsync(s.p.DirCycles+s.p.MemCycles, t.writtenBackFn)
+		return
+	}
 	if d.owner >= 0 && d.owner != t.proc {
 		// Recall the dirty copy: home -> owner; the owner replies with
 		// data and the directory work proceeds on its return.
@@ -831,30 +854,45 @@ func (t *txn) run() {
 		s.dirWork(t.home, d, s.p.DirCycles+s.p.MemCycles, t.dirDoneFn)
 		return
 	}
-	_, wasSharer := d.sharers[t.proc]
-	t.withData = !wasSharer
-	var others []int
-	for q := range d.sharers {
-		if q != t.proc {
-			others = append(others, q)
-		}
+	t.withData = !d.sharers.has(t.proc)
+	t.acks = d.sharers.count()
+	if !t.withData {
+		t.acks-- // the writer's own copy
 	}
-	if len(others) == 0 {
+	if t.acks == 0 {
 		s.dirWork(t.home, d, s.p.DirCycles+s.p.MemCycles, t.dirDoneFn)
 		return
 	}
-	sort.Ints(others) // keep event order independent of map iteration
-	t.acks = len(others)
-	// Invalidate every other sharer; collect acks.
-	for _, q := range others {
-		q := q
-		s.send(t.home, q, 0, func() {
-			s.caches[q].drop(t.line)
-			s.col.Invalidations++
-			s.modInval[t.home]++
-			s.send(q, t.home, 0, t.ackFn)
-		})
+	// Invalidate every other sharer in ascending processor order; collect
+	// acks.
+	for i, w := range d.sharers {
+		for ; w != 0; w &= w - 1 {
+			q := i<<6 | bits.TrailingZeros64(w)
+			if q == t.proc {
+				continue
+			}
+			v := pop(&s.invalPool)
+			if v == nil {
+				v = &inval{}
+				v.fn = v.run
+			}
+			v.t, v.q = t, q
+			s.send(t.home, q, 0, v.fn)
+		}
 	}
+}
+
+// run fires at the invalidated sharer: drop its copy and ack to the home.
+// The record is pooled first, as ctrlMsg.deliver does.
+func (v *inval) run() {
+	t, q := v.t, v.q
+	s := t.s
+	v.t = nil
+	s.invalPool = append(s.invalPool, v)
+	s.caches[q].drop(t.line)
+	s.col.Invalidations++
+	s.modInval[t.home]++
+	s.send(q, t.home, 0, t.ackFn)
 }
 
 // recall runs at the dirty owner: downgrade (read) or invalidate (write)
@@ -880,7 +918,7 @@ func (t *txn) recallAck() {
 		return
 	}
 	d.owner = -1
-	d.sharers[t.owner] = struct{}{}
+	d.sharers.add(t.owner)
 	s.dirWork(t.home, d, s.p.DirCycles+s.p.MemCycles, t.dirDoneFn)
 }
 
@@ -906,7 +944,7 @@ func (t *txn) dirDone() {
 		s.send(t.home, t.proc, words, t.replyFn)
 		return
 	}
-	d.sharers[t.proc] = struct{}{}
+	d.sharers.add(t.proc)
 	s.send(t.home, t.proc, LineWords, t.replyFn)
 }
 
@@ -915,18 +953,19 @@ func (t *txn) reply() {
 	t.fut.Complete(t.releaseFn)
 }
 
-// releaseLine is the value the future resolves to: the requester invokes
-// it after installing the line, which closes the transaction, reopens the
-// directory entry (running the next queued request), and recycles the
-// object.
+// releaseLine closes the transaction: it reopens the directory entry
+// (running the next queued transaction) and recycles the object. A
+// fetch's future resolves to it, and the requester invokes it after
+// installing the line.
 func (t *txn) releaseLine() {
 	s, d := t.s, t.d
 	d.busy = false
-	if len(d.pending) > 0 {
-		next := d.pending[0]
-		copy(d.pending, d.pending[1:])
-		d.pending = d.pending[:len(d.pending)-1]
-		s.eng.Schedule(0, next)
+	if next := d.head; next != nil {
+		d.head, next.next = next.next, nil
+		if d.head == nil {
+			d.tail = nil
+		}
+		s.eng.Schedule(0, next.runFn)
 	}
 	t.fut, t.d = nil, nil
 	s.txnPool = append(s.txnPool, t)
@@ -936,29 +975,24 @@ func (t *txn) releaseLine() {
 // By the time it is processed the directory may have moved on (a recall
 // raced ahead), so it degrades to a replacement hint in that case.
 func (s *System) writeback(proc int, line Addr) {
-	home := HomeOf(line)
-	s.send(proc, home, LineWords, func() {
-		s.withLine(line, func(d *dirEntry, release func()) {
-			if d.owner == proc {
-				d.owner = -1
-			}
-			delete(d.sharers, proc)
-			s.modules[home].ExecAsync(s.p.DirCycles+s.p.MemCycles, func() {
-				// The writeback may have returned the line to
-				// uncached-everywhere. If no transaction is queued behind
-				// this one the entry is dead weight: a later access
-				// recreates an identical empty entry, so reclaiming it
-				// here keeps long-running directories bounded by the
-				// *live* working set instead of every line ever touched.
-				// (Silent shared evictions leave stale sharer bits, so
-				// only the writeback path can observe emptiness.)
-				if d.owner == -1 && len(d.sharers) == 0 && len(d.pending) == 0 {
-					delete(s.dirs[home], line)
-				}
-				release()
-			})
-		})
-	})
+	t := s.newTxn(proc, line, false, nil)
+	t.wb = true
+	s.send(proc, t.home, LineWords, t.enterFn)
+}
+
+// writtenBack runs once the home module has absorbed a writeback. If that
+// left the line uncached everywhere with nothing queued, the entry goes
+// back to the free list (a later access starts an identical empty one),
+// so directories stay bounded by the *live* working set. Silent shared
+// evictions leave stale sharer bits, so only a writeback sees emptiness.
+func (t *txn) writtenBack() {
+	s, d, line := t.s, t.d, t.line
+	dead := d.owner == -1 && d.head == nil && d.sharers.count() == 0
+	t.releaseLine()
+	if dead {
+		delete(s.dirs[HomeOf(line)], line)
+		s.dirFree = append(s.dirFree, d)
+	}
 }
 
 // DirEntries returns how many lines homed on the given processor have

@@ -264,45 +264,51 @@ func TestConcurrentWritersConverge(t *testing.T) {
 }
 
 // TestRandomizedProtocolNoDeadlock drives random reads/writes from random
-// processors and checks the protocol always quiesces.
+// processors and checks the protocol always quiesces, on a small machine
+// and on one whose sharer sets span two directory words.
 func TestRandomizedProtocolNoDeadlock(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		p := DefaultParams()
-		p.CacheBytes = 512 // tiny cache to force evictions
-		p.Ways = 2
-		r := newRig(6, p)
-		rng := sim.NewPRNG(seed)
-		var addrs []Addr
-		for i := 0; i < 20; i++ {
-			addrs = append(addrs, r.shm.Alloc(rng.Intn(6), 16))
-		}
-		finished := 0
-		for pid := 0; pid < 6; pid++ {
-			pid := pid
-			r.eng.Spawn("mutator", 0, func(th *sim.Thread) {
-				for i := 0; i < 100; i++ {
-					a := addrs[rng.Intn(len(addrs))]
-					switch rng.Intn(3) {
-					case 0:
-						r.shm.Read(th, pid, a, 16)
-					case 1:
-						r.shm.Write(th, pid, a, 8)
-					default:
-						r.shm.RMW(th, pid, a)
+	for _, n := range []int{6, 65} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			p := DefaultParams()
+			p.CacheBytes = 512 // tiny cache to force evictions
+			p.Ways = 2
+			r := newRig(n, p)
+			rng := sim.NewPRNG(seed)
+			var addrs []Addr
+			for i := 0; i < 20; i++ {
+				addrs = append(addrs, r.shm.Alloc(rng.Intn(n), 16))
+			}
+			finished := 0
+			for pid := 0; pid < n; pid++ {
+				pid := pid
+				r.eng.Spawn("mutator", 0, func(th *sim.Thread) {
+					for i := 0; i < 100; i++ {
+						a := addrs[rng.Intn(len(addrs))]
+						switch rng.Intn(3) {
+						case 0:
+							r.shm.Read(th, pid, a, 16)
+						case 1:
+							r.shm.Write(th, pid, a, 8)
+						default:
+							r.shm.RMW(th, pid, a)
+						}
 					}
-				}
-				finished++
-			})
-		}
-		if err := r.eng.Run(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if finished != 6 {
-			t.Fatalf("seed %d: %d/6 mutators finished", seed, finished)
-		}
-		// Every op touches exactly one line (line-aligned 16-byte objects).
-		if total := r.col.CacheHits + r.col.CacheMisses; total != 6*100 {
-			t.Fatalf("seed %d: hits+misses = %d, want 600", seed, total)
+					finished++
+				})
+			}
+			if err := r.eng.Run(); err != nil {
+				t.Fatalf("N=%d seed %d: %v", n, seed, err)
+			}
+			if finished != n {
+				t.Fatalf("N=%d seed %d: %d/%d mutators finished", n, seed, finished, n)
+			}
+			// Every op touches exactly one line (line-aligned 16-byte objects).
+			if total := r.col.CacheHits + r.col.CacheMisses; total != uint64(n)*100 {
+				t.Fatalf("N=%d seed %d: hits+misses = %d, want %d", n, seed, total, n*100)
+			}
+			if err := r.shm.CheckCoherence(); err != nil {
+				t.Fatalf("N=%d seed %d: %v", n, seed, err)
+			}
 		}
 	}
 }

@@ -69,11 +69,7 @@ func (s *System) awaitPrefetch(proc int, line Addr, fut *sim.Future) {
 // line instead of issuing a duplicate fetch. It reports whether it
 // joined (and therefore waited).
 func (s *System) joinInflight(th *sim.Thread, proc int, line Addr) bool {
-	m := s.inflight[proc]
-	if m == nil {
-		return false
-	}
-	fut, ok := m[line]
+	fut, ok := s.inflight[proc][line]
 	if !ok {
 		return false
 	}

@@ -480,6 +480,49 @@ func TestSpawnSortedOnClusterIsSpawn(t *testing.T) {
 	}
 }
 
+// TestSpawnSortedStartsInSpawnOrderPerProc pins what an open-loop source
+// with one body per processor relies on (kv.RunExperiment's frontends):
+// on one processor, SpawnSorted arrivals start in the order they were
+// spawned, ties in time included, while earlier arrivals are still
+// running, on the serial and the clustered engine alike.
+func TestSpawnSortedStartsInSpawnOrderPerProc(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		var m *Machine
+		var run func() error
+		if clustered {
+			cl := NewCluster(1, 2)
+			m, run = cl.NewMachine(4), cl.Run
+		} else {
+			e := NewEngine(1)
+			m, run = NewMachine(e, 4), e.Run
+		}
+		started := make([][]int, 4)
+		const n = 40
+		for i := 0; i < n; i++ {
+			p := m.Proc(i * 3 % 4)
+			p.SpawnSorted("req", Time(10*(i/5)), func(th *Thread) {
+				started[p.ID()] = append(started[p.ID()], i)
+				th.Exec(p, 25) // still running when later arrivals are due
+			})
+		}
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for p, got := range started {
+			total += len(got)
+			for k := 1; k < len(got); k++ {
+				if got[k] < got[k-1] {
+					t.Fatalf("clustered=%v: p%d started arrivals in order %v, want spawn order", clustered, p, got)
+				}
+			}
+		}
+		if total != n {
+			t.Fatalf("clustered=%v: %d of %d arrivals started", clustered, total, n)
+		}
+	}
+}
+
 // TestCancelInRunNeverFires asserts the two ways Cancel takes an event
 // out of a sorted run: a head leaves the heap at once and hands its slot
 // to its successor, and an event behind the head becomes a tombstone
