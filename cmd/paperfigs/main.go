@@ -5,7 +5,7 @@
 //
 //	paperfigs [-exp all|fig1|fig2|fig3|table1|table2|table3|table4|table5|smallnode|ext-objmig|ext-policy|ext-fault|ext-kv|ext-recovery|ext-ablation|scale]
 //	          [-quick] [-seed N] [-format text|md] [-workers N] [-shards N] [-bench-json out.json]
-//	          [-faults SPEC] [-profile] [-cpuprofile out.pb] [-memprofile out.pb] [-fastpath=false]
+//	          [-faults SPEC] [-profile] [-cpuprofile out.pb] [-memprofile out.pb]
 //
 // Independent simulation jobs run on a pool of -workers host goroutines
 // (default: one per CPU); the rendered tables are byte-identical for any
@@ -25,9 +25,7 @@
 // -profile prints per-subsystem host-time counters (shared-memory fast
 // and slow paths, network sends, event-heap pushes) to stderr after the
 // run and adds host_ns to -bench-json entries; -cpuprofile/-memprofile
-// write standard pprof profiles. -fastpath=false forces every memory
-// access through the event-driven protocol — the rendered tables must
-// not change, only the host-side speed.
+// write standard pprof profiles.
 //
 // -faults applies a deterministic fault plan (internal/fault grammar,
 // e.g. drop=0.01,dup=0.005,delay=0:40,seed=7) to every config-driven
@@ -47,13 +45,12 @@ import (
 
 	"compmig/internal/fault"
 	"compmig/internal/harness"
-	"compmig/internal/mem"
 	"compmig/internal/profile"
 	"compmig/internal/stats"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig1, fig2, fig3, table1..table5, smallnode, ext-objmig, ext-policy, ext-fault, ext-kv, ext-recovery, ext-ablation, scale, all")
+	exp := flag.String("exp", "all", "experiment id: "+strings.Join(harness.ExperimentIDs(), ", ")+", all")
 	quick := flag.Bool("quick", false, "short measurement windows (smoke run)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	format := flag.String("format", "text", "output format: text or md")
@@ -63,7 +60,6 @@ func main() {
 	prof := flag.Bool("profile", false, "print per-subsystem host-time counters to stderr after the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file")
-	fastPath := flag.Bool("fastpath", true, "enable the shared-memory inline fast paths (disable for A/B checks)")
 	faultsSpec := flag.String("faults", "", "fault plan applied to config-driven experiments, e.g. drop=0.01,dup=0.005,delay=0:40 (empty = no faults)")
 	flag.Parse()
 
@@ -77,7 +73,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	mem.SetFastPath(*fastPath)
 	if *prof {
 		profile.Enable(true)
 	}

@@ -59,7 +59,7 @@ func TestDriverGatesOnViolations(t *testing.T) {
 		}
 		seen[f.Analyzer] = true
 	}
-	for _, name := range []string{"nodeterminism", "maporder", "simpurity", "seededrand", "cyclecharge", "directive"} {
+	for _, name := range []string{"nodeterminism", "maporder", "simpurity", "seededrand", "cyclecharge", "unusedexport", "directive"} {
 		if !seen[name] {
 			t.Errorf("no %s finding over the fixture tree; analyzer dead?", name)
 		}

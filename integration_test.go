@@ -69,7 +69,7 @@ func TestTwoApplicationsOneMachine(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.KeyCount(); got != 200+inserted {
+	if got := len(tr.AllKeys()); got != 200+inserted {
 		t.Fatalf("key count = %d, want %d", got, 200+inserted)
 	}
 	if inserted == 0 {

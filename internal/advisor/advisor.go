@@ -128,33 +128,3 @@ func (a *Advisor) Explain(p SiteProfile) string {
 	return fmt.Sprintf("rpc=%.0f cycles, migrate=%.0f cycles -> %v",
 		rpc, mig, a.Choose(p))
 }
-
-// Profiler accumulates run-length observations for a call site, the
-// dynamic half of the §6 proposal. Feed it the length of each
-// consecutive-access run; its Profile supplies the advisor.
-type Profiler struct {
-	base   SiteProfile
-	visits uint64
-	total  uint64
-}
-
-// NewProfiler wraps static record sizes with an empty profile.
-func NewProfiler(base SiteProfile) *Profiler { return &Profiler{base: base} }
-
-// Observe records one visit with the given consecutive-access count.
-func (p *Profiler) Observe(accesses int) {
-	p.visits++
-	p.total += uint64(accesses)
-}
-
-// Visits returns how many visits have been observed.
-func (p *Profiler) Visits() uint64 { return p.visits }
-
-// Profile returns the site profile with the observed mean run length.
-func (p *Profiler) Profile() SiteProfile {
-	prof := p.base
-	if p.visits > 0 {
-		prof.AccessesPerVisit = float64(p.total) / float64(p.visits)
-	}
-	return prof
-}

@@ -91,38 +91,22 @@ func TestHardwareShiftsCrossoverDown(t *testing.T) {
 	}
 }
 
-func TestProfilerMeansRuns(t *testing.T) {
-	p := NewProfiler(base())
-	for _, n := range []int{1, 2, 3, 6} {
-		p.Observe(n)
-	}
-	if p.Visits() != 4 {
-		t.Fatalf("visits = %d", p.Visits())
-	}
-	if got := p.Profile().AccessesPerVisit; got != 3 {
-		t.Fatalf("mean accesses = %v, want 3", got)
-	}
-}
-
+// TestProfilerDrivesDecision feeds the advisor the profile a call site's
+// observed runs would produce: one access per visit, then a mean of 9.8
+// after the workload shifts to runs of 12 (10 visits of 1, 40 of 12).
 func TestProfilerDrivesDecision(t *testing.T) {
 	a := New(cost.Software())
-	prof := NewProfiler(SiteProfile{
-		ArgWords: 2, ReplyWords: 2, ContWords: 8,
+	prof := SiteProfile{
+		AccessesPerVisit: 1,
+		ArgWords:         2, ReplyWords: 2, ContWords: 8,
 		ShortMethod: true, ChainLength: 1,
-	})
-	// One access per visit: RPC territory.
-	for i := 0; i < 10; i++ {
-		prof.Observe(1)
 	}
-	if a.Choose(prof.Profile()) != core.RPC {
-		t.Fatalf("single-access profile chose migration: %s", a.Explain(prof.Profile()))
+	if a.Choose(prof) != core.RPC {
+		t.Fatalf("single-access profile chose migration: %s", a.Explain(prof))
 	}
-	// The workload shifts: long runs of accesses.
-	for i := 0; i < 40; i++ {
-		prof.Observe(12)
-	}
-	if a.Choose(prof.Profile()) != core.Migrate {
-		t.Fatalf("long-run profile chose RPC: %s", a.Explain(prof.Profile()))
+	prof.AccessesPerVisit = float64(10*1+40*12) / 50
+	if a.Choose(prof) != core.Migrate {
+		t.Fatalf("long-run profile chose RPC: %s", a.Explain(prof))
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package analysis is simvet's analysis framework: a small, dependency-free
 // reimplementation of the golang.org/x/tools/go/analysis surface (Analyzer,
-// Pass, Diagnostic) plus the simvet-specific machinery shared by the five
-// determinism analyzers — package classification (see manifest.go), the
-// //simvet:allow escape hatch, and an offline package loader built on
-// `go list -export` and the standard library's gc export-data importer
-// (see load.go).
+// Pass, Diagnostic) plus the simvet-specific machinery shared by its six
+// analyzers (five determinism checks and the unusedexport dead-API check)
+// — package classification (see manifest.go), the //simvet:allow escape
+// hatch, and an offline package loader built on `go list -export` and the
+// standard library's gc export-data importer (see load.go).
 //
 // The framework exists because this repository pins zero third-party
 // modules: the loader and the analyzers use only the standard library, so
@@ -78,6 +78,9 @@ type Pass struct {
 
 	pkg  *Package
 	diag *[]Diagnostic
+
+	// used is the whole module's set of referenced names (unusedexport).
+	used map[useKey]bool
 }
 
 // Reportf records a diagnostic at pos unless a //simvet:allow directive
@@ -194,9 +197,12 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) *directives {
 
 // Run applies each analyzer to each package and returns all diagnostics
 // ordered by position. Malformed directives are reported as analyzer
-// "directive" findings.
+// "directive" findings. pkgs come from one Load call; the used set that
+// unusedexport reads is built once, from every package of the module
+// that call loaded.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	used := usedNames(pkgs)
 	for _, pkg := range pkgs {
 		diags = append(diags, pkg.dirs.errs...)
 		for _, a := range analyzers {
@@ -209,6 +215,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Class:    pkg.Class,
 				pkg:      pkg,
 				diag:     &diags,
+				used:     used,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

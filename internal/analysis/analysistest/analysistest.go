@@ -27,6 +27,8 @@ import (
 
 // TestData returns the fixture module root conventionally used by the
 // simvet tests: testdata/src under the calling test's working directory.
+//
+//simvet:allow test-helper package: the analyzer tests locate their fixture module with it
 func TestData(t *testing.T) string {
 	t.Helper()
 	wd, err := os.Getwd()
@@ -53,6 +55,8 @@ var wantRe = regexp.MustCompile("//\\s*want\\s+(.*)$")
 // Run loads the packages matched by patterns from the fixture module at
 // dir, applies analyzer a, and reports any mismatch between diagnostics
 // and want comments.
+//
+//simvet:allow test-helper package: the analyzer tests check each fixture's want comments with it
 func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) {
 	t.Helper()
 	pkgs, err := analysis.Load(dir, patterns...)

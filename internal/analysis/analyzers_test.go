@@ -21,11 +21,41 @@ func TestAnalyzers(t *testing.T) {
 		{analysis.SimPurity, "compmig/internal/analysis/fixtures/simpurity"},
 		{analysis.SeededRand, "compmig/internal/analysis/fixtures/seededrand"},
 		{analysis.CycleCharge, "compmig/internal/analysis/fixtures/cyclecharge"},
+		{analysis.UnusedExport, "compmig/internal/analysis/fixtures/unusedexport/def"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.a.Name, func(t *testing.T) {
 			analysistest.Run(t, analysistest.TestData(t), tc.a, tc.pkg)
 		})
+	}
+}
+
+// TestUnusedExportIgnoresPatterns checks that unusedexport builds its
+// used set from the whole module: the def fixture's findings are the
+// same whether def is loaded alone or together with its user.
+func TestUnusedExportIgnoresPatterns(t *testing.T) {
+	const def = "compmig/internal/analysis/fixtures/unusedexport/def"
+	findings := func(patterns ...string) []string {
+		pkgs, err := analysis.Load(analysistest.TestData(t), patterns...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags, err := analysis.Run(pkgs, []*analysis.Analyzer{analysis.UnusedExport})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, d := range diags {
+			if strings.Contains(d.Pos.Filename, "/unusedexport/def/") {
+				out = append(out, d.String())
+			}
+		}
+		return out
+	}
+	alone := findings(def)
+	both := findings(def, "compmig/internal/analysis/fixtures/unusedexport/user")
+	if len(alone) == 0 || strings.Join(alone, "\n") != strings.Join(both, "\n") {
+		t.Errorf("def alone:\n%s\ndef with user:\n%s", strings.Join(alone, "\n"), strings.Join(both, "\n"))
 	}
 }
 

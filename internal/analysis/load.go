@@ -26,6 +26,11 @@ type Package struct {
 	Class Class
 
 	dirs *directives
+
+	// module is every package of the main module, type-checked by the
+	// same Load call. Whole-program analyzers (unusedexport) read it so
+	// their findings do not depend on which patterns were given.
+	module []*Package
 }
 
 // allowed reports whether an //simvet:allow directive covers file:line.
@@ -40,6 +45,7 @@ type listPkg struct {
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
+	Match      []string
 	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
@@ -49,27 +55,32 @@ type listPkg struct {
 // from compiler export data so no network access or third-party loader
 // is needed. dir is the directory `go list` runs in (it selects the Go
 // module; "" means the current directory). Only the packages named by
-// the patterns are returned; their dependencies are loaded as export
-// data for type information.
+// the patterns are returned. Every other package of the main module is
+// type-checked too, for whole-program analyzers; dependencies outside
+// the module are loaded as export data for type information.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Standard,DepOnly,Error",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	mod, err := goList(dir, "-m")
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, err
+	}
+	wanted := map[string]bool{}
+	for _, p := range patterns {
+		wanted[p] = true
+	}
+	args := append([]string{
+		"-export", "-deps",
+		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Match,Standard,DepOnly,Error",
+	}, patterns...)
+	out, err := goList(dir, append(args, string(bytes.TrimSpace(mod))+"/...")...)
+	if err != nil {
+		return nil, err
 	}
 
 	exports := map[string]string{}
-	var targets []*listPkg
+	var local []*listPkg
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPkg
@@ -86,7 +97,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		if !p.DepOnly && !p.Standard {
 			pp := p
-			targets = append(targets, &pp)
+			local = append(local, &pp)
 		}
 	}
 
@@ -99,8 +110,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return os.Open(e)
 	})
 
-	var pkgs []*Package
-	for _, t := range targets {
+	var pkgs, module []*Package
+	for _, t := range local {
 		if len(t.CgoFiles) > 0 {
 			return nil, fmt.Errorf("%s: cgo packages are not supported", t.ImportPath)
 		}
@@ -124,7 +135,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("type-checking %s: %v", t.ImportPath, err)
 		}
 		dirs := parseDirectives(fset, files)
-		pkgs = append(pkgs, &Package{
+		pkg := &Package{
 			Path:  t.ImportPath,
 			Dir:   t.Dir,
 			Fset:  fset,
@@ -133,7 +144,30 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Info:  info,
 			Class: classify(t.ImportPath, dirs),
 			dirs:  dirs,
-		})
+		}
+		module = append(module, pkg)
+		for _, m := range t.Match {
+			if wanted[m] {
+				pkgs = append(pkgs, pkg)
+				break
+			}
+		}
+	}
+	for _, pkg := range module {
+		pkg.module = module
 	}
 	return pkgs, nil
+}
+
+// goList runs `go list args` in dir and returns its standard output.
+func goList(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %v: %v\n%s", args, err, stderr.String())
+	}
+	return out, nil
 }

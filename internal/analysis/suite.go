@@ -7,4 +7,5 @@ var Suite = []*Analyzer{
 	SimPurity,
 	SeededRand,
 	CycleCharge,
+	UnusedExport,
 }

@@ -4,8 +4,8 @@
 //simvet:package sim-charged
 package clean
 
-// Sum folds values order-insensitively.
-func Sum(xs []uint64) uint64 {
+// sum folds values order-insensitively.
+func sum(xs []uint64) uint64 {
 	var total uint64
 	for _, x := range xs {
 		total += x

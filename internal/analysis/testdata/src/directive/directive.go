@@ -9,9 +9,9 @@ package directive
 
 import "time"
 
-// Bare tries to use the escape hatch without a justification; the
+// bare tries to use the escape hatch without a justification; the
 // directive is rejected, so the time.Now use below it still fires.
-func Bare() time.Time {
+func bare() time.Time {
 	//simvet:allow
 	return time.Now()
 }

@@ -64,7 +64,7 @@ func TestBulkLoadShape(t *testing.T) {
 	if got := e.tr.RootChildren(); got != 3 {
 		t.Errorf("root children = %d, want 3 (the paper's root bottleneck setup)", got)
 	}
-	if got := e.tr.KeyCount(); got != 10000 {
+	if got := len(e.tr.AllKeys()); got != 10000 {
 		t.Errorf("key count = %d", got)
 	}
 }
@@ -239,7 +239,7 @@ func TestRootSplitGrowsTree(t *testing.T) {
 		if e.tr.Height() <= h0 {
 			t.Errorf("%s: tree did not grow (height %d -> %d)", scheme.Name(), h0, e.tr.Height())
 		}
-		if got := e.tr.KeyCount(); got != 3+3*80 {
+		if got := len(e.tr.AllKeys()); got != 3+3*80 {
 			t.Errorf("%s: key count = %d, want %d", scheme.Name(), got, 3+3*80)
 		}
 	}

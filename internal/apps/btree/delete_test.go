@@ -40,7 +40,7 @@ func checkDelete(t *testing.T, scheme core.Scheme) {
 	if err := e.tr.CheckInvariants(); err != nil {
 		t.Fatalf("scheme %s: %v", scheme.Name(), err)
 	}
-	if got := e.tr.KeyCount(); got != 200 {
+	if got := len(e.tr.AllKeys()); got != 200 {
 		t.Fatalf("scheme %s: key count = %d, want 200", scheme.Name(), got)
 	}
 }
@@ -78,7 +78,7 @@ func TestDeleteEmptiesLeaf(t *testing.T) {
 	if err := e.tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.tr.KeyCount(); got != 20 {
+	if got := len(e.tr.AllKeys()); got != 20 {
 		t.Fatalf("key count = %d, want 20", got)
 	}
 }
@@ -119,7 +119,7 @@ func TestMixedInsertDeleteConcurrent(t *testing.T) {
 			t.Fatalf("%s: %v", scheme.Name(), err)
 		}
 		// 50 initial + 4 threads × (30 inserted − 15 deleted).
-		if got := e.tr.KeyCount(); got != 50+4*15 {
+		if got := len(e.tr.AllKeys()); got != 50+4*15 {
 			t.Fatalf("%s: key count = %d, want %d", scheme.Name(), got, 50+4*15)
 		}
 	}

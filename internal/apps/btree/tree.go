@@ -38,7 +38,6 @@ type Tree struct {
 	root     gid.GID
 	rootLock sim.Mutex
 	height   int
-	nnodes   int
 
 	// Cost knobs (user-code cycles).
 	LockCycles   uint64
@@ -90,11 +89,9 @@ func Build(rt *core.Runtime, shm *mem.System, tbl *repl.Table, scheme core.Schem
 	return tr
 }
 
-// Root returns the current root GID; Height the number of levels; Nodes
-// the live node count.
+// Root returns the current root GID; Height the number of levels.
 func (tr *Tree) Root() gid.GID { return tr.root }
 func (tr *Tree) Height() int   { return tr.height }
-func (tr *Tree) Nodes() int    { return tr.nnodes }
 
 // RootChildren returns the root's child count (the paper discusses 3 vs 4).
 func (tr *Tree) RootChildren() int {
@@ -115,7 +112,6 @@ func (tr *Tree) newNode(nd *node) gid.GID {
 		nd.addrKeys = tr.shm.Alloc(home, 8*cap)
 		nd.addrKids = tr.shm.Alloc(home, 8*cap)
 	}
-	tr.nnodes++
 	g := tr.rt.Objects.New(home, nd)
 	nd.g = g
 	return g

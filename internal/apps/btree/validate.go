@@ -75,9 +75,6 @@ func (tr *Tree) AllKeys() []uint64 {
 	return keys
 }
 
-// KeyCount returns the number of stored keys.
-func (tr *Tree) KeyCount() int { return len(tr.AllKeys()) }
-
 // VerifyKeySet checks the tree's full post-run integrity: structural
 // B-link invariants (CheckInvariants), plus exact key-set equality
 // against the initial load and the host-tracked set of successfully

@@ -144,9 +144,6 @@ func (n *Network) NumBalancers() int {
 	return t
 }
 
-// Stages returns the network depth.
-func (n *Network) Stages() int { return len(n.stages) }
-
 func (n *Network) registerHandlers() {
 	n.mPeek = n.rt.RegisterMethod("countnet.peek", true,
 		func(t *core.Task, _ any, _ *msg.Reader, reply *msg.Writer) {

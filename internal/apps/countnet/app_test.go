@@ -144,10 +144,10 @@ func TestSharedMemGeneratesCoherenceOnly(t *testing.T) {
 	if err := env.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if env.col.Messages["rpc"] != 0 || env.col.Messages["migrate"] != 0 {
-		t.Errorf("shared-memory run sent runtime messages: %v", env.col.Messages)
+	if env.col.RPCCalls != 0 || env.col.MigrationsSent != 0 {
+		t.Errorf("shared-memory run sent runtime messages: %d calls, %d migrations", env.col.RPCCalls, env.col.MigrationsSent)
 	}
-	if env.col.Messages["coherence"] == 0 {
+	if env.col.TotalMessages() == 0 {
 		t.Error("shared-memory run produced no coherence traffic")
 	}
 	// Balancers are write-shared: with two threads ping-ponging lines the
@@ -291,8 +291,8 @@ func TestLayoutAccessors(t *testing.T) {
 	if env.net.NumBalancers() != 24 {
 		t.Errorf("balancers = %d", env.net.NumBalancers())
 	}
-	if env.net.Stages() != 6 {
-		t.Errorf("stages = %d", env.net.Stages())
+	if len(env.net.stages) != 6 {
+		t.Errorf("stages = %d", len(env.net.stages))
 	}
 }
 

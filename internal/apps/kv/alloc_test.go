@@ -16,7 +16,7 @@ import (
 func accessAllocs(t *testing.T, mech core.Mechanism, put bool) float64 {
 	t.Helper()
 	scheme := core.Scheme{Mechanism: mech}
-	p := DefaultParams()
+	p := Params{StoreProcs: 8, Touches: 3, IndexFanout: 16}
 	front := p.StoreProcs
 	m := machine.New("kv", machine.Config{Seed: 1, Scheme: scheme}, front+1)
 	keys := make([]uint64, 64)

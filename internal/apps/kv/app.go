@@ -28,13 +28,6 @@ type Params struct {
 	IndexFanout int // fanout of the range-scan index
 }
 
-// DefaultParams returns the serving-system defaults: eight storage
-// processors, three record accesses per operation (header, value,
-// metadata), and a fanout-16 index.
-func DefaultParams() Params {
-	return Params{StoreProcs: 8, Touches: 3, IndexFanout: 16}
-}
-
 // partState is one partition's host state: the version counter per key
 // and, under shared memory, the record-line image.
 type partState struct {
@@ -123,15 +116,6 @@ func Build(rt *core.Runtime, shm *mem.System, scheme core.Scheme, p Params, keys
 func (s *Store) partOf(id uint64) int {
 	return int(((id + 1) * 0x9e3779b97f4a7c15) % uint64(s.p.StoreProcs))
 }
-
-// PartProc returns the home processor of a key's partition.
-func (s *Store) PartProc(id uint64) int { return s.partOf(id) }
-
-// NumKeys returns the population size.
-func (s *Store) NumKeys() int { return len(s.keys) }
-
-// Index exposes the range-scan index (tests).
-func (s *Store) Index() *btree.Tree { return s.index }
 
 // Value returns a key's current version, host-level (invariant checks
 // at quiescence).

@@ -16,6 +16,8 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 
 // Build compiles the command in the test's working directory into the
 // test's temp dir and returns the binary's path.
+//
+//simvet:allow test-helper package: the CLI, example and app tests build their binaries with it
 func Build(t *testing.T, name string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), name)
@@ -34,6 +36,8 @@ func Build(t *testing.T, name string) string {
 //	go test ./cmd/<name> -run TestStdoutGolden -update
 //
 // (./examples/<name> for an example; make golden-update does every one).
+//
+//simvet:allow test-helper package: the CLI and example golden tests pin their stdout with it
 func Golden(t *testing.T, bin string, runs [][]string) {
 	t.Helper()
 	var b strings.Builder

@@ -145,7 +145,7 @@ func TestLocalCallNoMessages(t *testing.T) {
 	if r.col.TotalMessages() != 0 {
 		t.Errorf("local call sent %d messages", r.col.TotalMessages())
 	}
-	if r.col.Cycles(stats.CatMarshal) != 0 {
+	if r.col.SumCycles([]stats.Category{stats.CatMarshal}) != 0 {
 		t.Error("local call charged marshal cycles")
 	}
 }
@@ -168,15 +168,15 @@ func TestRemoteRPCRoundTrip(t *testing.T) {
 	if got != 4+5 {
 		t.Errorf("got %d, want 9", got)
 	}
-	if r.col.Messages["rpc"] != 1 || r.col.Messages["reply"] != 1 {
-		t.Errorf("messages = %v, want 1 rpc + 1 reply", r.col.Messages)
+	if r.col.RPCCalls != 1 || r.col.TotalMessages() != 2 {
+		t.Errorf("%d calls, %d messages, want 1 rpc + 1 reply", r.col.RPCCalls, r.col.TotalMessages())
 	}
 	// Cost must include two transits, both stub paths, and 10 cycles of
 	// user code — i.e. several hundred cycles in the software model.
 	if elapsed < 300 {
 		t.Errorf("remote RPC took %d cycles, implausibly cheap", elapsed)
 	}
-	if r.col.Cycles(stats.CatThreadCreation) == 0 {
+	if r.col.SumCycles([]stats.Category{stats.CatThreadCreation}) == 0 {
 		t.Error("long method did not charge thread creation")
 	}
 	// State actually mutated at the home.
@@ -195,7 +195,7 @@ func TestShortMethodSkipsThreadCreation(t *testing.T) {
 		}
 	})
 	r.run(t)
-	if r.col.Cycles(stats.CatThreadCreation) != 0 {
+	if r.col.SumCycles([]stats.Category{stats.CatThreadCreation}) != 0 {
 		t.Error("short method charged thread creation")
 	}
 	if r.col.ShortCalls != 1 {
@@ -250,11 +250,8 @@ func TestMigrationChainShortCircuits(t *testing.T) {
 	if got != want {
 		t.Errorf("sum = %d, want %d", got, want)
 	}
-	if r.col.Messages["migrate"] != m {
-		t.Errorf("migrate messages = %d, want %d", r.col.Messages["migrate"], m)
-	}
-	if r.col.Messages["reply"] != 1 {
-		t.Errorf("reply messages = %d, want 1 (short-circuit return)", r.col.Messages["reply"])
+	if got := r.col.TotalMessages(); got != uint64(m)+1 {
+		t.Errorf("messages = %d, want %d migrations + 1 reply (short-circuit return)", got, m)
 	}
 	if r.col.MigrationsSent != m {
 		t.Errorf("MigrationsSent = %d", r.col.MigrationsSent)
@@ -332,7 +329,7 @@ func TestMigrationChargesTable5Categories(t *testing.T) {
 		stats.CatGIDTranslation, stats.CatScheduler, stats.CatForwardingCheck,
 		stats.CatRecvAllocPacket, stats.CatUserCode,
 	} {
-		if r.col.Cycles(c) == 0 {
+		if r.col.SumCycles([]stats.Category{c}) == 0 {
 			t.Errorf("category %v never charged during a migration", c)
 		}
 	}
@@ -402,8 +399,8 @@ func TestNestedCallFromHandler(t *testing.T) {
 	if got != 3+2 {
 		t.Errorf("nested call result = %d, want 5", got)
 	}
-	if r.col.Messages["rpc"] != 2 {
-		t.Errorf("rpc messages = %d, want 2", r.col.Messages["rpc"])
+	if r.col.RPCCalls != 2 || r.col.TotalMessages() != 4 {
+		t.Errorf("%d calls, %d messages, want 2 rpcs + 2 replies", r.col.RPCCalls, r.col.TotalMessages())
 	}
 }
 
@@ -428,7 +425,7 @@ func (c *callCont) UnmarshalWords(r *msg.Reader) error {
 
 func (c *callCont) Run(t *Task) {
 	if !t.IsLocal(c.target) {
-		t.Migrate(c.target, t.rt.ContIDOf("callcont"), c)
+		t.Migrate(c.target, t.rt.contID["callcont"], c)
 		return
 	}
 	local := t.State(c.target).(*cell).val
@@ -526,9 +523,6 @@ func TestTaskAccessors(t *testing.T) {
 	r := newRig(t, 2, cost.Software())
 	r.eng.Spawn("req", 3, func(th *sim.Thread) {
 		task := r.rt.NewTask(th, 1)
-		if task.Runtime() != r.rt {
-			t.Error("Runtime accessor wrong")
-		}
 		if task.Thread() != th {
 			t.Error("Thread accessor wrong")
 		}

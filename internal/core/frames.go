@@ -49,10 +49,6 @@ func (t *Task) PushFrame(id ContID, frame Resumable) {
 	t.frames = append(t.frames, pendingFrame{id: id, frame: frame})
 }
 
-// FrameDepth returns how many caller frames are currently riding with
-// the task (for tests and tracing).
-func (t *Task) FrameDepth() int { return len(t.frames) }
-
 // packContHeader squeezes a continuation id and the riding-frame count
 // into one wire word (16 bits each).
 func packContHeader(id ContID, frames int) uint32 {

@@ -47,7 +47,7 @@ func TestMultiFrameMigration(t *testing.T) {
 		child := &Task{rt: r.rt, th: th, proc: task.proc,
 			reply: replyHandle{proc: 0, id: id}}
 		child.PushFrame(frameID, &twoPhase{r: r, factor: 10})
-		if child.FrameDepth() != 1 {
+		if len(child.frames) != 1 {
 			t.Error("frame not pushed")
 		}
 		(&sumCont{r: r, cells: r.cells[1:4]}).Run(child)
@@ -68,11 +68,8 @@ func TestMultiFrameMigration(t *testing.T) {
 	}
 	// The frame stack rode inside the migrate messages: 3 migrations,
 	// one final reply — the caller-frame resume itself cost no message.
-	if r.col.Messages["migrate"] != 3 {
-		t.Errorf("migrate messages = %d, want 3", r.col.Messages["migrate"])
-	}
-	if r.col.Messages["reply"] != 1 {
-		t.Errorf("reply messages = %d, want 1", r.col.Messages["reply"])
+	if r.col.MigrationsSent != 3 || r.col.TotalMessages() != 4 {
+		t.Errorf("%d migrations, %d messages, want 3 migrations + 1 reply", r.col.MigrationsSent, r.col.TotalMessages())
 	}
 }
 
@@ -110,7 +107,7 @@ func TestFrameStackGrowsMessage(t *testing.T) {
 func TestThreadMigrationCostsScaleWithStack(t *testing.T) {
 	run := func(stackWords uint64) (uint64, sim.Time) {
 		r := newRig(t, 3, cost.Software())
-		contID := r.rt.ContIDOf("sum")
+		contID := r.cSum
 		var dur sim.Time
 		r.eng.Spawn("req", 0, func(th *sim.Thread) {
 			task := r.rt.NewTask(th, 0)
@@ -138,7 +135,7 @@ func TestThreadMigrationCostsScaleWithStack(t *testing.T) {
 
 func TestThreadMigrationLocalRunsInline(t *testing.T) {
 	r := newRig(t, 2, cost.Software())
-	contID := r.rt.ContIDOf("sum")
+	contID := r.cSum
 	r.eng.Spawn("req", 0, func(th *sim.Thread) {
 		task := r.rt.NewTask(th, 1)
 		id, slot := r.rt.newReply(1)

@@ -37,12 +37,12 @@ func TestPullObjectMovesState(t *testing.T) {
 	if r.rt.Objects.Home(g) != 0 {
 		t.Errorf("object home = %d, want 0", r.rt.Objects.Home(g))
 	}
-	if !r.rt.Objects.HasMoved(g) {
-		t.Error("HasMoved false after pull")
+	if r.rt.Objects.Home(g) == g.Home() {
+		t.Error("object still at its birth processor after pull")
 	}
 	// Fetch + move = two messages.
-	if r.col.Messages["obj-fetch"] != 1 || r.col.Messages["obj-move"] != 1 {
-		t.Errorf("messages = %v", r.col.Messages)
+	if r.col.TotalMessages() != 2 {
+		t.Errorf("messages = %d, want a fetch and a move", r.col.TotalMessages())
 	}
 }
 
@@ -158,8 +158,8 @@ func TestObjectPingPong(t *testing.T) {
 	if got := r.rt.Objects.State(g).(*cell).reads; got != 2*rounds {
 		t.Errorf("touches = %d, want %d", got, 2*rounds)
 	}
-	if r.col.Messages["obj-move"] < rounds/2 {
-		t.Errorf("object moved only %d times; expected ping-pong", r.col.Messages["obj-move"])
+	if r.rt.Objects.Moves < rounds/2 {
+		t.Errorf("object moved only %d times; expected ping-pong", r.rt.Objects.Moves)
 	}
 }
 

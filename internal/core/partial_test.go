@@ -92,8 +92,8 @@ func TestMigratePartialKeepsHeavyStateHome(t *testing.T) {
 	if r.col.WordsSent > 60 {
 		t.Errorf("partial migration moved %d words; heavy state leaked onto the wire", r.col.WordsSent)
 	}
-	if r.col.Messages["migrate"] != 1 || r.col.Messages["reply"] != 1 {
-		t.Errorf("messages = %v", r.col.Messages)
+	if r.col.MigrationsSent != 1 || r.col.TotalMessages() != 2 {
+		t.Errorf("%d migrations, %d messages, want 1 migration + 1 reply", r.col.MigrationsSent, r.col.TotalMessages())
 	}
 }
 

@@ -151,7 +151,7 @@ func TestRecycledPayloadsSurviveBlockedReceivers(t *testing.T) {
 	if r.col.Forwards == 0 {
 		t.Error("no request was forwarded from a stale location")
 	}
-	if r.col.Messages["migrate"] == 0 {
+	if r.col.MigrationsSent == 0 {
 		t.Error("no partial migration left its processor")
 	}
 	if len(r.rt.lanes[0].msgs) == 0 {

@@ -248,15 +248,6 @@ func (rt *Runtime) RegisterCont(name string, factory func() Continuation) ContID
 	return id
 }
 
-// ContIDOf looks up a registered continuation by name.
-func (rt *Runtime) ContIDOf(name string) ContID {
-	id, ok := rt.contID[name]
-	if !ok {
-		panic("core: unknown continuation " + name)
-	}
-	return id
-}
-
 // replySlot is one entry of a lane's reply table: the rendezvous
 // between an operation's waiting caller and the reply words (or the
 // recovery error) that settle it. Slots are pooled per lane. A slot is

@@ -46,9 +46,6 @@ func (rt *Runtime) NewTask(th *sim.Thread, proc int) *Task {
 	return &Task{rt: rt, th: th, proc: rt.Mach.Proc(proc)}
 }
 
-// Runtime returns the owning runtime.
-func (t *Task) Runtime() *Runtime { return t.rt }
-
 // Thread returns the simulated thread currently backing this task.
 func (t *Task) Thread() *sim.Thread { return t.th }
 

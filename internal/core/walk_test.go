@@ -149,12 +149,12 @@ func TestWalkEveryMechanism(t *testing.T) {
 		if want := []string{"a", "b", "c"}; !reflect.DeepEqual(c.visited, want) {
 			t.Errorf("%v: visit order %v, want %v", mech, c.visited, want)
 		}
-		migrates, replies := c.col.Messages["migrate"], c.col.Messages["reply"]
+		migrates := c.col.MigrationsSent
 		switch mech {
 		case Migrate:
 			// One migration per remote hop, and one short-circuit reply.
-			if migrates != 3 || replies != 1 {
-				t.Errorf("CM sent %d migrates and %d replies, want 3 and 1", migrates, replies)
+			if sent := c.col.TotalMessages(); migrates != 3 || sent != 4 {
+				t.Errorf("CM sent %d migrates and %d messages, want 3 and 4", migrates, sent)
 			}
 		case SharedMem, ObjMigrate:
 			if migrates != 0 {

@@ -44,10 +44,6 @@ type Model struct {
 	HWTranslation bool
 }
 
-// CalibrationWords is the payload size (32-bit words) of the paper's
-// counting-network migration message: 32 bytes copied at the receiver.
-const CalibrationWords = 8
-
 // Software returns the measured software-runtime model of Table 5.
 func Software() Model {
 	return Model{

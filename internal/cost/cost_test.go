@@ -2,12 +2,16 @@ package cost
 
 import "testing"
 
+// calibrationWords is the payload size (32-bit words) of the paper's
+// counting-network migration message: 32 bytes copied at the receiver.
+const calibrationWords = 8
+
 // TestTable5Calibration checks that the software model reproduces the
 // per-category cycle counts of Table 5 for the paper's 8-word
 // counting-network migration message.
 func TestTable5Calibration(t *testing.T) {
 	m := Software()
-	n := uint64(CalibrationWords)
+	n := uint64(calibrationWords)
 
 	checks := []struct {
 		name string
@@ -50,7 +54,7 @@ func TestTable5Calibration(t *testing.T) {
 // ~12 cycles, packet allocation disappears, marshal/unmarshal halve.
 func TestHWMessagingReductions(t *testing.T) {
 	sw, hw := Software(), Software().WithHWMessaging()
-	n := uint64(CalibrationWords)
+	n := uint64(calibrationWords)
 	if got := hw.CopyPacket(n); got != 12 {
 		t.Errorf("hw copy = %d, want 12", got)
 	}
@@ -82,7 +86,7 @@ func TestHWTranslation(t *testing.T) {
 // message support improves migration cost by about twenty percent, and
 // translation hardware removes another ~6%.
 func TestHWSavingsMagnitude(t *testing.T) {
-	n := uint64(CalibrationWords)
+	n := uint64(calibrationWords)
 	sw := Software()
 	// One migration hop: sender + transit + receiver + user code (150).
 	total := func(m Model) uint64 {

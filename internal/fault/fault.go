@@ -394,10 +394,14 @@ func (i *Injector) Windows() []Window { return i.spec.Windows }
 
 // ScriptDrop makes the nth (1-based) transmission of the given message
 // kind be lost, regardless of probabilities.
+//
+//simvet:allow negative-test lever: the reliability and recovery tests script exact losses with it
 func (i *Injector) ScriptDrop(kind string, nth int) { i.script(kind, nth, opDrop) }
 
 // ScriptDup makes the nth (1-based) transmission of the given message
 // kind be delivered twice.
+//
+//simvet:allow negative-test lever: the reliability and recovery tests script exact duplicates with it
 func (i *Injector) ScriptDup(kind string, nth int) { i.script(kind, nth, opDup) }
 
 func (i *Injector) script(kind string, nth int, op scriptOp) {

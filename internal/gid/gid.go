@@ -32,9 +32,6 @@ func Make(home int, serial uint32) GID {
 // Home returns the processor the object lives on.
 func (g GID) Home() int { return int(uint64(g) >> homeShift) }
 
-// Serial returns the per-run unique serial number.
-func (g GID) Serial() uint32 { return uint32(g) }
-
 // IsNil reports whether g names no object.
 func (g GID) IsNil() bool { return g == Nil }
 

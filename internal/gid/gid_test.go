@@ -10,8 +10,8 @@ func TestMakeRoundTrip(t *testing.T) {
 	if g.Home() != 17 {
 		t.Errorf("home = %d", g.Home())
 	}
-	if g.Serial() != 42 {
-		t.Errorf("serial = %d", g.Serial())
+	if uint32(g) != 42 {
+		t.Errorf("serial = %d", uint32(g))
 	}
 	if g.IsNil() {
 		t.Error("valid gid reported nil")
@@ -51,7 +51,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 			serial = 1
 		}
 		g := Make(int(home), serial)
-		return g.Home() == int(home) && g.Serial() == serial && !g.IsNil()
+		return g.Home() == int(home) && uint32(g) == serial && !g.IsNil()
 	}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -104,6 +104,11 @@ func newChainWorld(mech core.Mechanism, m int, work, seed uint64) *chainWorld {
 // cycles it took: a remote call per access under RPC, one frame that
 // migrates to each item otherwise. stackWords > 0 makes every hop a
 // whole-thread migration carrying that much stack.
+//
+// The RPC/CM branch is written out here rather than run through
+// core.Task.Walk because the granularity ablation needs
+// Task.MigrateThread, which ships the thread's stack along with the
+// frame; Walk migrates one operation record and does not model it.
 func (w *chainWorld) visit(seq []gid.GID, stackWords uint64) sim.Time {
 	var elapsed sim.Time
 	w.m.Eng.Spawn("chain", 0, func(th *sim.Thread) {

@@ -115,9 +115,6 @@ func (s *Spec) theta() float64 {
 // Drivers size their stores from it.
 func (s *Spec) NumKeys() uint64 { return s.keys() }
 
-// NumOps returns the effective event count (defaults applied).
-func (s *Spec) NumOps() uint64 { return s.ops() }
-
 // mixPcts returns the effective read/write/scan percentages.
 func (s *Spec) mixPcts() (read, write, scan int) {
 	if s == nil || s.ReadPct+s.WritePct+s.ScanPct == 0 {

@@ -288,7 +288,6 @@ func (m *Machine) Attach(app App) {
 		if err != nil {
 			panic(m.name + ": " + err.Error())
 		}
-		pol.AttachMem(m.Mem)
 		if cfg.Hetero.Enabled() {
 			factors := cfg.Hetero.Factors(m.Mach.N())
 			speeds := make([]float64, len(factors))

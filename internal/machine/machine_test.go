@@ -113,12 +113,12 @@ func TestWindowedThroughputAndBandwidth(t *testing.T) {
 						col.CountOp(10)
 					}
 				}
-				col.CountMessage("x", 50)
+				col.CountMessage(50)
 				th.Sleep(2000)
 				for i := 0; i < 10; i++ {
 					col.CountOp(10)
 				}
-				col.CountMessage("x", 250)
+				col.CountMessage(250)
 			})
 		}
 		var tput, bw float64

@@ -60,9 +60,8 @@ func TestInvalidationAcrossWordBoundaries(t *testing.T) {
 				t.Errorf("invalidations delivered to %v, want %v", got, want)
 			}
 			k := uint64(len(want))
-			if r.col.Invalidations != k || r.shm.ModuleInvalidations(home) != k {
-				t.Errorf("invalidations = %d, module %d's = %d, want %d each",
-					r.col.Invalidations, home, r.shm.ModuleInvalidations(home), k)
+			if r.col.Invalidations != k {
+				t.Errorf("invalidations = %d, want %d", r.col.Invalidations, k)
 			}
 			if got, want := r.m.Proc(home).Busy-busy, p.SoftDirBase+p.SoftDirPerSharer*k; got != want {
 				t.Errorf("home CPU charged %d cycles for the write's trap, want %d", got, want)
@@ -143,7 +142,7 @@ func TestReclaimedEntryMissAllocs(t *testing.T) {
 		r.shm.Write(th, 1, b, 4) // evicts a: its writeback leaves a uncached
 		th.Sleep(1000)           // let the writeback reclaim a's entry
 	})
-	if got := r.shm.DirEntries(0); got != 1 {
+	if got := len(r.shm.dirs[0]); got != 1 {
 		t.Errorf("%d directory entries at home 0, want 1 (a's reclaimed)", got)
 	}
 	if n > 0 {
@@ -157,14 +156,14 @@ func TestReclaimedEntryMissAllocs(t *testing.T) {
 func TestDirtyWritebackAllocs(t *testing.T) {
 	r := newRig(2, smallCacheParams())
 	a, b := sameSet(r, 0)
-	sent := r.col.Messages["coherence"]
+	sent := r.col.TotalMessages()
 	n := allocsPerAccess(t, r, func(th *sim.Thread) {
 		r.shm.Write(th, 1, a, 4)
 		r.shm.Write(th, 1, b, 4)
 	})
 	// Each write is a request, a grant and a writeback of the line it
 	// evicts; only the very first write evicts nothing.
-	if got, want := r.col.Messages["coherence"]-sent, uint64(3*2*(16+101)-1); got != want {
+	if got, want := r.col.TotalMessages()-sent, uint64(3*2*(16+101)-1); got != want {
 		t.Errorf("%d coherence messages, want %d", got, want)
 	}
 	if n > 0 {

@@ -105,20 +105,20 @@ func TestFastPathCollectorIdentity(t *testing.T) {
 		}
 	}
 	for home := 0; home < 4; home++ {
-		if got, want := on.shm.DirEntries(home), off.shm.DirEntries(home); got != want {
+		if got, want := len(on.shm.dirs[home]), len(off.shm.dirs[home]); got != want {
 			t.Errorf("dir entries at home %d: fastpath=%d, slowpath=%d", home, got, want)
 		}
 	}
 
 	// The A/B must actually have exercised both regimes.
-	fastHits, fastLocal, _ := on.shm.FastPathCounts()
+	fastHits, fastLocal := on.shm.nFastHits, on.shm.nFastLocal
 	if fastHits == 0 {
 		t.Error("fastpath run never took the inline hit path")
 	}
 	if fastLocal == 0 {
 		t.Error("fastpath run never took the inline local-miss path")
 	}
-	offHits, offLocal, _ := off.shm.FastPathCounts()
+	offHits, offLocal := off.shm.nFastHits, off.shm.nFastLocal
 	if offHits != 0 || offLocal != 0 {
 		t.Errorf("disabled run took fast paths: hits=%d local=%d", offHits, offLocal)
 	}
@@ -156,7 +156,7 @@ func TestDirEntriesBoundedUnderCycling(t *testing.T) {
 	// Everything is homed at 0; proc 1's cache holds at most 64 lines,
 	// so with reclamation the directory cannot hold many more than that.
 	cacheLines := p.CacheBytes / int(LineBytes)
-	if got := r.shm.DirEntries(0); got > 2*cacheLines {
+	if got := len(r.shm.dirs[0]); got > 2*cacheLines {
 		t.Errorf("dir entries = %d after cycling %d lines, want bounded near cache capacity %d",
 			got, objs, cacheLines)
 	}

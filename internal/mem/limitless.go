@@ -38,6 +38,8 @@ func (s *System) softwareHandled(home int, d *dirEntry, done func()) bool {
 //     never the reverse.
 //
 // Tests call it after the event heap drains.
+//
+//simvet:allow the coherence invariant checker; the protocol tests and the module's integration test run it at quiescence
 func (s *System) CheckCoherence() error {
 	for p, c := range s.caches {
 		for i := range c.lines {

@@ -353,6 +353,8 @@ func init() { fastPathOn.Store(true) }
 // with. The fast paths never change simulated outcomes — only how much
 // host work it takes to compute them — so this is purely a testing and
 // debugging knob.
+//
+//simvet:allow the fast-path A/B identity tests (TestFastPathABIdentity, TestFastPathCollectorIdentity) force the event-driven reference path through it
 func SetFastPath(on bool) { fastPathOn.Store(on) }
 
 // System is the machine-wide shared-memory substrate.
@@ -369,12 +371,6 @@ type System struct {
 	nFastHits  uint64 // line accesses satisfied by the inline all-hit path
 	nFastLocal uint64 // misses completed inline at the home module
 	nSlow      uint64 // line accesses through the event-driven protocol
-
-	// modInval[p] counts invalidations of lines homed on module p — the
-	// per-object write-sharing pressure signal the policy layer reads
-	// (objects are homed with their lines, so a hot object's invalidation
-	// storm shows up at its home module).
-	modInval []uint64
 
 	caches  []*cache
 	modules []*sim.Proc // memory-module serial servers (not CPU procs)
@@ -435,7 +431,6 @@ func New(eng *sim.Engine, mach *sim.Machine, net *network.Network, col *stats.Co
 		dirs:     make([]map[Addr]*dirEntry, mach.N()),
 		heaps:    make([]uint64, mach.N()),
 		inflight: make([]map[Addr]*sim.Future, mach.N()),
-		modInval: make([]uint64, mach.N()),
 		words:    (mach.N() + 63) / 64,
 	}
 	for i := 0; i < mach.N(); i++ {
@@ -483,24 +478,6 @@ func (s *System) Release() {
 		c.release()
 	}
 }
-
-// FastPathCounts returns this System's (fast hits, fast local misses,
-// slow accesses) tallies so far, at line-access granularity.
-func (s *System) FastPathCounts() (fastHits, fastLocal, slow uint64) {
-	return s.nFastHits, s.nFastLocal, s.nSlow
-}
-
-// Collector returns the stats sink.
-func (s *System) Collector() *stats.Collector { return s.col }
-
-// ModuleUtilization returns the busy fraction of processor p's memory
-// module (used to demonstrate the resource-contention results).
-func (s *System) ModuleUtilization(p int) float64 { return s.modules[p].Utilization() }
-
-// ModuleInvalidations returns the number of invalidations of lines homed
-// on processor p's module so far — the write-sharing pressure signal the
-// policy layer samples per object home.
-func (s *System) ModuleInvalidations(p int) uint64 { return s.modInval[p] }
 
 func (s *System) dir(line Addr) *dirEntry {
 	home := HomeOf(line)
@@ -891,7 +868,6 @@ func (v *inval) run() {
 	s.invalPool = append(s.invalPool, v)
 	s.caches[q].drop(t.line)
 	s.col.Invalidations++
-	s.modInval[t.home]++
 	s.send(q, t.home, 0, t.ackFn)
 }
 
@@ -902,7 +878,6 @@ func (t *txn) recall() {
 	if t.write {
 		s.caches[t.owner].drop(t.line)
 		s.col.Invalidations++
-		s.modInval[t.home]++
 	} else if s.caches[t.owner].drop(t.line) == modified {
 		s.caches[t.owner].install(t.line, shared)
 	}
@@ -994,7 +969,3 @@ func (t *txn) writtenBack() {
 		s.dirFree = append(s.dirFree, d)
 	}
 }
-
-// DirEntries returns how many lines homed on the given processor have
-// directory state (useful in tests and reports).
-func (s *System) DirEntries(home int) int { return len(s.dirs[home]) }

@@ -188,14 +188,14 @@ func TestEvictionWriteback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three dirty installs into a 2-way set force at least one writeback.
-	if r.col.Messages["coherence"] == 0 {
+	if r.col.TotalMessages() == 0 {
 		t.Fatal("no coherence messages at all")
 	}
 	// The written-back line returned to uncached-everywhere, so its
 	// directory entry was reclaimed; only the two still-cached lines keep
 	// directory state.
-	if r.shm.DirEntries(1) != 2 {
-		t.Errorf("dir entries = %d, want 2 (evicted line reclaimed)", r.shm.DirEntries(1))
+	if len(r.shm.dirs[1]) != 2 {
+		t.Errorf("dir entries = %d, want 2 (evicted line reclaimed)", len(r.shm.dirs[1]))
 	}
 }
 
@@ -359,7 +359,7 @@ func TestCacheLRUWithinSet(t *testing.T) {
 
 func TestSystemAccessors(t *testing.T) {
 	r := newRig(2, DefaultParams())
-	if r.shm.Collector() != r.col {
+	if r.shm.col != r.col {
 		t.Error("collector accessor wrong")
 	}
 	addr := r.shm.Alloc(1, 4)
@@ -369,7 +369,7 @@ func TestSystemAccessors(t *testing.T) {
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.shm.ModuleUtilization(1) <= 0 {
+	if r.shm.modules[1].Utilization() <= 0 {
 		t.Error("home module utilization zero after a remote miss")
 	}
 }
@@ -419,7 +419,7 @@ func TestPrefetchJoinNoDuplicateFetch(t *testing.T) {
 		t.Errorf("joins = %d, want 1", r.col.PrefetchJoins)
 	}
 	// One line moved once: exactly one request + one data reply.
-	if got := r.col.Messages["coherence"]; got != 2 {
+	if got := r.col.TotalMessages(); got != 2 {
 		t.Errorf("coherence messages = %d, want 2 (no duplicate fetch)", got)
 	}
 	if err := r.shm.CheckCoherence(); err != nil {

@@ -58,34 +58,6 @@ func Messages(mech Mechanism, n, m int) int {
 	}
 }
 
-// Point is one (m, messages) pair of a Figure 1 series.
-type Point struct {
-	M        int
-	Messages int
-}
-
-// Series tabulates Messages for m = 1..maxM at fixed n.
-func Series(mech Mechanism, n, maxM int) []Point {
-	pts := make([]Point, 0, maxM)
-	for m := 1; m <= maxM; m++ {
-		pts = append(pts, Point{M: m, Messages: Messages(mech, n, m)})
-	}
-	return pts
-}
-
-// Crossover returns the smallest n (accesses per datum) at which
-// computation migration sends strictly fewer messages than the given
-// mechanism, for any m >= 1, or -1 if it never does.
-func Crossover(mech Mechanism, maxN int) int {
-	for n := 0; n <= maxN; n++ {
-		// Compare at m = 1, the least favourable case for migration.
-		if Messages(ComputationMigration, n, 1) < Messages(mech, n, 1) {
-			return n
-		}
-	}
-	return -1
-}
-
 // Winner returns the cheapest mechanism for the (n, m) scenario. Data
 // migration's count excludes coherence traffic, so the answer matches
 // the paper's idealized read-only comparison.

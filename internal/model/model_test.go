@@ -63,14 +63,12 @@ func TestSinglesAccessRPCTies(t *testing.T) {
 	}
 }
 
+// TestSeries checks one Figure 1 series, RPC at n = 2 for m = 1..5:
+// 2·n·m messages.
 func TestSeries(t *testing.T) {
-	s := Series(RPC, 2, 5)
-	if len(s) != 5 {
-		t.Fatalf("series length %d", len(s))
-	}
-	for i, p := range s {
-		if p.M != i+1 || p.Messages != 2*2*(i+1) {
-			t.Errorf("series point %d = %+v", i, p)
+	for m := 1; m <= 5; m++ {
+		if got := Messages(RPC, 2, m); got != 2*2*m {
+			t.Errorf("RPC(n=2, m=%d) = %d, want %d", m, got, 2*2*m)
 		}
 	}
 }
@@ -116,14 +114,21 @@ func TestMechanismString(t *testing.T) {
 	}
 }
 
+// TestCrossover pins where computation migration starts to send
+// strictly fewer messages at m = 1, the least favourable case for it.
 func TestCrossover(t *testing.T) {
-	// Against RPC at m=1: CM costs 2 always; RPC costs 2n. CM wins
-	// strictly from n=2.
-	if n := Crossover(RPC, 100); n != 2 {
-		t.Errorf("crossover vs RPC = %d, want 2", n)
+	cm := func(n int) int { return Messages(ComputationMigration, n, 1) }
+	// Against RPC: CM costs 2 always; RPC costs 2n. CM wins strictly
+	// from n=2.
+	for n := 0; n <= 100; n++ {
+		if wins := cm(n) < Messages(RPC, n, 1); wins != (n >= 2) {
+			t.Errorf("n=%d: CM beats RPC = %v, want %v", n, wins, n >= 2)
+		}
 	}
-	// Against data migration at m=1 both cost 2 forever: no strict win.
-	if n := Crossover(DataMigration, 50); n != -1 {
-		t.Errorf("crossover vs data migration = %d, want -1", n)
+	// Against data migration both cost 2 forever: no strict win.
+	for n := 0; n <= 50; n++ {
+		if cm(n) < Messages(DataMigration, n, 1) {
+			t.Errorf("n=%d: CM beats data migration", n)
+		}
 	}
 }

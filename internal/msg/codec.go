@@ -28,6 +28,8 @@ func (w *Writer) PutU64(v uint64) {
 }
 
 // PutI64 appends a signed 64-bit value.
+//
+//simvet:allow contgen emits PutI64 for int64 record fields (internal/contgen)
 func (w *Writer) PutI64(v int64) { w.PutU64(uint64(v)) }
 
 // PutBool appends a boolean as one word.
@@ -48,9 +50,6 @@ func (w *Writer) PutU32s(vs []uint32) {
 	w.PutU32(uint32(len(vs)))
 	w.words = append(w.words, vs...)
 }
-
-// Len returns the number of words written so far.
-func (w *Writer) Len() int { return len(w.words) }
 
 // Words returns the encoded payload. It aliases the Writer's buffer:
 // write nothing more until the caller is done with it, and after a
@@ -110,6 +109,8 @@ func (r *Reader) U64() uint64 {
 }
 
 // I64 reads a signed 64-bit value.
+//
+//simvet:allow contgen emits I64 to decode int64 record fields (internal/contgen)
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // Bool reads a boolean word.

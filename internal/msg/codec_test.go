@@ -196,8 +196,8 @@ func TestWriterResetKeepsBuffer(t *testing.T) {
 	w.PutU32(2)
 	grown := cap(w.Words())
 	w.Reset()
-	if w.Len() != 0 {
-		t.Fatalf("len = %d after Reset, want 0", w.Len())
+	if len(w.words) != 0 {
+		t.Fatalf("len = %d after Reset, want 0", len(w.words))
 	}
 	w.PutU32(9)
 	if got := w.Words(); len(got) != 1 || got[0] != 9 {

@@ -169,9 +169,6 @@ type Network struct {
 	// default: the paper folds size effects into marshal/copy costs).
 	PerWordWireCycles uint64
 
-	// Delivered counts messages that have arrived.
-	Delivered uint64
-
 	// pool recycles delivery adapters so a Send costs no allocation for
 	// the in-flight bookkeeping (the simulator processes millions of
 	// messages per experiment).
@@ -190,13 +187,12 @@ type Network struct {
 }
 
 // laneNet is one shard lane's slice of the network: its engine, its
-// collector, its delivery-adapter pool, and its arrival count. Each is
-// touched only while its lane executes.
+// collector and its delivery-adapter pool. Each is touched only while
+// its lane executes.
 type laneNet struct {
-	eng       *sim.Engine
-	col       *stats.Collector
-	pool      []*laneDelivery
-	delivered uint64
+	eng  *sim.Engine
+	col  *stats.Collector
+	pool []*laneDelivery
 }
 
 // laneDelivery is the per-lane analogue of delivery for same-lane
@@ -212,7 +208,6 @@ func (d *laneDelivery) run() {
 	ln, m, arrive := d.ln, d.m, d.arrive
 	d.m, d.arrive = nil, nil
 	ln.pool = append(ln.pool, d)
-	ln.delivered++
 	arrive(m)
 }
 
@@ -233,7 +228,6 @@ func (d *delivery) run() {
 	n, m, arrive := d.n, d.m, d.arrive
 	d.m, d.arrive = nil, nil
 	n.pool = append(n.pool, d)
-	n.Delivered++
 	if n.eng.Tracing() {
 		n.eng.Tracef("deliver", "%s p%d->p%d", m.Kind, m.Src, m.Dst)
 	}
@@ -247,9 +241,6 @@ func New(eng *sim.Engine, topo Topology, col *stats.Collector, transitBase, tran
 		TransitBase: transitBase, TransitPerHop: transitPerHop,
 	}
 }
-
-// Collector returns the stats sink this network reports into.
-func (n *Network) Collector() *stats.Collector { return n.col }
 
 // Shard routes the network over a lane cluster: message and cycle
 // accounting go to the sending processor's lane collector (cols, by
@@ -271,16 +262,6 @@ func (n *Network) Shard(cl *sim.Cluster, cols []*stats.Collector) {
 	}
 }
 
-// DeliveredTotal returns arrived-message counts summed across lanes (or
-// the serial Delivered count when the network is not sharded).
-func (n *Network) DeliveredTotal() uint64 {
-	total := n.Delivered
-	for i := range n.lanes {
-		total += n.lanes[i].delivered
-	}
-	return total
-}
-
 // sendSharded is the SendAfter body under Shard.
 func (n *Network) sendSharded(m *Message, recvDelay uint64, arrive func(*Message)) {
 	if profile.Enabled() {
@@ -289,7 +270,7 @@ func (n *Network) sendSharded(m *Message, recvDelay uint64, arrive func(*Message
 	srcLane := n.cl.LaneOf(m.Src)
 	src := &n.lanes[srcLane]
 	words := m.Words()
-	src.col.CountMessage(m.Kind, words)
+	src.col.CountMessage(words)
 	lat := n.Latency(m.Src, m.Dst, words)
 	src.col.AddCycles(stats.CatNetworkTransit, lat)
 	dstLane := n.cl.LaneOf(m.Dst)
@@ -307,11 +288,7 @@ func (n *Network) sendSharded(m *Message, recvDelay uint64, arrive func(*Message
 		src.eng.ScheduleOn(lat+recvDelay, m.Dst, d.fn)
 		return
 	}
-	dst := &n.lanes[dstLane]
-	n.cl.CrossSend(src.eng, lat+recvDelay, m.Dst, func() {
-		dst.delivered++
-		arrive(m)
-	})
+	n.cl.CrossSend(src.eng, lat+recvDelay, m.Dst, func() { arrive(m) })
 }
 
 // Latency returns the wire latency for a message of size words from src
@@ -345,7 +322,7 @@ func (n *Network) SendAfter(m *Message, recvDelay uint64, arrive func(*Message))
 		defer profile.NetSends.Time(1)()
 	}
 	words := m.Words()
-	n.col.CountMessage(m.Kind, words)
+	n.col.CountMessage(words)
 	lat := n.Latency(m.Src, m.Dst, words)
 	n.col.AddCycles(stats.CatNetworkTransit, lat)
 	if n.eng.Tracing() {

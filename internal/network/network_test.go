@@ -137,11 +137,11 @@ func TestSendLatencyAndAccounting(t *testing.T) {
 	if col.WordsSent != HeaderWords+3 {
 		t.Errorf("words = %d, want %d", col.WordsSent, HeaderWords+3)
 	}
-	if col.Messages["test"] != 1 {
-		t.Errorf("message count = %v", col.Messages)
+	if col.TotalMessages() != 1 {
+		t.Errorf("message count = %d", col.TotalMessages())
 	}
-	if col.Cycles(stats.CatNetworkTransit) != 17 {
-		t.Errorf("transit cycles = %d", col.Cycles(stats.CatNetworkTransit))
+	if col.SumCycles([]stats.Category{stats.CatNetworkTransit}) != 17 {
+		t.Errorf("transit cycles = %d", col.SumCycles([]stats.Category{stats.CatNetworkTransit}))
 	}
 }
 
@@ -176,13 +176,13 @@ func TestMessagesDeliverInOrderPerLatency(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if len(order) != 4 {
+		t.Errorf("delivered = %d, want 4", len(order))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-latency messages reordered: %v", order)
 		}
-	}
-	if n.Delivered != 4 {
-		t.Errorf("delivered = %d", n.Delivered)
 	}
 }
 

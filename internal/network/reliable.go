@@ -102,7 +102,7 @@ func (r *reliability) transmit(p *relPending) {
 		r.inj.Counters.Retransmits++
 	}
 	n := r.n
-	n.col.CountMessage(p.kind, p.words)
+	n.col.CountMessage(p.words)
 	lat := n.Latency(p.src, p.dst, p.words)
 	n.col.AddCycles(stats.CatNetworkTransit, lat)
 	if n.eng.Tracing() {
@@ -152,7 +152,6 @@ func (p *relPending) onLand() {
 	p.refs--
 	r := p.r
 	n := r.n
-	n.Delivered++
 	if n.eng.Tracing() {
 		n.eng.Tracef("deliver", "%s p%d->p%d seq=%d", p.kind, p.src, p.dst, p.seq)
 	}
@@ -175,7 +174,7 @@ func (r *reliability) sendAck(p *relPending) {
 	n := r.n
 	r.inj.Counters.Acks++
 	words := uint64(HeaderWords + ackWireWords)
-	n.col.CountMessage("ack", words)
+	n.col.CountMessage(words)
 	lat := n.Latency(p.dst, p.src, words)
 	n.col.AddCycles(stats.CatNetworkTransit, lat)
 	v := r.inj.Judge("ack")

@@ -187,21 +187,21 @@ func TestReliableGiveUpWithoutGuardPanics(t *testing.T) {
 
 // The reliability framing charges its sequence/ack words on the wire:
 // a framed message costs more than an unframed one, and acks show up in
-// the per-kind message counts.
+// the message count.
 func TestReliableFramingIsCharged(t *testing.T) {
 	e, n, _ := faultyNet(t, &fault.Spec{DelayMax: 1})
 	n.Send(&Message{Src: 0, Dst: 1, Kind: "req", Payload: []uint32{1}}, func(*Message) {})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	col := n.Collector()
+	col := n.col
 	wantReq := uint64(HeaderWords + 1 + frameWords)
 	wantAck := uint64(HeaderWords + ackWireWords)
 	if col.WordsSent != wantReq+wantAck {
 		t.Errorf("words sent = %d, want %d message + %d ack", col.WordsSent, wantReq, wantAck)
 	}
-	if col.Messages["ack"] != 1 || col.Messages["req"] != 1 {
-		t.Errorf("message counts = %v", col.Messages)
+	if col.TotalMessages() != 2 {
+		t.Errorf("message count = %d, want 1 message + 1 ack", col.TotalMessages())
 	}
 }
 

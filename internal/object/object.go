@@ -128,18 +128,6 @@ func (s *Space) HomedAt(p int) int {
 	return n
 }
 
-// HasMoved reports whether g lives away from its birth processor.
-func (s *Space) HasMoved(g gid.GID) bool {
-	_, ok := s.moved[g]
-	return ok
-}
-
 // GIDs returns every live object in creation order, the deterministic
 // order for sweeps over the whole table. The caller must not modify it.
 func (s *Space) GIDs() []gid.GID { return s.order }
-
-// Len returns the number of live objects.
-func (s *Space) Len() int { return len(s.states) }
-
-// Procs returns the machine size the space was created for.
-func (s *Space) Procs() int { return s.nprocs }

@@ -1,6 +1,10 @@
 package object
 
-import "testing"
+import (
+	"testing"
+
+	"compmig/internal/gid"
+)
 
 func TestNewAndState(t *testing.T) {
 	s := NewSpace(4)
@@ -15,8 +19,8 @@ func TestNewAndState(t *testing.T) {
 	if !s.Exists(g) {
 		t.Error("object missing")
 	}
-	if s.Len() != 1 || s.Procs() != 4 {
-		t.Errorf("len=%d procs=%d", s.Len(), s.Procs())
+	if len(s.states) != 1 || s.nprocs != 4 {
+		t.Errorf("len=%d procs=%d", len(s.states), s.nprocs)
 	}
 }
 
@@ -53,22 +57,28 @@ func TestUnknownStatePanics(t *testing.T) {
 	s.State(g + 12345)
 }
 
+// hasMoved reports whether g lives away from its birth processor.
+func hasMoved(s *Space, g gid.GID) bool {
+	_, ok := s.moved[g]
+	return ok
+}
+
 func TestMoveAndHome(t *testing.T) {
 	s := NewSpace(4)
 	g := s.New(1, "payload")
-	if s.Home(g) != 1 || s.HasMoved(g) {
+	if s.Home(g) != 1 || hasMoved(s, g) {
 		t.Fatal("fresh object in wrong place")
 	}
 	s.Move(g, 3)
-	if s.Home(g) != 3 || !s.HasMoved(g) {
-		t.Fatalf("after move: home=%d moved=%v", s.Home(g), s.HasMoved(g))
+	if s.Home(g) != 3 || !hasMoved(s, g) {
+		t.Fatalf("after move: home=%d moved=%v", s.Home(g), hasMoved(s, g))
 	}
 	if s.Moves != 1 {
 		t.Errorf("moves = %d", s.Moves)
 	}
 	// Moving back to the birth processor clears the override.
 	s.Move(g, 1)
-	if s.HasMoved(g) {
+	if hasMoved(s, g) {
 		t.Error("move home did not clear the override")
 	}
 	if s.Home(g) != 1 {

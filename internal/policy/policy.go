@@ -30,7 +30,6 @@
 package policy
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -83,8 +82,7 @@ type Engine struct {
 
 	eng *sim.Engine
 	col *stats.Collector
-	shm *mem.System // nil when the run has no shared-memory substrate
-	rng *sim.PRNG   // bandit exploration; seeded from the run seed
+	rng *sim.PRNG // bandit exploration; seeded from the run seed
 
 	// speeds[p] is processor p's slowdown factor (1 = full speed), set by
 	// SetSpeeds on heterogeneous machines. nil means a uniform machine.
@@ -99,9 +97,6 @@ type Engine struct {
 	// origin[p] tracks the consecutive-access run in flight on p: the
 	// object being accessed and how many accesses it has received.
 	origin []originState
-
-	// objects accumulates per-object access pressure across all sites.
-	objects map[gid.GID]*ObjectStats
 
 	// Sampled shared-memory pressure, refreshed lazily in simulated time
 	// from the collector's coherence counters. missRate starts at the
@@ -124,12 +119,6 @@ type originState struct {
 	opHops uint64 // migration hops observed during the open operation
 }
 
-// ObjectStats is the per-object pressure record the engine maintains.
-type ObjectStats struct {
-	Accesses uint64 `json:"accesses"` // remote accesses observed (all mechanisms)
-	Pulls    uint64 `json:"pulls"`    // whole-object moves (static:om runs)
-}
-
 // New parses spec and builds an engine for one run. Accepted specs:
 //
 //	static:rpc | static:cm | static:sm | static:om
@@ -147,7 +136,6 @@ func New(spec string, model cost.Model, mp mem.Params, eng *sim.Engine, col *sta
 		eps:          0.05,
 		open:         make([]*Site, nprocs),
 		origin:       make([]originState, nprocs),
-		objects:      make(map[gid.GID]*ObjectStats),
 		missRate:     1.0,
 		samplePeriod: 500,
 	}
@@ -213,14 +201,6 @@ func (e *Engine) Name() string {
 	}
 }
 
-// Mode returns the engine's decision procedure.
-func (e *Engine) Mode() Mode { return e.mode }
-
-// AttachMem hands the engine the run's shared-memory substrate so object
-// pressure can be read per home module. Optional; without it the engine
-// falls back to machine-wide collector counters only.
-func (e *Engine) AttachMem(s *mem.System) { e.shm = s }
-
 // SetSpeeds hands the engine the machine's per-processor slowdown
 // factors (1 = full speed), the same profile the driver applied with
 // sim.Proc.SetSpeed. The cost model then prices each mechanism at the
@@ -249,9 +229,6 @@ func (e *Engine) NewSite(name string, base advisor.SiteProfile) *Site {
 	e.sites = append(e.sites, s)
 	return s
 }
-
-// Sites returns the registered sites in registration order.
-func (e *Engine) Sites() []*Site { return e.sites }
 
 // Decisions sums how many times each mechanism was chosen across the
 // engine's sites, indexed by core.Mechanism.
@@ -288,13 +265,6 @@ type Site struct {
 	cycleSum  [4]uint64 // total observed cycles per mechanism
 	decisions [4]uint64 // Decide outcomes per mechanism
 }
-
-// Name returns the site's registration name.
-func (s *Site) Name() string { return s.name }
-
-// Decisions returns how many times each mechanism was chosen at this
-// site, indexed by core.Mechanism.
-func (s *Site) Decisions() [4]uint64 { return s.decisions }
 
 // Begin opens one high-level operation at this site on origin processor
 // proc, whose first remote target is g, and returns the mechanism the
@@ -485,12 +455,6 @@ func (e *Engine) sample() {
 	e.lastHits, e.lastMisses, e.lastInval = hits, misses, inval
 }
 
-// MissRate returns the sampled shared-memory miss rate (prior 1.0).
-func (e *Engine) MissRate() float64 { return e.missRate }
-
-// InvalRate returns the sampled invalidations per line access.
-func (e *Engine) InvalRate() float64 { return e.invalRate }
-
 // flushRun folds the consecutive-access run in flight on proc into the
 // statistics of the site that owns the open operation.
 func (e *Engine) flushRun(proc int) {
@@ -518,12 +482,6 @@ func (e *Engine) touch(proc int, g gid.GID) {
 		e.flushRun(proc)
 		o.last, o.run = g, 1
 	}
-	obj := e.objects[g]
-	if obj == nil {
-		obj = &ObjectStats{}
-		e.objects[g] = obj
-	}
-	obj.Accesses++
 }
 
 // Engine implements core.AccessObserver; the runtime invokes these hooks
@@ -550,12 +508,10 @@ func (e *Engine) MigrateHop(origin int, g gid.GID, contWords int) {
 	}
 }
 
-// ObjectPull records one Emerald-style whole-object move to origin.
+// ObjectPull records one Emerald-style whole-object move to origin as an
+// access to g.
 func (e *Engine) ObjectPull(origin int, g gid.GID, stateWords int) {
 	e.touch(origin, g)
-	if obj := e.objects[g]; obj != nil {
-		obj.Pulls++
-	}
 }
 
 func (e *Engine) siteOf(origin int) *Site {
@@ -563,18 +519,6 @@ func (e *Engine) siteOf(origin int) *Site {
 		return nil
 	}
 	return e.open[origin]
-}
-
-// ObjectPressure returns the accumulated pressure record for g (nil if
-// the object was never observed) plus the invalidation count at its
-// current home module when a substrate is attached.
-func (e *Engine) ObjectPressure(g gid.GID) (*ObjectStats, uint64) {
-	obj := e.objects[g]
-	var inval uint64
-	if e.shm != nil {
-		inval = e.shm.ModuleInvalidations(g.Home())
-	}
-	return obj, inval
 }
 
 // decisionCounters are the process-wide decision counters surfaced by
@@ -639,15 +583,6 @@ func (e *Engine) Stats() Stats {
 		st.Sites = append(st.Sites, ss)
 	}
 	return st
-}
-
-// DumpJSON renders Stats as indented JSON (the -policy-stats format).
-func (e *Engine) DumpJSON() ([]byte, error) {
-	data, err := json.MarshalIndent(e.Stats(), "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 // EstimateSM exposes the shared-memory visit estimator for offline use

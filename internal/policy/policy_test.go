@@ -81,7 +81,7 @@ func TestStaticDecides(t *testing.T) {
 		}
 		s.End(0, core.Migrate, 100)
 	}
-	if d := s.Decisions(); d[core.Migrate] != 5 {
+	if d := s.decisions; d[core.Migrate] != 5 {
 		t.Fatalf("decisions = %v, want 5 under Migrate", d)
 	}
 }
@@ -125,10 +125,6 @@ func TestLiveProfileReplacesPriors(t *testing.T) {
 	if p.AccessesPerVisit != 2 {
 		t.Errorf("AccessesPerVisit = %v, want 2", p.AccessesPerVisit)
 	}
-	obj, _ := e.ObjectPressure(g1)
-	if obj == nil || obj.Accesses != 8 {
-		t.Errorf("object pressure for g1 = %+v, want 8 accesses", obj)
-	}
 }
 
 // TestBanditDeterministic: two engines with the same seed make the same
@@ -168,7 +164,7 @@ func TestBanditConverges(t *testing.T) {
 		m := s.Begin(0, gid.GID(1))
 		s.End(0, m, costs[m])
 	}
-	d := s.Decisions()
+	d := s.decisions
 	// 3 forced exploration plays, then every pick is SM.
 	if d[core.SharedMem] != 18 || d[core.RPC] != 1 || d[core.Migrate] != 1 {
 		t.Fatalf("decisions = %v, want RPC:1 CM:1 SM:18", d)
@@ -210,20 +206,20 @@ func TestEstimateSMRespondsToPressure(t *testing.T) {
 // miss-rate estimate lazily, without touching the event queue.
 func TestSampling(t *testing.T) {
 	e := newEngine(t, "costmodel")
-	if e.MissRate() != 1.0 {
-		t.Fatalf("prior miss rate = %v, want 1.0", e.MissRate())
+	if e.missRate != 1.0 {
+		t.Fatalf("prior miss rate = %v, want 1.0", e.missRate)
 	}
 	e.col.CacheHits = 90
 	e.col.CacheMisses = 10
 	e.sample()
-	if e.MissRate() != 0.1 {
-		t.Fatalf("sampled miss rate = %v, want 0.1", e.MissRate())
+	if e.missRate != 0.1 {
+		t.Fatalf("sampled miss rate = %v, want 0.1", e.missRate)
 	}
-	before := e.MissRate()
+	before := e.missRate
 	// Within the sampling period the estimate must not move.
 	e.col.CacheMisses = 1000
 	e.sample()
-	if e.MissRate() != before {
+	if e.missRate != before {
 		t.Fatalf("miss rate moved within sampling period")
 	}
 }
@@ -235,7 +231,7 @@ func TestStatsDump(t *testing.T) {
 	m := s.Begin(0, gid.GID(5))
 	e.RemoteCall(0, gid.GID(5), 8, 2, true)
 	s.End(0, m, 800)
-	data, err := e.DumpJSON()
+	data, err := json.Marshal(e.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}

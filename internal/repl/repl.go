@@ -65,6 +65,8 @@ func (tb *Table) Replicate(g gid.GID, state any, sizeWords uint64) {
 // policy switching the object from replication to migration mid-run).
 // Subsequent Reads of g panic; in-flight update broadcasts are
 // unaffected — they only adjust per-processor accounting.
+//
+//simvet:allow replication's switch back to migration, journaled as a ReplicaDrop record; TestDropSwitchesToMigrationMidRun runs it, no experiment does yet (ROADMAP item 10)
 func (tb *Table) Drop(g gid.GID) (state any, version uint64) {
 	e, ok := tb.entries[g]
 	if !ok {
@@ -82,9 +84,6 @@ func (tb *Table) IsReplicated(g gid.GID) bool {
 	_, ok := tb.entries[g]
 	return ok
 }
-
-// Version returns the current version number of g's replicas.
-func (tb *Table) Version(g gid.GID) uint64 { return tb.entries[g].version }
 
 // Read returns the local replica of g's state, charging only local
 // lookup cycles. It may be called from any processor.

@@ -52,8 +52,8 @@ func TestReplicaReadIsLocal(t *testing.T) {
 	if col.ReplicaReads != 8 {
 		t.Errorf("ReplicaReads = %d", col.ReplicaReads)
 	}
-	if tbl.Version(g) != 1 {
-		t.Errorf("version = %d", tbl.Version(g))
+	if tbl.entries[g].version != 1 {
+		t.Errorf("version = %d", tbl.entries[g].version)
 	}
 }
 
@@ -69,11 +69,11 @@ func TestPublishBroadcasts(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Messages["repl-update"] != 5 {
-		t.Errorf("update messages = %d, want 5 (all procs but publisher)", col.Messages["repl-update"])
+	if col.TotalMessages() != 5 {
+		t.Errorf("update messages = %d, want 5 (all procs but publisher)", col.TotalMessages())
 	}
-	if tbl.Version(g) != 2 {
-		t.Errorf("version = %d", tbl.Version(g))
+	if tbl.entries[g].version != 2 {
+		t.Errorf("version = %d", tbl.entries[g].version)
 	}
 	if col.ReplicaWrites != 1 {
 		t.Errorf("ReplicaWrites = %d", col.ReplicaWrites)
@@ -168,7 +168,7 @@ func TestDropSwitchesToMigrationMidRun(t *testing.T) {
 		if migrated == nil {
 			t.Fatal("policy switch never ran")
 		}
-		return migrated.n, int(col.ReplicaWrites) + 1, col.Messages["repl-update"]
+		return migrated.n, int(col.ReplicaWrites) + 1, col.TotalMessages()
 	}
 
 	final, version, updates := run()

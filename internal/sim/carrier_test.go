@@ -28,12 +28,12 @@ func pingPong(t testing.TB, pairs, rounds int) uint64 {
 		body := func(me int) func(*Thread) {
 			return func(th *Thread) {
 				if me == 1 {
-					th.Park("start")
+					th.park("start")
 				}
 				for left > 0 {
 					left--
 					ths[1-me].Unpark()
-					th.Park("switch")
+					th.park("switch")
 				}
 				if !finished {
 					finished = true
@@ -47,7 +47,7 @@ func pingPong(t testing.TB, pairs, rounds int) uint64 {
 	if err := e.Run(); err != nil {
 		t.Error(err)
 	}
-	return e.Handoffs()
+	return e.handoffs
 }
 
 // TestCarrierPoolSharedAcrossEngines asserts that carriers outlive the

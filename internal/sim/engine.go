@@ -245,24 +245,9 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic PRNG.
 func (e *Engine) Rand() *PRNG { return e.rng }
 
-// Handoffs returns the number of times control has passed between
-// carriers on this engine: the engine loop resuming a simulated thread,
-// a driving thread yielding so that another thread runs, or a driving
-// thread returning control to the engine loop. A transfer from one
-// thread to another counts once, although it passes through the hub;
-// an exiting thread that adopts a thread at its first dispatch, or a
-// parked thread that pops its own wakeup, costs none. The count depends
-// only on the event sequence, so a given program and seed always report
-// the same count.
-func (e *Engine) Handoffs() uint64 { return e.handoffs }
-
 // countHandoffs adds the handoffs since start to the engine.handoffs
 // profile section; Run and RunUntil defer it with their starting count.
 func (e *Engine) countHandoffs(start uint64) { profile.EngineHandoffs.Add(e.handoffs - start) }
-
-// Live returns the number of simulated threads that have been spawned and
-// have not yet exited.
-func (e *Engine) Live() int { return e.liveThreads }
 
 // Schedule queues fn to run when the clock reaches e.Now()+delay. It
 // returns the event so the caller may cancel it.
@@ -355,6 +340,8 @@ func (e *Engine) release(ev *Event) {
 }
 
 // Stop makes Run return after the current event completes.
+//
+//simvet:allow make engine-order pins that Stop cuts the same event sequence as RunUntil and MaxEvents
 func (e *Engine) Stop() { e.stopped = true }
 
 // DeadlockError reports that events ran dry while threads were still parked.
@@ -441,6 +428,8 @@ func (e *Engine) Run() error {
 
 // RunUntil processes events with timestamps <= limit, then returns. Events
 // beyond the limit stay queued; the clock is advanced to limit.
+//
+//simvet:allow make engine-order pins that RunUntil cuts the same event sequence as Stop and MaxEvents
 func (e *Engine) RunUntil(limit Time) error {
 	defer e.drainCarriers()
 	defer e.countHandoffs(e.handoffs)
@@ -501,7 +490,7 @@ func (e *Engine) TryAdvance(at Time) bool {
 // is zero everywhere on a serial engine, so its order there is the
 // classic (at, seq). On the serial engine it holds the heads of the
 // sorted runs plus every event due after now that no processor booked
-// (Sleep, UnparkAt, Schedule with a delay); a cluster lane keeps every
+// (Sleep, Schedule with a delay); a cluster lane keeps every
 // event in it. It is hand-rolled rather than built on container/heap:
 // the sift loops below run for every event the simulator processes, and
 // the interface-based version's indirect Less/Swap calls were a

@@ -13,8 +13,8 @@ func runEngineBench(b *testing.B, run func() *Engine) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		e := run()
-		if e.Live() != 0 {
-			b.Fatalf("%d thread(s) still live", e.Live())
+		if e.liveThreads != 0 {
+			b.Fatalf("%d thread(s) still live", e.liveThreads)
 		}
 		events += e.processed
 	}
@@ -54,12 +54,12 @@ func BenchmarkEngineZeroDelay(b *testing.B) {
 		body := func(me int) func(*Thread) {
 			return func(th *Thread) {
 				if me == 1 {
-					th.Park("start")
+					th.park("start")
 				}
 				for left > 0 {
 					left--
 					ths[1-me].Unpark()
-					th.Park("pong")
+					th.park("pong")
 				}
 				if left == 0 { // release the peer, still parked in the loop
 					left--
@@ -87,7 +87,7 @@ func BenchmarkEngineSortedArrivals(b *testing.B) {
 		var bodies [4]func(*Thread)
 		for i := range bodies {
 			p := m.Proc(i)
-			bodies[i] = func(th *Thread) { th.Exec(p, 100+Time(th.ID()%50)) }
+			bodies[i] = func(th *Thread) { th.Exec(p, 100+Time(th.id%50)) }
 		}
 		for i := 0; i < 4000; i++ {
 			m.Proc(i%4).SpawnSorted("req", Time(i)*40, bodies[i%4])

@@ -150,8 +150,8 @@ func TestThreadSleepAndClock(t *testing.T) {
 	if wake != 100 {
 		t.Fatalf("thread woke at %d, want 100", wake)
 	}
-	if e.Live() != 0 {
-		t.Fatalf("live threads = %d after Run", e.Live())
+	if e.liveThreads != 0 {
+		t.Fatalf("live threads = %d after Run", e.liveThreads)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestThreadsInterleaveDeterministically(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("stuck", 0, func(th *Thread) {
-		th.Park("nowhere")
+		th.park("nowhere")
 	})
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
@@ -204,7 +204,7 @@ func TestUnparkRoundTrip(t *testing.T) {
 	var sleeper *Thread
 	hits := 0
 	sleeper = e.Spawn("sleeper", 0, func(th *Thread) {
-		th.Park("wait-for-poke")
+		th.park("wait-for-poke")
 		hits++
 	})
 	e.Spawn("poker", 0, func(th *Thread) {
@@ -331,23 +331,6 @@ func TestPRNGIntnRange(t *testing.T) {
 	}
 }
 
-func TestPRNGPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		p := NewPRNG(seed)
-		perm := p.Perm(32)
-		seen := make([]bool, 32)
-		for _, v := range perm {
-			if v < 0 || v >= 32 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPRNGFloat64Range(t *testing.T) {
 	p := NewPRNG(3)
 	for i := 0; i < 10000; i++ {
@@ -360,7 +343,7 @@ func TestPRNGFloat64Range(t *testing.T) {
 
 func TestDeadlockErrorMessage(t *testing.T) {
 	e := NewEngine(1)
-	e.Spawn("lost", 0, func(th *Thread) { th.Park("the-void") })
+	e.Spawn("lost", 0, func(th *Thread) { th.park("the-void") })
 	err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), "the-void") {
 		t.Fatalf("deadlock error %v does not name the block site", err)
@@ -371,10 +354,10 @@ func TestUnparkAtDelays(t *testing.T) {
 	e := NewEngine(1)
 	var woke Time
 	th := e.Spawn("sleeper", 0, func(th *Thread) {
-		th.Park("wait")
+		th.park("wait")
 		woke = th.Now()
 	})
-	e.Schedule(10, func() { th.UnparkAt(90) })
+	e.Schedule(10, func() { e.scheduleWake(e.now+90, th) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +369,8 @@ func TestUnparkAtDelays(t *testing.T) {
 func TestMachineAccessors(t *testing.T) {
 	e := NewEngine(1)
 	m := NewMachine(e, 3)
-	if m.N() != 3 || len(m.Procs()) != 3 {
-		t.Fatalf("N=%d procs=%d", m.N(), len(m.Procs()))
+	if m.N() != 3 || len(m.procs) != 3 {
+		t.Fatalf("N=%d procs=%d", m.N(), len(m.procs))
 	}
 	if m.Proc(2).ID() != 2 {
 		t.Errorf("proc id = %d", m.Proc(2).ID())

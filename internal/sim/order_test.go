@@ -67,7 +67,7 @@ func newOrderMix(seed uint64) *orderMix {
 	mach.Proc(3).AddDownWindow(200, 260)
 	mach.Proc(3).AddDownWindow(1500, 2100)
 	m := &orderMix{
-		e: e, procs: mach.Procs(), rng: NewPRNG(seed ^ 0x5eed), budget: 400,
+		e: e, procs: mach.procs, rng: NewPRNG(seed ^ 0x5eed), budget: 400,
 		sched: make(map[uint64]bool), fired: make(map[uint64]int), stopAfter: -1,
 	}
 	for i := 0; i < 3; i++ {
@@ -218,7 +218,7 @@ func (m *orderMix) step(mt *mixThread) {
 		m.blocked(before, id)
 	case 11:
 		id, before := m.id(), m.e.seq
-		mt.th.Yield()
+		yield(mt.th)
 		m.blocked(before, id)
 	case 12:
 		m.park(mt)
@@ -241,7 +241,7 @@ func (m *orderMix) park(mt *mixThread) {
 		}
 	})
 	*wseq = m.queued(ev.seq)
-	mt.th.Park("mix")
+	mt.th.park("mix")
 	m.rec(mt.wake, id)
 }
 
@@ -335,8 +335,8 @@ func TestEngineExactOrder(t *testing.T) {
 				t.Fatalf("seed %d: unknown event %d fired", seed, seq)
 			}
 		}
-		if len(full.e.heap) != 0 || full.e.Live() != 0 {
-			t.Fatalf("seed %d: %d heap entries and %d live threads after Run", seed, len(full.e.heap), full.e.Live())
+		if len(full.e.heap) != 0 || full.e.liveThreads != 0 {
+			t.Fatalf("seed %d: %d heap entries and %d live threads after Run", seed, len(full.e.heap), full.e.liveThreads)
 		}
 
 		// RunUntil in uneven chunks: nothing past the limit runs, the
@@ -436,8 +436,8 @@ func TestSpawnSortedMatchesSpawn(t *testing.T) {
 			}
 		}
 		heap = len(e.heap)
-		if e.Live() != 20 {
-			t.Fatalf("sorted=%v: Live() = %d before Run, want 20", sorted, e.Live())
+		if e.liveThreads != 20 {
+			t.Fatalf("sorted=%v: Live() = %d before Run, want 20", sorted, e.liveThreads)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)

@@ -146,17 +146,29 @@ func TestSleepFastPathSkipsHeap(t *testing.T) {
 	}
 }
 
-// TestYieldRunsBehindQueuedEvents asserts Yield still defers to an event
-// already queued at the current time (the slow path), while remaining a
-// no-op when nothing else is due.
+// yield reschedules th at the current time behind already-queued events,
+// or continues at once when nothing else is due: the engine's
+// TryAdvance fast path with a same-time wake behind it. The order
+// property test mixes it with the other blocking operations.
+func yield(th *Thread) {
+	if th.eng.TryAdvance(th.eng.now) {
+		return
+	}
+	th.eng.scheduleWake(th.eng.now, th)
+	th.park("yield")
+}
+
+// TestYieldRunsBehindQueuedEvents asserts a yield still defers to an
+// event already queued at the current time (the slow path), while
+// remaining a no-op when nothing else is due.
 func TestYieldRunsBehindQueuedEvents(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
 	e.Spawn("t", 0, func(th *Thread) {
 		e.Schedule(0, func() { order = append(order, "event") })
-		th.Yield()
+		yield(th)
 		order = append(order, "thread")
-		th.Yield() // heap now empty: fast path, stays running
+		yield(th) // heap now empty: fast path, stays running
 		order = append(order, "after")
 	})
 	if err := e.Run(); err != nil {
@@ -189,8 +201,8 @@ func TestSpawnFromDyingThread(t *testing.T) {
 	if len(order) != 2 || order[0] != "parent" || order[1] != "child" {
 		t.Fatalf("order = %v, want [parent child]", order)
 	}
-	if e.Live() != 0 {
-		t.Fatalf("live threads = %d after Run", e.Live())
+	if e.liveThreads != 0 {
+		t.Fatalf("live threads = %d after Run", e.liveThreads)
 	}
 	if e.current != nil {
 		t.Fatal("Engine.current not cleared after all threads exited")
@@ -230,8 +242,8 @@ func TestExitHandsOffDirectly(t *testing.T) {
 	t.Run("never-run", func(t *testing.T) {
 		e := NewEngine(1)
 		var atExit, atNext uint64
-		e.Spawn("first", 0, func(th *Thread) { atExit = e.Handoffs() })
-		e.Spawn("second", 5, func(th *Thread) { atNext = e.Handoffs() })
+		e.Spawn("first", 0, func(th *Thread) { atExit = e.handoffs })
+		e.Spawn("second", 5, func(th *Thread) { atNext = e.handoffs })
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -239,20 +251,20 @@ func TestExitHandsOffDirectly(t *testing.T) {
 			t.Errorf("exit to a never-run thread cost %d handoffs, want 0", d)
 		}
 		// engine -> first, first adopts second, second -> engine.
-		if e.Handoffs() != 2 {
-			t.Errorf("run cost %d handoffs, want 2", e.Handoffs())
+		if e.handoffs != 2 {
+			t.Errorf("run cost %d handoffs, want 2", e.handoffs)
 		}
 	})
 	t.Run("parked", func(t *testing.T) {
 		e := NewEngine(1)
 		var atExit, atNext uint64
 		waiter := e.Spawn("waiter", 0, func(th *Thread) {
-			th.Park("wait")
-			atNext = e.Handoffs()
+			th.park("wait")
+			atNext = e.handoffs
 		})
 		e.Spawn("waker", 5, func(th *Thread) {
 			waiter.Unpark()
-			atExit = e.Handoffs()
+			atExit = e.handoffs
 		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -262,8 +274,8 @@ func TestExitHandsOffDirectly(t *testing.T) {
 		}
 		// engine -> waiter, waiter -> waker (the parked carrier cannot
 		// adopt), waker -> waiter, waiter -> engine.
-		if e.Handoffs() != 4 {
-			t.Errorf("run cost %d handoffs, want 4", e.Handoffs())
+		if e.handoffs != 4 {
+			t.Errorf("run cost %d handoffs, want 4", e.handoffs)
 		}
 	})
 }
@@ -280,10 +292,10 @@ func TestExitRunsOwnRespawnInPlace(t *testing.T) {
 		e.Schedule(5, func() {
 			e.Spawn("second", 0, func(th *Thread) {
 				second = th
-				atRespawn = e.Handoffs()
+				atRespawn = e.handoffs
 			})
 		})
-		atExit = e.Handoffs()
+		atExit = e.handoffs
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

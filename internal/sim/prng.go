@@ -63,19 +63,6 @@ func (p *PRNG) Float64() float64 {
 	return float64(p.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a random permutation of [0, n).
-func (p *PRNG) Perm(n int) []int {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := p.Intn(i + 1)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	return perm
-}
-
 // Fork derives an independent generator from this one, so subsystems can
 // own private streams without perturbing each other's sequences.
 func (p *PRNG) Fork() *PRNG { return NewPRNG(p.Uint64()) }

@@ -96,9 +96,6 @@ func (m *Machine) Proc(i int) *Proc {
 	return m.procs[i]
 }
 
-// Procs returns the processor slice (callers must not mutate it).
-func (m *Machine) Procs() []*Proc { return m.procs }
-
 // ID returns the processor number.
 func (p *Proc) ID() int { return p.id }
 
@@ -151,15 +148,6 @@ func (p *Proc) SetSpeed(num, den Time) {
 		return
 	}
 	p.speedNum, p.speedDen = num, den
-}
-
-// Speed returns the processor's slowdown ratio (num, den); (1, 1) for a
-// full-speed processor.
-func (p *Proc) Speed() (num, den Time) {
-	if p.speedDen == 0 {
-		return 1, 1
-	}
-	return p.speedNum, p.speedDen
 }
 
 // scale stretches a work segment by the processor's speed ratio.

@@ -154,9 +154,6 @@ func (cl *Cluster) NewMachine(n int) *Machine {
 // one-cycle windows, which is correct but slow.
 func (cl *Cluster) SetLookahead(l Time) { cl.lookahead = l }
 
-// Lookahead returns the configured lookahead.
-func (cl *Cluster) Lookahead() Time { return cl.lookahead }
-
 // AtBarrier registers fn to run on the coordinator once every lane has
 // executed all events before time at — the clustered analogue of a
 // setup-scheduled marker event, which likewise fires before any

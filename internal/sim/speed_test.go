@@ -50,8 +50,8 @@ func TestProcSpeedCeilingAndReserveAt(t *testing.T) {
 	}
 	// Restoring 1:1 disables scaling.
 	p.SetSpeed(1, 1)
-	if num, den := p.Speed(); num != 1 || den != 1 {
-		t.Fatalf("Speed() = %d/%d, want 1/1", num, den)
+	if p.speedNum != 0 || p.speedDen != 0 {
+		t.Fatalf("speed = %d/%d after 1/1, want unscaled", p.speedNum, p.speedDen)
 	}
 	if end := p.ReserveAt(11, 7); end != 18 {
 		t.Fatalf("unscaled end = %d, want 18", end)

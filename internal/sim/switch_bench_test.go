@@ -14,12 +14,12 @@ func BenchmarkThreadSwitch(b *testing.B) {
 	body := func(me int) func(*Thread) {
 		return func(th *Thread) {
 			if me == 1 {
-				th.Park("start") // released by the first transfer
+				th.park("start") // released by the first transfer
 			}
 			for left > 0 {
 				left--
 				ths[1-me].Unpark()
-				th.Park("switch")
+				th.park("switch")
 			}
 			if !finished { // release the peer, still parked in the loop
 				finished = true
@@ -33,7 +33,7 @@ func BenchmarkThreadSwitch(b *testing.B) {
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
-	if e.Live() != 0 {
-		b.Fatalf("%d thread(s) still live", e.Live())
+	if e.liveThreads != 0 {
+		b.Fatalf("%d thread(s) still live", e.liveThreads)
 	}
 }

@@ -12,16 +12,6 @@ type Mutex struct {
 	Acquired uint64
 }
 
-// TryLock acquires the mutex if it is free and reports whether it did.
-func (m *Mutex) TryLock(th *Thread) bool {
-	if m.owner == nil {
-		m.owner = th
-		m.Acquired++
-		return true
-	}
-	return false
-}
-
 // Lock blocks th until it holds the mutex. Waiters are served FIFO.
 func (m *Mutex) Lock(th *Thread) {
 	if m.owner == th {
@@ -57,9 +47,6 @@ func (m *Mutex) Unlock(th *Thread) {
 	m.owner = next
 	next.Unpark()
 }
-
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.owner != nil }
 
 // WaitQueue is a simple condition-style queue: threads Wait on it and are
 // released in FIFO order by Signal/Broadcast.
@@ -117,9 +104,6 @@ func (f *Future) Complete(val any) {
 	f.q.Broadcast()
 }
 
-// Done reports whether the future has been completed.
-func (f *Future) Done() bool { return f.done }
-
 // Reset returns the future to its unset state so it can rendezvous
 // again, keeping the waiter queue's storage. Resetting with parked
 // waiters would strand them, so it panics.
@@ -167,32 +151,4 @@ func (b *Barrier) Arrive(th *Thread) {
 		return
 	}
 	b.q.Wait(th, "barrier")
-}
-
-// Semaphore is a counting semaphore with FIFO waiters.
-type Semaphore struct {
-	count int
-	q     WaitQueue
-}
-
-// NewSemaphore returns a semaphore with the given initial count.
-func NewSemaphore(n int) *Semaphore {
-	if n < 0 {
-		panic("sim: negative semaphore count")
-	}
-	return &Semaphore{count: n}
-}
-
-// Acquire blocks th until a unit is available.
-func (s *Semaphore) Acquire(th *Thread) {
-	for s.count == 0 {
-		s.q.Wait(th, "semaphore")
-	}
-	s.count--
-}
-
-// Release returns a unit and wakes one waiter.
-func (s *Semaphore) Release() {
-	s.count++
-	s.q.Signal()
 }

@@ -32,33 +32,8 @@ func TestMutexExclusionAndFIFO(t *testing.T) {
 	if mu.Contended != 3 {
 		t.Fatalf("contended = %d, want 3", mu.Contended)
 	}
-	if mu.Locked() {
+	if mu.owner != nil {
 		t.Fatal("mutex still held at end")
-	}
-}
-
-func TestMutexTryLock(t *testing.T) {
-	e := NewEngine(1)
-	var mu Mutex
-	e.Spawn("a", 0, func(th *Thread) {
-		if !mu.TryLock(th) {
-			t.Error("TryLock on free mutex failed")
-		}
-		th.Sleep(10)
-		mu.Unlock(th)
-	})
-	e.Spawn("b", 5, func(th *Thread) {
-		if mu.TryLock(th) {
-			t.Error("TryLock on held mutex succeeded")
-		}
-		th.Sleep(10)
-		if !mu.TryLock(th) {
-			t.Error("TryLock after release failed")
-		}
-		mu.Unlock(th)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -214,35 +189,11 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSemaphore(2)
-	inside, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Spawn("w", 0, func(th *Thread) {
-			s.Acquire(th)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			th.Sleep(10)
-			inside--
-			s.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Fatalf("semaphore peak occupancy = %d, want 2", peak)
-	}
-}
-
 func TestWaitQueueLenAndFutureDone(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue
 	f := &Future{}
-	if f.Done() {
+	if f.done {
 		t.Error("fresh future done")
 	}
 	e.Spawn("w", 0, func(th *Thread) {
@@ -258,7 +209,7 @@ func TestWaitQueueLenAndFutureDone(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Done() {
+	if !f.done {
 		t.Error("completed future not done")
 	}
 	if q.Len() != 0 {
@@ -273,13 +224,4 @@ func TestBarrierValidation(t *testing.T) {
 		}
 	}()
 	NewBarrier(0)
-}
-
-func TestSemaphoreValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative semaphore accepted")
-		}
-	}()
-	NewSemaphore(-1)
 }

@@ -178,15 +178,6 @@ func (th *Thread) exit() {
 	e.drive(c)
 }
 
-// Engine returns the engine this thread belongs to.
-func (th *Thread) Engine() *Engine { return th.eng }
-
-// ID returns the thread's unique id (1-based, in spawn order).
-func (th *Thread) ID() int { return th.id }
-
-// Name returns the name given at spawn.
-func (th *Thread) Name() string { return th.name }
-
 // Now returns the current simulated time.
 func (th *Thread) Now() Time { return th.eng.now }
 
@@ -271,21 +262,11 @@ func (e *Engine) drive(c *carrier) {
 	c.suspend(e)
 }
 
-// Park blocks the thread indefinitely; it runs again only when another
-// party calls Unpark. The where string labels the block site in deadlock
-// reports.
-func (th *Thread) Park(where string) { th.park(where) }
-
 // Unpark schedules th to resume at the current time. It must only be
 // called for a thread that is parked (or about to park within the current
 // event); the engine's single-runner discipline makes this race-free.
 func (th *Thread) Unpark() {
 	th.eng.scheduleWake(th.eng.now, th)
-}
-
-// UnparkAt schedules th to resume after delay cycles.
-func (th *Thread) UnparkAt(delay Time) {
-	th.eng.scheduleWake(th.eng.now+delay, th)
 }
 
 // Sleep advances the thread's virtual time by d cycles without occupying
@@ -301,14 +282,4 @@ func (th *Thread) Sleep(d Time) {
 	}
 	th.eng.scheduleWake(th.eng.now+d, th)
 	th.park("sleep")
-}
-
-// Yield reschedules the thread at the current time behind already-queued
-// events. When no event is queued at the current time, it is a no-op.
-func (th *Thread) Yield() {
-	if th.eng.TryAdvance(th.eng.now) {
-		return
-	}
-	th.eng.scheduleWake(th.eng.now, th)
-	th.park("yield")
 }

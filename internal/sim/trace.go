@@ -53,10 +53,6 @@ func (e *Engine) Tracef(kind, format string, args ...any) {
 	}
 }
 
-// Total returns how many events were recorded over the run (including
-// ones that have rotated out of the ring).
-func (t *Tracer) Total() uint64 { return t.total }
-
 // Events returns the retained events in chronological order.
 func (t *Tracer) Events() []TraceEvent {
 	if !t.full {

@@ -13,7 +13,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	e.Tracef("x", "should be dropped")
 	// No panic, no state: attach a tracer and confirm it starts empty.
 	tr := e.EnableTrace(4)
-	if tr.Total() != 0 || len(tr.Events()) != 0 {
+	if tr.total != 0 || len(tr.Events()) != 0 {
 		t.Fatal("fresh tracer not empty")
 	}
 }
@@ -48,8 +48,8 @@ func TestTraceRingWraps(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Total() != 10 {
-		t.Errorf("total = %d", tr.Total())
+	if tr.total != 10 {
+		t.Errorf("total = %d", tr.total)
 	}
 	evs := tr.Events()
 	if len(evs) != 3 {

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Histogram accumulates values into power-of-two buckets — enough
@@ -58,9 +57,6 @@ func (h *Histogram) AddFrom(o *Histogram) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Mean returns the average observation.
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
@@ -68,10 +64,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return float64(h.sum) / float64(h.count)
 }
-
-// Min and Max return the observed extremes.
-func (h *Histogram) Min() uint64 { return h.min }
-func (h *Histogram) Max() uint64 { return h.max }
 
 // Quantile returns an upper bound for the q-quantile (q in [0,1]): the
 // top of the bucket containing it. Bucket widths are powers of two, so
@@ -114,36 +106,4 @@ func (h *Histogram) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%.0f min=%d p50<=%d p95<=%d p99<=%d max=%d",
 		h.count, h.Mean(), h.min, h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99), h.max)
-}
-
-// Bars renders an ASCII distribution over the occupied buckets.
-func (h *Histogram) Bars(width int) string {
-	if h.count == 0 {
-		return "no observations\n"
-	}
-	lo, hi := -1, 0
-	var peak uint64
-	for b, n := range h.buckets {
-		if n == 0 {
-			continue
-		}
-		if lo < 0 {
-			lo = b
-		}
-		hi = b
-		if n > peak {
-			peak = n
-		}
-	}
-	var sb strings.Builder
-	for b := lo; b <= hi; b++ {
-		n := h.buckets[b]
-		bar := int(float64(width) * float64(n) / float64(peak))
-		low := uint64(0)
-		if b > 0 {
-			low = 1 << (b - 1)
-		}
-		fmt.Fprintf(&sb, "%10d..%-10d %8d %s\n", low, uint64(1)<<b-1, n, strings.Repeat("#", bar))
-	}
-	return sb.String()
 }

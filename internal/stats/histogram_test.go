@@ -8,20 +8,20 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.count != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("zero histogram not empty")
 	}
 	for _, v := range []uint64{10, 20, 30, 40} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 {
-		t.Errorf("count = %d", h.Count())
+	if h.count != 4 {
+		t.Errorf("count = %d", h.count)
 	}
 	if h.Mean() != 25 {
 		t.Errorf("mean = %v", h.Mean())
 	}
-	if h.Min() != 10 || h.Max() != 40 {
-		t.Errorf("min/max = %d/%d", h.Min(), h.Max())
+	if h.min != 10 || h.max != 40 {
+		t.Errorf("min/max = %d/%d", h.min, h.max)
 	}
 }
 
@@ -66,8 +66,8 @@ func TestHistogramZeroValues(t *testing.T) {
 	var h Histogram
 	h.Observe(0)
 	h.Observe(0)
-	if h.Quantile(0.5) != 0 || h.Max() != 0 {
-		t.Errorf("zeros: p50=%d max=%d", h.Quantile(0.5), h.Max())
+	if h.Quantile(0.5) != 0 || h.max != 0 {
+		t.Errorf("zeros: p50=%d max=%d", h.Quantile(0.5), h.max)
 	}
 }
 
@@ -81,22 +81,5 @@ func TestHistogramString(t *testing.T) {
 		if !strings.Contains(h.String(), want) {
 			t.Errorf("summary %q missing %q", h.String(), want)
 		}
-	}
-}
-
-func TestHistogramBars(t *testing.T) {
-	var h Histogram
-	if !strings.Contains(h.Bars(10), "no observations") {
-		t.Error("empty bars")
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(uint64(i * 7))
-	}
-	out := h.Bars(20)
-	if !strings.Contains(out, "#") {
-		t.Errorf("bars missing marks:\n%s", out)
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) < 3 {
-		t.Errorf("suspiciously few bucket rows:\n%s", out)
 	}
 }

@@ -4,11 +4,7 @@
 // goroutine at a time, so no synchronization is needed.
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Category labels a cycle-cost bucket. The set mirrors Table 5 of the
 // paper, split into sender-side, transit, and receiver-side costs, plus
@@ -90,8 +86,8 @@ func SenderCategories() []Category {
 type Collector struct {
 	cycles [numCategories]uint64
 
-	// Messages counts runtime-level messages by kind.
-	Messages map[string]uint64
+	// messages counts runtime-level messages.
+	messages uint64
 	// WordsSent counts total 32-bit words put on the network.
 	WordsSent uint64
 	// Ops counts completed high-level operations (counting-network
@@ -121,7 +117,7 @@ type Collector struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{Messages: make(map[string]uint64)}
+	return &Collector{}
 }
 
 // AddFrom merges another collector's measurements into s: cycle
@@ -134,9 +130,7 @@ func (s *Collector) AddFrom(o *Collector) {
 	for c := range s.cycles {
 		s.cycles[c] += o.cycles[c]
 	}
-	for k, v := range o.Messages {
-		s.Messages[k] += v
-	}
+	s.messages += o.messages
 	s.WordsSent += o.WordsSent
 	s.Ops += o.Ops
 	s.OpLatency += o.OpLatency
@@ -160,9 +154,6 @@ func (s *Collector) AddFrom(o *Collector) {
 // AddCycles charges n cycles to category c.
 func (s *Collector) AddCycles(c Category, n uint64) { s.cycles[c] += n }
 
-// Cycles returns the cycles charged to category c.
-func (s *Collector) Cycles(c Category) uint64 { return s.cycles[c] }
-
 // TotalCycles sums all categories.
 func (s *Collector) TotalCycles() uint64 {
 	var t uint64
@@ -181,21 +172,15 @@ func (s *Collector) SumCycles(cats []Category) uint64 {
 	return t
 }
 
-// CountMessage records one message of the given kind carrying words
-// 32-bit words (header included).
-func (s *Collector) CountMessage(kind string, words uint64) {
-	s.Messages[kind]++
+// CountMessage records one message carrying words 32-bit words (header
+// included).
+func (s *Collector) CountMessage(words uint64) {
+	s.messages++
 	s.WordsSent += words
 }
 
-// TotalMessages sums message counts across kinds.
-func (s *Collector) TotalMessages() uint64 {
-	var t uint64
-	for _, v := range s.Messages {
-		t += v
-	}
-	return t
-}
+// TotalMessages returns the number of messages sent.
+func (s *Collector) TotalMessages() uint64 { return s.messages }
 
 // CountOp records one completed high-level operation and its latency.
 func (s *Collector) CountOp(latency uint64) {
@@ -261,25 +246,4 @@ func (s *Collector) Breakdown(divisor uint64) []BreakdownRow {
 		rows = append(rows, row(c.String(), float64(s.cycles[c])/d, 2))
 	}
 	return rows
-}
-
-// FormatBreakdown renders Breakdown as an aligned text table.
-func (s *Collector) FormatBreakdown(divisor uint64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-34s %8s %8s\n", "Category", "Cycles", "Percent")
-	for _, r := range s.Breakdown(divisor) {
-		fmt.Fprintf(&b, "%-34s %8.0f %7.0f%%\n",
-			strings.Repeat("  ", r.Indent)+r.Label, r.Cycles, r.Percent)
-	}
-	return b.String()
-}
-
-// MessageKinds returns message kinds sorted by name (for stable output).
-func (s *Collector) MessageKinds() []string {
-	kinds := make([]string, 0, len(s.Messages))
-	for k := range s.Messages {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
 }

@@ -187,9 +187,6 @@ func (s *Store) OnWipe(fn func(proc int) int) { s.wipeHook = fn }
 // OnSnapshot installs the app's state encoder for object moves.
 func (s *Store) OnSnapshot(fn func(g gid.GID) []uint64) { s.snapshot = fn }
 
-// Interval returns the checkpoint interval in cycles.
-func (s *Store) Interval() uint64 { return uint64(s.interval) }
-
 // ScriptDropAppend makes the nth (1-based, counted across all
 // processors) appended record vanish before it reaches the log — the
 // negative-test lever for the durability checkers.

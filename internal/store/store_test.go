@@ -78,7 +78,7 @@ func TestAppendChargesAndCounts(t *testing.T) {
 	if h.st.Counters.Appends != 1 || h.st.Counters.AppendWords != headerWords {
 		t.Errorf("counters = %+v", h.st.Counters)
 	}
-	if got := h.col.Cycles(stats.CatDurability); got != uint64(want) {
+	if got := h.col.SumCycles([]stats.Category{stats.CatDurability}); got != uint64(want) {
 		t.Errorf("CatDurability = %d, want %d", got, want)
 	}
 }
