@@ -31,8 +31,11 @@ check: lint build test race ab-identity shard-identity engine-order alloc-pins g
 # failures, not conventions. simvet -json emits machine-readable findings.
 lint: vet simvet
 
+# vet also covers the nested bench module, which the root ./... pattern
+# never reaches and which imports the library.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 simvet:
 	$(GO) run ./cmd/simvet ./...

@@ -1,4 +1,4 @@
-// Command simvet runs the simulator's determinism and simulation-purity
+// Command simvet runs the simulator's determinism, simulation-purity and dead-code
 // analyzers (internal/analysis) over a set of packages, in the style of a
 // go/analysis multichecker:
 //

@@ -33,7 +33,9 @@ const (
 	scratchWords = 120
 )
 
-type item struct{ touches int }
+// item is one object of the chain; an access charges work and keeps
+// nothing in it.
+type item struct{}
 
 type touchReply struct{ v uint64 }
 
@@ -76,10 +78,8 @@ func (c *visitCont) Run(t *core.Task) {
 		}
 		n := accesses[c.idx]
 		if t.IsLocal(g) {
-			it := t.State(g).(*item)
 			for k := 0; k < n; k++ {
 				t.Work(touchWork)
-				it.touches++
 				c.acc++
 			}
 		} else {
@@ -112,9 +112,8 @@ func run(plan uint32) (result uint64, cycles sim.Time, messages uint64) {
 		e.items = append(e.items, rt.Objects.New(i+1, &item{}))
 	}
 	e.mTouch = rt.RegisterMethod("autotune.touch", true,
-		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
+		func(t *core.Task, _ any, _ *msg.Reader, reply *msg.Writer) {
 			t.Work(touchWork)
-			self.(*item).touches++
 			reply.PutU64(1)
 		})
 	e.cont = rt.RegisterCont("autotune.visit",

@@ -27,7 +27,9 @@ const (
 	work      = 20 // user-code cycles per access
 )
 
-type record struct{ hits uint64 }
+// record is the state of objects A and B; an access charges work and
+// keeps nothing in it.
+type record struct{}
 
 // phaseReply returns the combined count.
 type phaseReply struct{ total uint64 }
@@ -134,9 +136,8 @@ func run(p plan) (total uint64, cycles sim.Time, messages uint64) {
 	rt := m.RT
 	w := &world{a: rt.Objects.New(1, &record{}), b: rt.Objects.New(2, &record{})}
 	w.mTouch = rt.RegisterMethod("tuning.touch", true,
-		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
+		func(t *core.Task, _ any, _ *msg.Reader, reply *msg.Writer) {
 			t.Work(work)
-			self.(*record).hits++
 			reply.PutU64(1)
 		})
 	w.cont = rt.RegisterCont("tuning.phase",

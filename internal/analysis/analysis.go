@@ -1,10 +1,11 @@
 // Package analysis is simvet's analysis framework: a small, dependency-free
 // reimplementation of the golang.org/x/tools/go/analysis surface (Analyzer,
-// Pass, Diagnostic) plus the simvet-specific machinery shared by its six
-// analyzers (five determinism checks and the unusedexport dead-API check)
-// — package classification (see manifest.go), the //simvet:allow escape
-// hatch, and an offline package loader built on `go list -export` and the
-// standard library's gc export-data importer (see load.go).
+// Pass, Diagnostic) plus the simvet-specific machinery shared by its seven
+// analyzers (five determinism checks, the unusedexport dead-API check and
+// the unreadfield dead-field check) — package classification (see
+// manifest.go), the //simvet:allow escape hatch, and an offline package
+// loader built on `go list -export` and the standard library's gc
+// export-data importer (see load.go).
 //
 // The framework exists because this repository pins zero third-party
 // modules: the loader and the analyzers use only the standard library, so
@@ -79,8 +80,9 @@ type Pass struct {
 	pkg  *Package
 	diag *[]Diagnostic
 
-	// used is the whole module's set of referenced names (unusedexport).
-	used map[useKey]bool
+	// used is the set of names the readers reference (unusedexport), and
+	// read the set of struct fields their code reads (unreadfield).
+	used, read map[useKey]bool
 }
 
 // Reportf records a diagnostic at pos unless a //simvet:allow directive
@@ -108,19 +110,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 
 // Callee resolves the called function or method of a call expression, or
 // nil for calls through function-typed values and conversions.
-func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := p.Info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := p.Info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
+func (p *Pass) Callee(call *ast.CallExpr) *types.Func { return calleeFunc(p.Info, call) }
 
 // allowRe matches the allow directive; the justification is group 1.
 var allowRe = regexp.MustCompile(`^//simvet:allow(?:[ \t]+(.*))?$`)
@@ -197,12 +187,16 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) *directives {
 
 // Run applies each analyzer to each package and returns all diagnostics
 // ordered by position. Malformed directives are reported as analyzer
-// "directive" findings. pkgs come from one Load call; the used set that
-// unusedexport reads is built once, from every package of the module
-// that call loaded.
+// "directive" findings. pkgs come from one Load call; the used names
+// and read fields that unusedexport and unreadfield check against are
+// built once, from every reader package that call loaded.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	used := usedNames(pkgs)
+	var readers []*Package
+	if len(pkgs) > 0 {
+		readers = pkgs[0].readers
+	}
+	used, read := usedNames(readers), readFields(readers)
 	for _, pkg := range pkgs {
 		diags = append(diags, pkg.dirs.errs...)
 		for _, a := range analyzers {
@@ -216,6 +210,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				pkg:      pkg,
 				diag:     &diags,
 				used:     used,
+				read:     read,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

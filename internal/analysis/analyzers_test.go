@@ -22,6 +22,7 @@ func TestAnalyzers(t *testing.T) {
 		{analysis.SeededRand, "compmig/internal/analysis/fixtures/seededrand"},
 		{analysis.CycleCharge, "compmig/internal/analysis/fixtures/cyclecharge"},
 		{analysis.UnusedExport, "compmig/internal/analysis/fixtures/unusedexport/def"},
+		{analysis.UnreadField, "compmig/internal/analysis/fixtures/unreadfield/def"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.a.Name, func(t *testing.T) {
@@ -34,26 +35,40 @@ func TestAnalyzers(t *testing.T) {
 // used set from the whole module: the def fixture's findings are the
 // same whether def is loaded alone or together with its user.
 func TestUnusedExportIgnoresPatterns(t *testing.T) {
-	const def = "compmig/internal/analysis/fixtures/unusedexport/def"
+	checkIgnoresPatterns(t, analysis.UnusedExport, "unusedexport")
+}
+
+// TestUnreadFieldIgnoresPatterns does the same for unreadfield's read
+// set.
+func TestUnreadFieldIgnoresPatterns(t *testing.T) {
+	checkIgnoresPatterns(t, analysis.UnreadField, "unreadfield")
+}
+
+// checkIgnoresPatterns compares a's findings in the fixture package
+// <dir>/def loaded alone and loaded together with its sibling
+// <dir>/user.
+func checkIgnoresPatterns(t *testing.T, a *analysis.Analyzer, dir string) {
+	t.Helper()
+	const fixtures = "compmig/internal/analysis/fixtures/"
 	findings := func(patterns ...string) []string {
 		pkgs, err := analysis.Load(analysistest.TestData(t), patterns...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		diags, err := analysis.Run(pkgs, []*analysis.Analyzer{analysis.UnusedExport})
+		diags, err := analysis.Run(pkgs, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []string
 		for _, d := range diags {
-			if strings.Contains(d.Pos.Filename, "/unusedexport/def/") {
+			if strings.Contains(d.Pos.Filename, "/"+dir+"/def/") {
 				out = append(out, d.String())
 			}
 		}
 		return out
 	}
-	alone := findings(def)
-	both := findings(def, "compmig/internal/analysis/fixtures/unusedexport/user")
+	alone := findings(fixtures + dir + "/def")
+	both := findings(fixtures+dir+"/def", fixtures+dir+"/user")
 	if len(alone) == 0 || strings.Join(alone, "\n") != strings.Join(both, "\n") {
 		t.Errorf("def alone:\n%s\ndef with user:\n%s", strings.Join(alone, "\n"), strings.Join(both, "\n"))
 	}

@@ -13,12 +13,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 )
 
 // A Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -27,10 +27,16 @@ type Package struct {
 
 	dirs *directives
 
-	// module is every package of the main module, type-checked by the
-	// same Load call. Whole-program analyzers (unusedexport) read it so
-	// their findings do not depend on which patterns were given.
-	module []*Package
+	// readers is every package whose non-test code counts as a use: the
+	// main module's packages and those of the modules in its immediate
+	// subdirectories (a benchmark module importing the library), all
+	// type-checked by the same Load call. The whole-program analyzers
+	// (unusedexport, unreadfield) read it so their findings do not depend
+	// on which patterns were given.
+	readers []*Package
+
+	// match lists the patterns that matched the package.
+	match []string
 }
 
 // allowed reports whether an //simvet:allow directive covers file:line.
@@ -55,26 +61,68 @@ type listPkg struct {
 // from compiler export data so no network access or third-party loader
 // is needed. dir is the directory `go list` runs in (it selects the Go
 // module; "" means the current directory). Only the packages named by
-// the patterns are returned. Every other package of the main module is
-// type-checked too, for whole-program analyzers; dependencies outside
-// the module are loaded as export data for type information.
+// the patterns are returned. Every other package of the main module, and
+// every package of a module in one of its immediate subdirectories (a
+// consumer such as the benchmark module), is type-checked too, as a
+// reader for the whole-program analyzers; dependencies are loaded as
+// export data for type information.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	mod, err := goList(dir, "-m")
+	out, err := goList(dir, "-m", "-json=Path,Dir")
 	if err != nil {
 		return nil, err
+	}
+	var mod struct{ Path, Dir string }
+	if err := json.Unmarshal(out, &mod); err != nil {
+		return nil, fmt.Errorf("go list -m: decoding output: %v", err)
 	}
 	wanted := map[string]bool{}
 	for _, p := range patterns {
 		wanted[p] = true
 	}
+	module, err := check(dir, slices.Concat(patterns, []string{mod.Path + "/..."}))
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, pkg := range module {
+		for _, m := range pkg.match {
+			if wanted[m] {
+				pkgs = append(pkgs, pkg)
+				break
+			}
+		}
+	}
+	nested, err := filepath.Glob(filepath.Join(mod.Dir, "*", "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	readers := module
+	for _, gomod := range nested {
+		consumers, err := check(filepath.Dir(gomod), []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		readers = append(readers, consumers...)
+	}
+	for _, pkg := range module {
+		pkg.readers = readers
+	}
+	return pkgs, nil
+}
+
+// check runs `go list -export -deps` over patterns in dir and
+// type-checks, from source, every listed package that is neither a
+// standard package nor only a dependency; the rest are imported from
+// export data.
+func check(dir string, patterns []string) ([]*Package, error) {
 	args := append([]string{
 		"-export", "-deps",
 		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Match,Standard,DepOnly,Error",
 	}, patterns...)
-	out, err := goList(dir, append(args, string(bytes.TrimSpace(mod))+"/...")...)
+	out, err := goList(dir, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +158,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return os.Open(e)
 	})
 
-	var pkgs, module []*Package
+	var pkgs []*Package
 	for _, t := range local {
 		if len(t.CgoFiles) > 0 {
 			return nil, fmt.Errorf("%s: cgo packages are not supported", t.ImportPath)
@@ -135,26 +183,16 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("type-checking %s: %v", t.ImportPath, err)
 		}
 		dirs := parseDirectives(fset, files)
-		pkg := &Package{
+		pkgs = append(pkgs, &Package{
 			Path:  t.ImportPath,
-			Dir:   t.Dir,
 			Fset:  fset,
 			Files: files,
 			Types: tpkg,
 			Info:  info,
 			Class: classify(t.ImportPath, dirs),
 			dirs:  dirs,
-		}
-		module = append(module, pkg)
-		for _, m := range t.Match {
-			if wanted[m] {
-				pkgs = append(pkgs, pkg)
-				break
-			}
-		}
-	}
-	for _, pkg := range module {
-		pkg.module = module
+			match: t.Match,
+		})
 	}
 	return pkgs, nil
 }

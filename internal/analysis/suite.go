@@ -8,4 +8,5 @@ var Suite = []*Analyzer{
 	SeededRand,
 	CycleCharge,
 	UnusedExport,
+	UnreadField,
 }

@@ -38,6 +38,9 @@ var UnusedVar int // want `exported var UnusedVar is not used`
 // does not read.
 func TestOnly() int { return 1 } // want `exported func TestOnly is not used`
 
+// ConsumerOnly is called only by the nested consumer module.
+func ConsumerOnly() int { return 1 }
+
 // Kept is referenced nowhere either, but carries a justified allow.
 //
 //simvet:allow fixture: a justified allow suppresses the finding

@@ -10,13 +10,15 @@ import (
 // exported function, method, type, const or var that no non-test file of
 // the module references. The loader reads GoFiles only, so a name that
 // only tests use is unused; uses from the declaring package's own code
-// count. A method that satisfies an interface declared anywhere in the
-// program (the module, its imports, or the universe's error) counts as
-// used, because a call through that interface may reach it.
+// count, and so do uses from a module in an immediate subdirectory of
+// the main module (the benchmark module). A method that satisfies an
+// interface declared anywhere in the program (the module, its imports,
+// or the universe's error) counts as used, because a call through that
+// interface may reach it.
 //
-// The used set is built once per Run from every package of the main
-// module, whatever patterns were given, so `simvet ./internal/mem`
-// reports the same mem findings as `simvet ./...`.
+// The used set is built once per Run from every reader package (see
+// Package.readers), whatever patterns were given, so `simvet
+// ./internal/mem` reports the same mem findings as `simvet ./...`.
 var UnusedExport = &Analyzer{
 	Name: "unusedexport",
 	Doc: "report exported funcs, methods, types, consts and vars " +
@@ -84,37 +86,24 @@ func keyOf(obj types.Object) (useKey, bool) {
 	k := useKey{pkg: obj.Pkg().Path(), name: obj.Name()}
 	if fn, ok := obj.(*types.Func); ok {
 		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			k.recv = recvName(recv.Type())
-			return k, k.recv != ""
+			owner := ownerOf(recv.Type()) // nil for an interface literal's method
+			if owner != nil {
+				k.recv = owner.Name()
+			}
+			return k, owner != nil
 		}
 	}
 	return k, obj.Pkg().Scope().Lookup(obj.Name()) == obj
 }
 
-// recvName is the name of a method's receiver base type, or "" for a
-// method of an interface literal.
-func recvName(t types.Type) string {
-	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := types.Unalias(t).(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}
-
-// usedNames builds the set of referenced names over the whole module the
-// packages were loaded from (one Load call): every identifier use in
-// non-test code, plus every concrete method that implements a method of
-// an interface some package of the program declares or mentions.
-func usedNames(pkgs []*Package) map[useKey]bool {
+// usedNames builds the set of referenced names over the reader packages
+// of one Load call: every identifier use in non-test code, plus every
+// concrete method that implements a method of an interface some package
+// of the program declares or mentions.
+func usedNames(readers []*Package) map[useKey]bool {
 	used := map[useKey]bool{}
-	if len(pkgs) == 0 {
-		return used
-	}
-	module := pkgs[0].module
-	ifaces := programInterfaces(module)
-	for _, p := range module {
+	ifaces := programInterfaces(readers)
+	for _, p := range readers {
 		for _, obj := range p.Info.Uses {
 			if k, ok := keyOf(obj); ok {
 				used[k] = true
@@ -132,10 +121,10 @@ func usedNames(pkgs []*Package) map[useKey]bool {
 }
 
 // programInterfaces collects every interface with methods that the
-// module's code declares or mentions (each declaration's interface type
+// readers' code declares or mentions (each declaration's interface type
 // is an expression too), every interface declared at package level by a
-// package the module imports (directly or not), and error.
-func programInterfaces(module []*Package) []*types.Interface {
+// package they import (directly or not), and error.
+func programInterfaces(readers []*Package) []*types.Interface {
 	var out []*types.Interface
 	have := map[*types.Interface]bool{}
 	add := func(t types.Type) {
@@ -162,7 +151,7 @@ func programInterfaces(module []*Package) []*types.Interface {
 			walk(imp)
 		}
 	}
-	for _, p := range module {
+	for _, p := range readers {
 		walk(p.Types)
 		for _, tv := range p.Info.Types {
 			if tv.Type != nil {

@@ -476,3 +476,54 @@ func TestConcurrentRootGrowth(t *testing.T) {
 		}
 	}
 }
+
+// TestMixedInsertLookupConcurrent interleaves inserts and lookups from
+// several threads under every mechanism and validates against the final
+// key census.
+func TestMixedInsertLookupConcurrent(t *testing.T) {
+	for _, scheme := range []core.Scheme{
+		{Mechanism: core.Migrate},
+		{Mechanism: core.RPC},
+		{Mechanism: core.SharedMem},
+		{Mechanism: core.ObjMigrate},
+	} {
+		p := DefaultParams()
+		p.Fanout = 6
+		p.NodeProcs = 5
+		e := buildEnv(t, scheme, p, 4, seqKeys(50, 10))
+		missed := 0
+		for i := 0; i < 4; i++ {
+			i := i
+			e.eng.Spawn("mix", sim.Time(i*5), func(th *sim.Thread) {
+				task := e.rt.NewTask(th, p.NodeProcs+i)
+				// Each thread owns a disjoint key range so the final
+				// census is deterministic despite interleaving.
+				base := uint64(100000 * (i + 1))
+				for k := uint64(0); k < 30; k++ {
+					e.tr.Insert(task, base+k)
+				}
+				for k := uint64(0); k < 30; k += 2 {
+					if !e.tr.Lookup(task, base+k) {
+						missed++
+					}
+				}
+				if e.tr.Lookup(task, base+30) {
+					missed++ // never inserted
+				}
+			})
+		}
+		if err := e.eng.Run(); err != nil {
+			t.Fatalf("%s: %v", scheme.Name(), err)
+		}
+		if missed != 0 {
+			t.Fatalf("%s: %d lookups disagreed with the thread's own inserts", scheme.Name(), missed)
+		}
+		if err := e.tr.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", scheme.Name(), err)
+		}
+		// 50 initial + 4 threads × 30 inserted.
+		if got := len(e.tr.AllKeys()); got != 50+4*30 {
+			t.Fatalf("%s: key count = %d, want %d", scheme.Name(), got, 50+4*30)
+		}
+	}
+}

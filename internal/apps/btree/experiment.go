@@ -130,9 +130,6 @@ func RunExperiment(cfg Config) Result {
 	tr := Build(m.RT, m.Mem, tbl, cfg.Scheme, cfg.Params, initialKeys)
 	tr.SMPrefetch = cfg.SMPrefetch
 	m.Attach(tr)
-	if tbl != nil && m.WAL != nil {
-		tbl.SetJournal(m.WAL)
-	}
 
 	// inserted tracks keys the workload successfully added, for the
 	// post-run key-set integrity check. Allocated only under faults or

@@ -47,22 +47,3 @@ func TestGeneratedRPCStubsInSync(t *testing.T) {
 		t.Fatal("ops_rpc_gen.go is stale; rerun: go run ./cmd/contgen -in internal/apps/btree/ops_rpc.go")
 	}
 }
-
-// TestGeneratedDeleteStubsInSync covers delete.go's generated record.
-func TestGeneratedDeleteStubsInSync(t *testing.T) {
-	src, err := os.ReadFile("delete.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := contgen.Generate("delete.go", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile("delete_gen.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatal("delete_gen.go is stale; rerun: go run ./cmd/contgen -in internal/apps/btree/delete.go")
-	}
-}

@@ -7,8 +7,8 @@ import (
 	"compmig/internal/gid"
 )
 
-// opReply is the marshaled result of a B-tree operation: lookup hit,
-// insert-was-new or delete-found.
+// opReply is the marshaled result of a B-tree operation: lookup hit or
+// insert-was-new.
 //
 //compmig:record
 type opReply struct{ ok bool }

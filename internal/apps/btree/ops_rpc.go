@@ -115,11 +115,6 @@ func (tr *Tree) register() {
 			rep := tr.insertUp(t, self.(*node), a, false)
 			rep.MarshalWords(reply)
 		})
-	tr.mDelete = tr.rt.RegisterMethod("btree.delete", false,
-		func(t *core.Task, self any, args *msg.Reader, reply *msg.Writer) {
-			rep := tr.leafDelete(t, self.(*node), args.U64(), false)
-			rep.MarshalWords(reply)
-		})
 
 	// New methods register after the originals so the numbering of the
 	// existing MethodIDs (and with it every pinned table) never moves.
@@ -137,8 +132,6 @@ func (tr *Tree) register() {
 		func() core.Walker { return &opCont{tr: tr} })
 	tr.cLookup = tr.rt.RegisterWalker("btree.lookup",
 		func() core.Walker { return &lookupCont{tr: tr} })
-	tr.cDelete = tr.rt.RegisterWalker("btree.delete",
-		func() core.Walker { return &deleteCont{tr: tr} })
 	tr.cScan = tr.rt.RegisterWalker("btree.scan",
 		func() core.Walker { return &scanCont{tr: tr} })
 }
@@ -197,19 +190,6 @@ func (c *opCont) RPC(t *core.Task) bool {
 		c.inserted = buf.put.inserted
 	}
 	return c.apply(t, buf.put)
-}
-
-// A delete descends, then deletes at the leaf, following redirects.
-func (c *deleteCont) RPC(t *core.Task) bool {
-	buf := &c.rpc
-	if !c.leaf {
-		s := c.tr.descend(t, buf, c.cur, c.key)
-		c.cur, c.leaf = s.next, s.nextIsLeaf
-		return false
-	}
-	buf.key.key = c.key
-	c.tr.call(t, buf, c.cur, c.tr.mDelete, &buf.key, &buf.put)
-	return c.apply(buf.put)
 }
 
 // A scan descends to the first qualifying leaf, then counts leaf by

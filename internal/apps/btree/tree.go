@@ -59,11 +59,9 @@ type Tree struct {
 	mStep     core.MethodID
 	mPut      core.MethodID
 	mInsertUp core.MethodID
-	mDelete   core.MethodID
 	mScanStep core.MethodID
 	cOp       core.ContID
 	cLookup   core.ContID
-	cDelete   core.ContID
 	cScan     core.ContID
 }
 
@@ -84,7 +82,7 @@ func Build(rt *core.Runtime, shm *mem.System, tbl *repl.Table, scheme core.Schem
 	tr.bulkLoad(keys)
 	tr.register()
 	if tbl != nil {
-		tbl.Replicate(tr.root, tr.snapshotRoot(), tr.snapshotWords())
+		tbl.Replicate(tr.root, tr.snapshotRoot())
 	}
 	return tr
 }
@@ -253,13 +251,11 @@ func (tr *Tree) growRoot(t *core.Task, oldRoot gid.GID, rep putReply) bool {
 		// sees an unreplicated root. (Replicate is host-level: no yield.)
 		clone := &node{keys: append([]uint64{}, nr.keys...),
 			children: append([]gid.GID{}, nr.children...), high: nr.high}
-		tr.repl.Replicate(g, clone, uint64(4*len(nr.keys))+6)
+		tr.repl.Replicate(g, clone)
 	}
 	tr.root = g
 	tr.height++
-	if tr.repl != nil {
-		tr.republishRoot(t) // broadcast the new-root announcement
-	}
+	tr.republishRoot(t) // broadcast the new-root announcement
 	return true
 }
 

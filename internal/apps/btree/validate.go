@@ -16,7 +16,7 @@ func (tr *Tree) checkNode(g gid.GID, low, high uint64, depth int) error {
 	}
 	if len(nd.keys) == 0 {
 		if nd.leaf {
-			return nil // empty leaf: legal after lazy deletes (or empty tree)
+			return nil // empty leaf: legal only in an empty tree
 		}
 		return fmt.Errorf("node %#x: empty interior node", uint64(g))
 	}

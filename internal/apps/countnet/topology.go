@@ -22,7 +22,6 @@ type Stage []BalancerSpec
 // construction the merger reorders positions between layers, so the rank
 // of an exit wire is not the wire number itself.
 type Layout struct {
-	Width  int
 	Stages []Stage
 	// OutWire[r] is the physical wire carrying logical output rank r.
 	OutWire []int
@@ -42,7 +41,7 @@ func Bitonic(width int) *Layout {
 		wires[i] = i
 	}
 	stages, out := bitonic(wires)
-	l := &Layout{Width: width, Stages: stages, OutWire: out, RankOf: make([]int, width)}
+	l := &Layout{Stages: stages, OutWire: out, RankOf: make([]int, width)}
 	for r, w := range out {
 		l.RankOf[w] = r
 	}
@@ -107,51 +106,4 @@ func zip(a, b []Stage) []Stage {
 		out[i] = append(append(Stage{}, a[i]...), b[i]...)
 	}
 	return out
-}
-
-// sequential is a host-level counting network used to validate the
-// topology (step property) and as a test oracle for the distributed
-// implementations.
-type sequential struct {
-	layout  *Layout
-	toggles [][]bool // per stage, per balancer
-	counts  []int    // tokens that exited each rank
-	next    []int    // next value per rank
-}
-
-func newSequential(width int) *sequential {
-	l := Bitonic(width)
-	s := &sequential{layout: l}
-	for _, st := range l.Stages {
-		s.toggles = append(s.toggles, make([]bool, len(st)))
-	}
-	s.counts = make([]int, width)
-	s.next = make([]int, width)
-	for i := range s.next {
-		s.next[i] = i
-	}
-	return s
-}
-
-// traverse pushes one token in on the given wire and returns (exit rank,
-// counter value).
-func (s *sequential) traverse(wire int) (int, int) {
-	for si, st := range s.layout.Stages {
-		for bi, b := range st {
-			if b.A == wire || b.B == wire {
-				if s.toggles[si][bi] {
-					wire = b.B
-				} else {
-					wire = b.A
-				}
-				s.toggles[si][bi] = !s.toggles[si][bi]
-				break
-			}
-		}
-	}
-	rank := s.layout.RankOf[wire]
-	s.counts[rank]++
-	v := s.next[rank]
-	s.next[rank] += s.layout.Width
-	return rank, v
 }

@@ -120,3 +120,50 @@ func TestStepPropertyWidth16(t *testing.T) {
 		}
 	}
 }
+
+// sequential is a host-level counting network: the oracle the tests
+// check the topology (step property) and the distributed
+// implementations against.
+type sequential struct {
+	layout  *Layout
+	toggles [][]bool // per stage, per balancer
+	counts  []int    // tokens that exited each rank
+	next    []int    // next value per rank
+}
+
+func newSequential(width int) *sequential {
+	l := Bitonic(width)
+	s := &sequential{layout: l}
+	for _, st := range l.Stages {
+		s.toggles = append(s.toggles, make([]bool, len(st)))
+	}
+	s.counts = make([]int, width)
+	s.next = make([]int, width)
+	for i := range s.next {
+		s.next[i] = i
+	}
+	return s
+}
+
+// traverse pushes one token in on the given wire and returns (exit rank,
+// counter value).
+func (s *sequential) traverse(wire int) (int, int) {
+	for si, st := range s.layout.Stages {
+		for bi, b := range st {
+			if b.A == wire || b.B == wire {
+				if s.toggles[si][bi] {
+					wire = b.B
+				} else {
+					wire = b.A
+				}
+				s.toggles[si][bi] = !s.toggles[si][bi]
+				break
+			}
+		}
+	}
+	rank := s.layout.RankOf[wire]
+	s.counts[rank]++
+	v := s.next[rank]
+	s.next[rank] += len(s.next)
+	return rank, v
+}

@@ -506,12 +506,11 @@ func TestSchemeNames(t *testing.T) {
 }
 
 func TestSchemeModel(t *testing.T) {
-	plain := Scheme{Mechanism: Migrate}.Model()
-	if plain.HWMessaging || plain.HWTranslation {
-		t.Error("plain scheme has hardware flags")
+	if (Scheme{Mechanism: Migrate}).Model() != cost.Software() {
+		t.Error("plain scheme should use the software model")
 	}
 	hw := Scheme{Mechanism: Migrate, HWMessaging: true}.Model()
-	if !hw.HWMessaging || !hw.HWTranslation {
+	if hw != cost.Hardware() {
 		t.Error("w/HW scheme should bundle both hardware estimates")
 	}
 	if hw.SendAllocPacket != 0 || hw.GIDTranslation != 0 {

@@ -86,7 +86,7 @@ func (t *Task) PullObject(g gid.GID, stateWords uint64) error {
 		return err
 	}
 	if rt.Obs != nil {
-		rt.Obs.ObjectPull(here, g, int(stateWords))
+		rt.Obs.Access(here, g)
 	}
 	rt.learn(here, g, here)
 	return nil

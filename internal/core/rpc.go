@@ -43,8 +43,7 @@ func (t *Task) Call(g gid.GID, method MethodID, args msg.Marshaler, out msg.Unma
 		args.MarshalWords(w)
 	}
 	m := ls.message(here, "rpc", w.Words())
-	reqWords := len(m.Payload)
-	words := uint64(reqWords) + network.HeaderWords
+	words := uint64(len(m.Payload)) + network.HeaderWords
 
 	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
 	m.Dst = rt.locate(here, g)
@@ -55,7 +54,7 @@ func (t *Task) Call(g gid.GID, method MethodID, args msg.Marshaler, out msg.Unma
 		return err
 	}
 	if rt.Obs != nil {
-		rt.Obs.RemoteCall(here, g, reqWords, len(reply), ent.short)
+		rt.Obs.Access(here, g)
 	}
 	// Piggybacked location information: the reply tells the caller where
 	// the object really was.

@@ -112,14 +112,12 @@ func (s Scheme) Model() cost.Model {
 // linkage lives (the processor that started the operation), not the
 // processor the hook happens to execute on.
 type AccessObserver interface {
-	// RemoteCall reports one RPC request/reply pair against object g.
-	RemoteCall(origin int, g gid.GID, reqWords, replyWords int, short bool)
+	// Access reports one remote access to object g: an RPC request/reply
+	// pair, or an Emerald-style whole-object move of g to origin.
+	Access(origin int, g gid.GID)
 	// MigrateHop reports one computation-migration hop toward object g
 	// carrying a continuation of contWords payload words.
 	MigrateHop(origin int, g gid.GID, contWords int)
-	// ObjectPull reports one Emerald-style whole-object move of g to
-	// origin carrying stateWords of object state.
-	ObjectPull(origin int, g gid.GID, stateWords int)
 }
 
 // MethodID names a registered instance method.

@@ -35,13 +35,6 @@ type Model struct {
 	Scheduler         uint64 // scheduler dispatch: 36
 	ForwardingCheck   uint64 // check whether the object moved: 23
 	RecvAllocPacket   uint64 // allocate packet on receiver: 16 (0 with HW)
-
-	// HWMessaging marks the Henry/Joerg register-mapped network interface
-	// estimate; HWTranslation the J-Machine-style GID translation hardware.
-	// These flags record how the model was derived; the cycle fields above
-	// already reflect them.
-	HWMessaging   bool
-	HWTranslation bool
 }
 
 // Software returns the measured software-runtime model of Table 5.
@@ -74,7 +67,6 @@ func Software() Model {
 // allocated (messages are composed in registers), and marshal/unmarshal
 // costs are halved.
 func (m Model) WithHWMessaging() Model {
-	m.HWMessaging = true
 	m.SendAllocPacket = 0
 	m.RecvAllocPacket = 0
 	m.CopyPacketBase = 4
@@ -90,7 +82,6 @@ func (m Model) WithHWMessaging() Model {
 // global-object-identifier translation estimate: the translation cost
 // disappears.
 func (m Model) WithHWTranslation() Model {
-	m.HWTranslation = true
 	m.GIDTranslation = 0
 	return m
 }

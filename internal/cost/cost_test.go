@@ -67,8 +67,8 @@ func TestHWMessagingReductions(t *testing.T) {
 	if hw.Unmarshal(n) > sw.Unmarshal(n)/2+5 {
 		t.Errorf("hw unmarshal = %d, not ~half of %d", hw.Unmarshal(n), sw.Unmarshal(n))
 	}
-	if !hw.HWMessaging || hw.HWTranslation {
-		t.Error("flag bookkeeping wrong")
+	if hw.GIDTranslation != sw.GIDTranslation {
+		t.Error("hw messaging should leave GID translation alone")
 	}
 }
 
@@ -77,8 +77,8 @@ func TestHWTranslation(t *testing.T) {
 	if hw.GIDTranslation != 0 {
 		t.Errorf("translation = %d, want 0", hw.GIDTranslation)
 	}
-	if !hw.HWTranslation {
-		t.Error("flag not set")
+	if n := uint64(calibrationWords); hw.SendOverhead(n) != Software().SendOverhead(n) {
+		t.Error("hw translation should leave messaging alone")
 	}
 }
 

@@ -159,7 +159,7 @@ func ablationExp(o Options) experiment {
 	var specs []RunSpec
 	for _, a := range abls {
 		for _, v := range a.rows {
-			specs = append(specs, RunSpec{Label: "ext-ablation/" + v.name, Run: func() any { return v.run() }})
+			specs = append(specs, func() any { return v.run() })
 		}
 	}
 	render := func(results []any) []Table {

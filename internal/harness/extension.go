@@ -31,10 +31,7 @@ func objMigExp(o Options) experiment {
 				Seed: o.seed(), Warmup: warmup, Measure: measure,
 				Policy: abPolicy(s.Mechanism), Faults: o.Faults,
 			}
-			specs = append(specs, RunSpec{
-				Label: fmt.Sprintf("ext-objmig/%s/think=%d", s.Name(), think),
-				Run:   func() any { return countnet.RunExperiment(cfg) },
-			})
+			specs = append(specs, func() any { return countnet.RunExperiment(cfg) })
 		}
 	}
 	render := func(results []any) []Table {
@@ -83,10 +80,7 @@ func btreeObjMigExp(o Options) experiment {
 			Warmup: warmup, Measure: measure,
 			Policy: abPolicy(s.Mechanism), Faults: o.Faults,
 		}
-		specs = append(specs, RunSpec{
-			Label: "ext-objmig-btree/" + s.Name(),
-			Run:   func() any { return btree.RunExperiment(cfg) },
-		})
+		specs = append(specs, func() any { return btree.RunExperiment(cfg) })
 	}
 	render := func(results []any) []Table {
 		t := Table{

@@ -49,10 +49,7 @@ func faultExp(o Options) experiment {
 				Seed: o.seed(), Warmup: warmup, Measure: measure,
 				Faults: faultPlan(rate, o.seed()),
 			}
-			specs = append(specs, RunSpec{
-				Label: fmt.Sprintf("ext-fault/%s/drop=%g", s.Name(), rate),
-				Run:   func() any { return countnet.RunExperiment(cfg) },
-			})
+			specs = append(specs, func() any { return countnet.RunExperiment(cfg) })
 		}
 	}
 	render := func(results []any) []Table {
@@ -93,10 +90,7 @@ func btreeFaultExp(o Options) experiment {
 				Seed: o.seed(), Warmup: warmup, Measure: measure,
 				Faults: faultPlan(rate, o.seed()),
 			}
-			specs = append(specs, RunSpec{
-				Label: fmt.Sprintf("ext-fault-btree/%s/drop=%g", s.Name(), rate),
-				Run:   func() any { return btree.RunExperiment(cfg) },
-			})
+			specs = append(specs, func() any { return btree.RunExperiment(cfg) })
 		}
 	}
 	render := func(results []any) []Table {

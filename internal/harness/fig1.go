@@ -25,18 +25,9 @@ func fig1Exp(o Options) experiment {
 	var specs []RunSpec
 	for _, m := range ms {
 		specs = append(specs,
-			RunSpec{
-				Label: fmt.Sprintf("fig1/rpc/m=%d", m),
-				Run:   func() any { return fig1Messages(core.RPC, n, m, o.seed()) },
-			},
-			RunSpec{
-				Label: fmt.Sprintf("fig1/cm/m=%d", m),
-				Run:   func() any { return fig1Messages(core.Migrate, n, m, o.seed()) },
-			},
-			RunSpec{
-				Label: fmt.Sprintf("fig1/dm/m=%d", m),
-				Run:   func() any { return fig1DataMigration(n, m, o.seed()) },
-			})
+			func() any { return fig1Messages(core.RPC, n, m, o.seed()) },
+			func() any { return fig1Messages(core.Migrate, n, m, o.seed()) },
+			func() any { return fig1DataMigration(n, m, o.seed()) })
 	}
 	render := func(results []any) []Table {
 		t := Table{
@@ -64,8 +55,9 @@ func fig1Exp(o Options) experiment {
 	return experiment{specs: specs, render: render}
 }
 
-// chainCell is one data item of §2.5's toy world.
-type chainCell struct{ visits int }
+// chainCell is one data item of §2.5's toy world; an access charges
+// work and keeps nothing in it.
+type chainCell struct{}
 
 // chainWorld is §2.5's toy world: a thread on P0 visits a sequence of
 // data items, one on each of processors 1..m, doing work cycles of user
@@ -87,8 +79,7 @@ func newChainWorld(mech core.Mechanism, m int, work, seed uint64) *chainWorld {
 	}
 	rt := w.m.RT
 	w.mGet = rt.RegisterMethod("chain.get", true,
-		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {
-			self.(*chainCell).visits++
+		func(t *core.Task, _ any, _ *msg.Reader, reply *msg.Writer) {
 			t.Work(w.work)
 			chainAck{}.MarshalWords(reply)
 		})
@@ -171,7 +162,6 @@ func (c *chainCont) Run(t *core.Task) {
 			}
 			return
 		}
-		t.State(g).(*chainCell).visits++
 		t.Work(c.w.work)
 		c.idx++
 	}
@@ -248,10 +238,7 @@ func table5Breakdown(seed uint64) []stats.BreakdownRow {
 
 // table5Exp wraps the per-migration cost breakdown as a single spec.
 func table5Exp(o Options) experiment {
-	specs := []RunSpec{{
-		Label: "table5/migration-breakdown",
-		Run:   func() any { return table5Breakdown(o.seed()) },
-	}}
+	specs := []RunSpec{func() any { return table5Breakdown(o.seed()) }}
 	render := func(results []any) []Table {
 		paper := map[string]string{
 			"Total time": "651", "User code": "150", "Network transit": "17",

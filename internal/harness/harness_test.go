@@ -245,8 +245,19 @@ func TestRunDispatcher(t *testing.T) {
 			t.Errorf("Run(%q) = %v, %v", id, tabs, err)
 		}
 	}
-	if _, err := Run("nosuch", quick); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, id := range append(ExperimentIDs(), "all") {
+		if exps, _, err := plan(id, quick); err != nil || len(exps) == 0 {
+			t.Errorf("plan(%q) = %d experiments, %v", id, len(exps), err)
+		}
+	}
+	_, err := Run("nosuch", quick)
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, id := range ExperimentIDs() {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("unknown-id error %q does not name %q", err, id)
+		}
 	}
 }
 
@@ -332,10 +343,7 @@ func TestParallelRunIsByteIdentical(t *testing.T) {
 func TestRunSpecsOrderAndWorkerCounts(t *testing.T) {
 	specs := make([]RunSpec, 9)
 	for i := range specs {
-		specs[i] = RunSpec{
-			Label: strconv.Itoa(i),
-			Run:   func() any { return i },
-		}
+		specs[i] = func() any { return i }
 	}
 	for _, workers := range []int{0, 1, 2, 4, 16} {
 		results := runSpecs(specs, workers)

@@ -75,10 +75,7 @@ func kvExp(o Options) experiment {
 					Faults:       o.Faults,
 					Seed:         o.seed(),
 				}
-				specs = append(specs, RunSpec{
-					Label: fmt.Sprintf("ext-kv/%s/zipf=%g/hetero=%s", p, theta, heteroName(h)),
-					Run:   func() any { return kv.RunExperiment(cfg) },
-				})
+				specs = append(specs, func() any { return kv.RunExperiment(cfg) })
 			}
 		}
 	}

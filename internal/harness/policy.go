@@ -56,10 +56,7 @@ func policyExp(o Options) experiment {
 					Seed: o.seed(), Warmup: warmup, Measure: measure,
 					Faults: o.Faults,
 				}
-				specs = append(specs, RunSpec{
-					Label: fmt.Sprintf("ext-policy/%s/think=%d/threads=%d", p, think, n),
-					Run:   func() any { return countnet.RunExperiment(cfg) },
-				})
+				specs = append(specs, func() any { return countnet.RunExperiment(cfg) })
 			}
 		}
 	}
@@ -112,10 +109,7 @@ func btreePolicyExp(o Options) experiment {
 				Warmup: warmup, Measure: measure,
 				Faults: o.Faults,
 			}
-			specs = append(specs, RunSpec{
-				Label: fmt.Sprintf("ext-policy-btree/%s/think=%d", p, think),
-				Run:   func() any { return btree.RunExperiment(cfg) },
-			})
+			specs = append(specs, func() any { return btree.RunExperiment(cfg) })
 		}
 	}
 	render := func(results []any) []Table {

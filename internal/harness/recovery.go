@@ -81,10 +81,7 @@ func recoveryExp(o Options) experiment {
 				Faults:  recoveryPlan(p),
 				Seed:    o.seed(),
 			}
-			specs = append(specs, RunSpec{
-				Label: fmt.Sprintf("ext-recovery/%s/%s", s.Name(), p.label),
-				Run:   func() any { return kv.RunExperiment(cfg) },
-			})
+			specs = append(specs, func() any { return kv.RunExperiment(cfg) })
 		}
 	}
 	render := func(results []any) []Table {

@@ -51,10 +51,7 @@ func scaleExp(o Options) experiment {
 				Seed: o.seed(), Warmup: warmup, Measure: measure,
 				Mesh: true, Shards: o.Shards,
 			}
-			specs = append(specs, RunSpec{
-				Label: fmt.Sprintf("scale/countnet/%s/procs=%d/shards=%d", s.Name(), cfg.Procs(), o.Shards),
-				Run:   func() any { return countnet.RunExperiment(cfg) },
-			})
+			specs = append(specs, func() any { return countnet.RunExperiment(cfg) })
 		}
 	}
 	for _, pt := range points {
@@ -66,10 +63,7 @@ func scaleExp(o Options) experiment {
 				Seed: o.seed(), Warmup: warmup, Measure: measure,
 				Mesh: true,
 			}
-			specs = append(specs, RunSpec{
-				Label: fmt.Sprintf("scale/btree/%s/procs=%d", s.Name(), pt.btProcs+pt.btThreads),
-				Run:   func() any { return btree.RunExperiment(cfg) },
-			})
+			specs = append(specs, func() any { return btree.RunExperiment(cfg) })
 		}
 	}
 	render := func(results []any) []Table {

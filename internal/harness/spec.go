@@ -6,18 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// RunSpec is one independent simulation job: a fully-configured machine
-// build + run that produces raw metrics. A spec owns its engine and seed
-// and shares no state with any other spec, so any subset of a spec list
-// may execute concurrently without changing its result.
-type RunSpec struct {
-	// Label identifies the job (experiment/scheme/point) in logs and
-	// bench output.
-	Label string
-	// Run builds a fresh machine, runs the workload, and returns the raw
-	// metrics the experiment's renderer consumes.
-	Run func() any
-}
+// RunSpec is one independent simulation job: it builds a fresh,
+// fully-configured machine, runs the workload, and returns the raw
+// metrics the experiment's renderer consumes. A spec owns its engine and
+// seed and shares no state with any other spec, so any subset of a spec
+// list may execute concurrently without changing its result.
+type RunSpec func() any
 
 // experiment pairs one sweep's spec list with a renderer that assembles
 // the rendered tables from the results, which arrive in spec order. The
@@ -39,7 +33,7 @@ func runSpecs(specs []RunSpec, workers int) []any {
 	}
 	if workers <= 1 {
 		for i := range specs {
-			results[i] = specs[i].Run()
+			results[i] = specs[i]()
 		}
 		return results
 	}
@@ -54,7 +48,7 @@ func runSpecs(specs []RunSpec, workers int) []any {
 				if i >= len(specs) {
 					return
 				}
-				results[i] = specs[i].Run()
+				results[i] = specs[i]()
 			}
 		}()
 	}

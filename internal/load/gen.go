@@ -171,7 +171,6 @@ func (g *Gen) Events() []Event {
 // approximately per draw in O(1).
 type zipfian struct {
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
@@ -179,7 +178,7 @@ type zipfian struct {
 }
 
 func newZipfian(n uint64, theta float64) *zipfian {
-	z := &zipfian{n: n, theta: theta}
+	z := &zipfian{n: n}
 	for i := uint64(1); i <= n; i++ {
 		z.zetan += 1 / math.Pow(float64(i), theta)
 	}

@@ -31,7 +31,8 @@ type reliability struct {
 
 	nextSeq uint64
 	free    []*relPending
-	made    int // records ever allocated
+	//simvet:allow read by TestReliableRecordPoolSafety, which checks that records are reused and all come back to the free list
+	made int // records ever allocated
 }
 
 // relPending is one logical message from its send until it is settled

@@ -250,15 +250,13 @@ type Site struct {
 	base advisor.SiteProfile
 
 	// Live wire statistics, accumulated by the core access hooks.
-	visits     uint64 // object visits (consecutive-access runs)
-	accesses   uint64 // individual remote accesses across those visits
-	ops        uint64 // completed high-level operations
-	hops       uint64 // migration hops across those operations
-	hopOps     uint64 // ops that made at least one hop (CM ops)
-	argWords   uint64 // total request payload words observed
-	replyWords uint64 // total reply payload words observed
-	contWords  uint64 // total continuation payload words observed
-	contHops   uint64 // hops contributing to contWords
+	visits    uint64 // object visits (consecutive-access runs)
+	accesses  uint64 // individual remote accesses across those visits
+	ops       uint64 // completed high-level operations
+	hops      uint64 // migration hops across those operations
+	hopOps    uint64 // ops that made at least one hop (CM ops)
+	contWords uint64 // total continuation payload words observed
+	contHops  uint64 // hops contributing to contWords
 
 	// Per-mechanism outcome statistics (the bandit's arms).
 	tries     [4]uint64 // completed ops per mechanism
@@ -469,9 +467,12 @@ func (e *Engine) flushRun(proc int) {
 	o.last, o.run = gid.Nil, 0
 }
 
-// touch records one remote access to g from origin proc, extending or
-// starting the consecutive-access run.
-func (e *Engine) touch(proc int, g gid.GID) {
+// Engine implements core.AccessObserver; the runtime invokes its hooks
+// on its dispatch paths. Both are host-side only.
+
+// Access records one remote access to g from origin proc, an RPC call
+// or an object pull, extending or starting the consecutive-access run.
+func (e *Engine) Access(proc int, g gid.GID) {
 	if proc < 0 || proc >= len(e.origin) {
 		return
 	}
@@ -484,34 +485,16 @@ func (e *Engine) touch(proc int, g gid.GID) {
 	}
 }
 
-// Engine implements core.AccessObserver; the runtime invokes these hooks
-// on its dispatch paths. All three are host-side only.
-
-// RemoteCall records one RPC request/reply pair from origin to object g.
-func (e *Engine) RemoteCall(origin int, g gid.GID, reqWords, replyWords int, short bool) {
-	e.touch(origin, g)
-	if s := e.siteOf(origin); s != nil {
-		s.argWords += uint64(reqWords)
-		s.replyWords += uint64(replyWords)
-	}
-}
-
 // MigrateHop records one computation-migration hop of the operation
 // whose reply linkage lives on origin, toward object g.
 func (e *Engine) MigrateHop(origin int, g gid.GID, contWords int) {
-	e.touch(origin, g)
+	e.Access(origin, g)
 	if s := e.siteOf(origin); s != nil {
 		s.hops++
 		s.contHops++
 		s.contWords += uint64(contWords)
 		e.origin[origin].opHops++
 	}
-}
-
-// ObjectPull records one Emerald-style whole-object move to origin as an
-// access to g.
-func (e *Engine) ObjectPull(origin int, g gid.GID, stateWords int) {
-	e.touch(origin, g)
 }
 
 func (e *Engine) siteOf(origin int) *Site {

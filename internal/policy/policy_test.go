@@ -111,9 +111,9 @@ func TestLiveProfileReplacesPriors(t *testing.T) {
 		m := s.Begin(0, g1)
 		// Each op: 2 hops (g1 then g2), each object touched twice.
 		e.MigrateHop(0, g1, 9)
-		e.RemoteCall(0, g1, 8, 3, true)
+		e.Access(0, g1)
 		e.MigrateHop(0, g2, 9)
-		e.RemoteCall(0, g2, 8, 3, true)
+		e.Access(0, g2)
 		s.End(0, m, 500)
 	}
 	p := s.Profile()
@@ -229,7 +229,7 @@ func TestStatsDump(t *testing.T) {
 	e := newEngine(t, "static:rpc")
 	s := e.NewSite("app.op", advisor.SiteProfile{AccessesPerVisit: 3, ChainLength: 2})
 	m := s.Begin(0, gid.GID(5))
-	e.RemoteCall(0, gid.GID(5), 8, 2, true)
+	e.Access(0, gid.GID(5))
 	s.End(0, m, 800)
 	data, err := json.Marshal(e.Stats())
 	if err != nil {

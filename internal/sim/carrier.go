@@ -46,7 +46,6 @@ func (c *carrier) loop(yield func(struct{}) bool) {
 		th := c.th
 		body := th.body
 		th.body = nil
-		th.state = threadRunning
 		body(th)
 		th.exit()
 	}

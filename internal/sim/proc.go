@@ -21,8 +21,6 @@ type Proc struct {
 
 	// Busy accumulates total busy cycles for utilization reporting.
 	Busy Time
-	// Segments counts work segments executed.
-	Segments uint64
 
 	// speedNum/speedDen, when set, scale every booked work segment by
 	// num/den (ceiling division) — a slow processor takes num/den times
@@ -69,7 +67,6 @@ func (p *Proc) skipDown(t Time) Time {
 
 // Machine is a fixed set of processors.
 type Machine struct {
-	eng   *Engine
 	procs []*Proc
 }
 
@@ -78,7 +75,7 @@ func NewMachine(e *Engine, n int) *Machine {
 	if n <= 0 {
 		panic("sim: machine needs at least one processor")
 	}
-	m := &Machine{eng: e, procs: make([]*Proc, n)}
+	m := &Machine{procs: make([]*Proc, n)}
 	for i := range m.procs {
 		m.procs[i] = &Proc{eng: e, id: i, execWhere: fmt.Sprintf("exec(p%d)", i)}
 	}
@@ -181,7 +178,6 @@ func (p *Proc) reserve(cycles Time) Time {
 	end := start + cycles
 	p.free = end
 	p.Busy += cycles
-	p.Segments++
 	return end
 }
 
@@ -221,7 +217,6 @@ func (p *Proc) ReserveAt(at, cycles Time) Time {
 	end := start + cycles
 	p.free = end
 	p.Busy += cycles
-	p.Segments++
 	return end
 }
 

@@ -137,7 +137,7 @@ func (cl *Cluster) NewMachine(n int) *Machine {
 	cl.laneOf = make([]int, n)
 	cl.groups = make([][]int, shards)
 	cl.ctrs = make([]uint64, n+1)
-	m := &Machine{eng: cl.lanes[0], procs: make([]*Proc, n)}
+	m := &Machine{procs: make([]*Proc, n)}
 	for i := range m.procs {
 		lane := i * shards / n
 		cl.laneOf[i] = lane

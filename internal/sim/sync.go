@@ -6,10 +6,6 @@ package sim
 type Mutex struct {
 	owner   *Thread
 	waiters []*Thread
-	// Contended counts Lock calls that had to wait.
-	Contended uint64
-	// Acquired counts successful acquisitions.
-	Acquired uint64
 }
 
 // Lock blocks th until it holds the mutex. Waiters are served FIFO.
@@ -19,17 +15,14 @@ func (m *Mutex) Lock(th *Thread) {
 	}
 	if m.owner == nil {
 		m.owner = th
-		m.Acquired++
 		return
 	}
-	m.Contended++
 	m.waiters = append(m.waiters, th)
 	th.park("mutex")
 	// The unlocker set us as owner before waking us.
 	if m.owner != th {
 		panic("sim: woke from Mutex.Lock without ownership")
 	}
-	m.Acquired++
 }
 
 // Unlock releases the mutex and wakes the longest-waiting thread, if any.

@@ -6,6 +6,7 @@ func TestMutexExclusionAndFIFO(t *testing.T) {
 	e := NewEngine(1)
 	var mu Mutex
 	var order []int
+	var acquired []Time
 	inside := 0
 	for i := 0; i < 4; i++ {
 		i := i
@@ -16,6 +17,7 @@ func TestMutexExclusionAndFIFO(t *testing.T) {
 				t.Errorf("mutual exclusion violated: %d inside", inside)
 			}
 			order = append(order, i)
+			acquired = append(acquired, th.Now())
 			th.Sleep(100)
 			inside--
 			mu.Unlock(th)
@@ -29,8 +31,12 @@ func TestMutexExclusionAndFIFO(t *testing.T) {
 			t.Fatalf("lock handoff not FIFO: %v", order)
 		}
 	}
-	if mu.Contended != 3 {
-		t.Fatalf("contended = %d, want 3", mu.Contended)
+	// Threads 1-3 arrive while the lock is held and each waits for the
+	// previous holder's 100-cycle critical section.
+	for i, at := range acquired {
+		if at != Time(100*i) {
+			t.Fatalf("thread %d acquired at %d, want %d", i, at, 100*i)
+		}
 	}
 	if mu.owner != nil {
 		t.Fatal("mutex still held at end")

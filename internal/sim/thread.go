@@ -19,8 +19,7 @@ type Thread struct {
 	name    string
 	body    func(*Thread) // pending body, taken by the carrier when it starts
 	carrier *carrier      // nil until the first dispatch and after exit
-	state   threadState
-	where   string // description of the blocking site, for deadlock reports
+	where   string        // description of the blocking site, for deadlock reports
 
 	// stream is the event stream the thread's wakeups execute as: the
 	// processor the thread is bound to on a clustered engine (set by
@@ -31,15 +30,6 @@ type Thread struct {
 	// scratch is the future handed out by ScratchFuture.
 	scratch Future
 }
-
-type threadState int
-
-const (
-	threadRunnable threadState = iota
-	threadRunning
-	threadParked
-	threadDone
-)
 
 // Spawn creates a simulated thread that begins executing body at time
 // e.Now()+delay. The body runs under engine control; it must only interact
@@ -67,7 +57,7 @@ func (e *Engine) newThread(id int, name string, body func(*Thread), stream int32
 		e.threadPool[n-1] = nil
 		e.threadPool = e.threadPool[:n-1]
 		th.id, th.name, th.body = id, name, body
-		th.state, th.where = threadRunnable, ""
+		th.where = ""
 		th.stream = stream
 	} else {
 		th = &Thread{eng: e, id: id, name: name, body: body, stream: stream}
@@ -167,7 +157,6 @@ func (th *Thread) exit() {
 	if e.current != th {
 		panic("sim: thread exiting while not the current runner")
 	}
-	th.state = threadDone
 	th.where = "exited"
 	e.liveThreads--
 	delete(e.allThreads, th)
@@ -206,12 +195,10 @@ func (th *Thread) park(where string) {
 	if e.current != th {
 		panic("sim: park called from a thread that is not running")
 	}
-	th.state = threadParked
 	th.where = where
 	e.current = nil
 	e.drive(th.carrier)
 	e.current = th
-	th.state = threadRunning
 	th.where = ""
 }
 

@@ -18,10 +18,9 @@ type TraceEvent struct {
 // what they do. The ring keeps the most recent events, so a trace of a
 // long run ends with the part you usually care about.
 type Tracer struct {
-	ring  []TraceEvent
-	next  int
-	total uint64
-	full  bool
+	ring []TraceEvent
+	next int
+	full bool
 }
 
 // EnableTrace attaches a tracer ring holding up to capacity events and
@@ -46,7 +45,6 @@ func (e *Engine) Tracef(kind, format string, args ...any) {
 	}
 	tr.ring[tr.next] = TraceEvent{At: e.now, Kind: kind, Detail: fmt.Sprintf(format, args...)}
 	tr.next++
-	tr.total++
 	if tr.next == len(tr.ring) {
 		tr.next = 0
 		tr.full = true

@@ -13,7 +13,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	e.Tracef("x", "should be dropped")
 	// No panic, no state: attach a tracer and confirm it starts empty.
 	tr := e.EnableTrace(4)
-	if tr.total != 0 || len(tr.Events()) != 0 {
+	if len(tr.Events()) != 0 {
 		t.Fatal("fresh tracer not empty")
 	}
 }
@@ -47,9 +47,6 @@ func TestTraceRingWraps(t *testing.T) {
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if tr.total != 10 {
-		t.Errorf("total = %d", tr.total)
 	}
 	evs := tr.Events()
 	if len(evs) != 3 {

@@ -11,7 +11,7 @@
 // every yield point a processor's object state equals the fold of its
 // log. A wipe fault (fault.Window.Wipe) can then discard the volatile
 // state at any cycle and recovery rebuilds exactly what was there:
-// restore the checkpoint, replay the WAL suffix in LSN order, and
+// restore the checkpoint, replay the WAL suffix in append order, and
 // re-register the processor's objects — all in simulated time booked on
 // the recovering processor, so work queued behind the outage waits for
 // replay to finish.
@@ -49,10 +49,6 @@ const (
 	// KindMoveIn records an object arriving with a full state snapshot in
 	// Blob; replay reinstalls the snapshot like a KindState image.
 	KindMoveIn
-	// KindDrop records a replication drop at the object's home — a
-	// mechanism switch the recovered processor must remember; it carries
-	// no replayable state.
-	KindDrop
 )
 
 func (k Kind) String() string {
@@ -65,23 +61,21 @@ func (k Kind) String() string {
 		return "move-out"
 	case KindMoveIn:
 		return "move-in"
-	case KindDrop:
-		return "drop"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
 
 // headerWords is a record's fixed wire size in 64-bit words: LSN, kind
-// tag + GID, Sub, A, B.
+// tag + GID, Sub, A, B. The LSN is priced but not stored: a record's
+// position in its processor's suffix is its sequence number.
 const headerWords = 5
 
-// Record is one WAL entry. The store assigns LSN; everything else is
-// the appender's. Sub distinguishes independent sub-states of one
-// object (a KV partition's key); A and B are small scalar payloads and
-// Blob carries bulk images (B-tree node encodings, move snapshots).
+// Record is one WAL entry, filled in by the appender. Sub distinguishes
+// independent sub-states of one object (a KV partition's key); A and B
+// are small scalar payloads and Blob carries bulk images (B-tree node
+// encodings, move snapshots).
 type Record struct {
-	LSN  uint64
 	Kind Kind
 	G    gid.GID
 	Sub  uint64
@@ -102,12 +96,10 @@ type ckptKey struct {
 // plog is one processor's log: the checkpoint (folded prefix) plus the
 // WAL suffix appended since.
 type plog struct {
-	ckpt      map[ckptKey]Record
-	ckptWords uint64
-	suffix    []Record
-	lsn       uint64
-	appends   uint64   // appends since the last fsync barrier
-	lastCkpt  sim.Time // cycle of the last checkpoint fold
+	ckpt     map[ckptKey]Record
+	suffix   []Record
+	appends  uint64   // appends since the last fsync barrier
+	lastCkpt sim.Time // cycle of the last checkpoint fold
 }
 
 // Counters tallies one run's durability activity. Plain integers: a
@@ -128,8 +120,8 @@ type Counters struct {
 }
 
 // Store is the machine-wide durability layer: one log per processor.
-// It implements object.Journal and repl.Journal so structural events
-// (creations, moves, replication drops) log themselves.
+// It implements object.Journal so structural events (creations, moves)
+// log themselves.
 type Store struct {
 	mach     *sim.Machine
 	col      *stats.Collector
@@ -160,7 +152,7 @@ type Store struct {
 // (0 means cost.DefaultCkptInterval). home resolves a GID's current
 // home processor (object.Space.Home); records always land in their home
 // processor's log. A durable run must use the serial engine: the store
-// keeps one global LSN sequence per processor and one collector.
+// keeps one append sequence per processor and one collector.
 func New(mach *sim.Machine, col *stats.Collector, prices cost.Durability, interval uint64, home func(gid.GID) int) *Store {
 	if interval == 0 {
 		interval = cost.DefaultCkptInterval
@@ -210,8 +202,6 @@ func (s *Store) register(p int, r Record) uint64 {
 		s.Counters.AppendDropped++
 		return s.prices.Append(r.Words())
 	}
-	lg.lsn++
-	r.LSN = lg.lsn
 	lg.suffix = append(lg.suffix, r)
 	s.Counters.Appends++
 	s.Counters.AppendWords += r.Words()
@@ -234,7 +224,7 @@ func (s *Store) checkpoint(p int, now sim.Time) uint64 {
 	lg := s.logs[p]
 	for _, r := range lg.suffix {
 		switch r.Kind {
-		case KindCreate, KindDrop:
+		case KindCreate:
 			// Metadata-only records: their durable effect is complete once
 			// logged; the fold keeps no entry (recovery re-registers objects
 			// from the live-object count, not from creates).
@@ -256,7 +246,6 @@ func (s *Store) checkpoint(p int, now sim.Time) uint64 {
 	for _, r := range lg.ckpt {
 		live += r.Words()
 	}
-	lg.ckptWords = live
 	s.Counters.Checkpoints++
 	s.Counters.CheckpointWords += live
 	return s.prices.Checkpoint(live)
@@ -305,7 +294,6 @@ func (s *Store) Seed(r Record) {
 	p := s.home(r.G)
 	lg := s.logs[p]
 	lg.ckpt[ckptKey{r.G, r.Sub}] = r
-	lg.ckptWords += r.Words()
 }
 
 func (s *Store) chargeAsync(p int, cycles uint64) {
@@ -394,7 +382,7 @@ func (s *Store) recoverProc(proc int) {
 // records with no app state short-circuit.
 func (s *Store) applyRecord(r Record) {
 	switch r.Kind {
-	case KindCreate, KindMoveOut, KindDrop:
+	case KindCreate, KindMoveOut:
 		return
 	}
 	if s.apply == nil {
@@ -423,11 +411,6 @@ func (s *Store) ObjectMove(g gid.GID, from, to int) {
 	s.chargeAsync(from, s.register(from, out))
 	in := Record{Kind: KindMoveIn, G: g, Blob: s.snapshot(g)}
 	s.chargeAsync(to, s.register(to, in))
-}
-
-// ReplicaDrop implements repl.Journal.
-func (s *Store) ReplicaDrop(g gid.GID, home int) {
-	s.chargeAsync(home, s.register(home, Record{Kind: KindDrop, G: g}))
 }
 
 // FlushProfile adds the run's durability counters to the process-wide

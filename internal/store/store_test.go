@@ -302,12 +302,12 @@ func TestJournalKinds(t *testing.T) {
 	h := newHarness(t, 0)
 	g := gid.Make(1, 1)
 	h.st.ObjectNew(g, 1)
-	h.st.ReplicaDrop(g, 1)
+	h.st.AppendAsync(Record{Kind: KindMoveOut, G: g})
 	if err := h.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	lg := h.st.logs[1]
-	if len(lg.suffix) != 2 || lg.suffix[0].Kind != KindCreate || lg.suffix[1].Kind != KindDrop {
+	if len(lg.suffix) != 2 || lg.suffix[0].Kind != KindCreate || lg.suffix[1].Kind != KindMoveOut {
 		t.Fatalf("journal suffix = %+v", lg.suffix)
 	}
 	// Structural records replay as accounting only: no Apply calls.
@@ -321,7 +321,7 @@ func TestJournalKinds(t *testing.T) {
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindCreate: "create", KindState: "state", KindMoveOut: "move-out",
-		KindMoveIn: "move-in", KindDrop: "drop", Kind(99): "Kind(99)",
+		KindMoveIn: "move-in", Kind(99): "Kind(99)",
 	} {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
