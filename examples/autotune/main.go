@@ -43,62 +43,76 @@ func (r *touchReply) MarshalWords(w *msg.Writer)          { w.PutU64(r.v) }
 func (r *touchReply) UnmarshalWords(rd *msg.Reader) error { r.v = rd.U64(); return rd.Err() }
 
 // visitCont walks the chain under a per-object plan: bit i set means
-// "migrate to object i", clear means "access it remotely via RPC".
+// "migrate to object i", clear means "access it remotely via RPC". It
+// visits the object it migrates to next, or else the place it already
+// runs — the last object it migrated to, or the requester's anchor —
+// and makes its accesses to the current object from there.
 type visitCont struct {
 	env     *env
 	plan    uint32
 	idx     uint32
-	acc     uint64
+	acc     touchReply
 	scratch []uint32 // live working buffer, travels with the frame
 }
 
 func (c *visitCont) MarshalWords(w *msg.Writer) {
 	w.PutU32(c.plan)
 	w.PutU32(c.idx)
-	w.PutU64(c.acc)
+	w.PutU64(c.acc.v)
 	w.PutU32s(c.scratch)
 }
 
 func (c *visitCont) UnmarshalWords(r *msg.Reader) error {
 	c.plan = r.U32()
 	c.idx = r.U32()
-	c.acc = r.U64()
+	c.acc.v = r.U64()
 	c.scratch = r.U32s()
 	return r.Err()
 }
 
-func (c *visitCont) Run(t *core.Task) {
-	e := c.env
-	for int(c.idx) < len(e.items) {
-		g := e.items[c.idx]
-		migrate := c.plan&(1<<c.idx) != 0
-		if migrate && !t.IsLocal(g) {
-			t.Migrate(g, e.cont, c)
-			return
+func (c *visitCont) At() gid.GID {
+	for i := int(c.idx); i >= 0; i-- {
+		if c.plan&(1<<i) != 0 {
+			return c.env.items[i]
 		}
-		n := accesses[c.idx]
-		if t.IsLocal(g) {
-			for k := 0; k < n; k++ {
-				t.Work(touchWork)
-				c.acc++
-			}
-		} else {
-			for k := 0; k < n; k++ {
-				var rep touchReply
-				if err := t.Call(g, e.mTouch, nil, &rep); err != nil {
-					panic(err)
-				}
-				c.acc += rep.v
-			}
-		}
-		c.idx++
 	}
-	t.Return(&touchReply{v: c.acc})
+	return c.env.anchor
 }
 
-// env holds the chain's objects and the registered procedures.
+func (c *visitCont) Result() core.Result { return &c.acc }
+
+// Visit makes the accesses to the current object: in place when the
+// record has migrated there, by remote calls otherwise.
+func (c *visitCont) Visit(t *core.Task, _ any, _ core.Mechanism) bool {
+	e := c.env
+	g := e.items[c.idx]
+	n := accesses[c.idx]
+	if t.IsLocal(g) {
+		for k := 0; k < n; k++ {
+			t.Work(touchWork)
+			c.acc.v++
+		}
+	} else {
+		for k := 0; k < n; k++ {
+			var rep touchReply
+			if err := t.Call(g, e.mTouch, nil, &rep); err != nil {
+				panic(err)
+			}
+			c.acc.v += rep.v
+		}
+	}
+	c.idx++
+	return int(c.idx) == len(e.items)
+}
+
+// RPC is Visit from the requester.
+func (c *visitCont) RPC(t *core.Task) bool { return c.Visit(t, nil, core.RPC) }
+
+// env holds the chain's objects, the requester's anchor, and the
+// registered procedures.
 type env struct {
 	items  []gid.GID
+	anchor gid.GID
 	mTouch core.MethodID
 	cont   core.ContID
 }
@@ -111,23 +125,22 @@ func run(plan uint32) (result uint64, cycles sim.Time, messages uint64) {
 	for i := range accesses {
 		e.items = append(e.items, rt.Objects.New(i+1, &item{}))
 	}
+	// The anchor is where the record sits until it first migrates.
+	e.anchor = rt.Objects.New(0, &item{})
 	e.mTouch = rt.RegisterMethod("autotune.touch", true,
 		func(t *core.Task, _ any, _ *msg.Reader, reply *msg.Writer) {
 			t.Work(touchWork)
 			reply.PutU64(1)
 		})
-	e.cont = rt.RegisterCont("autotune.visit",
-		func() core.Continuation { return &visitCont{env: e} })
+	e.cont = rt.RegisterWalker("autotune.visit", func() core.Walker { return &visitCont{env: e} })
 
 	m.Eng.Spawn("client", 0, func(th *sim.Thread) {
 		task := rt.NewTask(th, 0)
 		start := th.Now()
-		var rep touchReply
-		entry := &visitCont{env: e, plan: plan, scratch: make([]uint32, scratchWords)}
-		if err := task.Do(entry, &rep); err != nil {
-			panic(err)
-		}
-		result = rep.v
+		c := task.Record(e.cont).(*visitCont)
+		*c = visitCont{env: e, plan: plan, scratch: make([]uint32, scratchWords)}
+		task.Walk(core.Migrate, e.cont, c)
+		result = c.acc.v
 		cycles = th.Now() - start
 	})
 	return result, cycles, m.Run(&machine.Result{}).TotalMessages()

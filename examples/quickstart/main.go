@@ -31,14 +31,19 @@ type balanceReply struct{ balance uint64 }
 func (b *balanceReply) MarshalWords(w *msg.Writer)         { w.PutU64(b.balance) }
 func (b *balanceReply) UnmarshalWords(r *msg.Reader) error { b.balance = r.U64(); return r.Err() }
 
-// auditCont is a migratable procedure: it moves to the account and makes
-// several accesses locally, then returns the final balance directly to
-// the caller. Its fields are the live variables at the migration point.
+// auditCont is the operation, written once for both mechanisms: a
+// number of deposits into one account, returning the final balance. Its
+// fields are the live variables at the migration point. Under RPC each
+// deposit is a remote call; under computation migration the record moves
+// to the account, makes every deposit locally, then returns the balance
+// directly to the caller.
 type auditCont struct {
-	contID  core.ContID
+	mDeposit core.MethodID // not marshaled: the factory sets it
+
 	target  gid.GID
 	deposit uint64
-	rounds  uint32
+	rounds  uint32 // deposits still to make
+	res     balanceReply
 }
 
 func (c *auditCont) MarshalWords(w *msg.Writer) {
@@ -54,17 +59,26 @@ func (c *auditCont) UnmarshalWords(r *msg.Reader) error {
 	return r.Err()
 }
 
-func (c *auditCont) Run(t *core.Task) {
-	if !t.IsLocal(c.target) {
-		t.Migrate(c.target, c.contID, c) // ship this frame to the data
-		return
+func (c *auditCont) At() gid.GID         { return c.target }
+func (c *auditCont) Result() core.Result { return &c.res }
+
+// Visit makes one deposit at the account.
+func (c *auditCont) Visit(t *core.Task, self any, _ core.Mechanism) bool {
+	acct := self.(*account)
+	t.Work(25)
+	acct.balance += c.deposit
+	c.res.balance = acct.balance
+	c.rounds--
+	return c.rounds == 0
+}
+
+// RPC makes one deposit by a remote call.
+func (c *auditCont) RPC(t *core.Task) bool {
+	if err := t.Call(c.target, c.mDeposit, &addArgs{amount: c.deposit}, &c.res); err != nil {
+		panic(err)
 	}
-	acct := t.State(c.target).(*account)
-	for i := uint32(0); i < c.rounds; i++ {
-		t.Work(25)
-		acct.balance += c.deposit
-	}
-	t.Return(&balanceReply{balance: acct.balance})
+	c.rounds--
+	return c.rounds == 0
 }
 
 // run makes the five deposits under mech (RPC or Migrate) on a fresh
@@ -83,29 +97,16 @@ func run(mech core.Mechanism) (balance uint64, cycles sim.Time, messages, words 
 			a.balance += args.U64()
 			reply.PutU64(a.balance)
 		})
-	var audit core.ContID
-	audit = rt.RegisterCont("account.audit",
-		func() core.Continuation { return &auditCont{contID: audit} })
+	audit := rt.RegisterWalker("account.audit", func() core.Walker { return &auditCont{mDeposit: deposit} })
 
 	const rounds = 5
 	m.Eng.Spawn("client", 0, func(th *sim.Thread) {
 		task := rt.NewTask(th, 0)
 		start := th.Now()
-		var rep balanceReply
-		if mech == core.Migrate {
-			err := task.Do(&auditCont{contID: audit,
-				target: acct, deposit: 10, rounds: rounds}, &rep)
-			if err != nil {
-				panic(err)
-			}
-		} else {
-			for i := 0; i < rounds; i++ {
-				if err := task.Call(acct, deposit, &addArgs{amount: 10}, &rep); err != nil {
-					panic(err)
-				}
-			}
-		}
-		balance = rep.balance
+		c := task.Record(audit).(*auditCont)
+		*c = auditCont{mDeposit: deposit, target: acct, deposit: 10, rounds: rounds}
+		task.Walk(mech, audit, c)
+		balance = c.res.balance
 		cycles = th.Now() - start
 	})
 	col := m.Run(&machine.Result{})

@@ -59,20 +59,24 @@ func (p plan) String() string {
 	}
 }
 
-// phaseCont is the migratable two-phase procedure. Its live variables:
-// which phase it is in, the running total, and the object ids.
+// phaseCont is the two-phase procedure, one Walker for every placement.
+// Its live variables: which phase it is in, the running total, and the
+// object ids. It visits the object it migrates to next, or else the
+// place it already runs — the last object it migrated to, or the
+// requester's anchor — and makes its accesses from there: local calls
+// where it sits at the object, remote calls otherwise.
 type phaseCont struct {
 	w     *world
 	p     plan
 	phase uint32 // 0: at A, 1: at B
-	total uint64
+	total phaseReply
 	a, b  gid.GID
 }
 
 func (c *phaseCont) MarshalWords(w *msg.Writer) {
 	w.PutU32(uint32(c.p))
 	w.PutU32(c.phase)
-	w.PutU64(c.total)
+	w.PutU64(c.total.total)
 	w.PutU64(uint64(c.a))
 	w.PutU64(uint64(c.b))
 }
@@ -80,37 +84,47 @@ func (c *phaseCont) MarshalWords(w *msg.Writer) {
 func (c *phaseCont) UnmarshalWords(r *msg.Reader) error {
 	c.p = plan(r.U32())
 	c.phase = r.U32()
-	c.total = r.U64()
+	c.total.total = r.U64()
 	c.a = gid.GID(r.U64())
 	c.b = gid.GID(r.U64())
 	return r.Err()
 }
 
-func (c *phaseCont) Run(t *core.Task) {
-	w := c.w
-	if c.phase == 0 {
-		if c.p&atA != 0 && !t.IsLocal(c.a) {
-			t.Migrate(c.a, w.cont, c)
-			return
-		}
-		for i := 0; i < accessesA; i++ {
-			c.total += w.touch(t, c.a)
-		}
-		c.phase = 1
+func (c *phaseCont) At() gid.GID {
+	switch {
+	case c.phase == 1 && c.p&atB != 0:
+		return c.b
+	case c.p&atA != 0:
+		return c.a
+	default:
+		return c.w.anchor
 	}
-	if c.p&atB != 0 && !t.IsLocal(c.b) {
-		t.Migrate(c.b, w.cont, c)
-		return
-	}
-	for i := 0; i < accessesB; i++ {
-		c.total += w.touch(t, c.b)
-	}
-	t.Return(&phaseReply{total: c.total})
 }
 
-// world holds the two objects and the registered procedures.
+func (c *phaseCont) Result() core.Result { return &c.total }
+
+// Visit runs the current phase's accesses.
+func (c *phaseCont) Visit(t *core.Task, _ any, _ core.Mechanism) bool {
+	if c.phase == 0 {
+		for i := 0; i < accessesA; i++ {
+			c.total.total += c.w.touch(t, c.a)
+		}
+		c.phase = 1
+		return false
+	}
+	for i := 0; i < accessesB; i++ {
+		c.total.total += c.w.touch(t, c.b)
+	}
+	return true
+}
+
+// RPC is Visit from the requester.
+func (c *phaseCont) RPC(t *core.Task) bool { return c.Visit(t, nil, core.RPC) }
+
+// world holds the two objects, the requester's anchor, and the
+// registered procedures.
 type world struct {
-	a, b gid.GID
+	a, b, anchor gid.GID
 
 	mTouch core.MethodID
 	cont   core.ContID
@@ -135,22 +149,22 @@ func run(p plan) (total uint64, cycles sim.Time, messages uint64) {
 	m := machine.New("tuning", machine.Config{Seed: 11, Scheme: core.Scheme{Mechanism: core.Migrate}}, 3)
 	rt := m.RT
 	w := &world{a: rt.Objects.New(1, &record{}), b: rt.Objects.New(2, &record{})}
+	// The anchor is where the record sits until it first migrates.
+	w.anchor = rt.Objects.New(0, &record{})
 	w.mTouch = rt.RegisterMethod("tuning.touch", true,
 		func(t *core.Task, _ any, _ *msg.Reader, reply *msg.Writer) {
 			t.Work(work)
 			reply.PutU64(1)
 		})
-	w.cont = rt.RegisterCont("tuning.phase",
-		func() core.Continuation { return &phaseCont{w: w} })
+	w.cont = rt.RegisterWalker("tuning.phase", func() core.Walker { return &phaseCont{w: w} })
 
 	m.Eng.Spawn("client", 0, func(th *sim.Thread) {
 		task := rt.NewTask(th, 0)
 		start := th.Now()
-		var rep phaseReply
-		if err := task.Do(&phaseCont{w: w, p: p, a: w.a, b: w.b}, &rep); err != nil {
-			panic(err)
-		}
-		total = rep.total
+		c := task.Record(w.cont).(*phaseCont)
+		*c = phaseCont{w: w, p: p, a: w.a, b: w.b}
+		task.Walk(core.Migrate, w.cont, c)
+		total = c.total.total
 		cycles = th.Now() - start
 	})
 	return total, cycles, m.Run(&machine.Result{}).TotalMessages()

@@ -15,7 +15,7 @@
 // types: uint32, uint64, int64, bool, gid.GID, []uint32, []uint64, and
 // []gid.GID. Pointer, interface, map, channel, and function fields are
 // environment references (a *Tree, a *Network): they never travel and
-// are reconstructed by the receiving side's continuation factory, so the
+// are reconstructed by the receiving side's walker factory, so the
 // generator skips them. So does a field tagged `compmig:"local"`, of any
 // type: host-side state of the record, such as the result an operation
 // record leaves for its requester.
@@ -269,7 +269,7 @@ func genUnmarshal(b *bytes.Buffer, r Record) {
 			fmt.Fprintf(b, "\tc.%s = make([]gid.GID, int(r.U32()))\n", f.Name)
 			fmt.Fprintf(b, "\tfor i := range c.%s {\n\t\tc.%s[i] = gid.GID(r.U64())\n\t}\n", f.Name, f.Name)
 		case KindSkip:
-			fmt.Fprintf(b, "\t// c.%s: reconstructed by the continuation factory\n", f.Name)
+			fmt.Fprintf(b, "\t// c.%s: reconstructed by the walker factory\n", f.Name)
 		case KindLocal:
 			fmt.Fprintf(b, "\t// c.%s: host-side, not marshaled\n", f.Name)
 		}

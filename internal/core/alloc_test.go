@@ -12,33 +12,30 @@ import (
 // The message path's per-operation allocation counts, pinned so that a
 // closure, a boxed reply, a per-message Task or a per-message wire
 // message creeping back fails the suite. Wire messages and their
-// payload arrays come from the lanes' pools, so the only allocation
-// left on a warm path is, per migration hop of a plain Continuation,
-// the record its factory makes for the receiver to decode into (a
-// Walker's record is pooled too).
+// payload arrays come from the lanes' pools, and so do the records a
+// migration decodes into, so a warm path allocates nothing.
 
 // hopCont visits one object and returns its cell's value: the smallest
 // computation-migration round trip.
 type hopCont struct {
-	id  ContID
 	g   gid.GID
-	val uint64
+	res cellReply
 }
 
-func (c *hopCont) MarshalWords(w *msg.Writer) { w.PutU64(uint64(c.g)); w.PutU64(c.val) }
+func (c *hopCont) MarshalWords(w *msg.Writer) { w.PutU64(uint64(c.g)); w.PutU64(c.res.val) }
 
 func (c *hopCont) UnmarshalWords(r *msg.Reader) error {
-	c.g, c.val = gid.GID(r.U64()), r.U64()
+	c.g, c.res.val = gid.GID(r.U64()), r.U64()
 	return r.Err()
 }
 
-func (c *hopCont) Run(t *Task) {
-	if !t.IsLocal(c.g) {
-		t.Migrate(c.g, c.id, c)
-		return
-	}
-	c.val = t.State(c.g).(*cell).val
-	t.Return(c)
+func (c *hopCont) At() gid.GID    { return c.g }
+func (c *hopCont) Result() Result { return &c.res }
+func (c *hopCont) RPC(*Task) bool { panic("hopCont runs under computation migration") }
+
+func (c *hopCont) Visit(_ *Task, state any, _ Mechanism) bool {
+	c.res.val = state.(*cell).val
+	return true
 }
 
 // allocsPerOp warms a 2-processor crossbar runtime with op, run by a
@@ -76,16 +73,19 @@ func TestRemoteCallAllocs(t *testing.T) {
 }
 
 func TestMigrateHopAllocs(t *testing.T) {
-	var entry, out hopCont
+	var id ContID
+	registered := false
 	n := allocsPerOp(t, func(r *rig, task *Task) error {
-		if entry.g == 0 {
-			entry = hopCont{id: r.rt.RegisterCont("hop", func() Continuation { return &hopCont{} }), g: r.cells[1]}
+		if !registered {
+			id, registered = r.rt.RegisterWalker("hop", func() Walker { return &hopCont{} }), true
 		}
-		return task.Do(&entry, &out)
+		w := task.Record(id).(*hopCont)
+		w.g = r.cells[1]
+		task.Walk(Migrate, id, w)
+		return nil
 	})
-	// The continuation record decoded at the destination.
-	if n > 1 {
-		t.Errorf("CM hop plus Return allocates %v objects, want at most 1", n)
+	if n > 0 {
+		t.Errorf("CM hop plus its return allocates %v objects, want 0", n)
 	}
 }
 

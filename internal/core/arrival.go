@@ -94,8 +94,8 @@ func (a *rpcArrival) run(th *sim.Thread) {
 	a.put()
 }
 
-// migArrival is one arriving migration: the continuation record still
-// on the wire, and the activation Task it resumes as.
+// migArrival is one arriving migration: the operation record still on
+// the wire, and the activation Task it resumes as.
 type migArrival struct {
 	rt *Runtime
 	ls *laneState
@@ -128,50 +128,34 @@ func (a *migArrival) put() {
 
 func (a *migArrival) start() { a.dst.Spawn("activation", 0, a.body) }
 
-// run is the activation thread: it reconstructs the continuation record
-// and the frames riding with it, releases the message, and resumes the
-// record.
+// run is the activation thread: it reconstructs the operation record,
+// releases the message, and resumes the record's walk.
 func (a *migArrival) run(th *sim.Thread) {
 	rt, r := a.rt, &a.r
 	r.Reset(a.m.Payload)
 	r.U64() // target gid, checked before dispatch
-	contID, nframes := unpackContHeader(r.U32())
+	contID := ContID(r.U32())
 	proc, id := unpackLinkage(r.U32())
 	if int(contID) >= len(rt.conts) {
 		panic(fmt.Sprintf("core: unknown continuation id %d", contID))
 	}
-	a.task = Task{rt: rt, th: th, proc: a.dst, reply: replyHandle{proc: proc, id: id}, frames: rt.unmarshalFrames(r, nframes)}
-	ent := &rt.conts[contID]
-	var rec msg.Unmarshaler
-	if ent.walker != nil {
-		rec = a.task.Record(contID)
-	} else {
-		rec = ent.factory()
-	}
-	if err := rec.UnmarshalWords(r); err != nil {
+	a.task = Task{rt: rt, th: th, proc: a.dst, reply: replyHandle{proc: proc, id: id}}
+	w := a.task.Record(contID)
+	if err := w.UnmarshalWords(r); err != nil {
 		panic("core: corrupt continuation record: " + err.Error())
 	}
 	if err := r.Err(); err != nil {
 		panic("core: continuation payload mismatch: " + err.Error())
 	}
-	// A thread migration carries the rest of the thread's state as
-	// trailing words; a plain migration must consume everything.
-	if a.m.Kind != "thread-migrate" && r.Remaining() != 0 {
+	if r.Remaining() != 0 {
 		panic(fmt.Sprintf("core: %d trailing words in migration payload", r.Remaining()))
 	}
 	r.Reset(nil)
 	rt.release(a.m)
 	a.m = nil
-	if w, ok := rec.(Walker); ok && ent.walker != nil {
-		// The record is spent once it has shipped on or returned.
-		a.task.hop(contID, w)
-		a.ls.records[contID] = append(a.ls.records[contID], w)
-	} else {
-		rec.(Continuation).Run(&a.task)
-	}
-	if !a.task.migrated && !a.task.returned {
-		panic("core: activation " + ent.name + " finished without Return or Migrate")
-	}
+	// The record is spent once it has shipped on or returned.
+	a.task.hop(contID, w)
+	a.ls.records[contID] = append(a.ls.records[contID], w)
 	// Activation thread dies here — the paper's "destroy the original
 	// thread" for frames at the base of their stack.
 	a.put()

@@ -23,6 +23,7 @@ type rig struct {
 	mAdd   MethodID
 	mShort MethodID
 	cSum   ContID
+	cCall  ContID
 }
 
 type cell struct {
@@ -42,13 +43,17 @@ type cellReply struct{ val uint64 }
 func (a *cellReply) MarshalWords(w *msg.Writer)         { w.PutU64(a.val) }
 func (a *cellReply) UnmarshalWords(r *msg.Reader) error { a.val = r.U64(); return r.Err() }
 
-// sumCont is a migratable procedure: it visits a list of cells in order,
-// accumulating their values, migrating to each cell's home processor.
+// sumCont is an operation record: it visits a list of cells in order,
+// accumulating their values, and under computation migration migrates
+// to each cell's home processor. buf is state of the caller's that rides
+// along with the record unread: a whole caller frame, or a thread's
+// stack.
 type sumCont struct {
 	r     *rig
 	idx   uint32
 	cells []gid.GID
-	acc   uint64
+	res   cellReply // the running sum
+	buf   []uint32
 }
 
 // MarshalWords ships only the live variables: the cells not yet visited
@@ -59,7 +64,8 @@ func (c *sumCont) MarshalWords(w *msg.Writer) {
 	for _, g := range rest {
 		w.PutU64(uint64(g))
 	}
-	w.PutU64(c.acc)
+	w.PutU64(c.res.val)
+	w.PutU32s(c.buf)
 }
 
 func (c *sumCont) UnmarshalWords(r *msg.Reader) error {
@@ -68,24 +74,47 @@ func (c *sumCont) UnmarshalWords(r *msg.Reader) error {
 	for i := range c.cells {
 		c.cells[i] = gid.GID(r.U64())
 	}
-	c.acc = r.U64()
+	c.res.val = r.U64()
+	c.buf = r.U32s()
 	return r.Err()
 }
 
-func (c *sumCont) Run(t *Task) {
-	for int(c.idx) < len(c.cells) {
-		g := c.cells[c.idx]
-		if !t.IsLocal(g) {
-			t.Migrate(g, c.r.cSum, c)
-			return // frame is dead; the continuation resumes at g's home
-		}
-		st := t.State(g).(*cell)
-		t.Work(10)
-		c.acc += st.val
-		st.reads++
-		c.idx++
+func (c *sumCont) At() gid.GID    { return c.cells[c.idx] }
+func (c *sumCont) Result() Result { return &c.res }
+
+func (c *sumCont) Visit(t *Task, state any, _ Mechanism) bool {
+	st := state.(*cell)
+	t.Work(10)
+	c.res.val += st.val
+	st.reads++
+	c.idx++
+	return int(c.idx) == len(c.cells)
+}
+
+func (c *sumCont) RPC(t *Task) bool {
+	var rep cellReply
+	if err := t.Call(c.cells[c.idx], c.r.mGet, nil, &rep); err != nil {
+		panic(err)
 	}
-	t.Return(&cellReply{val: c.acc})
+	c.res.val += rep.val
+	c.idx++
+	return int(c.idx) == len(c.cells)
+}
+
+// record fills an idle sumCont of the task's lane to visit cells
+// carrying buf.
+func (r *rig) record(task *Task, cells []gid.GID, buf []uint32) *sumCont {
+	w := task.Record(r.cSum).(*sumCont)
+	*w = sumCont{r: r, cells: cells, buf: buf}
+	return w
+}
+
+// sum walks cells from task under computation migration, carrying buf,
+// and returns the sum.
+func (r *rig) sum(task *Task, cells []gid.GID, buf []uint32) uint64 {
+	w := r.record(task, cells, buf)
+	task.Walk(Migrate, r.cSum, w)
+	return w.res.val
 }
 
 func newRig(t *testing.T, nprocs int, model cost.Model) *rig {
@@ -112,7 +141,8 @@ func newRig(t *testing.T, nprocs int, model cost.Model) *rig {
 	r.mShort = rt.RegisterMethod("cell.peek", true, func(t *Task, self any, _ *msg.Reader, reply *msg.Writer) {
 		reply.PutU64(self.(*cell).val)
 	})
-	r.cSum = rt.RegisterCont("sum", func() Continuation { return &sumCont{r: r} })
+	r.cSum = rt.RegisterWalker("sum", func() Walker { return &sumCont{r: r} })
+	r.cCall = rt.RegisterWalker("call", func() Walker { return &callCont{r: r} })
 
 	for p := 0; p < nprocs; p++ {
 		r.cells = append(r.cells, rt.Objects.New(p, &cell{val: uint64(p + 1)}))
@@ -207,13 +237,7 @@ func TestMigrateLocalRunsInline(t *testing.T) {
 	r := newRig(t, 4, cost.Software())
 	var got uint64
 	r.eng.Spawn("req", 0, func(th *sim.Thread) {
-		task := r.rt.NewTask(th, 1)
-		var rep cellReply
-		entry := &sumCont{r: r, cells: []gid.GID{r.cells[1]}}
-		if err := task.Do(entry, &rep); err != nil {
-			t.Error(err)
-		}
-		got = rep.val
+		got = r.sum(r.rt.NewTask(th, 1), []gid.GID{r.cells[1]}, nil)
 	})
 	r.run(t)
 	if got != 2 {
@@ -237,13 +261,7 @@ func TestMigrationChainShortCircuits(t *testing.T) {
 	targets := r.cells[1:] // procs 1..5; requester on proc 0
 	var got uint64
 	r.eng.Spawn("req", 0, func(th *sim.Thread) {
-		task := r.rt.NewTask(th, 0)
-		var rep cellReply
-		entry := &sumCont{r: r, cells: targets}
-		if err := task.Do(entry, &rep); err != nil {
-			t.Error(err)
-		}
-		got = rep.val
+		got = r.sum(r.rt.NewTask(th, 0), targets, nil)
 	})
 	r.run(t)
 	want := uint64(2 + 3 + 4 + 5 + 6)
@@ -297,11 +315,7 @@ func TestRPCVsMigrationMessageCounts(t *testing.T) {
 		}
 	}
 	r2.eng.Spawn("req", 0, func(th *sim.Thread) {
-		task := r2.rt.NewTask(th, 0)
-		var rep cellReply
-		if err := task.Do(&sumCont{r: r2, cells: seq}, &rep); err != nil {
-			t.Error(err)
-		}
+		r2.sum(r2.rt.NewTask(th, 0), seq, nil)
 	})
 	r2.run(t)
 	if got := r2.col.TotalMessages(); got != mObjs+1 {
@@ -315,11 +329,7 @@ func TestRPCVsMigrationMessageCounts(t *testing.T) {
 func TestMigrationChargesTable5Categories(t *testing.T) {
 	r := newRig(t, 2, cost.Software())
 	r.eng.Spawn("req", 0, func(th *sim.Thread) {
-		task := r.rt.NewTask(th, 0)
-		var rep cellReply
-		if err := task.Do(&sumCont{r: r, cells: []gid.GID{r.cells[1]}}, &rep); err != nil {
-			t.Error(err)
-		}
+		r.sum(r.rt.NewTask(th, 0), r.cells[1:2], nil)
 	})
 	r.run(t)
 	for _, c := range []stats.Category{
@@ -340,12 +350,8 @@ func TestHardwareModelCheaper(t *testing.T) {
 		r := newRig(t, 6, model)
 		var d sim.Time
 		r.eng.Spawn("req", 0, func(th *sim.Thread) {
-			task := r.rt.NewTask(th, 0)
 			start := th.Now()
-			var rep cellReply
-			if err := task.Do(&sumCont{r: r, cells: r.cells[1:]}, &rep); err != nil {
-				t.Error(err)
-			}
+			r.sum(r.rt.NewTask(th, 0), r.cells[1:], nil)
 			d = th.Now() - start
 		})
 		r.run(t)
@@ -404,54 +410,63 @@ func TestNestedCallFromHandler(t *testing.T) {
 	}
 }
 
-// TestCallFromContinuation exercises a migrated activation performing a
-// blocking RPC (the paper's mixed-mechanism tuning case).
+// callCont is a migrated record that makes a blocking RPC (the paper's
+// mixed-mechanism tuning case): at target it calls peer and returns the
+// two cells' values plus bias.
 type callCont struct {
-	r      *rig
-	target gid.GID
-	peer   gid.GID
+	r            *rig
+	target, peer gid.GID
+	bias         uint64
+	res          cellReply
 }
 
 func (c *callCont) MarshalWords(w *msg.Writer) {
 	w.PutU64(uint64(c.target))
 	w.PutU64(uint64(c.peer))
+	w.PutU64(c.bias)
 }
 
 func (c *callCont) UnmarshalWords(r *msg.Reader) error {
-	c.target = gid.GID(r.U64())
-	c.peer = gid.GID(r.U64())
+	c.target, c.peer, c.bias = gid.GID(r.U64()), gid.GID(r.U64()), r.U64()
 	return r.Err()
 }
 
-func (c *callCont) Run(t *Task) {
-	if !t.IsLocal(c.target) {
-		t.Migrate(c.target, t.rt.contID["callcont"], c)
-		return
-	}
-	local := t.State(c.target).(*cell).val
+func (c *callCont) At() gid.GID    { return c.target }
+func (c *callCont) Result() Result { return &c.res }
+
+func (c *callCont) Visit(t *Task, state any, _ Mechanism) bool {
 	var rep cellReply
 	if err := t.Call(c.peer, c.r.mGet, nil, &rep); err != nil {
 		panic(err)
 	}
-	t.Return(&cellReply{val: local + rep.val})
+	c.res.val = state.(*cell).val + rep.val + c.bias
+	return true
 }
 
+func (c *callCont) RPC(*Task) bool { panic("callCont runs under computation migration") }
+
+// call walks a callCont from task and returns its result.
+func (r *rig) call(task *Task, target, peer gid.GID, bias uint64) uint64 {
+	w := task.Record(r.cCall).(*callCont)
+	*w = callCont{r: r, target: target, peer: peer, bias: bias}
+	task.Walk(Migrate, r.cCall, w)
+	return w.res.val
+}
+
+// TestCallFromContinuation exercises a migrated activation performing a
+// blocking RPC.
 func TestCallFromContinuation(t *testing.T) {
 	r := newRig(t, 3, cost.Software())
-	r.rt.RegisterCont("callcont", func() Continuation { return &callCont{r: r} })
 	var got uint64
 	r.eng.Spawn("req", 0, func(th *sim.Thread) {
-		task := r.rt.NewTask(th, 0)
-		var rep cellReply
-		err := task.Do(&callCont{r: r, target: r.cells[1], peer: r.cells[2]}, &rep)
-		if err != nil {
-			t.Error(err)
-		}
-		got = rep.val
+		got = r.call(r.rt.NewTask(th, 0), r.cells[1], r.cells[2], 0)
 	})
 	r.run(t)
 	if got != 2+3 {
 		t.Errorf("got %d, want 5", got)
+	}
+	if r.col.MigrationsSent != 1 || r.col.RPCCalls != 1 {
+		t.Errorf("%d migrations, %d calls, want 1 and 1", r.col.MigrationsSent, r.col.RPCCalls)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"compmig/internal/cost"
 	"compmig/internal/fault"
-	"compmig/internal/gid"
 	"compmig/internal/sim"
 )
 
@@ -63,13 +62,7 @@ func TestRecoveryConvergesToFaultFreeOutcome(t *testing.T) {
 	driveMigrate := func(t *testing.T, r *rig) uint64 {
 		var got uint64
 		r.eng.Spawn("req", 0, func(th *sim.Thread) {
-			task := r.rt.NewTask(th, 0)
-			var rep cellReply
-			entry := &sumCont{r: r, cells: []gid.GID{r.cells[1], r.cells[2], r.cells[3]}}
-			if err := task.Do(entry, &rep); err != nil {
-				t.Error(err)
-			}
-			got = rep.val
+			got = r.sum(r.rt.NewTask(th, 0), r.cells[1:4], nil)
 		})
 		r.run(t)
 		return got
@@ -137,8 +130,9 @@ func TestTimeoutStormEndsInGiveUp(t *testing.T) {
 			return task.Call(r.cells[1], r.mGet, nil, &rep)
 		}},
 		{"migrate", func(t *testing.T, r *rig, task *Task) error {
-			var rep cellReply
-			return task.Do(&sumCont{r: r, cells: []gid.GID{r.cells[1]}}, &rep)
+			// Walk's computation-migration case, which returns the error
+			// Walk panics with.
+			return task.do(r.cSum, r.record(task, r.cells[1:2], nil))
 		}},
 		{"object pull", func(t *testing.T, r *rig, task *Task) error {
 			return task.PullObject(r.cells[1], 16)

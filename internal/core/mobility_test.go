@@ -114,12 +114,7 @@ func TestMigrationForwardsToMovedObject(t *testing.T) {
 	var got uint64
 	r.eng.Spawn("walker", 0, func(th *sim.Thread) {
 		done.Wait(th)
-		task := r.rt.NewTask(th, 0)
-		var rep cellReply
-		if err := task.Do(&sumCont{r: r, cells: []gid.GID{g}}, &rep); err != nil {
-			t.Error(err)
-		}
-		got = rep.val
+		got = r.sum(r.rt.NewTask(th, 0), []gid.GID{g}, nil)
 	})
 	r.run(t)
 	if got != 5 {
@@ -179,13 +174,6 @@ func TestLinkagePacking(t *testing.T) {
 		}
 	}()
 	packLinkage(1<<12, 0)
-}
-
-func TestContHeaderPacking(t *testing.T) {
-	id, n := unpackContHeader(packContHeader(ContID(513), 7))
-	if id != 513 || n != 7 {
-		t.Errorf("cont header round trip -> (%d,%d)", id, n)
-	}
 }
 
 func TestReplyIDsRecycled(t *testing.T) {

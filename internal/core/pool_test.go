@@ -6,7 +6,6 @@ import (
 
 	"compmig/internal/cost"
 	"compmig/internal/fault"
-	"compmig/internal/gid"
 	"compmig/internal/msg"
 	"compmig/internal/sim"
 )
@@ -43,41 +42,6 @@ func (a *echoReply) UnmarshalWords(r *msg.Reader) error {
 	return r.Err()
 }
 
-// partialEntry splits its activation: a probe migrates to cell g while
-// a residual weighted by weight stays behind.
-type partialEntry struct {
-	r       *rig
-	probeID ContID
-	residID ContID
-	g       gid.GID
-	weight  uint64
-}
-
-func (c *partialEntry) MarshalWords(w *msg.Writer)       {}
-func (c *partialEntry) UnmarshalWords(*msg.Reader) error { return nil }
-
-func (c *partialEntry) Run(t *Task) {
-	t.MigratePartial(c.g, c.probeID, &probeCont{r: c.r, id: c.probeID, cur: c.g},
-		c.residID, &lateResidual{weight: c.weight})
-}
-
-// lateResidual blocks before it reads the probe's result, which it holds
-// in place in the reply message.
-type lateResidual struct{ weight uint64 }
-
-func (h *lateResidual) MarshalWords(w *msg.Writer)         { w.PutU64(h.weight) }
-func (h *lateResidual) UnmarshalWords(r *msg.Reader) error { h.weight = r.U64(); return r.Err() }
-func (h *lateResidual) Run(*Task)                          { panic("residuals are resumed, not run") }
-
-func (h *lateResidual) Resume(t *Task, result *msg.Reader) {
-	t.Work(50)
-	var rep cellReply
-	if err := rep.UnmarshalWords(result); err != nil {
-		panic(err)
-	}
-	t.Return(&cellReply{val: rep.val * h.weight})
-}
-
 func TestRecycledPayloadsSurviveBlockedReceivers(t *testing.T) {
 	const nprocs, callers, iters = 4, 16, 12
 	r := newRig(t, nprocs, cost.Software())
@@ -98,10 +62,6 @@ func TestRecycledPayloadsSurviveBlockedReceivers(t *testing.T) {
 		reply.PutU64(last)
 		reply.PutBool(padOK && args.Err() == nil)
 	})
-	var probeID ContID
-	probeID = r.rt.RegisterCont("pool.probe", func() Continuation { return &probeCont{r: r, id: probeID} })
-	residID := r.rt.RegisterCont("pool.residual", func() Continuation { return &lateResidual{} })
-
 	// The mover keeps cells[3] travelling, so callers' location hints go
 	// stale and their requests are forwarded.
 	moving := r.cells[3]
@@ -133,15 +93,13 @@ func TestRecycledPayloadsSurviveBlockedReceivers(t *testing.T) {
 						t.Errorf("caller %d call %d: handler read %+v, sent %+v", c, i, rep, *arg)
 					}
 				case 2:
-					weight := uint64(c*100 + i + 1)
-					var rep cellReply
-					if err := task.Do(&partialEntry{r: r, probeID: probeID, residID: residID, g: target, weight: weight}, &rep); err != nil {
-						t.Error(err)
-						return
-					}
-					val := r.rt.Objects.State(target).(*cell).val
-					if rep.val != val*weight {
-						t.Errorf("caller %d partial %d: got %d, want %d", c, i, rep.val, val*weight)
+					// The migrated record blocks in a call at target.
+					peer := r.cells[(proc+2)%nprocs]
+					bias := uint64(c*100 + i + 1)
+					got := r.call(task, target, peer, bias)
+					want := r.rt.Objects.State(target).(*cell).val + r.rt.Objects.State(peer).(*cell).val + bias
+					if got != want {
+						t.Errorf("caller %d walk %d: got %d, want %d", c, i, got, want)
 					}
 				}
 			}
@@ -152,7 +110,7 @@ func TestRecycledPayloadsSurviveBlockedReceivers(t *testing.T) {
 		t.Error("no request was forwarded from a stale location")
 	}
 	if r.col.MigrationsSent == 0 {
-		t.Error("no partial migration left its processor")
+		t.Error("no walk left its processor")
 	}
 	if len(r.rt.lanes[0].msgs) == 0 {
 		t.Error("no message returned to the pool")

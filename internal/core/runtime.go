@@ -1,20 +1,20 @@
 // Package core is the paper's contribution: a Prelude-like object-based
 // runtime for a distributed-memory machine offering RPC, data migration
 // via cache-coherent shared memory, and computation migration of
-// activation frames — plus, as extensions, Emerald-style whole-object
-// migration with forwarding, multi-frame migration, and partial-frame
-// migration.
+// activation frames — plus, as an extension, Emerald-style whole-object
+// migration with forwarding.
 //
 // The programming model mirrors what the Prelude compiler emits. An
-// application procedure that may migrate is written as a chain of
-// Continuation records: each record's fields are exactly the live
-// variables at the potential migration point, and its Run method is the
-// continuation of the procedure from that point (§3.2: "The continuation
-// procedure's body is the continuation of the migrating procedure at the
-// point of migration; its arguments are the live variables at that
-// point"). Go cannot serialize closures, so these records are explicit
-// structs with word-level marshalers — the same artifacts the Prelude
-// compiler generates from an annotation.
+// operation that may migrate is written once, as a Walker: a
+// continuation record whose fields are exactly the live variables at the
+// potential migration point and whose Visit is the continuation of the
+// procedure from that point (§3.2: "The continuation procedure's body is
+// the continuation of the migrating procedure at the point of migration;
+// its arguments are the live variables at that point"). Go cannot
+// serialize closures, so these records are explicit structs with
+// word-level marshalers — the same artifacts the Prelude compiler
+// generates from an annotation — and Task.Walk runs one under any
+// mechanism.
 package core
 
 import (
@@ -135,26 +135,9 @@ type methodEntry struct {
 	handler Handler
 }
 
-// ContID names a registered continuation procedure.
+// ContID names a registered walker type: the word a migrating record
+// is reconstructed by on arrival.
 type ContID uint32
-
-// Continuation is a migratable activation record: its fields are the live
-// variables at the migration point and Run is the rest of the procedure.
-type Continuation interface {
-	msg.Marshaler
-	msg.Unmarshaler
-	// Run resumes the procedure. It must either call Task.Return exactly
-	// once (possibly indirectly through further Migrate calls) before the
-	// outermost frame finishes, and must return immediately after a
-	// Migrate call that moved the computation away.
-	Run(t *Task)
-}
-
-type contEntry struct {
-	name    string
-	factory func() Continuation
-	walker  func() Walker // set instead of factory for an operation record
-}
 
 // Runtime wires the simulated machine, network, cost model, and object
 // space into the Prelude-like runtime system.
@@ -168,7 +151,7 @@ type Runtime struct {
 
 	methods  []methodEntry
 	methodID map[string]MethodID
-	conts    []contEntry
+	conts    []func() Walker // walker factories, by ContID
 	contID   map[string]ContID
 
 	// locHints[p] caches processor p's last known locations of objects
@@ -233,19 +216,6 @@ func (rt *Runtime) RegisterMethod(name string, short bool, h Handler) MethodID {
 	return id
 }
 
-// RegisterCont installs a continuation procedure type. The factory
-// produces an empty record for the receiving side to unmarshal into —
-// this is the server stub the Prelude compiler would generate.
-func (rt *Runtime) RegisterCont(name string, factory func() Continuation) ContID {
-	if _, dup := rt.contID[name]; dup {
-		panic("core: duplicate continuation " + name)
-	}
-	id := ContID(len(rt.conts))
-	rt.conts = append(rt.conts, contEntry{name: name, factory: factory})
-	rt.contID[name] = id
-	return id
-}
-
 // replySlot is one entry of a lane's reply table: the rendezvous
 // between an operation's waiting caller and the reply words (or the
 // recovery error) that settle it. Slots are pooled per lane. A slot is
@@ -262,11 +232,7 @@ type replySlot struct {
 	words []uint32
 	m     *network.Message
 	err   error
-	// residual, when set, is the stay-behind half of a partially
-	// migrated activation that the reply resumes; nobody waits on the
-	// slot.
-	residual *residualEntry
-	q        sim.WaitQueue
+	q     sim.WaitQueue
 }
 
 // newReply allocates a reply slot in processor proc's lane (the
@@ -295,11 +261,11 @@ func (rt *Runtime) newReply(proc int) (uint32, *replySlot) {
 }
 
 // completeReply settles reply slot id of processor proc's lane with the
-// result words, held in wire message m (nil when they are not pooled),
-// or resumes the residual frame the slot holds. The id returns to the
-// free list at once, with or without a fault injector: a duplicate of
-// the reply is suppressed by the reliability layer, and only ids that
-// failReply settled can still be named by a late reply.
+// result words, held in wire message m (nil when they are not pooled).
+// The id returns to the free list at once, with or without a fault
+// injector: a duplicate of the reply is suppressed by the reliability
+// layer, and only ids that failReply settled can still be named by a
+// late reply.
 func (rt *Runtime) completeReply(proc int, id uint32, words []uint32, m *network.Message) {
 	ls := rt.laneAt(proc)
 	s, ok := ls.replies[id]
@@ -315,14 +281,6 @@ func (rt *Runtime) completeReply(proc int, id uint32, words []uint32, m *network
 	}
 	delete(ls.replies, id)
 	ls.freeIDs = append(ls.freeIDs, id)
-	if ent := s.residual; ent != nil {
-		// The reply belongs to a partially migrated activation: wake its
-		// stay-behind half instead of a waiting caller. The residual keeps
-		// the words, so m is not released.
-		s.recycle()
-		rt.resumeResidual(ent, words)
-		return
-	}
 	s.settle(words, m, nil)
 }
 
@@ -340,12 +298,6 @@ func (rt *Runtime) failReply(tok uint64, err *fault.GiveUpError) {
 		return
 	}
 	delete(ls.replies, id)
-	if s.residual != nil {
-		// The stay-behind half of a partially migrated activation holds
-		// processor state that only its reply can release; there is no
-		// caller to hand the error to.
-		panic(fmt.Sprintf("core: unrecoverable loss of reply %d owed to a partially migrated activation: %v", id, err))
-	}
 	s.settle(nil, nil, err)
 }
 
@@ -396,7 +348,7 @@ func (s *replySlot) wait(th *sim.Thread) ([]uint32, *network.Message, error) {
 }
 
 func (s *replySlot) recycle() {
-	s.done, s.words, s.m, s.err, s.residual = false, nil, nil, nil, nil
+	s.done, s.words, s.m, s.err = false, nil, nil, nil
 	s.ls.slots = append(s.ls.slots, s)
 }
 
@@ -420,10 +372,10 @@ func unpackLinkage(w uint32) (proc int, id uint32) {
 // WipeVolatile discards processor proc's volatile runtime state when a
 // loss-inducing crash (a wipe fault window) hits it: the location-hint
 // cache is cleared — hints are rediscovered through forwarding, exactly
-// as after a cold start. Reply slots and residuals are origin-side
-// state and live on the processors that issued the requests; requests
-// the wiped processor owed answers to resolve through the reliability
-// layer's retransmission and give-up machinery. It returns the number
+// as after a cold start. Reply slots are origin-side state and live on
+// the processors that issued the requests; requests the wiped processor
+// owed answers to resolve through the reliability layer's
+// retransmission and give-up machinery. It returns the number
 // of live objects currently homed on proc, which recovery must
 // re-register from the durable log.
 func (rt *Runtime) WipeVolatile(proc int) int {

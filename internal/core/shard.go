@@ -74,7 +74,7 @@ func (ls *laneState) message(src int, kind string, words []uint32) *network.Mess
 // tables, and location hints stay shared — the first two are immutable
 // after setup and the hints are per-processor maps each touched only by
 // its own processor's stream. Sharding composes with neither fault
-// injection nor object or partial migration, whose state is global.
+// injection nor object migration, whose state is global.
 func (rt *Runtime) Shard(cl *sim.Cluster, cols []*stats.Collector) {
 	if rt.Net.FaultInjector() != nil {
 		panic("core: cannot shard a runtime with a fault injector attached")

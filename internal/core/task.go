@@ -29,15 +29,9 @@ type Task struct {
 
 	reply    replyHandle
 	isMethod bool // true inside an instance-method handler
-	migrated bool // set once the activation has migrated away
-	returned bool // set once Return has delivered the result
 
-	// frames are caller activations riding along with the computation
-	// (multi-activation migration; see frames.go).
-	frames []pendingFrame
-
-	// child is the activation Do runs its entry continuation as, kept for
-	// the next Do: the previous one is dead by the time Do returns.
+	// child is the activation do runs its procedure as, kept for the
+	// next do: the previous one is dead by the time do returns.
 	child *Task
 }
 
@@ -84,66 +78,36 @@ func (t *Task) State(g gid.GID) any {
 	return t.rt.Objects.State(g)
 }
 
-// Do executes a migratable procedure. The entry continuation starts on
-// the current processor (procedures begin where they are called) and may
-// migrate any number of times; Do blocks until some hop calls Return,
-// then decodes the result into out (which may be nil when the procedure
-// returns no values).
-func (t *Task) Do(entry Continuation, out msg.Unmarshaler) error {
-	return t.do(entry.Run, out)
-}
-
-// do runs a migratable procedure whose entry is run, on the activation
-// the procedure starts as, and waits for its result.
-func (t *Task) do(run func(*Task), out msg.Unmarshaler) error {
+// do runs operation record w, of walker type id, under computation
+// migration: on the activation the operation starts as, which hops from
+// object to object, while this thread waits for the result, decoded
+// into w.Result().
+func (t *Task) do(id ContID, w Walker) error {
 	if t.isMethod {
 		panic("core: instance method activations may not start migratable procedures")
 	}
 	here := t.proc.ID()
-	id, slot := t.rt.newReply(here)
+	rid, slot := t.rt.newReply(here)
 	if t.child == nil {
 		t.child = new(Task)
 	}
 	child := t.child
-	*child = Task{rt: t.rt, th: t.th, proc: t.proc, reply: replyHandle{proc: here, id: id}}
-	run(child)
+	*child = Task{rt: t.rt, th: t.th, proc: t.proc, reply: replyHandle{proc: here, id: rid}}
+	child.hop(id, w)
 	// Either the procedure completed locally (slot already settled) or it
 	// migrated away and this thread is now the waiting client stub.
 	words, m, err := slot.wait(t.th)
 	if err != nil {
 		return err
 	}
-	if out != nil {
-		err = t.rt.laneAt(here).r.Decode(words, out)
-	}
+	err = t.rt.laneAt(here).r.Decode(words, w.Result())
 	t.rt.release(m)
 	return err
 }
 
-// Migrate moves the remainder of the current procedure to object g's
-// home processor. Migration is conditional on location (§3.1): when g is
-// local the continuation simply runs here, at zero added cost. Otherwise
-// next's live variables are marshaled into a single message, the current
-// frame dies, and a fresh activation continues at the destination. The
-// caller must return immediately after Migrate.
-func (t *Task) Migrate(g gid.GID, contID ContID, next Continuation) {
-	if t.isMethod {
-		panic("core: instance method activations may not migrate (§3.1)")
-	}
-	if t.migrated {
-		panic("core: Migrate on a dead frame (missing return after Migrate?)")
-	}
-	if t.IsLocal(g) {
-		next.Run(t)
-		return
-	}
-	t.ship(g, contID, next)
-}
-
-// ship sends record next, continuation contID, to remote object g's home
-// and marks this frame dead.
-func (t *Task) ship(g gid.GID, contID ContID, next msg.Marshaler) {
-	t.migrated = true
+// ship sends record next, of walker type contID, to remote object g's
+// home; the frame here is dead once it returns.
+func (t *Task) ship(g gid.GID, contID ContID, next Walker) {
 	rt := t.rt
 	here := t.proc.ID()
 	ls := rt.laneAt(here)
@@ -152,14 +116,13 @@ func (t *Task) ship(g gid.GID, contID ContID, next msg.Marshaler) {
 		rt.Eng.Tracef("migrate", "frame -> p%d (obj %#x)", rt.Objects.Home(g), uint64(g))
 	}
 
-	// Build the wire record: target object + continuation id + linkage +
-	// any riding caller frames + live variables. The target GID is what
-	// the receiving runtime translates and forward-checks (Table 5).
+	// Build the wire record: target object + walker type + linkage +
+	// live variables. The target GID is what the receiving runtime
+	// translates and forward-checks (Table 5).
 	w := ls.scratch()
 	w.PutU64(uint64(g))
-	w.PutU32(packContHeader(contID, len(t.frames)))
+	w.PutU32(uint32(contID))
 	w.PutU32(packLinkage(t.reply.proc, t.reply.id))
-	t.marshalFrameBodies(w)
 	next.MarshalWords(w)
 	m := ls.message(here, "migrate", w.Words())
 	words := uint64(len(m.Payload)) + network.HeaderWords
@@ -174,8 +137,8 @@ func (t *Task) ship(g gid.GID, contID ContID, next msg.Marshaler) {
 	m.Dst = rt.locate(here, g)
 	rt.Net.SendGuarded(m, rt.onMigrate, rt.onGiveUp, rt.guard(t.reply.proc, t.reply.id))
 	// The frame at this processor is now dead. If it was itself a remote
-	// activation, the thread is destroyed when Run returns; if it was the
-	// original caller's frame, Do is waiting on the reply slot.
+	// activation, the thread is destroyed when hop returns; if it was the
+	// original caller's frame, do is waiting on the reply slot.
 }
 
 // deliverMigrate is the server stub for an arriving migration: it
@@ -197,34 +160,17 @@ func (rt *Runtime) deliverMigrate(m *network.Message) {
 	a.dst.ExecAsync(overhead, a.spawn)
 }
 
-// Return delivers the procedure's result to the operation's caller. When
-// the computation has migrated, this short-circuits: one message travels
+// finish delivers the operation's result to its caller. When the
+// computation has migrated, this short-circuits: one message travels
 // directly from the final processor to the original caller, skipping
 // every intermediate hop.
-func (t *Task) Return(result msg.Marshaler) {
-	if t.returned {
-		panic("core: double Return")
-	}
-	rt := t.rt
-	if len(t.frames) > 0 {
-		// A caller frame migrated along with this computation: resume it
-		// here instead of returning — no message at all.
-		var resultWords []uint32
-		if result != nil {
-			resultWords = msg.Encode(result)
-		}
-		t.popFrame(resultWords)
-		return
-	}
-	t.returned = true
-	ls := rt.laneAt(t.proc.ID())
+func (t *Task) finish(result Result) {
+	ls := t.rt.laneAt(t.proc.ID())
 	w := ls.scratch()
 	w.PutU32(t.reply.id)
-	if result != nil {
-		result.MarshalWords(w)
-	}
+	result.MarshalWords(w)
 	// Completes locally when the procedure never left (or returned home).
-	rt.sendResult(t, ls, t.reply.proc, t.reply.id, w.Words())
+	t.rt.sendResult(t, ls, t.reply.proc, t.reply.id, w.Words())
 }
 
 // deliverReply is the client-stub receive path for a returning result.

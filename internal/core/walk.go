@@ -56,8 +56,12 @@ func checkHops(hop int) {
 // the factory makes an empty record, with its environment references
 // set, for Record and for the receiving side of a migration.
 func (rt *Runtime) RegisterWalker(name string, factory func() Walker) ContID {
-	id := rt.RegisterCont(name, nil)
-	rt.conts[id].walker = factory
+	if _, dup := rt.contID[name]; dup {
+		panic("core: duplicate walker " + name)
+	}
+	id := ContID(len(rt.conts))
+	rt.conts = append(rt.conts, factory)
+	rt.contID[name] = id
 	return id
 }
 
@@ -73,7 +77,7 @@ func (t *Task) Record(id ContID) Walker {
 	if w := pop(&ls.records[id]); w != nil {
 		return w
 	}
-	return t.rt.conts[id].walker()
+	return t.rt.conts[id]()
 }
 
 // Walk runs operation record w, of walker type id, to completion under
@@ -88,7 +92,7 @@ func (t *Task) Walk(mech Mechanism, id ContID, w Walker) {
 	if a == nil {
 		a = new(Task)
 	}
-	*a = Task{rt: rt, th: t.th, proc: t.proc, child: a.child}
+	*a = Task{rt: rt, th: t.th, proc: t.proc, isMethod: t.isMethod, child: a.child}
 	for hop, done := 0, false; !done; hop++ {
 		checkHops(hop)
 		switch mech {
@@ -96,7 +100,7 @@ func (t *Task) Walk(mech Mechanism, id ContID, w Walker) {
 			done = w.RPC(a)
 		case Migrate:
 			// The record travels on by itself; only the result comes back.
-			if err := a.do(func(c *Task) { c.hop(id, w) }, w.Result()); err != nil {
+			if err := a.do(id, w); err != nil {
 				panic("core: migrated operation failed: " + err.Error())
 			}
 			done = true
@@ -134,7 +138,7 @@ func (t *Task) hop(id ContID, w Walker) {
 			return
 		}
 		if w.Visit(t, t.State(g), Migrate) {
-			t.Return(w.Result())
+			t.finish(w.Result())
 			return
 		}
 	}

@@ -179,3 +179,48 @@ func TestWalkHopBound(t *testing.T) {
 		}
 	}
 }
+
+// shortRead is a chainSum whose decoder leaves the last word of its
+// record unread.
+type shortRead struct{ chainSum }
+
+func (w *shortRead) UnmarshalWords(r *msg.Reader) error {
+	w.cur, w.acc = gid.GID(r.U64()), uint64(r.U32())
+	return r.Err()
+}
+
+// panicOf runs c's engine and returns what it panicked with.
+func (c *chain) panicOf() (p any) {
+	defer func() { p = recover() }()
+	c.eng.Run()
+	return nil
+}
+
+func TestMigrationRejectsTrailingWords(t *testing.T) {
+	c := newChain(false)
+	id := c.rt.RegisterWalker("chain.short", func() Walker { return &shortRead{chainSum{c: c}} })
+	c.eng.Spawn("req", 0, func(th *sim.Thread) {
+		task := c.rt.NewTask(th, 3)
+		w := task.Record(id).(*shortRead)
+		w.c, w.cur = c, c.links[0]
+		task.Walk(Migrate, id, w)
+	})
+	if p := c.panicOf(); !strings.Contains(fmt.Sprint(p), "1 trailing words") {
+		t.Errorf("a record that leaves a word unread panicked with %v, want the trailing-words check", p)
+	}
+}
+
+func TestMethodMayNotStartMigratingWalk(t *testing.T) {
+	c := newChain(false)
+	mWalk := c.rt.RegisterMethod("link.walk", false, func(t *Task, _ any, _ *msg.Reader, _ *msg.Writer) {
+		w := t.Record(c.cSum).(*chainSum)
+		*w = chainSum{c: c, cur: c.links[0]}
+		t.Walk(Migrate, c.cSum, w)
+	})
+	c.eng.Spawn("req", 0, func(th *sim.Thread) {
+		c.rt.NewTask(th, 3).Call(c.links[1], mWalk, nil, nil)
+	})
+	if p := c.panicOf(); !strings.Contains(fmt.Sprint(p), "instance method activations") {
+		t.Errorf("a method starting a migrating walk panicked with %v, want the instance-method check", p)
+	}
+}

@@ -83,8 +83,7 @@ func newChainWorld(mech core.Mechanism, m int, work, seed uint64) *chainWorld {
 			t.Work(w.work)
 			chainAck{}.MarshalWords(reply)
 		})
-	w.cont = rt.RegisterCont("chain.visit",
-		func() core.Continuation { return &chainCont{w: w} })
+	w.cont = rt.RegisterWalker("chain.visit", func() core.Walker { return &chainCont{w: w} })
 	for p := 1; p <= m; p++ {
 		w.cells = append(w.cells, rt.Objects.New(p, &chainCell{}))
 	}
@@ -92,44 +91,33 @@ func newChainWorld(mech core.Mechanism, m int, work, seed uint64) *chainWorld {
 }
 
 // visit runs the thread on P0 through seq and returns the simulated
-// cycles it took: a remote call per access under RPC, one frame that
+// cycles it took: a remote call per access under RPC, one record that
 // migrates to each item otherwise. stackWords > 0 makes every hop a
 // whole-thread migration carrying that much stack.
-//
-// The RPC/CM branch is written out here rather than run through
-// core.Task.Walk because the granularity ablation needs
-// Task.MigrateThread, which ships the thread's stack along with the
-// frame; Walk migrates one operation record and does not model it.
 func (w *chainWorld) visit(seq []gid.GID, stackWords uint64) sim.Time {
 	var elapsed sim.Time
 	w.m.Eng.Spawn("chain", 0, func(th *sim.Thread) {
 		task := w.m.RT.NewTask(th, 0)
 		start := th.Now()
-		var ack chainAck
-		switch w.mech {
-		case core.RPC:
-			for _, g := range seq {
-				if err := task.Call(g, w.mGet, nil, &ack); err != nil {
-					panic(err)
-				}
-			}
-		case core.Migrate:
-			if err := task.Do(&chainCont{w: w, seq: seq, stackWords: stackWords}, &ack); err != nil {
-				panic(err)
-			}
-		}
+		rec := task.Record(w.cont).(*chainCont)
+		*rec = chainCont{w: w, seq: seq, stackWords: stackWords}
+		task.Walk(w.mech, w.cont, rec)
 		elapsed = th.Now() - start
 	})
 	w.m.Run(&machine.Result{})
 	return elapsed
 }
 
-// chainCont visits a fixed access sequence, migrating to each item.
+// chainCont visits a fixed access sequence. Under whole-thread
+// migration it carries the thread's stack and register context too, as
+// stackWords words of ballast after the sequence (§2.3's comparison
+// point: the message scales with the thread, not the activation).
 type chainCont struct {
 	w          *chainWorld
 	idx        uint32
 	seq        []gid.GID
 	stackWords uint64
+	ack        chainAck
 }
 
 func (c *chainCont) MarshalWords(w *msg.Writer) {
@@ -138,6 +126,9 @@ func (c *chainCont) MarshalWords(w *msg.Writer) {
 	w.PutU32(uint32(len(c.seq)))
 	for _, g := range c.seq {
 		w.PutU64(uint64(g))
+	}
+	for i := uint64(0); i < c.stackWords; i++ {
+		w.PutU32(0)
 	}
 }
 
@@ -148,24 +139,27 @@ func (c *chainCont) UnmarshalWords(r *msg.Reader) error {
 	for i := range c.seq {
 		c.seq[i] = gid.GID(r.U64())
 	}
+	for i := uint64(0); i < c.stackWords; i++ {
+		r.U32()
+	}
 	return r.Err()
 }
 
-func (c *chainCont) Run(t *core.Task) {
-	for int(c.idx) < len(c.seq) {
-		g := c.seq[c.idx]
-		if !t.IsLocal(g) {
-			if c.stackWords > 0 {
-				t.MigrateThread(g, c.w.cont, c, c.stackWords)
-			} else {
-				t.Migrate(g, c.w.cont, c)
-			}
-			return
-		}
-		t.Work(c.w.work)
-		c.idx++
+func (c *chainCont) At() gid.GID         { return c.seq[c.idx] }
+func (c *chainCont) Result() core.Result { return &c.ack }
+
+func (c *chainCont) Visit(t *core.Task, _ any, _ core.Mechanism) bool {
+	t.Work(c.w.work)
+	c.idx++
+	return int(c.idx) == len(c.seq)
+}
+
+func (c *chainCont) RPC(t *core.Task) bool {
+	if err := t.Call(c.seq[c.idx], c.w.mGet, nil, &c.ack); err != nil {
+		panic(err)
 	}
-	t.Return(chainAck{})
+	c.idx++
+	return int(c.idx) == len(c.seq)
 }
 
 // chainAck is the one-word reply of an access and of a whole visit.

@@ -143,21 +143,9 @@ type Unmarshaler interface {
 	UnmarshalWords(r *Reader) error
 }
 
-// Encode marshals m into a fresh word slice.
-func Encode(m Marshaler) []uint32 {
-	w := NewWriter(8)
-	m.MarshalWords(w)
-	return w.Words()
-}
-
-// Decode unmarshals words into u, insisting the payload is fully consumed.
-func Decode(words []uint32, u Unmarshaler) error {
-	var r Reader
-	return r.Decode(words, u)
-}
-
-// Decode is the package-level Decode run through r, which it resets
-// over words: a long-lived Reader decodes without allocating.
+// Decode unmarshals words into u, insisting the payload is fully
+// consumed. It resets r over words, so a long-lived Reader decodes
+// without allocating.
 func (r *Reader) Decode(words []uint32, u Unmarshaler) error {
 	r.Reset(words)
 	if err := u.UnmarshalWords(r); err != nil {

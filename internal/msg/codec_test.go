@@ -86,14 +86,22 @@ func (p *pair) UnmarshalWords(r *Reader) error {
 	return r.Err()
 }
 
+// encode marshals m into a fresh word slice.
+func encode(m Marshaler) []uint32 {
+	w := NewWriter(8)
+	m.MarshalWords(w)
+	return w.Words()
+}
+
 func TestEncodeDecode(t *testing.T) {
 	in := &pair{A: 1 << 40, B: 9}
-	words := Encode(in)
+	words := encode(in)
 	if len(words) != 3 {
 		t.Fatalf("encoded %d words, want 3", len(words))
 	}
 	var out pair
-	if err := Decode(words, &out); err != nil {
+	var r Reader
+	if err := r.Decode(words, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out != *in {
@@ -103,9 +111,10 @@ func TestEncodeDecode(t *testing.T) {
 
 func TestDecodeRejectsTrailingWords(t *testing.T) {
 	in := &pair{A: 1, B: 2}
-	words := append(Encode(in), 99)
+	words := append(encode(in), 99)
 	var out pair
-	if err := Decode(words, &out); err == nil {
+	var r Reader
+	if err := r.Decode(words, &out); err == nil {
 		t.Fatal("trailing words not rejected")
 	}
 }
