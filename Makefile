@@ -17,7 +17,7 @@ GO ?= go
 # entries, carrying the shard.* counters); it matches no serial
 # report's keys, so it is smoked separately.
 BENCH_BASELINE := BENCH_2026-08-06-fault.json
-BENCH_CURRENT  := BENCH_2026-10-18.json
+BENCH_CURRENT  := BENCH_2026-10-19.json
 BENCH_SHARDS   := BENCH_2026-10-17-shards.json
 
 .PHONY: check lint vet simvet build test race ab-identity shard-identity engine-order alloc-pins golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-test bench-gate bench bench-json bench-json-shards loc
@@ -78,7 +78,7 @@ shard-identity:
 # by name, and every BenchmarkEngine* microbenchmark runs once so none
 # can rot.
 engine-order:
-	$(GO) test ./internal/sim/ -run 'TestEngineExactOrder|TestSpawnSorted|TestCancelInRun|TestRunOrderViolation' -count=1
+	$(GO) test ./internal/sim/ -run 'TestEngineExactOrder|TestSpawnArrivals|TestCancelInRun|TestRunOrderViolation' -count=1
 	$(GO) test ./internal/sim/ -run '^$$' -bench Engine -benchtime 1x
 	@echo "engine-order: the sorted runs dispatch in exact (time, seq) order"
 
@@ -89,8 +89,12 @@ engine-order:
 # a dirty-eviction writeback), and one operation per app
 # (countnet traversal, kv get and put, a B-tree lookup, each under SM,
 # CM and RPC, and the countnet traversal under a drop/dup fault plan)
-# must allocate no more heap objects than their bounds.
+# must allocate no more heap objects than their bounds. Two pins bound
+# per-run memory instead: an open-loop arrival run allocates the same
+# bytes at 100 and 10,000 arrivals, and repeated rounds of making and
+# releasing caches allocate no fresh cache backing after the first.
 alloc-pins:
+	$(GO) test ./internal/sim/ -run 'Allocs' -count=1
 	$(GO) test ./internal/core/ -run 'Allocs' -count=1
 	$(GO) test ./internal/network/ -run 'Allocs' -count=1
 	$(GO) test ./internal/mem/ -run 'Allocs' -count=1

@@ -130,13 +130,14 @@ func RunExperiment(cfg Config) Result {
 
 	// Open loop: every arrival is spawned before the run starts, so a
 	// slow server accumulates queueing delay instead of throttling the
-	// offered load. The arrivals come in time order, so they go to the
-	// engine's presorted arrival run (Proc.SpawnSorted): each one's
-	// thread and wakeup are made only when it is the next arrival due,
-	// and the event heap holds one arrival instead of all of them.
-	// Arrival i goes to frontend i mod FrontProcs, and one processor's
-	// arrivals start in the order they were spawned, so each frontend
-	// has one body that takes its next event from a cursor into events.
+	// offered load. The arrivals come in time order, so one
+	// Machine.SpawnArrivals call hands the engine the whole schedule,
+	// which it reads in place from events: each arrival's thread and
+	// wakeup are made only when it is the next arrival due, and the
+	// event heap holds one arrival instead of all of them. Arrival i
+	// goes to frontend i mod FrontProcs, and one processor's arrivals
+	// start in index order, so each frontend has one body that takes its
+	// next event from a cursor into events.
 	events := load.NewGen(cfg.Load, cfg.Seed).Events()
 	issued := make([]uint64, nkeys) // puts issued per key
 	acked := make([]uint64, nkeys)  // highest version acked per key
@@ -178,10 +179,10 @@ func RunExperiment(cfg Config) Result {
 			}
 		}
 	}
-	for i := range events {
+	m.Mach.SpawnArrivals("kv.req", len(events), func(i int) (sim.Time, int, func(*sim.Thread)) {
 		f := i % cfg.FrontProcs
-		m.Mach.Proc(cfg.StoreProcs+f).SpawnSorted("kv.req", events[i].At, bodies[f])
-	}
+		return events[i].At, cfg.StoreProcs + f, bodies[f]
+	})
 
 	col := m.Run(&res.Result)
 	res.Makespan = uint64(lastDone)

@@ -188,7 +188,7 @@ func TestReplyIDsRecycled(t *testing.T) {
 		}
 	})
 	r.run(t)
-	if r.rt.lanes[0].nextReplyID > 4 {
-		t.Errorf("500 sequential calls consumed %d reply ids; free list not reused", r.rt.lanes[0].nextReplyID)
+	if n := len(r.rt.lanes[0].replies); n > 4 {
+		t.Errorf("500 sequential calls consumed %d reply ids; free list not reused", n)
 	}
 }

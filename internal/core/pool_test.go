@@ -130,7 +130,7 @@ func TestFaultedReplyIDsRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := r.rt.lanes[0].nextReplyID; n != 1 {
+	if n := len(r.rt.lanes[0].replies); n != 1 {
 		t.Errorf("issued %d distinct reply ids, want 1", n)
 	}
 }
@@ -150,7 +150,7 @@ func TestStaleGiveUpLeavesReissuedSlotAlone(t *testing.T) {
 		t.Fatalf("reissue took id %d slot %p, want the recycled id %d slot %p", id2, s2, id, s)
 	}
 	r.rt.onGiveUp(tok, &fault.GiveUpError{Kind: "reply", Attempts: 3})
-	if s2.done || r.rt.lanes[0].replies[id2] != s2 {
+	if s2.done || r.rt.lanes[0].replies[id2-1] != s2 {
 		t.Fatal("a stale give-up settled the reissued slot")
 	}
 	r.rt.completeReply(0, id2, []uint32{7}, nil)

@@ -242,21 +242,21 @@ type replySlot struct {
 // systems' bounded reply-slot tables.
 func (rt *Runtime) newReply(proc int) (uint32, *replySlot) {
 	ls := rt.laneAt(proc)
-	var id uint32
-	if n := len(ls.freeIDs); n > 0 {
-		id = ls.freeIDs[n-1]
-		ls.freeIDs = ls.freeIDs[:n-1]
-	} else {
-		ls.nextReplyID++
-		id = ls.nextReplyID
-	}
 	s := pop(&ls.slots)
 	if s == nil {
 		s = &replySlot{ls: ls}
 	}
 	ls.issues++
 	s.gen = ls.issues
-	ls.replies[id] = s
+	var id uint32
+	if n := len(ls.freeIDs); n > 0 {
+		id = ls.freeIDs[n-1]
+		ls.freeIDs = ls.freeIDs[:n-1]
+		ls.replies[id-1] = s
+	} else {
+		ls.replies = append(ls.replies, s)
+		id = uint32(len(ls.replies))
+	}
 	return id, s
 }
 
@@ -268,8 +268,8 @@ func (rt *Runtime) newReply(proc int) (uint32, *replySlot) {
 // late reply.
 func (rt *Runtime) completeReply(proc int, id uint32, words []uint32, m *network.Message) {
 	ls := rt.laneAt(proc)
-	s, ok := ls.replies[id]
-	if !ok {
+	s := ls.replies[id-1]
+	if s == nil {
 		if inj := rt.Net.FaultInjector(); inj != nil {
 			// Under faults a reply can outlive its slot: the request's
 			// sender gave up (every ack lost) but the request did land and
@@ -279,7 +279,7 @@ func (rt *Runtime) completeReply(proc int, id uint32, words []uint32, m *network
 		}
 		panic(fmt.Sprintf("core: reply id %d unknown or already completed", id))
 	}
-	delete(ls.replies, id)
+	ls.replies[id-1] = nil
 	ls.freeIDs = append(ls.freeIDs, id)
 	s.settle(words, m, nil)
 }
@@ -293,11 +293,11 @@ func (rt *Runtime) completeReply(proc int, id uint32, words []uint32, m *network
 func (rt *Runtime) failReply(tok uint64, err *fault.GiveUpError) {
 	proc, id := unpackLinkage(uint32(tok >> 32))
 	ls := rt.laneAt(proc)
-	s := ls.replies[id]
+	s := ls.replies[id-1]
 	if s == nil || s.gen != uint32(tok) {
 		return
 	}
-	delete(ls.replies, id)
+	ls.replies[id-1] = nil
 	s.settle(nil, nil, err)
 }
 
@@ -311,7 +311,7 @@ func (rt *Runtime) guard(proc int, id uint32) uint64 {
 		return 0
 	}
 	var gen uint32
-	if s := rt.laneAt(proc).replies[id]; s != nil {
+	if s := rt.laneAt(proc).replies[id-1]; s != nil {
 		gen = s.gen
 	}
 	return uint64(packLinkage(proc, id))<<32 | uint64(gen)

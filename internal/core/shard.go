@@ -24,11 +24,10 @@ import (
 type laneState struct {
 	col *stats.Collector
 
-	replies     map[uint32]*replySlot
-	nextReplyID uint32
-	issues      uint32 // reply slots issued, from 1; stamps replySlot.gen
-	freeIDs     []uint32
-	slots       []*replySlot // settled slots whose waiter has read them
+	replies []*replySlot // by reply id - 1: the slot live under the id, nil when none is
+	issues  uint32       // reply slots issued, from 1; stamps replySlot.gen
+	freeIDs []uint32
+	slots   []*replySlot // settled slots whose waiter has read them
 
 	rpcs []*rpcArrival
 	migs []*migArrival
@@ -43,7 +42,7 @@ type laneState struct {
 }
 
 func newLane(col *stats.Collector) laneState {
-	return laneState{col: col, replies: make(map[uint32]*replySlot)}
+	return laneState{col: col}
 }
 
 // scratch returns the lane's marshaling Writer, emptied. Its words must

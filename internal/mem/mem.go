@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"        //simvet:allow host-side cache-backing pool shared across harness workers; never touches simulated state
-	"sync/atomic" //simvet:allow host-side cache-backing pool shared across harness workers; never touches simulated state
+	"sync/atomic" //simvet:allow host-side fast-path switch read by harness workers; never touches simulated state
 
 	"compmig/internal/network"
 	"compmig/internal/profile"
@@ -126,40 +126,36 @@ type cacheBacking struct {
 	gen   uint16
 }
 
-// The backing free lists are sharded plain stacks rather than a
-// sync.Pool: the pool's GC clearing threw the 64KB blocks away between
-// sweep batches (alloc_bytes grew with worker count), and its per-P
-// caches are useless under GOMAXPROCS=1. Round-robin shard selection
-// spreads harness workers across locks; the per-shard cap bounds
-// process-wide retention.
-const (
-	backingShardCount = 8
-	backingShardCap   = 64
-)
+// The backing free list is one locked stack rather than a sync.Pool:
+// the pool's GC clearing threw the 64KB blocks away between sweep
+// batches (alloc_bytes grew with worker count), and its per-P caches
+// are useless under GOMAXPROCS=1. It was once eight shards picked
+// round-robin by one cursor shared by gets and puts, which stranded
+// blocks: when a machine's caches were released, the puts landed on
+// other shards than the gets had drained, so one kv-open rep missed
+// 120 of its 360 gets while full shards held about 16MB of idle
+// blocks. With one stack every put is found by the next get, and the
+// pool holds no more blocks than were ever live at once, up to
+// backingCap. The lock is held only to pop or push.
+const backingCap = 512
 
-type backingShard struct {
+var backings struct {
 	mu   sync.Mutex
 	free []*cacheBacking
 }
 
-var (
-	backingShards [backingShardCount]backingShard
-	backingCursor atomic.Uint32
-)
-
 func getBacking(n int) *cacheBacking {
-	shard := &backingShards[backingCursor.Add(1)%backingShardCount]
-	shard.mu.Lock()
-	for k := len(shard.free) - 1; k >= 0; k-- {
-		b := shard.free[k]
+	backings.mu.Lock()
+	for k := len(backings.free) - 1; k >= 0; k-- {
+		b := backings.free[k]
 		if len(b.lines) != n {
 			continue
 		}
-		last := len(shard.free) - 1
-		shard.free[k] = shard.free[last]
-		shard.free[last] = nil
-		shard.free = shard.free[:last]
-		shard.mu.Unlock()
+		last := len(backings.free) - 1
+		backings.free[k] = backings.free[last]
+		backings.free[last] = nil
+		backings.free = backings.free[:last]
+		backings.mu.Unlock()
 		b.gen++
 		if b.gen == 0 {
 			// Generation counter wrapped: entries written 2^16 lives
@@ -169,18 +165,17 @@ func getBacking(n int) *cacheBacking {
 		}
 		return b
 	}
-	shard.mu.Unlock()
+	backings.mu.Unlock()
 	// Fresh zeroed lines carry gen 0, invisible under generation 1.
 	return &cacheBacking{lines: make([]cacheLine, n), gen: 1}
 }
 
 func putBacking(b *cacheBacking) {
-	shard := &backingShards[backingCursor.Add(1)%backingShardCount]
-	shard.mu.Lock()
-	if len(shard.free) < backingShardCap {
-		shard.free = append(shard.free, b)
+	backings.mu.Lock()
+	if len(backings.free) < backingCap {
+		backings.free = append(backings.free, b)
 	}
-	shard.mu.Unlock()
+	backings.mu.Unlock()
 }
 
 func newCache(p Params) *cache {

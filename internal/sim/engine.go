@@ -27,15 +27,17 @@
 //   - one zero-delay run, for events scheduled at the current time
 //     (Unpark, Yield, Spawn and Schedule with no delay, At(Now())). Its
 //     times never decrease because the clock does not.
-//   - one arrival run, for the open-loop threads of Proc.SpawnSorted,
-//     whose caller supplies them in time order.
+//   - one arrival run, for the open-loop threads of
+//     Machine.SpawnArrivals, whose caller supplies them in time order.
+//     It reads each caller's schedule in place: only the head arrival
+//     is a Thread and an Event.
 //
-// Each event's seq is drawn when it is scheduled (an arrival's when it
-// is spawned), so a run's seqs rise too. Every run is therefore (time,
-// seq)-sorted, the heap orders run heads by the same key, and the heap
-// top is the earliest pending event exactly as it would be with every
-// event in the heap: the order is the plain heap's by construction. An
-// append that would break a run's order panics.
+// Each event's seq is drawn when it is scheduled (an arrival's when
+// SpawnArrivals reserves its batch), so a run's seqs rise too. Every
+// run is therefore (time, seq)-sorted, the heap orders run heads by the
+// same key, and the heap top is the earliest pending event exactly as it
+// would be with every event in the heap: the order is the plain heap's
+// by construction. An append that would break a run's order panics.
 package sim
 
 import (
@@ -157,8 +159,8 @@ func (e *Engine) successor(ev *Event) *Event {
 		next, dead.index = dead.next, -1
 		e.release(dead)
 	}
-	if a := e.arrivals; next == nil && a != nil && ev == a.head {
-		next = a.next(e)
+	if next == nil && ev == e.arrivals.head {
+		next = e.arrivals.next(e)
 	}
 	return next
 }
@@ -168,7 +170,7 @@ func (e *Engine) successor(ev *Event) *Event {
 // one sift down instead of a pop and a push.
 func (e *Engine) pop() *Event {
 	ev := e.heap[0]
-	if ev.next != nil || e.arrivals != nil {
+	if ev.next != nil || e.arrivals.head != nil {
 		if next := e.successor(ev); next != nil {
 			e.heap.replace(0, next)
 			return ev
@@ -185,19 +187,19 @@ type Engine struct {
 	heap eventHeap
 	free *Event // fired and cancelled events, linked through next, for reuse by At
 
-	// zero is the zero-delay run and arrivals the open-loop arrival run,
-	// made by the first SpawnSorted (see the package comment); each Proc
-	// holds its own run. A cluster lane uses none of them: its (at,
-	// stream, seq) key does not rise within a run.
+	// zero is the zero-delay run and arrivals the open-loop arrival run
+	// (see the package comment); each Proc holds its own run. A cluster
+	// lane uses none of them: its (at, stream, seq) key does not rise
+	// within a run.
 	zero     run
-	arrivals *arrivalSource
+	arrivals arrivalSource
 
 	current  *Thread
 	transfer *Thread // set by drive before it yields: the thread the hub resumes next
 	handoffs uint64  // carrier switches: the hub resuming a thread, or drive yielding to it
 
-	liveThreads int
-	allThreads  map[*Thread]struct{}
+	liveThreads int       // spawned threads that have not exited, pending arrivals included
+	live        []*Thread // the made ones, for deadlock reports; Thread.live indexes it
 	nextTID     int
 	threadPool  []*Thread  // exited threads, for reuse by Spawn
 	carriers    []*carrier // free carriers, for the first dispatch of a thread
@@ -233,10 +235,7 @@ type Engine struct {
 // NewEngine returns an engine whose clock starts at zero and whose PRNG is
 // seeded with seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{
-		allThreads: make(map[*Thread]struct{}),
-		rng:        NewPRNG(seed),
-	}
+	return &Engine{rng: NewPRNG(seed)}
 }
 
 // Now returns the current simulated time in cycles.
@@ -417,7 +416,7 @@ func (e *Engine) Run() error {
 	}
 	if !e.stopped && e.liveThreads > 0 {
 		var blocked []string
-		for th := range e.allThreads {
+		for _, th := range e.live {
 			blocked = append(blocked, th.String())
 		}
 		sort.Strings(blocked)

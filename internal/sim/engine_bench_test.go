@@ -77,7 +77,7 @@ func BenchmarkEngineZeroDelay(b *testing.B) {
 }
 
 // BenchmarkEngineSortedArrivals: an open-loop source of 4,000 arrivals,
-// 40 cycles apart, spread over 4 processors through SpawnSorted; each
+// 40 cycles apart, spread over 4 processors through one SpawnArrivals; each
 // arrival books one 100-cycle segment and exits, so the processors fall
 // behind and a backlog builds.
 func BenchmarkEngineSortedArrivals(b *testing.B) {
@@ -89,9 +89,9 @@ func BenchmarkEngineSortedArrivals(b *testing.B) {
 			p := m.Proc(i)
 			bodies[i] = func(th *Thread) { th.Exec(p, 100+Time(th.id%50)) }
 		}
-		for i := 0; i < 4000; i++ {
-			m.Proc(i%4).SpawnSorted("req", Time(i)*40, bodies[i%4])
-		}
+		m.SpawnArrivals("req", 4000, func(i int) (Time, int, func(*Thread)) {
+			return Time(i) * 40, i % 4, bodies[i%4]
+		})
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}

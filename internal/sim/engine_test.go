@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -337,6 +341,61 @@ func TestPRNGFloat64Range(t *testing.T) {
 		f := p.Float64()
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
+		}
+	}
+}
+
+// TestDeadlockReportsExactlyTheParked checks the engine's live set
+// through its one reader, the deadlock report: threads exit in an order
+// scrambled against their spawn order, some spawn a child first, which
+// reuses an exited thread's object, and a known subset of threads and
+// children park forever. DeadlockError.Blocked must name exactly that
+// subset, on the serial engine and on a cluster.
+func TestDeadlockReportsExactlyTheParked(t *testing.T) {
+	for _, shards := range []int{0, 1, 3} {
+		var m *Machine
+		var run func() error
+		if shards == 0 {
+			e := NewEngine(1)
+			m, run = NewMachine(e, 4), e.Run
+		} else {
+			cl := NewCluster(1, shards)
+			m, run = cl.NewMachine(4), cl.Run
+			cl.SetLookahead(5)
+		}
+		// Per processor, so lanes running in parallel share nothing.
+		never := make([]Future, 4)
+		stuck := make([][]*Thread, 4)
+		const n = 24
+		for i := 0; i < n; i++ {
+			p := m.Proc(i % 4)
+			park := func(th *Thread) {
+				stuck[p.ID()] = append(stuck[p.ID()], th)
+				never[p.ID()].Wait(th)
+			}
+			p.Spawn(fmt.Sprintf("t%02d", i), 0, func(th *Thread) {
+				th.Sleep(Time(1 + i*7%n*10)) // 7 is prime to n: every thread wakes at its own cycle
+				if i%4 == 1 {
+					p.Spawn(fmt.Sprintf("c%02d", i), 3, park)
+				}
+				if i%3 == 0 {
+					park(th)
+				}
+			})
+		}
+		var de *DeadlockError
+		if err := run(); !errors.As(err, &de) {
+			t.Fatalf("shards=%d: got %v, want a *DeadlockError", shards, err)
+		}
+		var want []string
+		for _, ths := range stuck {
+			for _, th := range ths {
+				want = append(want, th.String())
+			}
+		}
+		sort.Strings(want)
+		if !reflect.DeepEqual(de.Blocked, want) {
+			t.Fatalf("shards=%d: deadlock report names\n%v\nwant\n%v", shards, de.Blocked, want)
 		}
 	}
 }

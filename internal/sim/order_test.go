@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -35,11 +36,12 @@ type cancellable struct {
 
 // orderMix drives a seeded random mix of every way to queue an event on
 // a serial engine (Schedule and At at now and later, Exec, ExecAsync,
-// Spawn, Proc.Spawn, SpawnSorted, Unpark, Yield, Sleep, Park and Cancel)
+// Spawn, Proc.Spawn, SpawnArrivals, Unpark, Yield, Sleep, Park and Cancel)
 // over processors with heterogeneous speeds and down windows, and
 // records every dispatch.
 type orderMix struct {
 	e      *Engine
+	mach   *Machine
 	procs  []*Proc
 	rng    *PRNG
 	budget int // actions left to start
@@ -50,9 +52,9 @@ type orderMix struct {
 	fired   map[uint64]int
 	pending []cancellable
 	parked  []*mixThread
-	arrival Time // time of the last SpawnSorted arrival
+	arrival Time // time of the last SpawnArrivals arrival
 
-	cancels, sorted int // coverage: cancels made, SpawnSorted arrivals
+	cancels, sorted int // coverage: cancels made, SpawnArrivals arrivals
 
 	stopAfter int // a callback calls Stop once this many dispatches are recorded; -1 never
 	stoppedAt int
@@ -67,7 +69,7 @@ func newOrderMix(seed uint64) *orderMix {
 	mach.Proc(3).AddDownWindow(200, 260)
 	mach.Proc(3).AddDownWindow(1500, 2100)
 	m := &orderMix{
-		e: e, procs: mach.procs, rng: NewPRNG(seed ^ 0x5eed), budget: 400,
+		e: e, mach: mach, procs: mach.procs, rng: NewPRNG(seed ^ 0x5eed), budget: 400,
 		sched: make(map[uint64]bool), fired: make(map[uint64]int), stopAfter: -1,
 	}
 	for i := 0; i < 3; i++ {
@@ -77,7 +79,7 @@ func newOrderMix(seed uint64) *orderMix {
 		m.spawn(Time(m.rng.Intn(4))*25, 8)
 	}
 	for i := 0; i < 4; i++ {
-		m.spawnSorted(6)
+		m.spawnArrivals(6)
 	}
 	return m
 }
@@ -157,20 +159,28 @@ func (m *orderMix) spawn(delay Time, steps int) {
 	*seq = m.queued(m.e.seq)
 }
 
-func (m *orderMix) spawnSorted(steps int) {
-	at := m.arrival
-	if at < m.e.now {
-		at = m.e.now
+// spawnArrivals queues a batch of one to three arrivals on random
+// processors, each running steps actions. A batch reserves the seqs
+// after the engine's counter, one per arrival in order.
+func (m *orderMix) spawnArrivals(steps int) {
+	n := 1 + m.rng.Intn(3)
+	ats, procs, bodies := make([]Time, n), make([]int, n), make([]func(*Thread), n)
+	for i := range ats {
+		at := m.arrival
+		if at < m.e.now {
+			at = m.e.now
+		}
+		at += Time(m.rng.Intn(3)) * 70
+		m.arrival = at
+		id, seq := m.id(), m.queued(m.e.seq+1+uint64(i))
+		ats[i], procs[i] = at, m.proc().ID()
+		bodies[i] = func(th *Thread) {
+			m.rec(seq, id)
+			m.actor(th, steps)
+		}
 	}
-	at += Time(m.rng.Intn(3)) * 70
-	m.arrival = at
-	id, seq := m.id(), new(uint64)
-	m.proc().SpawnSorted("arrival", at, func(th *Thread) {
-		m.rec(*seq, id)
-		m.actor(th, steps)
-	})
-	*seq = m.queued(m.e.seq)
-	m.sorted++
+	m.mach.SpawnArrivals("arrival", n, func(i int) (Time, int, func(*Thread)) { return ats[i], procs[i], bodies[i] })
+	m.sorted += n
 }
 
 func (m *orderMix) actor(th *Thread, steps int) {
@@ -203,7 +213,7 @@ func (m *orderMix) step(mt *mixThread) {
 	case 3:
 		m.spawn(Time(m.rng.Intn(2))*Time(m.rng.Intn(90)), 1+m.rng.Intn(5))
 	case 4:
-		m.spawnSorted(1 + m.rng.Intn(4))
+		m.spawnArrivals(1 + m.rng.Intn(4))
 	case 5:
 		m.unparkOne()
 	case 6, 7:
@@ -391,53 +401,73 @@ func TestEngineExactOrder(t *testing.T) {
 		}
 	}
 	if cancels == 0 || sorted == 0 {
-		t.Fatalf("mixes made %d cancels and %d SpawnSorted arrivals; want both", cancels, sorted)
+		t.Fatalf("mixes made %d cancels and %d SpawnArrivals arrivals; want both", cancels, sorted)
 	}
 }
 
-// TestSpawnSortedOutOfOrderPanics asserts an arrival earlier than the
-// previous one panics, whichever processor either is bound to.
-func TestSpawnSortedOutOfOrderPanics(t *testing.T) {
-	for _, pending := range []int{1, 3} { // the head only, or queued records too
+// arrivalsAt is a SpawnArrivals schedule: arrival i at ats[i] on
+// processor procs[i], all running body.
+func arrivalsAt(ats []Time, procs []int, body func(*Thread)) func(int) (Time, int, func(*Thread)) {
+	return func(i int) (Time, int, func(*Thread)) { return ats[i], procs[i], body }
+}
+
+// TestSpawnArrivalsOutOfOrderPanics asserts an arrival earlier than the
+// one before it panics, within one call or behind an earlier call's
+// pending arrivals, whichever processor either is bound to, and that the
+// rejected call reserves nothing.
+func TestSpawnArrivalsOutOfOrderPanics(t *testing.T) {
+	body := func(*Thread) {}
+	for _, pending := range []int{1, 3} { // the head only, or arrivals behind it too
 		e := NewEngine(1)
 		m := NewMachine(e, 2)
-		for i := 0; i < pending; i++ {
-			m.Proc(i%2).SpawnSorted("a", Time(100+i), func(*Thread) {})
+		ats, procs := make([]Time, pending), make([]int, pending)
+		for i := range ats {
+			ats[i], procs[i] = Time(100+i), i%2
 		}
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil || !strings.Contains(r.(string), "SpawnSorted at 50") {
-					t.Fatalf("pending %d: recovered %v, want a SpawnSorted order panic", pending, r)
-				}
+		m.SpawnArrivals("a", pending, arrivalsAt(ats, procs, body))
+		for _, late := range [][]Time{{50}, {200, 150}} {
+			func() {
+				defer func() {
+					r := recover()
+					want := fmt.Sprintf("arrival %d at %d before", len(late)-1, late[len(late)-1])
+					if r == nil || !strings.Contains(r.(string), want) {
+						t.Fatalf("pending %d, late %v: recovered %v, want a SpawnArrivals order panic", pending, late, r)
+					}
+				}()
+				m.SpawnArrivals("b", len(late), arrivalsAt(late, []int{1, 0}, body))
 			}()
-			m.Proc(1).SpawnSorted("b", 50, func(*Thread) {})
-		}()
+			if e.liveThreads != pending || e.seq != uint64(pending) {
+				t.Fatalf("pending %d: a rejected call left %d live threads and seq %d", pending, e.liveThreads, e.seq)
+			}
+		}
 	}
 }
 
-// TestSpawnSortedMatchesSpawn asserts SpawnSorted runs the same threads
-// with the same ids at the same times as Spawn, while holding one heap
-// entry for all of its arrivals.
-func TestSpawnSortedMatchesSpawn(t *testing.T) {
-	trace := func(sorted bool) (got []string, heap int) {
+// TestSpawnArrivalsMatchesSpawn asserts SpawnArrivals runs the same
+// threads with the same ids at the same times as Spawn, while holding
+// one heap entry for all of its arrivals.
+func TestSpawnArrivalsMatchesSpawn(t *testing.T) {
+	trace := func(arrivals bool) (got []string, heap int) {
 		e := NewEngine(1)
 		m := NewMachine(e, 2)
-		for i := 0; i < 20; i++ {
-			at, p := Time(40+i/3*40), m.Proc(i%2)
-			body := func(th *Thread) {
+		ats, procs, bodies := make([]Time, 20), make([]int, 20), make([]func(*Thread), 20)
+		for i := range ats {
+			p := m.Proc(i % 2)
+			ats[i], procs[i] = Time(40+i/3*40), p.ID()
+			bodies[i] = func(th *Thread) {
 				th.Exec(p, 30)
 				got = append(got, th.String()+"@"+strconv.FormatUint(th.Now(), 10))
 			}
-			if sorted {
-				p.SpawnSorted("req", at, body)
-			} else {
-				p.Spawn("req", at, body)
+			if !arrivals {
+				p.Spawn("req", ats[i], bodies[i])
 			}
+		}
+		if arrivals {
+			m.SpawnArrivals("req", 20, func(i int) (Time, int, func(*Thread)) { return ats[i], procs[i], bodies[i] })
 		}
 		heap = len(e.heap)
 		if e.liveThreads != 20 {
-			t.Fatalf("sorted=%v: Live() = %d before Run, want 20", sorted, e.liveThreads)
+			t.Fatalf("arrivals=%v: Live() = %d before Run, want 20", arrivals, e.liveThreads)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -447,23 +477,23 @@ func TestSpawnSortedMatchesSpawn(t *testing.T) {
 	plain, plainHeap := trace(false)
 	sorted, sortedHeap := trace(true)
 	if strings.Join(plain, " ") != strings.Join(sorted, " ") {
-		t.Fatalf("SpawnSorted ran\n%v\nSpawn ran\n%v", sorted, plain)
+		t.Fatalf("SpawnArrivals ran\n%v\nSpawn ran\n%v", sorted, plain)
 	}
 	if plainHeap != 20 || sortedHeap != 1 {
-		t.Fatalf("heap entries before Run: Spawn %d, SpawnSorted %d; want 20 and 1", plainHeap, sortedHeap)
+		t.Fatalf("heap entries before Run: Spawn %d, SpawnArrivals %d; want 20 and 1", plainHeap, sortedHeap)
 	}
 }
 
-// TestSpawnSortedOnClusterIsSpawn asserts that a cluster lane, which
-// keeps every event in its heap, takes SpawnSorted as a plain Spawn: one
-// heap entry per arrival, each thread starting at its own time.
-func TestSpawnSortedOnClusterIsSpawn(t *testing.T) {
+// TestSpawnArrivalsOnClusterIsSpawn asserts that a cluster lane, which
+// keeps every event in its heap, takes SpawnArrivals as plain Spawns:
+// one heap entry per arrival, each thread starting at its own time.
+func TestSpawnArrivalsOnClusterIsSpawn(t *testing.T) {
 	cl := NewCluster(1, 2)
 	m := cl.NewMachine(4)
 	var started []Time
-	for i := 0; i < 8; i++ {
-		m.Proc(i%4).SpawnSorted("req", Time(10*i), func(th *Thread) { started = append(started, th.Now()) })
-	}
+	m.SpawnArrivals("req", 8, func(i int) (Time, int, func(*Thread)) {
+		return Time(10 * i), i % 4, func(th *Thread) { started = append(started, th.Now()) }
+	})
 	if n := len(cl.Lane(0).heap) + len(cl.Lane(1).heap); n != 8 {
 		t.Fatalf("lane heaps hold %d entries for 8 arrivals, want 8", n)
 	}
@@ -480,12 +510,12 @@ func TestSpawnSortedOnClusterIsSpawn(t *testing.T) {
 	}
 }
 
-// TestSpawnSortedStartsInSpawnOrderPerProc pins what an open-loop source
-// with one body per processor relies on (kv.RunExperiment's frontends):
-// on one processor, SpawnSorted arrivals start in the order they were
-// spawned, ties in time included, while earlier arrivals are still
-// running, on the serial and the clustered engine alike.
-func TestSpawnSortedStartsInSpawnOrderPerProc(t *testing.T) {
+// TestSpawnArrivalsStartsInSpawnOrderPerProc pins what an open-loop
+// source with one body per processor relies on (kv.RunExperiment's
+// frontends): on one processor, arrivals start in index order, ties in
+// time included, while earlier arrivals are still running, on the
+// serial and the clustered engine alike.
+func TestSpawnArrivalsStartsInSpawnOrderPerProc(t *testing.T) {
 	for _, clustered := range []bool{false, true} {
 		var m *Machine
 		var run func() error
@@ -498,13 +528,13 @@ func TestSpawnSortedStartsInSpawnOrderPerProc(t *testing.T) {
 		}
 		started := make([][]int, 4)
 		const n = 40
-		for i := 0; i < n; i++ {
+		m.SpawnArrivals("req", n, func(i int) (Time, int, func(*Thread)) {
 			p := m.Proc(i * 3 % 4)
-			p.SpawnSorted("req", Time(10*(i/5)), func(th *Thread) {
+			return Time(10 * (i / 5)), p.ID(), func(th *Thread) {
 				started[p.ID()] = append(started[p.ID()], i)
 				th.Exec(p, 25) // still running when later arrivals are due
-			})
-		}
+			}
+		})
 		if err := run(); err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +543,7 @@ func TestSpawnSortedStartsInSpawnOrderPerProc(t *testing.T) {
 			total += len(got)
 			for k := 1; k < len(got); k++ {
 				if got[k] < got[k-1] {
-					t.Fatalf("clustered=%v: p%d started arrivals in order %v, want spawn order", clustered, p, got)
+					t.Fatalf("clustered=%v: p%d started arrivals in order %v, want index order", clustered, p, got)
 				}
 			}
 		}

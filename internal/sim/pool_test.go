@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -305,5 +306,36 @@ func TestExitRunsOwnRespawnInPlace(t *testing.T) {
 	}
 	if atRespawn != atExit {
 		t.Errorf("respawn in place cost %d handoffs, want 0", atRespawn-atExit)
+	}
+}
+
+// TestArrivalRunAllocs pins that the serial engine reads an arrival
+// schedule in place: a fresh machine running one SpawnArrivals batch of
+// n threads whose bodies return at once allocates the same heap bytes
+// at n = 100 and at n = 10,000. One thread is live at a time, so the
+// engine's thread, event and carrier pools grow the same at both sizes,
+// and a copy of the schedule is all that could grow with n.
+func TestArrivalRunAllocs(t *testing.T) {
+	bytes := func(n int) uint64 {
+		e := NewEngine(1)
+		m := NewMachine(e, 4)
+		body := func(*Thread) {}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.SpawnArrivals("a", n, func(i int) (Time, int, func(*Thread)) {
+			return Time(i) * 10, i % 4, body
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// The least of three runs, because the race detector's runtime
+	// allocates a few bytes of its own now and then.
+	least := func(n int) uint64 { return min(bytes(n), bytes(n), bytes(n)) }
+	bytes(100) // fills the shared idle-carrier pool
+	if small, large := least(100), least(10000); small != large {
+		t.Fatalf("an arrival run allocated %d bytes at n=100 and %d at n=10,000, want the same", small, large)
 	}
 }

@@ -108,19 +108,49 @@ func (p *Proc) Spawn(name string, delay Time, body func(*Thread)) *Thread {
 	return p.eng.spawnAt(name, delay, body, int32(p.id))
 }
 
-// SpawnSorted creates a simulated thread bound to processor p's event
-// stream that begins executing body at absolute time at. It is Spawn for
-// an open-loop source that knows its arrivals up front: calls on one
-// engine must come in nondecreasing at order across all its processors,
-// and an earlier at panics. Each call reserves the thread's id and its
-// wakeup's sequence number as Spawn would, so the run is identical to
-// one built with Spawn, but the serial engine makes the Thread and its
-// wakeup event only when the arrival reaches the head of its sorted
-// arrival run: a long arrival list costs one heap entry, not one thread
-// and one heap entry per arrival. On a clustered machine it is Spawn
-// with delay at minus the lane's time.
-func (p *Proc) SpawnSorted(name string, at Time, body func(*Thread)) {
-	p.eng.spawnSorted(name, at, body, int32(p.id))
+// SpawnArrivals creates n simulated threads for an open-loop source
+// that knows its arrivals up front. arrival(i) gives thread i's start
+// time, its processor and its body; it must be a pure function of i,
+// and its times must not decrease, nor start before now or before the
+// last arrival still pending from an earlier call. The call checks that
+// order once, panicking on a violation, and reserves the threads' ids
+// and wakeup sequence numbers as n Spawn calls would, so the run is
+// identical to one built with Spawn. The serial engine reads the
+// schedule in place: it calls arrival(i) again, and makes thread i and
+// its wakeup, only when arrival i reaches the head of the engine's
+// arrival run, so a long schedule costs one heap entry and no copy. On
+// a clustered machine each arrival is a Proc.Spawn on its processor.
+func (m *Machine) SpawnArrivals(name string, n int, arrival func(i int) (at Time, proc int, body func(*Thread))) {
+	e := m.procs[0].eng
+	s := &e.arrivals
+	prev := e.now
+	if s.head != nil { // a pending arrival is never due before now
+		prev = s.last
+	}
+	for i := 0; i < n; i++ {
+		at, proc, _ := arrival(i)
+		if at < prev {
+			panic(fmt.Sprintf("sim: SpawnArrivals arrival %d at %d before %d", i, at, prev))
+		}
+		m.Proc(proc) // panics on a processor out of range
+		prev = at
+	}
+	if e.cluster != nil {
+		for i := 0; i < n; i++ {
+			at, proc, body := arrival(i)
+			p := m.procs[proc]
+			p.Spawn(name, at-p.eng.now, body)
+		}
+		return
+	}
+	s.batches = append(s.batches, arrivalBatch{name: name, arrival: arrival, n: n, seq: e.seq + 1, tid: e.nextTID + 1})
+	s.last = prev
+	e.seq += uint64(n)
+	e.nextTID += n
+	e.liveThreads += n
+	if s.head == nil && n > 0 {
+		e.heap.push(s.next(e))
+	}
 }
 
 // FreeAt returns the cycle at which the processor next becomes idle.

@@ -356,7 +356,7 @@ func (cl *Cluster) Run() error {
 	if live > 0 {
 		var blocked []string
 		for _, e := range cl.lanes {
-			for th := range e.allThreads {
+			for _, th := range e.live {
 				blocked = append(blocked, th.String())
 			}
 		}

@@ -20,6 +20,7 @@ type Thread struct {
 	body    func(*Thread) // pending body, taken by the carrier when it starts
 	carrier *carrier      // nil until the first dispatch and after exit
 	where   string        // description of the blocking site, for deadlock reports
+	live    int           // the thread's index in Engine.live while it is live
 
 	// stream is the event stream the thread's wakeups execute as: the
 	// processor the thread is bound to on a clustered engine (set by
@@ -62,87 +63,50 @@ func (e *Engine) newThread(id int, name string, body func(*Thread), stream int32
 	} else {
 		th = &Thread{eng: e, id: id, name: name, body: body, stream: stream}
 	}
-	e.allThreads[th] = struct{}{}
+	th.live = len(e.live)
+	e.live = append(e.live, th)
 	return th
 }
 
-// arrivalSource is the engine's open-loop arrival run (Proc.SpawnSorted).
-// Only its head is an Event, in the heap; the later arrivals wait in
-// pending[consumed:] as plain records, and each becomes a Thread and an
-// Event only when it reaches the head.
+// arrivalSource is the serial engine's open-loop arrival run
+// (Machine.SpawnArrivals). Only its head is an Event, in the heap; the
+// later arrivals stay in their callers' schedules, and each becomes a
+// Thread and an Event only when it reaches the head.
 type arrivalSource struct {
-	head     *Event // nil when no arrival is pending
-	pending  []arrival
-	consumed int
+	head    *Event         // nil when no arrival is pending
+	last    Time           // the time of the last pending arrival
+	batches []arrivalBatch // SpawnArrivals calls in call order
+	done    int            // batches before done have made every arrival
 }
 
-// arrival is one pending SpawnSorted thread, with the sequence number
-// and thread id reserved when it was spawned.
-type arrival struct {
-	at     Time
-	seq    uint64
-	tid    int
-	stream int32
-	name   string
-	body   func(*Thread)
-}
-
-// spawnSorted queues an open-loop thread at absolute time at behind the
-// arrival run's tail (see Proc.SpawnSorted).
-func (e *Engine) spawnSorted(name string, at Time, body func(*Thread), stream int32) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: SpawnSorted at %d before now %d", at, e.now))
-	}
-	if e.cluster != nil {
-		e.spawnAt(name, at-e.now, body, stream)
-		return
-	}
-	if e.arrivals == nil {
-		e.arrivals = &arrivalSource{}
-	}
-	s := e.arrivals
-	last := Time(0)
-	if n := len(s.pending); n > s.consumed {
-		last = s.pending[n-1].at
-	} else if s.head != nil {
-		last = s.head.at
-	}
-	if at < last {
-		panic(fmt.Sprintf("sim: SpawnSorted at %d after an arrival at %d", at, last))
-	}
-	e.seq++
-	e.nextTID++
-	e.liveThreads++
-	a := arrival{at: at, seq: e.seq, tid: e.nextTID, stream: stream, name: name, body: body}
-	if s.head == nil {
-		s.head = e.arrive(&a)
-		e.heap.push(s.head)
-		return
-	}
-	s.pending = append(s.pending, a)
+// arrivalBatch is one SpawnArrivals call. Its arrival i takes sequence
+// number seq+i and thread id tid+i, reserved by the call.
+type arrivalBatch struct {
+	name    string
+	arrival func(int) (Time, int, func(*Thread))
+	n, next int // arrivals, and the index of the next one to make
+	seq     uint64
+	tid     int
 }
 
 // next makes the next pending arrival the run's head and returns its
-// wakeup, or returns nil when none is left.
+// wakeup, keyed by its reserved sequence number, or returns nil when
+// none is left.
 func (s *arrivalSource) next(e *Engine) *Event {
-	s.head = nil
-	if s.consumed == len(s.pending) {
-		return nil
+	for ; s.done < len(s.batches); s.done++ {
+		b := &s.batches[s.done]
+		if b.next < b.n {
+			i := b.next
+			b.next++
+			at, proc, body := b.arrival(i)
+			th := e.newThread(b.tid+i, b.name, body, int32(proc))
+			s.head = e.newEvent(at, b.seq+uint64(i), nil, th, 0, th.stream)
+			return s.head
+		}
+		s.batches[s.done] = arrivalBatch{}
 	}
-	s.head = e.arrive(&s.pending[s.consumed])
-	s.pending[s.consumed] = arrival{}
-	s.consumed++
-	if s.consumed == len(s.pending) {
-		s.pending, s.consumed = s.pending[:0], 0
-	}
-	return s.head
-}
-
-// arrive makes a's thread and its first wakeup, keyed by a's reserved
-// sequence number.
-func (e *Engine) arrive(a *arrival) *Event {
-	th := e.newThread(a.tid, a.name, a.body, a.stream)
-	return e.newEvent(a.at, a.seq, nil, th, 0, th.stream)
+	s.batches, s.done, s.head = s.batches[:0], 0, nil
+	return nil
 }
 
 // exit retires the thread into the spawn pool, unbinds its carrier, and
@@ -159,7 +123,9 @@ func (th *Thread) exit() {
 	}
 	th.where = "exited"
 	e.liveThreads--
-	delete(e.allThreads, th)
+	last := e.live[len(e.live)-1]
+	e.live[th.live], last.live = last, th.live
+	e.live = e.live[:len(e.live)-1]
 	e.threadPool = append(e.threadPool, th)
 	e.current = nil
 	c := th.carrier
