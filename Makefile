@@ -83,13 +83,16 @@ engine-order:
 	@echo "engine-order: the sorted runs dispatch in exact (time, seq) order"
 
 # alloc-pins re-runs the allocation pins by name: the warm message path
-# (remote call, migration hop, local call), the reliability layer's
+# (remote call, migration hop, local call, and a contended object pull
+# that is forwarded once and waits out a pin), the reliability layer's
 # send/deliver/ack cycle under faults, the coherence slow path (a write
 # invalidating 1, 3 and 6 sharers, a miss on a reclaimed directory entry,
 # a dirty-eviction writeback), and one operation per app
 # (countnet traversal, kv get and put, a B-tree lookup, each under SM,
-# CM and RPC, and the countnet traversal under a drop/dup fault plan)
-# must allocate no more heap objects than their bounds. Two pins bound
+# CM and RPC; the countnet traversal also under OM, where a rival
+# requester pulls every object back; and the countnet traversal under a
+# drop/dup fault plan with CM, RPC and OM) must allocate no more heap
+# objects than their bounds. Two pins bound
 # per-run memory instead: an open-loop arrival run allocates the same
 # bytes at 100 and 10,000 arrivals, and repeated rounds of making and
 # releasing caches allocate no fresh cache backing after the first.
@@ -98,7 +101,7 @@ alloc-pins:
 	$(GO) test ./internal/core/ -run 'Allocs' -count=1
 	$(GO) test ./internal/network/ -run 'Allocs' -count=1
 	$(GO) test ./internal/mem/ -run 'Allocs' -count=1
-	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs|TestFaultedTraverseAllocs' -count=1
+	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs(SM|CM|RPC|OM)$$|TestFaultedTraverseAllocs(CM|RPC|OM)$$' -count=1
 	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocs|TestPutAllocs' -count=1
 	$(GO) test ./internal/apps/btree/ -run 'TestLookupAllocs' -count=1
 	@echo "alloc-pins: no operation allocates more than its pinned bound"
@@ -149,13 +152,16 @@ kv-smoke:
 # fault-smoke drives both applications through a faulty run end to end:
 # the ext-fault sweep (invariant checkers run inside, and the harness
 # test asserts every cell is "ok"), plus one CLI run per app under a
-# plan with drop, duplication, jitter, and a mid-run crash window — a
-# nonzero exit means an invariant was violated or a run hung.
+# plan with drop, duplication, jitter, and a mid-run crash window, and
+# one countnet run under object migration, whose pooled fetches, moves
+# and forwarded legs then cross the reliability layer — a nonzero exit
+# means an invariant was violated or a run hung.
 fault-smoke:
 	$(GO) run ./cmd/paperfigs -exp ext-fault -quick -workers 4 > /dev/null
 	$(GO) test ./internal/harness/ -run TestFaultSweepInvariantsHold -count=1
 	$(GO) run ./cmd/countnet -scheme cm -faults 'drop=0.03,dup=0.01,delay=0:40,crash=p3@30000+10000,seed=7' -measure 100000 > /dev/null
 	$(GO) run ./cmd/btree -scheme rpc -faults 'drop=0.03,dup=0.01,delay=0:40,crash=p5@30000+10000,seed=7' -measure 100000 > /dev/null
+	$(GO) run ./cmd/countnet -scheme om -faults 'drop=0.03,dup=0.01,delay=0:40,seed=7' -measure 100000 > /dev/null
 	@echo "fault-smoke: both applications recovered with invariants intact"
 
 # recovery-smoke drives the durability tentpole end to end: the

@@ -19,6 +19,15 @@
 // "(was N)": a changed count means the simulated behavior changed.
 // Reports written before counters existed load too; their entries
 // simply have none.
+//
+// The allocation delta of an entry run with more than one worker is
+// marked approximate ("~"). Simulated threads run on pooled host
+// coroutines (sim's carriers), and concurrent harness workers that
+// find the shared idle-carrier pool empty at the same moment each make
+// a new one, so how many carriers such a run creates, at about 14 heap
+// objects apiece, depends on host scheduling: ext-kv at workers=4 reads
+// 650k to 700k allocations from one build, while its workers=1 count
+// is exact. Compare allocations at workers=1.
 package main
 
 import (
@@ -84,9 +93,12 @@ func main() {
 		matched++
 		delete(oldBy, k)
 		wallPct := pctDelta(o.WallMS, n.WallMS)
-		allocPct := pctDelta(float64(o.Allocs), float64(n.Allocs))
-		fmt.Printf("%-12s %3d %3d  %10.1f %10.1f %+7.1f%%  %12d %+7.1f%%\n",
-			n.Experiment, n.Workers, n.Shards, o.WallMS, n.WallMS, wallPct, n.Allocs, allocPct)
+		allocs := fmt.Sprintf("%+.1f%%", pctDelta(float64(o.Allocs), float64(n.Allocs)))
+		if n.Workers > 1 {
+			allocs = "~" + allocs
+		}
+		fmt.Printf("%-12s %3d %3d  %10.1f %10.1f %+7.1f%%  %12d %8s\n",
+			n.Experiment, n.Workers, n.Shards, o.WallMS, n.WallMS, wallPct, n.Allocs, allocs)
 		printCounters(o, n)
 		if *threshold > 0 && o.WallMS >= gateFloorMS && wallPct > *threshold {
 			fmt.Fprintf(os.Stderr, "benchdiff: %s workers=%d shards=%d wall clock regressed %.1f%% (limit %.1f%%)\n",

@@ -52,6 +52,18 @@ const legacyReport = `{"quick":true,"experiments":[
   "checkpoint_bytes":4000,"replay_events":39,"recovery_cycles":88000,"tables":1}
 ]}`
 
+// parallelOld and parallelNew hold one experiment at workers=1 and 4
+// whose allocations both rose 10%.
+const parallelOld = `{"quick":true,"experiments":[
+ {"experiment":"ext-kv","workers":1,"shards":0,"wall_ms":100,"allocs":1000},
+ {"experiment":"ext-kv","workers":4,"shards":0,"wall_ms":100,"allocs":1000}
+]}`
+
+const parallelNew = `{"quick":true,"experiments":[
+ {"experiment":"ext-kv","workers":1,"shards":0,"wall_ms":100,"allocs":1100},
+ {"experiment":"ext-kv","workers":4,"shards":0,"wall_ms":100,"allocs":1100}
+]}`
+
 const regressedReport = `{"quick":true,"experiments":[
  {"experiment":"fig1","workers":1,"shards":0,"wall_ms":200,"allocs":1000}
 ]}`
@@ -73,6 +85,8 @@ func TestDriverExitCodes(t *testing.T) {
 	regPath := writeReport(t, dir, "reg.json", regressedReport)
 	badPath := writeReport(t, dir, "bad.json", "{not json")
 	emptyPath := writeReport(t, dir, "empty.json", `{"experiments":[]}`)
+	parOldPath := writeReport(t, dir, "par-old.json", parallelOld)
+	parNewPath := writeReport(t, dir, "par-new.json", parallelNew)
 	otherPath := writeReport(t, dir, "other.json",
 		`{"experiments":[{"experiment":"table9","workers":1,"shards":0,"wall_ms":1}]}`)
 
@@ -89,6 +103,11 @@ func TestDriverExitCodes(t *testing.T) {
 			[]string{"store.wal_appends=5200"}},
 		{"legacy report loads", []string{legacyPath, newPath}, 0,
 			[]string{"ext-recovery   1   0       190.0      210.0", "store.wal_appends=5200", "fig1"}},
+		// Only the workers=4 allocation delta is approximate: its
+		// count depends on how many carriers concurrent workers made.
+		{"parallel allocs approximate", []string{parOldPath, parNewPath}, 0,
+			[]string{"ext-kv         1   0       100.0      100.0    +0.0%          1100   +10.0%",
+				"ext-kv         4   0       100.0      100.0    +0.0%          1100  ~+10.0%"}},
 		{"threshold trips", []string{"-threshold", "10", oldPath, regPath}, 1, []string{"regressed"}},
 		{"threshold passes", []string{"-threshold", "10", oldPath, newPath}, 0, nil},
 		{"missing args", nil, 2, []string{"usage"}},

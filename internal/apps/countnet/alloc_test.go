@@ -5,6 +5,7 @@ import (
 
 	"compmig/internal/core"
 	"compmig/internal/fault"
+	"compmig/internal/gid"
 	"compmig/internal/machine"
 	"compmig/internal/sim"
 )
@@ -14,7 +15,12 @@ import (
 // RunExperiment. A record, activation or task that starts escaping to
 // the heap per operation fails the pin. faults, when not empty, is a
 // fault plan (fault.ParseSpec) the run is placed under.
-
+//
+// Under object migration a lone requester would pull each object home
+// once and find it local ever after, so a rival requester on processor
+// 25 takes every wire right after it and pulls the objects back; an
+// operation is then the pair of traversals, and the pin fails unless
+// every traversal pulls an object.
 func traverseAllocs(t *testing.T, mech core.Mechanism, faults string) float64 {
 	t.Helper()
 	scheme := core.Scheme{Mechanism: mech}
@@ -26,14 +32,29 @@ func traverseAllocs(t *testing.T, mech core.Mechanism, faults string) float64 {
 		}
 		cfg.Faults = spec
 	}
-	m := machine.New("countnet", cfg, 25)
+	procs := []int{24}
+	if mech == core.ObjMigrate {
+		procs = append(procs, 25)
+	}
+	m := machine.New("countnet", cfg, 24+len(procs))
 	n := Build(m.RT, m.Mem, scheme, 8)
+	pulls := &pullCounter{n: make([]int, 24+len(procs))}
+	m.RT.Obs = pulls
 	var allocs float64
 	m.Mach.Proc(24).Spawn("requester", 0, func(th *sim.Thread) {
-		task := m.RT.NewTask(th, 24)
+		var tasks []*core.Task
+		for _, p := range procs {
+			tasks = append(tasks, m.RT.NewTask(th, p))
+		}
 		wire := 0
 		op := func() {
-			n.Traverse(task, wire)
+			for _, task := range tasks {
+				before := pulls.n[task.Proc()]
+				n.Traverse(task, wire)
+				if mech == core.ObjMigrate && pulls.n[task.Proc()] == before {
+					t.Errorf("a traversal from processor %d pulled no object", task.Proc())
+				}
+			}
 			wire = (wire + 3) % 8
 		}
 		for i := 0; i < 32; i++ {
@@ -48,9 +69,16 @@ func traverseAllocs(t *testing.T, mech core.Mechanism, faults string) float64 {
 	if faults != "" {
 		label += " under " + faults
 	}
-	t.Logf("%s: %v allocations per traversal", label, allocs)
+	t.Logf("%s: %v allocations per operation", label, allocs)
 	return allocs
 }
+
+// pullCounter counts the accesses that complete, by the processor they
+// complete on: under object migration, each processor's pulls.
+type pullCounter struct{ n []int }
+
+func (c *pullCounter) Access(origin int, _ gid.GID) { c.n[origin]++ }
+func (c *pullCounter) MigrateHop(int, gid.GID, int) {}
 
 func TestTraverseAllocsSM(t *testing.T) {
 	// Shared memory walks the network in place: nothing per operation.
@@ -80,6 +108,14 @@ func TestTraverseAllocsRPC(t *testing.T) {
 // and suppressed duplicates, each in a pooled in-flight record.
 const faultPlan = "drop=0.02,dup=0.01"
 
+func TestTraverseAllocsOM(t *testing.T) {
+	// The fetches, moves and forwarded legs travel in pooled messages
+	// through pooled records: nothing per pair of traversals.
+	if n := traverseAllocs(t, core.ObjMigrate, ""); n > 0 {
+		t.Errorf("OM traversal pair allocates %v objects, want at most 0", n)
+	}
+}
+
 func TestFaultedTraverseAllocsCM(t *testing.T) {
 	if n := traverseAllocs(t, core.Migrate, faultPlan); n > 0 {
 		t.Errorf("faulted CM traversal allocates %v objects, want at most 0", n)
@@ -89,5 +125,11 @@ func TestFaultedTraverseAllocsCM(t *testing.T) {
 func TestFaultedTraverseAllocsRPC(t *testing.T) {
 	if n := traverseAllocs(t, core.RPC, faultPlan); n > 0 {
 		t.Errorf("faulted RPC traversal allocates %v objects, want at most 0", n)
+	}
+}
+
+func TestFaultedTraverseAllocsOM(t *testing.T) {
+	if n := traverseAllocs(t, core.ObjMigrate, faultPlan); n > 0 {
+		t.Errorf("faulted OM traversal pair allocates %v objects, want at most 0", n)
 	}
 }

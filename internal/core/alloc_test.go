@@ -6,6 +6,7 @@ import (
 	"compmig/internal/cost"
 	"compmig/internal/gid"
 	"compmig/internal/msg"
+	"compmig/internal/network"
 	"compmig/internal/sim"
 )
 
@@ -97,5 +98,70 @@ func TestLocalCallAllocs(t *testing.T) {
 	})
 	if n != 0 {
 		t.Errorf("local Call allocates %v objects, want 0", n)
+	}
+}
+
+// watchPins wraps rt's fetch delivery to count the fetches that reach
+// the object's home while it is pinned there, so will wait out the pin,
+// and of those the ones whose object is still in flight (pinInFlight).
+// Forwarded legs are delivered through the wrapper too. It binds the
+// object-migration callbacks itself, before the first pull would.
+func watchPins(rt *Runtime) (waits, inFlight *int) {
+	waits, inFlight = new(int), new(int)
+	deliver := rt.deliverFetch
+	rt.onObject = rt.deliverObject
+	rt.onFetch = func(m *network.Message) {
+		var r msg.Reader
+		r.Reset(m.Payload)
+		g := gid.GID(r.U64())
+		if rt.Objects.Home(g) == m.Dst {
+			if until, ok := rt.pins[g]; ok && until > rt.Eng.Now() {
+				*waits++
+				if until == pinInFlight {
+					*inFlight++
+				}
+			}
+		}
+		deliver(m)
+	}
+	return waits, inFlight
+}
+
+// A contended pull: processors 1 and 0 take turns pulling cells[2], so
+// each pull leaves from a processor whose location hint is stale (it
+// names the puller itself), is forwarded once to the object's holder,
+// and finds the object still pinned there from the pull before.
+func TestPullObjectAllocs(t *testing.T) {
+	r := newRig(t, 3, cost.Software())
+	r.rt.PinCycles = 2000 // longer than a forwarded fetch takes to land
+	waits, _ := watchPins(r.rt)
+	g := r.cells[2]
+	var n float64
+	r.eng.Spawn("req", 0, func(th *sim.Thread) {
+		t0, t1 := r.rt.NewTask(th, 0), r.rt.NewTask(th, 1)
+		op := func() {
+			for _, task := range []*Task{t1, t0} {
+				if err := task.PullObject(g, 16); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		for i := 0; i < 10; i++ {
+			op() // fill the pools and the location hints
+		}
+		before, waited := r.col.Forwards, *waits
+		n = testing.AllocsPerRun(100, op)
+		pulls := 2 * 101 // AllocsPerRun adds one warm-up run
+		if got := r.col.Forwards - before; got != uint64(pulls) {
+			t.Errorf("%d of %d pulls forwarded, want every one once", got, pulls)
+		}
+		if got := *waits - waited; got != pulls {
+			t.Errorf("%d of %d pulls waited out a pin, want every one", got, pulls)
+		}
+	})
+	r.run(t)
+	t.Logf("%v allocations per pair of pulls", n)
+	if n > 0 {
+		t.Errorf("two contended pulls allocate %v objects, want 0", n)
 	}
 }

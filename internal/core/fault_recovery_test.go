@@ -119,29 +119,68 @@ func TestRecoveryConvergesToFaultFreeOutcome(t *testing.T) {
 
 // Under 100% drop every remote protocol must end in a typed give-up
 // error after its bounded attempt budget — and the event loop must
-// drain, not hang.
+// drain, not hang. A message forwarded from a stale location is a new
+// leg on the wire: the forwarded cases move the object to processor 2
+// first, then lose every transmission of the leg processor 1 forwards,
+// and the origin's operation must fail the same way.
 func TestTimeoutStormEndsInGiveUp(t *testing.T) {
+	// moveAway pulls cells[1] to processor 2, so a request processor 0
+	// addresses to the object's birth home is forwarded.
+	moveAway := func(t *testing.T, r *rig, task *Task) {
+		away := r.rt.NewTask(task.Thread(), 2)
+		if err := away.PullObject(r.cells[1], 16); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name string
-		op   func(*testing.T, *rig, *Task) error
+		// forwarded names the message kind whose forward leg is lost
+		// (its transmissions 2 on); empty means every message is lost.
+		forwarded string
+		op        func(*testing.T, *rig, *Task) error
 	}{
-		{"rpc", func(t *testing.T, r *rig, task *Task) error {
+		{"rpc", "", func(t *testing.T, r *rig, task *Task) error {
 			var rep cellReply
 			return task.Call(r.cells[1], r.mGet, nil, &rep)
 		}},
-		{"migrate", func(t *testing.T, r *rig, task *Task) error {
+		{"migrate", "", func(t *testing.T, r *rig, task *Task) error {
 			// Walk's computation-migration case, which returns the error
 			// Walk panics with.
 			return task.do(r.cSum, r.record(task, r.cells[1:2], nil))
 		}},
-		{"object pull", func(t *testing.T, r *rig, task *Task) error {
+		{"object pull", "", func(t *testing.T, r *rig, task *Task) error {
+			return task.PullObject(r.cells[1], 16)
+		}},
+		{"forwarded rpc", "rpc", func(t *testing.T, r *rig, task *Task) error {
+			moveAway(t, r, task)
+			var rep cellReply
+			return task.Call(r.cells[1], r.mGet, nil, &rep)
+		}},
+		{"forwarded pull", "obj-fetch", func(t *testing.T, r *rig, task *Task) error {
+			moveAway(t, r, task) // the first obj-fetch
 			return task.PullObject(r.cells[1], 16)
 		}},
 	}
+	const attempts = 3
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r := newRig(t, 2, cost.Software())
-			inj := fault.NewInjector(&fault.Spec{Drop: 1, RTO: 100, RTOMax: 200, MaxAttempts: 3})
+			r := newRig(t, 3, cost.Software())
+			spec := &fault.Spec{Drop: 1, RTO: 100, RTOMax: 200, MaxAttempts: attempts}
+			if c.forwarded != "" {
+				spec.Drop = 0
+			}
+			inj := fault.NewInjector(spec)
+			if c.forwarded != "" {
+				// Transmission 1 of the kind is the leg to the stale home
+				// (after moveAway's own fetch, for a pull).
+				first := 2
+				if c.forwarded == "obj-fetch" {
+					first = 3
+				}
+				for n := first; n < first+attempts; n++ {
+					inj.ScriptDrop(c.forwarded, n)
+				}
+			}
 			r.rt.Net.AttachFaults(inj)
 
 			var err error
@@ -154,8 +193,11 @@ func TestTimeoutStormEndsInGiveUp(t *testing.T) {
 			if !errors.As(err, &gu) {
 				t.Fatalf("error = %v (%T), want *fault.GiveUpError", err, err)
 			}
-			if gu.Attempts != 3 {
-				t.Errorf("gave up after %d attempts, want 3", gu.Attempts)
+			if gu.Attempts != attempts {
+				t.Errorf("gave up after %d attempts, want %d", gu.Attempts, attempts)
+			}
+			if c.forwarded != "" && (gu.Kind != c.forwarded || gu.Src != 1 || gu.Dst != 2) {
+				t.Errorf("gave up on %s p%d->p%d, want the forwarded %s p1->p2", gu.Kind, gu.Src, gu.Dst, c.forwarded)
 			}
 			if inj.Counters.GiveUps != 1 {
 				t.Errorf("counters = %+v", inj.Counters)

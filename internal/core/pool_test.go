@@ -62,18 +62,26 @@ func TestRecycledPayloadsSurviveBlockedReceivers(t *testing.T) {
 		reply.PutU64(last)
 		reply.PutBool(padOK && args.Err() == nil)
 	})
-	// The mover keeps cells[3] travelling, so callers' location hints go
-	// stale and their requests are forwarded.
+	// Two movers keep cells[3] travelling, so callers' location hints go
+	// stale and their requests are forwarded. They pull at the same
+	// cycles from different processors: one's fetch finds the object
+	// gone to the other, follows it, and polls its in-flight pin there,
+	// holding its fetch message while calls recycle the same pool.
 	moving := r.cells[3]
-	r.eng.Spawn("mover", 0, func(th *sim.Thread) {
-		for i := 0; i < 6; i++ {
-			th.Sleep(3000)
-			task := r.rt.NewTask(th, 1+i%2)
-			if err := task.PullObject(moving, 8); err != nil {
-				t.Error(err)
+	waits, inFlight := watchPins(r.rt)
+	last := moving.Home()
+	for _, procs := range [][]int{{1, 2}, {0}} {
+		r.eng.Spawn("mover", 0, func(th *sim.Thread) {
+			for i := 0; i < 6; i++ {
+				th.Sleep(3000)
+				proc := procs[i%len(procs)]
+				if err := r.rt.NewTask(th, proc).PullObject(moving, 8); err != nil {
+					t.Error(err)
+				}
+				last = proc
 			}
-		}
-	})
+		})
+	}
 	for c := 0; c < callers; c++ {
 		proc := c % nprocs
 		r.eng.Spawn("caller", 0, func(th *sim.Thread) {
@@ -106,6 +114,13 @@ func TestRecycledPayloadsSurviveBlockedReceivers(t *testing.T) {
 		})
 	}
 	r.run(t)
+	t.Logf("%d forwards, %d pin waits, %d for an object in flight", r.col.Forwards, *waits, *inFlight)
+	if home := r.rt.Objects.Home(moving); home != last {
+		t.Errorf("cells[3] ended on processor %d, but its last pull was to %d", home, last)
+	}
+	if *waits == 0 || *inFlight == 0 {
+		t.Errorf("%d fetches waited out a pin, %d of them for an object in flight; want both > 0", *waits, *inFlight)
+	}
 	if r.col.Forwards == 0 {
 		t.Error("no request was forwarded from a stale location")
 	}

@@ -95,11 +95,11 @@ func (rt *Runtime) deliverRPC(m *network.Message) {
 	r.Reset(m.Payload)
 	method := MethodID(r.U32())
 	g := gid.GID(r.U64())
+	callerProc, replyID := unpackLinkage(r.U32())
 	if actual := rt.Objects.Home(g); actual != m.Dst {
-		rt.forward(m, actual, rt.onRPC)
+		rt.forward(m, actual, rt.onRPC, callerProc, replyID)
 		return
 	}
-	callerProc, replyID := unpackLinkage(r.U32())
 	ent := &rt.methods[method]
 
 	ls := rt.laneAt(m.Dst)

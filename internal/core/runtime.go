@@ -181,8 +181,11 @@ type Runtime struct {
 	lanes []laneState
 
 	// The message-path delivery callbacks and the give-up callback,
-	// bound once so a send allocates no method value or closure.
+	// bound once so a send allocates no method value or closure. The
+	// object-migration pair is bound at the runtime's first pull, so a
+	// run that never pulls an object does not allocate it.
 	onRPC, onMigrate, onReply func(*network.Message)
+	onFetch, onObject         func(*network.Message)
 	onGiveUp                  func(tok uint64, err *fault.GiveUpError)
 }
 

@@ -29,10 +29,13 @@ type laneState struct {
 	freeIDs []uint32
 	slots   []*replySlot // settled slots whose waiter has read them
 
-	rpcs []*rpcArrival
-	migs []*migArrival
-	rets []*replyArrival
-	msgs []*network.Message // consumed wire messages, payload arrays kept
+	rpcs    []*rpcArrival
+	migs    []*migArrival
+	rets    []*replyArrival
+	fetches []*fetchArrival
+	moves   []*moveArrival
+	fwds    []*forwarding
+	msgs    []*network.Message // consumed wire messages, payload arrays kept
 
 	acts    []*Task    // idle activations for Walk
 	records [][]Walker // idle operation records, by walker type

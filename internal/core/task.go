@@ -149,7 +149,9 @@ func (rt *Runtime) deliverMigrate(m *network.Message) {
 	var r msg.Reader
 	r.Reset(m.Payload)
 	if actual := rt.Objects.Home(gid.GID(r.U64())); actual != m.Dst {
-		rt.forward(m, actual, rt.onMigrate)
+		r.U32() // walker type
+		proc, id := unpackLinkage(r.U32())
+		rt.forward(m, actual, rt.onMigrate, proc, id)
 		return
 	}
 	ls := rt.laneAt(m.Dst)

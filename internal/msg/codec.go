@@ -16,9 +16,6 @@ type Writer struct {
 	words []uint32
 }
 
-// NewWriter returns a Writer with capacity for n words.
-func NewWriter(n int) *Writer { return &Writer{words: make([]uint32, 0, n)} }
-
 // PutU32 appends one word.
 func (w *Writer) PutU32(v uint32) { w.words = append(w.words, v) }
 
@@ -40,10 +37,6 @@ func (w *Writer) PutBool(v bool) {
 		w.PutU32(0)
 	}
 }
-
-// PutRaw appends words verbatim, with no length prefix. Callers use it to
-// splice an already-encoded record into a larger payload.
-func (w *Writer) PutRaw(vs []uint32) { w.words = append(w.words, vs...) }
 
 // PutU32s appends a length-prefixed vector of words.
 func (w *Writer) PutU32s(vs []uint32) {
@@ -70,9 +63,6 @@ type Reader struct {
 	pos   int
 	err   error
 }
-
-// NewReader returns a Reader over the payload.
-func NewReader(words []uint32) *Reader { return &Reader{words: words} }
 
 // Reset points the Reader at a new payload: it rewinds to the first
 // word and clears any sticky error.

@@ -6,14 +6,14 @@ import (
 )
 
 func TestRoundTripScalars(t *testing.T) {
-	w := NewWriter(8)
+	w := new(Writer)
 	w.PutU32(0xdeadbeef)
 	w.PutU64(0x0123456789abcdef)
 	w.PutI64(-42)
 	w.PutBool(true)
 	w.PutBool(false)
 
-	r := NewReader(w.Words())
+	r := newReader(w.Words())
 	if got := r.U32(); got != 0xdeadbeef {
 		t.Errorf("u32 = %x", got)
 	}
@@ -32,11 +32,11 @@ func TestRoundTripScalars(t *testing.T) {
 }
 
 func TestRoundTripVector(t *testing.T) {
-	w := NewWriter(8)
+	w := new(Writer)
 	w.PutU32s([]uint32{1, 2, 3})
 	w.PutU32s(nil)
 	w.PutU32(7)
-	r := NewReader(w.Words())
+	r := newReader(w.Words())
 	v := r.U32s()
 	if len(v) != 3 || v[0] != 1 || v[2] != 3 {
 		t.Errorf("vector = %v", v)
@@ -50,7 +50,7 @@ func TestRoundTripVector(t *testing.T) {
 }
 
 func TestShortPayloadSticky(t *testing.T) {
-	r := NewReader([]uint32{5})
+	r := newReader([]uint32{5})
 	_ = r.U64() // needs 2 words
 	if r.Err() != ErrShortPayload {
 		t.Fatalf("err = %v", r.Err())
@@ -61,7 +61,7 @@ func TestShortPayloadSticky(t *testing.T) {
 }
 
 func TestVectorLengthOverrun(t *testing.T) {
-	r := NewReader([]uint32{10, 1, 2}) // claims 10 elements, has 2
+	r := newReader([]uint32{10, 1, 2}) // claims 10 elements, has 2
 	if v := r.U32s(); v != nil {
 		t.Errorf("overrun vector = %v", v)
 	}
@@ -88,7 +88,7 @@ func (p *pair) UnmarshalWords(r *Reader) error {
 
 // encode marshals m into a fresh word slice.
 func encode(m Marshaler) []uint32 {
-	w := NewWriter(8)
+	w := new(Writer)
 	m.MarshalWords(w)
 	return w.Words()
 }
@@ -121,9 +121,9 @@ func TestDecodeRejectsTrailingWords(t *testing.T) {
 
 func TestPropertyU64RoundTrip(t *testing.T) {
 	if err := quick.Check(func(v uint64) bool {
-		w := NewWriter(2)
+		w := new(Writer)
 		w.PutU64(v)
-		return NewReader(w.Words()).U64() == v
+		return newReader(w.Words()).U64() == v
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +131,9 @@ func TestPropertyU64RoundTrip(t *testing.T) {
 
 func TestPropertyVectorRoundTrip(t *testing.T) {
 	if err := quick.Check(func(vs []uint32) bool {
-		w := NewWriter(len(vs) + 1)
+		w := new(Writer)
 		w.PutU32s(vs)
-		got := NewReader(w.Words()).U32s()
+		got := newReader(w.Words()).U32s()
 		if len(got) != len(vs) {
 			return false
 		}
@@ -150,16 +150,16 @@ func TestPropertyVectorRoundTrip(t *testing.T) {
 
 func TestPropertyI64RoundTrip(t *testing.T) {
 	if err := quick.Check(func(v int64) bool {
-		w := NewWriter(2)
+		w := new(Writer)
 		w.PutI64(v)
-		return NewReader(w.Words()).I64() == v
+		return newReader(w.Words()).I64() == v
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReaderResetRewindsAndClearsError(t *testing.T) {
-	r := NewReader([]uint32{5})
+	r := newReader([]uint32{5})
 	_ = r.U64() // runs short: sets the sticky error
 	if r.Err() != ErrShortPayload {
 		t.Fatalf("err = %v, want ErrShortPayload", r.Err())
@@ -200,7 +200,7 @@ func TestReaderDecodeReusesReader(t *testing.T) {
 }
 
 func TestWriterResetKeepsBuffer(t *testing.T) {
-	w := NewWriter(2)
+	w := new(Writer)
 	w.PutU64(1)
 	w.PutU32(2)
 	grown := cap(w.Words())
@@ -223,3 +223,10 @@ func TestWriterResetKeepsBuffer(t *testing.T) {
 type u64Rec struct{ v uint64 }
 
 func (u *u64Rec) UnmarshalWords(r *Reader) error { u.v = r.U64(); return r.Err() }
+
+// newReader returns a Reader over words.
+func newReader(words []uint32) *Reader {
+	r := new(Reader)
+	r.Reset(words)
+	return r
+}

@@ -16,7 +16,7 @@ func FuzzReaderNeverPanics(f *testing.F) {
 			words[i] = uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 |
 				uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24
 		}
-		r := NewReader(words)
+		r := newReader(words)
 		// Exercise every accessor in a fixed pattern; none may panic.
 		_ = r.U32()
 		_ = r.U64()
@@ -40,12 +40,12 @@ func FuzzWriterReaderRoundTrip(f *testing.F) {
 		for i, v := range vecRaw {
 			vec[i] = uint32(v) * 0x01010101
 		}
-		w := NewWriter(4 + len(vec))
+		w := new(Writer)
 		w.PutU32(a)
 		w.PutU64(b)
 		w.PutBool(c)
 		w.PutU32s(vec)
-		r := NewReader(w.Words())
+		r := newReader(w.Words())
 		if r.U32() != a || r.U64() != b || r.Bool() != c {
 			t.Fatal("scalar round trip failed")
 		}

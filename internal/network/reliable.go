@@ -235,7 +235,7 @@ func (p *relPending) onTimeout() {
 		err := &fault.GiveUpError{Kind: p.kind, Src: p.src, Dst: p.dst, Attempts: p.attempts}
 		if p.onGiveUp == nil {
 			// Protocol traffic with no recovery slot (coherence,
-			// forwarding). At sane fault rates the attempt budget makes
+			// replica updates). At sane fault rates the attempt budget makes
 			// this astronomically unlikely; a silent drop would deadlock
 			// the event loop, so fail loudly instead.
 			panic("network: unrecoverable message loss: " + err.Error())
