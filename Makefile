@@ -62,13 +62,15 @@ ab-identity:
 # shard-identity pins the sharded event engine's determinism contract:
 # clustered runs render byte-identical output at every shard count (the
 # engine-level synthetic workload, the countnet application, and the
-# harness-rendered tables) and process the same number of events, and
-# the parallel lane drivers are race-clean.
+# harness-rendered tables) and process the same number of events, the
+# network routes same-lane and cross-lane sends on a two-lane machine,
+# and the parallel lane drivers and the shared carrier pool are
+# race-clean.
 shard-identity:
-	$(GO) test ./internal/sim/ -run 'Cluster|CrossSend' -count=1
+	$(GO) test ./internal/sim/ ./internal/network/ -run 'Cluster|CrossSend' -count=1
 	$(GO) test ./internal/apps/countnet/ -run TestCluster -count=1
 	$(GO) test ./internal/harness/ -run 'TestShardCountIdentity|TestShardScaleIdentity|TestShardScaleEventCount' -count=1
-	GOMAXPROCS=4 $(GO) test -race ./internal/sim/ ./internal/apps/countnet/ -run 'Cluster|Shard' -count=1
+	GOMAXPROCS=4 $(GO) test -race ./internal/sim/ ./internal/network/ ./internal/apps/countnet/ -run 'Cluster|Shard|Carrier' -count=1
 	@echo "shard-identity: rendered output is byte-identical at every shard count"
 
 # engine-order pins the serial event queue, a heap of sorted runs: the

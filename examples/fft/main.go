@@ -86,7 +86,7 @@ func dft(in []complex128) []complex128 {
 // result in natural order plus the simulation's cost readings.
 func transposeFFT(input []complex128, mechanism string) ([]complex128, sim.Time, uint64, uint64) {
 	m := machine.New("fft", machine.Config{Seed: 1}, p)
-	net, col := m.RT.Net, m.RT.Col
+	net, col := m.RT.Net, m.Col(0)
 
 	// cols[j] lives on processor j: column j of the p×p matrix, x[i*p+j].
 	cols := make([][]complex128, p)

@@ -174,7 +174,7 @@ var chargingSinks = map[funcKey]bool{
 }
 
 // sendSinks are the message-send primitives audited by cyclecharge.
-// Cluster.CrossSend is the sharded engine's inter-lane channel: it
+// Engine.CrossSend is the sharded engine's inter-lane channel: it
 // bypasses the network package's Send wrappers, so a cycle-charged
 // package reaching it directly must price the send itself.
 var sendSinks = map[funcKey]bool{

@@ -45,13 +45,13 @@ func GoodIndirect(n *network.Network, th *sim.Thread, p *sim.Proc, m *network.Me
 // BadFreeCross reaches the sharded engine's inter-lane channel without a
 // charge: CrossSend bypasses the network package's priced wrappers, so a
 // direct call is a free message like any other.
-func BadFreeCross(cl *sim.Cluster, eng *sim.Engine, dst int) {
-	cl.CrossSend(eng, 40, dst, func() {}) // want `sends a message via compmig/internal/sim.CrossSend without charging cycles`
+func BadFreeCross(eng *sim.Engine, dst int) {
+	eng.CrossSend(40, dst, func() {}) // want `sends a message via compmig/internal/sim.CrossSend without charging cycles`
 }
 
 // GoodChargedCross prices the software send path before crossing lanes.
-func GoodChargedCross(cl *sim.Cluster, eng *sim.Engine, th *sim.Thread, p *sim.Proc, dst int) {
+func GoodChargedCross(eng *sim.Engine, th *sim.Thread, p *sim.Proc, dst int) {
 	model := cost.Software()
 	th.Exec(p, model.SendLinkage+model.MessageSend)
-	cl.CrossSend(eng, 40, dst, func() {})
+	eng.CrossSend(40, dst, func() {})
 }

@@ -24,8 +24,8 @@ func buildEnv(t *testing.T, scheme core.Scheme, threads int) *testEnv {
 	model := scheme.Model()
 	mach := sim.NewMachine(eng, 24+threads)
 	col := stats.NewCollector()
-	nw := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, nw, col, model)
+	nw := network.New(mach, network.Crossbar{}, []*stats.Collector{col}, model.NetTransitBase, model.NetTransitPerHop)
+	rt := core.New(mach, nw, []*stats.Collector{col}, model)
 	var shm *mem.System
 	if scheme.Mechanism == core.SharedMem {
 		shm = mem.New(eng, mach, nw, col, mem.DefaultParams())

@@ -74,7 +74,7 @@ func (a *rpcArrival) put() {
 // short and long methods run on a simulated thread so handlers can
 // block on locks or charge work; the cost difference (thread creation)
 // was charged by chargeRecvTo. Spawning via the destination processor
-// keeps the handler on that processor's shard lane.
+// keeps the handler on that processor's lane.
 func (a *rpcArrival) start() { a.dst.Spawn(a.ent.thread, 0, a.body) }
 
 // run is the handler thread: it runs the method against the object's

@@ -122,8 +122,8 @@ func newRig(t *testing.T, nprocs int, model cost.Model) *rig {
 	eng := sim.NewEngine(11)
 	m := sim.NewMachine(eng, nprocs)
 	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := New(eng, m, net, col, model)
+	net := network.New(m, network.Crossbar{}, []*stats.Collector{col}, model.NetTransitBase, model.NetTransitPerHop)
+	rt := New(m, net, []*stats.Collector{col}, model)
 	r := &rig{eng: eng, m: m, col: col, rt: rt}
 
 	r.mGet = rt.RegisterMethod("cell.get", false, func(t *Task, self any, _ *msg.Reader, reply *msg.Writer) {

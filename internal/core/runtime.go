@@ -142,10 +142,9 @@ type ContID uint32
 // Runtime wires the simulated machine, network, cost model, and object
 // space into the Prelude-like runtime system.
 type Runtime struct {
-	Eng     *sim.Engine
+	Eng     *sim.Engine // the machine's lane 0
 	Mach    *sim.Machine
 	Net     *network.Network
-	Col     *stats.Collector
 	Model   cost.Model
 	Objects *object.Space
 
@@ -174,10 +173,10 @@ type Runtime struct {
 	// WAL, set on a durable run, receives the records Task.Log writes.
 	WAL *store.Store
 
-	// lanes holds each lane's private slice of runtime state (see
-	// shard.go): one lane on a serial runtime, one per shard after Shard,
-	// which also sets the lane cluster cl.
-	cl    *sim.Cluster
+	// lanes holds each machine lane's private slice of runtime state
+	// (see lane.go). The object space, method and walker tables and
+	// location hints stay shared: the tables are immutable after setup
+	// and each processor's hints are touched only by its own stream.
 	lanes []laneState
 
 	// The message-path delivery callbacks and the give-up callback,
@@ -189,17 +188,24 @@ type Runtime struct {
 	onGiveUp                  func(tok uint64, err *fault.GiveUpError)
 }
 
-// New creates a runtime over an existing machine and network.
-func New(eng *sim.Engine, mach *sim.Machine, net *network.Network, col *stats.Collector, model cost.Model) *Runtime {
+// New creates a runtime over an existing machine and network, charging
+// into cols, one collector per lane of mach.
+func New(mach *sim.Machine, net *network.Network, cols []*stats.Collector, model cost.Model) *Runtime {
+	if len(cols) != mach.Lanes() {
+		panic(fmt.Sprintf("core: %d lane collectors for %d lanes", len(cols), mach.Lanes()))
+	}
 	rt := &Runtime{
-		Eng: eng, Mach: mach, Net: net, Col: col, Model: model,
+		Eng: mach.Lane(0), Mach: mach, Net: net, Model: model,
 		Objects:   object.NewSpace(mach.N()),
 		methodID:  make(map[string]MethodID),
 		contID:    make(map[string]ContID),
 		locHints:  make([]map[gid.GID]int, mach.N()),
 		pins:      make(map[gid.GID]sim.Time),
 		PinCycles: 200,
-		lanes:     []laneState{newLane(col)},
+		lanes:     make([]laneState, len(cols)),
+	}
+	for i, col := range cols {
+		rt.lanes[i].col = col
 	}
 	rt.onRPC, rt.onMigrate, rt.onReply = rt.deliverRPC, rt.deliverMigrate, rt.deliverReply
 	rt.onGiveUp = rt.failReply
@@ -388,7 +394,7 @@ func (rt *Runtime) WipeVolatile(proc int) int {
 
 // chargeSendTo accounts the client-stub send path for a payload of
 // words 32-bit words on collector col — the sending processor's (see
-// colAt) — and returns its total cycle cost.
+// ColAt) — and returns its total cycle cost.
 func (rt *Runtime) chargeSendTo(col *stats.Collector, words uint64) uint64 {
 	m := rt.Model
 	col.AddCycles(stats.CatSendLinkage, m.SendLinkage)
@@ -419,14 +425,17 @@ func (rt *Runtime) chargeRecvTo(col *stats.Collector, words uint64, short bool) 
 	return total
 }
 
-// ChargeSendPath exposes the client-stub send-path accounting to sibling
-// runtime layers (the replication package prices its update broadcasts
-// through the same model).
-func (rt *Runtime) ChargeSendPath(words uint64) uint64 { return rt.chargeSendTo(rt.Col, words) }
+// ChargeSendPath exposes the client-stub send-path accounting of
+// processor proc to sibling runtime layers (the replication package
+// prices its update broadcasts through the same model).
+func (rt *Runtime) ChargeSendPath(proc int, words uint64) uint64 {
+	return rt.chargeSendTo(rt.ColAt(proc), words)
+}
 
-// ChargeRecvReplyPath exposes the light receive-path accounting.
-func (rt *Runtime) ChargeRecvReplyPath(words uint64) uint64 {
-	return rt.chargeRecvReplyTo(rt.Col, words)
+// ChargeRecvReplyPath exposes the light receive-path accounting of
+// processor proc.
+func (rt *Runtime) ChargeRecvReplyPath(proc int, words uint64) uint64 {
+	return rt.chargeRecvReplyTo(rt.ColAt(proc), words)
 }
 
 // chargeRecvReplyTo accounts the client-stub path for an incoming reply

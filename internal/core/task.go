@@ -52,7 +52,7 @@ func (t *Task) Now() sim.Time { return t.th.Now() }
 // Work charges n cycles of application computation on the current
 // processor (Table 5 "User code").
 func (t *Task) Work(n uint64) {
-	t.rt.colAt(t.proc.ID()).AddCycles(stats.CatUserCode, n)
+	t.rt.ColAt(t.proc.ID()).AddCycles(stats.CatUserCode, n)
 	t.th.Exec(t.proc, n)
 }
 

@@ -95,8 +95,8 @@ func newChain(loop bool) *chain {
 	m := sim.NewMachine(eng, 4)
 	col := stats.NewCollector()
 	model := cost.Software()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	c := &chain{eng: eng, col: col, rt: New(eng, m, net, col, model)}
+	net := network.New(m, network.Crossbar{}, []*stats.Collector{col}, model.NetTransitBase, model.NetTransitPerHop)
+	c := &chain{eng: eng, col: col, rt: New(m, net, []*stats.Collector{col}, model)}
 	c.mRead = c.rt.RegisterMethod("link.read", true, func(t *Task, self any, _ *msg.Reader, reply *msg.Writer) {
 		l := self.(*link)
 		c.visited = append(c.visited, l.name)

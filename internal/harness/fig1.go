@@ -180,7 +180,7 @@ func fig1Messages(mech core.Mechanism, n, m int, seed uint64) uint64 {
 		}
 	}
 	w.visit(seq, 0)
-	return w.m.RT.Col.TotalMessages()
+	return w.m.Col(0).TotalMessages()
 }
 
 // chainCycles is the granularity ablation's measurement: the simulated

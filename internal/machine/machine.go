@@ -63,12 +63,14 @@ type Config struct {
 	// post-run checker can be shown to fire.
 	DropNthAppend uint64
 	DropNthReplay uint64
-	// Shards, when >= 1, runs the simulation on that many sharded event
-	// engines synchronized by conservative lookahead (see sim.Cluster).
-	// Output is byte-identical across shard counts, but not to the
-	// serial (Shards == 0) engine, whose event-ordering keys differ.
-	// Configurations the sharded engine does not support fall back to
-	// the serial engine with a notice (see ineligible).
+	// Shards, when >= 1, partitions the processors into that many lanes,
+	// each its own event engine, synchronized by conservative lookahead
+	// (see sim.Cluster); the serial engine (Shards == 0) is one lane.
+	// The network and runtime are built the same way for both and
+	// follow the machine's lanes. Output is byte-identical across shard
+	// counts, but not to the serial engine, whose event-ordering keys
+	// differ. Configurations the sharded engine does not support fall
+	// back to the serial engine with a notice (see ineligible).
 	Shards int
 }
 
@@ -141,9 +143,10 @@ type Machine struct {
 
 // New builds a machine of nprocs processors for the application name:
 // the engine, or the sharded cluster when cfg asks for shards and
-// qualifies; the processors and their speeds; the topology, network,
-// fault injector and its down windows; the message runtime; and the
-// shared-memory substrate when the scheme or a policy needs it.
+// qualifies; one collector per lane; the processors and their speeds;
+// the topology, network, fault injector and its down windows; the
+// message runtime; and the shared-memory substrate when the scheme or a
+// policy needs it.
 func New(name string, cfg Config, nprocs int) *Machine {
 	if err := CheckWindows(cfg.Faults, nprocs); err != nil {
 		panic(name + ": " + err.Error())
@@ -167,23 +170,28 @@ func New(name string, cfg Config, nprocs int) *Machine {
 		}
 	}
 
+	topo := topology(cfg.Mesh, nprocs)
+	perHop := m.model.NetTransitPerHop
+	if cfg.Mesh && perHop == 0 {
+		perHop = 2
+	}
 	if shards == 0 {
 		m.Eng = sim.NewEngine(cfg.Seed)
 		if cfg.TraceCap > 0 {
 			m.Tracer = m.Eng.EnableTrace(cfg.TraceCap)
 		}
 		m.Mach = sim.NewMachine(m.Eng, nprocs)
-		m.cols = []*stats.Collector{stats.NewCollector()}
 	} else {
-		// Measurements are kept in one collector per lane and merged
-		// after the run; Window sums them at its edges.
 		m.cl = sim.NewCluster(cfg.Seed, shards)
 		m.Eng = m.cl.Root()
 		m.Mach = m.cl.NewMachine(nprocs)
-		m.cols = make([]*stats.Collector, shards)
-		for i := range m.cols {
-			m.cols[i] = stats.NewCollector()
-		}
+		m.cl.SetLookahead(sim.Time(network.Lookahead(topo, m.cl.Groups(), m.model.NetTransitBase, perHop)))
+	}
+	// Measurements are kept in one collector per lane and merged after
+	// the run; Window sums them at its edges.
+	m.cols = make([]*stats.Collector, m.Mach.Lanes())
+	for i := range m.cols {
+		m.cols[i] = stats.NewCollector()
 	}
 	if cfg.Hetero.Enabled() {
 		for i, f := range cfg.Hetero.Factors(nprocs) {
@@ -191,16 +199,7 @@ func New(name string, cfg Config, nprocs int) *Machine {
 		}
 	}
 
-	topo := topology(cfg.Mesh, nprocs)
-	perHop := m.model.NetTransitPerHop
-	if cfg.Mesh && perHop == 0 {
-		perHop = 2
-	}
-	net := network.New(m.Eng, topo, m.cols[0], m.model.NetTransitBase, perHop)
-	if m.cl != nil {
-		net.Shard(m.cl, m.cols)
-		m.cl.SetLookahead(sim.Time(network.Lookahead(topo, m.cl.Groups(), m.model.NetTransitBase, perHop)))
-	}
+	net := network.New(m.Mach, topo, m.cols, m.model.NetTransitBase, perHop)
 	if cfg.Faults.Enabled() {
 		// Deliveries are handled by the network's reliability layer, and
 		// local work segments stall through the processors' down windows.
@@ -210,10 +209,7 @@ func New(name string, cfg Config, nprocs int) *Machine {
 			m.Mach.Proc(w.Proc).AddDownWindow(w.Start, w.End())
 		}
 	}
-	m.RT = core.New(m.Eng, m.Mach, net, m.cols[0], m.model)
-	if m.cl != nil {
-		m.RT.Shard(m.cl, m.cols)
-	}
+	m.RT = core.New(m.Mach, net, m.cols, m.model)
 	if cfg.Scheme.Mechanism == core.SharedMem || cfg.Policy != "" {
 		// Policy runs always get a substrate: an adaptive decision may
 		// route any operation through shared memory. Building it is
@@ -307,12 +303,7 @@ func (m *Machine) Attach(app App) {
 // A requester spawned with Mach.Proc(proc).Spawn (on the serial engine
 // identical to Engine.Spawn) counts its operations here, so parallel
 // lanes never share a collector.
-func (m *Machine) Col(proc int) *stats.Collector {
-	if m.cl == nil {
-		return m.cols[0]
-	}
-	return m.cols[m.cl.LaneOf(proc)]
-}
+func (m *Machine) Col(proc int) *stats.Collector { return m.cols[m.Mach.LaneOf(proc)] }
 
 // Window measures the operations and words counted across every lane
 // between cycles start and stop, and stores the paper's two rates when
@@ -392,20 +383,18 @@ type Result struct {
 func (m *Machine) Run(r *Result) *stats.Collector {
 	defer m.Mem.Release()
 	var err error
+	col := m.cols[0]
 	if m.cl != nil {
 		err = m.cl.Run()
+		col = stats.NewCollector()
+		for _, c := range m.cols {
+			col.AddFrom(c)
+		}
 	} else {
 		err = m.Eng.Run()
 	}
 	if err != nil {
 		panic(m.name + ": experiment did not quiesce: " + err.Error())
-	}
-	col := m.cols[0]
-	if m.cl != nil {
-		col = stats.NewCollector()
-		for _, c := range m.cols {
-			col.AddFrom(c)
-		}
 	}
 
 	r.Ops = col.Ops

@@ -428,9 +428,10 @@ func New(eng *sim.Engine, mach *sim.Machine, net *network.Network, col *stats.Co
 		inflight: make([]map[Addr]*sim.Future, mach.N()),
 		words:    (mach.N() + 63) / 64,
 	}
+	mods := sim.NewMachine(eng, mach.N())
 	for i := 0; i < mach.N(); i++ {
 		s.caches[i] = newCache(p)
-		s.modules[i] = sim.NewMachine(eng, 1).Proc(0)
+		s.modules[i] = mods.Proc(i)
 		s.dirs[i] = make(map[Addr]*dirEntry)
 		// Stagger heap bases so different homes' allocations spread over
 		// the cache index space, as real heap addresses do; identical

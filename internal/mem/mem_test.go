@@ -20,7 +20,7 @@ func newRig(nprocs int, p Params) *rig {
 	eng := sim.NewEngine(7)
 	m := sim.NewMachine(eng, nprocs)
 	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, 17, 0)
+	net := network.New(m, network.Crossbar{}, []*stats.Collector{col}, 17, 0)
 	return &rig{eng: eng, m: m, col: col, shm: New(eng, m, net, col, p)}
 }
 

@@ -156,10 +156,14 @@ type Message struct {
 func (m *Message) Words() uint64 { return HeaderWords + uint64(len(m.Payload)) + m.ExtraWords }
 
 // Network delivers messages with a latency function and counts traffic.
+// It follows the machine's lanes: a send charges the source processor's
+// lane collector and lands on the destination's lane engine, directly
+// within a lane and through the cluster's deterministic cross-lane
+// channel between lanes.
 type Network struct {
-	eng  *sim.Engine
-	topo Topology
-	col  *stats.Collector
+	mach  *sim.Machine
+	topo  Topology
+	lanes []laneNet
 
 	// TransitBase and TransitPerHop price wire latency in cycles.
 	TransitBase   uint64
@@ -169,34 +173,29 @@ type Network struct {
 	// default: the paper folds size effects into marshal/copy costs).
 	PerWordWireCycles uint64
 
-	// pool recycles delivery adapters so a Send costs no allocation for
-	// the in-flight bookkeeping (the simulator processes millions of
-	// messages per experiment).
-	pool []*delivery
-
 	// rel is the at-most-once reliability layer, attached only when a
 	// fault injector is in effect. The fault-free hot path pays one nil
 	// check.
 	rel *reliability
-
-	// cl and lanes are set by Shard: sends then charge the source lane's
-	// collector and route deliveries to the destination's lane engine,
-	// crossing lanes through the cluster's deterministic channel.
-	cl    *sim.Cluster
-	lanes []laneNet
 }
 
-// laneNet is one shard lane's slice of the network: its engine, its
-// collector and its delivery-adapter pool. Each is touched only while
-// its lane executes.
+// laneNet is one lane's slice of the network: its engine, its collector
+// and its delivery-adapter pool. Each is touched only while its lane
+// executes.
 type laneNet struct {
-	eng  *sim.Engine
-	col  *stats.Collector
+	eng *sim.Engine
+	col *stats.Collector
+
+	// pool recycles delivery adapters so a Send costs no allocation for
+	// the in-flight bookkeeping (the simulator processes millions of
+	// messages per experiment).
 	pool []*laneDelivery
 }
 
-// laneDelivery is the per-lane analogue of delivery for same-lane
-// flights under sharding.
+// laneDelivery carries one in-flight message from Send to its arrival
+// callback on the destination's lane ln. The fn field is the adapter's
+// bound method value, built once when the adapter is created and reused
+// for every flight afterwards.
 type laneDelivery struct {
 	ln     *laneNet
 	m      *Message
@@ -204,91 +203,33 @@ type laneDelivery struct {
 	fn     func()
 }
 
+// run fires at arrival time: it returns the adapter to the pool of the
+// lane it runs on first (the saved locals keep the flight's state), so
+// arrive may itself Send and reuse this adapter immediately.
 func (d *laneDelivery) run() {
 	ln, m, arrive := d.ln, d.m, d.arrive
 	d.m, d.arrive = nil, nil
 	ln.pool = append(ln.pool, d)
-	arrive(m)
-}
-
-// delivery carries one in-flight message from Send to its arrival
-// callback. The fn field is the adapter's bound method value, built once
-// when the adapter is created and reused for every flight afterwards.
-type delivery struct {
-	n      *Network
-	m      *Message
-	arrive func(*Message)
-	fn     func()
-}
-
-// run fires at arrival time: it returns the adapter to the pool first
-// (the saved locals keep the flight's state), so arrive may itself Send
-// and reuse this adapter immediately.
-func (d *delivery) run() {
-	n, m, arrive := d.n, d.m, d.arrive
-	d.m, d.arrive = nil, nil
-	n.pool = append(n.pool, d)
-	if n.eng.Tracing() {
-		n.eng.Tracef("deliver", "%s p%d->p%d", m.Kind, m.Src, m.Dst)
+	if ln.eng.Tracing() {
+		ln.eng.Tracef("deliver", "%s p%d->p%d", m.Kind, m.Src, m.Dst)
 	}
 	arrive(m)
 }
 
-// New returns a network over topology topo, reporting into col.
-func New(eng *sim.Engine, topo Topology, col *stats.Collector, transitBase, transitPerHop uint64) *Network {
-	return &Network{
-		eng: eng, topo: topo, col: col,
+// New returns a network over topology topo for the processors of mach,
+// reporting into cols, one collector per lane of mach.
+func New(mach *sim.Machine, topo Topology, cols []*stats.Collector, transitBase, transitPerHop uint64) *Network {
+	if len(cols) != mach.Lanes() {
+		panic(fmt.Sprintf("network: %d lane collectors for %d lanes", len(cols), mach.Lanes()))
+	}
+	n := &Network{
+		mach: mach, topo: topo, lanes: make([]laneNet, len(cols)),
 		TransitBase: transitBase, TransitPerHop: transitPerHop,
 	}
-}
-
-// Shard routes the network over a lane cluster: message and cycle
-// accounting go to the sending processor's lane collector (cols, by
-// lane index) and deliveries land on the destination's lane engine —
-// directly for same-lane pairs, through the cluster's deterministic
-// cross-lane channel otherwise. Sharding composes with neither the
-// reliability layer nor tracing, whose state is engine-global.
-func (n *Network) Shard(cl *sim.Cluster, cols []*stats.Collector) {
-	if n.rel != nil {
-		panic("network: cannot shard a network with a fault injector attached")
-	}
-	if len(cols) != cl.Shards() {
-		panic(fmt.Sprintf("network: %d lane collectors for %d shards", len(cols), cl.Shards()))
-	}
-	n.cl = cl
-	n.lanes = make([]laneNet, cl.Shards())
 	for i := range n.lanes {
-		n.lanes[i] = laneNet{eng: cl.Lane(i), col: cols[i]}
+		n.lanes[i] = laneNet{eng: mach.Lane(i), col: cols[i]}
 	}
-}
-
-// sendSharded is the SendAfter body under Shard.
-func (n *Network) sendSharded(m *Message, recvDelay uint64, arrive func(*Message)) {
-	if profile.Enabled() {
-		defer profile.NetSends.Time(1)()
-	}
-	srcLane := n.cl.LaneOf(m.Src)
-	src := &n.lanes[srcLane]
-	words := m.Words()
-	src.col.CountMessage(words)
-	lat := n.Latency(m.Src, m.Dst, words)
-	src.col.AddCycles(stats.CatNetworkTransit, lat)
-	dstLane := n.cl.LaneOf(m.Dst)
-	if dstLane == srcLane {
-		var d *laneDelivery
-		if k := len(src.pool); k > 0 {
-			d = src.pool[k-1]
-			src.pool[k-1] = nil
-			src.pool = src.pool[:k-1]
-		} else {
-			d = &laneDelivery{ln: src}
-			d.fn = d.run
-		}
-		d.m, d.arrive = m, arrive
-		src.eng.ScheduleOn(lat+recvDelay, m.Dst, d.fn)
-		return
-	}
-	n.cl.CrossSend(src.eng, lat+recvDelay, m.Dst, func() { arrive(m) })
+	return n
 }
 
 // Latency returns the wire latency for a message of size words from src
@@ -314,31 +255,35 @@ func (n *Network) SendAfter(m *Message, recvDelay uint64, arrive func(*Message))
 		n.rel.send(m, recvDelay, arrive, nil, 0)
 		return
 	}
-	if n.cl != nil {
-		n.sendSharded(m, recvDelay, arrive)
-		return
-	}
 	if profile.Enabled() {
 		defer profile.NetSends.Time(1)()
 	}
+	srcLane := n.mach.LaneOf(m.Src)
+	src := &n.lanes[srcLane]
 	words := m.Words()
-	n.col.CountMessage(words)
+	src.col.CountMessage(words)
 	lat := n.Latency(m.Src, m.Dst, words)
-	n.col.AddCycles(stats.CatNetworkTransit, lat)
-	if n.eng.Tracing() {
-		n.eng.Tracef("send", "%s p%d->p%d %dw", m.Kind, m.Src, m.Dst, words)
+	src.col.AddCycles(stats.CatNetworkTransit, lat)
+	if src.eng.Tracing() {
+		src.eng.Tracef("send", "%s p%d->p%d %dw", m.Kind, m.Src, m.Dst, words)
 	}
-	var d *delivery
-	if k := len(n.pool); k > 0 {
-		d = n.pool[k-1]
-		n.pool[k-1] = nil
-		n.pool = n.pool[:k-1]
+	var d *laneDelivery
+	if k := len(src.pool); k > 0 {
+		d = src.pool[k-1]
+		src.pool[k-1] = nil
+		src.pool = src.pool[:k-1]
 	} else {
-		d = &delivery{n: n}
+		d = &laneDelivery{}
 		d.fn = d.run
 	}
 	d.m, d.arrive = m, arrive
-	n.eng.Schedule(lat+recvDelay, d.fn)
+	if dstLane := n.mach.LaneOf(m.Dst); dstLane != srcLane {
+		d.ln = &n.lanes[dstLane]
+		src.eng.CrossSend(lat+recvDelay, m.Dst, d.fn)
+		return
+	}
+	d.ln = src
+	src.eng.ScheduleOn(lat+recvDelay, m.Dst, d.fn)
 }
 
 // SendGuarded is Send for callers that can recover from message loss:
@@ -360,12 +305,16 @@ func (n *Network) SendGuarded(m *Message, arrive func(*Message), onGiveUp func(t
 // acks, retransmission) and the injector decides each transmission's
 // fate. Callers gate on Spec.Enabled() — attaching an injector changes
 // wire charges (framing and acks), so the fault-free byte-identity
-// contract is "no injector attached".
+// contract is "no injector attached". The layer's sequence numbers and
+// records are machine-wide, so it runs only on a one-lane network.
 func (n *Network) AttachFaults(inj *fault.Injector) {
 	if inj == nil {
 		panic("network: AttachFaults(nil)")
 	}
-	n.rel = &reliability{n: n, inj: inj}
+	if len(n.lanes) != 1 {
+		panic(fmt.Sprintf("network: cannot attach a fault injector to a %d-lane network", len(n.lanes)))
+	}
+	n.rel = &reliability{n: n, eng: n.lanes[0].eng, col: n.lanes[0].col, inj: inj}
 }
 
 // FaultInjector returns the attached injector, or nil on a fault-free

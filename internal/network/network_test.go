@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"compmig/internal/fault"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
@@ -116,7 +117,7 @@ func TestMeshTriangleInequality(t *testing.T) {
 func TestSendLatencyAndAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
 	col := stats.NewCollector()
-	n := New(e, Crossbar{}, col, 17, 0)
+	n := New(sim.NewMachine(e, 2), Crossbar{}, []*stats.Collector{col}, 17, 0)
 
 	var arrivedAt sim.Time
 	var got *Message
@@ -148,7 +149,7 @@ func TestSendLatencyAndAccounting(t *testing.T) {
 func TestMeshLatencyScalesWithDistance(t *testing.T) {
 	e := sim.NewEngine(1)
 	col := stats.NewCollector()
-	n := New(e, NewMesh(4, 4), col, 10, 2)
+	n := New(sim.NewMachine(e, 16), NewMesh(4, 4), []*stats.Collector{col}, 10, 2)
 
 	var near, far sim.Time
 	n.Send(&Message{Src: 0, Dst: 1, Kind: "a"}, func(*Message) { near = e.Now() })
@@ -167,7 +168,7 @@ func TestMeshLatencyScalesWithDistance(t *testing.T) {
 func TestMessagesDeliverInOrderPerLatency(t *testing.T) {
 	e := sim.NewEngine(1)
 	col := stats.NewCollector()
-	n := New(e, Crossbar{}, col, 5, 0)
+	n := New(sim.NewMachine(e, 2), Crossbar{}, []*stats.Collector{col}, 5, 0)
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
@@ -189,7 +190,7 @@ func TestMessagesDeliverInOrderPerLatency(t *testing.T) {
 func TestPerWordWireCycles(t *testing.T) {
 	e := sim.NewEngine(1)
 	col := stats.NewCollector()
-	n := New(e, Crossbar{}, col, 10, 0)
+	n := New(sim.NewMachine(e, 2), Crossbar{}, []*stats.Collector{col}, 10, 0)
 	n.PerWordWireCycles = 1
 	var at sim.Time
 	n.Send(&Message{Src: 0, Dst: 1, Kind: "k", Payload: make([]uint32, 8)},
@@ -200,4 +201,49 @@ func TestPerWordWireCycles(t *testing.T) {
 	if at != 10+HeaderWords+8 {
 		t.Errorf("arrival = %d, want %d", at, 10+HeaderWords+8)
 	}
+}
+
+// TestClusterLaneSend runs the network over a two-lane cluster (processors
+// 0-1 on lane 0, 2-3 on lane 1): a same-lane and a cross-lane send each
+// arrive at send time plus latency, on the destination's lane, and
+// charge their words and transit cycles to the source lane's collector
+// only. The reliability layer's state is machine-wide, so attaching a
+// fault injector to this network panics.
+func TestClusterLaneSend(t *testing.T) {
+	cl := sim.NewCluster(1, 2)
+	mach := cl.NewMachine(4)
+	cl.SetLookahead(17)
+	cols := []*stats.Collector{stats.NewCollector(), stats.NewCollector()}
+	n := New(mach, Crossbar{}, cols, 17, 0)
+
+	var arrived [4]sim.Time // by destination; each lane writes its own
+	mach.Proc(0).Spawn("sender", 5, func(th *sim.Thread) {
+		for _, dst := range []int{1, 2} {
+			n.Send(&Message{Src: 0, Dst: dst, Kind: "k", Payload: []uint32{1}}, func(m *Message) {
+				arrived[m.Dst] = mach.Proc(m.Dst).Engine().Now()
+			})
+		}
+	})
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := [4]sim.Time{1: 22, 2: 22}; arrived != want {
+		t.Errorf("arrivals %v, want %v", arrived, want)
+	}
+	if got, want := cols[0].WordsSent, uint64(2*(HeaderWords+1)); got != want {
+		t.Errorf("source lane words = %d, want %d", got, want)
+	}
+	if got := cols[0].SumCycles([]stats.Category{stats.CatNetworkTransit}); got != 34 {
+		t.Errorf("source lane transit cycles = %d, want 34", got)
+	}
+	if cols[1].WordsSent != 0 || cols[1].TotalMessages() != 0 || cols[1].SumCycles([]stats.Category{stats.CatNetworkTransit}) != 0 {
+		t.Errorf("destination lane charged: %d words, %d messages", cols[1].WordsSent, cols[1].TotalMessages())
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("AttachFaults on a two-lane network did not panic")
+		}
+	}()
+	n.AttachFaults(fault.NewInjector(&fault.Spec{}))
 }

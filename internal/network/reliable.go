@@ -27,6 +27,8 @@ const ackWireWords = 1
 // message path allocates nothing.
 type reliability struct {
 	n   *Network
+	eng *sim.Engine
+	col *stats.Collector
 	inj *fault.Injector
 
 	nextSeq uint64
@@ -90,7 +92,7 @@ func (r *reliability) send(m *Message, recvDelay uint64, arrive func(*Message), 
 	p.recvDelay, p.arrive, p.onGiveUp, p.tok = recvDelay, arrive, onGiveUp, tok
 	p.rto = r.inj.RTOInitial()
 	r.transmit(p)
-	p.timer = r.n.eng.Schedule(p.rto, p.fire)
+	p.timer = r.eng.Schedule(p.rto, p.fire)
 	p.refs++
 }
 
@@ -102,12 +104,11 @@ func (r *reliability) transmit(p *relPending) {
 	if p.attempts > 1 {
 		r.inj.Counters.Retransmits++
 	}
-	n := r.n
-	n.col.CountMessage(p.words)
-	lat := n.Latency(p.src, p.dst, p.words)
-	n.col.AddCycles(stats.CatNetworkTransit, lat)
-	if n.eng.Tracing() {
-		n.eng.Tracef("send", "%s p%d->p%d %dw seq=%d try=%d",
+	r.col.CountMessage(p.words)
+	lat := r.n.Latency(p.src, p.dst, p.words)
+	r.col.AddCycles(stats.CatNetworkTransit, lat)
+	if r.eng.Tracing() {
+		r.eng.Tracef("send", "%s p%d->p%d %dw seq=%d try=%d",
 			p.kind, p.src, p.dst, p.words, p.seq, p.attempts)
 	}
 	v := r.inj.Judge(p.kind)
@@ -115,8 +116,8 @@ func (r *reliability) transmit(p *relPending) {
 		// The wire ate it after the sender paid for it; the timer will
 		// retransmit.
 		r.inj.Counters.Dropped++
-		if n.eng.Tracing() {
-			n.eng.Tracef("fault", "drop %s p%d->p%d seq=%d", p.kind, p.src, p.dst, p.seq)
+		if r.eng.Tracing() {
+			r.eng.Tracef("fault", "drop %s p%d->p%d seq=%d", p.kind, p.src, p.dst, p.seq)
 		}
 		return
 	}
@@ -130,7 +131,7 @@ func (r *reliability) transmit(p *relPending) {
 // deliverAfter lands one copy of p's message at the destination after
 // delay, subject to the destination's outage windows.
 func (r *reliability) deliverAfter(p *relPending, delay uint64) {
-	at := uint64(r.n.eng.Now()) + delay
+	at := uint64(r.eng.Now()) + delay
 	drop, resume := r.inj.DeliveryDown(p.dst, at)
 	if drop {
 		r.inj.Counters.CrashDropped++
@@ -140,7 +141,7 @@ func (r *reliability) deliverAfter(p *relPending, delay uint64) {
 		r.inj.Counters.PauseDelayed++
 		delay += resume - at
 	}
-	r.n.eng.Schedule(delay, p.land)
+	r.eng.Schedule(delay, p.land)
 	p.refs++
 }
 
@@ -152,9 +153,8 @@ func (r *reliability) deliverAfter(p *relPending, delay uint64) {
 func (p *relPending) onLand() {
 	p.refs--
 	r := p.r
-	n := r.n
-	if n.eng.Tracing() {
-		n.eng.Tracef("deliver", "%s p%d->p%d seq=%d", p.kind, p.src, p.dst, p.seq)
+	if r.eng.Tracing() {
+		r.eng.Tracef("deliver", "%s p%d->p%d seq=%d", p.kind, p.src, p.dst, p.seq)
 	}
 	r.sendAck(p)
 	if p.delivered {
@@ -172,12 +172,11 @@ func (p *relPending) onLand() {
 // sendAck sends the receiver's ack back to the sender, itself subject
 // to loss, duplication, and the sender's outage windows.
 func (r *reliability) sendAck(p *relPending) {
-	n := r.n
 	r.inj.Counters.Acks++
 	words := uint64(HeaderWords + ackWireWords)
-	n.col.CountMessage(words)
-	lat := n.Latency(p.dst, p.src, words)
-	n.col.AddCycles(stats.CatNetworkTransit, lat)
+	r.col.CountMessage(words)
+	lat := r.n.Latency(p.dst, p.src, words)
+	r.col.AddCycles(stats.CatNetworkTransit, lat)
 	v := r.inj.Judge("ack")
 	if v.Drop {
 		r.inj.Counters.AckDropped++
@@ -193,7 +192,7 @@ func (r *reliability) sendAck(p *relPending) {
 // ackAfter lands one ack copy at the original sender after delay,
 // subject to the sender's outage windows.
 func (r *reliability) ackAfter(p *relPending, delay uint64) {
-	at := uint64(r.n.eng.Now()) + delay
+	at := uint64(r.eng.Now()) + delay
 	drop, resume := r.inj.DeliveryDown(p.src, at)
 	if drop {
 		r.inj.Counters.AckDropped++
@@ -203,7 +202,7 @@ func (r *reliability) ackAfter(p *relPending, delay uint64) {
 		r.inj.Counters.PauseDelayed++
 		delay += resume - at
 	}
-	r.n.eng.Schedule(delay, p.ack)
+	r.eng.Schedule(delay, p.ack)
 	p.refs++
 }
 
@@ -252,7 +251,7 @@ func (p *relPending) onTimeout() {
 		}
 	}
 	r.transmit(p)
-	p.timer = r.n.eng.Schedule(p.rto, p.fire)
+	p.timer = r.eng.Schedule(p.rto, p.fire)
 	p.refs++
 }
 

@@ -15,7 +15,7 @@ func faultyNet(t *testing.T, spec *fault.Spec) (*sim.Engine, *Network, *fault.In
 	t.Helper()
 	e := sim.NewEngine(1)
 	col := stats.NewCollector()
-	n := New(e, Crossbar{}, col, 17, 0)
+	n := New(sim.NewMachine(e, 4), Crossbar{}, []*stats.Collector{col}, 17, 0)
 	inj := fault.NewInjector(spec)
 	n.AttachFaults(inj)
 	return e, n, inj
@@ -194,7 +194,7 @@ func TestReliableFramingIsCharged(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	col := n.col
+	col := n.rel.col
 	wantReq := uint64(HeaderWords + 1 + frameWords)
 	wantAck := uint64(HeaderWords + ackWireWords)
 	if col.WordsSent != wantReq+wantAck {

@@ -53,7 +53,7 @@ func (tb *Table) Read(t *core.Task, g gid.GID) any {
 	if !ok {
 		panic("repl: Read of unreplicated object")
 	}
-	tb.rt.Col.ReplicaReads++
+	tb.rt.ColAt(t.Proc()).ReplicaReads++
 	t.Work(tb.ReadCycles)
 	return state
 }
@@ -66,22 +66,22 @@ func (tb *Table) Publish(t *core.Task, g gid.GID, state any, sizeWords uint64) {
 		panic("repl: Publish of unreplicated object")
 	}
 	rt := tb.rt
-	rt.Col.ReplicaWrites++
+	self := t.Proc()
+	rt.ColAt(self).ReplicaWrites++
 	tb.entries[g] = state
 
-	self := t.Proc()
 	for p := 0; p < rt.Mach.N(); p++ {
 		if p == self {
 			continue
 		}
 		words := sizeWords + network.HeaderWords
-		t.Thread().Exec(rt.Mach.Proc(self), rt.ChargeSendPath(words))
+		t.Thread().Exec(rt.Mach.Proc(self), rt.ChargeSendPath(self, words))
 		dst := p
 		// The receiver prices the update from words and reads nothing, so
 		// the snapshot is charged on the wire without being materialized.
 		rt.Net.Send(&network.Message{Src: self, Dst: dst, Kind: "repl-update", ExtraWords: sizeWords},
 			func(m *network.Message) {
-				rt.Mach.Proc(dst).ExecAsync(rt.ChargeRecvReplyPath(words), nil)
+				rt.Mach.Proc(dst).ExecAsync(rt.ChargeRecvReplyPath(dst, words), nil)
 			})
 	}
 }

@@ -18,8 +18,8 @@ func newRig(nprocs int) (*sim.Engine, *core.Runtime, *Table, *stats.Collector) {
 	m := sim.NewMachine(eng, nprocs)
 	col := stats.NewCollector()
 	model := cost.Software()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, m, net, col, model)
+	net := network.New(m, network.Crossbar{}, []*stats.Collector{col}, model.NetTransitBase, model.NetTransitPerHop)
+	rt := core.New(m, net, []*stats.Collector{col}, model)
 	return eng, rt, NewTable(rt), col
 }
 

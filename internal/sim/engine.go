@@ -354,6 +354,19 @@ func (d *DeadlockError) Error() string {
 		d.Now, len(d.Blocked), strings.Join(d.Blocked, ", "))
 }
 
+// deadlock reports the threads still parked on lanes when their events
+// ran dry at now, sorted so the report is the same at every shard count.
+func deadlock(now Time, lanes []*Engine) *DeadlockError {
+	var blocked []string
+	for _, e := range lanes {
+		for _, th := range e.live {
+			blocked = append(blocked, th.String())
+		}
+	}
+	sort.Strings(blocked)
+	return &DeadlockError{Now: now, Blocked: blocked}
+}
+
 // MaxEventsError reports that the engine processed Engine.MaxEvents events
 // without the heap draining — the runaway guard tripped.
 type MaxEventsError struct {
@@ -415,12 +428,7 @@ func (e *Engine) Run() error {
 		return err
 	}
 	if !e.stopped && e.liveThreads > 0 {
-		var blocked []string
-		for _, th := range e.live {
-			blocked = append(blocked, th.String())
-		}
-		sort.Strings(blocked)
-		return &DeadlockError{Now: e.now, Blocked: blocked}
+		return deadlock(e.now, []*Engine{e})
 	}
 	return nil
 }

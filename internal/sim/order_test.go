@@ -494,7 +494,7 @@ func TestSpawnArrivalsOnClusterIsSpawn(t *testing.T) {
 	m.SpawnArrivals("req", 8, func(i int) (Time, int, func(*Thread)) {
 		return Time(10 * i), i % 4, func(th *Thread) { started = append(started, th.Now()) }
 	})
-	if n := len(cl.Lane(0).heap) + len(cl.Lane(1).heap); n != 8 {
+	if n := len(cl.lanes[0].heap) + len(cl.lanes[1].heap); n != 8 {
 		t.Fatalf("lane heaps hold %d entries for 8 arrivals, want 8", n)
 	}
 	if err := cl.Run(); err != nil {

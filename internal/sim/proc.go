@@ -11,6 +11,7 @@ import "fmt"
 type Proc struct {
 	eng       *Engine
 	id        int
+	lane      int    // the index of eng among the machine's lanes
 	free      Time   // the cycle at which the processor next becomes idle
 	execWhere string // park label for Exec, built once
 
@@ -65,17 +66,20 @@ func (p *Proc) skipDown(t Time) Time {
 	return t
 }
 
-// Machine is a fixed set of processors.
+// Machine is a fixed set of processors partitioned into lanes, the
+// engines their events execute on: the serial engine is a machine's
+// one lane, and a cluster's machine has a lane per shard.
 type Machine struct {
 	procs []*Proc
+	lanes []*Engine
 }
 
-// NewMachine creates n processors attached to e.
+// NewMachine creates n processors attached to e, the machine's one lane.
 func NewMachine(e *Engine, n int) *Machine {
 	if n <= 0 {
 		panic("sim: machine needs at least one processor")
 	}
-	m := &Machine{procs: make([]*Proc, n)}
+	m := &Machine{procs: make([]*Proc, n), lanes: []*Engine{e}}
 	for i := range m.procs {
 		m.procs[i] = &Proc{eng: e, id: i, execWhere: fmt.Sprintf("exec(p%d)", i)}
 	}
@@ -93,11 +97,21 @@ func (m *Machine) Proc(i int) *Proc {
 	return m.procs[i]
 }
 
+// Lanes returns the number of lanes.
+func (m *Machine) Lanes() int { return len(m.lanes) }
+
+// Lane returns lane i's engine. Lane 0 is the engine setup code builds
+// against: the serial engine, or a cluster's root lane.
+func (m *Machine) Lane(i int) *Engine { return m.lanes[i] }
+
+// LaneOf returns the index of the lane processor p's events execute on.
+func (m *Machine) LaneOf(p int) int { return m.procs[p].lane }
+
 // ID returns the processor number.
 func (p *Proc) ID() int { return p.id }
 
-// Engine returns the engine the processor's events execute on: the
-// machine's engine, or the processor's shard lane on a clustered machine.
+// Engine returns the engine the processor's events execute on: its
+// lane's (see Machine.LaneOf).
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // Spawn creates a simulated thread bound to processor p's event stream,

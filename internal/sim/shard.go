@@ -34,7 +34,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
 
 	"compmig/internal/profile"
 )
@@ -103,17 +102,8 @@ func NewCluster(seed uint64, shards int) *Cluster {
 	return cl
 }
 
-// Shards returns the number of lanes.
-func (cl *Cluster) Shards() int { return len(cl.lanes) }
-
 // Root returns lane 0, the engine setup code should build against.
 func (cl *Cluster) Root() *Engine { return cl.lanes[0] }
-
-// Lane returns lane i.
-func (cl *Cluster) Lane(i int) *Engine { return cl.lanes[i] }
-
-// LaneOf returns the lane index owning processor p.
-func (cl *Cluster) LaneOf(p int) int { return cl.laneOf[p] }
 
 // Groups returns the processor ids of each lane, in lane order. The
 // network layer derives the lookahead from these via MinHops.
@@ -137,12 +127,13 @@ func (cl *Cluster) NewMachine(n int) *Machine {
 	cl.laneOf = make([]int, n)
 	cl.groups = make([][]int, shards)
 	cl.ctrs = make([]uint64, n+1)
-	m := &Machine{procs: make([]*Proc, n)}
-	for i := range m.procs {
+	m := NewMachine(cl.lanes[0], n)
+	m.lanes = cl.lanes
+	for i, p := range m.procs {
 		lane := i * shards / n
+		p.eng, p.lane = cl.lanes[lane], lane
 		cl.laneOf[i] = lane
 		cl.groups[lane] = append(cl.groups[lane], i)
-		m.procs[i] = &Proc{eng: cl.lanes[lane], id: i, execWhere: fmt.Sprintf("exec(p%d)", i)}
 	}
 	return m
 }
@@ -165,24 +156,26 @@ func (cl *Cluster) AtBarrier(at Time, fn func()) {
 }
 
 // CrossSend schedules fn to run as processor dst's event stream at
-// src.Now()+delay, crossing lanes through the deterministic inter-lane
-// channel: the merge key is computed at send time from the sending
-// stream, the event is parked in the src→dst outbox, and the
-// coordinator flushes it into dst's heap at the next window barrier.
-// delay must be at least the cluster's lookahead — that is what makes
-// the barrier flush safe.
-func (cl *Cluster) CrossSend(src *Engine, delay Time, dst int, fn func()) {
+// e.Now()+delay on dst's lane, crossing lanes through the cluster's
+// deterministic inter-lane channel: the merge key is computed at send
+// time from the sending stream, the event is parked in the outbox from
+// lane e to dst's lane, and the coordinator flushes it into dst's heap
+// at the next window barrier. delay must be at least the cluster's
+// lookahead — that is what makes the barrier flush safe. Only a cluster
+// lane has other lanes to send to.
+func (e *Engine) CrossSend(delay Time, dst int, fn func()) {
+	cl := e.cluster
 	if delay < cl.lookahead {
 		panic(fmt.Sprintf("sim: cross-lane send with delay %d below lookahead %d", delay, cl.lookahead))
 	}
-	stream := src.curStream + 1
+	stream := e.curStream + 1
 	seq := cl.ctrs[stream]
 	cl.ctrs[stream] = seq + 1
 	to := cl.laneOf[dst]
-	cl.outbox[src.lane][to] = append(cl.outbox[src.lane][to], crossEvent{
-		at: src.now + delay, stream: stream, seq: seq, exec: int32(dst), fn: fn,
+	cl.outbox[e.lane][to] = append(cl.outbox[e.lane][to], crossEvent{
+		at: e.now + delay, stream: stream, seq: seq, exec: int32(dst), fn: fn,
 	})
-	src.cross++
+	e.cross++
 }
 
 // inject pushes a flushed cross-lane event straight onto the lane's
@@ -354,14 +347,7 @@ func (cl *Cluster) Run() error {
 		}
 	}
 	if live > 0 {
-		var blocked []string
-		for _, e := range cl.lanes {
-			for _, th := range e.live {
-				blocked = append(blocked, th.String())
-			}
-		}
-		sort.Strings(blocked)
-		return &DeadlockError{Now: maxNow, Blocked: blocked}
+		return deadlock(maxNow, cl.lanes)
 	}
 	return nil
 }

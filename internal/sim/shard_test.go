@@ -19,7 +19,7 @@ func runSyntheticCluster(t *testing.T, shards int) [][]string {
 	cl.SetLookahead(lookahead)
 	logs := make([][]string, nprocs)
 
-	// send routes like the sharded network layer: same-lane messages
+	// send routes like the network layer: same-lane messages
 	// through the lane's own heap, cross-lane messages through the
 	// cluster's timestamp-ordered channel.
 	send := func(src *Proc, delay Time, dst int, tag string) {
@@ -27,11 +27,11 @@ func runSyntheticCluster(t *testing.T, shards int) [][]string {
 		fn := func() {
 			logs[dst] = append(logs[dst], fmt.Sprintf("t=%d %s", mach.Proc(dst).Engine().Now(), tag))
 		}
-		if cl.LaneOf(src.ID()) == cl.LaneOf(dst) {
+		if mach.LaneOf(src.ID()) == mach.LaneOf(dst) {
 			eng.ScheduleOn(delay, dst, fn)
 			return
 		}
-		cl.CrossSend(eng, delay, dst, fn)
+		eng.CrossSend(delay, dst, fn)
 	}
 
 	for p := 0; p < nprocs; p++ {
@@ -82,8 +82,8 @@ func TestClusterBarrierOrder(t *testing.T) {
 	var order []string
 	cl.AtBarrier(50, func() {
 		order = append(order, "first")
-		for i := 0; i < cl.Shards(); i++ {
-			if now := cl.Lane(i).Now(); now != 50 {
+		for i := range cl.lanes {
+			if now := cl.lanes[i].Now(); now != 50 {
 				t.Errorf("lane %d clock at barrier: %d, want 50", i, now)
 			}
 		}
@@ -125,7 +125,7 @@ func TestCrossSendBelowLookaheadPanics(t *testing.T) {
 			t.Error("CrossSend below the lookahead did not panic")
 		}
 	}()
-	cl.CrossSend(mach.Proc(0).Engine(), 9, 3, func() {})
+	mach.Proc(0).Engine().CrossSend(9, 3, func() {})
 }
 
 // TestClusterMachineShape checks lane assignment is contiguous and
@@ -138,8 +138,8 @@ func TestClusterMachineShape(t *testing.T) {
 	}
 	prev := 0
 	for p := 0; p < 8; p++ {
-		l := cl.LaneOf(p)
-		if l < prev || l >= cl.Shards() {
+		l := mach.LaneOf(p)
+		if l < prev || l >= mach.Lanes() {
 			t.Errorf("proc %d on lane %d after lane %d: lanes must be contiguous", p, l, prev)
 		}
 		prev = l
