@@ -46,8 +46,12 @@ build:
 test:
 	$(GO) test ./...
 
+# race also re-runs, with four host threads, the test that runs
+# machines on two workers at once through the retired-lane stack
+# (sim.Machine.Retire), the one pool shared across harness workers.
 race:
 	$(GO) test -race ./...
+	GOMAXPROCS=4 $(GO) test -race ./internal/apps/countnet/ -run 'TestRetireReviveConcurrent' -count=1
 
 # ab-identity re-runs just the fast-path A/B contracts by name so a CI
 # log shows them explicitly: every rendered table and every simulated
@@ -64,8 +68,8 @@ ab-identity:
 # engine-level synthetic workload, the countnet application, and the
 # harness-rendered tables) and process the same number of events, the
 # network routes same-lane and cross-lane sends on a two-lane machine,
-# and the parallel lane drivers and the shared carrier pool are
-# race-clean.
+# and the parallel lane drivers and the carriers revived from the
+# retired-lane stack are race-clean.
 shard-identity:
 	$(GO) test ./internal/sim/ ./internal/network/ -run 'Cluster|CrossSend' -count=1
 	$(GO) test ./internal/apps/countnet/ -run TestCluster -count=1
@@ -94,17 +98,22 @@ engine-order:
 # CM and RPC; the countnet traversal also under OM, where a rival
 # requester pulls every object back; and the countnet traversal under a
 # drop/dup fault plan with CM, RPC and OM) must allocate no more heap
-# objects than their bounds. Two pins bound
+# objects than their bounds. Five pins bound
 # per-run memory instead: an open-loop arrival run allocates the same
-# bytes at 100 and 10,000 arrivals, and repeated rounds of making and
-# releasing caches allocate no fresh cache backing after the first.
+# bytes at 100 and 10,000 arrivals; repeated rounds of making and
+# releasing caches allocate no fresh cache backing after the first;
+# three identical countnet CM runs, and three identical small kv
+# open-loop runs, back to back allocate the same objects in runs 2 and
+# 3, fewer than run 1 by at least the idle records run 1 retired; and a
+# retired machine's runtime and engine are collected once a later run
+# has revived its lane.
 alloc-pins:
 	$(GO) test ./internal/sim/ -run 'Allocs' -count=1
 	$(GO) test ./internal/core/ -run 'Allocs' -count=1
 	$(GO) test ./internal/network/ -run 'Allocs' -count=1
 	$(GO) test ./internal/mem/ -run 'Allocs' -count=1
-	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs(SM|CM|RPC|OM)$$|TestFaultedTraverseAllocs(CM|RPC|OM)$$' -count=1
-	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocs|TestPutAllocs' -count=1
+	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs(SM|CM|RPC|OM)$$|TestFaultedTraverseAllocs(CM|RPC|OM)$$|TestRunAllocs$$|TestRetiredRunIsCollected$$' -count=1
+	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocs|TestPutAllocs|TestRunAllocs' -count=1
 	$(GO) test ./internal/apps/btree/ -run 'TestLookupAllocs' -count=1
 	@echo "alloc-pins: no operation allocates more than its pinned bound"
 

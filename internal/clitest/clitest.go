@@ -1,6 +1,7 @@
-// Package clitest holds the helpers the tests of the application CLIs
-// and the examples share: building a program's binary and pinning its
-// stdout against a golden file.
+// Package clitest holds the helpers the tests of the application CLIs,
+// the applications and the examples share: building a program's binary,
+// pinning its stdout against a golden file, and pinning what a finished
+// run hands to the next.
 package clitest
 
 import (

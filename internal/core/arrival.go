@@ -11,9 +11,11 @@ import (
 
 // Arrival records carry one message from its delivery callback through
 // the receive-path work segment to the thread or completion it starts.
-// Each lane pools its own (see laneState), and each record binds its
-// ExecAsync and Spawn callbacks once at creation, so a warm message path
-// allocates no closure, Task, Reader or Writer per message.
+// Each lane pools its own (see laneState) and reaches the runtime
+// through it, and each record binds its ExecAsync and Spawn callbacks
+// once at creation, so a warm message path allocates no closure, Task,
+// Reader or Writer per message. A pooled record holds nothing of the
+// operation it last carried, so a retired lane pins nothing of its run.
 
 // pop takes the most recently pooled record, or nil when the pool is
 // empty.
@@ -33,7 +35,6 @@ func pop[T any](pool *[]T) (x T) {
 // Task, its argument Reader and its reply Writer, and holds a remote
 // request's message until the handler returns.
 type rpcArrival struct {
-	rt *Runtime
 	ls *laneState
 
 	dst     *sim.Proc
@@ -52,17 +53,18 @@ type rpcArrival struct {
 	body  func(*sim.Thread) // bound a.run, for Spawn
 }
 
-func (ls *laneState) getRPC(rt *Runtime) *rpcArrival {
+func (ls *laneState) getRPC() *rpcArrival {
 	if a := pop(&ls.rpcs); a != nil {
 		return a
 	}
-	a := &rpcArrival{rt: rt, ls: ls}
+	a := &rpcArrival{ls: ls}
 	a.spawn, a.body = a.start, a.run
 	return a
 }
 
 // put clears the record's references and returns it to its lane's pool.
 func (a *rpcArrival) put() {
+	a.dst, a.ent = nil, nil
 	a.task = Task{}
 	a.args.Reset(nil)
 	a.reply.Reset()
@@ -83,7 +85,7 @@ func (a *rpcArrival) start() { a.dst.Spawn(a.ent.thread, 0, a.body) }
 // result behind the reply id already in the reply buffer, which is
 // exactly the reply's payload.
 func (a *rpcArrival) run(th *sim.Thread) {
-	rt := a.rt
+	rt := a.ls.rt
 	a.task = Task{rt: rt, th: th, proc: a.dst, isMethod: true}
 	a.reply.PutU32(a.replyID)
 	a.ent.handler(&a.task, rt.Objects.State(a.g), &a.args, &a.reply)
@@ -97,7 +99,6 @@ func (a *rpcArrival) run(th *sim.Thread) {
 // migArrival is one arriving migration: the operation record still on
 // the wire, and the activation Task it resumes as.
 type migArrival struct {
-	rt *Runtime
 	ls *laneState
 
 	dst *sim.Proc
@@ -110,18 +111,18 @@ type migArrival struct {
 	body  func(*sim.Thread)
 }
 
-func (ls *laneState) getMig(rt *Runtime) *migArrival {
+func (ls *laneState) getMig() *migArrival {
 	if a := pop(&ls.migs); a != nil {
 		return a
 	}
-	a := &migArrival{rt: rt, ls: ls}
+	a := &migArrival{ls: ls}
 	a.spawn, a.body = a.start, a.run
 	return a
 }
 
 func (a *migArrival) put() {
 	a.task = Task{}
-	a.m = nil
+	a.dst, a.m = nil, nil
 	a.r.Reset(nil)
 	a.ls.migs = append(a.ls.migs, a)
 }
@@ -131,7 +132,7 @@ func (a *migArrival) start() { a.dst.Spawn("activation", 0, a.body) }
 // run is the activation thread: it reconstructs the operation record,
 // releases the message, and resumes the record's walk.
 func (a *migArrival) run(th *sim.Thread) {
-	rt, r := a.rt, &a.r
+	rt, r := a.ls.rt, &a.r
 	r.Reset(a.m.Payload)
 	r.U64() // target gid, checked before dispatch
 	contID := ContID(r.U32())
@@ -164,7 +165,6 @@ func (a *migArrival) run(th *sim.Thread) {
 // replyArrival is one returning result between its delivery and the
 // completion of its reply slot.
 type replyArrival struct {
-	rt *Runtime
 	ls *laneState
 
 	m *network.Message // the reply: its id word, then the result words
@@ -172,11 +172,11 @@ type replyArrival struct {
 	complete func() // bound a.run, for ExecAsync
 }
 
-func (ls *laneState) getReply(rt *Runtime) *replyArrival {
+func (ls *laneState) getReply() *replyArrival {
 	if a := pop(&ls.rets); a != nil {
 		return a
 	}
-	a := &replyArrival{rt: rt, ls: ls}
+	a := &replyArrival{ls: ls}
 	a.complete = a.run
 	return a
 }
@@ -185,7 +185,7 @@ func (ls *laneState) getReply(rt *Runtime) *replyArrival {
 // saved locals keep the reply), so the completion may itself reuse it.
 // The slot's waiter releases the message.
 func (a *replyArrival) run() {
-	rt, m := a.rt, a.m
+	rt, m := a.ls.rt, a.m
 	a.m = nil
 	a.ls.rets = append(a.ls.rets, a)
 	rt.completeReply(m.Dst, m.Payload[0], m.Payload[1:], m)

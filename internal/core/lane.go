@@ -18,7 +18,14 @@ import (
 // receiving lane's pool (see Runtime.release), and charges go to the
 // collector of the processor doing the charging — so lanes never
 // contend and never share a pooled record.
+//
+// A laneState outlives its run: it is the records core keeps on its
+// lane's engine (sim.Keep), so when the machine retires, Retire scrubs
+// it and the next runtime built on a revived lane takes it back with its
+// pools full, and New rebinds it. Its pooled records reach the runtime
+// only through rt, so rebinding the lane rebinds them all.
 type laneState struct {
+	rt  *Runtime
 	col *stats.Collector
 
 	replies []*replySlot // by reply id - 1: the slot live under the id, nil when none is
@@ -62,8 +69,42 @@ func (ls *laneState) message(src int, kind string, words []uint32) *network.Mess
 	return m
 }
 
+// Retire scrubs the lane's state of its run when the machine retires:
+// the runtime, the collector and the reply table go, the scratch reader
+// lets go of the last reply it decoded, and each idle activation's
+// child drops its runtime, thread and processor. Operation records go too, since
+// the next runtime may number its walker types differently. The pools
+// keep their records, which hold nothing of the run once they are
+// pooled (see their put methods). Every pooled wire message's payload
+// array grows to the largest one's capacity: the next run hands the
+// messages out in another order, and a message whose array fits any
+// payload the lane has carried is never grown again.
+func (ls *laneState) Retire() int {
+	words := 0
+	for _, m := range ls.msgs {
+		words = max(words, cap(m.Payload))
+	}
+	for _, m := range ls.msgs {
+		if cap(m.Payload) < words {
+			m.Payload = make([]uint32, 0, words)
+		}
+	}
+	ls.rt, ls.col = nil, nil
+	clear(ls.replies)
+	ls.replies, ls.freeIDs, ls.issues = ls.replies[:0], ls.freeIDs[:0], 0
+	ls.r.Reset(nil)
+	ls.records = nil
+	for _, a := range ls.acts {
+		for c := a.child; c != nil; c = c.child {
+			*c = Task{child: c.child}
+		}
+	}
+	return len(ls.slots) + len(ls.rpcs) + len(ls.migs) + len(ls.rets) + len(ls.fetches) +
+		len(ls.moves) + len(ls.fwds) + len(ls.msgs) + len(ls.acts)
+}
+
 // laneAt returns the state of processor proc's lane.
-func (rt *Runtime) laneAt(proc int) *laneState { return &rt.lanes[rt.Mach.LaneOf(proc)] }
+func (rt *Runtime) laneAt(proc int) *laneState { return rt.lanes[rt.Mach.LaneOf(proc)] }
 
 // ColAt returns the collector charges from processor proc's stream go
 // to: the collector of proc's lane.

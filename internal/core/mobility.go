@@ -46,7 +46,6 @@ func (rt *Runtime) learn(proc int, g gid.GID, home int) {
 // segment that follows it. It is pooled by the stale processor's lane
 // and binds its send callback once.
 type forwarding struct {
-	rt *Runtime
 	ls *laneState
 
 	m      *network.Message // Src and Dst already rewritten for the next leg
@@ -56,18 +55,18 @@ type forwarding struct {
 	send func() // bound f.run, for ExecAsync
 }
 
-func (ls *laneState) getForward(rt *Runtime) *forwarding {
+func (ls *laneState) getForward() *forwarding {
 	if f := pop(&ls.fwds); f != nil {
 		return f
 	}
-	f := &forwarding{rt: rt, ls: ls}
+	f := &forwarding{ls: ls}
 	f.send = f.run
 	return f
 }
 
 // run returns the record to its pool, then sends the message on.
 func (f *forwarding) run() {
-	rt, m, arrive, tok := f.rt, f.m, f.arrive, f.tok
+	rt, m, arrive, tok := f.ls.rt, f.m, f.arrive, f.tok
 	f.m, f.arrive = nil, nil
 	f.ls.fwds = append(f.ls.fwds, f)
 	//simvet:allow split-phase send: forward charged the forwarding check and send cycles this segment ends
@@ -89,7 +88,7 @@ func (rt *Runtime) forward(m *network.Message, actual int, arrive func(*network.
 	cost := rt.Model.ForwardingCheck + rt.Model.MessageSend
 	ls.col.AddCycles(stats.CatForwardingCheck, rt.Model.ForwardingCheck)
 	ls.col.AddCycles(stats.CatMessageSend, rt.Model.MessageSend)
-	f := ls.getForward(rt)
+	f := ls.getForward()
 	f.m, f.arrive, f.tok = m, arrive, rt.guard(proc, id)
 	m.Src, m.Dst = m.Dst, actual
 	stale.ExecAsync(cost, f.send)
@@ -149,7 +148,6 @@ const pinInFlight = ^sim.Time(0)
 // pools its own, and each record binds its pin-wait retry, ship and
 // send callbacks once.
 type fetchArrival struct {
-	rt *Runtime
 	ls *laneState
 
 	home       *sim.Proc        // where the fetch runs: the object's home until it ships
@@ -165,11 +163,11 @@ type fetchArrival struct {
 	send  func() // bound a.sendMove, for ExecAsync
 }
 
-func (ls *laneState) getFetch(rt *Runtime) *fetchArrival {
+func (ls *laneState) getFetch() *fetchArrival {
 	if a := pop(&ls.fetches); a != nil {
 		return a
 	}
-	a := &fetchArrival{rt: rt, ls: ls}
+	a := &fetchArrival{ls: ls}
 	a.retry, a.ship, a.send = a.run, a.shipObject, a.sendMove
 	return a
 }
@@ -182,7 +180,7 @@ func (a *fetchArrival) put() {
 // deliverFetch handles an object-fetch: it decodes the fetch into a
 // pooled record and runs it (see fetchArrival.run).
 func (rt *Runtime) deliverFetch(m *network.Message) {
-	a := rt.laneAt(m.Dst).getFetch(rt)
+	a := rt.laneAt(m.Dst).getFetch()
 	var r msg.Reader
 	r.Reset(m.Payload)
 	a.home, a.m, a.g = rt.Mach.Proc(m.Dst), m, gid.GID(r.U64())
@@ -200,7 +198,7 @@ func (rt *Runtime) deliverFetch(m *network.Message) {
 // all three checks again, so the fetch message is released only once
 // the last retry has found the object free here.
 func (a *fetchArrival) run() {
-	rt, m := a.rt, a.m
+	rt, m := a.ls.rt, a.m
 	if actual := rt.Objects.Home(a.g); actual != m.Dst {
 		requester, id := a.requester, a.replyID
 		a.put()
@@ -228,7 +226,7 @@ func (a *fetchArrival) run() {
 // and marshals the obj-move: the reply id, the gid, and stateWords zero
 // words standing for the object's state.
 func (a *fetchArrival) shipObject() {
-	rt, ls := a.rt, a.ls
+	rt, ls := a.ls.rt, a.ls
 	rt.Objects.Move(a.g, a.requester)
 	rt.pins[a.g] = pinInFlight
 	w := ls.scratch()
@@ -247,7 +245,7 @@ func (a *fetchArrival) shipObject() {
 
 // sendMove returns the record to its pool, then sends the obj-move.
 func (a *fetchArrival) sendMove() {
-	rt, m, requester, id := a.rt, a.move, a.requester, a.replyID
+	rt, m, requester, id := a.ls.rt, a.move, a.requester, a.replyID
 	a.put()
 	//simvet:allow split-phase send: shipObject charged the marshal and send cycles this segment ends
 	rt.Net.SendGuarded(m, rt.onObject, rt.onGiveUp, rt.guard(requester, id))
@@ -256,7 +254,6 @@ func (a *fetchArrival) sendMove() {
 // moveArrival is one obj-move between its delivery and the completion
 // of its puller's reply slot.
 type moveArrival struct {
-	rt *Runtime
 	ls *laneState
 
 	m *network.Message // the move: its reply id, the gid, the state words
@@ -264,11 +261,11 @@ type moveArrival struct {
 	install func() // bound a.run, for ExecAsync
 }
 
-func (ls *laneState) getMove(rt *Runtime) *moveArrival {
+func (ls *laneState) getMove() *moveArrival {
 	if a := pop(&ls.moves); a != nil {
 		return a
 	}
-	a := &moveArrival{rt: rt, ls: ls}
+	a := &moveArrival{ls: ls}
 	a.install = a.run
 	return a
 }
@@ -279,7 +276,7 @@ func (rt *Runtime) deliverObject(m *network.Message) {
 	ls := rt.laneAt(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
 	overhead := rt.chargeRecvReplyTo(ls.col, words)
-	a := ls.getMove(rt)
+	a := ls.getMove()
 	a.m = m
 	rt.Mach.Proc(m.Dst).ExecAsync(overhead, a.install)
 }
@@ -288,7 +285,7 @@ func (rt *Runtime) deliverObject(m *network.Message) {
 // holder gets to use it, releases the message it has read, returns the
 // record to its pool and wakes the puller.
 func (a *moveArrival) run() {
-	rt, m := a.rt, a.m
+	rt, m := a.ls.rt, a.m
 	a.m = nil
 	a.ls.moves = append(a.ls.moves, a)
 	var r msg.Reader

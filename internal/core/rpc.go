@@ -69,7 +69,7 @@ func (t *Task) Call(g gid.GID, method MethodID, args msg.Marshaler, out msg.Unma
 func (t *Task) dispatchLocal(g gid.GID, ent *methodEntry, args msg.Marshaler, out msg.Unmarshaler) error {
 	rt := t.rt
 	ls := rt.laneAt(t.proc.ID())
-	a := ls.getRPC(rt)
+	a := ls.getRPC()
 	defer a.put()
 	if args != nil {
 		args.MarshalWords(&a.argw)
@@ -106,7 +106,7 @@ func (rt *Runtime) deliverRPC(m *network.Message) {
 	words := uint64(len(m.Payload)) + network.HeaderWords
 	overhead := rt.chargeRecvTo(ls.col, words, ent.short)
 
-	a := ls.getRPC(rt)
+	a := ls.getRPC()
 	a.dst, a.ent, a.g, a.caller, a.replyID, a.m = rt.Mach.Proc(m.Dst), ent, g, callerProc, replyID, m
 	// The handler reads its arguments in place; the message is released
 	// once it returns.

@@ -177,7 +177,7 @@ type Runtime struct {
 	// (see lane.go). The object space, method and walker tables and
 	// location hints stay shared: the tables are immutable after setup
 	// and each processor's hints are touched only by its own stream.
-	lanes []laneState
+	lanes []*laneState
 
 	// The message-path delivery callbacks and the give-up callback,
 	// bound once so a send allocates no method value or closure. The
@@ -202,10 +202,12 @@ func New(mach *sim.Machine, net *network.Network, cols []*stats.Collector, model
 		locHints:  make([]map[gid.GID]int, mach.N()),
 		pins:      make(map[gid.GID]sim.Time),
 		PinCycles: 200,
-		lanes:     make([]laneState, len(cols)),
+		lanes:     make([]*laneState, len(cols)),
 	}
 	for i, col := range cols {
-		rt.lanes[i].col = col
+		ls := sim.Keep[laneState](mach.Lane(i))
+		ls.rt, ls.col = rt, col
+		rt.lanes[i] = ls
 	}
 	rt.onRPC, rt.onMigrate, rt.onReply = rt.deliverRPC, rt.deliverMigrate, rt.deliverReply
 	rt.onGiveUp = rt.failReply
@@ -241,7 +243,9 @@ type replySlot struct {
 	words []uint32
 	m     *network.Message
 	err   error
-	q     sim.WaitQueue
+	// waiter is the operation's caller while it is parked on the slot:
+	// only the thread that issued the slot waits on it.
+	waiter *sim.Thread
 }
 
 // newReply allocates a reply slot in processor proc's lane (the
@@ -337,7 +341,10 @@ func (rt *Runtime) release(m *network.Message) {
 
 func (s *replySlot) settle(words []uint32, m *network.Message, err error) {
 	s.done, s.words, s.m, s.err = true, words, m, err
-	s.q.Signal()
+	if th := s.waiter; th != nil {
+		s.waiter = nil
+		th.Unpark()
+	}
 }
 
 // wait blocks th until the slot is settled, recycles the slot, and
@@ -346,7 +353,8 @@ func (s *replySlot) settle(words []uint32, m *network.Message, err error) {
 // the runtime gave up on a lost message.
 func (s *replySlot) wait(th *sim.Thread) ([]uint32, *network.Message, error) {
 	if !s.done {
-		s.q.Wait(th, "reply")
+		s.waiter = th
+		th.Park("reply")
 	}
 	if !s.done {
 		panic("core: woke from a reply wait before the reply")

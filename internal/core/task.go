@@ -157,7 +157,7 @@ func (rt *Runtime) deliverMigrate(m *network.Message) {
 	ls := rt.laneAt(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
 	overhead := rt.chargeRecvTo(ls.col, words, false)
-	a := ls.getMig(rt)
+	a := ls.getMig()
 	a.dst, a.m = rt.Mach.Proc(m.Dst), m
 	a.dst.ExecAsync(overhead, a.spawn)
 }
@@ -182,7 +182,7 @@ func (rt *Runtime) deliverReply(m *network.Message) {
 	ls := rt.laneAt(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
 	overhead := rt.chargeRecvReplyTo(ls.col, words)
-	a := ls.getReply(rt)
+	a := ls.getReply()
 	a.m = m
 	rt.Mach.Proc(m.Dst).ExecAsync(overhead, a.complete)
 }

@@ -379,8 +379,14 @@ type Result struct {
 
 // Run runs the simulation until it quiesces, fills r, and returns the
 // lane collectors merged into one (the serial engine's own collector)
-// for the application's own result fields.
+// for the application's own result fields. It then hands the run's idle
+// records on: the cache backings to mem's pool and every lane, with the
+// records the layers keep on it, to sim's retired stack, where the next
+// machine's engines start from (see sim.Machine.Retire). The machine's
+// clock, processors and collectors stay readable; nothing may run on it
+// again.
 func (m *Machine) Run(r *Result) *stats.Collector {
+	defer m.Mach.Retire()
 	defer m.Mem.Release()
 	var err error
 	col := m.cols[0]

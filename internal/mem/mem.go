@@ -383,14 +383,34 @@ type System struct {
 	// them. Allocated lazily per processor.
 	inflight []map[Addr]*sim.Future
 
-	// ctrlPool recycles the message-plus-adapter pair used for remote
-	// coherence sends; the protocol ships millions of them per run.
-	ctrlPool []*ctrlMsg
+	pool *pools
+}
 
-	// txnPool recycles transaction objects (see txn), invalPool the
-	// records of a write's invalidation fan-out (see inval).
-	txnPool   []*txn
-	invalPool []*inval
+// pools are the protocol's free lists: ctrls recycles the
+// message-plus-adapter pair used for remote coherence sends (the
+// protocol ships millions of them per run), txns the transaction
+// objects (see txn) and invals the records of a write's invalidation
+// fan-out (see inval). They outlive the run: they are the records the
+// substrate keeps on its engine (sim.Keep), so when the machine retires,
+// Retire scrubs them, and New rebinds them to the next System built on
+// a revived lane.
+type pools struct {
+	ctrls  []*ctrlMsg
+	txns   []*txn
+	invals []*inval
+}
+
+// Retire drops each record's System. A pooled record holds nothing else
+// of its run: its continuation, future, directory entry and transaction
+// are cleared when it is pooled.
+func (p *pools) Retire() int {
+	for _, c := range p.ctrls {
+		c.s = nil
+	}
+	for _, t := range p.txns {
+		t.s = nil
+	}
+	return len(p.ctrls) + len(p.txns) + len(p.invals)
 }
 
 // ctrlMsg is one in-flight coherence message: the wire message and the
@@ -412,7 +432,7 @@ type ctrlMsg struct {
 func (c *ctrlMsg) deliver(*network.Message) {
 	s, arrive := c.s, c.arrive
 	c.arrive = nil
-	s.ctrlPool = append(s.ctrlPool, c)
+	s.pool.ctrls = append(s.pool.ctrls, c)
 	arrive()
 }
 
@@ -427,6 +447,13 @@ func New(eng *sim.Engine, mach *sim.Machine, net *network.Network, col *stats.Co
 		heaps:    make([]uint64, mach.N()),
 		inflight: make([]map[Addr]*sim.Future, mach.N()),
 		words:    (mach.N() + 63) / 64,
+		pool:     sim.Keep[pools](eng),
+	}
+	for _, c := range s.pool.ctrls {
+		c.s = s
+	}
+	for _, t := range s.pool.txns {
+		t.s = s
 	}
 	mods := sim.NewMachine(eng, mach.N())
 	for i := 0; i < mach.N(); i++ {
@@ -514,7 +541,7 @@ func (s *System) send(src, dst int, dataWords uint64, arrive func()) {
 		s.eng.Schedule(1+s.p.CtrlCycles/4, arrive)
 		return
 	}
-	c := pop(&s.ctrlPool)
+	c := pop(&s.pool.ctrls)
 	if c == nil {
 		c = &ctrlMsg{s: s}
 		c.fn = c.deliver
@@ -760,7 +787,7 @@ type txn struct {
 }
 
 func (s *System) newTxn(proc int, line Addr, write bool, fut *sim.Future) *txn {
-	t := pop(&s.txnPool)
+	t := pop(&s.pool.txns)
 	if t == nil {
 		t = &txn{s: s}
 		t.enterFn, t.runFn, t.recallFn, t.recallAckFn = t.enter, t.run, t.recall, t.recallAck
@@ -844,7 +871,7 @@ func (t *txn) run() {
 			if q == t.proc {
 				continue
 			}
-			v := pop(&s.invalPool)
+			v := pop(&s.pool.invals)
 			if v == nil {
 				v = &inval{}
 				v.fn = v.run
@@ -861,7 +888,7 @@ func (v *inval) run() {
 	t, q := v.t, v.q
 	s := t.s
 	v.t = nil
-	s.invalPool = append(s.invalPool, v)
+	s.pool.invals = append(s.pool.invals, v)
 	s.caches[q].drop(t.line)
 	s.col.Invalidations++
 	s.send(q, t.home, 0, t.ackFn)
@@ -939,7 +966,7 @@ func (t *txn) releaseLine() {
 		s.eng.Schedule(0, next.runFn)
 	}
 	t.fut, t.d = nil, nil
-	s.txnPool = append(s.txnPool, t)
+	s.pool.txns = append(s.pool.txns, t)
 }
 
 // writeback retires a dirty evicted line to its home (fire-and-forget).

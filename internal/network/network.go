@@ -163,7 +163,7 @@ func (m *Message) Words() uint64 { return HeaderWords + uint64(len(m.Payload)) +
 type Network struct {
 	mach  *sim.Machine
 	topo  Topology
-	lanes []laneNet
+	lanes []*laneNet
 
 	// TransitBase and TransitPerHop price wire latency in cycles.
 	TransitBase   uint64
@@ -181,7 +181,9 @@ type Network struct {
 
 // laneNet is one lane's slice of the network: its engine, its collector
 // and its delivery-adapter pool. Each is touched only while its lane
-// executes.
+// executes. It is the records the network keeps on its lane's engine
+// (sim.Keep): when the machine retires, Retire scrubs it, and the next
+// network built on a revived lane takes it back with its pool full.
 type laneNet struct {
 	eng *sim.Engine
 	col *stats.Collector
@@ -201,6 +203,14 @@ type laneDelivery struct {
 	m      *Message
 	arrive func(*Message)
 	fn     func()
+}
+
+// Retire drops the lane's engine and collector when its machine
+// retires. A pooled adapter holds no message, and its ln is its own
+// pool's laneNet until its next send sets it.
+func (ln *laneNet) Retire() int {
+	ln.eng, ln.col = nil, nil
+	return len(ln.pool)
 }
 
 // run fires at arrival time: it returns the adapter to the pool of the
@@ -223,11 +233,13 @@ func New(mach *sim.Machine, topo Topology, cols []*stats.Collector, transitBase,
 		panic(fmt.Sprintf("network: %d lane collectors for %d lanes", len(cols), mach.Lanes()))
 	}
 	n := &Network{
-		mach: mach, topo: topo, lanes: make([]laneNet, len(cols)),
+		mach: mach, topo: topo, lanes: make([]*laneNet, len(cols)),
 		TransitBase: transitBase, TransitPerHop: transitPerHop,
 	}
 	for i := range n.lanes {
-		n.lanes[i] = laneNet{eng: mach.Lane(i), col: cols[i]}
+		ln := sim.Keep[laneNet](mach.Lane(i))
+		ln.eng, ln.col = mach.Lane(i), cols[i]
+		n.lanes[i] = ln
 	}
 	return n
 }
@@ -259,7 +271,7 @@ func (n *Network) SendAfter(m *Message, recvDelay uint64, arrive func(*Message))
 		defer profile.NetSends.Time(1)()
 	}
 	srcLane := n.mach.LaneOf(m.Src)
-	src := &n.lanes[srcLane]
+	src := n.lanes[srcLane]
 	words := m.Words()
 	src.col.CountMessage(words)
 	lat := n.Latency(m.Src, m.Dst, words)
@@ -278,7 +290,7 @@ func (n *Network) SendAfter(m *Message, recvDelay uint64, arrive func(*Message))
 	}
 	d.m, d.arrive = m, arrive
 	if dstLane := n.mach.LaneOf(m.Dst); dstLane != srcLane {
-		d.ln = &n.lanes[dstLane]
+		d.ln = n.lanes[dstLane]
 		src.eng.CrossSend(lat+recvDelay, m.Dst, d.fn)
 		return
 	}
@@ -314,7 +326,8 @@ func (n *Network) AttachFaults(inj *fault.Injector) {
 	if len(n.lanes) != 1 {
 		panic(fmt.Sprintf("network: cannot attach a fault injector to a %d-lane network", len(n.lanes)))
 	}
-	n.rel = &reliability{n: n, eng: n.lanes[0].eng, col: n.lanes[0].col, inj: inj}
+	eng := n.lanes[0].eng
+	n.rel = &reliability{n: n, eng: eng, col: n.lanes[0].col, inj: inj, pool: sim.Keep[relPool](eng)}
 }
 
 // FaultInjector returns the attached injector, or nil on a fault-free

@@ -24,7 +24,8 @@ const ackWireWords = 1
 //
 // Each logical message is one relPending record, taken from a free list
 // and returned to it once settled and unreferenced, so a warm faulted
-// message path allocates nothing.
+// message path allocates nothing. The free list outlives the run: it is
+// the records the layer keeps on its engine (sim.Keep).
 type reliability struct {
 	n   *Network
 	eng *sim.Engine
@@ -32,9 +33,22 @@ type reliability struct {
 	inj *fault.Injector
 
 	nextSeq uint64
-	free    []*relPending
+	pool    *relPool
 	//simvet:allow read by TestReliableRecordPoolSafety, which checks that records are reused and all come back to the free list
 	made int // records ever allocated
+}
+
+// relPool is the free list of settled relPending records.
+type relPool struct{ free []*relPending }
+
+// Retire drops each record's reliability layer when the machine
+// retires; send rebinds a record when it takes it. A released record
+// holds nothing else.
+func (rp *relPool) Retire() int {
+	for _, p := range rp.free {
+		p.r = nil
+	}
+	return len(rp.free)
 }
 
 // relPending is one logical message from its send until it is settled
@@ -76,10 +90,11 @@ type relPending struct {
 // logical message.
 func (r *reliability) send(m *Message, recvDelay uint64, arrive func(*Message), onGiveUp func(uint64, *fault.GiveUpError), tok uint64) {
 	var p *relPending
-	if k := len(r.free); k > 0 {
-		p = r.free[k-1]
-		r.free[k-1] = nil
-		r.free = r.free[:k-1]
+	if k := len(r.pool.free); k > 0 {
+		p = r.pool.free[k-1]
+		r.pool.free[k-1] = nil
+		r.pool.free = r.pool.free[:k-1]
+		p.r = r
 	} else {
 		p = &relPending{r: r}
 		p.fire, p.land, p.ack = p.onTimeout, p.onLand, p.onAck
@@ -263,5 +278,5 @@ func (r *reliability) release(p *relPending) {
 		return
 	}
 	*p = relPending{r: r, fire: p.fire, land: p.land, ack: p.ack}
-	r.free = append(r.free, p)
+	r.pool.free = append(r.pool.free, p)
 }

@@ -314,16 +314,16 @@ func TestReliableRecordPoolSafety(t *testing.T) {
 		if r.made >= msgs {
 			t.Errorf("seed %d: %d records for %d messages: none was reused", seed, r.made, msgs)
 		}
-		seen := make(map[*relPending]bool, len(r.free))
-		for _, p := range r.free {
+		seen := make(map[*relPending]bool, len(r.pool.free))
+		for _, p := range r.pool.free {
 			if seen[p] {
 				t.Fatalf("seed %d: a record is on the free list twice", seed)
 			}
 			seen[p] = true
 		}
-		if len(r.free) != r.made {
+		if len(r.pool.free) != r.made {
 			t.Errorf("seed %d: %d of %d records back on the free list after the run drained",
-				seed, len(r.free), r.made)
+				seed, len(r.pool.free), r.made)
 		}
 	}
 }

@@ -5,21 +5,23 @@ import (
 	"testing"
 )
 
-// idleSet snapshots the shared idle-carrier pool.
+// idleSet snapshots the carriers of the retired lanes.
 func idleSet() map[*carrier]bool {
-	idleCarriers.Lock()
-	defer idleCarriers.Unlock()
-	set := make(map[*carrier]bool, len(idleCarriers.free))
-	for _, c := range idleCarriers.free {
-		set[c] = true
+	retired.Lock()
+	defer retired.Unlock()
+	set := make(map[*carrier]bool)
+	for _, l := range retired.lanes {
+		for _, c := range l.carriers {
+			set[c] = true
+		}
 	}
 	return set
 }
 
 // pingPong runs a fresh engine on which pairs of threads transfer control
-// back and forth rounds times, with every pair parked at once, and
-// returns its handoff count. It reports a failed run with t.Error, which
-// is safe from any goroutine.
+// back and forth rounds times, with every pair parked at once, retires
+// it, and returns its handoff count. It reports a failed run with
+// t.Error, which is safe from any goroutine.
 func pingPong(t testing.TB, pairs, rounds int) uint64 {
 	e := NewEngine(1)
 	for p := 0; p < pairs; p++ {
@@ -28,12 +30,12 @@ func pingPong(t testing.TB, pairs, rounds int) uint64 {
 		body := func(me int) func(*Thread) {
 			return func(th *Thread) {
 				if me == 1 {
-					th.park("start")
+					th.Park("start")
 				}
 				for left > 0 {
 					left--
 					ths[1-me].Unpark()
-					th.park("switch")
+					th.Park("switch")
 				}
 				if !finished {
 					finished = true
@@ -47,19 +49,21 @@ func pingPong(t testing.TB, pairs, rounds int) uint64 {
 	if err := e.Run(); err != nil {
 		t.Error(err)
 	}
+	e.retire()
 	return e.handoffs
 }
 
 // TestCarrierPoolSharedAcrossEngines asserts that carriers outlive the
-// run that created them: a second engine running the same program draws
-// every carrier from the shared idle pool and hands each one back. It
-// then runs engines on separate goroutines against the one pool, each
-// reporting the serial handoff count (run under -race in CI).
+// run that created them: a second engine running the same program
+// revives the first one's retired lane, draws every carrier from it and
+// retires each one again. It then runs engines on separate goroutines
+// against the one retired stack, each reporting the serial handoff count
+// (run under -race in CI).
 func TestCarrierPoolSharedAcrossEngines(t *testing.T) {
 	want := pingPong(t, 8, 50)
 	before := idleSet()
 	if len(before) < 16 {
-		t.Fatalf("idle pool holds %d carriers after a 16-thread run, want >= 16", len(before))
+		t.Fatalf("retired lanes hold %d carriers after a 16-thread run, want >= 16", len(before))
 	}
 	if got := pingPong(t, 8, 50); got != want {
 		t.Fatalf("second engine: %d handoffs, want %d", got, want)
@@ -71,7 +75,7 @@ func TestCarrierPoolSharedAcrossEngines(t *testing.T) {
 		}
 	}
 	if len(after) != len(before) {
-		t.Fatalf("idle pool holds %d carriers after the second run, want %d", len(after), len(before))
+		t.Fatalf("retired lanes hold %d carriers after the second run, want %d", len(after), len(before))
 	}
 
 	var wg sync.WaitGroup
@@ -95,7 +99,7 @@ func TestCarrierPoolSharedAcrossEngines(t *testing.T) {
 
 // TestThreadPanicSurfacesAtRun asserts that a panic in a thread body
 // reaches Run's caller, where it can be recovered, and that the
-// panicked carrier never returns to the idle pool.
+// panicked carrier never returns to a retired lane.
 func TestThreadPanicSurfacesAtRun(t *testing.T) {
 	e := NewEngine(1)
 	bad := e.Spawn("bad", 0, func(th *Thread) {
@@ -115,8 +119,9 @@ func TestThreadPanicSurfacesAtRun(t *testing.T) {
 	if c == nil || c.th != bad {
 		t.Fatal("panicked carrier was unbound from its thread")
 	}
+	e.retire()
 	if idleSet()[c] {
-		t.Fatal("panicked carrier re-entered the idle pool")
+		t.Fatal("panicked carrier re-entered a retired lane")
 	}
 	if h := pingPong(t, 2, 10); h == 0 {
 		t.Fatal("engine after a panic ran no threads")

@@ -204,6 +204,11 @@ type Engine struct {
 	threadPool  []*Thread  // exited threads, for reuse by Spawn
 	carriers    []*carrier // free carriers, for the first dispatch of a thread
 
+	// held are the layers' idle records kept on this lane (see Keep),
+	// and revived those a revived lane brought that no layer has taken
+	// yet; both retire with the lane.
+	held, revived []Records
+
 	rng    *PRNG
 	tracer *Tracer
 
@@ -233,9 +238,13 @@ type Engine struct {
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose PRNG is
-// seeded with seed.
+// seeded with seed. It revives the most recently retired lane, if any
+// (see Machine.Retire): its pools start with that lane's idle records,
+// which changes no simulated result.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewPRNG(seed)}
+	e := &Engine{rng: NewPRNG(seed)}
+	e.revive()
+	return e
 }
 
 // Now returns the current simulated time in cycles.
@@ -422,7 +431,6 @@ func (e *Engine) resume(th *Thread) {
 // still parked (they can never be woken again), a *MaxEventsError if the
 // runaway guard trips, and nil otherwise.
 func (e *Engine) Run() error {
-	defer e.drainCarriers()
 	defer e.countHandoffs(e.handoffs)
 	if err := e.pump(^Time(0)); err != nil {
 		return err
@@ -438,7 +446,6 @@ func (e *Engine) Run() error {
 //
 //simvet:allow make engine-order pins that RunUntil cuts the same event sequence as Stop and MaxEvents
 func (e *Engine) RunUntil(limit Time) error {
-	defer e.drainCarriers()
 	defer e.countHandoffs(e.handoffs)
 	if err := e.pump(limit); err != nil {
 		return err

@@ -54,12 +54,12 @@ func BenchmarkEngineZeroDelay(b *testing.B) {
 		body := func(me int) func(*Thread) {
 			return func(th *Thread) {
 				if me == 1 {
-					th.park("start")
+					th.Park("start")
 				}
 				for left > 0 {
 					left--
 					ths[1-me].Unpark()
-					th.park("pong")
+					th.Park("pong")
 				}
 				if left == 0 { // release the peer, still parked in the loop
 					left--

@@ -191,7 +191,7 @@ func TestThreadsInterleaveDeterministically(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("stuck", 0, func(th *Thread) {
-		th.park("nowhere")
+		th.Park("nowhere")
 	})
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
@@ -208,7 +208,7 @@ func TestUnparkRoundTrip(t *testing.T) {
 	var sleeper *Thread
 	hits := 0
 	sleeper = e.Spawn("sleeper", 0, func(th *Thread) {
-		th.park("wait-for-poke")
+		th.Park("wait-for-poke")
 		hits++
 	})
 	e.Spawn("poker", 0, func(th *Thread) {
@@ -402,7 +402,7 @@ func TestDeadlockReportsExactlyTheParked(t *testing.T) {
 
 func TestDeadlockErrorMessage(t *testing.T) {
 	e := NewEngine(1)
-	e.Spawn("lost", 0, func(th *Thread) { th.park("the-void") })
+	e.Spawn("lost", 0, func(th *Thread) { th.Park("the-void") })
 	err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), "the-void") {
 		t.Fatalf("deadlock error %v does not name the block site", err)
@@ -413,7 +413,7 @@ func TestUnparkAtDelays(t *testing.T) {
 	e := NewEngine(1)
 	var woke Time
 	th := e.Spawn("sleeper", 0, func(th *Thread) {
-		th.park("wait")
+		th.Park("wait")
 		woke = th.Now()
 	})
 	e.Schedule(10, func() { e.scheduleWake(e.now+90, th) })
@@ -443,6 +443,27 @@ func TestMachineAccessors(t *testing.T) {
 		}
 	}()
 	m.Proc(9)
+}
+
+// TestThreadStringNamesExecProcessor pins the blocking site a thread
+// reports while an Exec holds it, which deadlock reports print: the
+// processor it executes on, as exec(pN), and the plain label otherwise.
+func TestThreadStringNamesExecProcessor(t *testing.T) {
+	e := NewEngine(1)
+	m := NewMachine(e, 3)
+	worker := e.Spawn("worker", 0, func(th *Thread) {
+		th.Exec(m.Proc(2), 100)
+		th.Sleep(100)
+	})
+	var seen []string
+	e.Schedule(50, func() { seen = append(seen, worker.String()) })
+	e.Schedule(150, func() { seen = append(seen, worker.String()) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"worker#1@exec(p2)", "worker#1@sleep"}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("thread while blocked: %q, want %q", seen, want)
+	}
 }
 
 func TestPRNGUint64nAndFork(t *testing.T) {

@@ -42,7 +42,7 @@ type cancellable struct {
 type orderMix struct {
 	e      *Engine
 	mach   *Machine
-	procs  []*Proc
+	procs  []Proc
 	rng    *PRNG
 	budget int // actions left to start
 
@@ -111,7 +111,7 @@ func (m *orderMix) blocked(before uint64, id int) {
 	m.rec(seq, id)
 }
 
-func (m *orderMix) proc() *Proc { return m.procs[m.rng.Intn(len(m.procs))] }
+func (m *orderMix) proc() *Proc { return &m.procs[m.rng.Intn(len(m.procs))] }
 
 // callback is a plain event body: it records its dispatch, may stop the
 // run, and may start one more non-blocking action.
@@ -251,7 +251,7 @@ func (m *orderMix) park(mt *mixThread) {
 		}
 	})
 	*wseq = m.queued(ev.seq)
-	mt.th.park("mix")
+	mt.th.Park("mix")
 	m.rec(mt.wake, id)
 }
 

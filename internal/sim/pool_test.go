@@ -156,7 +156,7 @@ func yield(th *Thread) {
 		return
 	}
 	th.eng.scheduleWake(th.eng.now, th)
-	th.park("yield")
+	th.Park("yield")
 }
 
 // TestYieldRunsBehindQueuedEvents asserts a yield still defers to an
@@ -260,7 +260,7 @@ func TestExitHandsOffDirectly(t *testing.T) {
 		e := NewEngine(1)
 		var atExit, atNext uint64
 		waiter := e.Spawn("waiter", 0, func(th *Thread) {
-			th.park("wait")
+			th.Park("wait")
 			atNext = e.handoffs
 		})
 		e.Spawn("waker", 5, func(th *Thread) {
@@ -314,7 +314,8 @@ func TestExitRunsOwnRespawnInPlace(t *testing.T) {
 // n threads whose bodies return at once allocates the same heap bytes
 // at n = 100 and at n = 10,000. One thread is live at a time, so the
 // engine's thread, event and carrier pools grow the same at both sizes,
-// and a copy of the schedule is all that could grow with n.
+// and a copy of the schedule is all that could grow with n. Each machine
+// retires after its run, so the next one revives its pools.
 func TestArrivalRunAllocs(t *testing.T) {
 	bytes := func(n int) uint64 {
 		e := NewEngine(1)
@@ -329,12 +330,13 @@ func TestArrivalRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
+		m.Retire()
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	// The least of three runs, because the race detector's runtime
 	// allocates a few bytes of its own now and then.
 	least := func(n int) uint64 { return min(bytes(n), bytes(n), bytes(n)) }
-	bytes(100) // fills the shared idle-carrier pool
+	bytes(100) // retires a lane with a carrier for the runs to revive
 	if small, large := least(100), least(10000); small != large {
 		t.Fatalf("an arrival run allocated %d bytes at n=100 and %d at n=10,000, want the same", small, large)
 	}

@@ -9,11 +9,10 @@ import "fmt"
 // B-tree root bottleneck, where activations arrive at the root's processor
 // faster than it can retire them).
 type Proc struct {
-	eng       *Engine
-	id        int
-	lane      int    // the index of eng among the machine's lanes
-	free      Time   // the cycle at which the processor next becomes idle
-	execWhere string // park label for Exec, built once
+	eng  *Engine
+	id   int
+	lane int  // the index of eng among the machine's lanes
+	free Time // the cycle at which the processor next becomes idle
 
 	// run queues the serial engine's events timed by reserve: Exec
 	// wakeups and ExecAsync completions. free never decreases, so
@@ -70,18 +69,19 @@ func (p *Proc) skipDown(t Time) Time {
 // engines their events execute on: the serial engine is a machine's
 // one lane, and a cluster's machine has a lane per shard.
 type Machine struct {
-	procs []*Proc
+	procs []Proc
 	lanes []*Engine
 }
 
 // NewMachine creates n processors attached to e, the machine's one lane.
+// The processors are one allocation.
 func NewMachine(e *Engine, n int) *Machine {
 	if n <= 0 {
 		panic("sim: machine needs at least one processor")
 	}
-	m := &Machine{procs: make([]*Proc, n), lanes: []*Engine{e}}
+	m := &Machine{procs: make([]Proc, n), lanes: []*Engine{e}}
 	for i := range m.procs {
-		m.procs[i] = &Proc{eng: e, id: i, execWhere: fmt.Sprintf("exec(p%d)", i)}
+		m.procs[i] = Proc{eng: e, id: i}
 	}
 	return m
 }
@@ -94,7 +94,7 @@ func (m *Machine) Proc(i int) *Proc {
 	if i < 0 || i >= len(m.procs) {
 		panic(fmt.Sprintf("sim: proc %d out of range [0,%d)", i, len(m.procs)))
 	}
-	return m.procs[i]
+	return &m.procs[i]
 }
 
 // Lanes returns the number of lanes.
@@ -152,7 +152,7 @@ func (m *Machine) SpawnArrivals(name string, n int, arrival func(i int) (at Time
 	if e.cluster != nil {
 		for i := 0; i < n; i++ {
 			at, proc, body := arrival(i)
-			p := m.procs[proc]
+			p := &m.procs[proc]
 			p.Spawn(name, at-p.eng.now, body)
 		}
 		return
@@ -241,7 +241,8 @@ func (th *Thread) Exec(p *Proc, cycles Time) {
 		return
 	}
 	th.eng.schedule(end, nil, th, &p.run)
-	th.park(p.execWhere)
+	th.execProc = p.id
+	th.Park(execWhere)
 }
 
 // ReserveAt books cycles of exclusive processor time starting no earlier

@@ -129,7 +129,8 @@ func (cl *Cluster) NewMachine(n int) *Machine {
 	cl.ctrs = make([]uint64, n+1)
 	m := NewMachine(cl.lanes[0], n)
 	m.lanes = cl.lanes
-	for i, p := range m.procs {
+	for i := range m.procs {
+		p := &m.procs[i]
 		lane := i * shards / n
 		p.eng, p.lane = cl.lanes[lane], lane
 		cl.laneOf[i] = lane
@@ -269,9 +270,6 @@ func (cl *Cluster) Run() error {
 		profile.ShardNulls.Add(nulls)
 		profile.ShardCross.Add(cross - startCross)
 		profile.EngineHandoffs.Add(handoffs - startHandoffs)
-		for _, e := range cl.lanes {
-			e.drainCarriers()
-		}
 	}()
 	var drivers []laneDriver
 	if len(cl.lanes) > 1 && runtime.GOMAXPROCS(0) > 1 {

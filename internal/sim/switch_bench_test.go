@@ -14,12 +14,12 @@ func BenchmarkThreadSwitch(b *testing.B) {
 	body := func(me int) func(*Thread) {
 		return func(th *Thread) {
 			if me == 1 {
-				th.park("start") // released by the first transfer
+				th.Park("start") // released by the first transfer
 			}
 			for left > 0 {
 				left--
 				ths[1-me].Unpark()
-				th.park("switch")
+				th.Park("switch")
 			}
 			if !finished { // release the peer, still parked in the loop
 				finished = true

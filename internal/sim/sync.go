@@ -18,7 +18,7 @@ func (m *Mutex) Lock(th *Thread) {
 		return
 	}
 	m.waiters = append(m.waiters, th)
-	th.park("mutex")
+	th.Park("mutex")
 	// The unlocker set us as owner before waking us.
 	if m.owner != th {
 		panic("sim: woke from Mutex.Lock without ownership")
@@ -41,8 +41,8 @@ func (m *Mutex) Unlock(th *Thread) {
 	next.Unpark()
 }
 
-// WaitQueue is a simple condition-style queue: threads Wait on it and are
-// released in FIFO order by Signal/Broadcast.
+// WaitQueue is a simple condition-style queue: threads Wait on it and
+// Broadcast releases them all, in FIFO order.
 type WaitQueue struct {
 	waiters []*Thread
 }
@@ -50,19 +50,7 @@ type WaitQueue struct {
 // Wait parks th on the queue. The where label appears in deadlock reports.
 func (q *WaitQueue) Wait(th *Thread, where string) {
 	q.waiters = append(q.waiters, th)
-	th.park(where)
-}
-
-// Signal wakes the longest-waiting thread and reports whether one existed.
-func (q *WaitQueue) Signal() bool {
-	if len(q.waiters) == 0 {
-		return false
-	}
-	next := q.waiters[0]
-	copy(q.waiters, q.waiters[1:])
-	q.waiters = q.waiters[:len(q.waiters)-1]
-	next.Unpark()
-	return true
+	th.Park(where)
 }
 
 // Broadcast wakes every waiting thread.

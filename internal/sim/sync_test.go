@@ -103,30 +103,6 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	f.Complete(2)
 }
 
-func TestWaitQueueSignalOrder(t *testing.T) {
-	e := NewEngine(1)
-	var q WaitQueue
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Spawn("w", Time(i), func(th *Thread) {
-			q.Wait(th, "test")
-			order = append(order, i)
-		})
-	}
-	e.Schedule(100, func() { q.Signal() })
-	e.Schedule(200, func() { q.Signal() })
-	e.Schedule(300, func() { q.Signal() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("signal order not FIFO: %v", order)
-		}
-	}
-}
-
 func TestWaitQueueBroadcast(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue

@@ -22,6 +22,10 @@ type Thread struct {
 	where   string        // description of the blocking site, for deadlock reports
 	live    int           // the thread's index in Engine.live while it is live
 
+	// execProc is the processor an Exec parked on, which String reports
+	// while where is execWhere.
+	execProc int
+
 	// stream is the event stream the thread's wakeups execute as: the
 	// processor the thread is bound to on a clustered engine (set by
 	// Proc.Spawn), or the spawner's ambient stream. Zero and unused on a
@@ -31,6 +35,10 @@ type Thread struct {
 	// scratch is the future handed out by ScratchFuture.
 	scratch Future
 }
+
+// execWhere is the park label of a thread blocked in Exec; String
+// renders it with the processor, as exec(p3).
+const execWhere = "exec"
 
 // Spawn creates a simulated thread that begins executing body at time
 // e.Now()+delay. The body runs under engine control; it must only interact
@@ -137,7 +145,21 @@ func (th *Thread) exit() {
 func (th *Thread) Now() Time { return th.eng.now }
 
 func (th *Thread) String() string {
+	if th.where == execWhere {
+		return fmt.Sprintf("%s#%d@exec(p%d)", th.name, th.id, th.execProc)
+	}
 	return fmt.Sprintf("%s#%d@%s", th.name, th.id, th.where)
+}
+
+// scrub drops what a pooled thread still holds of its run when its lane
+// retires: its engine, its name and its scratch future's value and
+// waiter slots, whose storage it keeps.
+func (th *Thread) scrub() {
+	th.eng, th.name = nil, ""
+	f := &th.scratch
+	f.done, f.val = false, nil
+	clear(f.q.waiters[:cap(f.q.waiters)])
+	f.q.waiters = f.q.waiters[:0]
 }
 
 // ScratchFuture resets and returns a future owned by the thread, for
@@ -149,14 +171,15 @@ func (th *Thread) ScratchFuture() *Future {
 	return &th.scratch
 }
 
-// park blocks the thread until some event resumes it. The caller must
-// have arranged for a wakeup.
+// Park blocks the thread until some event resumes it, labelling the
+// blocking site where for deadlock reports. The caller must have
+// arranged for a wakeup, such as an Unpark.
 //
 // Rather than bouncing control back to the engine loop on every block,
 // the parking thread becomes the driver (see drive). Event order comes
 // solely from the event queue, so the execution is identical to engine-driven
 // dispatch — only the carrier doing the popping changes.
-func (th *Thread) park(where string) {
+func (th *Thread) Park(where string) {
 	e := th.eng
 	if e.current != th {
 		panic("sim: park called from a thread that is not running")
@@ -234,5 +257,5 @@ func (th *Thread) Sleep(d Time) {
 		return
 	}
 	th.eng.scheduleWake(th.eng.now+d, th)
-	th.park("sleep")
+	th.Park("sleep")
 }
