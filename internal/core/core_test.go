@@ -121,6 +121,7 @@ func newRig(t *testing.T, nprocs int, model cost.Model) *rig {
 	t.Helper()
 	eng := sim.NewEngine(11)
 	m := sim.NewMachine(eng, nprocs)
+	t.Cleanup(m.Retire)
 	col := stats.NewCollector()
 	net := network.New(m, network.Crossbar{}, []*stats.Collector{col}, model.NetTransitBase, model.NetTransitPerHop)
 	rt := New(m, net, []*stats.Collector{col}, model)

@@ -89,10 +89,12 @@ func (r *linkReply) UnmarshalWords(rd *msg.Reader) error {
 }
 
 // newChain links a (value 1, processor 0) -> b (2, 1) -> c (4, 2). With
-// loop set, one link on the requester's processor points at itself.
-func newChain(loop bool) *chain {
+// loop set, one link on the requester's processor points at itself. The
+// machine retires when the test ends.
+func newChain(t testing.TB, loop bool) *chain {
 	eng := sim.NewEngine(3)
 	m := sim.NewMachine(eng, 4)
+	t.Cleanup(m.Retire)
 	col := stats.NewCollector()
 	model := cost.Software()
 	net := network.New(m, network.Crossbar{}, []*stats.Collector{col}, model.NetTransitBase, model.NetTransitPerHop)
@@ -138,7 +140,7 @@ func (c *chain) sum(mech Mechanism) (got uint64, err error) {
 
 func TestWalkEveryMechanism(t *testing.T) {
 	for _, mech := range []Mechanism{RPC, Migrate, SharedMem, ObjMigrate} {
-		c := newChain(false)
+		c := newChain(t, false)
 		got, err := c.sum(mech)
 		if err != nil {
 			t.Fatalf("%v: %v", mech, err)
@@ -173,7 +175,7 @@ func TestWalkEveryMechanism(t *testing.T) {
 
 func TestWalkHopBound(t *testing.T) {
 	for _, mech := range []Mechanism{RPC, Migrate, SharedMem, ObjMigrate} {
-		_, err := newChain(true).sum(mech)
+		_, err := newChain(t, true).sum(mech)
 		if err == nil || !strings.Contains(err.Error(), "walk did not terminate") {
 			t.Errorf("%v: a walk that never finishes returned %v, want the hop-bound panic", mech, err)
 		}
@@ -197,7 +199,7 @@ func (c *chain) panicOf() (p any) {
 }
 
 func TestMigrationRejectsTrailingWords(t *testing.T) {
-	c := newChain(false)
+	c := newChain(t, false)
 	id := c.rt.RegisterWalker("chain.short", func() Walker { return &shortRead{chainSum{c: c}} })
 	c.eng.Spawn("req", 0, func(th *sim.Thread) {
 		task := c.rt.NewTask(th, 3)
@@ -211,7 +213,7 @@ func TestMigrationRejectsTrailingWords(t *testing.T) {
 }
 
 func TestMethodMayNotStartMigratingWalk(t *testing.T) {
-	c := newChain(false)
+	c := newChain(t, false)
 	mWalk := c.rt.RegisterMethod("link.walk", false, func(t *Task, _ any, _ *msg.Reader, _ *msg.Writer) {
 		w := t.Record(c.cSum).(*chainSum)
 		*w = chainSum{c: c, cur: c.links[0]}

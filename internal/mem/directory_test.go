@@ -32,7 +32,7 @@ func TestInvalidationAcrossWordBoundaries(t *testing.T) {
 			p := DefaultParams()
 			p.CacheBytes = 256
 			p.DirPointers = 2
-			r := newRig(c.n, p)
+			r := newRig(t, c.n, p)
 			addr := r.shm.Alloc(home, 4)
 			var busy sim.Time
 			var tr *sim.Tracer
@@ -108,7 +108,7 @@ func smallCacheParams() Params {
 func TestInvalidatingWriteAllocs(t *testing.T) {
 	const writer = 1
 	for _, sharers := range [][]int{{2}, {2, 3, 4}, {5, 63, 64, 65, 127, 128}} {
-		r := newRig(130, smallCacheParams())
+		r := newRig(t, 130, smallCacheParams())
 		addr := r.shm.Alloc(0, 4)
 		n := allocsPerAccess(t, r, func(th *sim.Thread) {
 			for _, q := range sharers {
@@ -135,7 +135,7 @@ func sameSet(r *rig, home int) (a, b Addr) {
 // TestReclaimedEntryMissAllocs pins a warm miss on a line whose directory
 // entry a writeback reclaimed: the entry comes back from the free list.
 func TestReclaimedEntryMissAllocs(t *testing.T) {
-	r := newRig(2, smallCacheParams())
+	r := newRig(t, 2, smallCacheParams())
 	a, b := sameSet(r, 0)
 	n := allocsPerAccess(t, r, func(th *sim.Thread) {
 		r.shm.Write(th, 1, a, 4) // a's entry was reclaimed by the last round
@@ -154,7 +154,7 @@ func TestReclaimedEntryMissAllocs(t *testing.T) {
 // the other line's modified copy, whose writeback is a queued directory
 // transaction like any miss.
 func TestDirtyWritebackAllocs(t *testing.T) {
-	r := newRig(2, smallCacheParams())
+	r := newRig(t, 2, smallCacheParams())
 	a, b := sameSet(r, 0)
 	sent := r.col.TotalMessages()
 	n := allocsPerAccess(t, r, func(th *sim.Thread) {

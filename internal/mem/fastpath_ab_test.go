@@ -43,7 +43,7 @@ func abWorkload(r *rig, nprocs int) {
 	}
 }
 
-// abRun executes the workload with the fast paths set as given and
+// abRun executes the workload with the fast path set as given and
 // returns the rig for inspection.
 func abRun(t *testing.T, fast bool) *rig {
 	t.Helper()
@@ -51,14 +51,14 @@ func abRun(t *testing.T, fast bool) *rig {
 	t.Cleanup(func() { SetFastPath(true) })
 	p := DefaultParams()
 	p.CacheBytes = 1 << 10 // force capacity evictions
-	r := newRig(4, p)
+	r := newRig(t, 4, p)
 	abWorkload(r, 4)
 	if err := r.eng.Run(); err != nil {
 		t.Fatalf("fastpath=%v: %v", fast, err)
 	}
 	// Solo phase: with every other thread done the event heap is quiet,
-	// which is the regime where the inline paths can actually commit —
-	// fresh home-local lines miss inline, re-reads hit inline.
+	// which is the regime where the inline path can actually commit:
+	// re-reads hit inline.
 	solo := make([]Addr, 8)
 	for i := range solo {
 		solo[i] = r.shm.Alloc(0, 8)
@@ -78,7 +78,7 @@ func abRun(t *testing.T, fast bool) *rig {
 
 // TestFastPathCollectorIdentity is the substrate-level half of the A/B
 // identity contract: every simulated metric — the clock included — must
-// be identical whether accesses take the inline fast paths or the
+// be identical whether accesses take the inline all-hit path or the
 // event-driven protocol.
 func TestFastPathCollectorIdentity(t *testing.T) {
 	on := abRun(t, true)
@@ -110,17 +110,12 @@ func TestFastPathCollectorIdentity(t *testing.T) {
 		}
 	}
 
-	// The A/B must actually have exercised both regimes.
-	fastHits, fastLocal := on.shm.nFastHits, on.shm.nFastLocal
-	if fastHits == 0 {
+	// The A/B must actually have exercised the inline path.
+	if on.shm.nFastHits == 0 {
 		t.Error("fastpath run never took the inline hit path")
 	}
-	if fastLocal == 0 {
-		t.Error("fastpath run never took the inline local-miss path")
-	}
-	offHits, offLocal := off.shm.nFastHits, off.shm.nFastLocal
-	if offHits != 0 || offLocal != 0 {
-		t.Errorf("disabled run took fast paths: hits=%d local=%d", offHits, offLocal)
+	if off.shm.nFastHits != 0 {
+		t.Errorf("disabled run took the fast path: hits=%d", off.shm.nFastHits)
 	}
 }
 
@@ -133,7 +128,7 @@ func TestFastPathCollectorIdentity(t *testing.T) {
 func TestDirEntriesBoundedUnderCycling(t *testing.T) {
 	p := DefaultParams()
 	p.CacheBytes = 1 << 10 // 64 lines
-	r := newRig(2, p)
+	r := newRig(t, 2, p)
 
 	const objs = 512 // working set 8x the cache
 	addrs := make([]Addr, objs)

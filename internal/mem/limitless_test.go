@@ -10,7 +10,7 @@ func TestCheckCoherenceCleanRuns(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		p := DefaultParams()
 		p.CacheBytes = 512
-		r := newRig(6, p)
+		r := newRig(t, 6, p)
 		rng := sim.NewPRNG(seed)
 		var addrs []Addr
 		for i := 0; i < 24; i++ {
@@ -39,7 +39,7 @@ func TestCheckCoherenceCleanRuns(t *testing.T) {
 }
 
 func TestCheckCoherenceDetectsCorruption(t *testing.T) {
-	r := newRig(3, DefaultParams())
+	r := newRig(t, 3, DefaultParams())
 	addr := r.shm.Alloc(0, 4)
 	r.eng.Spawn("w", 0, func(th *sim.Thread) {
 		r.shm.Write(th, 1, addr, 4)
@@ -60,7 +60,7 @@ func TestCheckCoherenceDetectsCorruption(t *testing.T) {
 func TestLimitlessTrapsOnWideSharing(t *testing.T) {
 	p := DefaultParams()
 	p.DirPointers = 3
-	r := newRig(10, p)
+	r := newRig(t, 10, p)
 	addr := r.shm.Alloc(9, 4)
 
 	// Nine readers overflow the 3 hardware pointers.
@@ -90,7 +90,7 @@ func TestLimitlessTrapsOnWideSharing(t *testing.T) {
 }
 
 func TestFullMapNeverTraps(t *testing.T) {
-	r := newRig(10, DefaultParams())
+	r := newRig(t, 10, DefaultParams())
 	addr := r.shm.Alloc(9, 4)
 	for pid := 0; pid < 9; pid++ {
 		pid := pid
@@ -114,7 +114,7 @@ func TestLimitlessSlowsWideInvalidation(t *testing.T) {
 	run := func(pointers int) sim.Time {
 		p := DefaultParams()
 		p.DirPointers = pointers
-		r := newRig(10, p)
+		r := newRig(t, 10, p)
 		addr := r.shm.Alloc(9, 4)
 		barrier := sim.NewBarrier(10)
 		var writeDone sim.Time

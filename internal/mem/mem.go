@@ -239,26 +239,6 @@ func (c *cache) peek(line Addr, write bool) bool {
 	return false
 }
 
-// victimState reports the state of the entry install(line, ...) would
-// evict, or invalid when installing would displace nothing (a free or
-// same-tag way exists). Like peek it is mutation-free.
-func (c *cache) victimState(line Addr) lineState {
-	set := c.set(line)
-	for i := range set {
-		l := &set[i]
-		if !c.valid(l) || l.tag == line {
-			return invalid
-		}
-	}
-	lru := &set[0]
-	for i := range set {
-		if set[i].lru < lru.lru {
-			lru = &set[i]
-		}
-	}
-	return lru.state
-}
-
 // install places line with the given state, returning the evicted victim
 // (state modified or shared) if one was displaced.
 func (c *cache) install(line Addr, st lineState) (victim Addr, victimState lineState) {
@@ -335,17 +315,17 @@ func (b sharerSet) count() (n int) {
 
 const dirChunk = 64 // directory entries per slab allocation
 
-// fastPathOn controls whether newly created Systems take the inline fast
-// paths. It exists so tests can force every access through the
+// fastPathOn controls whether newly created Systems take the inline
+// all-hit path (fastAllHit). It exists so tests can force every access through the
 // event-driven protocol and assert both modes produce identical
 // simulated results.
 var fastPathOn atomic.Bool
 
 func init() { fastPathOn.Store(true) }
 
-// SetFastPath enables or disables the inline fast paths for Systems
+// SetFastPath enables or disables the inline all-hit path for Systems
 // created afterwards; existing Systems keep the setting they were built
-// with. The fast paths never change simulated outcomes — only how much
+// with. The fast path never changes simulated outcomes — only how much
 // host work it takes to compute them — so this is purely a testing and
 // debugging knob.
 //
@@ -363,9 +343,8 @@ type System struct {
 
 	// Host-side profiling tallies (plain fields: a System is driven by
 	// one engine), flushed to the profile package on Release.
-	nFastHits  uint64 // line accesses satisfied by the inline all-hit path
-	nFastLocal uint64 // misses completed inline at the home module
-	nSlow      uint64 // line accesses through the event-driven protocol
+	nFastHits uint64 // line accesses satisfied by the inline all-hit path
+	nSlow     uint64 // line accesses through the event-driven protocol
 
 	caches  []*cache
 	modules []*sim.Proc // memory-module serial servers (not CPU procs)
@@ -491,11 +470,10 @@ func (s *System) Release() {
 	if s == nil {
 		return
 	}
-	if s.nFastHits|s.nFastLocal|s.nSlow != 0 {
+	if s.nFastHits|s.nSlow != 0 {
 		profile.MemFastHits.Add(s.nFastHits)
-		profile.MemFastLocal.Add(s.nFastLocal)
 		profile.MemSlow.Add(s.nSlow)
-		s.nFastHits, s.nFastLocal, s.nSlow = 0, 0, 0
+		s.nFastHits, s.nSlow = 0, 0
 	}
 	for _, c := range s.caches {
 		c.release()
@@ -581,9 +559,7 @@ func (s *System) access(th *sim.Thread, proc int, addr Addr, size uint64, write 
 		return
 	}
 	for line := first; ; line += LineBytes {
-		if !s.fast || !s.fastLocalMiss(proc, line, write) {
-			s.accessLine(th, proc, line, write)
-		}
+		s.accessLine(th, proc, line, write)
 		if line == last {
 			break
 		}
@@ -630,78 +606,6 @@ func (s *System) fastAllHit(proc int, first, last Addr, write bool) bool {
 	}
 	s.col.CacheHits += n
 	s.nFastHits += n
-	return true
-}
-
-// fastLocalMiss completes a miss whose home module is on the accessing
-// processor inline. When the directory entry is idle with no conflicting
-// remote copies and nothing else is scheduled before the transaction
-// would complete, the whole exchange — tag probe, self-addressed request,
-// directory + DRAM occupancy, local reply, line install — collapses into
-// synchronous bookkeeping plus one clock jump with identical statistics
-// and occupancy accounting. It reports false (leaving no trace of the
-// attempt) whenever any precondition fails; the event-driven path then
-// handles the access.
-func (s *System) fastLocalMiss(proc int, line Addr, write bool) bool {
-	if HomeOf(line) != proc || s.p.DirPointers != 0 || s.p.HitCycles == 0 || s.eng.Tracing() {
-		return false
-	}
-	c := s.caches[proc]
-	if c.peek(line, write) {
-		return false // hit: the regular path charges it
-	}
-	if _, pending := s.inflight[proc][line]; pending && !write {
-		return false // must join the in-flight prefetch
-	}
-	d := s.dir(line)
-	if d.busy || d.head != nil || d.owner != -1 {
-		return false
-	}
-	if write {
-		if n := d.sharers.count(); n > 1 || n == 1 && !d.sharers.has(proc) {
-			return false // remote sharers need invalidations
-		}
-	}
-	if c.victimState(line) == modified {
-		return false // dirty eviction: the slow path issues the writeback
-	}
-	// Replay the slow path's timeline: hit-time tag probe on the CPU (t0),
-	// self-addressed request (t1), directory + DRAM work queued on the
-	// home module (t2), local data reply (t3), install charge on the CPU.
-	cpu := s.mach.Proc(proc)
-	now := s.eng.Now()
-	t0 := cpu.FreeAt()
-	if t0 < now {
-		t0 = now
-	}
-	t0 += s.p.HitCycles
-	t1 := t0 + 1 + s.p.CtrlCycles/4
-	t2 := s.modules[proc].FreeAt()
-	if t2 < t1 {
-		t2 = t1
-	}
-	t2 += s.p.DirCycles + s.p.MemCycles
-	t3 := t2 + 1 + s.p.CtrlCycles/4
-	if !s.eng.TryAdvance(t3 + s.p.InstallCyc) {
-		return false
-	}
-	cpu.ReserveAt(now, s.p.HitCycles)
-	s.modules[proc].ReserveAt(t1, s.p.DirCycles+s.p.MemCycles)
-	if s.p.InstallCyc > 0 {
-		cpu.ReserveAt(t3, s.p.InstallCyc)
-	}
-	s.col.CacheMisses++
-	s.col.ProtocolMsgs += 2 // request and reply, both module-local: no traffic
-	st := shared
-	if write {
-		st = modified
-		clear(d.sharers)
-		d.owner = proc
-	} else {
-		d.sharers.add(proc)
-	}
-	c.install(line, st)
-	s.nFastLocal++
 	return true
 }
 

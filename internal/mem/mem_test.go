@@ -16,16 +16,19 @@ type rig struct {
 	shm *System
 }
 
-func newRig(nprocs int, p Params) *rig {
+// newRig builds a substrate on a fresh machine, which retires when the
+// test ends.
+func newRig(t testing.TB, nprocs int, p Params) *rig {
 	eng := sim.NewEngine(7)
 	m := sim.NewMachine(eng, nprocs)
+	t.Cleanup(m.Retire)
 	col := stats.NewCollector()
 	net := network.New(m, network.Crossbar{}, []*stats.Collector{col}, 17, 0)
 	return &rig{eng: eng, m: m, col: col, shm: New(eng, m, net, col, p)}
 }
 
 func TestAllocAlignmentAndHome(t *testing.T) {
-	r := newRig(4, DefaultParams())
+	r := newRig(t, 4, DefaultParams())
 	a := r.shm.Alloc(2, 5)
 	b := r.shm.Alloc(2, 40)
 	if HomeOf(a) != 2 || HomeOf(b) != 2 {
@@ -40,7 +43,7 @@ func TestAllocAlignmentAndHome(t *testing.T) {
 }
 
 func TestReadMissThenHit(t *testing.T) {
-	r := newRig(4, DefaultParams())
+	r := newRig(t, 4, DefaultParams())
 	addr := r.shm.Alloc(1, 8)
 	r.eng.Spawn("reader", 0, func(th *sim.Thread) {
 		r.shm.Read(th, 0, addr, 8)
@@ -72,7 +75,7 @@ func TestReadMissThenHit(t *testing.T) {
 }
 
 func TestLocalMissNoTraffic(t *testing.T) {
-	r := newRig(4, DefaultParams())
+	r := newRig(t, 4, DefaultParams())
 	addr := r.shm.Alloc(0, 8)
 	r.eng.Spawn("reader", 0, func(th *sim.Thread) {
 		r.shm.Read(th, 0, addr, 8)
@@ -89,7 +92,7 @@ func TestLocalMissNoTraffic(t *testing.T) {
 }
 
 func TestWriteInvalidatesSharers(t *testing.T) {
-	r := newRig(4, DefaultParams())
+	r := newRig(t, 4, DefaultParams())
 	addr := r.shm.Alloc(3, 4)
 	phase := sim.NewBarrier(3)
 	for p := 0; p < 2; p++ {
@@ -112,7 +115,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestDirtyRecallOnRead(t *testing.T) {
-	r := newRig(4, DefaultParams())
+	r := newRig(t, 4, DefaultParams())
 	addr := r.shm.Alloc(3, 4)
 	done := &sim.Future{}
 	r.eng.Spawn("writer", 0, func(th *sim.Thread) {
@@ -139,7 +142,7 @@ func TestDirtyRecallOnRead(t *testing.T) {
 }
 
 func TestWriteSharedPingPong(t *testing.T) {
-	r := newRig(2, DefaultParams())
+	r := newRig(t, 2, DefaultParams())
 	addr := r.shm.Alloc(0, 4)
 	// Two procs alternately RMW the same line: every access after the
 	// first exchange must miss (the migratory write-shared pattern that
@@ -175,7 +178,7 @@ func TestEvictionWriteback(t *testing.T) {
 	p := DefaultParams()
 	p.CacheBytes = 256 // 16 lines, 2 ways -> 8 sets
 	p.Ways = 2
-	r := newRig(2, p)
+	r := newRig(t, 2, p)
 	// Write 3 lines that map to the same set (stride = sets*LineBytes).
 	stride := uint64(8 * LineBytes)
 	base := r.shm.Alloc(1, 4*uint64(stride))
@@ -200,7 +203,7 @@ func TestEvictionWriteback(t *testing.T) {
 }
 
 func TestMultiLineAccess(t *testing.T) {
-	r := newRig(2, DefaultParams())
+	r := newRig(t, 2, DefaultParams())
 	addr := r.shm.Alloc(1, 64) // 4 lines
 	r.eng.Spawn("reader", 0, func(th *sim.Thread) {
 		r.shm.Read(th, 0, addr, 64)
@@ -214,7 +217,7 @@ func TestMultiLineAccess(t *testing.T) {
 }
 
 func TestModuleSerialization(t *testing.T) {
-	r := newRig(9, DefaultParams())
+	r := newRig(t, 9, DefaultParams())
 	addr := r.shm.Alloc(8, 4)
 	for p := 0; p < 8; p++ {
 		p := p
@@ -242,7 +245,7 @@ func TestModuleSerialization(t *testing.T) {
 }
 
 func TestConcurrentWritersConverge(t *testing.T) {
-	r := newRig(8, DefaultParams())
+	r := newRig(t, 8, DefaultParams())
 	addr := r.shm.Alloc(0, 4)
 	completed := 0
 	for p := 0; p < 8; p++ {
@@ -272,7 +275,7 @@ func TestRandomizedProtocolNoDeadlock(t *testing.T) {
 			p := DefaultParams()
 			p.CacheBytes = 512 // tiny cache to force evictions
 			p.Ways = 2
-			r := newRig(n, p)
+			r := newRig(t, n, p)
 			rng := sim.NewPRNG(seed)
 			var addrs []Addr
 			for i := 0; i < 20; i++ {
@@ -314,7 +317,7 @@ func TestRandomizedProtocolNoDeadlock(t *testing.T) {
 }
 
 func TestHitMissAccountingConsistent(t *testing.T) {
-	r := newRig(3, DefaultParams())
+	r := newRig(t, 3, DefaultParams())
 	addr := r.shm.Alloc(1, 4)
 	accesses := 0
 	r.eng.Spawn("reader", 0, func(th *sim.Thread) {
@@ -358,7 +361,7 @@ func TestCacheLRUWithinSet(t *testing.T) {
 }
 
 func TestSystemAccessors(t *testing.T) {
-	r := newRig(2, DefaultParams())
+	r := newRig(t, 2, DefaultParams())
 	if r.shm.col != r.col {
 		t.Error("collector accessor wrong")
 	}
@@ -376,7 +379,7 @@ func TestSystemAccessors(t *testing.T) {
 
 func TestPrefetchHidesLatency(t *testing.T) {
 	run := func(prefetch bool) sim.Time {
-		r := newRig(2, DefaultParams())
+		r := newRig(t, 2, DefaultParams())
 		base := r.shm.Alloc(1, 8*LineBytes)
 		var elapsed sim.Time
 		r.eng.Spawn("reader", 0, func(th *sim.Thread) {
@@ -402,7 +405,7 @@ func TestPrefetchHidesLatency(t *testing.T) {
 }
 
 func TestPrefetchJoinNoDuplicateFetch(t *testing.T) {
-	r := newRig(2, DefaultParams())
+	r := newRig(t, 2, DefaultParams())
 	addr := r.shm.Alloc(1, 8)
 	r.eng.Spawn("reader", 0, func(th *sim.Thread) {
 		r.shm.Prefetch(0, addr, 8)
@@ -428,7 +431,7 @@ func TestPrefetchJoinNoDuplicateFetch(t *testing.T) {
 }
 
 func TestPrefetchCachedLineIsNoop(t *testing.T) {
-	r := newRig(2, DefaultParams())
+	r := newRig(t, 2, DefaultParams())
 	addr := r.shm.Alloc(1, 8)
 	r.eng.Spawn("reader", 0, func(th *sim.Thread) {
 		r.shm.Read(th, 0, addr, 8)

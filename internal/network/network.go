@@ -165,13 +165,11 @@ type Network struct {
 	topo  Topology
 	lanes []*laneNet
 
-	// TransitBase and TransitPerHop price wire latency in cycles.
+	// TransitBase and TransitPerHop price wire latency in cycles. A
+	// message's size adds none: the paper folds size effects into
+	// marshal/copy costs.
 	TransitBase   uint64
 	TransitPerHop uint64
-
-	// PerWordWireCycles adds serialization delay per payload word (0 by
-	// default: the paper folds size effects into marshal/copy costs).
-	PerWordWireCycles uint64
 
 	// rel is the at-most-once reliability layer, attached only when a
 	// fault injector is in effect. The fault-free hot path pays one nil
@@ -244,10 +242,9 @@ func New(mach *sim.Machine, topo Topology, cols []*stats.Collector, transitBase,
 	return n
 }
 
-// Latency returns the wire latency for a message of size words from src
-// to dst.
-func (n *Network) Latency(src, dst int, words uint64) uint64 {
-	return n.TransitBase + n.TransitPerHop*n.topo.Hops(src, dst) + n.PerWordWireCycles*words
+// Latency returns the wire latency of a message from src to dst.
+func (n *Network) Latency(src, dst int) uint64 {
+	return n.TransitBase + n.TransitPerHop*n.topo.Hops(src, dst)
 }
 
 // Send injects m and invokes arrive at the destination after transit
@@ -274,7 +271,7 @@ func (n *Network) SendAfter(m *Message, recvDelay uint64, arrive func(*Message))
 	src := n.lanes[srcLane]
 	words := m.Words()
 	src.col.CountMessage(words)
-	lat := n.Latency(m.Src, m.Dst, words)
+	lat := n.Latency(m.Src, m.Dst)
 	src.col.AddCycles(stats.CatNetworkTransit, lat)
 	if src.eng.Tracing() {
 		src.eng.Tracef("send", "%s p%d->p%d %dw", m.Kind, m.Src, m.Dst, words)

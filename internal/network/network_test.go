@@ -114,10 +114,18 @@ func TestMeshTriangleInequality(t *testing.T) {
 	}
 }
 
+// newTestMachine is sim.NewMachine for a test: the machine retires when
+// the test ends.
+func newTestMachine(t testing.TB, e *sim.Engine, n int) *sim.Machine {
+	m := sim.NewMachine(e, n)
+	t.Cleanup(m.Retire)
+	return m
+}
+
 func TestSendLatencyAndAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
 	col := stats.NewCollector()
-	n := New(sim.NewMachine(e, 2), Crossbar{}, []*stats.Collector{col}, 17, 0)
+	n := New(newTestMachine(t, e, 2), Crossbar{}, []*stats.Collector{col}, 17, 0)
 
 	var arrivedAt sim.Time
 	var got *Message
@@ -149,7 +157,7 @@ func TestSendLatencyAndAccounting(t *testing.T) {
 func TestMeshLatencyScalesWithDistance(t *testing.T) {
 	e := sim.NewEngine(1)
 	col := stats.NewCollector()
-	n := New(sim.NewMachine(e, 16), NewMesh(4, 4), []*stats.Collector{col}, 10, 2)
+	n := New(newTestMachine(t, e, 16), NewMesh(4, 4), []*stats.Collector{col}, 10, 2)
 
 	var near, far sim.Time
 	n.Send(&Message{Src: 0, Dst: 1, Kind: "a"}, func(*Message) { near = e.Now() })
@@ -168,7 +176,7 @@ func TestMeshLatencyScalesWithDistance(t *testing.T) {
 func TestMessagesDeliverInOrderPerLatency(t *testing.T) {
 	e := sim.NewEngine(1)
 	col := stats.NewCollector()
-	n := New(sim.NewMachine(e, 2), Crossbar{}, []*stats.Collector{col}, 5, 0)
+	n := New(newTestMachine(t, e, 2), Crossbar{}, []*stats.Collector{col}, 5, 0)
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
@@ -187,22 +195,6 @@ func TestMessagesDeliverInOrderPerLatency(t *testing.T) {
 	}
 }
 
-func TestPerWordWireCycles(t *testing.T) {
-	e := sim.NewEngine(1)
-	col := stats.NewCollector()
-	n := New(sim.NewMachine(e, 2), Crossbar{}, []*stats.Collector{col}, 10, 0)
-	n.PerWordWireCycles = 1
-	var at sim.Time
-	n.Send(&Message{Src: 0, Dst: 1, Kind: "k", Payload: make([]uint32, 8)},
-		func(*Message) { at = e.Now() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 10+HeaderWords+8 {
-		t.Errorf("arrival = %d, want %d", at, 10+HeaderWords+8)
-	}
-}
-
 // TestClusterLaneSend runs the network over a two-lane cluster (processors
 // 0-1 on lane 0, 2-3 on lane 1): a same-lane and a cross-lane send each
 // arrive at send time plus latency, on the destination's lane, and
@@ -212,6 +204,7 @@ func TestPerWordWireCycles(t *testing.T) {
 func TestClusterLaneSend(t *testing.T) {
 	cl := sim.NewCluster(1, 2)
 	mach := cl.NewMachine(4)
+	t.Cleanup(mach.Retire)
 	cl.SetLookahead(17)
 	cols := []*stats.Collector{stats.NewCollector(), stats.NewCollector()}
 	n := New(mach, Crossbar{}, cols, 17, 0)

@@ -120,7 +120,7 @@ func (r *reliability) transmit(p *relPending) {
 		r.inj.Counters.Retransmits++
 	}
 	r.col.CountMessage(p.words)
-	lat := r.n.Latency(p.src, p.dst, p.words)
+	lat := r.n.Latency(p.src, p.dst)
 	r.col.AddCycles(stats.CatNetworkTransit, lat)
 	if r.eng.Tracing() {
 		r.eng.Tracef("send", "%s p%d->p%d %dw seq=%d try=%d",
@@ -190,7 +190,7 @@ func (r *reliability) sendAck(p *relPending) {
 	r.inj.Counters.Acks++
 	words := uint64(HeaderWords + ackWireWords)
 	r.col.CountMessage(words)
-	lat := r.n.Latency(p.dst, p.src, words)
+	lat := r.n.Latency(p.dst, p.src)
 	r.col.AddCycles(stats.CatNetworkTransit, lat)
 	v := r.inj.Judge("ack")
 	if v.Drop {

@@ -10,12 +10,13 @@ import (
 )
 
 // faultyNet builds a network with an injector attached for the given
-// plan (script-only plans pass a zero Spec).
+// plan (script-only plans pass a zero Spec). Its machine retires when the
+// test ends.
 func faultyNet(t *testing.T, spec *fault.Spec) (*sim.Engine, *Network, *fault.Injector) {
 	t.Helper()
 	e := sim.NewEngine(1)
 	col := stats.NewCollector()
-	n := New(sim.NewMachine(e, 4), Crossbar{}, []*stats.Collector{col}, 17, 0)
+	n := New(newTestMachine(t, e, 4), Crossbar{}, []*stats.Collector{col}, 17, 0)
 	inj := fault.NewInjector(spec)
 	n.AttachFaults(inj)
 	return e, n, inj
@@ -268,14 +269,16 @@ func TestReliableSendAllocs(t *testing.T) {
 // duplicate acks keep landing after their record has settled, while
 // later sends take records from the free list. Every message must still
 // reach arrive exactly once, one transit after its send at the
-// earliest, and after the engine drains every record ever made must be
-// back on the free list, once.
+// earliest, and after the engine drains every record ever made, and
+// every record revived from an earlier test's retired lane, must be back
+// on the free list, once.
 func TestReliableRecordPoolSafety(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		e, n, inj := faultyNet(t, &fault.Spec{
 			Drop: 0.1, Dup: 1, DelayMax: 300, Seed: seed,
 			RTO: 150, RTOMax: 600, MaxAttempts: 40,
 		})
+		revived := len(n.rel.pool.free)
 		const msgs = 300
 		sentAt := make([]sim.Time, msgs)
 		arrivals := make([]int, msgs)
@@ -321,9 +324,9 @@ func TestReliableRecordPoolSafety(t *testing.T) {
 			}
 			seen[p] = true
 		}
-		if len(r.pool.free) != r.made {
+		if len(r.pool.free) != revived+r.made {
 			t.Errorf("seed %d: %d of %d records back on the free list after the run drained",
-				seed, len(r.pool.free), r.made)
+				seed, len(r.pool.free), revived+r.made)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func (s *Section) TimeNs() func() {
 // relative weight.
 var (
 	MemFastHits    = section("mem.fast_hits")      // accesses satisfied by the inline all-hit path
-	MemFastLocal   = section("mem.fast_local")     // misses completed inline at the home module
+	memFastLocal   = section("mem.fast_local")     // always 0: kept because bench/ reads the name; nothing completes a miss inline
 	MemSlow        = section("mem.slow")           // accesses through the event-driven protocol
 	NetSends       = section("net.sends")          // messages injected into the simulated network
 	HeapOps        = section("engine.heap_pushes") // event-heap pushes

@@ -18,6 +18,21 @@ func idleSet() map[*carrier]bool {
 	return set
 }
 
+// isolateRetired empties the retired stack for the rest of the test, so
+// what the test reads there is what it retired itself, and puts the
+// lanes other tests left back underneath when it ends.
+func isolateRetired(t *testing.T) {
+	retired.Lock()
+	saved := retired.lanes
+	retired.lanes = nil
+	retired.Unlock()
+	t.Cleanup(func() {
+		retired.Lock()
+		retired.lanes = append(saved, retired.lanes...)
+		retired.Unlock()
+	})
+}
+
 // pingPong runs a fresh engine on which pairs of threads transfer control
 // back and forth rounds times, with every pair parked at once, retires
 // it, and returns its handoff count. It reports a failed run with
@@ -60,6 +75,7 @@ func pingPong(t testing.TB, pairs, rounds int) uint64 {
 // against the one retired stack, each reporting the serial handoff count
 // (run under -race in CI).
 func TestCarrierPoolSharedAcrossEngines(t *testing.T) {
+	isolateRetired(t)
 	want := pingPong(t, 8, 50)
 	before := idleSet()
 	if len(before) < 16 {
@@ -101,6 +117,7 @@ func TestCarrierPoolSharedAcrossEngines(t *testing.T) {
 // reaches Run's caller, where it can be recovered, and that the
 // panicked carrier never returns to a retired lane.
 func TestThreadPanicSurfacesAtRun(t *testing.T) {
+	isolateRetired(t)
 	e := NewEngine(1)
 	bad := e.Spawn("bad", 0, func(th *Thread) {
 		th.Sleep(10)

@@ -90,18 +90,18 @@ type Event struct {
 // behindHead is Event.index for an event queued in a run behind its head.
 const behindHead = -2
 
-// Cancel removes a pending event so it never fires. An event in the
-// heap, a plain one or a run's head, leaves at once, and a head hands its
-// slot to its successor. An event behind a run's head becomes a
-// tombstone: it stays linked, and the run skips it when it would become
-// the head. Cancelling an event that has already fired or been cancelled
-// is a no-op; do not call Cancel on a handle kept across the event's
-// firing, because the engine may have recycled the object for an
-// unrelated event by then.
+// Cancel removes a pending event in the heap so it never fires: a plain
+// event, or a run's head, which hands its slot to its successor. An
+// event queued behind a run's head cannot be cancelled, and Cancel
+// panics on one: a timer that no processor booked, set for a later cycle
+// (Schedule with a delay, or At), is always a plain heap event. Cancelling
+// an event that has already fired or been cancelled is a no-op; do not
+// call Cancel on a handle kept across the event's firing, because the
+// engine may have recycled the object for an unrelated event by then.
 func (ev *Event) Cancel() {
-	e := ev.eng
 	switch {
 	case ev.index >= 0:
+		e := ev.eng
 		if next := e.successor(ev); next != nil {
 			e.heap.replace(ev.index, next)
 		} else {
@@ -109,13 +109,9 @@ func (ev *Event) Cancel() {
 		}
 		e.release(ev)
 	case ev.index == behindHead:
-		ev.fn, ev.th = nil, nil
+		panic(fmt.Sprintf("sim: cancelling event (%d, %d) queued behind a sorted run's head", ev.at, ev.seq))
 	}
 }
-
-// cancelled reports whether ev is a tombstone left in a run by Cancel.
-// Every live event has a callback or a thread to wake.
-func (ev *Event) cancelled() bool { return ev.fn == nil && ev.th == nil }
 
 // run is a queue of events already in (at, seq) order, linked through
 // Event.next. Only its head sits in the heap. The run records just its
@@ -147,18 +143,12 @@ func (t *Event) link(ev *Event) {
 }
 
 // successor unlinks ev, a heap event about to leave the heap, from its
-// run and returns the run's next live event, which takes ev's heap slot.
-// Tombstones on the way go back to the free list. After the arrival
-// run's head it materializes the next arrival. It returns nil when ev is
-// a plain heap event or the last event of its run.
+// run and returns the run's next event, which takes ev's heap slot.
+// After the arrival run's head it materializes the next arrival. It
+// returns nil when ev is a plain heap event or the last event of its run.
 func (e *Engine) successor(ev *Event) *Event {
 	next := ev.next
 	ev.next = nil
-	for next != nil && next.cancelled() {
-		dead := next
-		next, dead.index = dead.next, -1
-		e.release(dead)
-	}
 	if next == nil && ev == e.arrivals.head {
 		next = e.arrivals.next(e)
 	}
@@ -215,7 +205,8 @@ type Engine struct {
 	// cluster and lane wire the engine into a sharded Cluster as one of
 	// its lanes; both stay zero on the classic serial engine. curStream
 	// is the ambient stream id of the event currently executing (-1 in
-	// setup/coordinator context); it feeds the cluster-wide merge keys.
+	// setup/coordinator context), set at every dispatch on both engines;
+	// only a cluster lane's merge keys read it (see schedule).
 	cluster   *Cluster
 	lane      int
 	curStream int32
@@ -242,7 +233,7 @@ type Engine struct {
 // (see Machine.Retire): its pools start with that lane's idle records,
 // which changes no simulated result.
 func NewEngine(seed uint64) *Engine {
-	e := &Engine{rng: NewPRNG(seed)}
+	e := &Engine{rng: NewPRNG(seed), curStream: -1}
 	e.revive()
 	return e
 }
@@ -396,9 +387,7 @@ func (e *Engine) dispatch(ev *Event) {
 	}
 	e.now = ev.at
 	e.processed++
-	if e.cluster != nil {
-		e.curStream = ev.exec
-	}
+	e.curStream = ev.exec
 	if th := ev.th; th != nil {
 		e.release(ev)
 		e.current = th
@@ -466,33 +455,36 @@ func (e *Engine) pump(limit Time) error {
 	e.stopped = false
 	e.limited, e.runLimit = true, limit
 	defer func() { e.limited = false }()
-	for len(e.heap) > 0 && !e.stopped && e.heap[0].at <= limit {
+	for len(e.heap) > 0 && e.mayDispatch(e.heap[0].at) {
 		e.dispatch(e.pop())
-		if e.MaxEvents != 0 && e.processed >= e.MaxEvents {
-			return &MaxEventsError{Max: e.MaxEvents, Now: e.now}
-		}
+	}
+	if e.capped() {
+		return &MaxEventsError{Max: e.MaxEvents, Now: e.now}
 	}
 	return nil
 }
 
+// mayDispatch reports whether the engine may process an event due at at:
+// it is not stopped, the runaway guard has not tripped, and at is within
+// the run limit pump set. pump, drive and TryAdvance all ask it.
+func (e *Engine) mayDispatch(at Time) bool {
+	return !e.stopped && !e.capped() && !(e.limited && at > e.runLimit)
+}
+
+// capped reports whether the engine has processed MaxEvents events.
+func (e *Engine) capped() bool { return e.MaxEvents != 0 && e.processed >= e.MaxEvents }
+
 // TryAdvance reports whether the clock can jump straight to at without
 // dispatching any other event, and performs the jump when it can. A
 // running thread uses it to skip the schedule-pump round trip entirely
-// when its own wakeup would be the very next event processed, and inline
-// fast paths (e.g. the shared-memory substrate's home-local miss path)
-// use it to complete a whole future transaction synchronously: when it
-// returns true, nothing else in the simulation can observe an
-// intermediate point of [Now, at], so state mutations that would have
-// happened inside that window may be applied immediately. The observable
-// execution order is exactly the slow path's.
+// when its own wakeup would be the very next event processed, and the
+// shared-memory substrate's all-hit path uses it to complete a whole
+// access synchronously: when it returns true, nothing else in the
+// simulation can observe an intermediate point of [Now, at], so state
+// mutations that would have happened inside that window may be applied
+// immediately. The observable execution order is exactly the slow path's.
 func (e *Engine) TryAdvance(at Time) bool {
-	if e.stopped || (e.MaxEvents != 0 && e.processed >= e.MaxEvents) {
-		return false
-	}
-	if e.limited && at > e.runLimit {
-		return false
-	}
-	if len(e.heap) > 0 && e.heap[0].at <= at {
+	if !e.mayDispatch(at) || len(e.heap) > 0 && e.heap[0].at <= at {
 		return false
 	}
 	e.now = at

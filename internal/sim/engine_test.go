@@ -10,8 +10,29 @@ import (
 	"testing/quick"
 )
 
+// newEngine is NewEngine for a test: the engine retires when the test
+// ends, so its idle carriers go on to the next test's engine instead of
+// staying parked for the life of the test binary.
+func newEngine(t testing.TB, seed uint64) *Engine {
+	e := NewEngine(seed)
+	t.Cleanup(e.retire)
+	return e
+}
+
+// newCluster is NewCluster for a test: every lane retires when the test
+// ends.
+func newCluster(t testing.TB, seed uint64, shards int) *Cluster {
+	cl := NewCluster(seed, shards)
+	t.Cleanup(func() {
+		for _, e := range cl.lanes {
+			e.retire()
+		}
+	})
+	return cl
+}
+
 func TestScheduleOrdering(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var order []int
 	e.Schedule(30, func() { order = append(order, 3) })
 	e.Schedule(10, func() { order = append(order, 1) })
@@ -28,7 +49,7 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestTieBreakBySequence(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -45,7 +66,7 @@ func TestTieBreakBySequence(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	fired := false
 	ev := e.Schedule(10, func() { fired = true })
 	ev.Cancel()
@@ -58,7 +79,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var times []Time
 	e.Schedule(10, func() {
 		times = append(times, e.Now())
@@ -73,7 +94,7 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	e.Schedule(10, func() {
 		defer func() {
 			if recover() == nil {
@@ -88,7 +109,7 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var fired []Time
 	for _, d := range []Time{10, 20, 30, 40} {
 		d := d
@@ -112,7 +133,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	count := 0
 	for i := 0; i < 10; i++ {
 		e.Schedule(Time(i+1), func() {
@@ -131,7 +152,7 @@ func TestStop(t *testing.T) {
 }
 
 func TestMaxEvents(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	e.MaxEvents = 5
 	var reschedule func()
 	reschedule = func() { e.Schedule(1, reschedule) }
@@ -142,7 +163,7 @@ func TestMaxEvents(t *testing.T) {
 }
 
 func TestThreadSleepAndClock(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var wake Time
 	e.Spawn("t", 0, func(th *Thread) {
 		th.Sleep(100)
@@ -161,7 +182,7 @@ func TestThreadSleepAndClock(t *testing.T) {
 
 func TestThreadsInterleaveDeterministically(t *testing.T) {
 	run := func() []int {
-		e := NewEngine(42)
+		e := newEngine(t, 42)
 		var order []int
 		for i := 0; i < 5; i++ {
 			i := i
@@ -189,7 +210,7 @@ func TestThreadsInterleaveDeterministically(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	e.Spawn("stuck", 0, func(th *Thread) {
 		th.Park("nowhere")
 	})
@@ -204,7 +225,7 @@ func TestDeadlockDetection(t *testing.T) {
 }
 
 func TestUnparkRoundTrip(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var sleeper *Thread
 	hits := 0
 	sleeper = e.Spawn("sleeper", 0, func(th *Thread) {
@@ -224,7 +245,7 @@ func TestUnparkRoundTrip(t *testing.T) {
 }
 
 func TestProcSerializesSegments(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	m := NewMachine(e, 2)
 	p := m.Proc(0)
 	var ends []Time
@@ -252,7 +273,7 @@ func TestProcSerializesSegments(t *testing.T) {
 }
 
 func TestProcsRunInParallel(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	m := NewMachine(e, 2)
 	var ends []Time
 	for i := 0; i < 2; i++ {
@@ -273,7 +294,7 @@ func TestProcsRunInParallel(t *testing.T) {
 }
 
 func TestExecAsync(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	m := NewMachine(e, 1)
 	var done Time
 	m.Proc(0).ExecAsync(77, func() { done = e.Now() })
@@ -286,7 +307,7 @@ func TestExecAsync(t *testing.T) {
 }
 
 func TestProcUtilization(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	m := NewMachine(e, 1)
 	e.Spawn("w", 0, func(th *Thread) {
 		th.Exec(m.Proc(0), 50)
@@ -356,10 +377,10 @@ func TestDeadlockReportsExactlyTheParked(t *testing.T) {
 		var m *Machine
 		var run func() error
 		if shards == 0 {
-			e := NewEngine(1)
+			e := newEngine(t, 1)
 			m, run = NewMachine(e, 4), e.Run
 		} else {
-			cl := NewCluster(1, shards)
+			cl := newCluster(t, 1, shards)
 			m, run = cl.NewMachine(4), cl.Run
 			cl.SetLookahead(5)
 		}
@@ -401,7 +422,7 @@ func TestDeadlockReportsExactlyTheParked(t *testing.T) {
 }
 
 func TestDeadlockErrorMessage(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	e.Spawn("lost", 0, func(th *Thread) { th.Park("the-void") })
 	err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), "the-void") {
@@ -410,7 +431,7 @@ func TestDeadlockErrorMessage(t *testing.T) {
 }
 
 func TestUnparkAtDelays(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var woke Time
 	th := e.Spawn("sleeper", 0, func(th *Thread) {
 		th.Park("wait")
@@ -426,7 +447,7 @@ func TestUnparkAtDelays(t *testing.T) {
 }
 
 func TestMachineAccessors(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	m := NewMachine(e, 3)
 	if m.N() != 3 || len(m.procs) != 3 {
 		t.Fatalf("N=%d procs=%d", m.N(), len(m.procs))
@@ -449,7 +470,7 @@ func TestMachineAccessors(t *testing.T) {
 // reports while an Exec holds it, which deadlock reports print: the
 // processor it executes on, as exec(pN), and the plain label otherwise.
 func TestThreadStringNamesExecProcessor(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	m := NewMachine(e, 3)
 	worker := e.Spawn("worker", 0, func(th *Thread) {
 		th.Exec(m.Proc(2), 100)

@@ -60,8 +60,8 @@ type orderMix struct {
 	stoppedAt int
 }
 
-func newOrderMix(seed uint64) *orderMix {
-	e := NewEngine(seed)
+func newOrderMix(t testing.TB, seed uint64) *orderMix {
+	e := newEngine(t, seed)
 	mach := NewMachine(e, 4)
 	mach.Proc(1).SetSpeed(3, 2)
 	mach.Proc(2).SetSpeed(5, 2)
@@ -274,21 +274,32 @@ func (m *orderMix) unparkOne() {
 }
 
 // cancelOne cancels a random callback that has neither fired nor been
-// cancelled yet.
+// cancelled yet and sits in the heap: a plain event or a run's head.
+// Cancel panics on an event behind a run's head (TestCancelInRunNeverFires).
 func (m *orderMix) cancelOne() {
-	for len(m.pending) > 0 {
-		i := m.rng.Intn(len(m.pending))
-		c := m.pending[i]
-		m.pending = append(m.pending[:i], m.pending[i+1:]...)
-		if *c.done {
-			continue
+	live := m.pending[:0]
+	for _, c := range m.pending {
+		if !*c.done {
+			live = append(live, c)
 		}
-		*c.done = true
-		c.ev.Cancel()
-		m.sched[c.seq] = true
-		m.cancels++
+	}
+	m.pending = live
+	var heap []int
+	for i, c := range live {
+		if c.ev.index >= 0 {
+			heap = append(heap, i)
+		}
+	}
+	if len(heap) == 0 {
 		return
 	}
+	i := heap[m.rng.Intn(len(heap))]
+	c := live[i]
+	m.pending = append(live[:i], live[i+1:]...)
+	*c.done = true
+	c.ev.Cancel()
+	m.sched[c.seq] = true
+	m.cancels++
 }
 
 // sameOrder reports whether two runs dispatched the same logical actions
@@ -313,92 +324,96 @@ func sameOrder(a, b []orderRec) bool {
 func TestEngineExactOrder(t *testing.T) {
 	var cancels, sorted int
 	for seed := uint64(1); seed <= 24; seed++ {
-		full := newOrderMix(seed)
-		if err := full.e.Run(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		cancels += full.cancels
-		sorted += full.sorted
-		var last orderRec
-		for i, r := range full.recs {
-			if r.at < last.at {
-				t.Fatalf("seed %d: dispatch %d at %d after %d", seed, i, r.at, last.at)
+		// Each seed is a subtest, so its four engines retire before the
+		// next seed's engines start, and those revive them.
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			full := newOrderMix(t, seed)
+			if err := full.e.Run(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-			if r.seq == 0 {
-				continue
+			cancels += full.cancels
+			sorted += full.sorted
+			var last orderRec
+			for i, r := range full.recs {
+				if r.at < last.at {
+					t.Fatalf("seed %d: dispatch %d at %d after %d", seed, i, r.at, last.at)
+				}
+				if r.seq == 0 {
+					continue
+				}
+				if r.at == last.at && r.seq <= last.seq {
+					t.Fatalf("seed %d: dispatch %d is (%d, %d) after (%d, %d)", seed, i, r.at, r.seq, last.at, last.seq)
+				}
+				last = r
 			}
-			if r.at == last.at && r.seq <= last.seq {
-				t.Fatalf("seed %d: dispatch %d is (%d, %d) after (%d, %d)", seed, i, r.at, r.seq, last.at, last.seq)
+			for seq, cancelled := range full.sched {
+				switch n := full.fired[seq]; {
+				case cancelled && n != 0:
+					t.Fatalf("seed %d: cancelled event %d fired %d time(s)", seed, seq, n)
+				case !cancelled && n != 1:
+					t.Fatalf("seed %d: event %d fired %d time(s), want 1", seed, seq, n)
+				}
 			}
-			last = r
-		}
-		for seq, cancelled := range full.sched {
-			switch n := full.fired[seq]; {
-			case cancelled && n != 0:
-				t.Fatalf("seed %d: cancelled event %d fired %d time(s)", seed, seq, n)
-			case !cancelled && n != 1:
-				t.Fatalf("seed %d: event %d fired %d time(s), want 1", seed, seq, n)
+			for seq := range full.fired {
+				if _, ok := full.sched[seq]; !ok {
+					t.Fatalf("seed %d: unknown event %d fired", seed, seq)
+				}
 			}
-		}
-		for seq := range full.fired {
-			if _, ok := full.sched[seq]; !ok {
-				t.Fatalf("seed %d: unknown event %d fired", seed, seq)
+			if len(full.e.heap) != 0 || full.e.liveThreads != 0 {
+				t.Fatalf("seed %d: %d heap entries and %d live threads after Run", seed, len(full.e.heap), full.e.liveThreads)
 			}
-		}
-		if len(full.e.heap) != 0 || full.e.liveThreads != 0 {
-			t.Fatalf("seed %d: %d heap entries and %d live threads after Run", seed, len(full.e.heap), full.e.liveThreads)
-		}
 
-		// RunUntil in uneven chunks: nothing past the limit runs, the
-		// clock stops at the limit, and the sequence is unchanged.
-		chunked := newOrderMix(seed)
-		for limit := Time(90); len(chunked.e.heap) > 0; limit += 137 {
-			if err := chunked.e.RunUntil(limit); err != nil {
-				t.Fatalf("seed %d: RunUntil(%d): %v", seed, limit, err)
+			// RunUntil in uneven chunks: nothing past the limit runs, the
+			// clock stops at the limit, and the sequence is unchanged.
+			chunked := newOrderMix(t, seed)
+			for limit := Time(90); len(chunked.e.heap) > 0; limit += 137 {
+				if err := chunked.e.RunUntil(limit); err != nil {
+					t.Fatalf("seed %d: RunUntil(%d): %v", seed, limit, err)
+				}
+				if n := len(chunked.recs); n > 0 && chunked.recs[n-1].at > limit {
+					t.Fatalf("seed %d: RunUntil(%d) dispatched at %d", seed, limit, chunked.recs[n-1].at)
+				}
+				if chunked.e.Now() != limit {
+					t.Fatalf("seed %d: clock %d after RunUntil(%d)", seed, chunked.e.Now(), limit)
+				}
 			}
-			if n := len(chunked.recs); n > 0 && chunked.recs[n-1].at > limit {
-				t.Fatalf("seed %d: RunUntil(%d) dispatched at %d", seed, limit, chunked.recs[n-1].at)
+			if err := chunked.e.Run(); err != nil {
+				t.Fatalf("seed %d: Run after RunUntil: %v", seed, err)
 			}
-			if chunked.e.Now() != limit {
-				t.Fatalf("seed %d: clock %d after RunUntil(%d)", seed, chunked.e.Now(), limit)
+			if !sameOrder(full.recs, chunked.recs) {
+				t.Fatalf("seed %d: RunUntil chunks changed the dispatch order", seed)
 			}
-		}
-		if err := chunked.e.Run(); err != nil {
-			t.Fatalf("seed %d: Run after RunUntil: %v", seed, err)
-		}
-		if !sameOrder(full.recs, chunked.recs) {
-			t.Fatalf("seed %d: RunUntil chunks changed the dispatch order", seed)
-		}
 
-		// Stop from a callback halfway: Run returns at once, and a second
-		// Run finishes the same sequence.
-		stopped := newOrderMix(seed)
-		stopped.stopAfter = len(full.recs) / 2
-		if err := stopped.e.Run(); err != nil {
-			t.Fatalf("seed %d: stopped Run: %v", seed, err)
-		}
-		if stopped.stoppedAt == 0 || len(stopped.recs) != stopped.stoppedAt {
-			t.Fatalf("seed %d: Stop at dispatch %d, Run returned after %d", seed, stopped.stoppedAt, len(stopped.recs))
-		}
-		if err := stopped.e.Run(); err != nil {
-			t.Fatalf("seed %d: Run after Stop: %v", seed, err)
-		}
-		if !sameOrder(full.recs, stopped.recs) {
-			t.Fatalf("seed %d: Stop and resume changed the dispatch order", seed)
-		}
+			// Stop from a callback halfway: Run returns at once, and a second
+			// Run finishes the same sequence.
+			stopped := newOrderMix(t, seed)
+			stopped.stopAfter = len(full.recs) / 2
+			if err := stopped.e.Run(); err != nil {
+				t.Fatalf("seed %d: stopped Run: %v", seed, err)
+			}
+			if stopped.stoppedAt == 0 || len(stopped.recs) != stopped.stoppedAt {
+				t.Fatalf("seed %d: Stop at dispatch %d, Run returned after %d", seed, stopped.stoppedAt, len(stopped.recs))
+			}
+			if err := stopped.e.Run(); err != nil {
+				t.Fatalf("seed %d: Run after Stop: %v", seed, err)
+			}
+			if !sameOrder(full.recs, stopped.recs) {
+				t.Fatalf("seed %d: Stop and resume changed the dispatch order", seed)
+			}
 
-		// MaxEvents: the guard trips after exactly that many dispatches,
-		// a prefix of the full sequence.
-		capped := newOrderMix(seed)
-		capped.e.MaxEvents = uint64(len(full.recs) / 3)
-		var me *MaxEventsError
-		if err := capped.e.Run(); !errors.As(err, &me) {
-			t.Fatalf("seed %d: got %v, want *MaxEventsError", seed, err)
-		}
-		if uint64(len(capped.recs)) != capped.e.MaxEvents || !sameOrder(full.recs[:len(capped.recs)], capped.recs) {
-			t.Fatalf("seed %d: MaxEvents=%d stopped after %d dispatches, or off the full sequence",
-				seed, capped.e.MaxEvents, len(capped.recs))
-		}
+			// MaxEvents: the guard trips after exactly that many dispatches,
+			// a prefix of the full sequence.
+			capped := newOrderMix(t, seed)
+			capped.e.MaxEvents = uint64(len(full.recs) / 3)
+			var me *MaxEventsError
+			if err := capped.e.Run(); !errors.As(err, &me) {
+				t.Fatalf("seed %d: got %v, want *MaxEventsError", seed, err)
+			}
+			if uint64(len(capped.recs)) != capped.e.MaxEvents || !sameOrder(full.recs[:len(capped.recs)], capped.recs) {
+				t.Fatalf("seed %d: MaxEvents=%d stopped after %d dispatches, or off the full sequence",
+					seed, capped.e.MaxEvents, len(capped.recs))
+			}
+		})
 	}
 	if cancels == 0 || sorted == 0 {
 		t.Fatalf("mixes made %d cancels and %d SpawnArrivals arrivals; want both", cancels, sorted)
@@ -418,7 +433,7 @@ func arrivalsAt(ats []Time, procs []int, body func(*Thread)) func(int) (Time, in
 func TestSpawnArrivalsOutOfOrderPanics(t *testing.T) {
 	body := func(*Thread) {}
 	for _, pending := range []int{1, 3} { // the head only, or arrivals behind it too
-		e := NewEngine(1)
+		e := newEngine(t, 1)
 		m := NewMachine(e, 2)
 		ats, procs := make([]Time, pending), make([]int, pending)
 		for i := range ats {
@@ -448,7 +463,7 @@ func TestSpawnArrivalsOutOfOrderPanics(t *testing.T) {
 // one heap entry for all of its arrivals.
 func TestSpawnArrivalsMatchesSpawn(t *testing.T) {
 	trace := func(arrivals bool) (got []string, heap int) {
-		e := NewEngine(1)
+		e := newEngine(t, 1)
 		m := NewMachine(e, 2)
 		ats, procs, bodies := make([]Time, 20), make([]int, 20), make([]func(*Thread), 20)
 		for i := range ats {
@@ -484,28 +499,27 @@ func TestSpawnArrivalsMatchesSpawn(t *testing.T) {
 	}
 }
 
-// TestSpawnArrivalsOnClusterIsSpawn asserts that a cluster lane, which
-// keeps every event in its heap, takes SpawnArrivals as plain Spawns:
-// one heap entry per arrival, each thread starting at its own time.
-func TestSpawnArrivalsOnClusterIsSpawn(t *testing.T) {
-	cl := NewCluster(1, 2)
-	m := cl.NewMachine(4)
-	var started []Time
-	m.SpawnArrivals("req", 8, func(i int) (Time, int, func(*Thread)) {
-		return Time(10 * i), i % 4, func(th *Thread) { started = append(started, th.Now()) }
-	})
-	if n := len(cl.lanes[0].heap) + len(cl.lanes[1].heap); n != 8 {
-		t.Fatalf("lane heaps hold %d entries for 8 arrivals, want 8", n)
-	}
-	if err := cl.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(started) != 8 {
-		t.Fatalf("%d of 8 arrivals started", len(started))
-	}
-	for i, at := range started {
-		if at != Time(10*i) {
-			t.Fatalf("arrival %d started at %d, want %d", i, at, 10*i)
+// TestSpawnArrivalsOnClusterPanics asserts that SpawnArrivals refuses a
+// clustered machine, one lane or several, whose lanes key events by
+// stream rather than reading an arrival run, and reserves nothing there.
+func TestSpawnArrivalsOnClusterPanics(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cl := newCluster(t, 1, shards)
+		m := cl.NewMachine(4)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(r.(string), "SpawnArrivals on a") {
+					t.Fatalf("shards %d: recovered %v, want a clustered-machine panic", shards, r)
+				}
+			}()
+			m.SpawnArrivals("req", 8, func(i int) (Time, int, func(*Thread)) {
+				return Time(10 * i), i % 4, func(*Thread) {}
+			})
+		}()
+		for _, e := range cl.lanes {
+			if len(e.heap) != 0 || e.liveThreads != 0 {
+				t.Fatalf("shards %d: a refused call left %d heap entries and %d live threads", shards, len(e.heap), e.liveThreads)
+			}
 		}
 	}
 }
@@ -513,81 +527,75 @@ func TestSpawnArrivalsOnClusterIsSpawn(t *testing.T) {
 // TestSpawnArrivalsStartsInSpawnOrderPerProc pins what an open-loop
 // source with one body per processor relies on (kv.RunExperiment's
 // frontends): on one processor, arrivals start in index order, ties in
-// time included, while earlier arrivals are still running, on the
-// serial and the clustered engine alike.
+// time included, while earlier arrivals are still running.
 func TestSpawnArrivalsStartsInSpawnOrderPerProc(t *testing.T) {
-	for _, clustered := range []bool{false, true} {
-		var m *Machine
-		var run func() error
-		if clustered {
-			cl := NewCluster(1, 2)
-			m, run = cl.NewMachine(4), cl.Run
-		} else {
-			e := NewEngine(1)
-			m, run = NewMachine(e, 4), e.Run
+	e := newEngine(t, 1)
+	m := NewMachine(e, 4)
+	started := make([][]int, 4)
+	const n = 40
+	m.SpawnArrivals("req", n, func(i int) (Time, int, func(*Thread)) {
+		p := m.Proc(i * 3 % 4)
+		return Time(10 * (i / 5)), p.ID(), func(th *Thread) {
+			started[p.ID()] = append(started[p.ID()], i)
+			th.Exec(p, 25) // still running when later arrivals are due
 		}
-		started := make([][]int, 4)
-		const n = 40
-		m.SpawnArrivals("req", n, func(i int) (Time, int, func(*Thread)) {
-			p := m.Proc(i * 3 % 4)
-			return Time(10 * (i / 5)), p.ID(), func(th *Thread) {
-				started[p.ID()] = append(started[p.ID()], i)
-				th.Exec(p, 25) // still running when later arrivals are due
-			}
-		})
-		if err := run(); err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for p, got := range started {
-			total += len(got)
-			for k := 1; k < len(got); k++ {
-				if got[k] < got[k-1] {
-					t.Fatalf("clustered=%v: p%d started arrivals in order %v, want index order", clustered, p, got)
-				}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for p, got := range started {
+		total += len(got)
+		for k := 1; k < len(got); k++ {
+			if got[k] < got[k-1] {
+				t.Fatalf("p%d started arrivals in order %v, want index order", p, got)
 			}
 		}
-		if total != n {
-			t.Fatalf("clustered=%v: %d of %d arrivals started", clustered, total, n)
-		}
+	}
+	if total != n {
+		t.Fatalf("%d of %d arrivals started", total, n)
 	}
 }
 
-// TestCancelInRunNeverFires asserts the two ways Cancel takes an event
-// out of a sorted run: a head leaves the heap at once and hands its slot
-// to its successor, and an event behind the head becomes a tombstone
-// that the run skips, wherever it sits and whatever is appended behind
-// it. Neither ever fires.
+// TestCancelInRunNeverFires asserts how Cancel takes an event out of a
+// sorted run: a head leaves the heap at once and hands its slot to its
+// successor, and never fires. An event behind the head cannot be
+// cancelled: Cancel panics and leaves it queued, and it fires.
 func TestCancelInRunNeverFires(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var fired []int
 	var evs []*Event
 	at := func(i int) {
 		evs = append(evs, e.Schedule(0, func() { fired = append(fired, i) })) // the zero-delay run
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		at(i)
 	}
 	if len(e.heap) != 1 {
 		t.Fatalf("heap holds %d entries for one zero-delay run, want 1", len(e.heap))
 	}
-	evs[2].Cancel() // behind the head
-	evs[4].Cancel() // the tail
-	evs[4].Cancel() // a second cancel is a no-op
-	at(5)           // appended behind a tombstone
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(r.(string), "behind a sorted run's head") {
+				t.Fatalf("recovered %v, want a behind-head Cancel panic", r)
+			}
+		}()
+		evs[2].Cancel() // behind the head
+	}()
 	evs[0].Cancel() // the head
 	if len(e.heap) != 1 || e.heap[0] != evs[1] {
 		t.Fatal("cancelling the run's head did not hand its heap slot to the successor")
 	}
-	evs[1].Cancel() // the new head: its successor is a tombstone, skipped
-	if len(e.heap) != 1 || e.heap[0] != evs[3] {
-		t.Fatal("the run's head did not pass over the tombstone behind it")
+	evs[0].Cancel() // a second cancel is a no-op
+	evs[1].Cancel() // the new head
+	if len(e.heap) != 1 || e.heap[0] != evs[2] {
+		t.Fatal("cancelling the new head did not hand its heap slot to the successor")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 2 || fired[0] != 3 || fired[1] != 5 {
-		t.Fatalf("fired = %v, want [3 5]", fired)
+	if len(fired) != 2 || fired[0] != 2 || fired[1] != 3 {
+		t.Fatalf("fired = %v, want [2 3]", fired)
 	}
 	// A run whose only event is cancelled is empty: the next event is a
 	// new head.
@@ -603,7 +611,7 @@ func TestCancelInRunNeverFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(fired) != 3 || fired[2] != 6 {
-		t.Fatalf("fired = %v, want [3 5 6]", fired)
+		t.Fatalf("fired = %v, want [2 3 6]", fired)
 	}
 }
 
@@ -611,7 +619,7 @@ func TestCancelInRunNeverFires(t *testing.T) {
 // an event that would sort before the run's tail panics instead of
 // hiding behind the head.
 func TestRunOrderViolationPanics(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	p := NewMachine(e, 1).Proc(0)
 	e.schedule(100, func() {}, nil, &p.run)
 	e.schedule(120, func() {}, nil, &p.run)

@@ -10,7 +10,7 @@ import (
 // recycled for a later Schedule once it has fired, and that the recycled
 // event carries the new callback, not the old one.
 func TestEventPoolReusesFiredEvents(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var fired []string
 	first := e.Schedule(10, func() { fired = append(fired, "first") })
 	if err := e.Run(); err != nil {
@@ -32,7 +32,7 @@ func TestEventPoolReusesFiredEvents(t *testing.T) {
 // event removes it from the heap eagerly and that reusing its object for
 // a new event cannot fire the cancelled callback.
 func TestEventPoolNeverResurrectsCancelledEvent(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var fired []string
 	dead := e.Schedule(10, func() { fired = append(fired, "dead") })
 	e.Schedule(20, func() { fired = append(fired, "live") })
@@ -60,7 +60,7 @@ func TestEventPoolNeverResurrectsCancelledEvent(t *testing.T) {
 // guard as a *MaxEventsError.
 func TestMaxEventsTypedError(t *testing.T) {
 	for _, until := range []Time{0, 100} {
-		e := NewEngine(1)
+		e := newEngine(t, 1)
 		e.MaxEvents = 5
 		var reschedule func()
 		reschedule = func() { e.Schedule(1, reschedule) }
@@ -85,7 +85,7 @@ func TestMaxEventsTypedError(t *testing.T) {
 // when a thread spins on fast-path sleeps that never re-enter the event
 // loop.
 func TestMaxEventsCatchesFastPathLoop(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	e.MaxEvents = 100
 	e.Spawn("spinner", 0, func(th *Thread) {
 		for {
@@ -102,7 +102,7 @@ func TestMaxEventsCatchesFastPathLoop(t *testing.T) {
 // fast-advance the clock past a RunUntil limit: its wakeup stays queued
 // for a later Run.
 func TestRunUntilHoldsFastPathAtLimit(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var woke Time
 	e.Spawn("s", 0, func(th *Thread) {
 		th.Sleep(1000)
@@ -128,7 +128,7 @@ func TestRunUntilHoldsFastPathAtLimit(t *testing.T) {
 // TestSleepFastPathSkipsHeap asserts an uncontended sleep advances the
 // clock without queueing an event.
 func TestSleepFastPathSkipsHeap(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var wake Time
 	var heapLen int
 	e.Spawn("t", 0, func(th *Thread) {
@@ -163,7 +163,7 @@ func yield(th *Thread) {
 // event already queued at the current time (the slow path), while
 // remaining a no-op when nothing else is due.
 func TestYieldRunsBehindQueuedEvents(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var order []string
 	e.Spawn("t", 0, func(th *Thread) {
 		e.Schedule(0, func() { order = append(order, "event") })
@@ -188,7 +188,7 @@ func TestYieldRunsBehindQueuedEvents(t *testing.T) {
 // engine's current-thread bookkeeping consistent, and the child must
 // still run.
 func TestSpawnFromDyingThread(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var order []string
 	e.Spawn("parent", 0, func(th *Thread) {
 		order = append(order, "parent")
@@ -213,7 +213,7 @@ func TestSpawnFromDyingThread(t *testing.T) {
 // TestExecFastPathKeepsSerialization asserts the Exec fast path does not
 // break processor-queueing semantics when other events are due first.
 func TestExecFastPathKeepsSerialization(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	m := NewMachine(e, 1)
 	p := m.Proc(0)
 	var ends []Time
@@ -241,7 +241,7 @@ func TestExecFastPathKeepsSerialization(t *testing.T) {
 // a round trip through the engine loop.
 func TestExitHandsOffDirectly(t *testing.T) {
 	t.Run("never-run", func(t *testing.T) {
-		e := NewEngine(1)
+		e := newEngine(t, 1)
 		var atExit, atNext uint64
 		e.Spawn("first", 0, func(th *Thread) { atExit = e.handoffs })
 		e.Spawn("second", 5, func(th *Thread) { atNext = e.handoffs })
@@ -257,7 +257,7 @@ func TestExitHandsOffDirectly(t *testing.T) {
 		}
 	})
 	t.Run("parked", func(t *testing.T) {
-		e := NewEngine(1)
+		e := newEngine(t, 1)
 		var atExit, atNext uint64
 		waiter := e.Spawn("waiter", 0, func(th *Thread) {
 			th.Park("wait")
@@ -285,7 +285,7 @@ func TestExitHandsOffDirectly(t *testing.T) {
 // pump respawns the same pooled thread and pops its wakeup, the new body
 // runs on the same carrier without any handoff.
 func TestExitRunsOwnRespawnInPlace(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var first, second *Thread
 	var atExit, atRespawn uint64
 	e.Spawn("first", 0, func(th *Thread) {
@@ -317,6 +317,7 @@ func TestExitRunsOwnRespawnInPlace(t *testing.T) {
 // and a copy of the schedule is all that could grow with n. Each machine
 // retires after its run, so the next one revives its pools.
 func TestArrivalRunAllocs(t *testing.T) {
+	isolateRetired(t)
 	bytes := func(n int) uint64 {
 		e := NewEngine(1)
 		m := NewMachine(e, 4)

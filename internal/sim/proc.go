@@ -14,7 +14,7 @@ type Proc struct {
 	lane int  // the index of eng among the machine's lanes
 	free Time // the cycle at which the processor next becomes idle
 
-	// run queues the serial engine's events timed by reserve: Exec
+	// run queues the serial engine's events timed by ReserveAt: Exec
 	// wakeups and ExecAsync completions. free never decreases, so
 	// neither do their times (see the package comment).
 	run run
@@ -31,7 +31,7 @@ type Proc struct {
 
 	// downs are scheduled outage windows (fault injection): work segments
 	// booked inside a window start when it closes. Nil on the fault-free
-	// path, so reserve pays one nil check; a pointer keeps the Proc in
+	// path, so ReserveAt pays one nil check; a pointer keeps the Proc in
 	// its allocation size class.
 	downs *[]downWindow
 }
@@ -129,13 +129,17 @@ func (p *Proc) Spawn(name string, delay Time, body func(*Thread)) *Thread {
 // last arrival still pending from an earlier call. The call checks that
 // order once, panicking on a violation, and reserves the threads' ids
 // and wakeup sequence numbers as n Spawn calls would, so the run is
-// identical to one built with Spawn. The serial engine reads the
-// schedule in place: it calls arrival(i) again, and makes thread i and
-// its wakeup, only when arrival i reaches the head of the engine's
-// arrival run, so a long schedule costs one heap entry and no copy. On
-// a clustered machine each arrival is a Proc.Spawn on its processor.
+// identical to one built with Spawn. The engine reads the schedule in
+// place: it calls arrival(i) again, and makes thread i and its wakeup,
+// only when arrival i reaches the head of the engine's arrival run, so a
+// long schedule costs one heap entry and no copy. The arrival run is the
+// serial engine's: SpawnArrivals panics on a clustered machine, whose
+// lanes key events by stream (see Cluster).
 func (m *Machine) SpawnArrivals(name string, n int, arrival func(i int) (at Time, proc int, body func(*Thread))) {
 	e := m.procs[0].eng
+	if e.cluster != nil {
+		panic(fmt.Sprintf("sim: SpawnArrivals on a %d-lane cluster; open-loop arrivals run on the serial engine", len(m.lanes)))
+	}
 	s := &e.arrivals
 	prev := e.now
 	if s.head != nil { // a pending arrival is never due before now
@@ -148,14 +152,6 @@ func (m *Machine) SpawnArrivals(name string, n int, arrival func(i int) (at Time
 		}
 		m.Proc(proc) // panics on a processor out of range
 		prev = at
-	}
-	if e.cluster != nil {
-		for i := 0; i < n; i++ {
-			at, proc, body := arrival(i)
-			p := &m.procs[proc]
-			p.Spawn(name, at-p.eng.now, body)
-		}
-		return
 	}
 	s.batches = append(s.batches, arrivalBatch{name: name, arrival: arrival, n: n, seq: e.seq + 1, tid: e.nextTID + 1})
 	s.last = prev
@@ -207,24 +203,6 @@ func (p *Proc) Utilization() float64 {
 	return float64(p.Busy) / float64(p.eng.now)
 }
 
-// reserve books cycles of exclusive processor time and returns the cycle
-// at which the segment completes. The booked duration is stretched by
-// the processor's speed ratio (heterogeneous machines).
-func (p *Proc) reserve(cycles Time) Time {
-	cycles = p.scale(cycles)
-	start := p.free
-	if start < p.eng.now {
-		start = p.eng.now
-	}
-	if p.downs != nil {
-		start = p.skipDown(start)
-	}
-	end := start + cycles
-	p.free = end
-	p.Busy += cycles
-	return end
-}
-
 // Exec runs cycles of work for thread th on processor p, blocking the
 // thread until the work completes (including any queueing delay while the
 // processor drains earlier segments). Like Sleep, it advances the clock
@@ -236,7 +214,7 @@ func (th *Thread) Exec(p *Proc, cycles Time) {
 	if th.eng != p.eng {
 		panic(fmt.Sprintf("sim: thread %s executing on p%d of another shard lane", th, p.id))
 	}
-	end := p.reserve(cycles)
+	end := p.ReserveAt(p.eng.now, cycles)
 	if th.eng.TryAdvance(end) {
 		return
 	}
@@ -246,10 +224,12 @@ func (th *Thread) Exec(p *Proc, cycles Time) {
 }
 
 // ReserveAt books cycles of exclusive processor time starting no earlier
-// than at (later if the processor is still draining earlier segments),
-// without blocking any thread or scheduling any event. It returns the
-// completion cycle. Inline fast paths use it to account occupancy for
-// work they have already decided completes synchronously.
+// than at (later if the processor is still draining earlier segments or
+// is down), without blocking any thread or scheduling any event. It
+// returns the completion cycle. The booked duration is stretched by the
+// processor's speed ratio (heterogeneous machines). Exec and ExecAsync
+// book from now; the shared-memory all-hit path uses it to account
+// occupancy for work it has already decided completes synchronously.
 func (p *Proc) ReserveAt(at, cycles Time) Time {
 	cycles = p.scale(cycles)
 	start := p.free
@@ -269,7 +249,7 @@ func (p *Proc) ReserveAt(at, cycles Time) Time {
 // hardware handler or an interrupt-level message dispatch) and invokes fn
 // when the work completes. fn may be nil.
 func (p *Proc) ExecAsync(cycles Time, fn func()) {
-	end := p.reserve(cycles)
+	end := p.ReserveAt(p.eng.now, cycles)
 	if fn != nil {
 		ev := p.eng.schedule(end, fn, nil, &p.run)
 		ev.exec = int32(p.id)

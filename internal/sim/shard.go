@@ -92,7 +92,7 @@ func NewCluster(seed uint64, shards int) *Cluster {
 			// NewPRNG decorrelates them); lane 0 keeps the serial seed.
 			e.rng = NewPRNG(seed + uint64(i)*0x9E3779B97F4A7C15)
 		}
-		e.cluster, e.lane, e.curStream = cl, i, -1
+		e.cluster, e.lane = cl, i
 		cl.lanes[i] = e
 	}
 	cl.outbox = make([][][]crossEvent, shards)

@@ -14,7 +14,7 @@ import (
 func runSyntheticCluster(t *testing.T, shards int) [][]string {
 	t.Helper()
 	const nprocs, lookahead = 8, 10
-	cl := NewCluster(42, shards)
+	cl := newCluster(t, 42, shards)
 	mach := cl.NewMachine(nprocs)
 	cl.SetLookahead(lookahead)
 	logs := make([][]string, nprocs)
@@ -72,7 +72,7 @@ func TestClusterShardCountIdentity(t *testing.T) {
 // order once every lane has passed the barrier time, with all lane
 // clocks aligned to it.
 func TestClusterBarrierOrder(t *testing.T) {
-	cl := NewCluster(1, 2)
+	cl := newCluster(t, 1, 2)
 	mach := cl.NewMachine(4)
 	cl.SetLookahead(5)
 	for p := 0; p < 4; p++ {
@@ -103,7 +103,7 @@ func TestClusterBarrierOrder(t *testing.T) {
 // surfaces as a deadlock error, as on the serial engine.
 func TestClusterDeadlockReported(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		cl := NewCluster(1, shards)
+		cl := newCluster(t, 1, shards)
 		mach := cl.NewMachine(4)
 		cl.SetLookahead(5)
 		fut := &Future{}
@@ -117,7 +117,7 @@ func TestClusterDeadlockReported(t *testing.T) {
 // TestCrossSendBelowLookaheadPanics pins the conservative protocol's
 // precondition: no cross-lane message may undercut the lookahead.
 func TestCrossSendBelowLookaheadPanics(t *testing.T) {
-	cl := NewCluster(1, 2)
+	cl := newCluster(t, 1, 2)
 	mach := cl.NewMachine(4)
 	cl.SetLookahead(10)
 	defer func() {
@@ -131,7 +131,7 @@ func TestCrossSendBelowLookaheadPanics(t *testing.T) {
 // TestClusterMachineShape checks lane assignment is contiguous and
 // covers every processor, and that misuse panics.
 func TestClusterMachineShape(t *testing.T) {
-	cl := NewCluster(1, 3)
+	cl := newCluster(t, 1, 3)
 	mach := cl.NewMachine(8)
 	if mach.N() != 8 {
 		t.Fatalf("machine has %d procs, want 8", mach.N())

@@ -7,7 +7,7 @@ import "testing"
 // through both the thread path (Exec) and the inline paths (ReserveAt,
 // ExecAsync).
 func TestProcSpeedStretchesWork(t *testing.T) {
-	eng := NewEngine(1)
+	eng := newEngine(t, 1)
 	m := NewMachine(eng, 2)
 	slow, fast := m.Proc(0), m.Proc(1)
 	slow.SetSpeed(250, 100) // 2.5x slower
@@ -36,7 +36,7 @@ func TestProcSpeedStretchesWork(t *testing.T) {
 }
 
 func TestProcSpeedCeilingAndReserveAt(t *testing.T) {
-	eng := NewEngine(1)
+	eng := newEngine(t, 1)
 	m := NewMachine(eng, 1)
 	p := m.Proc(0)
 	p.SetSpeed(150, 100)
@@ -59,7 +59,7 @@ func TestProcSpeedCeilingAndReserveAt(t *testing.T) {
 }
 
 func TestSetSpeedRejectsBadRatios(t *testing.T) {
-	eng := NewEngine(1)
+	eng := newEngine(t, 1)
 	p := NewMachine(eng, 1).Proc(0)
 	for _, r := range [][2]Time{{0, 1}, {1, 0}, {99, 100}} {
 		func() {

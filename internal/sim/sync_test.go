@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestMutexExclusionAndFIFO(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var mu Mutex
 	var order []int
 	var acquired []Time
@@ -44,7 +44,7 @@ func TestMutexExclusionAndFIFO(t *testing.T) {
 }
 
 func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var mu Mutex
 	e.Spawn("a", 0, func(th *Thread) {
 		defer func() {
@@ -61,7 +61,7 @@ func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 }
 
 func TestFutureCompleteBeforeWait(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	f := &Future{}
 	f.Complete(99)
 	var got any
@@ -75,7 +75,7 @@ func TestFutureCompleteBeforeWait(t *testing.T) {
 }
 
 func TestFutureWaitBeforeComplete(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	f := &Future{}
 	var got any
 	var when Time
@@ -104,7 +104,7 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 }
 
 func TestWaitQueueBroadcast(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var q WaitQueue
 	released := 0
 	for i := 0; i < 5; i++ {
@@ -127,7 +127,7 @@ func TestWaitQueueBroadcast(t *testing.T) {
 }
 
 func TestBarrier(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	b := NewBarrier(3)
 	var crossed []Time
 	for i := 0; i < 3; i++ {
@@ -151,7 +151,7 @@ func TestBarrier(t *testing.T) {
 }
 
 func TestBarrierReusable(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	b := NewBarrier(2)
 	gens := 0
 	for i := 0; i < 2; i++ {
@@ -172,7 +172,7 @@ func TestBarrierReusable(t *testing.T) {
 }
 
 func TestWaitQueueLenAndFutureDone(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	var q WaitQueue
 	f := &Future{}
 	if f.done {

@@ -205,18 +205,14 @@ func (e *Engine) drive(c *carrier) {
 	// Pump until the engine loop must take back over (to return, to honor
 	// the run limit, or to report deadlock / the event bound) or another
 	// thread must run.
-	for !e.stopped && len(e.heap) > 0 &&
-		!(e.limited && e.heap[0].at > e.runLimit) &&
-		!(e.MaxEvents != 0 && e.processed >= e.MaxEvents) {
+	for len(e.heap) > 0 && e.mayDispatch(e.heap[0].at) {
 		ev := e.pop()
 		if ev.at < e.now {
 			panic("sim: event heap time went backwards")
 		}
 		e.now = ev.at
 		e.processed++
-		if e.cluster != nil {
-			e.curStream = ev.exec
-		}
+		e.curStream = ev.exec
 		if tw := ev.th; tw != nil {
 			e.release(ev)
 			e.current = tw

@@ -6,7 +6,7 @@ import (
 )
 
 func TestTraceDisabledByDefault(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	if e.Tracing() {
 		t.Fatal("tracing on by default")
 	}
@@ -19,7 +19,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 }
 
 func TestTraceRecordsInOrder(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	tr := e.EnableTrace(16)
 	e.Schedule(10, func() { e.Tracef("a", "first") })
 	e.Schedule(20, func() { e.Tracef("b", "second %d", 2) })
@@ -39,7 +39,7 @@ func TestTraceRecordsInOrder(t *testing.T) {
 }
 
 func TestTraceRingWraps(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	tr := e.EnableTrace(3)
 	for i := 0; i < 10; i++ {
 		i := i
@@ -61,7 +61,7 @@ func TestTraceRingWraps(t *testing.T) {
 }
 
 func TestTraceDump(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(t, 1)
 	tr := e.EnableTrace(8)
 	e.Schedule(5, func() { e.Tracef("send", "rpc p0->p1") })
 	if err := e.Run(); err != nil {
@@ -82,5 +82,5 @@ func TestTraceCapacityValidation(t *testing.T) {
 			t.Fatal("zero capacity accepted")
 		}
 	}()
-	NewEngine(1).EnableTrace(0)
+	newEngine(t, 1).EnableTrace(0)
 }
