@@ -98,23 +98,27 @@ engine-order:
 # CM and RPC; the countnet traversal also under OM, where a rival
 # requester pulls every object back; and the countnet traversal under a
 # drop/dup fault plan with CM, RPC and OM) must allocate no more heap
-# objects than their bounds. Five pins bound
+# objects than their bounds, and the B-tree's key-set check allocates
+# only its key list. Six pins bound
 # per-run memory instead: an open-loop arrival run allocates the same
 # bytes at 100 and 10,000 arrivals; repeated rounds of making and
 # releasing caches allocate no fresh cache backing after the first;
-# three identical countnet CM runs, and three identical small kv
-# open-loop runs, back to back allocate the same objects in runs 2 and
-# 3, fewer than run 1 by at least the idle records run 1 retired; and a
-# retired machine's runtime and engine are collected once a later run
-# has revived its lane.
+# three identical countnet CM runs, three identical small kv
+# open-loop runs and three identical B-tree SM runs that look up,
+# insert and scan, back to back, allocate the same objects in runs 2
+# and 3, fewer than run 1 by at least the idle records run 1 retired;
+# a retired countnet or kv machine's runtime and engine are collected
+# once a later run has revived its lane; and, with the collector off,
+# three shared-memory kv runs leave their carriers' stacks at 4 KiB
+# each.
 alloc-pins:
 	$(GO) test ./internal/sim/ -run 'Allocs' -count=1
 	$(GO) test ./internal/core/ -run 'Allocs' -count=1
 	$(GO) test ./internal/network/ -run 'Allocs' -count=1
 	$(GO) test ./internal/mem/ -run 'Allocs' -count=1
 	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs(SM|CM|RPC|OM)$$|TestFaultedTraverseAllocs(CM|RPC|OM)$$|TestRunAllocs$$|TestRetiredRunIsCollected$$' -count=1
-	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocs|TestPutAllocs|TestRunAllocs' -count=1
-	$(GO) test ./internal/apps/btree/ -run 'TestLookupAllocs' -count=1
+	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocs|TestPutAllocs|TestRunAllocs|TestRetiredRunIsCollected|TestCarrierStacksStaySmall' -count=1
+	$(GO) test ./internal/apps/btree/ -run 'TestLookupAllocs|TestRunAllocs|TestVerifyKeySetAllocs' -count=1
 	@echo "alloc-pins: no operation allocates more than its pinned bound"
 
 # golden re-runs the output contracts by name: every paperfigs table at

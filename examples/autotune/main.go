@@ -132,7 +132,7 @@ func run(plan uint32) (result uint64, cycles sim.Time, messages uint64) {
 			t.Work(touchWork)
 			reply.PutU64(1)
 		})
-	e.cont = rt.RegisterWalker("autotune.visit", func() core.Walker { return &visitCont{env: e} })
+	e.cont = core.RegisterWalker(rt, "autotune.visit", func(c *visitCont) { c.env = e })
 
 	m.Eng.Spawn("client", 0, func(th *sim.Thread) {
 		task := rt.NewTask(th, 0)

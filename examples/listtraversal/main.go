@@ -137,7 +137,7 @@ func traverse(scheme core.Scheme) (sum uint64, cycles sim.Time, messages, words 
 			t.Work(nodeWork)
 			(&nodeReply{value: nd.value, next: nd.next}).MarshalWords(reply)
 		})
-	contID := rt.RegisterWalker("list.sum", func() core.Walker { return &sumCont{l: l} })
+	contID := core.RegisterWalker(rt, "list.sum", func(c *sumCont) { c.l = l })
 
 	m.Eng.Spawn("walker", 0, func(th *sim.Thread) {
 		task := rt.NewTask(th, nprocs) // thread on its own processor

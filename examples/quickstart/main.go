@@ -97,7 +97,7 @@ func run(mech core.Mechanism) (balance uint64, cycles sim.Time, messages, words 
 			a.balance += args.U64()
 			reply.PutU64(a.balance)
 		})
-	audit := rt.RegisterWalker("account.audit", func() core.Walker { return &auditCont{mDeposit: deposit} })
+	audit := core.RegisterWalker(rt, "account.audit", func(c *auditCont) { c.mDeposit = deposit })
 
 	const rounds = 5
 	m.Eng.Spawn("client", 0, func(th *sim.Thread) {

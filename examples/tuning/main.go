@@ -156,7 +156,7 @@ func run(p plan) (total uint64, cycles sim.Time, messages uint64) {
 			t.Work(work)
 			reply.PutU64(1)
 		})
-	w.cont = rt.RegisterWalker("tuning.phase", func() core.Walker { return &phaseCont{w: w} })
+	w.cont = core.RegisterWalker(rt, "tuning.phase", func(c *phaseCont) { c.w = w })
 
 	m.Eng.Spawn("client", 0, func(th *sim.Thread) {
 		task := rt.NewTask(th, 0)

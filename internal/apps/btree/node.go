@@ -80,7 +80,7 @@ func probe(keys []uint64, key uint64, trace *probeTrace) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if trace != nil {
-			trace.pos[trace.n] = mid
+			trace.pos[trace.n] = int32(mid)
 			trace.n++
 		}
 		if key <= keys[mid] {
@@ -93,10 +93,12 @@ func probe(keys []uint64, key uint64, trace *probeTrace) int {
 }
 
 // probeTrace holds the indices one binary search probed, in order. A
-// search over any slice probes fewer than 64 times.
+// search over any slice probes fewer than 64 times. The indices are
+// int32 to keep the frames that hold a trace small: a simulated thread
+// runs on a coroutine whose stack starts at a few kilobytes.
 type probeTrace struct {
 	n   int
-	pos [64]int
+	pos [64]int32
 }
 
 // route returns the next hop for key from an interior node: either a

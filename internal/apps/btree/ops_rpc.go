@@ -128,12 +128,9 @@ func (tr *Tree) register() {
 			rep.MarshalWords(reply)
 		})
 
-	tr.cOp = tr.rt.RegisterWalker("btree.op",
-		func() core.Walker { return &opCont{tr: tr} })
-	tr.cLookup = tr.rt.RegisterWalker("btree.lookup",
-		func() core.Walker { return &lookupCont{tr: tr} })
-	tr.cScan = tr.rt.RegisterWalker("btree.scan",
-		func() core.Walker { return &scanCont{tr: tr} })
+	tr.cOp = core.RegisterWalker(tr.rt, "btree.op", func(c *opCont) { c.tr = tr })
+	tr.cLookup = core.RegisterWalker(tr.rt, "btree.lookup", func(c *lookupCont) { c.tr = tr })
+	tr.cScan = core.RegisterWalker(tr.rt, "btree.scan", func(c *scanCont) { c.tr = tr })
 }
 
 // RPC steps. The requester stays put and turns every node access into a

@@ -38,7 +38,7 @@ func (tr *Tree) arrive(t *core.Task, state any, mech core.Mechanism) (nd *node, 
 func (tr *Tree) chargeProbeReads(t *core.Task, nd *node, key uint64) int {
 	var trace probeTrace
 	i := probe(nd.keys, key, &trace)
-	var lines [len(trace.pos)]int
+	var lines [len(trace.pos)]int32
 	n := 0
 	for _, pos := range trace.pos[:trace.n] {
 		if ln := pos * 8 / mem.LineBytes; !slices.Contains(lines[:n], ln) {

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"slices"
 
 	"compmig/internal/gid"
 )
@@ -66,7 +67,13 @@ func (tr *Tree) AllKeys() []uint64 {
 		}
 		g = nd.children[0]
 	}
-	var keys []uint64
+	n := 0
+	for l := g; !l.IsNil(); {
+		nd := tr.rt.Objects.State(l).(*node)
+		n += len(nd.keys)
+		l = nd.right
+	}
+	keys := make([]uint64, 0, n)
 	for !g.IsNil() {
 		nd := tr.rt.Objects.State(g).(*node)
 		keys = append(keys, nd.keys...)
@@ -92,20 +99,17 @@ func (tr *Tree) VerifyKeySet(initial []uint64, inserted map[uint64]struct{}) err
 				got[i-1], got[i])
 		}
 	}
-	gotSet := make(map[uint64]struct{}, len(got))
-	for _, k := range got {
-		gotSet[k] = struct{}{}
-	}
+	// got is strictly increasing, so a binary search tests membership.
 	// Iterate the expectations in deterministic order so a given failure
 	// always reports the same key.
 	for _, k := range initial {
-		if _, ok := gotSet[k]; !ok {
+		if _, ok := slices.BinarySearch(got, k); !ok {
 			return fmt.Errorf("btree: initial key %d lost", k)
 		}
 	}
 	lost := uint64(0)
 	for k := range inserted {
-		if _, ok := gotSet[k]; !ok && (lost == 0 || k < lost) {
+		if _, ok := slices.BinarySearch(got, k); !ok && (lost == 0 || k < lost) {
 			lost = k
 		}
 	}

@@ -53,3 +53,18 @@ func TestVerifyKeySetInsertOfExistingKey(t *testing.T) {
 		t.Errorf("re-inserted existing key rejected: %v", err)
 	}
 }
+
+// VerifyKeySet allocates only the key list AllKeys returns: membership
+// is a binary search of that list, not a set built from it.
+func TestVerifyKeySetAllocs(t *testing.T) {
+	initial := seqKeys(2000, 2)
+	e := buildEnv(t, core.Scheme{Mechanism: core.RPC}, DefaultParams(), 1, initial)
+	inserted := map[uint64]struct{}{4: {}, 8: {}}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := e.tr.VerifyKeySet(initial, inserted); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("VerifyKeySet made %v allocations, want 1", n)
+	}
+}

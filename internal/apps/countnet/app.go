@@ -168,8 +168,7 @@ func (n *Network) registerHandlers() {
 			t.Log(0, c)
 			reply.PutU64(v)
 		})
-	n.cTravers = n.rt.RegisterWalker("countnet.traverse",
-		func() core.Walker { return &traverseCont{net: n} })
+	n.cTravers = core.RegisterWalker(n.rt, "countnet.traverse", func(c *traverseCont) { c.net = n })
 }
 
 // wireReply carries a balancer's routing decision back to an RPC caller.

@@ -167,8 +167,7 @@ func (s *Store) register() {
 			t.Log(key, ps)
 			reply.PutU64(ps.vals[key])
 		})
-	s.cOp = s.rt.RegisterWalker("kv.op",
-		func() core.Walker { return &kvCont{st: s} })
+	s.cOp = core.RegisterWalker(s.rt, "kv.op", func(c *kvCont) { c.st = s })
 }
 
 // Get returns the key's current version, using the store's scheme or

@@ -113,6 +113,12 @@ type Result struct {
 // RunExperiment builds a fresh machine, replays the workload open-loop,
 // and reports throughput, tail latency, and the invariant verdict.
 func RunExperiment(cfg Config) Result {
+	res, _ := run(cfg)
+	return res
+}
+
+// run is RunExperiment, also returning the retired machine.
+func run(cfg Config) (Result, *machine.Machine) {
 	cfg = cfg.WithDefaults()
 	m := machine.New("kv", cfg.machineConfig(), cfg.Procs())
 
@@ -137,8 +143,11 @@ func RunExperiment(cfg Config) Result {
 	// event heap holds one arrival instead of all of them. Arrival i
 	// goes to frontend i mod FrontProcs, and one processor's arrivals
 	// start in index order, so each frontend has one body that takes its
-	// next event from a cursor into events.
-	events := load.NewGen(cfg.Load, cfg.Seed).Events()
+	// next event from a cursor into events. events fills the array the
+	// lane's last schedule used.
+	sched := sim.Keep[schedule](m.Eng)
+	events := load.NewGen(cfg.Load, cfg.Seed).Events(sched.events)
+	sched.events = events
 	issued := make([]uint64, nkeys) // puts issued per key
 	acked := make([]uint64, nkeys)  // highest version acked per key
 	monotonic := 0                  // reads that went backwards
@@ -196,8 +205,17 @@ func RunExperiment(cfg Config) Result {
 	hist.AddFrom(&col.Latency)
 	res.Latency = hist
 	res.InvariantErr = checkInvariants(st, issued, acked, monotonic, res.Fault != nil)
-	return res
+	return res, m
 }
+
+// schedule is the arrival schedule's array, kept on the machine's lane
+// (sim.Keep) so that the next run on it reuses the array.
+type schedule struct{ events []load.Event }
+
+// Retire keeps the array as it is: an event holds no pointer, so the
+// array pins nothing of the run, and Gen.Events empties it before it
+// fills it again.
+func (s *schedule) Retire() int { return min(cap(s.events), 1) }
 
 // checkInvariants verifies the store's end state against the host-side
 // ledgers: every acked write must be present (no lost updates), the

@@ -1,0 +1,5 @@
+//go:build race
+
+package kv
+
+const raceEnabled = true

@@ -78,7 +78,7 @@ func TestMigrateHopAllocs(t *testing.T) {
 	registered := false
 	n := allocsPerOp(t, func(r *rig, task *Task) error {
 		if !registered {
-			id, registered = r.rt.RegisterWalker("hop", func() Walker { return &hopCont{} }), true
+			id, registered = RegisterWalker(r.rt, "hop", func(*hopCont) {}), true
 		}
 		w := task.Record(id).(*hopCont)
 		w.g = r.cells[1]

@@ -142,8 +142,8 @@ func newRig(t *testing.T, nprocs int, model cost.Model) *rig {
 	r.mShort = rt.RegisterMethod("cell.peek", true, func(t *Task, self any, _ *msg.Reader, reply *msg.Writer) {
 		reply.PutU64(self.(*cell).val)
 	})
-	r.cSum = rt.RegisterWalker("sum", func() Walker { return &sumCont{r: r} })
-	r.cCall = rt.RegisterWalker("call", func() Walker { return &callCont{r: r} })
+	r.cSum = RegisterWalker(rt, "sum", func(c *sumCont) { c.r = r })
+	r.cCall = RegisterWalker(rt, "call", func(c *callCont) { c.r = r })
 
 	for p := 0; p < nprocs; p++ {
 		r.cells = append(r.cells, rt.Objects.New(p, &cell{val: uint64(p + 1)}))

@@ -81,7 +81,7 @@ func (c *scaledSum) scale(done bool) bool {
 
 func TestMultiFrameMigration(t *testing.T) {
 	r := newRig(t, 5, cost.Software())
-	id := r.rt.RegisterWalker("scaled", func() Walker { return &scaledSum{sumCont: sumCont{r: r}} })
+	id := RegisterWalker(r.rt, "scaled", func(s *scaledSum) { s.r = r })
 	var got uint64
 	r.eng.Spawn("req", 0, func(th *sim.Thread) {
 		task := r.rt.NewTask(th, 0)

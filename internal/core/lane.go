@@ -43,9 +43,39 @@ type laneState struct {
 
 	acts    []*Task    // idle activations for Walk
 	records [][]Walker // idle operation records, by walker type
+	kept    []keptRecords
 
 	w msg.Writer // marshals outgoing payloads before they are copied out
 	r msg.Reader // decodes reply words into the caller's record
+}
+
+// keptRecords are the zeroed operation records of one walker type that
+// an earlier run on the lane left, waiting for a runtime to register a
+// walker type of the same name.
+type keptRecords struct {
+	name string
+	recs []Walker
+}
+
+// adopt gives walker type id, registered under name, the lane's kept
+// records of that name, each rebound by init, as its pool.
+func (ls *laneState) adopt(id ContID, name string, init func(Walker)) {
+	if n := int(id) + 1 - len(ls.records); n > 0 {
+		ls.records = append(ls.records, make([][]Walker, n)...)
+	}
+	for i, k := range ls.kept {
+		if k.name != name {
+			continue
+		}
+		for _, w := range k.recs {
+			init(w)
+		}
+		ls.records[id] = k.recs
+		last := len(ls.kept) - 1
+		ls.kept[i], ls.kept[last] = ls.kept[last], keptRecords{}
+		ls.kept = ls.kept[:last]
+		return
+	}
 }
 
 // scratch returns the lane's marshaling Writer, emptied. Its words must
@@ -72,8 +102,9 @@ func (ls *laneState) message(src int, kind string, words []uint32) *network.Mess
 // Retire scrubs the lane's state of its run when the machine retires:
 // the runtime, the collector and the reply table go, the scratch reader
 // lets go of the last reply it decoded, and each idle activation's
-// child drops its runtime, thread and processor. Operation records go too, since
-// the next runtime may number its walker types differently. The pools
+// child drops its runtime, thread and processor. Each operation record
+// is zeroed and its pool kept under its walker type's name, since the
+// next runtime may number its walker types differently. The other pools
 // keep their records, which hold nothing of the run once they are
 // pooled (see their put methods). Every pooled wire message's payload
 // array grows to the largest one's capacity: the next run hands the
@@ -89,18 +120,30 @@ func (ls *laneState) Retire() int {
 			m.Payload = make([]uint32, 0, words)
 		}
 	}
+	for id, recs := range ls.records {
+		w := &ls.rt.conts[id]
+		for _, r := range recs {
+			w.reset(r)
+		}
+		ls.kept = append(ls.kept, keptRecords{name: w.name, recs: recs})
+	}
+	clear(ls.records)
+	ls.records = ls.records[:0]
 	ls.rt, ls.col = nil, nil
 	clear(ls.replies)
 	ls.replies, ls.freeIDs, ls.issues = ls.replies[:0], ls.freeIDs[:0], 0
 	ls.r.Reset(nil)
-	ls.records = nil
 	for _, a := range ls.acts {
 		for c := a.child; c != nil; c = c.child {
 			*c = Task{child: c.child}
 		}
 	}
-	return len(ls.slots) + len(ls.rpcs) + len(ls.migs) + len(ls.rets) + len(ls.fetches) +
+	n := len(ls.slots) + len(ls.rpcs) + len(ls.migs) + len(ls.rets) + len(ls.fetches) +
 		len(ls.moves) + len(ls.fwds) + len(ls.msgs) + len(ls.acts)
+	for _, k := range ls.kept {
+		n += len(k.recs)
+	}
+	return n
 }
 
 // laneAt returns the state of processor proc's lane.

@@ -150,8 +150,7 @@ type Runtime struct {
 
 	methods  []methodEntry
 	methodID map[string]MethodID
-	conts    []func() Walker // walker factories, by ContID
-	contID   map[string]ContID
+	conts    []walkerType // by ContID
 
 	// locHints[p] caches processor p's last known locations of objects
 	// that have migrated away from their birth home.
@@ -198,7 +197,6 @@ func New(mach *sim.Machine, net *network.Network, cols []*stats.Collector, model
 		Eng: mach.Lane(0), Mach: mach, Net: net, Model: model,
 		Objects:   object.NewSpace(mach.N()),
 		methodID:  make(map[string]MethodID),
-		contID:    make(map[string]ContID),
 		locHints:  make([]map[gid.GID]int, mach.N()),
 		pins:      make(map[gid.GID]sim.Time),
 		PinCycles: 200,
@@ -404,7 +402,7 @@ func (rt *Runtime) WipeVolatile(proc int) int {
 // words 32-bit words on collector col — the sending processor's (see
 // ColAt) — and returns its total cycle cost.
 func (rt *Runtime) chargeSendTo(col *stats.Collector, words uint64) uint64 {
-	m := rt.Model
+	m := &rt.Model
 	col.AddCycles(stats.CatSendLinkage, m.SendLinkage)
 	col.AddCycles(stats.CatSendAllocPacket, m.SendAllocPacket)
 	col.AddCycles(stats.CatMessageSend, m.MessageSend)
@@ -416,7 +414,7 @@ func (rt *Runtime) chargeSendTo(col *stats.Collector, words uint64) uint64 {
 // rpc or migrate message) on the receiving processor's collector col and
 // returns its total cycle cost.
 func (rt *Runtime) chargeRecvTo(col *stats.Collector, words uint64, short bool) uint64 {
-	m := rt.Model
+	m := &rt.Model
 	col.AddCycles(stats.CatCopyPacket, m.CopyPacket(words))
 	col.AddCycles(stats.CatRecvLinkage, m.RecvLinkage)
 	col.AddCycles(stats.CatUnmarshal, m.Unmarshal(words))
@@ -453,7 +451,7 @@ func (rt *Runtime) ChargeRecvReplyPath(proc int, words uint64) uint64 {
 // scheduler wakeup — everything but object-ID translation, the
 // forwarding check, and handler-thread creation.
 func (rt *Runtime) chargeRecvReplyTo(col *stats.Collector, words uint64) uint64 {
-	m := rt.Model
+	m := &rt.Model
 	col.AddCycles(stats.CatCopyPacket, m.CopyPacket(words))
 	col.AddCycles(stats.CatRecvLinkage, m.RecvLinkage)
 	col.AddCycles(stats.CatUnmarshal, m.Unmarshal(words))

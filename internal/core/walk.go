@@ -52,16 +52,39 @@ func checkHops(hop int) {
 	}
 }
 
-// RegisterWalker installs an operation record type under a unique name;
-// the factory makes an empty record, with its environment references
-// set, for Record and for the receiving side of a migration.
-func (rt *Runtime) RegisterWalker(name string, factory func() Walker) ContID {
-	if _, dup := rt.contID[name]; dup {
-		panic("core: duplicate walker " + name)
+// walkerType is a registered walker type: its name, which pools its
+// records across runs, and how to make, rebind and scrub one record.
+type walkerType struct {
+	name  string
+	make  func() Walker // a new record, its environment set by init
+	init  func(Walker)  // sets a zeroed record's environment references
+	reset func(Walker)  // zeroes a record, so it pins nothing of its run
+}
+
+// RegisterWalker installs operation record type *T under a unique name
+// and returns its ContID. init sets a zeroed record's environment
+// references (the tree, network or store it walks): Record hands out
+// records that init has bound to this runtime, made new or kept, under
+// the same name, from an earlier run on the lane (see laneState.Retire).
+func RegisterWalker[T any, P interface {
+	*T
+	Walker
+}](rt *Runtime, name string, init func(P)) ContID {
+	for _, w := range rt.conts {
+		if w.name == name {
+			panic("core: duplicate walker " + name)
+		}
 	}
 	id := ContID(len(rt.conts))
-	rt.conts = append(rt.conts, factory)
-	rt.contID[name] = id
+	rt.conts = append(rt.conts, walkerType{
+		name:  name,
+		make:  func() Walker { p := P(new(T)); init(p); return p },
+		init:  func(w Walker) { init(w.(P)) },
+		reset: func(w Walker) { *w.(P) = *new(T) },
+	})
+	for _, ls := range rt.lanes {
+		ls.adopt(id, name, rt.conts[id].init)
+	}
 	return id
 }
 
@@ -70,14 +93,10 @@ func (rt *Runtime) RegisterWalker(name string, factory func() Walker) ContID {
 // returns to the pool when Walk ends: read its result before the task
 // next blocks.
 func (t *Task) Record(id ContID) Walker {
-	ls := t.rt.laneAt(t.proc.ID())
-	if n := int(id) + 1 - len(ls.records); n > 0 {
-		ls.records = append(ls.records, make([][]Walker, n)...)
-	}
-	if w := pop(&ls.records[id]); w != nil {
+	if w := pop(&t.rt.laneAt(t.proc.ID()).records[id]); w != nil {
 		return w
 	}
-	return t.rt.conts[id]()
+	return t.rt.conts[id].make()
 }
 
 // Walk runs operation record w, of walker type id, to completion under

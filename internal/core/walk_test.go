@@ -105,7 +105,7 @@ func newChain(t testing.TB, loop bool) *chain {
 		t.Work(10)
 		(&linkReply{val: l.val, next: l.next}).MarshalWords(reply)
 	})
-	c.cSum = c.rt.RegisterWalker("chain.sum", func() Walker { return &chainSum{c: c} })
+	c.cSum = RegisterWalker(c.rt, "chain.sum", func(s *chainSum) { s.c = c })
 	if loop {
 		l := &link{name: "loop", val: 1}
 		g := c.rt.Objects.New(3, l)
@@ -200,7 +200,7 @@ func (c *chain) panicOf() (p any) {
 
 func TestMigrationRejectsTrailingWords(t *testing.T) {
 	c := newChain(t, false)
-	id := c.rt.RegisterWalker("chain.short", func() Walker { return &shortRead{chainSum{c: c}} })
+	id := RegisterWalker(c.rt, "chain.short", func(s *shortRead) { s.c = c })
 	c.eng.Spawn("req", 0, func(th *sim.Thread) {
 		task := c.rt.NewTask(th, 3)
 		w := task.Record(id).(*shortRead)

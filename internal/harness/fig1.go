@@ -83,7 +83,7 @@ func newChainWorld(mech core.Mechanism, m int, work, seed uint64) *chainWorld {
 			t.Work(w.work)
 			chainAck{}.MarshalWords(reply)
 		})
-	w.cont = rt.RegisterWalker("chain.visit", func() core.Walker { return &chainCont{w: w} })
+	w.cont = core.RegisterWalker(rt, "chain.visit", func(c *chainCont) { c.w = w })
 	for p := 1; p <= m; p++ {
 		w.cells = append(w.cells, rt.Objects.New(p, &chainCell{}))
 	}

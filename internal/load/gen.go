@@ -2,6 +2,7 @@ package load
 
 import (
 	"math"
+	"slices"
 
 	"compmig/internal/sim"
 )
@@ -151,17 +152,18 @@ func (g *Gen) Next() (ev Event, ok bool) {
 	return Event{At: g.now, Op: op}, true
 }
 
-// Events materializes the whole stream. Drivers use this to schedule
-// every arrival before the run starts (open loop: arrivals never depend
-// on service progress).
-func (g *Gen) Events() []Event {
-	out := make([]Event, 0, g.Remaining())
+// Events materializes the whole stream into buf, reusing its array, and
+// returns it. Drivers use this to schedule every arrival before the run
+// starts (open loop: arrivals never depend on service progress), and
+// keep buf from one run to the next.
+func (g *Gen) Events(buf []Event) []Event {
+	buf = slices.Grow(buf[:0], int(g.Remaining()))
 	for {
 		ev, ok := g.Next()
 		if !ok {
-			return out
+			return buf
 		}
-		out = append(out, ev)
+		buf = append(buf, ev)
 	}
 }
 

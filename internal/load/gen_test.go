@@ -31,7 +31,7 @@ func TestGenGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := NewGen(s, c.seed).Events()
+			got := NewGen(s, c.seed).Events(nil)
 			if len(got) != len(c.want) {
 				t.Fatalf("%d events, want %d", len(got), len(c.want))
 			}
@@ -53,9 +53,9 @@ func TestGenStreamAlignment(t *testing.T) {
 	base, _ := ParseSpec("keys=256,ops=200,period=100")
 	zipf, _ := ParseSpec("keys=256,ops=200,period=100,zipf=0.9")
 	mixed, _ := ParseSpec("keys=256,ops=200,period=100,mix=40:30:30")
-	be := NewGen(base, 3).Events()
-	ze := NewGen(zipf, 3).Events()
-	me := NewGen(mixed, 3).Events()
+	be := NewGen(base, 3).Events(nil)
+	ze := NewGen(zipf, 3).Events(nil)
+	me := NewGen(mixed, 3).Events(nil)
 	for i := range be {
 		if be[i].At != ze[i].At || be[i].At != me[i].At {
 			t.Fatalf("arrival %d diverges across specs: %d/%d/%d", i, be[i].At, ze[i].At, me[i].At)
@@ -76,7 +76,7 @@ func TestGenZipfSkew(t *testing.T) {
 	s, _ := ParseSpec("keys=1024,ops=20000,period=10,zipf=0.99,mix=100:0:0")
 	counts := make(map[uint64]int)
 	var last uint64
-	for _, e := range NewGen(s, 42).Events() {
+	for _, e := range NewGen(s, 42).Events(nil) {
 		if uint64(e.At) <= last {
 			t.Fatalf("arrivals not strictly increasing at %d", e.At)
 		}
@@ -88,7 +88,7 @@ func TestGenZipfSkew(t *testing.T) {
 	}
 	uni, _ := ParseSpec("keys=1024,ops=20000,period=10,mix=100:0:0")
 	uniCounts := make(map[uint64]int)
-	for _, e := range NewGen(uni, 42).Events() {
+	for _, e := range NewGen(uni, 42).Events(nil) {
 		uniCounts[e.Op.Key]++
 	}
 	if uniMax := maxCount(uniCounts); uniMax*3 > counts[0] {
@@ -113,7 +113,7 @@ func TestGenHotspotRotates(t *testing.T) {
 	s, _ := ParseSpec("keys=100,ops=30000,period=10,zipf=0.99,hot=0.5:100000,mix=100:0:0")
 	early := make(map[uint64]int)
 	late := make(map[uint64]int)
-	for _, e := range NewGen(s, 7).Events() {
+	for _, e := range NewGen(s, 7).Events(nil) {
 		if uint64(e.At) < 100000 {
 			early[e.Op.Key]++
 		} else if uint64(e.At) < 200000 {
@@ -145,7 +145,7 @@ func argmax(m map[uint64]int) uint64 {
 func TestGenBurstCompresses(t *testing.T) {
 	s, _ := ParseSpec("keys=16,ops=20000,period=100,burst=10:100000:100000")
 	inBurst, outBurst := 0, 0
-	for _, e := range NewGen(s, 5).Events() {
+	for _, e := range NewGen(s, 5).Events(nil) {
 		t := uint64(e.At)
 		switch {
 		case t >= 100000 && t < 200000:
@@ -162,8 +162,8 @@ func TestGenBurstCompresses(t *testing.T) {
 // TestGenNilSpec checks the nil spec yields the default workload and the
 // generator is reproducible.
 func TestGenNilSpec(t *testing.T) {
-	a := NewGen(nil, 0).Events()
-	b := NewGen(nil, 0).Events()
+	a := NewGen(nil, 0).Events(nil)
+	b := NewGen(nil, 0).Events(nil)
 	if len(a) != DefaultOps {
 		t.Fatalf("nil spec emitted %d events, want %d", len(a), DefaultOps)
 	}
@@ -186,8 +186,8 @@ func TestGenNilSpec(t *testing.T) {
 // stream.
 func TestSpecSeedOverridesRunSeed(t *testing.T) {
 	s, _ := ParseSpec("keys=64,ops=50,seed=99")
-	a := NewGen(s, 1).Events()
-	b := NewGen(s, 2).Events()
+	a := NewGen(s, 1).Events(nil)
+	b := NewGen(s, 2).Events(nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("spec seed did not override the run seed")

@@ -347,15 +347,10 @@ type System struct {
 	nSlow     uint64 // line accesses through the event-driven protocol
 
 	caches  []*cache
-	modules []*sim.Proc // memory-module serial servers (not CPU procs)
-	dirs    []map[Addr]*dirEntry
-	heaps   []uint64 // per-proc bump allocators
-
-	// Directory entries are carved from fixed chunks, so a txn's
-	// *dirEntry stays valid; dirFree holds the unused and the reclaimed
-	// ones. Each sharer set is words = (N+63)/64 words of its chunk.
-	dirFree []*dirEntry
-	words   int
+	modules []*sim.Proc          // memory-module serial servers (not CPU procs)
+	dirs    []map[Addr]*dirEntry // per home: pool.dirs
+	heaps   []uint64             // per-proc bump allocators
+	words   int                  // each sharer set's words: (N+63)/64
 
 	// inflight[p] tracks lines processor p is already fetching (MSHRs),
 	// so demand reads join pending prefetches instead of duplicating
@@ -373,15 +368,27 @@ type System struct {
 // substrate keeps on its engine (sim.Keep), so when the machine retires,
 // Retire scrubs them, and New rebinds them to the next System built on
 // a revived lane.
+//
+// The directory outlives the run with them. Its entries are carved
+// from fixed slabs, so a txn's *dirEntry stays valid: used counts the
+// slabs the run has carved, in slabs order, and dirFree holds the carved
+// entries no line holds. A System on a machine of the same size takes
+// the per-home maps and the slabs back; any other size makes its own.
 type pools struct {
 	ctrls  []*ctrlMsg
 	txns   []*txn
 	invals []*inval
+
+	dirs    []map[Addr]*dirEntry
+	slabs   [][]dirEntry
+	used    int
+	dirFree []*dirEntry
 }
 
 // Retire drops each record's System. A pooled record holds nothing else
 // of its run: its continuation, future, directory entry and transaction
-// are cleared when it is pooled.
+// are cleared when it is pooled. The directory's maps are cleared, which
+// keeps their buckets, and its entries are reset in slab order.
 func (p *pools) Retire() int {
 	for _, c := range p.ctrls {
 		c.s = nil
@@ -389,7 +396,18 @@ func (p *pools) Retire() int {
 	for _, t := range p.txns {
 		t.s = nil
 	}
-	return len(p.ctrls) + len(p.txns) + len(p.invals)
+	for _, m := range p.dirs {
+		clear(m)
+	}
+	for _, slab := range p.slabs[:p.used] {
+		for i := range slab {
+			d := &slab[i]
+			clear(d.sharers)
+			*d = dirEntry{sharers: d.sharers}
+		}
+	}
+	p.used, p.dirFree = 0, p.dirFree[:0]
+	return len(p.ctrls) + len(p.txns) + len(p.invals) + len(p.dirs) + 2*len(p.slabs)
 }
 
 // ctrlMsg is one in-flight coherence message: the wire message and the
@@ -422,7 +440,6 @@ func New(eng *sim.Engine, mach *sim.Machine, net *network.Network, col *stats.Co
 		fast:     fastPathOn.Load(),
 		caches:   make([]*cache, mach.N()),
 		modules:  make([]*sim.Proc, mach.N()),
-		dirs:     make([]map[Addr]*dirEntry, mach.N()),
 		heaps:    make([]uint64, mach.N()),
 		inflight: make([]map[Addr]*sim.Future, mach.N()),
 		words:    (mach.N() + 63) / 64,
@@ -434,11 +451,18 @@ func New(eng *sim.Engine, mach *sim.Machine, net *network.Network, col *stats.Co
 	for _, t := range s.pool.txns {
 		t.s = s
 	}
+	if len(s.pool.dirs) != mach.N() {
+		s.pool.dirs = make([]map[Addr]*dirEntry, mach.N())
+		for i := range s.pool.dirs {
+			s.pool.dirs[i] = make(map[Addr]*dirEntry)
+		}
+		s.pool.slabs = nil
+	}
+	s.dirs = s.pool.dirs
 	mods := sim.NewMachine(eng, mach.N())
 	for i := 0; i < mach.N(); i++ {
 		s.caches[i] = newCache(p)
 		s.modules[i] = mods.Proc(i)
-		s.dirs[i] = make(map[Addr]*dirEntry)
 		// Stagger heap bases so different homes' allocations spread over
 		// the cache index space, as real heap addresses do; identical
 		// bases would alias every node's data into the same few sets.
@@ -484,14 +508,21 @@ func (s *System) dir(line Addr) *dirEntry {
 	home := HomeOf(line)
 	d := s.dirs[home][line]
 	if d == nil {
-		if len(s.dirFree) == 0 {
-			ents, words := make([]dirEntry, dirChunk), make([]uint64, dirChunk*s.words)
-			for i := range ents {
-				ents[i].sharers = words[i*s.words : (i+1)*s.words : (i+1)*s.words]
-				s.dirFree = append(s.dirFree, &ents[i])
+		p := s.pool
+		if len(p.dirFree) == 0 {
+			if p.used == len(p.slabs) {
+				ents, words := make([]dirEntry, dirChunk), make([]uint64, dirChunk*s.words)
+				for i := range ents {
+					ents[i].sharers = words[i*s.words : (i+1)*s.words : (i+1)*s.words]
+				}
+				p.slabs = append(p.slabs, ents)
 			}
+			for i := range p.slabs[p.used] {
+				p.dirFree = append(p.dirFree, &p.slabs[p.used][i])
+			}
+			p.used++
 		}
-		d = pop(&s.dirFree)
+		d = pop(&p.dirFree)
 		d.owner = -1
 		s.dirs[home][line] = d
 	}
@@ -893,6 +924,6 @@ func (t *txn) writtenBack() {
 	t.releaseLine()
 	if dead {
 		delete(s.dirs[HomeOf(line)], line)
-		s.dirFree = append(s.dirFree, d)
+		s.pool.dirFree = append(s.pool.dirFree, d)
 	}
 }

@@ -64,10 +64,10 @@ func (s *Section) TimeNs() func() {
 }
 
 // The profiled sections, in Snapshot order. Mem counts are
-// line-granularity accesses; the slow-path timing is inclusive — under
-// the engine's direct-handoff dispatch a blocked access pumps other
-// events on its own carrier, so overlapping slow accesses double-count
-// wall time. Use the counts for exact attribution and the timings for
+// line-granularity accesses; the slow-path timing is inclusive — a
+// blocked access's clock keeps running while the engine loop runs other
+// events and threads, so overlapping slow accesses double-count wall
+// time. Use the counts for exact attribution and the timings for
 // relative weight.
 var (
 	MemFastHits    = section("mem.fast_hits")      // accesses satisfied by the inline all-hit path
@@ -75,7 +75,7 @@ var (
 	MemSlow        = section("mem.slow")           // accesses through the event-driven protocol
 	NetSends       = section("net.sends")          // messages injected into the simulated network
 	HeapOps        = section("engine.heap_pushes") // event-heap pushes
-	EngineHandoffs = section("engine.handoffs")    // carrier switches between the engine loop and simulated threads
+	EngineHandoffs = section("engine.handoffs")    // coroutine switches: one into a carrier per thread wakeup, one out per park or exit
 	PolicyRPC      = section("policy.rpc")         // policy decisions that chose RPC
 	PolicyCM       = section("policy.cm")          // policy decisions that chose computation migration
 	PolicySM       = section("policy.sm")          // policy decisions that chose shared memory

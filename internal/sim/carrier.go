@@ -10,10 +10,9 @@ import "iter"
 // it back when its body returns, so only threads that have started and
 // not yet exited hold one.
 //
-// Only the engine loop (the hub: pump) calls next.
-// Inside the coroutine, drive calls suspend to hand control back to the
-// hub, which resumes the carrier again only once it has a thread for it:
-// its own parked thread's wakeup, or a new binding.
+// Only the engine loop (the hub: pump) calls next, and a thread's Park
+// and exit are the only yields, so a carrier's stack holds its own
+// thread's frames and nothing else: every callback runs on the hub.
 type carrier struct {
 	th    *Thread // bound thread; nil while idle or after its thread exits
 	next  func() (struct{}, bool)
@@ -21,7 +20,7 @@ type carrier struct {
 }
 
 // loop is the carrier's coroutine body: run the bound thread's body, then
-// retire it, which pumps events until the carrier has its next thread.
+// exit it, which yields to the hub until the carrier has its next thread.
 // It never returns. A panicking body ends the coroutine and the panic
 // surfaces from next in the hub; the dead carrier stays bound to its
 // thread and never re-enters a free list.
@@ -36,31 +35,35 @@ func (c *carrier) loop(yield func(struct{}) bool) {
 	}
 }
 
-// suspend yields control to the hub. A carrier without a thread first
-// returns itself to the engine's free list, so the hub can rebind it.
+// suspend yields control to the hub, counting the switch. A carrier
+// without a thread first returns itself to the engine's free list, so
+// the hub can rebind it.
 func (c *carrier) suspend(e *Engine) {
 	if c.th == nil {
 		e.carriers = append(e.carriers, c)
 	}
+	e.handoffs++
 	c.yield(struct{}{})
 }
 
-// bind makes c the carrier of th.
-func (c *carrier) bind(th *Thread) { c.th, th.carrier = th, c }
-
-// bind gives th a carrier for its first dispatch: from the engine's free
-// list, which a revived lane fills with the carriers of an earlier run
-// (see Machine.Retire), else a new coroutine.
-func (e *Engine) bind(th *Thread) *carrier {
-	var c *carrier
-	if n := len(e.carriers); n > 0 {
-		c = e.carriers[n-1]
-		e.carriers[n-1] = nil
-		e.carriers = e.carriers[:n-1]
-	} else {
-		c = new(carrier)
-		c.next, _ = iter.Pull(c.loop)
+// resume switches from the hub into th's carrier, binding one at th's
+// first dispatch: from the engine's free list, which a revived lane
+// fills with the carriers of an earlier run (see Machine.Retire), else a
+// new coroutine. It returns once th parks or exits. A panic in a thread
+// body surfaces here, through next.
+func (e *Engine) resume(th *Thread) {
+	c := th.carrier
+	if c == nil {
+		if n := len(e.carriers); n > 0 {
+			c = e.carriers[n-1]
+			e.carriers[n-1] = nil
+			e.carriers = e.carriers[:n-1]
+		} else {
+			c = new(carrier)
+			c.next, _ = iter.Pull(c.loop)
+		}
+		c.th, th.carrier = th, c
 	}
-	c.bind(th)
-	return c
+	e.handoffs++
+	c.next()
 }

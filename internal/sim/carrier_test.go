@@ -123,7 +123,7 @@ func TestThreadPanicSurfacesAtRun(t *testing.T) {
 		th.Sleep(10)
 		panic("boom")
 	})
-	e.Spawn("busy", 5, func(th *Thread) { th.Sleep(10) }) // bad wakes on a transfer
+	e.Spawn("busy", 5, func(th *Thread) { th.Sleep(10) }) // bad wakes while busy sleeps
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		_ = e.Run()

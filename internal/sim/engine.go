@@ -7,13 +7,13 @@
 // bodies of the threads bound to it one after another (carrier.go). A
 // thread takes a carrier at its first dispatch and gives it back when it
 // exits. The engine loop (the hub) is the only caller that resumes a
-// carrier, so exactly one simulated thread runs at any moment. A waiting
-// thread drives the event loop itself: it pops and runs protocol
-// callbacks inline, and yields to the hub only when a different
-// simulated thread must run or the loop must end. All simulation state
-// is mutated by one coroutine at a time, and events fire in (time,
-// sequence number) order, so a given program and seed always produce the
-// same execution regardless of which carrier happens to be driving.
+// carrier and the only one that runs event callbacks, so exactly one
+// simulated thread runs at any moment, and a parking or exiting thread
+// yields straight back to the hub. A carrier's stack therefore holds
+// only its own thread's frames and stays small: a goroutine's stack
+// shrinks only during a collection. All simulation state is mutated by one
+// coroutine at a time, and events fire in (time, sequence number) order,
+// so a given program and seed always produce the same execution.
 //
 // On the serial engine the event queue is a heap of sorted runs. A run
 // is a queue whose events are already in (time, seq) order, and only its
@@ -185,8 +185,7 @@ type Engine struct {
 	arrivals arrivalSource
 
 	current  *Thread
-	transfer *Thread // set by drive before it yields: the thread the hub resumes next
-	handoffs uint64  // carrier switches: the hub resuming a thread, or drive yielding to it
+	handoffs uint64 // carrier switches: the hub resuming a thread, or a thread parking or exiting
 
 	liveThreads int       // spawned threads that have not exited, pending arrivals included
 	live        []*Thread // the made ones, for deadlock reports; Thread.live indexes it
@@ -212,8 +211,8 @@ type Engine struct {
 	curStream int32
 
 	// limited/runLimit are set while the engine loop (pump) is draining
-	// events, so neither a driving thread nor the fast path can advance
-	// the clock past the limit. stopped is set by Stop.
+	// events, so the fast path cannot advance the clock past the limit.
+	// stopped is set by Stop.
 	limited  bool
 	stopped  bool
 	runLimit Time
@@ -380,7 +379,7 @@ func (m *MaxEventsError) Error() string {
 
 // dispatch processes one popped event on the hub: a plain event runs its
 // callback in place; a thread wakeup resumes the thread's carrier and
-// returns once drive yields with no transfer recorded.
+// returns once the thread parks or exits.
 func (e *Engine) dispatch(ev *Event) {
 	if ev.at < e.now {
 		panic("sim: event heap time went backwards")
@@ -391,28 +390,12 @@ func (e *Engine) dispatch(ev *Event) {
 	if th := ev.th; th != nil {
 		e.release(ev)
 		e.current = th
-		e.handoffs++
 		e.resume(th)
 		return
 	}
 	fn := ev.fn
 	e.release(ev)
 	fn()
-}
-
-// resume runs th on its carrier, binding one at th's first dispatch, and
-// then each thread that drive yields to in turn, until a carrier yields
-// with no transfer recorded. A panic in a thread body surfaces here,
-// through next.
-func (e *Engine) resume(th *Thread) {
-	for th != nil {
-		c := th.carrier
-		if c == nil {
-			c = e.bind(th)
-		}
-		c.next()
-		th, e.transfer = e.transfer, nil
-	}
 }
 
 // Run processes events until the heap is empty or Stop is called. It
@@ -466,7 +449,7 @@ func (e *Engine) pump(limit Time) error {
 
 // mayDispatch reports whether the engine may process an event due at at:
 // it is not stopped, the runaway guard has not tripped, and at is within
-// the run limit pump set. pump, drive and TryAdvance all ask it.
+// the run limit pump set. pump and TryAdvance both ask it.
 func (e *Engine) mayDispatch(at Time) bool {
 	return !e.stopped && !e.capped() && !(e.limited && at > e.runLimit)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -234,78 +235,79 @@ func TestExecFastPathKeepsSerialization(t *testing.T) {
 	}
 }
 
-// TestExitHandsOffDirectly pins the exact switch counts of a thread
-// exit. Exiting into a thread that has never run costs no switch: the
-// exiting carrier adopts the new thread in place. Exiting into a parked
-// thread, which already holds a carrier, costs exactly one switch, not
-// a round trip through the engine loop.
-func TestExitHandsOffDirectly(t *testing.T) {
-	t.Run("never-run", func(t *testing.T) {
-		e := newEngine(t, 1)
-		var atExit, atNext uint64
-		e.Spawn("first", 0, func(th *Thread) { atExit = e.handoffs })
-		e.Spawn("second", 5, func(th *Thread) { atNext = e.handoffs })
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if d := atNext - atExit; d != 0 {
-			t.Errorf("exit to a never-run thread cost %d handoffs, want 0", d)
-		}
-		// engine -> first, first adopts second, second -> engine.
-		if e.handoffs != 2 {
-			t.Errorf("run cost %d handoffs, want 2", e.handoffs)
-		}
-	})
-	t.Run("parked", func(t *testing.T) {
-		e := newEngine(t, 1)
-		var atExit, atNext uint64
-		waiter := e.Spawn("waiter", 0, func(th *Thread) {
-			th.Park("wait")
-			atNext = e.handoffs
-		})
-		e.Spawn("waker", 5, func(th *Thread) {
-			waiter.Unpark()
-			atExit = e.handoffs
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if d := atNext - atExit; d != 1 {
-			t.Errorf("exit to a parked thread cost %d handoffs, want 1", d)
-		}
-		// engine -> waiter, waiter -> waker (the parked carrier cannot
-		// adopt), waker -> waiter, waiter -> engine.
-		if e.handoffs != 4 {
-			t.Errorf("run cost %d handoffs, want 4", e.handoffs)
-		}
-	})
-}
-
-// TestExitRunsOwnRespawnInPlace asserts that when an exiting thread's
-// pump respawns the same pooled thread and pops its wakeup, the new body
-// runs on the same carrier without any handoff.
-func TestExitRunsOwnRespawnInPlace(t *testing.T) {
+// TestEverySwitchGoesThroughTheHub pins the carrier switch contract:
+// every thread wakeup is one switch from the hub into the thread's
+// carrier, and every park or exit is one switch back out, so
+// engine.handoffs counts two per wakeup. It covers an exit into a thread
+// that has never run, an exit into a parked thread, a respawn of the
+// exiting thread's own pooled object, and a Sleep the clock cannot
+// skip.
+func TestEverySwitchGoesThroughTheHub(t *testing.T) {
 	e := newEngine(t, 1)
-	var first, second *Thread
-	var atExit, atRespawn uint64
-	e.Spawn("first", 0, func(th *Thread) {
-		first = th
-		e.Schedule(5, func() {
-			e.Spawn("second", 0, func(th *Thread) {
-				second = th
-				atRespawn = e.handoffs
+	wakeups := uint64(0)
+	woke := func(want uint64) {
+		wakeups++
+		if e.handoffs != want {
+			t.Errorf("wakeup %d: %d handoffs, want %d", wakeups, e.handoffs, want)
+		}
+	}
+	waiter := e.Spawn("waiter", 0, func(th *Thread) {
+		woke(1) // hub -> waiter
+		th.Park("wait")
+		woke(7) // waiter out, hub -> waker, waker out, hub -> first, first out, hub -> waiter
+		th.Sleep(100)
+		woke(11) // waiter out, hub -> second, second out, hub -> waiter
+	}) // and out: 12
+	e.Spawn("waker", 5, func(th *Thread) {
+		woke(3)
+		e.Spawn("first", 0, func(th *Thread) {
+			woke(5)
+			e.Schedule(5, func() {
+				e.Spawn("second", 0, func(th *Thread) { woke(9) })
 			})
 		})
-		atExit = e.handoffs
+		waiter.Unpark()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if first != second {
-		t.Fatal("the exited thread was not reused by the next Spawn")
+	if wakeups != 6 || e.handoffs != 2*wakeups {
+		t.Fatalf("%d wakeups cost %d handoffs, want 6 and 12", wakeups, e.handoffs)
 	}
-	if atRespawn != atExit {
-		t.Errorf("respawn in place cost %d handoffs, want 0", atRespawn-atExit)
+	if h := pingPong(t, 3, 20); h%2 != 0 {
+		t.Fatalf("ping-pong run counted %d handoffs, want an even count", h)
+	}
+}
+
+// TestCallbacksRunOnTheHub asserts that no event callback runs on a
+// carrier's stack, even while every thread is parked, and that a
+// respawned thread reuses the exited thread's carrier.
+func TestCallbacksRunOnTheHub(t *testing.T) {
+	e := newEngine(t, 1)
+	onCarrier := func() bool {
+		buf := make([]byte, 8<<10)
+		return strings.Contains(string(buf[:runtime.Stack(buf, false)]), "(*carrier).loop")
+	}
+	var first, second *carrier
+	e.Spawn("first", 0, func(th *Thread) {
+		if !onCarrier() {
+			t.Error("a thread body is not running on a carrier")
+		}
+		first = th.carrier
+		e.Schedule(5, func() {
+			if onCarrier() {
+				t.Error("a callback ran on a carrier")
+			}
+			e.Spawn("second", 0, func(th *Thread) { second = th.carrier })
+		})
+		th.Park("wait")
+	})
+	e.Schedule(3, func() { e.live[0].Unpark() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first == nil || first != second {
+		t.Fatal("the respawned thread did not reuse the exited thread's carrier")
 	}
 }
 

@@ -13,13 +13,16 @@ type Records interface {
 	Retire() int
 }
 
-// idleLane is a retired lane: its engine's free events, thread pool and
-// free carriers, plus the records the layers kept on it. records counts
-// them all.
+// idleLane is a retired lane: its engine's free events, thread pool,
+// free carriers and emptied live-thread list, plus the records the
+// layers kept on it. records counts them all. The live list is empty
+// once a run quiesces; a thread a stopped run left parked is pinned by
+// its own carrier anyway, whose goroutine never resumes.
 type idleLane struct {
 	free     *Event
 	threads  []*Thread
 	carriers []*carrier
+	live     []*Thread
 	held     []Records
 	records  int
 }
@@ -76,8 +79,8 @@ func (m *Machine) Retire() {
 // retire scrubs the engine's idle records of the run and pushes them as
 // one lane onto the retired stack. A lane with no records is dropped.
 func (e *Engine) retire() {
-	l := &idleLane{free: e.free, threads: e.threadPool, carriers: e.carriers}
-	e.free, e.threadPool, e.carriers = nil, nil, nil
+	l := &idleLane{free: e.free, threads: e.threadPool, carriers: e.carriers, live: e.live[:0]}
+	e.free, e.threadPool, e.carriers, e.live = nil, nil, nil, nil
 	for ev := l.free; ev != nil; ev = ev.next {
 		ev.eng = nil
 		l.records++
@@ -113,7 +116,7 @@ func (e *Engine) revive() {
 	retired.lanes[n-1] = nil
 	retired.lanes = retired.lanes[:n-1]
 	retired.Unlock()
-	e.free, e.threadPool, e.carriers, e.revived = l.free, l.threads, l.carriers, l.held
+	e.free, e.threadPool, e.carriers, e.live, e.revived = l.free, l.threads, l.carriers, l.live, l.held
 	for ev := e.free; ev != nil; ev = ev.next {
 		ev.eng = e
 	}

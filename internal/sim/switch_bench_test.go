@@ -3,9 +3,10 @@ package sim
 import "testing"
 
 // BenchmarkThreadSwitch measures one thread-to-thread transfer: two
-// threads ping-pong through Unpark/Park, so every Park pops the peer's
-// wakeup and passes control to it. One op is one transfer; ns/op and
-// allocs/op are per transfer.
+// threads ping-pong through Unpark/Park, so every Park yields to the
+// engine loop, which pops the peer's wakeup and resumes it: two
+// coroutine switches. One op is one transfer; ns/op and allocs/op are
+// per transfer.
 func BenchmarkThreadSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)

@@ -117,13 +117,10 @@ func (s *arrivalSource) next(e *Engine) *Event {
 	return nil
 }
 
-// exit retires the thread into the spawn pool, unbinds its carrier, and
-// keeps pumping events on that carrier the way park does, so control
-// passes straight to the next thread to run. It mirrors park's
-// bookkeeping: the thread must be the engine's current runner, and
-// Engine.current is cleared rather than left pointing at a dead thread
-// while the pump runs. It returns once the carrier has its next thread,
-// whose body the carrier's loop then runs.
+// exit retires the thread into the spawn pool, unbinds its carrier and
+// yields it to the hub, which resumes it only to run the next thread
+// bound to it. The thread must be the engine's current runner, and
+// Engine.current is cleared rather than left pointing at a dead thread.
 func (th *Thread) exit() {
 	e := th.eng
 	if e.current != th {
@@ -138,7 +135,7 @@ func (th *Thread) exit() {
 	e.current = nil
 	c := th.carrier
 	c.th, th.carrier = nil, nil
-	e.drive(c)
+	c.suspend(e)
 }
 
 // Now returns the current simulated time.
@@ -173,12 +170,9 @@ func (th *Thread) ScratchFuture() *Future {
 
 // Park blocks the thread until some event resumes it, labelling the
 // blocking site where for deadlock reports. The caller must have
-// arranged for a wakeup, such as an Unpark.
-//
-// Rather than bouncing control back to the engine loop on every block,
-// the parking thread becomes the driver (see drive). Event order comes
-// solely from the event queue, so the execution is identical to engine-driven
-// dispatch — only the carrier doing the popping changes.
+// arranged for a wakeup, such as an Unpark. The thread's carrier yields
+// to the hub, which runs every event up to the thread's wakeup and then
+// resumes it: one switch out here and one back in.
 func (th *Thread) Park(where string) {
 	e := th.eng
 	if e.current != th {
@@ -186,52 +180,8 @@ func (th *Thread) Park(where string) {
 	}
 	th.where = where
 	e.current = nil
-	e.drive(th.carrier)
-	e.current = th
+	th.carrier.suspend(e)
 	th.where = ""
-}
-
-// drive pumps events on carrier c, whose thread has just parked or
-// exited (c.th is nil after an exit), and returns once c has a thread to
-// run. Plain callbacks run inline. When c's own thread's wakeup comes
-// up, drive returns at once: the thread keeps running with no switch. An
-// exited carrier that pops the first wakeup of a thread with no carrier
-// adopts that thread in place, also with no switch. Another thread's
-// wakeup is recorded in e.transfer, and when the loop must end (stop,
-// empty heap, run limit, event bound) nothing is recorded; in both
-// cases c yields to the hub, which runs the transfer or returns, and
-// resumes c only once it has a thread for c again.
-func (e *Engine) drive(c *carrier) {
-	// Pump until the engine loop must take back over (to return, to honor
-	// the run limit, or to report deadlock / the event bound) or another
-	// thread must run.
-	for len(e.heap) > 0 && e.mayDispatch(e.heap[0].at) {
-		ev := e.pop()
-		if ev.at < e.now {
-			panic("sim: event heap time went backwards")
-		}
-		e.now = ev.at
-		e.processed++
-		e.curStream = ev.exec
-		if tw := ev.th; tw != nil {
-			e.release(ev)
-			e.current = tw
-			if tw == c.th {
-				return // own wakeup: resume in place
-			}
-			if c.th == nil && tw.carrier == nil {
-				c.bind(tw) // first dispatch: adopt in place
-				return
-			}
-			e.transfer = tw
-			break
-		}
-		fn := ev.fn
-		e.release(ev)
-		fn()
-	}
-	e.handoffs++
-	c.suspend(e)
 }
 
 // Unpark schedules th to resume at the current time. It must only be
