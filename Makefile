@@ -17,12 +17,12 @@ GO ?= go
 # entries, carrying the shard.* counters); it matches no serial
 # report's keys, so it is smoked separately.
 BENCH_BASELINE := BENCH_2026-08-06-fault.json
-BENCH_CURRENT  := BENCH_2026-10-19.json
+BENCH_CURRENT  := BENCH_2026-10-20.json
 BENCH_SHARDS   := BENCH_2026-10-17-shards.json
 
-.PHONY: check lint vet simvet build test race ab-identity shard-identity engine-order alloc-pins golden golden-update fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke coverage-census bench-test bench-gate bench bench-json bench-json-shards loc
+.PHONY: check lint vet simvet build test race ab-identity shard-identity engine-order alloc-pins golden golden-update platform-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke coverage-census bench-test bench-gate bench bench-json bench-json-shards loc
 
-check: lint build test race ab-identity shard-identity engine-order alloc-pins golden fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke coverage-census bench-test
+check: lint build test race ab-identity shard-identity engine-order alloc-pins golden platform-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke coverage-census bench-test
 	@echo "check: all green"
 
 # lint is go vet plus simvet, the repo's own determinism/purity analyzer
@@ -77,16 +77,20 @@ shard-identity:
 	GOMAXPROCS=4 $(GO) test -race ./internal/sim/ ./internal/network/ ./internal/apps/countnet/ -run 'Cluster|Shard|Carrier' -count=1
 	@echo "shard-identity: rendered output is byte-identical at every shard count"
 
-# engine-order pins the serial event queue, a heap of sorted runs: the
-# exact-order property test (seeded random mixes dispatch in strictly
+# engine-order pins the serial event queue, a timing wheel in front of a
+# heap, with sorted runs for bookings and arrivals past the wheel's span:
+# the exact-order property test (seeded random mixes dispatch in strictly
 # increasing (time, seq), every uncancelled event fires once, RunUntil,
-# Stop and MaxEvents cut the same sequence) and the focused run tests run
-# by name, and every BenchmarkEngine* microbenchmark runs once so none
-# can rot.
+# Stop and MaxEvents cut the same sequence, and the mixes meet every
+# wheel case: the wheel's edge, overflow events due before wheel events,
+# run successors joining a slot ahead of later-scheduled events, cancels
+# in either structure, cuts with events in both) and the focused run
+# tests run by name, and every BenchmarkEngine* microbenchmark runs once
+# so none can rot.
 engine-order:
 	$(GO) test ./internal/sim/ -run 'TestEngineExactOrder|TestSpawnArrivals|TestCancelInRun|TestRunOrderViolation' -count=1
 	$(GO) test ./internal/sim/ -run '^$$' -bench Engine -benchtime 1x
-	@echo "engine-order: the sorted runs dispatch in exact (time, seq) order"
+	@echo "engine-order: the wheel, the heap and the sorted runs dispatch in exact (time, seq) order"
 
 # alloc-pins re-runs the allocation pins by name: the warm message path
 # (remote call, migration hop, local call, and a contended object pull
@@ -130,6 +134,27 @@ golden:
 	$(GO) test ./internal/harness/ -run TestRenderedOutputGolden -count=1
 	$(GO) test ./cmd/countnet/ ./cmd/btree/ ./cmd/kv/ ./examples/... -run TestStdoutGolden -count=1
 	@echo "golden: rendered tables, CLI and example stdout unchanged"
+
+# platform-identity builds paperfigs three ways, the default build,
+# GOARCH=386 (32-bit int, pure-Go math) and GOAMD64=v3 (the compiler may
+# fuse x*y+z into FMA instructions), and checks with cmp that their
+# quick output for each of PLATFORM_EXPS is byte-identical. The binaries
+# and outputs stay in .platform/. The 386 binary needs a host that runs
+# it, as amd64 Linux does natively, and the v3 one an x86-64-v3 CPU.
+PLATFORM_EXPS := all ext-kv ext-fault ext-recovery scale
+platform-identity:
+	@mkdir -p .platform
+	$(GO) build -o .platform/paperfigs-default ./cmd/paperfigs
+	GOARCH=386 $(GO) build -o .platform/paperfigs-386 ./cmd/paperfigs
+	GOAMD64=v3 $(GO) build -o .platform/paperfigs-v3 ./cmd/paperfigs
+	@for x in $(PLATFORM_EXPS); do \
+		.platform/paperfigs-default -exp $$x -quick -workers 1 > .platform/$$x.default.txt || exit 1; \
+		for b in 386 v3; do \
+			.platform/paperfigs-$$b -exp $$x -quick -workers 1 > .platform/$$x.$$b.txt || exit 1; \
+			cmp .platform/$$x.default.txt .platform/$$x.$$b.txt || exit 1; \
+		done; \
+	done
+	@echo "platform-identity: $(PLATFORM_EXPS) render byte-identically on the default, 386 and amd64-v3 builds"
 
 # golden-update regenerates the CLI and example stdout goldens after a
 # change meant to move a program's output; the diff shows exactly which

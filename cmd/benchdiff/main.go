@@ -5,6 +5,11 @@
 // Usage:
 //
 //	benchdiff [-threshold PCT] old.json new.json
+//	benchdiff -ab [-pairs N] OLD NEW -- <args>
+//
+// The second form runs two built benchmark binaries (bench/cmd/compbench)
+// alternately instead and compares their metrics pair by pair; ab.go
+// describes it.
 //
 // Entries are matched by (experiment, workers, shards). With -threshold
 // set, benchdiff exits 1 if any matched experiment's wall clock
@@ -47,9 +52,14 @@ const gateFloorMS = 50
 
 func main() {
 	threshold := flag.Float64("threshold", 0, "exit 1 if any wall clock regresses by more than this percent (0 = report only)")
+	ab := flag.Bool("ab", false, "run two benchmark binaries alternately: benchdiff -ab [-pairs N] OLD NEW -- <args>")
+	pairs := flag.Int("pairs", 10, "with -ab: pairs of runs")
 	flag.Parse()
+	if *ab {
+		os.Exit(runAB(flag.Args(), *pairs))
+	}
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold PCT] old.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold PCT] old.json new.json\n       benchdiff -ab [-pairs N] OLD NEW -- <args>")
 		os.Exit(2)
 	}
 	oldRep, err := load(flag.Arg(0))

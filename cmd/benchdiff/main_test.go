@@ -111,6 +111,7 @@ func TestDriverExitCodes(t *testing.T) {
 		{"threshold trips", []string{"-threshold", "10", oldPath, regPath}, 1, []string{"regressed"}},
 		{"threshold passes", []string{"-threshold", "10", oldPath, newPath}, 0, nil},
 		{"missing args", nil, 2, []string{"usage"}},
+		{"ab without the -- separator", []string{"-ab", oldPath, newPath}, 2, []string{"usage: benchdiff -ab"}},
 		{"unreadable file", []string{oldPath, filepath.Join(dir, "absent.json")}, 2, nil},
 		{"invalid json", []string{oldPath, badPath}, 2, nil},
 		{"empty report", []string{oldPath, emptyPath}, 2, []string{"no experiments"}},

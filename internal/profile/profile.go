@@ -74,7 +74,7 @@ var (
 	memFastLocal   = section("mem.fast_local")     // always 0: kept because bench/ reads the name; nothing completes a miss inline
 	MemSlow        = section("mem.slow")           // accesses through the event-driven protocol
 	NetSends       = section("net.sends")          // messages injected into the simulated network
-	HeapOps        = section("engine.heap_pushes") // event-heap pushes
+	HeapOps        = section("engine.heap_pushes") // events entering the ordered queue, a wheel slot or the heap (the name predates the wheel; bench/ reads it)
 	EngineHandoffs = section("engine.handoffs")    // coroutine switches: one into a carrier per thread wakeup, one out per park or exit
 	PolicyRPC      = section("policy.rpc")         // policy decisions that chose RPC
 	PolicyCM       = section("policy.cm")          // policy decisions that chose computation migration

@@ -15,29 +15,36 @@
 // coroutine at a time, and events fire in (time, sequence number) order,
 // so a given program and seed always produce the same execution.
 //
-// On the serial engine the event queue is a heap of sorted runs. A run
-// is a queue whose events are already in (time, seq) order, and only its
-// head sits in the heap; appending behind the head touches no heap, and
-// when the head fires its successor takes its slot at the root. There
-// are three kinds of run:
+// The event queue (queue.go) is a timing wheel of wheelSize one-cycle
+// slots in front of a binary heap. An event due fewer than wheelSize
+// cycles after now goes to its cycle's slot, a list in (stream, seq)
+// order; a later one goes to the heap. A new event's seq is the largest
+// yet drawn, so it joins its slot at the tail, and the slot of the
+// current cycle is the FIFO of everything due now. A two-level bitmap
+// finds the next occupied slot, and the engine caches the earliest
+// pending event, the earlier of the wheel's first and the heap's top, so
+// scheduling and popping cost the same however many events are pending.
 //
-//   - one per Proc, for the events whose time comes from the processor's
-//     booking (Exec wakeups and ExecAsync completions). A processor's
-//     next-free cycle never decreases, so these times never do either.
-//   - one zero-delay run, for events scheduled at the current time
-//     (Unpark, Yield, Spawn and Schedule with no delay, At(Now())). Its
-//     times never decrease because the clock does not.
+// Two kinds of sorted run keep the heap small where events are due far
+// ahead. A run is a queue whose events are already in (time, seq) order,
+// and only its head sits in the wheel or the heap; when the head fires
+// or is cancelled, its successor enters the queue in its place:
+//
+//   - one per Proc, for the bookings (Exec wakeups and ExecAsync
+//     completions) due past the wheel's span. A processor's next-free
+//     cycle never decreases, so these times never do either.
 //   - one arrival run, for the open-loop threads of
 //     Machine.SpawnArrivals, whose caller supplies them in time order.
 //     It reads each caller's schedule in place: only the head arrival
 //     is a Thread and an Event.
 //
 // Each event's seq is drawn when it is scheduled (an arrival's when
-// SpawnArrivals reserves its batch), so a run's seqs rise too. Every
-// run is therefore (time, seq)-sorted, the heap orders run heads by the
-// same key, and the heap top is the earliest pending event exactly as it
-// would be with every event in the heap: the order is the plain heap's
-// by construction. An append that would break a run's order panics.
+// SpawnArrivals reserves its batch), so a run's seqs rise too: every run
+// is (time, seq)-sorted, and the earliest pending event is the one a
+// plain heap of every event would pop. An append that would break a
+// run's order panics. A successor carries an older seq than the events
+// scheduled since, so it is the one event that may join its slot ahead
+// of others.
 package sim
 
 import (
@@ -66,8 +73,12 @@ type Event struct {
 
 	// next links the event to its successor in a sorted run (see the
 	// package comment), or to the next free event once released; nil for
-	// a plain heap event and a run's tail.
+	// a plain event and a run's tail.
 	next *Event
+
+	// slotNext and slotPrev link the event into its wheel slot's list
+	// (see wheel); nil outside the wheel.
+	slotNext, slotPrev *Event
 
 	// stream and exec only matter on a clustered engine (Cluster). stream
 	// is the merge-key stream the event was scheduled from (scheduling
@@ -81,92 +92,10 @@ type Event struct {
 	stream int32
 	exec   int32
 
-	// index is the event's heap slot, behindHead while it waits in a run
-	// behind the run's head, and -1 when it is not queued (fired,
-	// cancelled, or pooled).
+	// index is the event's heap slot, inWheel while it is in a wheel
+	// slot, behindHead while it waits in a run behind the run's head, and
+	// notQueued when it is fired, cancelled, or pooled.
 	index int
-}
-
-// behindHead is Event.index for an event queued in a run behind its head.
-const behindHead = -2
-
-// Cancel removes a pending event in the heap so it never fires: a plain
-// event, or a run's head, which hands its slot to its successor. An
-// event queued behind a run's head cannot be cancelled, and Cancel
-// panics on one: a timer that no processor booked, set for a later cycle
-// (Schedule with a delay, or At), is always a plain heap event. Cancelling
-// an event that has already fired or been cancelled is a no-op; do not
-// call Cancel on a handle kept across the event's firing, because the
-// engine may have recycled the object for an unrelated event by then.
-func (ev *Event) Cancel() {
-	switch {
-	case ev.index >= 0:
-		e := ev.eng
-		if next := e.successor(ev); next != nil {
-			e.heap.replace(ev.index, next)
-		} else {
-			e.heap.remove(ev.index)
-		}
-		e.release(ev)
-	case ev.index == behindHead:
-		panic(fmt.Sprintf("sim: cancelling event (%d, %d) queued behind a sorted run's head", ev.at, ev.seq))
-	}
-}
-
-// run is a queue of events already in (at, seq) order, linked through
-// Event.next. Only its head sits in the heap. The run records just its
-// tail, and seq, the tail's seq when it was appended: once the tail has
-// left the queue (index -1) or its object has been recycled for a later
-// event (a new seq), the run is empty, so popping a run's last event
-// needs no pointer back to the run.
-type run struct {
-	tail *Event
-	seq  uint64
-}
-
-// live reports whether r's tail is still queued, so that a new event
-// goes behind it rather than into the heap as the run's head.
-func (r *run) live() bool {
-	t := r.tail
-	return t != nil && t.seq == r.seq && t.index != -1
-}
-
-// link queues ev behind t, the tail of a run. An event that sorts before
-// t panics, because the heap would then no longer see the earliest event.
-func (t *Event) link(ev *Event) {
-	if ev.at < t.at || ev.at == t.at && ev.seq < t.seq {
-		panic(fmt.Sprintf("sim: event (%d, %d) appended behind (%d, %d) breaks a sorted run",
-			ev.at, ev.seq, t.at, t.seq))
-	}
-	t.next = ev
-	ev.index = behindHead
-}
-
-// successor unlinks ev, a heap event about to leave the heap, from its
-// run and returns the run's next event, which takes ev's heap slot.
-// After the arrival run's head it materializes the next arrival. It
-// returns nil when ev is a plain heap event or the last event of its run.
-func (e *Engine) successor(ev *Event) *Event {
-	next := ev.next
-	ev.next = nil
-	if next == nil && ev == e.arrivals.head {
-		next = e.arrivals.next(e)
-	}
-	return next
-}
-
-// pop removes and returns the earliest pending event: the heap top. When
-// it heads a run, the run's next event takes its slot at the root with
-// one sift down instead of a pop and a push.
-func (e *Engine) pop() *Event {
-	ev := e.heap[0]
-	if ev.next != nil || e.arrivals.head != nil {
-		if next := e.successor(ev); next != nil {
-			e.heap.replace(0, next)
-			return ev
-		}
-	}
-	return e.heap.pop()
 }
 
 // Engine is the simulation core: a clock, an event queue, and the set of
@@ -174,14 +103,19 @@ func (e *Engine) pop() *Event {
 type Engine struct {
 	now  Time
 	seq  uint64
-	heap eventHeap
 	free *Event // fired and cancelled events, linked through next, for reuse by At
 
-	// zero is the zero-delay run and arrivals the open-loop arrival run
-	// (see the package comment); each Proc holds its own run. A cluster
-	// lane uses none of them: its (at, stream, seq) key does not rise
-	// within a run.
-	zero     run
+	// The ordered queue (queue.go): the wheel for events due within its
+	// span, the heap for later ones, and top, the earliest pending event
+	// of the two, nil when both are empty. Both retire and revive with
+	// the lane.
+	wheel *wheel
+	heap  eventHeap
+	top   *Event
+
+	// arrivals is the open-loop arrival run (see the package comment);
+	// each Proc holds its own run. A cluster lane uses neither: its
+	// (at, stream, seq) key does not rise within a run.
 	arrivals arrivalSource
 
 	current  *Thread
@@ -234,6 +168,9 @@ type Engine struct {
 func NewEngine(seed uint64) *Engine {
 	e := &Engine{rng: NewPRNG(seed), curStream: -1}
 	e.revive()
+	if e.wheel == nil {
+		e.wheel = new(wheel)
+	}
 	return e
 }
 
@@ -275,10 +212,10 @@ func (e *Engine) scheduleWake(at Time, th *Thread) *Event {
 	return e.schedule(at, nil, th, nil)
 }
 
-// schedule queues an event at at. On the serial engine it goes to run r
-// when r is given (a processor's run), to the zero-delay run when at is
-// now, and to the heap otherwise; on a cluster lane it always goes to the
-// heap.
+// schedule queues an event at at. On the serial engine it goes behind
+// run r's tail when r is given (a processor's run), r is live and at is
+// past the wheel's span, and into the ordered queue otherwise, where it
+// becomes r's new tail; a cluster lane uses no run.
 func (e *Engine) schedule(at Time, fn func(), th *Thread, r *run) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
@@ -295,26 +232,20 @@ func (e *Engine) schedule(at Time, fn func(), th *Thread, r *run) *Event {
 		seq := cl.ctrs[stream]
 		cl.ctrs[stream] = seq + 1
 		ev := e.newEvent(at, seq, fn, th, stream, exec)
-		e.heap.push(ev)
+		e.push(ev)
 		return ev
 	}
 	e.seq++
 	ev := e.newEvent(at, e.seq, fn, th, 0, exec)
-	if r == nil {
-		if at != e.now {
-			e.heap.push(ev)
+	if r != nil {
+		if at-e.now >= wheelSize && r.live() {
+			r.tail.link(ev) // touching neither the wheel nor the heap
+			r.tail, r.seq = ev, ev.seq
 			return ev
 		}
-		r = &e.zero
+		r.tail, r.seq = ev, ev.seq
 	}
-	// Behind the run's tail, touching no heap, or as the head of an
-	// empty run.
-	if r.live() {
-		r.tail.link(ev)
-	} else {
-		e.heap.push(ev)
-	}
-	r.tail, r.seq = ev, ev.seq
+	e.push(ev)
 	return ev
 }
 
@@ -367,7 +298,7 @@ func deadlock(now Time, lanes []*Engine) *DeadlockError {
 }
 
 // MaxEventsError reports that the engine processed Engine.MaxEvents events
-// without the heap draining — the runaway guard tripped.
+// without the queue draining — the runaway guard tripped.
 type MaxEventsError struct {
 	Max uint64
 	Now Time
@@ -382,7 +313,7 @@ func (m *MaxEventsError) Error() string {
 // returns once the thread parks or exits.
 func (e *Engine) dispatch(ev *Event) {
 	if ev.at < e.now {
-		panic("sim: event heap time went backwards")
+		panic("sim: event queue time went backwards")
 	}
 	e.now = ev.at
 	e.processed++
@@ -398,8 +329,8 @@ func (e *Engine) dispatch(ev *Event) {
 	fn()
 }
 
-// Run processes events until the heap is empty or Stop is called. It
-// returns a *DeadlockError if the heap drains while simulated threads are
+// Run processes events until the queue is empty or Stop is called. It
+// returns a *DeadlockError if the queue drains while simulated threads are
 // still parked (they can never be woken again), a *MaxEventsError if the
 // runaway guard trips, and nil otherwise.
 func (e *Engine) Run() error {
@@ -429,7 +360,7 @@ func (e *Engine) RunUntil(limit Time) error {
 }
 
 // pump is the engine loop: it dispatches events in order while their
-// timestamps are <= limit, until the heap drains or Stop is called, and
+// timestamps are <= limit, until the queue drains or Stop is called, and
 // returns a *MaxEventsError if the runaway guard trips. It leaves parked
 // threads parked, the free carriers in place and the clock where the
 // last event put it: Run and RunUntil finish from there, and a cluster
@@ -438,7 +369,7 @@ func (e *Engine) pump(limit Time) error {
 	e.stopped = false
 	e.limited, e.runLimit = true, limit
 	defer func() { e.limited = false }()
-	for len(e.heap) > 0 && e.mayDispatch(e.heap[0].at) {
+	for e.top != nil && e.mayDispatch(e.top.at) {
 		e.dispatch(e.pop())
 	}
 	if e.capped() {
@@ -467,127 +398,10 @@ func (e *Engine) capped() bool { return e.MaxEvents != 0 && e.processed >= e.Max
 // mutations that would have happened inside that window may be applied
 // immediately. The observable execution order is exactly the slow path's.
 func (e *Engine) TryAdvance(at Time) bool {
-	if !e.mayDispatch(at) || len(e.heap) > 0 && e.heap[0].at <= at {
+	if !e.mayDispatch(at) || e.top != nil && e.top.at <= at {
 		return false
 	}
 	e.now = at
 	e.processed++
 	return true
-}
-
-// eventHeap is a binary min-heap ordered by (at, stream, seq) — stream
-// is zero everywhere on a serial engine, so its order there is the
-// classic (at, seq). On the serial engine it holds the heads of the
-// sorted runs plus every event due after now that no processor booked
-// (Sleep, Schedule with a delay); a cluster lane keeps every
-// event in it. It is hand-rolled rather than built on container/heap:
-// the sift loops below run for every event the simulator processes, and
-// the interface-based version's indirect Less/Swap calls were a
-// measurable share of total run time. The runs keep it shallow: at full
-// windows (one seed-1 pass of each bench/ workload) the mean depth at a
-// push fell from 2,473 to 8.3 on kv-open, whose open-loop arrivals and
-// processor queues had all sat in the heap, and from 1,353 to 16.9 on
-// faults-durable; the closed loops were shallow already (mp-closed 162
-// to 129, sm-closed 37 to 36).
-type eventHeap []*Event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].stream != h[j].stream {
-		return h[i].stream < h[j].stream
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev *Event) {
-	ev.index = len(*h)
-	*h = append(*h, ev)
-	h.up(ev.index, true)
-}
-
-func (h *eventHeap) pop() *Event {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old[0].index = 0
-	ev := old[n]
-	old[n] = nil
-	ev.index = -1
-	*h = old[:n]
-	if n > 1 {
-		h.down(0)
-	}
-	return ev
-}
-
-// replace puts ev in slot i in place of an event whose key is no larger,
-// preserving heap order.
-func (h eventHeap) replace(i int, ev *Event) {
-	h[i].index = -1
-	h[i] = ev
-	ev.index = i
-	h.down(i)
-}
-
-// remove deletes the event at index i, preserving heap order.
-func (h *eventHeap) remove(i int) {
-	old := *h
-	n := len(old) - 1
-	if i != n {
-		old[i], old[n] = old[n], old[i]
-		old[i].index = i
-	}
-	old[n].index = -1
-	old[n] = nil
-	*h = old[:n]
-	if i != n {
-		if !h.down(i) {
-			h.up(i, false)
-		}
-	}
-}
-
-// up sifts the event at i toward the root. A push (pushed) is counted in
-// the engine.heap_pushes profile section here rather than in push, which
-// keeps push small enough to inline.
-func (h eventHeap) up(i int, pushed bool) {
-	if pushed && profile.Enabled() {
-		profile.HeapOps.Add(1)
-	}
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		h[i].index = i
-		h[parent].index = parent
-		i = parent
-	}
-}
-
-// down sifts the event at i toward the leaves, reporting whether it moved.
-func (h eventHeap) down(i int) bool {
-	start := i
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		next := left
-		if right := left + 1; right < n && h.less(right, left) {
-			next = right
-		}
-		if !h.less(next, i) {
-			break
-		}
-		h[i], h[next] = h[next], h[i]
-		h[i].index = i
-		h[next].index = next
-		i = next
-	}
-	return i > start
 }

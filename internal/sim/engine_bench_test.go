@@ -3,9 +3,13 @@ package sim
 import "testing"
 
 // The BenchmarkEngine* microbenchmarks pin the cost of the event queue
-// per event. One op is one whole engine run of a fixed scenario, so
-// allocs/op is the run's allocation bill; ns/event divides the time by
-// every event the engine processed, fast-path advances included.
+// per event. One op is one whole engine run of a fixed scenario, and
+// each op's engine retires at its end, as machine.Run retires a
+// machine's lanes, so the next op revives its pools and allocs/op is a
+// warm run's allocation bill. (An engine that never retired would also
+// leave its carriers parked for the life of the process, for the
+// collector to scan on every cycle.) ns/event divides the time by every
+// event the engine processed, fast-path advances included.
 
 // runEngineBench runs build-and-run once per op and reports ns/event.
 func runEngineBench(b *testing.B, run func() *Engine) {
@@ -17,13 +21,15 @@ func runEngineBench(b *testing.B, run func() *Engine) {
 			b.Fatalf("%d thread(s) still live", e.liveThreads)
 		}
 		events += e.processed
+		e.retire()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // BenchmarkEngineDeepQueue: 64 threads each book 200 work segments
 // round-robin on 4 processors, so about 16 threads queue behind every
-// processor and nearly every wakeup waits in a processor's run.
+// processor and nearly every wakeup waits behind other bookings on its
+// processor.
 func BenchmarkEngineDeepQueue(b *testing.B) {
 	runEngineBench(b, func() *Engine {
 		e := NewEngine(1)
@@ -33,6 +39,33 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 			e.Spawn("exec", Time(i), func(th *Thread) {
 				for k := 0; k < 200; k++ {
 					th.Exec(m.Proc((i+k)%4), 10+Time(k%7))
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		return e
+	})
+}
+
+// BenchmarkEngineWideQueue: 256 threads, one per processor, each books
+// 100 work segments of 20 to 219 cycles on its own processor with a
+// delivery-like sleep of 1 to 60 cycles between them, so every
+// processor keeps one booking or delivery pending and about 256 events
+// wait at every pop: the shape of a 1,024-processor mesh run, which the
+// other benchmarks, with a handful of events queued, do not have.
+func BenchmarkEngineWideQueue(b *testing.B) {
+	const procs = 256
+	runEngineBench(b, func() *Engine {
+		e := NewEngine(1)
+		m := NewMachine(e, procs)
+		for i := 0; i < procs; i++ {
+			p := m.Proc(i)
+			p.Spawn("wide", Time(i%7), func(th *Thread) {
+				for k := 0; k < 100; k++ {
+					th.Exec(p, 20+Time((i*7+k*13)%200))
+					th.Sleep(1 + Time((i+k*31)%60))
 				}
 			})
 		}

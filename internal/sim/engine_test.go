@@ -19,6 +19,11 @@ func newEngine(t testing.TB, seed uint64) *Engine {
 	return e
 }
 
+// queued returns the number of events in the engine's ordered queue,
+// its wheel and its heap: the events behind a run's head and the
+// arrivals not yet made are not counted.
+func (e *Engine) queued() int { return e.wheel.n + len(e.heap) }
+
 // newCluster is NewCluster for a test: every lane retires when the test
 // ends.
 func newCluster(t testing.TB, seed uint64, shards int) *Cluster {

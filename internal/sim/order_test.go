@@ -27,18 +27,49 @@ type mixThread struct {
 	wake   uint64 // seq of the Unpark that ended the current park
 }
 
-// cancellable is a Schedule/At handle the mix may still cancel.
+// cancellable is a handle the mix may still cancel: a Schedule/At event,
+// or a processor booking (booked), which may head a sorted run.
 type cancellable struct {
-	ev   *Event
-	seq  uint64
-	done *bool // set when the event fires or is cancelled
+	ev     *Event
+	seq    uint64
+	done   *bool // set when the event fires or is cancelled
+	booked bool
+}
+
+// wheelCases counts, over a mix, the queue situations the exact-order
+// test must meet at least once across its seeds.
+type wheelCases struct {
+	edge         int // events at now+wheelSize-1 and now+wheelSize
+	overflowWait int // heap events dispatched while the wheel held events
+	succBehind   int // run successors bound for a slot that holds later-scheduled events
+	cancelWheel  int // plain events cancelled in a wheel slot
+	cancelHeap   int // plain events cancelled in the heap
+	cancelHeadW  int // run heads with a successor cancelled in a wheel slot
+	cancelHeadH  int // run heads with a successor cancelled in the heap
+	cutUntil     int // RunUntil cuts that left events in the wheel and the heap
+	cutStop      int // Stop cuts that did
+	cutMax       int // MaxEvents cuts that did
+}
+
+func (c *wheelCases) add(o wheelCases) {
+	c.edge += o.edge
+	c.overflowWait += o.overflowWait
+	c.succBehind += o.succBehind
+	c.cancelWheel += o.cancelWheel
+	c.cancelHeap += o.cancelHeap
+	c.cancelHeadW += o.cancelHeadW
+	c.cancelHeadH += o.cancelHeadH
+	c.cutUntil += o.cutUntil
+	c.cutStop += o.cutStop
+	c.cutMax += o.cutMax
 }
 
 // orderMix drives a seeded random mix of every way to queue an event on
-// a serial engine (Schedule and At at now and later, Exec, ExecAsync,
-// Spawn, Proc.Spawn, SpawnArrivals, Unpark, Yield, Sleep, Park and Cancel)
-// over processors with heterogeneous speeds and down windows, and
-// records every dispatch.
+// a serial engine (Schedule and At at now, later, at the wheel's edge
+// and past it, Exec, ExecAsync, bookings that reach past the wheel's
+// span, Spawn, Proc.Spawn, SpawnArrivals, Unpark, Yield, Sleep, Park and
+// Cancel) over processors with heterogeneous speeds and down windows,
+// and records every dispatch.
 type orderMix struct {
 	e      *Engine
 	mach   *Machine
@@ -55,6 +86,9 @@ type orderMix struct {
 	arrival Time // time of the last SpawnArrivals arrival
 
 	cancels, sorted int // coverage: cancels made, SpawnArrivals arrivals
+	cases           wheelCases
+	far             []*cancellable // events due past the wheel's span when queued, and bookings
+	fromHeap        map[uint64]bool
 
 	stopAfter int // a callback calls Stop once this many dispatches are recorded; -1 never
 	stoppedAt int
@@ -71,6 +105,7 @@ func newOrderMix(t testing.TB, seed uint64) *orderMix {
 	m := &orderMix{
 		e: e, mach: mach, procs: mach.procs, rng: NewPRNG(seed ^ 0x5eed), budget: 400,
 		sched: make(map[uint64]bool), fired: make(map[uint64]int), stopAfter: -1,
+		fromHeap: make(map[uint64]bool),
 	}
 	for i := 0; i < 3; i++ {
 		m.at(Time(m.rng.Intn(3)) * 40) // at setup: two of three due at now
@@ -121,9 +156,15 @@ func (m *orderMix) callback(seq *uint64, id int, done *bool) func() {
 			*done = true
 		}
 		m.rec(*seq, id)
+		if m.fromHeap[*seq] && m.e.wheel.n > 0 {
+			m.cases.overflowWait++
+		}
 		if m.stopAfter >= 0 && len(m.recs) >= m.stopAfter {
 			m.e.Stop()
 			m.stopAfter, m.stoppedAt = -1, len(m.recs)
+			if m.e.wheel.n > 0 && len(m.e.heap) > 0 {
+				m.cases.cutStop++
+			}
 		}
 		if m.rng.Intn(2) == 0 {
 			m.step(nil)
@@ -142,7 +183,50 @@ func (m *orderMix) at(delay Time) {
 		ev = m.e.Schedule(delay, m.callback(seq, id, done))
 	}
 	*seq = m.queued(ev.seq)
-	m.pending = append(m.pending, cancellable{ev: ev, seq: ev.seq, done: done})
+	c := cancellable{ev: ev, seq: ev.seq, done: done}
+	m.pending = append(m.pending, c)
+	if ev.index >= 0 {
+		m.fromHeap[ev.seq] = true
+		m.far = append(m.far, &c)
+	}
+}
+
+// book books cycles on a random processor and queues a cancellable
+// callback at the booking's end, as ExecAsync does. A long booking
+// pushes the processor's later bookings past the wheel's span, where
+// they form a sorted run.
+func (m *orderMix) book(cycles Time) {
+	p := m.proc()
+	id, seq, done := m.id(), new(uint64), new(bool)
+	ev := m.e.schedule(p.ReserveAt(m.e.now, cycles), m.callback(seq, id, done), nil, &p.run)
+	*seq = m.queued(ev.seq)
+	c := cancellable{ev: ev, seq: ev.seq, done: done, booked: true}
+	m.pending = append(m.pending, c)
+	if ev.index >= 0 {
+		m.fromHeap[ev.seq] = true
+	}
+	if ev.at-m.e.now >= wheelSize {
+		m.far = append(m.far, &c)
+	}
+}
+
+// atFar queues a callback at the time of an event that was due past the
+// wheel's span when queued, when that time has come within it: the new
+// event joins a wheel slot in the cycle of an overflow event (which must
+// fire first) or of a booking behind a run's head, whose successor will
+// enter the slot behind the new, later-scheduled event.
+func (m *orderMix) atFar() {
+	if len(m.far) == 0 {
+		return
+	}
+	c := m.far[m.rng.Intn(len(m.far))]
+	if *c.done || c.ev.at < m.e.now || c.ev.at-m.e.now >= wheelSize {
+		return
+	}
+	if c.ev.index == behindHead {
+		m.cases.succBehind++
+	}
+	m.at(c.ev.at - m.e.now)
 }
 
 func (m *orderMix) spawn(delay Time, steps int) {
@@ -197,9 +281,9 @@ func (m *orderMix) step(mt *mixThread) {
 		return
 	}
 	m.budget--
-	n := 8
+	n := 12
 	if mt != nil {
-		n = 13
+		n = 17
 	}
 	switch m.rng.Intn(n) {
 	case 0:
@@ -218,19 +302,32 @@ func (m *orderMix) step(mt *mixThread) {
 		m.unparkOne()
 	case 6, 7:
 		m.cancelOne()
-	case 8, 9:
+	case 8:
+		m.at(wheelSize - 1 + Time(m.rng.Intn(2))) // the last slot, or the heap's nearest
+		m.cases.edge++
+	case 9:
+		m.at(wheelSize + Time(m.rng.Intn(3000)))
+	case 10:
+		cycles := Time(m.rng.Intn(40))
+		if m.rng.Intn(3) == 0 {
+			cycles += wheelSize/2 + Time(m.rng.Intn(wheelSize))
+		}
+		m.book(cycles)
+	case 11:
+		m.atFar()
+	case 12, 13:
 		id, before := m.id(), m.e.seq
 		mt.th.Exec(m.proc(), 1+Time(m.rng.Intn(60)))
 		m.blocked(before, id)
-	case 10:
+	case 14:
 		id, before := m.id(), m.e.seq
 		mt.th.Sleep(1 + Time(m.rng.Intn(100)))
 		m.blocked(before, id)
-	case 11:
+	case 15:
 		id, before := m.id(), m.e.seq
 		yield(mt.th)
 		m.blocked(before, id)
-	case 12:
+	case 16:
 		m.park(mt)
 	}
 }
@@ -273,9 +370,14 @@ func (m *orderMix) unparkOne() {
 	}
 }
 
+// inQueue reports whether ev sits in the ordered queue, a wheel slot or
+// the heap, rather than behind a run's head or out of the queue.
+func inQueue(ev *Event) bool { return ev.index >= 0 || ev.index == inWheel }
+
 // cancelOne cancels a random callback that has neither fired nor been
-// cancelled yet and sits in the heap: a plain event or a run's head.
-// Cancel panics on an event behind a run's head (TestCancelInRunNeverFires).
+// cancelled yet and sits in the ordered queue: a plain event or a run's
+// head. Cancel panics on an event behind a run's head
+// (TestCancelInRunNeverFires).
 func (m *orderMix) cancelOne() {
 	live := m.pending[:0]
 	for _, c := range m.pending {
@@ -284,19 +386,31 @@ func (m *orderMix) cancelOne() {
 		}
 	}
 	m.pending = live
-	var heap []int
+	var queued []int
 	for i, c := range live {
-		if c.ev.index >= 0 {
-			heap = append(heap, i)
+		if inQueue(c.ev) {
+			queued = append(queued, i)
 		}
 	}
-	if len(heap) == 0 {
+	if len(queued) == 0 {
 		return
 	}
-	i := heap[m.rng.Intn(len(heap))]
+	i := queued[m.rng.Intn(len(queued))]
 	c := live[i]
 	m.pending = append(live[:i], live[i+1:]...)
 	*c.done = true
+	wheel, head := c.ev.index == inWheel, c.booked && c.ev.next != nil
+	switch {
+	case head && wheel:
+		m.cases.cancelHeadW++
+	case head:
+		m.cases.cancelHeadH++
+	case c.booked:
+	case wheel:
+		m.cases.cancelWheel++
+	default:
+		m.cases.cancelHeap++
+	}
 	c.ev.Cancel()
 	m.sched[c.seq] = true
 	m.cancels++
@@ -316,13 +430,15 @@ func sameOrder(a, b []orderRec) bool {
 	return true
 }
 
-// TestEngineExactOrder is the property behind the heap of sorted runs:
-// over seeded random mixes, the dispatch sequence strictly increases in
-// (at, seq), every queued event that is not cancelled fires exactly
-// once and no cancelled one fires, and RunUntil, Stop and MaxEvents cut
-// the same sequence where they always have.
+// TestEngineExactOrder is the property behind the wheel, the heap and
+// the sorted runs: over seeded random mixes, the dispatch sequence
+// strictly increases in (at, seq), every queued event that is not
+// cancelled fires exactly once and no cancelled one fires, and RunUntil,
+// Stop and MaxEvents cut the same sequence where they always have. The
+// mixes must meet every wheel case at least once (wheelCases).
 func TestEngineExactOrder(t *testing.T) {
 	var cancels, sorted int
+	var cases wheelCases
 	for seed := uint64(1); seed <= 24; seed++ {
 		// Each seed is a subtest, so its four engines retire before the
 		// next seed's engines start, and those revive them.
@@ -333,6 +449,7 @@ func TestEngineExactOrder(t *testing.T) {
 			}
 			cancels += full.cancels
 			sorted += full.sorted
+			cases.add(full.cases)
 			var last orderRec
 			for i, r := range full.recs {
 				if r.at < last.at {
@@ -359,16 +476,19 @@ func TestEngineExactOrder(t *testing.T) {
 					t.Fatalf("seed %d: unknown event %d fired", seed, seq)
 				}
 			}
-			if len(full.e.heap) != 0 || full.e.liveThreads != 0 {
-				t.Fatalf("seed %d: %d heap entries and %d live threads after Run", seed, len(full.e.heap), full.e.liveThreads)
+			if full.e.top != nil || full.e.queued() != 0 || full.e.liveThreads != 0 {
+				t.Fatalf("seed %d: %d queue entries and %d live threads after Run", seed, full.e.queued(), full.e.liveThreads)
 			}
 
 			// RunUntil in uneven chunks: nothing past the limit runs, the
 			// clock stops at the limit, and the sequence is unchanged.
 			chunked := newOrderMix(t, seed)
-			for limit := Time(90); len(chunked.e.heap) > 0; limit += 137 {
+			for limit := Time(90); chunked.e.top != nil; limit += 137 {
 				if err := chunked.e.RunUntil(limit); err != nil {
 					t.Fatalf("seed %d: RunUntil(%d): %v", seed, limit, err)
+				}
+				if chunked.e.wheel.n > 0 && len(chunked.e.heap) > 0 {
+					cases.cutUntil++
 				}
 				if n := len(chunked.recs); n > 0 && chunked.recs[n-1].at > limit {
 					t.Fatalf("seed %d: RunUntil(%d) dispatched at %d", seed, limit, chunked.recs[n-1].at)
@@ -394,6 +514,7 @@ func TestEngineExactOrder(t *testing.T) {
 			if stopped.stoppedAt == 0 || len(stopped.recs) != stopped.stoppedAt {
 				t.Fatalf("seed %d: Stop at dispatch %d, Run returned after %d", seed, stopped.stoppedAt, len(stopped.recs))
 			}
+			cases.cutStop += stopped.cases.cutStop
 			if err := stopped.e.Run(); err != nil {
 				t.Fatalf("seed %d: Run after Stop: %v", seed, err)
 			}
@@ -409,6 +530,9 @@ func TestEngineExactOrder(t *testing.T) {
 			if err := capped.e.Run(); !errors.As(err, &me) {
 				t.Fatalf("seed %d: got %v, want *MaxEventsError", seed, err)
 			}
+			if capped.e.wheel.n > 0 && len(capped.e.heap) > 0 {
+				cases.cutMax++
+			}
 			if uint64(len(capped.recs)) != capped.e.MaxEvents || !sameOrder(full.recs[:len(capped.recs)], capped.recs) {
 				t.Fatalf("seed %d: MaxEvents=%d stopped after %d dispatches, or off the full sequence",
 					seed, capped.e.MaxEvents, len(capped.recs))
@@ -417,6 +541,26 @@ func TestEngineExactOrder(t *testing.T) {
 	}
 	if cancels == 0 || sorted == 0 {
 		t.Fatalf("mixes made %d cancels and %d SpawnArrivals arrivals; want both", cancels, sorted)
+	}
+	t.Logf("wheel cases: %+v", cases)
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"events at the wheel's edge", cases.edge},
+		{"heap events dispatched while the wheel held events", cases.overflowWait},
+		{"run successors bound for a slot with later-scheduled events", cases.succBehind},
+		{"plain cancels in the wheel", cases.cancelWheel},
+		{"plain cancels in the heap", cases.cancelHeap},
+		{"run-head cancels in the wheel", cases.cancelHeadW},
+		{"run-head cancels in the heap", cases.cancelHeadH},
+		{"RunUntil cuts with events in both structures", cases.cutUntil},
+		{"Stop cuts with events in both structures", cases.cutStop},
+		{"MaxEvents cuts with events in both structures", cases.cutMax},
+	} {
+		if c.n == 0 {
+			t.Errorf("the mixes met no %s", c.name)
+		}
 	}
 }
 
@@ -460,9 +604,9 @@ func TestSpawnArrivalsOutOfOrderPanics(t *testing.T) {
 
 // TestSpawnArrivalsMatchesSpawn asserts SpawnArrivals runs the same
 // threads with the same ids at the same times as Spawn, while holding
-// one heap entry for all of its arrivals.
+// one queue entry for all of its arrivals.
 func TestSpawnArrivalsMatchesSpawn(t *testing.T) {
-	trace := func(arrivals bool) (got []string, heap int) {
+	trace := func(arrivals bool) (got []string, queued int) {
 		e := newEngine(t, 1)
 		m := NewMachine(e, 2)
 		ats, procs, bodies := make([]Time, 20), make([]int, 20), make([]func(*Thread), 20)
@@ -480,22 +624,22 @@ func TestSpawnArrivalsMatchesSpawn(t *testing.T) {
 		if arrivals {
 			m.SpawnArrivals("req", 20, func(i int) (Time, int, func(*Thread)) { return ats[i], procs[i], bodies[i] })
 		}
-		heap = len(e.heap)
+		queued = e.queued()
 		if e.liveThreads != 20 {
 			t.Fatalf("arrivals=%v: Live() = %d before Run, want 20", arrivals, e.liveThreads)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return got, heap
+		return got, queued
 	}
-	plain, plainHeap := trace(false)
-	sorted, sortedHeap := trace(true)
+	plain, plainQueued := trace(false)
+	sorted, sortedQueued := trace(true)
 	if strings.Join(plain, " ") != strings.Join(sorted, " ") {
 		t.Fatalf("SpawnArrivals ran\n%v\nSpawn ran\n%v", sorted, plain)
 	}
-	if plainHeap != 20 || sortedHeap != 1 {
-		t.Fatalf("heap entries before Run: Spawn %d, SpawnArrivals %d; want 20 and 1", plainHeap, sortedHeap)
+	if plainQueued != 20 || sortedQueued != 1 {
+		t.Fatalf("queue entries before Run: Spawn %d, SpawnArrivals %d; want 20 and 1", plainQueued, sortedQueued)
 	}
 }
 
@@ -517,8 +661,8 @@ func TestSpawnArrivalsOnClusterPanics(t *testing.T) {
 			})
 		}()
 		for _, e := range cl.lanes {
-			if len(e.heap) != 0 || e.liveThreads != 0 {
-				t.Fatalf("shards %d: a refused call left %d heap entries and %d live threads", shards, len(e.heap), e.liveThreads)
+			if e.top != nil || e.queued() != 0 || e.liveThreads != 0 {
+				t.Fatalf("shards %d: a refused call left %d queue entries and %d live threads", shards, e.queued(), e.liveThreads)
 			}
 		}
 	}
@@ -558,21 +702,24 @@ func TestSpawnArrivalsStartsInSpawnOrderPerProc(t *testing.T) {
 }
 
 // TestCancelInRunNeverFires asserts how Cancel takes an event out of a
-// sorted run: a head leaves the heap at once and hands its slot to its
-// successor, and never fires. An event behind the head cannot be
-// cancelled: Cancel panics and leaves it queued, and it fires.
+// sorted run: a head leaves the queue at once and hands its place to its
+// successor, and never fires, whether it sits in the heap or in a wheel
+// slot. An event behind the head cannot be cancelled: Cancel panics and
+// leaves it queued, and it fires.
 func TestCancelInRunNeverFires(t *testing.T) {
 	e := newEngine(t, 1)
+	p := NewMachine(e, 1).Proc(0)
 	var fired []int
 	var evs []*Event
-	at := func(i int) {
-		evs = append(evs, e.Schedule(0, func() { fired = append(fired, i) })) // the zero-delay run
+	// book queues event i on p's run, delay cycles out.
+	book := func(i int, delay Time) {
+		evs = append(evs, e.schedule(e.now+delay, func() { fired = append(fired, i) }, nil, &p.run))
 	}
 	for i := 0; i < 4; i++ {
-		at(i)
+		book(i, wheelSize+Time(i)) // past the wheel's span: the heap
 	}
-	if len(e.heap) != 1 {
-		t.Fatalf("heap holds %d entries for one zero-delay run, want 1", len(e.heap))
+	if e.queued() != 1 || len(e.heap) != 1 || e.top != evs[0] {
+		t.Fatalf("queue holds %d entries for one processor run, want 1, its head", e.queued())
 	}
 	func() {
 		defer func() {
@@ -583,13 +730,13 @@ func TestCancelInRunNeverFires(t *testing.T) {
 		evs[2].Cancel() // behind the head
 	}()
 	evs[0].Cancel() // the head
-	if len(e.heap) != 1 || e.heap[0] != evs[1] {
-		t.Fatal("cancelling the run's head did not hand its heap slot to the successor")
+	if e.queued() != 1 || e.top != evs[1] {
+		t.Fatal("cancelling the run's head did not hand its place to the successor")
 	}
 	evs[0].Cancel() // a second cancel is a no-op
 	evs[1].Cancel() // the new head
-	if len(e.heap) != 1 || e.heap[0] != evs[2] {
-		t.Fatal("cancelling the new head did not hand its heap slot to the successor")
+	if e.queued() != 1 || e.top != evs[2] {
+		t.Fatal("cancelling the new head did not hand its place to the successor")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -597,21 +744,41 @@ func TestCancelInRunNeverFires(t *testing.T) {
 	if len(fired) != 2 || fired[0] != 2 || fired[1] != 3 {
 		t.Fatalf("fired = %v, want [2 3]", fired)
 	}
+
+	// A run whose head is in a wheel slot: its successors, past the
+	// span, wait behind it, and cancelling it hands its place on.
+	book(4, wheelSize-1)
+	book(5, wheelSize+10)
+	book(6, wheelSize+20)
+	if e.queued() != 1 || e.wheel.n != 1 || e.top != evs[4] {
+		t.Fatalf("queue holds %d entries (%d in the wheel) for a run headed in the wheel, want its head alone", e.queued(), e.wheel.n)
+	}
+	evs[4].Cancel()
+	if e.queued() != 1 || e.top != evs[5] || evs[6].index != behindHead {
+		t.Fatal("cancelling a wheel run head did not hand its place to the successor")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 4 || fired[2] != 5 || fired[3] != 6 {
+		t.Fatalf("fired = %v, want [2 3 5 6]", fired)
+	}
+
 	// A run whose only event is cancelled is empty: the next event is a
 	// new head.
-	e.Schedule(0, func() { fired = append(fired, 9) }).Cancel()
-	if len(e.heap) != 0 {
-		t.Fatalf("heap holds %d entries after cancelling a run's only event", len(e.heap))
+	e.schedule(e.now+wheelSize, func() { fired = append(fired, 9) }, nil, &p.run).Cancel()
+	if e.queued() != 0 || e.top != nil {
+		t.Fatalf("queue holds %d entries after cancelling a run's only event", e.queued())
 	}
-	at(6)
-	if len(e.heap) != 1 || e.heap[0] != evs[len(evs)-1] {
+	book(7, wheelSize+1)
+	if e.queued() != 1 || e.top != evs[len(evs)-1] {
 		t.Fatal("an event after a cancelled run's only event did not head the run")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 3 || fired[2] != 6 {
-		t.Fatalf("fired = %v, want [2 3 6]", fired)
+	if len(fired) != 5 || fired[4] != 7 {
+		t.Fatalf("fired = %v, want [2 3 5 6 7]", fired)
 	}
 }
 
@@ -621,12 +788,12 @@ func TestCancelInRunNeverFires(t *testing.T) {
 func TestRunOrderViolationPanics(t *testing.T) {
 	e := newEngine(t, 1)
 	p := NewMachine(e, 1).Proc(0)
-	e.schedule(100, func() {}, nil, &p.run)
-	e.schedule(120, func() {}, nil, &p.run)
+	e.schedule(wheelSize+100, func() {}, nil, &p.run) // past the wheel's span
+	e.schedule(wheelSize+120, func() {}, nil, &p.run)
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(r.(string), "breaks a sorted run") {
 			t.Fatalf("recovered %v, want a sorted-run panic", r)
 		}
 	}()
-	e.schedule(110, func() {}, nil, &p.run)
+	e.schedule(wheelSize+110, func() {}, nil, &p.run)
 }

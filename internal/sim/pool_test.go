@@ -30,7 +30,7 @@ func TestEventPoolReusesFiredEvents(t *testing.T) {
 }
 
 // TestEventPoolNeverResurrectsCancelledEvent asserts that cancelling an
-// event removes it from the heap eagerly and that reusing its object for
+// event removes it from the queue eagerly and that reusing its object for
 // a new event cannot fire the cancelled callback.
 func TestEventPoolNeverResurrectsCancelledEvent(t *testing.T) {
 	e := newEngine(t, 1)
@@ -38,12 +38,12 @@ func TestEventPoolNeverResurrectsCancelledEvent(t *testing.T) {
 	dead := e.Schedule(10, func() { fired = append(fired, "dead") })
 	e.Schedule(20, func() { fired = append(fired, "live") })
 	dead.Cancel()
-	if len(e.heap) != 1 {
-		t.Fatalf("heap holds %d events after Cancel, want 1 (eager removal)", len(e.heap))
+	if e.queued() != 1 {
+		t.Fatalf("queue holds %d events after Cancel, want 1 (eager removal)", e.queued())
 	}
 	dead.Cancel() // second cancel of the same pending handle is a no-op
-	if len(e.heap) != 1 {
-		t.Fatalf("double Cancel removed a live event: heap len %d", len(e.heap))
+	if e.queued() != 1 {
+		t.Fatalf("double Cancel removed a live event: queue len %d", e.queued())
 	}
 	reused := e.Schedule(30, func() { fired = append(fired, "reused") })
 	if reused != dead {
@@ -131,10 +131,10 @@ func TestRunUntilHoldsFastPathAtLimit(t *testing.T) {
 func TestSleepFastPathSkipsHeap(t *testing.T) {
 	e := newEngine(t, 1)
 	var wake Time
-	var heapLen int
+	var queued int
 	e.Spawn("t", 0, func(th *Thread) {
 		th.Sleep(250)
-		heapLen = len(e.heap)
+		queued = e.queued()
 		wake = th.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -143,8 +143,8 @@ func TestSleepFastPathSkipsHeap(t *testing.T) {
 	if wake != 250 {
 		t.Fatalf("woke at %d, want 250", wake)
 	}
-	if heapLen != 0 {
-		t.Fatalf("fast-path sleep queued %d event(s)", heapLen)
+	if queued != 0 {
+		t.Fatalf("fast-path sleep queued %d event(s)", queued)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestYieldRunsBehindQueuedEvents(t *testing.T) {
 		e.Schedule(0, func() { order = append(order, "event") })
 		yield(th)
 		order = append(order, "thread")
-		yield(th) // heap now empty: fast path, stays running
+		yield(th) // queue now empty: fast path, stays running
 		order = append(order, "after")
 	})
 	if err := e.Run(); err != nil {
@@ -342,5 +342,41 @@ func TestArrivalRunAllocs(t *testing.T) {
 	bytes(100) // retires a lane with a carrier for the runs to revive
 	if small, large := least(100), least(10000); small != large {
 		t.Fatalf("an arrival run allocated %d bytes at n=100 and %d at n=10,000, want the same", small, large)
+	}
+}
+
+// TestWarmQueueAllocs pins that the event queue's storage outlives the
+// run: an engine revived from a retired lane takes over its wheel and
+// its heap's backing array, so a warm run of the same shape, whose
+// events fill both, allocates neither. The run schedules 500 callbacks
+// spread over the wheel's span and 60 past it, the heap's share.
+func TestWarmQueueAllocs(t *testing.T) {
+	isolateRetired(t)
+	fn := func() {}
+	run := func() *Engine {
+		e := NewEngine(1)
+		for i := 0; i < 500; i++ {
+			e.Schedule(Time(i*7)%wheelSize, fn)
+		}
+		for i := 0; i < 60; i++ {
+			e.Schedule(wheelSize+Time(i*13), fn)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	cold := run()
+	w, h := cold.wheel, cold.heap[:1]
+	cold.retire()
+	warm := run()
+	if warm.wheel != w || &warm.heap[:1][0] != &h[0] {
+		t.Fatal("a revived engine did not take over the retired lane's wheel and heap backing")
+	}
+	warm.retire()
+	// The engine, its PRNG and the idle lane its retirement pushes are
+	// all a warm run allocates: no event, no wheel, no heap backing.
+	if n := testing.AllocsPerRun(20, func() { run().retire() }); n != 3 {
+		t.Fatalf("a warm run and its retirement allocated %v objects, want 3: the engine, its PRNG and the idle lane", n)
 	}
 }

@@ -14,9 +14,10 @@ type Proc struct {
 	lane int  // the index of eng among the machine's lanes
 	free Time // the cycle at which the processor next becomes idle
 
-	// run queues the serial engine's events timed by ReserveAt: Exec
-	// wakeups and ExecAsync completions. free never decreases, so
-	// neither do their times (see the package comment).
+	// run queues the serial engine's events timed by ReserveAt (Exec
+	// wakeups and ExecAsync completions) that are due past the wheel's
+	// span. free never decreases, so neither do their times (see the
+	// package comment).
 	run run
 
 	// Busy accumulates total busy cycles for utilization reporting.
@@ -132,7 +133,7 @@ func (p *Proc) Spawn(name string, delay Time, body func(*Thread)) *Thread {
 // identical to one built with Spawn. The engine reads the schedule in
 // place: it calls arrival(i) again, and makes thread i and its wakeup,
 // only when arrival i reaches the head of the engine's arrival run, so a
-// long schedule costs one heap entry and no copy. The arrival run is the
+// long schedule costs one queue entry and no copy. The arrival run is the
 // serial engine's: SpawnArrivals panics on a clustered machine, whose
 // lanes key events by stream (see Cluster).
 func (m *Machine) SpawnArrivals(name string, n int, arrival func(i int) (at Time, proc int, body func(*Thread))) {
@@ -159,7 +160,7 @@ func (m *Machine) SpawnArrivals(name string, n int, arrival func(i int) (at Time
 	e.nextTID += n
 	e.liveThreads += n
 	if s.head == nil && n > 0 {
-		e.heap.push(s.next(e))
+		e.push(s.next(e))
 	}
 }
 

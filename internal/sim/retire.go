@@ -14,15 +14,18 @@ type Records interface {
 }
 
 // idleLane is a retired lane: its engine's free events, thread pool,
-// free carriers and emptied live-thread list, plus the records the
-// layers kept on it. records counts them all. The live list is empty
-// once a run quiesces; a thread a stopped run left parked is pinned by
-// its own carrier anyway, whose goroutine never resumes.
+// free carriers, emptied live-thread list, wheel and heap backing, plus
+// the records the layers kept on it. records counts them all, the wheel
+// and a heap backing as one each. The live list is empty once a run
+// quiesces; a thread a stopped run left parked is pinned by its own
+// carrier anyway, whose goroutine never resumes.
 type idleLane struct {
 	free     *Event
 	threads  []*Thread
 	carriers []*carrier
 	live     []*Thread
+	wheel    *wheel
+	heap     eventHeap
 	held     []Records
 	records  int
 }
@@ -78,13 +81,27 @@ func (m *Machine) Retire() {
 
 // retire scrubs the engine's idle records of the run and pushes them as
 // one lane onto the retired stack. A lane with no records is dropped.
+// The engine's queue goes with the lane, so nothing may schedule on it
+// afterwards.
 func (e *Engine) retire() {
-	l := &idleLane{free: e.free, threads: e.threadPool, carriers: e.carriers, live: e.live[:0]}
-	e.free, e.threadPool, e.carriers, e.live = nil, nil, nil, nil
+	l := &idleLane{free: e.free, threads: e.threadPool, carriers: e.carriers, live: e.live[:0], wheel: e.wheel}
+	e.free, e.threadPool, e.carriers, e.live, e.wheel = nil, nil, nil, nil, nil
 	for ev := l.free; ev != nil; ev = ev.next {
 		ev.eng = nil
 		l.records++
 	}
+	if l.wheel != nil {
+		if l.wheel.n > 0 { // a stopped run's events go with the run
+			*l.wheel = wheel{}
+		}
+		l.records++
+	}
+	if cap(e.heap) > 0 {
+		clear(e.heap)
+		l.heap = e.heap[:0]
+		l.records++
+	}
+	e.heap, e.top = nil, nil
 	for _, th := range l.threads {
 		th.scrub()
 	}
@@ -117,6 +134,7 @@ func (e *Engine) revive() {
 	retired.lanes = retired.lanes[:n-1]
 	retired.Unlock()
 	e.free, e.threadPool, e.carriers, e.live, e.revived = l.free, l.threads, l.carriers, l.live, l.held
+	e.wheel, e.heap = l.wheel, l.heap
 	for ev := e.free; ev != nil; ev = ev.next {
 		ev.eng = e
 	}

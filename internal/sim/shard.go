@@ -3,7 +3,7 @@
 //
 // A Cluster couples several engines ("lanes") into one logical
 // simulation. Processors are partitioned into contiguous lane groups;
-// each lane owns its own event heap, thread pool, and clock. The
+// each lane owns its own event queue, thread pool, and clock. The
 // coordinator advances the simulation in windows [T, T+L): T is the
 // earliest pending event across all lanes and L is the lookahead — the
 // minimum latency any cross-lane message can have, derived from the
@@ -11,7 +11,7 @@
 // causally independent (nothing a lane sends can arrive before T+L), so
 // they may run concurrently on host goroutines; between windows the
 // coordinator flushes the inter-lane outboxes into the destination
-// heaps. Instead of per-link null messages, the window barrier plays the
+// queues. Instead of per-link null messages, the window barrier plays the
 // null-message role: a lane with no events inside a window contributes a
 // "null window" (counted in the shard.nulls profile section) and just
 // waits.
@@ -24,7 +24,7 @@
 // executes — which happens on exactly one lane — so the keys are
 // race-free, and because they name the scheduling context rather than
 // the lane layout, a given program computes identical keys at every
-// shard count. Each lane pops its heap in key order, the window
+// shard count. Each lane pops its queue in key order, the window
 // protocol guarantees no event arrives behind a lane's progress, and
 // per-processor state is only touched by that processor's stream, so
 // the per-processor event sequences — and any order-insensitive merge
@@ -160,7 +160,7 @@ func (cl *Cluster) AtBarrier(at Time, fn func()) {
 // e.Now()+delay on dst's lane, crossing lanes through the cluster's
 // deterministic inter-lane channel: the merge key is computed at send
 // time from the sending stream, the event is parked in the outbox from
-// lane e to dst's lane, and the coordinator flushes it into dst's heap
+// lane e to dst's lane, and the coordinator flushes it into dst's queue
 // at the next window barrier. delay must be at least the cluster's
 // lookahead — that is what makes the barrier flush safe. Only a cluster
 // lane has other lanes to send to.
@@ -179,17 +179,17 @@ func (e *Engine) CrossSend(delay Time, dst int, fn func()) {
 	e.cross++
 }
 
-// inject pushes a flushed cross-lane event straight onto the lane's
-// heap, bypassing schedule: the merge key was already drawn at send
+// inject pushes a flushed cross-lane event straight into the lane's
+// queue, bypassing schedule: the merge key was already drawn at send
 // time. Only the coordinator calls it, between windows.
 func (e *Engine) inject(ce crossEvent) {
 	if ce.at < e.now {
 		panic(fmt.Sprintf("sim: cross-lane event at %d behind lane clock %d", ce.at, e.now))
 	}
-	e.heap.push(e.newEvent(ce.at, ce.seq, ce.fn, nil, ce.stream, ce.exec))
+	e.push(e.newEvent(ce.at, ce.seq, ce.fn, nil, ce.stream, ce.exec))
 }
 
-// flush moves every parked cross-lane event into its destination heap.
+// flush moves every parked cross-lane event into its destination queue.
 func (cl *Cluster) flush() {
 	for src := range cl.outbox {
 		for dst, box := range cl.outbox[src] {
@@ -211,10 +211,10 @@ func (cl *Cluster) minTop() (Time, bool) {
 	var top Time
 	ok := false
 	for _, e := range cl.lanes {
-		if len(e.heap) == 0 {
+		if e.top == nil {
 			continue
 		}
-		if t := e.heap[0].at; !ok || t < top {
+		if t := e.top.at; !ok || t < top {
 			top, ok = t, true
 		}
 	}
@@ -254,7 +254,7 @@ func (cl *Cluster) fireGlobals(at Time) {
 
 // Run drives every lane to completion: windows of conservative
 // lookahead, lane execution (concurrently on multi-CPU hosts), outbox
-// flushes, and barrier callbacks, until every heap drains. Like
+// flushes, and barrier callbacks, until every queue drains. Like
 // Engine.Run it returns a *DeadlockError if threads are still parked
 // when events run out, and a *MaxEventsError if any lane's runaway
 // guard trips. On return it adds the run's windows, lane events, null
@@ -357,7 +357,7 @@ func (cl *Cluster) Run() error {
 func (cl *Cluster) runLanes(drivers []laneDriver, limit Time) error {
 	if drivers == nil {
 		for _, e := range cl.lanes {
-			if len(e.heap) == 0 || e.heap[0].at > limit {
+			if e.top == nil || e.top.at > limit {
 				continue
 			}
 			if err := e.pump(limit); err != nil {
@@ -409,7 +409,7 @@ func (cl *Cluster) startDrivers() []laneDriver {
 		go func() { //simvet:allow shard-lane driver; lanes share no state within a window and the coordinator's channel barrier orders all cross-lane effects
 			for limit := range d.work {
 				var err error
-				if len(e.heap) > 0 && e.heap[0].at <= limit {
+				if e.top != nil && e.top.at <= limit {
 					err = e.pump(limit)
 				}
 				d.done <- err

@@ -77,7 +77,7 @@ func (e *Engine) newThread(id int, name string, body func(*Thread), stream int32
 }
 
 // arrivalSource is the serial engine's open-loop arrival run
-// (Machine.SpawnArrivals). Only its head is an Event, in the heap; the
+// (Machine.SpawnArrivals). Only its head is an Event, in the queue; the
 // later arrivals stay in their callers' schedules, and each becomes a
 // Thread and an Event only when it reaches the head.
 type arrivalSource struct {
