@@ -114,16 +114,19 @@ engine-order:
 # a retired countnet or kv machine's runtime and engine are collected
 # once a later run has revived its lane; and, with the collector off,
 # three shared-memory kv runs leave their carriers' stacks at 4 KiB
-# each.
+# each. Three switch pins count coroutine switches exactly: a remote
+# call, a two-hop migration and an object pull, each with an event
+# pending inside every send segment, switch only to start, wait for a
+# reply and exit, never to pay a send path.
 alloc-pins:
 	$(GO) test ./internal/sim/ -run 'Allocs' -count=1
-	$(GO) test ./internal/core/ -run 'Allocs' -count=1
+	$(GO) test ./internal/core/ -run 'Allocs|Switches' -count=1
 	$(GO) test ./internal/network/ -run 'Allocs' -count=1
 	$(GO) test ./internal/mem/ -run 'Allocs' -count=1
 	$(GO) test ./internal/apps/countnet/ -run 'TestTraverseAllocs(SM|CM|RPC|OM)$$|TestFaultedTraverseAllocs(CM|RPC|OM)$$|TestRunAllocs$$|TestRetiredRunIsCollected$$' -count=1
 	$(GO) test ./internal/apps/kv/ -run 'TestGetAllocs|TestPutAllocs|TestRunAllocs|TestRetiredRunIsCollected|TestCarrierStacksStaySmall' -count=1
 	$(GO) test ./internal/apps/btree/ -run 'TestLookupAllocs|TestRunAllocs|TestVerifyKeySetAllocs' -count=1
-	@echo "alloc-pins: no operation allocates more than its pinned bound"
+	@echo "alloc-pins: no operation allocates more than its pinned bound or switches more than its pinned count"
 
 # golden re-runs the output contracts by name: every paperfigs table at
 # quick windows (internal/harness/testdata/golden_quick.txt) and the full

@@ -10,12 +10,14 @@ import (
 )
 
 // Arrival records carry one message from its delivery callback through
-// the receive-path work segment to the thread or completion it starts.
-// Each lane pools its own (see laneState) and reaches the runtime
-// through it, and each record binds its ExecAsync and Spawn callbacks
-// once at creation, so a warm message path allocates no closure, Task,
-// Reader or Writer per message. A pooled record holds nothing of the
-// operation it last carried, so a retired lane pins nothing of its run.
+// the receive-path work segment to the thread or completion it starts,
+// and departure records carry one from the booking of its send segment
+// to the network. Each lane pools its own (see laneState) and reaches
+// the runtime through it, and each record binds its ExecAsync and Spawn
+// callbacks once at creation, so a warm message path allocates no
+// closure, Task, Reader or Writer per message. A pooled record holds
+// nothing of the operation it last carried, so a retired lane pins
+// nothing of its run.
 
 // pop takes the most recently pooled record, or nil when the pool is
 // empty.
@@ -189,4 +191,50 @@ func (a *replyArrival) run() {
 	a.m = nil
 	a.ls.rets = append(a.ls.rets, a)
 	rt.completeReply(m.Dst, m.Payload[0], m.Payload[1:], m)
+}
+
+// departure is one message between the booking of its send segment on
+// the sending processor and the end of that segment, when it leaves: a
+// thread's client-stub send path (see Task.send), a forward, or an
+// obj-move. The sending processor's lane pools it; depart takes it at
+// booking and run returns it just before the send, so the send may
+// itself reuse it.
+type departure struct {
+	ls *laneState
+
+	m      *network.Message
+	arrive func(*network.Message)
+	tok    uint64 // the guard of the reply slot m is owed to, read at booking
+	// to, unless Nil, is the object whose home m is addressed to as m.Src
+	// knows it when m leaves: another thread's learn may move the hint
+	// while the segment runs.
+	to gid.GID
+
+	send func() // bound d.run, for ExecAsync
+}
+
+// depart takes a departure record of lane ls for m, to be delivered to
+// arrive and guarded by tok, for the caller to book its send segment
+// with (ExecAsync(cycles, d.send)) or to run in place.
+func (ls *laneState) depart(m *network.Message, arrive func(*network.Message), tok uint64, to gid.GID) *departure {
+	d := pop(&ls.departs)
+	if d == nil {
+		d = &departure{ls: ls}
+		d.send = d.run
+	}
+	d.m, d.arrive, d.tok, d.to = m, arrive, tok, to
+	return d
+}
+
+// run addresses the message if it goes to an object's home, returns the
+// record to its pool and sends the message.
+func (d *departure) run() {
+	rt, m, arrive, tok := d.ls.rt, d.m, d.arrive, d.tok
+	if d.to != gid.Nil {
+		m.Dst = rt.locate(m.Src, d.to)
+	}
+	d.m, d.arrive, d.to = nil, nil, gid.Nil
+	d.ls.departs = append(d.ls.departs, d)
+	//simvet:allow split-phase send: whoever booked the segment this ends charged its send cycles
+	rt.Net.SendGuarded(m, arrive, rt.onGiveUp, tok)
 }

@@ -38,7 +38,7 @@ type laneState struct {
 	rets    []*replyArrival
 	fetches []*fetchArrival
 	moves   []*moveArrival
-	fwds    []*forwarding
+	departs []*departure
 	msgs    []*network.Message // consumed wire messages, payload arrays kept
 
 	acts    []*Task    // idle activations for Walk
@@ -88,8 +88,8 @@ func (ls *laneState) scratch() *msg.Writer {
 // message takes a wire message of the given kind from src out of the
 // lane's pool and copies words into its payload, reusing the pooled
 // payload array. Callers copy the scratch writer's words here before
-// the send segment's Exec parks the thread, and set Dst once they know
-// it.
+// the thread next blocks, and set Dst once they know it (or leave it to
+// the departure that sends the message, see Task.send).
 func (ls *laneState) message(src int, kind string, words []uint32) *network.Message {
 	m := pop(&ls.msgs)
 	if m == nil {
@@ -139,7 +139,7 @@ func (ls *laneState) Retire() int {
 		}
 	}
 	n := len(ls.slots) + len(ls.rpcs) + len(ls.migs) + len(ls.rets) + len(ls.fetches) +
-		len(ls.moves) + len(ls.fwds) + len(ls.msgs) + len(ls.acts)
+		len(ls.moves) + len(ls.departs) + len(ls.msgs) + len(ls.acts)
 	for _, k := range ls.kept {
 		n += len(k.recs)
 	}

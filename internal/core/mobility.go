@@ -41,38 +41,6 @@ func (rt *Runtime) learn(proc int, g gid.GID, home int) {
 	rt.locHints[proc][g] = home
 }
 
-// forwarding is one message being re-sent from a stale location toward
-// its object's current home, between the forwarding check and the send
-// segment that follows it. It is pooled by the stale processor's lane
-// and binds its send callback once.
-type forwarding struct {
-	ls *laneState
-
-	m      *network.Message // Src and Dst already rewritten for the next leg
-	arrive func(*network.Message)
-	tok    uint64 // the guard of the origin's reply slot
-
-	send func() // bound f.run, for ExecAsync
-}
-
-func (ls *laneState) getForward() *forwarding {
-	if f := pop(&ls.fwds); f != nil {
-		return f
-	}
-	f := &forwarding{ls: ls}
-	f.send = f.run
-	return f
-}
-
-// run returns the record to its pool, then sends the message on.
-func (f *forwarding) run() {
-	rt, m, arrive, tok := f.ls.rt, f.m, f.arrive, f.tok
-	f.m, f.arrive = nil, nil
-	f.ls.fwds = append(f.ls.fwds, f)
-	//simvet:allow split-phase send: forward charged the forwarding check and send cycles this segment ends
-	rt.Net.SendGuarded(m, arrive, rt.onGiveUp, tok)
-}
-
 // forward re-sends m, which arrived at a stale location, toward the
 // object's current home actual, charging the forwarding path on the
 // stale processor. The message itself travels on, with its Src and Dst
@@ -88,10 +56,8 @@ func (rt *Runtime) forward(m *network.Message, actual int, arrive func(*network.
 	cost := rt.Model.ForwardingCheck + rt.Model.MessageSend
 	ls.col.AddCycles(stats.CatForwardingCheck, rt.Model.ForwardingCheck)
 	ls.col.AddCycles(stats.CatMessageSend, rt.Model.MessageSend)
-	f := ls.getForward()
-	f.m, f.arrive, f.tok = m, arrive, rt.guard(proc, id)
 	m.Src, m.Dst = m.Dst, actual
-	stale.ExecAsync(cost, f.send)
+	stale.ExecAsync(cost, ls.depart(m, arrive, rt.guard(proc, id), gid.Nil).send)
 }
 
 // PullObject relocates object g to the calling task's processor —
@@ -116,12 +82,7 @@ func (t *Task) PullObject(g gid.GID, stateWords uint64) error {
 	w.PutU64(uint64(g))
 	w.PutU32(packLinkage(here, id))
 	w.PutU32(uint32(stateWords))
-	m := ls.message(here, "obj-fetch", w.Words())
-	words := uint64(len(m.Payload)) + network.HeaderWords
-
-	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
-	m.Dst = rt.locate(here, g)
-	rt.Net.SendGuarded(m, rt.onFetch, rt.onGiveUp, rt.guard(here, id))
+	t.send(ls, ls.message(here, "obj-fetch", w.Words()), rt.onFetch, rt.guard(here, id), g)
 	// The object's state is installed by deliverObject; the slot carries
 	// no reply words.
 	if _, _, err := slot.wait(t.th); err != nil {
@@ -144,9 +105,9 @@ const pinInFlight = ^sim.Time(0)
 // sender believed was) the object's home, through any pin waits, to
 // the obj-move it sends the object's state back in. It holds the fetch
 // message until the fetch stops waiting — a retry may still forward it
-// — and then the move message until its send segment ends. Each lane
-// pools its own, and each record binds its pin-wait retry, ship and
-// send callbacks once.
+// — and returns to its pool once the move's send segment is booked.
+// Each lane pools its own, and each record binds its pin-wait retry and
+// ship callbacks once.
 type fetchArrival struct {
 	ls *laneState
 
@@ -156,11 +117,9 @@ type fetchArrival struct {
 	requester  int    // processor the object moves to
 	replyID    uint32 // reply slot on the requester
 	stateWords uint64
-	move       *network.Message // the obj-move, between ship and send
 
 	retry func() // bound a.run, for ScheduleOn
 	ship  func() // bound a.shipObject, for ExecAsync
-	send  func() // bound a.sendMove, for ExecAsync
 }
 
 func (ls *laneState) getFetch() *fetchArrival {
@@ -168,12 +127,12 @@ func (ls *laneState) getFetch() *fetchArrival {
 		return a
 	}
 	a := &fetchArrival{ls: ls}
-	a.retry, a.ship, a.send = a.run, a.shipObject, a.sendMove
+	a.retry, a.ship = a.run, a.shipObject
 	return a
 }
 
 func (a *fetchArrival) put() {
-	a.home, a.m, a.move = nil, nil, nil
+	a.home, a.m = nil, nil
 	a.ls.fetches = append(a.ls.fetches, a)
 }
 
@@ -223,8 +182,9 @@ func (a *fetchArrival) run() {
 
 // shipObject moves the object now — accesses racing in behind it
 // forward to the new home, which holds them until the object arrives —
-// and marshals the obj-move: the reply id, the gid, and stateWords zero
-// words standing for the object's state.
+// marshals the obj-move (the reply id, the gid, and stateWords zero
+// words standing for the object's state) and books its send segment,
+// which sends it when it ends. The record returns to its pool here.
 func (a *fetchArrival) shipObject() {
 	rt, ls := a.ls.rt, a.ls
 	rt.Objects.Move(a.g, a.requester)
@@ -235,20 +195,14 @@ func (a *fetchArrival) shipObject() {
 	for i := uint64(0); i < a.stateWords; i++ {
 		w.PutU32(0)
 	}
-	a.move = ls.message(a.home.ID(), "obj-move", w.Words())
-	a.move.Dst = a.requester
-	outWords := uint64(len(a.move.Payload)) + network.HeaderWords
+	m := ls.message(a.home.ID(), "obj-move", w.Words())
+	m.Dst = a.requester
+	outWords := uint64(len(m.Payload)) + network.HeaderWords
 	ls.col.AddCycles(stats.CatMarshal, rt.Model.Marshal(outWords))
 	ls.col.AddCycles(stats.CatMessageSend, rt.Model.MessageSend)
-	a.home.ExecAsync(rt.Model.Marshal(outWords)+rt.Model.MessageSend, a.send)
-}
-
-// sendMove returns the record to its pool, then sends the obj-move.
-func (a *fetchArrival) sendMove() {
-	rt, m, requester, id := a.ls.rt, a.move, a.requester, a.replyID
+	d := ls.depart(m, rt.onObject, rt.guard(a.requester, a.replyID), gid.Nil)
+	a.home.ExecAsync(rt.Model.Marshal(outWords)+rt.Model.MessageSend, d.send)
 	a.put()
-	//simvet:allow split-phase send: shipObject charged the marshal and send cycles this segment ends
-	rt.Net.SendGuarded(m, rt.onObject, rt.onGiveUp, rt.guard(requester, id))
 }
 
 // moveArrival is one obj-move between its delivery and the completion

@@ -13,7 +13,8 @@ import (
 // call dispatches directly with no messaging cost; a remote call takes
 // the full client-stub / server-stub path of §2.1 — two messages per
 // access, which is exactly what makes RPC lose to computation migration
-// on repeated remote accesses.
+// on repeated remote accesses. The request's send path occupies the
+// caller's processor while the thread already waits for the reply.
 func (t *Task) Call(g gid.GID, method MethodID, args msg.Marshaler, out msg.Unmarshaler) error {
 	if int(method) >= len(t.rt.methods) {
 		panic(fmt.Sprintf("core: unknown method id %d", method))
@@ -42,12 +43,7 @@ func (t *Task) Call(g gid.GID, method MethodID, args msg.Marshaler, out msg.Unma
 	if args != nil {
 		args.MarshalWords(w)
 	}
-	m := ls.message(here, "rpc", w.Words())
-	words := uint64(len(m.Payload)) + network.HeaderWords
-
-	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
-	m.Dst = rt.locate(here, g)
-	rt.Net.SendGuarded(m, rt.onRPC, rt.onGiveUp, rt.guard(here, id))
+	t.send(ls, ls.message(here, "rpc", w.Words()), rt.onRPC, rt.guard(here, id), g)
 
 	reply, rm, err := slot.wait(t.th)
 	if err != nil {
@@ -128,7 +124,5 @@ func (rt *Runtime) sendResult(t *Task, ls *laneState, proc int, id uint32, paylo
 		rt.completeReply(here, id, m.Payload[1:], m)
 		return
 	}
-	words := uint64(len(m.Payload)) + network.HeaderWords
-	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
-	rt.Net.SendGuarded(m, rt.onReply, rt.onGiveUp, rt.guard(proc, id))
+	t.send(ls, m, rt.onReply, rt.guard(proc, id), gid.Nil)
 }

@@ -106,7 +106,10 @@ func (t *Task) do(id ContID, w Walker) error {
 }
 
 // ship sends record next, of walker type contID, to remote object g's
-// home; the frame here is dead once it returns.
+// home. The frame here is dead once the record is in the message: the
+// send path occupies this processor after ship returns, but not the
+// thread, which goes straight on to die (a remote activation) or to
+// wait on the reply slot (the requester's own frame, in do).
 func (t *Task) ship(g gid.GID, contID ContID, next Walker) {
 	rt := t.rt
 	here := t.proc.ID()
@@ -125,20 +128,29 @@ func (t *Task) ship(g gid.GID, contID ContID, next Walker) {
 	w.PutU32(packLinkage(t.reply.proc, t.reply.id))
 	next.MarshalWords(w)
 	m := ls.message(here, "migrate", w.Words())
-	words := uint64(len(m.Payload)) + network.HeaderWords
 	if rt.Obs != nil {
 		// The reply linkage identifies the operation's originating
 		// processor regardless of how many hops the chain has taken.
 		rt.Obs.MigrateHop(t.reply.proc, g, len(m.Payload))
 	}
+	t.send(ls, m, rt.onMigrate, rt.guard(t.reply.proc, t.reply.id), g)
+}
 
-	// Client-stub send path runs on the current processor.
-	t.th.Exec(t.proc, rt.chargeSendTo(ls.col, words))
-	m.Dst = rt.locate(here, g)
-	rt.Net.SendGuarded(m, rt.onMigrate, rt.onGiveUp, rt.guard(t.reply.proc, t.reply.id))
-	// The frame at this processor is now dead. If it was itself a remote
-	// activation, the thread is destroyed when hop returns; if it was the
-	// original caller's frame, do is waiting on the reply slot.
+// send is a thread's client-stub send path: it charges the path to the
+// task's processor (on lane ls's collector) and books it there, and
+// returns without waiting for it, since the sending frame is dead or
+// next waits for a reply. m leaves when the segment ends (see
+// departure), addressed then to the home of object to as this
+// processor knows it, unless to is Nil. A path of no cycles sends in
+// place, as a thread's Exec of no cycles returns at once.
+func (t *Task) send(ls *laneState, m *network.Message, arrive func(*network.Message), tok uint64, to gid.GID) {
+	d := ls.depart(m, arrive, tok, to)
+	cycles := t.rt.chargeSendTo(ls.col, uint64(len(m.Payload))+network.HeaderWords)
+	if cycles == 0 {
+		d.run()
+		return
+	}
+	t.proc.ExecAsync(cycles, d.send)
 }
 
 // deliverMigrate is the server stub for an arriving migration: it

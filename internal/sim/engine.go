@@ -345,7 +345,9 @@ func (e *Engine) Run() error {
 }
 
 // RunUntil processes events with timestamps <= limit, then returns. Events
-// beyond the limit stay queued; the clock is advanced to limit.
+// beyond the limit stay queued; the clock is advanced to limit, unless a
+// callback called Stop, which leaves it at the stopping event so that
+// the next Run finds no pending event behind it.
 //
 //simvet:allow make engine-order pins that RunUntil cuts the same event sequence as Stop and MaxEvents
 func (e *Engine) RunUntil(limit Time) error {
@@ -353,7 +355,7 @@ func (e *Engine) RunUntil(limit Time) error {
 	if err := e.pump(limit); err != nil {
 		return err
 	}
-	if e.now < limit {
+	if !e.stopped && e.now < limit {
 		e.now = limit
 	}
 	return nil

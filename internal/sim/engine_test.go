@@ -137,6 +137,27 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// A Stop inside RunUntil leaves the clock where the stopping event put
+// it: the events still pending behind the limit run under the next Run.
+func TestStopInsideRunUntil(t *testing.T) {
+	e := newEngine(t, 1)
+	var fired []Time
+	e.Schedule(10, func() { fired = append(fired, e.Now()); e.Stop() })
+	e.Schedule(20, func() { fired = append(fired, e.Now()) })
+	if err := e.RunUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("clock after a Stop at 10 inside RunUntil(100) = %d, want 10", e.Now())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{10, 20}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+}
+
 func TestStop(t *testing.T) {
 	e := newEngine(t, 1)
 	count := 0
